@@ -63,15 +63,13 @@ def _filtration(dim: int, product) -> tuple[tuple[int, ...] | None, int | None]:
                     for k, c in prod.items():
                         w[k] = c
                     nxt.append(w)
-        basis: list[la.Vector] = []
-        for v in nxt:
-            if la.in_span(basis, v) is None:
-                basis.append(v)
+        basis = [nxt[k] for k in la.extend_basis([], nxt, dim)]
         if not basis:
             nu = len(spans) + 1
             spans.append([])
             break
-        if la.span_dim(basis, dim) == la.span_dim(spans[-1], dim):
+        # every kept span is independent, so its length is its dimension
+        if len(basis) == len(spans[-1]):
             return None, None
         spans.append(basis)
     if nu is None:
@@ -396,7 +394,7 @@ class SmallExtension:
                         f"alpha is not an algebra map at ({self.B.labels[i]}, {self.B.labels[j]})")
         computed = la.nullspace(self.alpha, cols=dimB)
         span = [list(v) for v in self.kernel]
-        if la.span_dim(span, dimB) != len(span) or len(span) != len(computed):
+        if len(la.extend_basis([], span, dimB)) != len(span) or len(span) != len(computed):
             raise InvalidInput("declared kernel basis does not match ker alpha")
         for v in computed:
             if la.in_span(span, v) is None:
@@ -560,18 +558,6 @@ class TensorDgla:
             deg = l_elem.degree + self.coeff.degree_of(a_idx)
         return GradedElement(self.space, coords, deg)
 
-    def coefficient_component(self, x: GradedElement, a_idx: int) -> GradedElement:
-        """The factor element v with x = … + v⊗a_idx + …."""
-        coords = {}
-        for (deg, idx), c in x.coords.items():
-            ldeg, lidx, ai = self.from_tensor[(deg, idx)]
-            if ai == a_idx:
-                coords[(ldeg, lidx)] = c
-        return GradedElement(self.factor.space, coords)
-
-    def coefficient_support(self, x: GradedElement) -> list[int]:
-        return sorted({self.from_tensor[k][2] for k in x.coords})
-
     def map_coefficients(self, x: GradedElement, matrix: la.Matrix,
                          target: "TensorDgla") -> GradedElement:
         """Apply a linear map of coefficient algebras: x⊗a ↦ x⊗(matrix·a)."""
@@ -591,14 +577,6 @@ class TensorDgla:
         if x.is_zero():
             return self.nu
         return min(self.levels[k] for k in x.coords)
-
-    def from_pairs(self, pairs) -> GradedElement:
-        """Element from (factor (deg, idx), coeff idx, scalar) triples."""
-        coords: dict[tuple[int, int], Fraction] = {}
-        for (ldeg, lidx), ai, c in pairs:
-            key = self.to_tensor[(ldeg, lidx, ai)]
-            coords[key] = coords.get(key, ZERO) + la.frac(c)
-        return GradedElement(self.space, coords)
 
     def element_from_labels(self, coeffs: Mapping[str, object],
                             degree: int | None = None) -> GradedElement:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from . import library as lib
@@ -38,6 +39,7 @@ from .documents import (
     parse_element_body,
     parse_triple_body,
     resolve_tensor_element,
+    resolve_triple,
     serialize_artin,
     serialize_dgla,
     serialize_element,
@@ -61,6 +63,7 @@ from .maurer_cartan import (
     mc_element,
     mc_pair_check,
     mc_residual,
+    mc_triple,
     obstruction_pair,
     obstruction_single,
     pair_setting,
@@ -74,11 +77,6 @@ from .path_object import (
     h_pair_element,
     truncated_H_cohomology,
 )
-
-COMMANDS = ("validate", "cohomology", "cone", "pair-cone", "tangent", "mc-check",
-            "mc-residual", "gauge-apply", "gauge-equiv", "bch", "obstruction",
-            "lift", "h-trunc", "h-embed", "examples")
-
 
 def _violations_json(report) -> list:
     return [{"axiom": v.axiom, "witness": list(v.witness), "detail": v.detail}
@@ -130,6 +128,16 @@ def _element_from(path, tensor, dgla_digest, coeff_digest, degree=None):
 # --- command handlers ----------------------------------------------------------
 
 
+def _endpoints_report(dglas) -> list:
+    """validate_dgla over (where, DGLA) pairs, each distinct DGLA once."""
+    report, seen = [], []
+    for where, D in dglas:
+        if D not in seen:
+            seen.append(D)
+            report += [replace(v, detail=f"{where}: {v.detail}") for v in validate_dgla(D)]
+    return report
+
+
 def cmd_validate(args):
     raw = load_raw(args.document)
     kind = raw["kind"]
@@ -138,10 +146,14 @@ def cmd_validate(args):
     elif kind in ("artin", "dg_algebra"):
         report = validate_artin(parse_artin_body(raw, kind, check_axioms=False))
     elif kind == "morphism":
-        report = validate_morphism(parse_morphism_body(raw, "morphism", check_axioms=False))
+        phi = parse_morphism_body(raw, "morphism", check_axioms=False)
+        report = _endpoints_report([("source", phi.source), ("target", phi.target)])
+        report += validate_morphism(phi)
     elif kind == "pair":
         h, g = parse_pair_body(raw, "pair", check_axioms=False)
-        report = validate_morphism(h) + validate_morphism(g)
+        report = _endpoints_report([("h.source", h.source), ("g.source", g.source),
+                                    ("target", h.target)])
+        report += validate_morphism(h) + validate_morphism(g)
     elif kind == "small_extension":
         parse_extension_body(raw, "small_extension", check_axioms=True)
         report = []
@@ -254,23 +266,7 @@ def cmd_mc_check(args):
     A = parse_artin_body(artin_raw, artin_raw.get("kind"))
     coeff_digest = digest(serialize_artin(A))
     s = pair_setting(h, g, A)
-    raw = load_document(args.element)
-    if "x" not in raw:
-        raise SchemaError(f"{args.element}: expected a triple document")
-    if raw["owner"]["pair"] != pair_digest or raw["owner"]["coeff"] != coeff_digest:
-        raise SchemaError(f"{args.element}: owner digests do not match --pair/--artin")
-
-    def build(coords, tensor, degree):
-        out = {}
-        for lab, c in coords.items():
-            if not tensor.space.has_label(lab):
-                raise SchemaError(f"{args.element}: unknown tensor label {lab!r}")
-            out[tensor.space.locate(lab)] = c
-        return GradedElement(tensor.space, out, degree)
-
-    x = build(raw["x"], s.tL, 1)
-    y = build(raw["y"], s.tN, 1)
-    p = build(raw["p"], s.tM, 0)
+    x, y, p = resolve_triple(load_raw(args.element), s, pair_digest, coeff_digest, args.element)
     triple, report = mc_pair_check(s, x, y, p)
     return {"verified": triple.verified, "violations": _violations_json(report)}, 0
 
@@ -284,6 +280,14 @@ def _obstruction_context(args):
     return ext, coeff_digest, ext_name
 
 
+def _triple_from(args, h, g, ext, coeff_digest):
+    """The verified --element triple over the pair (h, g) and ext.A."""
+    s = pair_setting(h, g, ext.A)
+    x, y, p = resolve_triple(load_raw(args.element), s, digest(serialize_pair(h, g)),
+                             coeff_digest, args.element)
+    return mc_triple(s, x, y, p)
+
+
 def cmd_obstruction(args):
     ext, coeff_digest, ext_name = _obstruction_context(args)
     if args.dgla:
@@ -294,20 +298,7 @@ def cmd_obstruction(args):
         cls = obstruction_single(ext, x)
     else:
         h, g = parse_pair_body(load_raw(args.pair), "pair")
-        s = pair_setting(h, g, ext.A)
-        raw = load_document(args.element)
-        pair_digest = digest(serialize_pair(h, g))
-        if raw["owner"]["pair"] != pair_digest or raw["owner"]["coeff"] != coeff_digest:
-            raise SchemaError(f"{args.element}: owner digests do not match inputs")
-        from .maurer_cartan import mc_triple
-
-        def build(coords, tensor, degree):
-            return GradedElement(tensor.space,
-                                 {tensor.space.locate(l): c for l, c in coords.items()}, degree)
-
-        t = mc_triple(s, build(raw["x"], s.tL, 1), build(raw["y"], s.tN, 1),
-                      build(raw["p"], s.tM, 0))
-        cls = obstruction_pair(ext, t)
+        cls = obstruction_pair(ext, _triple_from(args, h, g, ext, coeff_digest))
     return {
         "extension": ext_name,
         "class": _scalars(cls.label_map()),
@@ -332,19 +323,7 @@ def cmd_lift(args):
         return {"extension": ext_name, "lifted": True,
                 "element": _scalars(element_coords_map(TB.space, got.element))}, 0
     h, g = parse_pair_body(load_raw(args.pair), "pair")
-    s = pair_setting(h, g, ext.A)
-    raw = load_document(args.element)
-    pair_digest = digest(serialize_pair(h, g))
-    if raw["owner"]["pair"] != pair_digest or raw["owner"]["coeff"] != coeff_digest:
-        raise SchemaError(f"{args.element}: owner digests do not match inputs")
-    from .maurer_cartan import mc_triple
-
-    def build(coords, tensor, degree):
-        return GradedElement(tensor.space,
-                             {tensor.space.locate(l): c for l, c in coords.items()}, degree)
-
-    t = mc_triple(s, build(raw["x"], s.tL, 1), build(raw["y"], s.tN, 1),
-                  build(raw["p"], s.tM, 0))
+    t = _triple_from(args, h, g, ext, coeff_digest)
     sB = pair_setting(h, g, ext.B)
     cls = obstruction_pair(ext, t, setting_B=sB)
     got = lift_pair_if_unobstructed(ext, t, cls, setting_B=sB)

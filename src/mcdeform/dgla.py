@@ -27,14 +27,16 @@ from .graded import (
     GradedMap,
     GradedSpace,
     basis_element,
+    block_sum,
     direct_sum,
-    element_from_vector,
     hom_complex,
+    kernel_subcomplex,
     map_from_basis_images,
     identity_map,
     zero_complex,
     zero_element,
     zero_map,
+    zero_space,
 )
 
 ZERO = Fraction(0)
@@ -343,15 +345,6 @@ def _as_chain_map(f) -> ChainMap:
 
 
 @dataclass(frozen=True)
-class ConePart:
-    """Embedding/projection pair for one building block of a cone."""
-
-    name: str
-    embed: GradedMap
-    project: GradedMap
-
-
-@dataclass(frozen=True)
 class ConeComplex:
     """Suspended mapping cone with provenance and block bookkeeping."""
 
@@ -360,13 +353,13 @@ class ConeComplex:
     convention: str
     h: ChainMap
     g: ChainMap | None
-    parts: Mapping[str, ConePart]
+    parts: Mapping[str, tuple[GradedMap, GradedMap]]  # name -> (embed, project)
 
     def embed(self, part: str, x: GradedElement) -> GradedElement:
-        return self.parts[part].embed.apply(x)
+        return self.parts[part][0].apply(x)
 
     def project(self, part: str, x: GradedElement) -> GradedElement:
-        return self.parts[part].project.apply(x)
+        return self.parts[part][1].apply(x)
 
     def __eq__(self, other):
         if not isinstance(other, ConeComplex):
@@ -376,54 +369,18 @@ class ConeComplex:
     __hash__ = None
 
 
-def _cone_space(sources: list[tuple[str, GradedSpace, int]]) -> GradedSpace:
-    """Graded space ⊕ parts, each part shifted down by its offset.
-
-    A part (prefix, space, off) contributes space^{i-off} to cone degree i.
-    """
-    dmin = min(s.dmin + off for _p, s, off in sources)
-    dmax = max(s.dmax + off for _p, s, off in sources)
-    basis: dict[int, tuple[str, ...]] = {}
-    for i in range(dmin, dmax + 1):
-        labels: list[str] = []
-        for prefix, space, off in sources:
-            labels.extend(prefix + l for l in space.labels(i - off))
-        if labels:
-            basis[i] = tuple(labels)
-    if not basis:
-        # all parts empty: keep a legal empty window
-        return GradedSpace(0, 0, {})
-    return GradedSpace(dmin, dmax, basis)
-
-
-def _part_maps(cone_space: GradedSpace, prefix: str, space: GradedSpace,
-               off: int) -> ConePart:
-    embed_images = {}
-    proj_images = {}
-    for i in space.degrees():
-        for lab in space.labels(i):
-            clab = prefix + lab
-            embed_images[lab] = GradedElement(cone_space, {cone_space.locate(clab): ONE}, i + off)
-            proj_images[clab] = GradedElement(space, {space.locate(lab): ONE}, i)
-    embed = map_from_basis_images(space, cone_space, off, embed_images)
-    project = map_from_basis_images(cone_space, space, -off, proj_images)
-    return ConePart(prefix.rstrip(":"), embed, project)
-
-
 def cone_single(h) -> ConeComplex:
     """Suspended cone of h: C_h^i = L^i ⊕ M^{i−1}, δ(l,m) = (dl, −dm + h(l))."""
     h = _as_chain_map(h)
     L, M = h.source, h.target
-    space = _cone_space([("L:", L.space, 0), ("M:", M.space, 1)])
-    part_l = _part_maps(space, "L:", L.space, 0)
-    part_m = _part_maps(space, "M:", M.space, 1)
-    d = (part_l.embed.compose(L.d).compose(part_l.project)
-         + part_m.embed.compose(h.map).compose(part_l.project)
-         - part_m.embed.compose(M.d).compose(part_m.project))
-    cx = ChainComplex(space, GradedMap(space, space, 1, d.blocks))
+    space, maps = block_sum([("L", L.space, 0), ("M", M.space, 1)])
+    (in_l, pr_l), (in_m, pr_m) = maps
+    d = (in_l.compose(L.d).compose(pr_l)
+         + in_m.compose(h.map).compose(pr_l)
+         - in_m.compose(M.d).compose(pr_m))
+    cx = ChainComplex(space, d)
     cx.require_d_squared_zero()
-    return ConeComplex(cx, "single", CONE_CONVENTION, h, None,
-                       {"L": part_l, "M": part_m})
+    return ConeComplex(cx, "single", CONE_CONVENTION, h, None, dict(zip("LM", maps)))
 
 
 def cone_pair(h, g) -> ConeComplex:
@@ -433,19 +390,16 @@ def cone_pair(h, g) -> ConeComplex:
     if h.target != g.target:
         raise TargetMismatch("h and g must share their target")
     L, N, M = h.source, g.source, h.target
-    space = _cone_space([("L:", L.space, 0), ("N:", N.space, 0), ("M:", M.space, 1)])
-    part_l = _part_maps(space, "L:", L.space, 0)
-    part_n = _part_maps(space, "N:", N.space, 0)
-    part_m = _part_maps(space, "M:", M.space, 1)
-    d = (part_l.embed.compose(L.d).compose(part_l.project)
-         + part_n.embed.compose(N.d).compose(part_n.project)
-         + part_m.embed.compose(h.map).compose(part_l.project)
-         - part_m.embed.compose(g.map).compose(part_n.project)
-         - part_m.embed.compose(M.d).compose(part_m.project))
-    cx = ChainComplex(space, GradedMap(space, space, 1, d.blocks))
+    space, maps = block_sum([("L", L.space, 0), ("N", N.space, 0), ("M", M.space, 1)])
+    (in_l, pr_l), (in_n, pr_n), (in_m, pr_m) = maps
+    d = (in_l.compose(L.d).compose(pr_l)
+         + in_n.compose(N.d).compose(pr_n)
+         + in_m.compose(h.map).compose(pr_l)
+         - in_m.compose(g.map).compose(pr_n)
+         - in_m.compose(M.d).compose(pr_m))
+    cx = ChainComplex(space, d)
     cx.require_d_squared_zero()
-    return ConeComplex(cx, "pair", CONE_CONVENTION, h, g,
-                       {"L": part_l, "N": part_n, "M": part_m})
+    return ConeComplex(cx, "pair", CONE_CONVENTION, h, g, dict(zip("LNM", maps)))
 
 
 def difference_chain_map(h, g) -> ChainMap:
@@ -454,9 +408,8 @@ def difference_chain_map(h, g) -> ChainMap:
     g = _as_chain_map(g)
     if h.target != g.target:
         raise TargetMismatch("h and g must share their target")
-    total, inc_l, inc_n, proj_l, proj_n = direct_sum(h.source, g.source, ("L:", "N:"))
-    m = h.map.compose(proj_l) - g.map.compose(proj_n)
-    return ChainMap(total, h.target, m)
+    total, [(_il, proj_l), (_in, proj_n)] = direct_sum([("L", h.source), ("N", g.source)])
+    return ChainMap(total, h.target, h.map.compose(proj_l) - g.map.compose(proj_n))
 
 
 def cokernel(f: ChainMap) -> tuple[ChainComplex, ChainMap]:
@@ -468,41 +421,27 @@ def cokernel(f: ChainMap) -> tuple[ChainComplex, ChainMap]:
     M = f.target
     space = M.space
     basis: dict[int, tuple[str, ...]] = {}
-    comp_vectors: dict[int, list[la.Vector]] = {}
+    chosen: dict[int, list[int]] = {}
     proj_rows: dict[int, la.Matrix] = {}
     for i in space.degrees():
         n = space.dim(i)
         if n == 0:
             continue
         img = la.column_space_basis(f.map.matrix(i)) if f.source.space.dim(i) else []
-        full = list(img)
-        chosen: list[int] = []
-        for j in range(n):
-            e = la.unit_vector(n, j)
-            if la.in_span(full, e) is None:
-                full.append(e)
-                chosen.append(j)
-        if not chosen:
-            continue
-        basis[i] = tuple(f"q:{space.label(i, j)}" for j in chosen)
-        comp_vectors[i] = [la.unit_vector(n, j) for j in chosen]
-        f_inv = la.inverse(la.from_columns(full, n))
-        proj_rows[i] = [f_inv[len(img) + k] for k in range(len(chosen))]
-    if basis:
-        qspace = GradedSpace(space.dmin, space.dmax, basis)
-    else:
-        qspace = GradedSpace(0, 0, {})
-    pi = GradedMap(space, qspace, 0,
-                   {i: rows for i, rows in proj_rows.items()})
+        units, f_inv = la.complete_and_invert(img, n)
+        if units:
+            basis[i] = tuple(f"q:{space.label(i, j)}" for j in units)
+            chosen[i] = units
+            proj_rows[i] = f_inv[len(img):]
+    qspace = GradedSpace(space.dmin, space.dmax, basis) if basis else zero_space()
+    pi = GradedMap(space, qspace, 0, proj_rows)
     # induced differential: d̄(q) = π(d(rep(q)))
     images = {}
-    for i, vecs in comp_vectors.items():
-        for k, v in enumerate(vecs):
-            rep = element_from_vector(space, i, v)
-            img = pi.apply(M.d.apply(rep))
-            lab = qspace.label(i, k)
+    for i, units in chosen.items():
+        for k, j in enumerate(units):
+            img = pi.apply(M.d.apply(basis_element(space, i, j)))
             if not img.is_zero():
-                images[lab] = img
+                images[qspace.label(i, k)] = img
     dq = map_from_basis_images(qspace, qspace, 1, images)
     qcx = ChainComplex(qspace, dq)
     qcx.require_d_squared_zero()
@@ -522,8 +461,8 @@ def gamma_quotient_map(h, g) -> ChainMap:
     coker_cx, pi = cokernel(h)
     pig = ChainMap(g.source, coker_cx, pi.map.compose(g.map))
     tgt_cone = cone_single(pig)
-    m = (tgt_cone.parts["L"].embed.compose(src_cone.parts["N"].project).scale(-1)
-         + tgt_cone.parts["M"].embed.compose(pi.map).compose(src_cone.parts["M"].project))
+    m = (tgt_cone.parts["L"][0].compose(src_cone.parts["N"][1]).scale(-1)
+         + tgt_cone.parts["M"][0].compose(pi.map).compose(src_cone.parts["M"][1]))
     gamma = ChainMap(src_cone.complex, tgt_cone.complex, m)
     if not gamma.commutes_with_d():
         raise InvalidInput("internal: γ is not a chain map")
@@ -538,9 +477,9 @@ def swap_iso(h, g) -> ChainMap:
         raise TargetMismatch("h and g must share their target")
     src = cone_pair(h, g)
     tgt = cone_pair(g, h)
-    m = (tgt.parts["N"].embed.compose(src.parts["L"].project).scale(-1)
-         + tgt.parts["L"].embed.compose(src.parts["N"].project).scale(-1)
-         + tgt.parts["M"].embed.compose(src.parts["M"].project))
+    m = (tgt.parts["N"][0].compose(src.parts["L"][1]).scale(-1)
+         + tgt.parts["L"][0].compose(src.parts["N"][1]).scale(-1)
+         + tgt.parts["M"][0].compose(src.parts["M"][1]))
     gamma = ChainMap(src.complex, tgt.complex, m)
     if not gamma.commutes_with_d():
         raise InvalidInput("internal: swap is not a chain map")
@@ -561,15 +500,14 @@ def les_exactness(h, g) -> list[Violation]:
     g = _as_chain_map(g)
     cone = cone_pair(h, g)
     H_c = compute_cohomology(cone.complex)
-    total, inc_l, inc_n, proj_l, proj_n = direct_sum(h.source, g.source, ("L:", "N:"))
+    total, [(inc_l, proj_l), (inc_n, proj_n)] = direct_sum([("L", h.source), ("N", g.source)])
     H_sum = compute_cohomology(total)
     H_m = compute_cohomology(h.target)
 
     # ι: H^{i−1}(M) → H^i(C) via the M-part embedding (degree +1)
-    iota = cone.parts["M"].embed
+    iota = cone.parts["M"][0]
     # π: H^i(C) → H^i(L⊕N) projecting to the source parts
-    pi = (inc_l.compose(cone.parts["L"].project)
-          + inc_n.compose(cone.parts["N"].project))
+    pi = inc_l.compose(cone.parts["L"][1]) + inc_n.compose(cone.parts["N"][1])
     # connecting map: class of h(l) − g(n)
     conn = h.map.compose(proj_l) - g.map.compose(proj_n)
 
@@ -601,30 +539,18 @@ def les_exactness(h, g) -> list[Violation]:
 # --- fiber products --------------------------------------------------------
 
 
-def direct_sum_dgla(L: Dgla, N: Dgla,
-                    prefixes: tuple[str, str] = ("L:", "N:")) -> tuple[
-                        Dgla, GradedMap, GradedMap, GradedMap, GradedMap]:
+def direct_sum_dgla(L: Dgla, N: Dgla, names: tuple[str, str]) -> tuple[
+        Dgla, GradedMap, GradedMap, GradedMap, GradedMap]:
     """Product DGLA L × N with componentwise bracket."""
-    cx, inc_l, inc_n, proj_l, proj_n = direct_sum(L.complex, N.complex, prefixes)
-    entries = []
-    for (a, b), val in L.brackets.items():
-        entries.append(((a[0], _reindex(cx.space, prefixes[0], L.space, a)),
-                        (b[0], _reindex(cx.space, prefixes[0], L.space, b)),
-                        inc_l.apply(val)))
-    for (a, b), val in N.brackets.items():
-        entries.append(((a[0], _reindex(cx.space, prefixes[1], N.space, a)),
-                        (b[0], _reindex(cx.space, prefixes[1], N.space, b)),
-                        inc_n.apply(val)))
-    dgla = make_dgla(cx, entries)
-    return dgla, inc_l, inc_n, proj_l, proj_n
+    cx, [(inc_l, proj_l), (inc_n, proj_n)] = direct_sum(zip(names, (L.complex, N.complex)))
 
+    def key(inc: GradedMap, k: BasisKey) -> BasisKey:
+        (image,) = inc.apply(basis_element(inc.source, *k)).coords
+        return image
 
-def _reindex(total: GradedSpace, prefix: str, space: GradedSpace, key: BasisKey) -> int:
-    lab = prefix + space.label(*key)
-    deg, idx = total.locate(lab)
-    if deg != key[0]:
-        raise InvalidInput("internal: degree drift in direct sum")
-    return idx
+    entries = [(key(inc, a), key(inc, b), inc.apply(val))
+               for D, inc in ((L, inc_l), (N, inc_n)) for (a, b), val in D.brackets.items()]
+    return make_dgla(cx, entries), inc_l, inc_n, proj_l, proj_n
 
 
 @dataclass(frozen=True)
@@ -645,60 +571,20 @@ def fiber_product_dgla(h: DglaMorphism, g: DglaMorphism) -> FiberProduct:
     if h.target != g.target:
         raise TargetMismatch("h and g must share their target")
     L, N, M = h.source, g.source, h.target
-    product, inc_l, inc_n, proj_l, proj_n = direct_sum_dgla(L, N)
+    product, inc_l, inc_n, proj_l, proj_n = direct_sum_dgla(L, N, ("L", "N"))
     diff = h.map.compose(proj_l) - g.map.compose(proj_n)
-
-    pspace = product.space
-    basis: dict[int, tuple[str, ...]] = {}
-    embed_cols: dict[int, list[la.Vector]] = {}
-    for i in pspace.degrees():
-        n = pspace.dim(i)
-        if n == 0:
-            continue
-        ker = la.nullspace(diff.matrix(i), cols=n)
-        if not ker:
-            continue
-        basis[i] = tuple(f"fp{i}_{k}" for k in range(len(ker)))
-        embed_cols[i] = ker
-    fspace = GradedSpace(pspace.dmin, pspace.dmax, basis) if basis else GradedSpace(0, 0, {})
-    embed = GradedMap(fspace, pspace, 0,
-                      {i: la.from_columns(cols, pspace.dim(i))
-                       for i, cols in embed_cols.items()})
-
-    def restrict(x: GradedElement, degree: int) -> la.Vector:
-        cols = embed_cols.get(degree)
-        if cols is None:
-            if not x.is_zero():
-                raise InvalidInput("element leaves the fiber product (invalid inputs)")
-            return []
-        coords = la.in_span(cols, x.component_vector(degree))
-        if coords is None:
-            raise InvalidInput("element leaves the fiber product (invalid inputs)")
-        return coords
-
-    d_images = {}
-    for i, cols in embed_cols.items():
-        for k, v in enumerate(cols):
-            img = product.differential_of(element_from_vector(pspace, i, v))
-            vec = restrict(img, i + 1)
-            el = element_from_vector(fspace, i + 1, vec) if vec else zero_element(fspace)
-            if not el.is_zero():
-                d_images[fspace.label(i, k)] = el
-    fcx = ChainComplex(fspace, map_from_basis_images(fspace, fspace, 1, d_images))
-
+    fcx, embed, restrict = kernel_subcomplex(product.complex, [diff], "fp")
+    fspace = fcx.space
+    keys = [(i, p) for i in fspace.degrees() for p in range(fspace.dim(i))]
     entries = []
-    for i, cols_i in embed_cols.items():
-        for p, vp in enumerate(cols_i):
-            ep = element_from_vector(pspace, i, vp)
-            for j, cols_j in embed_cols.items():
-                for q, vq in enumerate(cols_j):
-                    if (j, q) < (i, p):
-                        continue
-                    val = product.bracket(ep, element_from_vector(pspace, j, vq))
-                    if val.is_zero():
-                        continue
-                    vec = restrict(val, i + j)
-                    entries.append(((i, p), (j, q), element_from_vector(fspace, i + j, vec)))
+    for a in keys:
+        ea = embed.apply(basis_element(fspace, *a))
+        for b in keys:
+            if b < a:
+                continue
+            val = product.bracket(ea, embed.apply(basis_element(fspace, *b)))
+            if not val.is_zero():
+                entries.append((a, b, restrict(val)))
     fdgla = make_dgla(fcx, entries)
 
     surj = {}
@@ -800,7 +686,6 @@ def endomorphism_dgla(V: ChainComplex) -> Dgla:
     """End(V) = Hom^*(V, V) with graded commutator bracket and d' = [d, −]."""
     hom = hom_complex(V, V)
     hspace = hom.space
-    comp: dict[tuple[BasisKey, BasisKey], BasisKey | None] = {}
 
     def decode(key: BasisKey) -> tuple[BasisKey, BasisKey]:
         lab = hspace.label(*key)

@@ -65,6 +65,14 @@ def _scalar_map(d, where: str) -> dict[str, Fraction]:
     return {lab: parse_scalar(v, f"{where}.{lab}") for lab, v in d.items()}
 
 
+def _field(doc: dict, key: str, kind: type, where: str):
+    """doc[key], which must be a JSON object (dict) or array (list)."""
+    val = doc[key]
+    if not isinstance(val, kind):
+        raise SchemaError(f"{where}.{key}: expected {'an object' if kind is dict else 'a list'}")
+    return val
+
+
 def _expect_keys(obj: Mapping, required: set[str], optional: set[str], where: str):
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object")
@@ -267,7 +275,7 @@ def parse_dgla_body(doc: dict, where: str = "dgla", check_axioms: bool = True) -
     dimension_guard(space.total_dim())
 
     images = {}
-    for lab, val in doc["differential"].items():
+    for lab, val in _field(doc, "differential", dict, where).items():
         if not space.has_label(lab):
             raise SchemaError(f"{where}.differential.{lab}: unknown label")
         deg = space.locate(lab)[0]
@@ -284,10 +292,8 @@ def parse_dgla_body(doc: dict, where: str = "dgla", check_axioms: bool = True) -
     d = map_from_basis_images(space, space, 1, images)
     cx = ChainComplex(space, d)
 
-    if not isinstance(doc["bracket"], list):
-        raise SchemaError(f"{where}.bracket: expected a list")
     entries = {}
-    for k, ent in enumerate(doc["bracket"]):
+    for k, ent in enumerate(_field(doc, "bracket", list, where)):
         _expect_keys(ent, {"a", "b", "value"}, set(), f"{where}.bracket[{k}]")
         a, b = ent["a"], ent["b"]
         for lab in (a, b):
@@ -326,7 +332,7 @@ def parse_artin_body(doc: dict, where: str = "artin", check_axioms: bool = True)
     if len(idx) != len(labels):
         raise SchemaError(f"{where}.basis: duplicate labels")
     table = {}
-    for k, ent in enumerate(doc["table"]):
+    for k, ent in enumerate(_field(doc, "table", list, where)):
         _expect_keys(ent, {"a", "b", "value"}, set(), f"{where}.table[{k}]")
         if ent["a"] not in idx or ent["b"] not in idx:
             raise SchemaError(f"{where}.table[{k}]: unknown label")
@@ -347,7 +353,7 @@ def parse_artin_body(doc: dict, where: str = "artin", check_axioms: bool = True)
             raise SchemaError(f"{where}.degrees: must cover exactly the basis labels")
         degrees = tuple(int(degrees_raw[lab]) for lab in labels)
         diff = {}
-        for lab, val in doc["differential"].items():
+        for lab, val in _field(doc, "differential", dict, where).items():
             if lab not in idx:
                 raise SchemaError(f"{where}.differential.{lab}: unknown label")
             diff[idx[lab]] = {idx[tl]: c
@@ -371,7 +377,7 @@ def parse_morphism_body(doc: dict, where: str = "morphism",
     src = parse_dgla_body(doc["source"], f"{where}.source", check_axioms)
     tgt = parse_dgla_body(doc["target"], f"{where}.target", check_axioms)
     images = {}
-    for lab, val in doc["matrix"].items():
+    for lab, val in _field(doc, "matrix", dict, where).items():
         if not src.space.has_label(lab):
             raise SchemaError(f"{where}.matrix.{lab}: unknown source label")
         deg = src.space.locate(lab)[0]
@@ -547,3 +553,24 @@ def resolve_tensor_element(raw: dict, tensor: TensorDgla, dgla_digest: str,
             raise SchemaError(f"{where}.coords.{lab}: unknown tensor label")
         coords[space.locate(lab)] = c
     return GradedElement(space, coords, raw["degree"])
+
+
+def resolve_triple(raw: dict, setting, pair_digest: str, coeff_digest: str,
+                   where: str) -> tuple[GradedElement, GradedElement, GradedElement]:
+    """Check a triple document's kind, owner digests and labels, and build
+    (x, y, p) in the tensor spaces of a pair setting."""
+    if raw.get("kind") != "triple":
+        raise SchemaError(f"{where}: expected a triple document, got kind {raw.get('kind')!r}")
+    body = parse_triple_body(raw, where)
+    if body["owner"]["pair"] != pair_digest or body["owner"]["coeff"] != coeff_digest:
+        raise SchemaError(f"{where}: owner digests do not match the pair and coefficient algebra")
+
+    def build(part: str, tensor: TensorDgla, degree: int) -> GradedElement:
+        coords = {}
+        for lab, c in body[part].items():
+            if not tensor.space.has_label(lab):
+                raise SchemaError(f"{where}.{part}.{lab}: unknown tensor label")
+            coords[tensor.space.locate(lab)] = c
+        return GradedElement(tensor.space, coords, degree)
+
+    return build("x", setting.tL, 1), build("y", setting.tN, 1), build("p", setting.tM, 0)

@@ -77,9 +77,5 @@ class ResourceLimitExceeded(McdeformError):
     """Total basis dimension exceeds the MCDEFORM_MAX_DIM guard."""
 
 
-class UnknownCommand(McdeformError):
-    """CLI dispatch got a command name outside the documented set."""
-
-
 class MissingDocument(McdeformError):
     """A CLI command is missing a required document argument."""

@@ -7,12 +7,14 @@ Degree blocks are dense matrices (see linalg); elements are sparse maps
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from . import linalg as la
 from .errors import (
+    DegreeMismatch,
     DegreeWindowViolation,
     DifferentialNotSquareZero,
     InvalidInput,
@@ -50,10 +52,15 @@ class GradedSpace:
                 seen[lab] = deg
             clean[deg] = labels
         object.__setattr__(self, "basis", clean)
-        object.__setattr__(self, "_locate", {})
-        for deg, labels in clean.items():
-            for idx, lab in enumerate(labels):
-                self._locate[lab] = (deg, idx)
+        object.__setattr__(self, "_index", None)  # label -> (degree, index), built on first use
+
+    @property
+    def _locate(self) -> dict[str, tuple[int, int]]:
+        if self._index is None:
+            object.__setattr__(self, "_index", {lab: (deg, idx)
+                                                for deg, labels in self.basis.items()
+                                                for idx, lab in enumerate(labels)})
+        return self._index
 
     def degrees(self) -> range:
         return range(self.dmin, self.dmax + 1)
@@ -143,9 +150,6 @@ class GradedElement:
             {k: c for k, c in self.coords.items() if k[0] == degree},
             degree,
         )
-
-    def support_degrees(self) -> list[int]:
-        return sorted({deg for (deg, _i) in self.coords})
 
     def __add__(self, other: "GradedElement") -> "GradedElement":
         if self.space != other.space:
@@ -378,9 +382,6 @@ class ChainComplex:
     def differential_of(self, x: GradedElement) -> GradedElement:
         return self.d.apply(x)
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** i * self.space.dim(i) for i in self.space.degrees())
-
     def __eq__(self, other):
         if not isinstance(other, ChainComplex):
             return NotImplemented
@@ -424,16 +425,11 @@ class CohomologyResult:
         if degree is None:
             degree = x.homogeneous_degree()
             if degree is None:
-                raise DegreeMismatchError(x)
+                raise DegreeMismatch(f"element is not homogeneous: {x.coords}")
         return self.project_vector(degree, x.component_vector(degree))
 
     def representative(self, degree: int, j: int) -> GradedElement:
         return self.representatives[degree][j]
-
-
-class DegreeMismatchError(InvalidInput):
-    def __init__(self, x):
-        super().__init__(f"element is not homogeneous: {x.coords}")
 
 
 def compute_cohomology(complex: ChainComplex) -> CohomologyResult:
@@ -461,32 +457,16 @@ def compute_cohomology(complex: ChainComplex) -> CohomologyResult:
         boundary_basis = la.column_space_basis(d_prev) if space.dim(i - 1) else []
         h_dim = len(kernel) - len(boundary_basis)
         dims[i] = h_dim
-
-        span: list[la.Vector] = list(boundary_basis)
-        chosen: list[la.Vector] = []
-        for k in kernel:
-            if len(chosen) == h_dim:
-                break
-            if la.in_span(span, k) is None:
-                span.append(k)
-                chosen.append(k)
+        chosen = [kernel[k] for k in la.extend_basis(boundary_basis, kernel, n)]
         if len(chosen) != h_dim:
             raise InvalidInput("internal: representative selection failed")
 
         # Complete [boundaries | representatives] to a basis of V^i with
         # standard basis vectors; the projection is the representative rows
         # of the inverse basis matrix.
-        full: list[la.Vector] = list(boundary_basis) + list(chosen)
-        for j in range(n):
-            if len(full) == n:
-                break
-            e = la.unit_vector(n, j)
-            if la.in_span(full, e) is None:
-                full.append(e)
-        f_mat = la.from_columns(full, n)
-        f_inv = la.inverse(f_mat)
         nb = len(boundary_basis)
-        projs[i] = [f_inv[nb + j] for j in range(h_dim)]
+        _units, f_inv = la.complete_and_invert(boundary_basis + chosen, n)
+        projs[i] = f_inv[nb:nb + h_dim]
         reps[i] = tuple(element_from_vector(space, i, v) for v in chosen)
     return CohomologyResult(complex, dims, reps, projs)
 
@@ -627,63 +607,92 @@ def induced_cohomology_matrix(f: GradedMap, H_src: CohomologyResult,
     return la.from_columns(cols, H_tgt.dim(degree + f.degree))
 
 
-def direct_sum(V: ChainComplex, W: ChainComplex,
-               prefixes: tuple[str, str] = ("0:", "1:")) -> tuple[
-                   ChainComplex, GradedMap, GradedMap, GradedMap, GradedMap]:
-    """V ⊕ W with labelled injections and projections.
+def block_sum(parts: Iterable[tuple[str, GradedSpace, int]]) -> tuple[
+        GradedSpace, list[tuple[GradedMap, GradedMap]]]:
+    """Labelled direct sum of (name, space, offset) parts.
 
-    Returns (complex, inc_V, inc_W, proj_V, proj_W).
+    A part contributes space^{i−offset} to degree i, labelled "name:label";
+    within a degree the parts follow the given order.  Returns the total space
+    and one (embed, project) pair per part, of degrees offset and −offset.
     """
-    pv, pw = prefixes
-    dmin = min(V.space.dmin, W.space.dmin)
-    dmax = max(V.space.dmax, W.space.dmax)
+    parts = list(parts)
+    dmin = min(s.dmin + off for _n, s, off in parts)
+    dmax = max(s.dmax + off for _n, s, off in parts)
     basis = {}
     for i in range(dmin, dmax + 1):
-        labels = tuple(pv + l for l in V.space.labels(i)) + tuple(
-            pw + l for l in W.space.labels(i))
+        # interned: sums are rebuilt often with the same labels, and kept results share them
+        labels = tuple(sys.intern(f"{name}:{l}")
+                       for name, s, off in parts for l in s.labels(i - off))
         if labels:
             basis[i] = labels
-    sspace = GradedSpace(dmin, dmax, basis)
+    # all parts empty: keep a legal empty window
+    total = GradedSpace(dmin, dmax, basis) if basis else zero_space()
+    start = {i: 0 for i in basis}
+    maps = []
+    for _name, space, off in parts:
+        embed, project = {}, {}
+        for j in space.degrees():
+            n = space.dim(j)
+            if n == 0:
+                continue
+            i, at = j + off, start[j + off]
+            embed[j] = [[ONE if r == at + c else ZERO for c in range(n)]
+                        for r in range(total.dim(i))]
+            project[i] = [[ONE if c == at + r else ZERO for c in range(total.dim(i))]
+                          for r in range(n)]
+            start[i] += n
+        maps.append((GradedMap(space, total, off, embed), GradedMap(total, space, -off, project)))
+    return total, maps
 
-    def inc(space_from: GradedSpace, prefix: str) -> GradedMap:
-        images = {}
-        for i in space_from.degrees():
-            for lab in space_from.labels(i):
-                images[lab] = GradedElement(sspace, {sspace.locate(prefix + lab): ONE}, i)
-        return map_from_basis_images(space_from, sspace, 0, images)
 
-    def proj(space_to: GradedSpace, prefix: str) -> GradedMap:
-        images = {}
-        for i in sspace.degrees():
-            for lab in sspace.labels(i):
-                if lab.startswith(prefix) and space_to.has_label(lab[len(prefix):]):
-                    inner = lab[len(prefix):]
-                    if space_to.locate(inner)[0] == i:
-                        images[lab] = GradedElement(
-                            space_to, {space_to.locate(inner): ONE}, i)
-        return map_from_basis_images(sspace, space_to, 0, images)
+def direct_sum(parts: Iterable[tuple[str, ChainComplex]]) -> tuple[
+        ChainComplex, list[tuple[GradedMap, GradedMap]]]:
+    """Labelled direct sum of complexes with the blockwise differential."""
+    parts = list(parts)
+    space, maps = block_sum((name, cx.space, 0) for name, cx in parts)
+    d = zero_map(space, space, 1)
+    for (_name, cx), (embed, project) in zip(parts, maps):
+        d = d + embed.compose(cx.d).compose(project)
+    return ChainComplex(space, d), maps
 
-    inc_v = inc(V.space, pv)
-    inc_w = inc(W.space, pw)
-    proj_v = proj(V.space, pv)
-    proj_w = proj(W.space, pw)
-    d_blocks: dict[int, la.Matrix] = {}
-    for i in range(dmin, dmax + 1):
-        sdim = sspace.dim(i)
-        tdim = sspace.dim(i + 1)
-        if sdim == 0 or tdim == 0:
+
+def kernel_subcomplex(ambient: ChainComplex, constraints: list[GradedMap], tag: str) -> tuple[
+        ChainComplex, GradedMap, Callable[[GradedElement], GradedElement]]:
+    """The subcomplex of ambient killed by every degree-0 constraint map.
+
+    Degree i gets the nullspace basis of the stacked constraint matrices,
+    labelled "{tag}{i}_{k}".  Returns the subcomplex, its embedding, and
+    restrict: the exact inverse of the embedding on its image, raising
+    InvalidInput on any element outside it (so also if the kernel is not
+    d-closed).
+    """
+    space = ambient.space
+    basis, cols = {}, {}
+    for i in space.degrees():
+        if space.dim(i) == 0:
             continue
-        m = la.zeros(tdim, sdim)
-        vdim_s, vdim_t = V.space.dim(i), V.space.dim(i + 1)
-        bv = V.d.matrix(i)
-        for r in range(vdim_t):
-            for c in range(vdim_s):
-                m[r][c] = bv[r][c]
-        bw = W.d.matrix(i)
-        for r in range(W.space.dim(i + 1)):
-            for c in range(W.space.dim(i)):
-                m[vdim_t + r][vdim_s + c] = bw[r][c]
-        if not la.is_zero_matrix(m):
-            d_blocks[i] = m
-    cx = ChainComplex(sspace, GradedMap(sspace, sspace, 1, d_blocks))
-    return cx, inc_v, inc_w, proj_v, proj_w
+        ker = la.nullspace([row for c in constraints for row in c.matrix(i)], cols=space.dim(i))
+        if ker:
+            # interned as in block_sum
+            basis[i] = tuple(sys.intern(f"{tag}{i}_{k}") for k in range(len(ker)))
+            cols[i] = ker
+    sub = GradedSpace(space.dmin, space.dmax, basis) if basis else zero_space()
+    embed = GradedMap(sub, space, 0, {i: la.from_columns(ker, space.dim(i))
+                                      for i, ker in cols.items()})
+
+    def restrict(x: GradedElement) -> GradedElement:
+        coords = {}
+        for deg in sorted({d for d, _i in x.coords}):
+            sol = la.in_span(cols.get(deg, []), x.component_vector(deg))
+            if sol is None:
+                raise InvalidInput(f"element leaves the {tag} subcomplex")
+            coords.update(((deg, k), c) for k, c in enumerate(sol))
+        return GradedElement(sub, coords, x.degree)
+
+    blocks = {}
+    for i in cols:
+        images = [restrict(ambient.d.apply(embed.apply(basis_element(sub, i, k))))
+                  for k in range(sub.dim(i))]
+        blocks[i] = [[img.coords.get((i + 1, r), ZERO) for img in images]
+                     for r in range(sub.dim(i + 1))]
+    return ChainComplex(sub, GradedMap(sub, sub, 1, blocks)), embed, restrict

@@ -123,7 +123,7 @@ EXAMPLE_DGLAS = {
 
 @lru_cache(maxsize=None)
 def _sum_acyclic() -> tuple:
-    return direct_sum_dgla(acyclic(), acyclic(), ("A:", "B:"))
+    return direct_sum_dgla(acyclic(), acyclic(), ("A", "B"))
 
 
 @lru_cache(maxsize=None)

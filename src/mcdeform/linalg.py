@@ -4,7 +4,9 @@ Matrices are lists of rows of Fractions, shape (rows, cols); vectors are
 lists of Fractions.  Zero-row and zero-column matrices are legal: an r x 0
 matrix is ``[[] for _ in range(r)]`` and a 0 x c matrix is ``[]`` (the column
 count is then carried by the caller).  All routines return fresh objects and
-never mutate their arguments.
+never mutate their arguments.  mat_mul, mat_add, mat_scale and inverse reuse
+zero entries instead of computing fresh zeros, so results that are kept hold
+few Fraction objects.
 """
 
 from __future__ import annotations
@@ -70,23 +72,18 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
             aik = arow[k]
             if aik == 0:
                 continue
-            brow = b[k]
-            for j in range(cols):
-                orow[j] += aik * brow[j]
+            for j, bkj in enumerate(b[k]):
+                if bkj:
+                    orow[j] += aik * bkj
     return out
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[x + y if y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_scale(c: Fraction, a: Matrix) -> Matrix:
-    return [[c * x for x in row] for row in a]
-
-
-def transpose(a: Matrix, cols: int | None = None) -> Matrix:
-    c = num_cols(a, cols or 0)
-    return [[row[j] for row in a] for j in range(c)]
+    return [[c * x if x else x for x in row] for row in a]
 
 
 def is_zero_matrix(a: Matrix) -> bool:
@@ -166,22 +163,12 @@ def solve(a: Matrix, b: Vector, cols: int | None = None) -> Vector | None:
     return x
 
 
-def columns(a: Matrix, cols: int | None = None) -> list[Vector]:
-    c = num_cols(a, cols or 0)
-    return [[row[j] for row in a] for j in range(c)]
-
-
 def from_columns(cols_list: list[Vector], rows: int) -> Matrix:
     return [[col[i] for col in cols_list] for i in range(rows)]
 
 
-def independent_columns(a: Matrix) -> list[int]:
-    """Indices of the first maximal independent column set (pivot columns)."""
-    return rref(a)[1]
-
-
 def column_space_basis(a: Matrix) -> list[Vector]:
-    return [[row[j] for row in a] for j in independent_columns(a)]
+    return [[row[j] for row in a] for j in rref(a)[1]]
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -192,7 +179,7 @@ def inverse(a: Matrix) -> Matrix:
     r, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in r]
+    return [[x if x else ZERO for x in row[n:]] for row in r]
 
 
 def in_span(basis: list[Vector], v: Vector) -> Vector | None:
@@ -203,7 +190,22 @@ def in_span(basis: list[Vector], v: Vector) -> Vector | None:
     return solve(mat, v, cols=len(basis))
 
 
-def span_dim(vectors: list[Vector], length: int) -> int:
-    if not vectors:
-        return 0
-    return rank(from_columns(vectors, length))
+def extend_basis(base: list[Vector], candidates: list[Vector], length: int) -> list[int]:
+    """Indices of the candidates a greedy scan keeps: each one that lies
+    outside the span of base plus the candidates kept before it.
+
+    These are the candidate pivot columns of one rref([base | candidates]);
+    base may be dependent.  Vectors have the given length.
+    """
+    if not candidates:
+        return []
+    pivots = rref(from_columns(base + candidates, length))[1]
+    return [p - len(base) for p in pivots if p >= len(base)]
+
+
+def complete_and_invert(span: list[Vector], n: int) -> tuple[list[int], Matrix]:
+    """Complete independent vectors to a basis of Q^n with unit vectors, taken
+    greedily in index order; returns the unit indices used and the inverse of
+    the basis matrix [span | units]."""
+    units = extend_basis(span, identity(n), n)
+    return units, inverse(from_columns(span + [unit_vector(n, j) for j in units], n))

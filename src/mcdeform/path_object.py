@@ -32,7 +32,8 @@ from .graded import (
     GradedMap,
     GradedSpace,
     compute_cohomology,
-    element_from_vector,
+    direct_sum,
+    kernel_subcomplex,
     map_from_basis_images,
     zero_element,
 )
@@ -144,10 +145,6 @@ def poly_dt_term(M: Dgla, exponent: int, n: GradedElement) -> PolyElement:
     if deg is None:
         raise DegreeMismatch("coefficient must be homogeneous")
     return PolyElement(M, deg + 1, {}, {exponent: n})
-
-
-def poly_zero(M: Dgla, degree: int) -> PolyElement:
-    return PolyElement(M, degree, {}, {})
 
 
 def poly_d(x: PolyElement) -> PolyElement:
@@ -411,39 +408,8 @@ def truncated_H_complex(h: DglaMorphism, g: DglaMorphism,
     L, N, M = h.source, g.source, h.target
     path = truncated_path_complex(M, window.N)
     pspace = path.complex.space
-
-    dmin = min(L.space.dmin, N.space.dmin, pspace.dmin)
-    dmax = max(L.space.dmax, N.space.dmax, pspace.dmax)
-    basis = {}
-    for i in range(dmin, dmax + 1):
-        labels = (tuple("L:" + l for l in L.space.labels(i))
-                  + tuple("N:" + l for l in N.space.labels(i))
-                  + tuple("P:" + l for l in pspace.labels(i)))
-        if labels:
-            basis[i] = labels
-    ambient = GradedSpace(dmin, dmax, basis)
-
-    def part_map(space_from: GradedSpace, prefix: str) -> GradedMap:
-        images = {}
-        for i in space_from.degrees():
-            for lab in space_from.labels(i):
-                images[lab] = GradedElement(ambient, {ambient.locate(prefix + lab): ONE}, i)
-        return map_from_basis_images(space_from, ambient, 0, images)
-
-    def proj_map(space_to: GradedSpace, prefix: str) -> GradedMap:
-        images = {}
-        for i in ambient.degrees():
-            for lab in ambient.labels(i):
-                if lab.startswith(prefix):
-                    images[lab] = GradedElement(space_to, {space_to.locate(lab[len(prefix):]): ONE}, i)
-        return map_from_basis_images(ambient, space_to, 0, images)
-
-    inc_L, inc_N, inc_P = part_map(L.space, "L:"), part_map(N.space, "N:"), part_map(pspace, "P:")
-    pr_L, pr_N, pr_P = proj_map(L.space, "L:"), proj_map(N.space, "N:"), proj_map(pspace, "P:")
-    d_amb = (inc_L.compose(L.complex.d).compose(pr_L)
-             + inc_N.compose(N.complex.d).compose(pr_N)
-             + inc_P.compose(path.complex.d).compose(pr_P))
-    ambient_cx = ChainComplex(ambient, GradedMap(ambient, ambient, 1, d_amb.blocks))
+    ambient, [(_il, pr_L), (_in, pr_N), (_ip, pr_P)] = direct_sum(
+        [("L", L.complex), ("N", N.complex), ("P", path.complex)])
 
     # evaluation maps on the truncated path: e₁ sums t-part coefficients,
     # e₀ keeps exponent 0; both land in M
@@ -461,44 +427,7 @@ def truncated_H_complex(h: DglaMorphism, g: DglaMorphism,
 
     c1 = h.map.compose(pr_L) - eval_map(True).compose(pr_P)
     c0 = g.map.compose(pr_N) - eval_map(False).compose(pr_P)
-
-    basis_sub: dict[int, tuple[str, ...]] = {}
-    embed_cols: dict[int, list[la.Vector]] = {}
-    for i in ambient.degrees():
-        n_amb = ambient.dim(i)
-        if n_amb == 0:
-            continue
-        stacked = [row for row in c1.matrix(i)] + [row for row in c0.matrix(i)]
-        ker = la.nullspace(stacked, cols=n_amb)
-        if not ker:
-            continue
-        basis_sub[i] = tuple(f"H{i}_{k}" for k in range(len(ker)))
-        embed_cols[i] = ker
-    if not basis_sub:
-        sub_space = GradedSpace(0, 0, {})
-        sub = ChainComplex(sub_space, GradedMap(sub_space, sub_space, 1, {}))
-        return sub, GradedMap(sub_space, ambient, 0, {})
-    sub_space = GradedSpace(dmin, dmax, basis_sub)
-    embed = GradedMap(sub_space, ambient, 0,
-                      {i: la.from_columns(cols, ambient.dim(i))
-                       for i, cols in embed_cols.items()})
-
-    d_images = {}
-    for i, cols in embed_cols.items():
-        for k, v in enumerate(cols):
-            img = ambient_cx.d.apply(element_from_vector(ambient, i, v))
-            tgt_cols = embed_cols.get(i + 1)
-            if tgt_cols is None:
-                if not img.is_zero():
-                    raise InvalidInput("internal: constraint kernel not d-closed")
-                continue
-            sol = la.in_span(tgt_cols, img.component_vector(i + 1))
-            if sol is None:
-                raise InvalidInput("internal: constraint kernel not d-closed")
-            el = element_from_vector(sub_space, i + 1, sol)
-            if not el.is_zero():
-                d_images[sub_space.label(i, k)] = el
-    sub = ChainComplex(sub_space, map_from_basis_images(sub_space, sub_space, 1, d_images))
+    sub, embed, _restrict = kernel_subcomplex(ambient, [c1, c0], "H")
     sub.require_d_squared_zero()
     return sub, embed
 

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import mutations
 from mcdeform.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -245,6 +246,75 @@ class TestMathCommands:
             "obstruction", "--dgla", docs["heis"], "--tower", "3",
             "--element", docs["xt_obstructed"]])
         assert code == 1
+
+
+class TestDocumentBoundary:
+    """Endpoint validation, the triple resolver, and field-type guards."""
+
+    def test_validate_checks_morphism_and_pair_endpoints(self, tmp_path):
+        from mcdeform.dgla import identity_morphism
+        from mcdeform.documents import canonical_json, serialize_morphism, serialize_pair
+
+        _name, bad = mutations.corpus()[0]
+        phi = identity_morphism(bad)
+        for kind, doc in (("morphism", serialize_morphism(phi)),
+                          ("pair", serialize_pair(phi, phi))):
+            p = tmp_path / f"{kind}.json"
+            p.write_text(canonical_json(doc))
+            code, out, _ = run_cli(["validate", str(p), "--json"])
+            assert code == 1, kind
+            report = json.loads(out)["result"]
+            assert report["valid"] is False
+            assert any(v["axiom"] == "jacobi" for v in report["violations"])
+            if kind == "pair":
+                code, out, _ = run_cli(["pair-cone", str(p), "--json"])
+                assert code == 1 and json.loads(out)["error"] == "AxiomViolation"
+
+    def test_valid_pair_still_valid(self, docs):
+        code, out, _ = run_cli(["validate", docs["pair_idid_obstructed"], "--json"])
+        assert code == 0
+        assert json.loads(out)["result"] == {"kind": "pair", "valid": True, "violations": []}
+
+    @pytest.mark.parametrize("command", ["obstruction", "lift"])
+    def test_pair_commands_reject_element_documents(self, docs, command):
+        code, out, _ = run_cli([
+            command, "--pair", docs["pair_idid_obstructed"], "--tower", "3",
+            "--element", docs["xt_obstructed"], "--json"])
+        assert code == 1
+        assert json.loads(out)["error"] == "SchemaError"
+
+    def test_unknown_triple_label_is_schema_error(self, tmp_path, docs):
+        with open(docs["triple_idid_obstructed"]) as fh:
+            doc = json.load(fh)
+        doc["x"]["nope@t"] = "1"
+        bad = tmp_path / "triple.json"
+        bad.write_text(json.dumps(doc))
+        for argv in (["mc-check", "--artin", docs["artin_kt2"]],
+                     ["obstruction", "--tower", "3"], ["lift", "--tower", "3"]):
+            code, out, _ = run_cli(argv + ["--pair", docs["pair_idid_obstructed"],
+                                           "--element", str(bad), "--json"])
+            assert code == 1, argv[0]
+            assert json.loads(out)["error"] == "SchemaError", argv[0]
+
+    @pytest.mark.parametrize("name, path, value", [
+        ("obstructed", ("differential",), []),
+        ("obstructed", ("bracket",), {}),
+        ("artin_kt2", ("table",), {}),
+        ("pair_idid_obstructed", ("h", "matrix"), []),
+    ])
+    def test_wrong_field_types_are_schema_errors(self, tmp_path, docs, name, path, value):
+        with open(docs[name]) as fh:
+            doc = json.load(fh)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        for command in ("validate", "cohomology") if name == "obstructed" else ("validate",):
+            code, out, _ = run_cli([command, str(bad), "--json"])
+            assert code == 1, command
+            assert json.loads(out)["error"] == "SchemaError", command
 
 
 class TestDeterminism:

@@ -17,6 +17,7 @@ from mcdeform.graded import (
     GradedMap,
     GradedSpace,
     basis_element,
+    block_sum,
     compute_cohomology,
     direct_sum,
     element_from_labels,
@@ -24,6 +25,7 @@ from mcdeform.graded import (
     hom_complex,
     htp_complex,
     identity_map,
+    kernel_subcomplex,
     map_from_basis_images,
     shift,
 )
@@ -264,9 +266,58 @@ def test_direct_sum_round_trip():
     acy = two_term_identity()
     s = GradedSpace(0, 0, {0: ("w",)})
     pt = ChainComplex(s, GradedMap(s, s, 1, {}))
-    total, inc_v, inc_w, proj_v, proj_w = direct_sum(acy, pt)
+    total, [(inc_v, proj_v), (inc_w, proj_w)] = direct_sum([("0", acy), ("1", pt)])
     assert total.space.dim(0) == 2 and total.space.dim(1) == 1
     u = basis_element(acy.space, 0, 0)
     assert proj_v.apply(inc_v.apply(u)) == u
     assert proj_w.apply(inc_v.apply(u)).is_zero()
     assert total.d.compose(inc_v) == inc_v.compose(acy.d)
+
+
+def test_block_sum_with_offsets_splits_the_identity():
+    acy = two_term_identity().space
+    pt = GradedSpace(0, 0, {0: ("w",)})
+    parts = [("A", acy, 0), ("B", pt, 1), ("C", acy, -1)]
+    total, maps = block_sum(parts)
+    assert total.labels(0) == ("A:u", "C:v")
+    assert total.labels(1) == ("A:v", "B:w")
+    assert total.labels(-1) == ("C:u",)
+    for k, ((_n, space, _off), (embed, _p)) in enumerate(zip(parts, maps)):
+        for j, (_n2, other, _off2) in enumerate(parts):
+            through = maps[j][1].compose(embed)
+            if j == k:
+                assert through == identity_map(space)
+            else:
+                assert through.is_zero() and through.target == other
+    whole = maps[0][0].compose(maps[0][1])
+    for embed, project in maps[1:]:
+        whole = whole + embed.compose(project)
+    assert whole == identity_map(total)
+
+
+def test_block_sum_of_empty_parts_is_the_zero_space():
+    empty = GradedSpace(-2, 3, {})
+    total, [(embed, project)] = block_sum([("E", empty, 1)])
+    assert total == GradedSpace(0, 0, {})
+    assert embed.is_zero() and project.is_zero()
+
+
+def test_kernel_subcomplex_restrict_is_exact():
+    acy = two_term_identity()
+    # constraint: kill the u-coordinate; what remains is v alone (d-closed)
+    target = GradedSpace(0, 0, {0: ("c",)})
+    kill_u = map_from_basis_images(acy.space, target, 0, {"u": basis_element(target, 0, 0)})
+    sub, embed, restrict = kernel_subcomplex(acy, [kill_u], "K")
+    assert sub.space.labels(1) == ("K1_0",) and sub.space.dim(0) == 0
+    v = basis_element(acy.space, 1, 0)
+    assert embed.apply(restrict(v)) == v
+    with pytest.raises(InvalidInput):
+        restrict(basis_element(acy.space, 0, 0))
+
+
+def test_kernel_subcomplex_must_be_d_closed():
+    acy = two_term_identity()
+    target = GradedSpace(1, 1, {1: ("c",)})
+    kill_v = map_from_basis_images(acy.space, target, 0, {"v": basis_element(target, 1, 0)})
+    with pytest.raises(InvalidInput):
+        kernel_subcomplex(acy, [kill_v], "K")  # d(u) = v leaves the kernel
