@@ -22,7 +22,8 @@ from .graded import (
     GradedMap,
     GradedSpace,
     basis_element,
-    map_from_basis_images,
+    element_from_labels,
+    map_from_images,
 )
 
 ZERO = Fraction(0)
@@ -580,11 +581,7 @@ class TensorDgla:
 
     def element_from_labels(self, coeffs: Mapping[str, object],
                             degree: int | None = None) -> GradedElement:
-        coords = {}
-        for lab, c in coeffs.items():
-            deg, idx = self.space.locate(lab)
-            coords[(deg, idx)] = coords.get((deg, idx), ZERO) + la.frac(c)
-        return GradedElement(self.space, coords, degree)
+        return element_from_labels(self.space, coeffs, degree)
 
     def __eq__(self, other):
         if not isinstance(other, TensorDgla):
@@ -641,8 +638,8 @@ def tensor_dgla(L: Dgla, A: CoefficientAlgebra) -> TensorDgla:
             key = to_tensor[(i, p, b)]
             coords[key] = coords.get(key, ZERO) + sign * c
         if coords:
-            d_images[tspace.label(deg, k)] = GradedElement(tspace, coords, deg + 1)
-    cx = ChainComplex(tspace, map_from_basis_images(tspace, tspace, 1, d_images))
+            d_images[(deg, k)] = GradedElement(tspace, coords, deg + 1)
+    cx = ChainComplex(tspace, map_from_images(tspace, tspace, 1, d_images))
 
     entries = []
     keys = sorted(from_tensor)
@@ -685,5 +682,5 @@ def tensor_map(phi: GradedMap, src: TensorDgla, tgt: TensorDgla) -> GradedMap:
         coords = {}
         for (dd, qq), c in img.coords.items():
             coords[tgt.to_tensor[(dd, qq, a)]] = c
-        images[src.space.label(deg, k)] = GradedElement(tgt.space, coords, deg)
-    return map_from_basis_images(src.space, tgt.space, 0, images)
+        images[(deg, k)] = GradedElement(tgt.space, coords, deg)
+    return map_from_images(src.space, tgt.space, 0, images)

@@ -38,6 +38,7 @@ from .documents import (
     parse_pair_body,
     parse_element_body,
     parse_triple_body,
+    resolve_hpair,
     resolve_tensor_element,
     resolve_triple,
     serialize_artin,
@@ -50,7 +51,7 @@ from .documents import (
     serialize_hpair,
 )
 from .errors import McdeformError, MissingDocument, SchemaError
-from .graded import GradedElement, compute_cohomology, zero_element
+from .graded import compute_cohomology, zero_element
 from .maurer_cartan import (
     Equivalent,
     NotEquivalent,
@@ -71,7 +72,6 @@ from .maurer_cartan import (
     tangent_dim_single,
 )
 from .path_object import (
-    PolyElement,
     TruncationWindow,
     barycentric_embed,
     h_pair_element,
@@ -373,27 +373,8 @@ def cmd_h_embed(args):
         raise MissingDocument("h-embed needs --pair")
     h, g = parse_pair_body(load_raw(args.pair), "pair")
     pair_digest = digest(serialize_pair(h, g))
-    raw = load_document(args.element)
-    if "m" not in raw:
-        raise SchemaError(f"{args.element}: expected an hpair document")
-    if raw["owner"]["pair"] != pair_digest:
-        raise SchemaError(f"{args.element}: owner digest does not match --pair")
+    l, n, m = resolve_hpair(load_raw(args.element), h, g, pair_digest, args.element)
     L, N, M = h.source, g.source, h.target
-
-    def build(space, coords, degree):
-        out = {}
-        for lab, c in coords.items():
-            if not space.has_label(lab):
-                raise SchemaError(f"{args.element}: unknown label {lab!r}")
-            out[space.locate(lab)] = c
-        return GradedElement(space, out, degree)
-
-    deg = raw["degree"]
-    t_part = {e: build(M.space, v, deg) for e, v in raw["m"]["t"].items()}
-    dt_part = {e: build(M.space, v, deg - 1) for e, v in raw["m"]["dt"].items()}
-    m = PolyElement(M, deg, t_part, dt_part)
-    l = build(L.space, raw["l"], deg)
-    n = build(N.space, raw["n"], deg)
     he = h_pair_element(h, g, l, n, m)
     k = barycentric_embed(he)
 

@@ -29,10 +29,12 @@ from .graded import (
     basis_element,
     block_sum,
     direct_sum,
+    element_from_labels,
+    hom_basis,
     hom_complex,
-    kernel_subcomplex,
-    map_from_basis_images,
     identity_map,
+    kernel_subcomplex,
+    map_from_images,
     zero_complex,
     zero_element,
     zero_map,
@@ -145,15 +147,9 @@ def dgla_from_labels(complex: ChainComplex,
                      entries: Mapping[tuple[str, str], Mapping[str, object]]) -> Dgla:
     """Bracket entries keyed by label pairs, values as label -> scalar maps."""
     space = complex.space
-    triples = []
-    for (la_, lb), val in entries.items():
-        a = space.locate(la_)
-        b = space.locate(lb)
-        coords = {}
-        for lab, c in val.items():
-            coords[space.locate(lab)] = la.frac(c)
-        triples.append((a, b, GradedElement(space, coords)))
-    return make_dgla(complex, triples)
+    return make_dgla(complex, [(space.locate(a), space.locate(b),
+                                element_from_labels(space, val))
+                               for (a, b), val in entries.items()])
 
 
 def abelian_dgla(complex: ChainComplex) -> Dgla:
@@ -190,12 +186,13 @@ def validate_dgla(L: Dgla) -> list[Violation]:
                 ))
                 break
 
+    # canonical storage derives [b,a] from [a,b] with the Koszul sign, so
+    # only a diagonal [a,a] (a of even degree) can fail antisymmetry
     for a in keys:
-        for b in keys:
-            lhs = L.bracket_basis(a, b) + koszul_sign(a[0], b[0]) * L.bracket_basis(b, a)
-            if not lhs.is_zero():
-                report.append(Violation("antisymmetry", (name(a), name(b)),
-                                        f"[a,b]+(−1)^(deg a·deg b)[b,a] = {lhs.pretty()}"))
+        lhs = L.bracket_basis(a, a) + koszul_sign(a[0], a[0]) * L.bracket_basis(a, a)
+        if not lhs.is_zero():
+            report.append(Violation("antisymmetry", (name(a), name(a)),
+                                    f"[a,b]+(−1)^(deg a·deg b)[b,a] = {lhs.pretty()}"))
 
     d = L.complex.d
     for a in keys:
@@ -291,14 +288,11 @@ def zero_morphism(L: Dgla, M: Dgla) -> DglaMorphism:
 
 
 def morphism_from_labels(L: Dgla, M: Dgla, images: Mapping[str, Mapping[str, object]]) -> DglaMorphism:
-    space = L.space
-    tgt = M.space
-    imgs = {}
+    by_key = {}
     for lab, val in images.items():
-        deg = space.locate(lab)[0]
-        coords = {tgt.locate(t): la.frac(c) for t, c in val.items()}
-        imgs[lab] = GradedElement(tgt, coords, deg)
-    return DglaMorphism(L, M, map_from_basis_images(space, tgt, 0, imgs))
+        key = L.space.locate(lab)
+        by_key[key] = element_from_labels(M.space, val, key[0])
+    return DglaMorphism(L, M, map_from_images(L.space, M.space, 0, by_key))
 
 
 def validate_morphism(phi: DglaMorphism) -> list[Violation]:
@@ -436,13 +430,9 @@ def cokernel(f: ChainMap) -> tuple[ChainComplex, ChainMap]:
     qspace = GradedSpace(space.dmin, space.dmax, basis) if basis else zero_space()
     pi = GradedMap(space, qspace, 0, proj_rows)
     # induced differential: d̄(q) = π(d(rep(q)))
-    images = {}
-    for i, units in chosen.items():
-        for k, j in enumerate(units):
-            img = pi.apply(M.d.apply(basis_element(space, i, j)))
-            if not img.is_zero():
-                images[qspace.label(i, k)] = img
-    dq = map_from_basis_images(qspace, qspace, 1, images)
+    dq = map_from_images(qspace, qspace, 1, {
+        (i, k): pi.apply(M.d.apply(basis_element(space, i, j)))
+        for i, units in chosen.items() for k, j in enumerate(units)})
     qcx = ChainComplex(qspace, dq)
     qcx.require_d_squared_zero()
     return qcx, ChainMap(M, qcx, pi)
@@ -640,6 +630,7 @@ def cartan_homotopy_check(c: CartanHomotopyCandidate) -> list[Violation]:
 def adjoin_d(L: Dgla, label: str = "delta") -> tuple[Dgla, str]:
     """Adjoin a degree-1 element δ with [δ, v]' = dv and d'(δ) = 0.
 
+    δ is the last degree-1 basis vector, so every key of L is unchanged.
     Returns the extended DGLA and the actual label used for δ.
     """
     space = L.space
@@ -648,37 +639,19 @@ def adjoin_d(L: Dgla, label: str = "delta") -> tuple[Dgla, str]:
     delta = label
     while space.has_label(delta):
         delta += "'"
-    basis = {i: space.labels(i) for i in space.degrees() if space.dim(i)}
-    basis[1] = basis.get(1, ()) + (delta,)
+    basis = dict(space.basis)
+    basis[1] = space.labels(1) + (delta,)
     nspace = GradedSpace(space.dmin, space.dmax, basis)
 
-    def lift(x: GradedElement, degree: int | None = None) -> GradedElement:
-        coords = {}
-        for (deg, idx), c in x.coords.items():
-            coords[nspace.locate(space.label(deg, idx))] = c
-        return GradedElement(nspace, coords, degree if degree is not None else x.degree)
+    def lift(x: GradedElement) -> GradedElement:
+        return GradedElement(nspace, x.coords, x.degree)
 
-    d_images = {}
-    for i in space.degrees():
-        for lab in space.labels(i):
-            img = L.differential_of(basis_element(space, i, space.labels(i).index(lab)))
-            if not img.is_zero():
-                d_images[lab] = lift(img, i + 1)
-    nd = map_from_basis_images(nspace, nspace, 1, d_images)
-    ncx = ChainComplex(nspace, nd)
-
-    entries = []
-    for (a, b), val in L.brackets.items():
-        ka = nspace.locate(space.label(*a))
-        kb = nspace.locate(space.label(*b))
-        entries.append((ka, kb, lift(val)))
-    dkey = nspace.locate(delta)
-    for i in space.degrees():
-        for p, lab in enumerate(space.labels(i)):
-            dv = L.differential_of(basis_element(space, i, p))
-            if dv.is_zero():
-                continue
-            entries.append((dkey, nspace.locate(lab), lift(dv)))
+    d_images = {(i, p): lift(L.differential_of(basis_element(space, i, p)))
+                for i in space.degrees() for p in range(space.dim(i))}
+    ncx = ChainComplex(nspace, map_from_images(nspace, nspace, 1, d_images))
+    dkey = (1, space.dim(1))
+    entries = [(a, b, lift(val)) for (a, b), val in L.brackets.items()]
+    entries += [(dkey, k, dv) for k, dv in d_images.items() if not dv.is_zero()]
     return make_dgla(ncx, entries), delta
 
 
@@ -686,30 +659,31 @@ def endomorphism_dgla(V: ChainComplex) -> Dgla:
     """End(V) = Hom^*(V, V) with graded commutator bracket and d' = [d, −]."""
     hom = hom_complex(V, V)
     hspace = hom.space
+    elems = {n: hom_basis(V.space, V.space, n) for n in hspace.degrees()}
+    index = {(n, e): k for n, es in elems.items() for k, e in enumerate(es)}
 
-    def decode(key: BasisKey) -> tuple[BasisKey, BasisKey]:
-        lab = hspace.label(*key)
-        src, tgt = lab.split(">")
-        return V.space.locate(src), V.space.locate(tgt)
+    def ends(key: BasisKey) -> tuple[BasisKey, BasisKey]:
+        i, p, q = elems[key[0]][key[1]]
+        return (i, p), (i + key[0], q)
 
-    keys = [(n, p) for n in hspace.degrees() for p in range(hspace.dim(n))]
+    keys = [(n, k) for n in hspace.degrees() for k in range(hspace.dim(n))]
     entries = []
     for a in keys:
-        sa, ta = decode(a)
+        sa, ta = ends(a)
         for b in keys:
             if b < a:
                 continue
-            sb, tb = decode(b)
+            sb, tb = ends(b)
+            n = a[0] + b[0]
             coords: dict[BasisKey, Fraction] = {}
-            # a ∘ b is elementary when target(b) == source(a)
+            # a ∘ b is the elementary map sb -> ta when target(b) == source(a)
             if tb == sa:
-                lab = f"{V.space.label(*sb)}>{V.space.label(*ta)}"
-                coords[hspace.locate(lab)] = coords.get(hspace.locate(lab), ZERO) + ONE
+                key = (n, index[(n, (*sb, ta[1]))])
+                coords[key] = coords.get(key, ZERO) + ONE
             if ta == sb:
-                lab = f"{V.space.label(*sa)}>{V.space.label(*tb)}"
-                key = hspace.locate(lab)
+                key = (n, index[(n, (*sa, tb[1]))])
                 coords[key] = coords.get(key, ZERO) - koszul_sign(a[0], b[0])
-            val = GradedElement(hspace, coords, a[0] + b[0])
+            val = GradedElement(hspace, coords, n)
             if not val.is_zero():
                 entries.append((a, b, val))
     return make_dgla(hom, entries)

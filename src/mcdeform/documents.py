@@ -21,7 +21,14 @@ from .artin import (
     SmallExtension,
     TensorDgla,
 )
-from .dgla import CONE_CONVENTION, Dgla, DglaMorphism, validate_dgla, validate_morphism
+from .dgla import (
+    CONE_CONVENTION,
+    Dgla,
+    DglaMorphism,
+    make_dgla,
+    validate_dgla,
+    validate_morphism,
+)
 from .artin import validate_artin
 from .errors import (
     AxiomViolation,
@@ -30,18 +37,22 @@ from .errors import (
     SchemaError,
     TargetMismatch,
 )
-from .graded import ChainComplex, GradedElement, GradedSpace, map_from_basis_images
+from .graded import ChainComplex, GradedElement, GradedSpace, map_from_images
+from .path_object import PolyElement
 
 FORMAT_TAG = "mcdeform/1"
 
 DEFAULT_MAX_DIM = 512
 
 
+def _max_dim() -> int:
+    return int(os.environ.get("MCDEFORM_MAX_DIM", DEFAULT_MAX_DIM))
+
+
 def dimension_guard(total: int) -> None:
-    cap = int(os.environ.get("MCDEFORM_MAX_DIM", DEFAULT_MAX_DIM))
-    if total > cap:
+    if total > _max_dim():
         raise ResourceLimitExceeded(
-            f"total basis dimension {total} exceeds MCDEFORM_MAX_DIM={cap}")
+            f"total basis dimension {total} exceeds MCDEFORM_MAX_DIM={_max_dim()}")
 
 
 def format_scalar(c: Fraction) -> str:
@@ -71,6 +82,31 @@ def _field(doc: dict, key: str, kind: type, where: str):
     if not isinstance(val, kind):
         raise SchemaError(f"{where}.{key}: expected {'an object' if kind is dict else 'a list'}")
     return val
+
+
+def _integer(val, where: str) -> int:
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise SchemaError(f"{where}: expected an integer, got {val!r}")
+    return val
+
+
+def _key(space: GradedSpace, lab, where: str) -> tuple[int, int]:
+    if not isinstance(lab, str) or not space.has_label(lab):
+        raise SchemaError(f"{where}: unknown label {lab!r}")
+    return space.locate(lab)
+
+
+def _element(space: GradedSpace, coeffs: Mapping[str, Fraction], degree: int | None,
+             where: str) -> GradedElement:
+    """The element with these label coefficients (already parsed scalars); an
+    unknown label or a term outside the declared degree is a SchemaError."""
+    coords = {}
+    for lab, c in coeffs.items():
+        key = _key(space, lab, where)
+        if degree is not None and key[0] != degree:
+            raise SchemaError(f"{where}.{lab}: term in degree {key[0]}, expected {degree}")
+        coords[key] = c
+    return GradedElement(space, coords, degree)
 
 
 def _expect_keys(obj: Mapping, required: set[str], optional: set[str], where: str):
@@ -253,9 +289,13 @@ def parse_dgla_body(doc: dict, where: str = "dgla", check_axioms: bool = True) -
     _expect_keys(doc, {"format", "convention", "kind", "window", "basis",
                        "differential", "bracket"}, set(), where)
     window = doc["window"]
-    if (not isinstance(window, list) or len(window) != 2
-            or not all(isinstance(w, int) for w in window)):
+    if not isinstance(window, list) or len(window) != 2:
         raise SchemaError(f"{where}.window: expected [dmin, dmax]")
+    dmin, dmax = (_integer(w, f"{where}.window") for w in window)
+    # every degree of the window is looped over, so its width is a dimension too
+    if dmax - dmin + 1 > _max_dim():
+        raise ResourceLimitExceeded(
+            f"{where}.window: width {dmax - dmin + 1} exceeds MCDEFORM_MAX_DIM={_max_dim()}")
     basis_raw = doc["basis"]
     if not isinstance(basis_raw, dict):
         raise SchemaError(f"{where}.basis: expected an object degree -> [labels]")
@@ -269,45 +309,29 @@ def parse_dgla_body(doc: dict, where: str = "dgla", check_axioms: bool = True) -
             raise SchemaError(f"{where}.basis.{k}: expected a list of labels")
         basis[deg] = tuple(labels)
     try:
-        space = GradedSpace(window[0], window[1], basis)
+        space = GradedSpace(dmin, dmax, basis)
     except Exception as e:
         raise SchemaError(f"{where}: {e}") from None
     dimension_guard(space.total_dim())
 
     images = {}
     for lab, val in _field(doc, "differential", dict, where).items():
-        if not space.has_label(lab):
-            raise SchemaError(f"{where}.differential.{lab}: unknown label")
-        deg = space.locate(lab)[0]
-        coords = {}
-        for tl, c in _scalar_map(val, f"{where}.differential.{lab}").items():
-            if not space.has_label(tl):
-                raise SchemaError(f"{where}.differential.{lab}.{tl}: unknown label")
-            tdeg = space.locate(tl)[0]
-            if tdeg != deg + 1:
-                raise SchemaError(
-                    f"{where}.differential.{lab}.{tl}: differential entry must raise degree by 1")
-            coords[space.locate(tl)] = c
-        images[lab] = GradedElement(space, coords, deg + 1)
-    d = map_from_basis_images(space, space, 1, images)
-    cx = ChainComplex(space, d)
+        key = _key(space, lab, f"{where}.differential")
+        at = f"{where}.differential.{lab}"
+        images[key] = _element(space, _scalar_map(val, at), key[0] + 1, at)
+    cx = ChainComplex(space, map_from_images(space, space, 1, images))
 
     entries = {}
     for k, ent in enumerate(_field(doc, "bracket", list, where)):
-        _expect_keys(ent, {"a", "b", "value"}, set(), f"{where}.bracket[{k}]")
-        a, b = ent["a"], ent["b"]
-        for lab in (a, b):
-            if not isinstance(lab, str) or not space.has_label(lab):
-                raise SchemaError(f"{where}.bracket[{k}]: unknown label {lab!r}")
-        val = _scalar_map(ent["value"], f"{where}.bracket[{k}].value")
-        for tl in val:
-            if not space.has_label(tl):
-                raise SchemaError(f"{where}.bracket[{k}].value.{tl}: unknown label")
+        at = f"{where}.bracket[{k}]"
+        _expect_keys(ent, {"a", "b", "value"}, set(), at)
+        a, b = _key(space, ent["a"], at), _key(space, ent["b"], at)
+        # degrees of bracket values are an axiom, reported by validate_dgla
+        val = _element(space, _scalar_map(ent["value"], f"{at}.value"), None, f"{at}.value")
         if (a, b) in entries:
-            raise SchemaError(f"{where}.bracket[{k}]: duplicate entry for ({a}, {b})")
+            raise SchemaError(f"{at}: duplicate entry for ({ent['a']}, {ent['b']})")
         entries[(a, b)] = val
-    from .dgla import dgla_from_labels
-    L = dgla_from_labels(cx, entries)
+    L = make_dgla(cx, [(a, b, val) for (a, b), val in entries.items()])
     if check_axioms:
         report = validate_dgla(L)
         if report:
@@ -334,7 +358,7 @@ def parse_artin_body(doc: dict, where: str = "artin", check_axioms: bool = True)
     table = {}
     for k, ent in enumerate(_field(doc, "table", list, where)):
         _expect_keys(ent, {"a", "b", "value"}, set(), f"{where}.table[{k}]")
-        if ent["a"] not in idx or ent["b"] not in idx:
+        if not all(isinstance(ent[ab], str) and ent[ab] in idx for ab in "ab"):
             raise SchemaError(f"{where}.table[{k}]: unknown label")
         i, j = idx[ent["a"]], idx[ent["b"]]
         if j < i:
@@ -348,10 +372,10 @@ def parse_artin_body(doc: dict, where: str = "artin", check_axioms: bool = True)
             raise SchemaError(f"{where}.table[{k}]: duplicate product entry")
         table[(i, j)] = vec
     if graded:
-        degrees_raw = doc["degrees"]
+        degrees_raw = _field(doc, "degrees", dict, where)
         if set(degrees_raw) != set(labels):
             raise SchemaError(f"{where}.degrees: must cover exactly the basis labels")
-        degrees = tuple(int(degrees_raw[lab]) for lab in labels)
+        degrees = tuple(_integer(degrees_raw[lab], f"{where}.degrees.{lab}") for lab in labels)
         diff = {}
         for lab, val in _field(doc, "differential", dict, where).items():
             if lab not in idx:
@@ -378,18 +402,10 @@ def parse_morphism_body(doc: dict, where: str = "morphism",
     tgt = parse_dgla_body(doc["target"], f"{where}.target", check_axioms)
     images = {}
     for lab, val in _field(doc, "matrix", dict, where).items():
-        if not src.space.has_label(lab):
-            raise SchemaError(f"{where}.matrix.{lab}: unknown source label")
-        deg = src.space.locate(lab)[0]
-        coords = {}
-        for tl, c in _scalar_map(val, f"{where}.matrix.{lab}").items():
-            if not tgt.space.has_label(tl):
-                raise SchemaError(f"{where}.matrix.{lab}.{tl}: unknown target label")
-            if tgt.space.locate(tl)[0] != deg:
-                raise SchemaError(f"{where}.matrix.{lab}.{tl}: morphism must preserve degree")
-            coords[tgt.space.locate(tl)] = c
-        images[lab] = GradedElement(tgt.space, coords, deg)
-    phi = DglaMorphism(src, tgt, map_from_basis_images(src.space, tgt.space, 0, images))
+        key = _key(src.space, lab, f"{where}.matrix")
+        at = f"{where}.matrix.{lab}"
+        images[key] = _element(tgt.space, _scalar_map(val, at), key[0], at)
+    phi = DglaMorphism(src, tgt, map_from_images(src.space, tgt.space, 0, images))
     if check_axioms:
         report = validate_morphism(phi)
         if report:
@@ -400,8 +416,8 @@ def parse_morphism_body(doc: dict, where: str = "morphism",
 def parse_pair_body(doc: dict, where: str = "pair",
                     check_axioms: bool = True) -> tuple[DglaMorphism, DglaMorphism]:
     _expect_keys(doc, {"format", "convention", "kind", "h", "g"}, set(), where)
-    h_doc = dict(doc["h"])
-    g_doc = dict(doc["g"])
+    h_doc = dict(_field(doc, "h", dict, where))
+    g_doc = dict(_field(doc, "g", dict, where))
     for sub in (h_doc, g_doc):
         sub.setdefault("format", FORMAT_TAG)
         sub.setdefault("convention", CONE_CONVENTION)
@@ -417,10 +433,10 @@ def parse_extension_body(doc: dict, where: str = "small_extension",
                          check_axioms: bool = True) -> SmallExtension:
     _expect_keys(doc, {"format", "convention", "kind", "source", "target",
                        "alpha", "section", "kernel"}, set(), where)
-    B = parse_artin_body(doc["source"], f"{where}.source", check_axioms)
-    A = parse_artin_body(doc["target"], f"{where}.target", check_axioms)
+    B = parse_artin_body(_field(doc, "source", dict, where), f"{where}.source", check_axioms)
+    A = parse_artin_body(_field(doc, "target", dict, where), f"{where}.target", check_axioms)
     alpha = la.zeros(A.dim, B.dim)
-    for blab, col in doc["alpha"].items():
+    for blab, col in _field(doc, "alpha", dict, where).items():
         if blab not in B.labels:
             raise SchemaError(f"{where}.alpha.{blab}: unknown source label")
         for alab, c in _scalar_map(col, f"{where}.alpha.{blab}").items():
@@ -428,7 +444,7 @@ def parse_extension_body(doc: dict, where: str = "small_extension",
                 raise SchemaError(f"{where}.alpha.{blab}.{alab}: unknown target label")
             alpha[A.locate(alab)][B.locate(blab)] = c
     section = la.zeros(B.dim, A.dim)
-    for alab, col in doc["section"].items():
+    for alab, col in _field(doc, "section", dict, where).items():
         if alab not in A.labels:
             raise SchemaError(f"{where}.section.{alab}: unknown target label")
         for blab, c in _scalar_map(col, f"{where}.section.{alab}").items():
@@ -436,7 +452,7 @@ def parse_extension_body(doc: dict, where: str = "small_extension",
                 raise SchemaError(f"{where}.section.{alab}.{blab}: unknown source label")
             section[B.locate(blab)][A.locate(alab)] = c
     kernel = []
-    for k, vec in enumerate(doc["kernel"]):
+    for k, vec in enumerate(_field(doc, "kernel", list, where)):
         dense = la.zero_vector(B.dim)
         for blab, c in _scalar_map(vec, f"{where}.kernel[{k}]").items():
             if blab not in B.labels:
@@ -456,8 +472,8 @@ def parse_element_body(doc: dict, where: str = "element") -> dict:
     _expect_keys(owner, {"dgla", "coeff"}, set(), f"{where}.owner")
     coords = _scalar_map(doc["coords"], f"{where}.coords")
     degree = doc["degree"]
-    if degree is not None and not isinstance(degree, int):
-        raise SchemaError(f"{where}.degree: expected an integer or null")
+    if degree is not None:
+        _integer(degree, f"{where}.degree")
     return {"owner": owner, "degree": degree, "coords": coords}
 
 
@@ -479,18 +495,21 @@ def parse_hpair_body(doc: dict, where: str = "hpair") -> dict:
                  set(), where)
     _expect_keys(doc["owner"], {"pair"}, set(), f"{where}.owner")
     _expect_keys(doc["m"], {"t", "dt"}, set(), f"{where}.m")
-    t_part = {}
-    for e, val in doc["m"]["t"].items():
-        t_part[int(e)] = _scalar_map(val, f"{where}.m.t.{e}")
-    dt_part = {}
-    for e, val in doc["m"]["dt"].items():
-        dt_part[int(e)] = _scalar_map(val, f"{where}.m.dt.{e}")
+
+    def part(name: str) -> dict[int, dict[str, Fraction]]:
+        out = {}
+        for e, val in _field(doc["m"], name, dict, f"{where}.m").items():
+            if not e.isascii() or not e.isdigit():
+                raise SchemaError(f"{where}.m.{name}.{e}: exponent must be a non-negative integer")
+            out[int(e)] = _scalar_map(val, f"{where}.m.{name}.{e}")
+        return out
+
     return {
         "owner": doc["owner"],
         "l": _scalar_map(doc["l"], f"{where}.l"),
         "n": _scalar_map(doc["n"], f"{where}.n"),
-        "degree": doc["degree"],
-        "m": {"t": t_part, "dt": dt_part},
+        "degree": _integer(doc["degree"], f"{where}.degree"),
+        "m": {"t": part("t"), "dt": part("dt")},
     }
 
 
@@ -546,13 +565,7 @@ def resolve_tensor_element(raw: dict, tensor: TensorDgla, dgla_digest: str,
         raise SchemaError(f"{where}: owner.dgla digest does not match the supplied DGLA")
     if owner["coeff"] != coeff_digest:
         raise SchemaError(f"{where}: owner.coeff digest does not match the coefficient algebra")
-    space = tensor.space
-    coords = {}
-    for lab, c in raw["coords"].items():
-        if not space.has_label(lab):
-            raise SchemaError(f"{where}.coords.{lab}: unknown tensor label")
-        coords[space.locate(lab)] = c
-    return GradedElement(space, coords, raw["degree"])
+    return _element(tensor.space, raw["coords"], raw["degree"], f"{where}.coords")
 
 
 def resolve_triple(raw: dict, setting, pair_digest: str, coeff_digest: str,
@@ -564,13 +577,26 @@ def resolve_triple(raw: dict, setting, pair_digest: str, coeff_digest: str,
     body = parse_triple_body(raw, where)
     if body["owner"]["pair"] != pair_digest or body["owner"]["coeff"] != coeff_digest:
         raise SchemaError(f"{where}: owner digests do not match the pair and coefficient algebra")
+    return (_element(setting.tL.space, body["x"], 1, f"{where}.x"),
+            _element(setting.tN.space, body["y"], 1, f"{where}.y"),
+            _element(setting.tM.space, body["p"], 0, f"{where}.p"))
 
-    def build(part: str, tensor: TensorDgla, degree: int) -> GradedElement:
-        coords = {}
-        for lab, c in body[part].items():
-            if not tensor.space.has_label(lab):
-                raise SchemaError(f"{where}.{part}.{lab}: unknown tensor label")
-            coords[tensor.space.locate(lab)] = c
-        return GradedElement(tensor.space, coords, degree)
 
-    return build("x", setting.tL, 1), build("y", setting.tN, 1), build("p", setting.tM, 0)
+def resolve_hpair(raw: dict, h: DglaMorphism, g: DglaMorphism, pair_digest: str,
+                  where: str) -> tuple[GradedElement, GradedElement, PolyElement]:
+    """Check an hpair document's kind, owner digest and labels, and build
+    (l, n, m) over the pair (h, g)."""
+    if raw.get("kind") != "hpair":
+        raise SchemaError(f"{where}: expected an hpair document, got kind {raw.get('kind')!r}")
+    body = parse_hpair_body(raw, where)
+    if body["owner"]["pair"] != pair_digest:
+        raise SchemaError(f"{where}: owner digest does not match the pair")
+    M, deg = h.target, body["degree"]
+
+    def coefficients(part: str, degree: int) -> dict[int, GradedElement]:
+        return {e: _element(M.space, v, degree, f"{where}.m.{part}.{e}")
+                for e, v in body["m"][part].items()}
+
+    return (_element(h.source.space, body["l"], deg, f"{where}.l"),
+            _element(g.source.space, body["n"], deg, f"{where}.n"),
+            PolyElement(M, deg, coefficients("t", deg), coefficients("dt", deg - 1)))

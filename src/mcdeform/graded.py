@@ -327,23 +327,27 @@ def zero_map(source: GradedSpace, target: GradedSpace, degree: int) -> GradedMap
     return GradedMap(source, target, degree, {})
 
 
-def map_from_basis_images(source: GradedSpace, target: GradedSpace, degree: int,
-                          images: Mapping[str, GradedElement]) -> GradedMap:
-    """Build a GradedMap from images of (some) source basis labels."""
+def map_from_images(source: GradedSpace, target: GradedSpace, degree: int,
+                    images: Mapping[tuple[int, int], GradedElement]) -> GradedMap:
+    """Build a GradedMap from images of (some) source basis keys (degree, index)."""
     blocks: dict[int, la.Matrix] = {}
-    for lab, img in images.items():
-        sdeg, sidx = source.locate(lab)
-        if img.is_zero():
-            continue
+    for (sdeg, sidx), img in images.items():
         tdeg = sdeg + degree
         for (d, r), c in img.coords.items():
             if d != tdeg:
                 raise DegreeWindowViolation(
-                    f"image of {lab!r} has a term at degree {d}, expected {tdeg}"
-                )
+                    f"image of {source.label(sdeg, sidx)!r} has a term at degree {d}, "
+                    f"expected {tdeg}")
             block = blocks.setdefault(sdeg, la.zeros(target.dim(tdeg), source.dim(sdeg)))
             block[r][sidx] += c
     return GradedMap(source, target, degree, blocks)
+
+
+def map_from_basis_images(source: GradedSpace, target: GradedSpace, degree: int,
+                          images: Mapping[str, GradedElement]) -> GradedMap:
+    """Build a GradedMap from images of (some) source basis labels."""
+    return map_from_images(source, target, degree,
+                           {source.locate(lab): img for lab, img in images.items()})
 
 
 def identity_map(space: GradedSpace) -> GradedMap:
@@ -487,18 +491,20 @@ def shift(complex: ChainComplex, n: int) -> ChainComplex:
     return ChainComplex(new_space, GradedMap(new_space, new_space, 1, blocks))
 
 
-def hom_label(src_label: str, tgt_label: str) -> str:
-    return f"{src_label}>{tgt_label}"
+def hom_basis(sv: GradedSpace, sw: GradedSpace, n: int) -> list[tuple[int, int, int]]:
+    """The basis of Hom^n(V, W) in order: elementary maps (i, p, q) sending
+    basis vector p of V^i to basis vector q of W^{i+n}."""
+    return [(i, p, q) for i in sv.degrees() for p in range(sv.dim(i)) for q in range(sw.dim(i + n))]
 
 
 def hom_complex(V: ChainComplex, W: ChainComplex,
                 window: tuple[int, int] | None = None) -> ChainComplex:
     """Hom^*(V, W) with differential d'(f) = d_W f − (−1)^{deg f} f d_V.
 
-    The basis of Hom^n is the elementary maps basis_V(i) -> basis_W(i+n).
-    With no window the full natural window is used; an explicit window that
-    clips a nonzero d' entry raises DegreeWindowViolation, and one holding
-    no nonzero Hom^n at all raises WindowTooSmall.
+    The basis of Hom^n is hom_basis(V, W, n), labelled "v>w".  With no
+    window the full natural window is used; an explicit window that clips a
+    nonzero d' entry raises DegreeWindowViolation, and one holding no nonzero
+    Hom^n at all raises WindowTooSmall.
     """
     sv, sw = V.space, W.space
     nat_min = sw.dmin - sv.dmax
@@ -509,66 +515,34 @@ def hom_complex(V: ChainComplex, W: ChainComplex,
     if wmin > wmax:
         raise WindowTooSmall(f"empty Hom window [{wmin},{wmax}]")
 
-    basis: dict[int, tuple[str, ...]] = {}
-    for n in range(wmin, wmax + 1):
-        labels = []
-        for i in sv.degrees():
-            if sv.dim(i) == 0 or sw.dim(i + n) == 0:
-                continue
-            for p, vl in enumerate(sv.labels(i)):
-                for q, wl in enumerate(sw.labels(i + n)):
-                    labels.append(hom_label(vl, wl))
-        if labels:
-            basis[n] = tuple(labels)
+    def label(n: int, i: int, p: int, q: int) -> str:
+        return f"{sv.label(i, p)}>{sw.label(i + n, q)}"
+
+    elems = {n: hom_basis(sv, sw, n) for n in range(wmin, wmax + 1)}
+    basis = {n: tuple(label(n, *e) for e in es) for n, es in elems.items()}
     if not any(basis.values()):
         raise WindowTooSmall(f"window [{wmin},{wmax}] holds no nonzero Hom^n")
     hspace = GradedSpace(wmin, wmax, basis)
 
-    def elem_pairs(n: int):
-        for i in sv.degrees():
-            if sv.dim(i) == 0 or sw.dim(i + n) == 0:
-                continue
-            for p, vl in enumerate(sv.labels(i)):
-                for q, wl in enumerate(sw.labels(i + n)):
-                    yield i, p, q, hom_label(vl, wl)
-
-    images: dict[str, GradedElement] = {}
+    blocks = {}
     for n in hspace.degrees():
-        if hspace.dim(n) == 0:
-            continue
         sign = ONE if n % 2 == 0 else -ONE
-        for i, p, q, lab in elem_pairs(n):
-            coords: dict[tuple[int, int], Fraction] = {}
-            # d_W ∘ E: contributes at elementary maps (i,p) -> (i+n+1, r)
-            dw = W.d.matrix(i + n)
-            for r in range(sw.dim(i + n + 1)):
-                c = dw[r][q]
+        rows = {e: r for r, e in enumerate(elems.get(n + 1, ()))}
+        block = la.zeros(hspace.dim(n + 1), hspace.dim(n))
+        for col, (i, p, q) in enumerate(elems[n]):
+            dw, dv = W.d.matrix(i + n), V.d.matrix(i - 1)
+            # d_W ∘ E hits (i,p) -> (i+n+1, r); (−1)^n E ∘ d_V hits (i−1, s) -> (i+n, q)
+            terms = ([((i, p, r), dw[r][q]) for r in range(sw.dim(i + n + 1))]
+                     + [((i - 1, s, q), -sign * dv[p][s]) for s in range(sv.dim(i - 1))])
+            for e, c in terms:
                 if c == 0:
                     continue
-                tl = hom_label(sv.label(i, p), sw.label(i + n + 1, r))
-                if not hspace.has_label(tl):
-                    raise DegreeWindowViolation(
-                        f"d'({lab}) needs Hom^{n+1} entry {tl} outside window"
-                    )
-                key = hspace.locate(tl)
-                coords[key] = coords.get(key, ZERO) + c
-            # (−1)^n E ∘ d_V: contributes at (i−1, s) -> (i+n, q)
-            dv = V.d.matrix(i - 1)
-            for s in range(sv.dim(i - 1)):
-                c = dv[p][s]
-                if c == 0:
-                    continue
-                tl = hom_label(sv.label(i - 1, s), sw.label(i + n, q))
-                if not hspace.has_label(tl):
-                    raise DegreeWindowViolation(
-                        f"d'({lab}) needs Hom^{n+1} entry {tl} outside window"
-                    )
-                key = hspace.locate(tl)
-                coords[key] = coords.get(key, ZERO) - sign * c
-            if coords:
-                images[lab] = GradedElement(hspace, coords, n + 1)
-    d = map_from_basis_images(hspace, hspace, 1, images)
-    return ChainComplex(hspace, d)
+                if n + 1 > wmax:
+                    raise DegreeWindowViolation(f"d'({label(n, i, p, q)}) needs Hom^{n+1} "
+                                                f"entry {label(n + 1, *e)} outside window")
+                block[rows[e]][col] += c
+        blocks[n] = block
+    return ChainComplex(hspace, GradedMap(hspace, hspace, 1, blocks))
 
 
 def htp_complex(V: ChainComplex, W: ChainComplex,
@@ -578,16 +552,13 @@ def htp_complex(V: ChainComplex, W: ChainComplex,
 
 
 def graded_map_to_hom_element(f: GradedMap, hom: ChainComplex) -> GradedElement:
-    """Coordinates of a graded map inside a Hom^* complex's basis."""
-    coords: dict[tuple[int, int], Fraction] = {}
+    """Coordinates of a graded map inside the basis of Hom^*(f.source, f.target)."""
     n = f.degree
-    for i, block in f.blocks.items():
-        for q, row in enumerate(block):
-            for p, c in enumerate(row):
-                if c == 0:
-                    continue
-                lab = hom_label(f.source.label(i, p), f.target.label(i + n, q))
-                coords[hom.space.locate(lab)] = c
+    index = {e: k for k, e in enumerate(hom_basis(f.source, f.target, n))}
+    coords = {(n, index[(i, p, q)]): c for i, block in f.blocks.items()
+              for q, row in enumerate(block) for p, c in enumerate(row) if c != 0}
+    if coords and hom.space.dim(n) != len(index):
+        raise InvalidInput(f"Hom^{n} is outside the window of the Hom complex")
     return GradedElement(hom.space, coords, n)
 
 

@@ -29,27 +29,14 @@ from .dgla import (
     zero_dgla,
     zero_morphism,
 )
-from .graded import (
-    ChainComplex,
-    GradedElement,
-    GradedMap,
-    GradedSpace,
-    map_from_basis_images,
-)
+from .graded import ChainComplex, GradedSpace, element_from_labels, map_from_basis_images
 
 
 def _complex(window, basis, diff=None) -> ChainComplex:
     space = GradedSpace(window[0], window[1], basis)
-    if diff:
-        images = {}
-        for lab, val in diff.items():
-            deg = space.locate(lab)[0]
-            coords = {space.locate(t): la.frac(c) for t, c in val.items()}
-            images[lab] = GradedElement(space, coords, deg + 1)
-        d = map_from_basis_images(space, space, 1, images)
-    else:
-        d = GradedMap(space, space, 1, {})
-    return ChainComplex(space, d)
+    images = {lab: element_from_labels(space, val, space.locate(lab)[0] + 1)
+              for lab, val in (diff or {}).items()}
+    return ChainComplex(space, map_from_basis_images(space, space, 1, images))
 
 
 @lru_cache(maxsize=None)

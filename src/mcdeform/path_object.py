@@ -31,10 +31,11 @@ from .graded import (
     GradedElement,
     GradedMap,
     GradedSpace,
+    basis_element,
     compute_cohomology,
     direct_sum,
     kernel_subcomplex,
-    map_from_basis_images,
+    map_from_images,
     zero_element,
 )
 from .maurer_cartan import McTriple, PairSetting, gauge_apply, mc_residual
@@ -246,28 +247,29 @@ def truncated_line_complex(N: int) -> ChainComplex:
     basis = {0: tuple(f"t{k}" for k in range(N + 1)),
              1: tuple(f"dt{k}" for k in range(N))}
     space = GradedSpace(0, 1, basis)
-    images = {}
-    for k in range(1, N + 1):
-        images[f"t{k}"] = GradedElement(space, {space.locate(f"dt{k-1}"): Fraction(k)}, 1)
-    return ChainComplex(space, map_from_basis_images(space, space, 1, images))
+    images = {(0, k): GradedElement(space, {(1, k - 1): Fraction(k)}, 1) for k in range(1, N + 1)}
+    return ChainComplex(space, map_from_images(space, space, 1, images))
 
 
-def _path_label(kind: str, exp: int, lab: str) -> str:
-    return f"{kind}{exp}:{lab}"
+def _path_key(mspace: GradedSpace, N: int, kind: str, exp: int, deg: int,
+              p: int) -> tuple[int, int]:
+    """Key in M[t,dt]_N of m·t^exp (kind "t") or m·t^exp·dt (kind "dt"), m the
+    basis vector (deg, p) of M.  Degree k lists the dt-parts of M^{k−1} first,
+    then the t-parts of M^k; each basis vector's exponents sit together."""
+    if kind == "dt":
+        return deg + 1, p * N + exp
+    return deg, mspace.dim(deg - 1) * N + p * (N + 1) + exp
 
 
 def _embed_poly(space: GradedSpace, x: PolyElement, N: int) -> GradedElement:
     if x.max_exponent() > N or any(e > N - 1 for e in x.dt_part):
         raise WindowTooSmall("polynomial exceeds the truncation window")
     coords: dict[tuple[int, int], Fraction] = {}
-    for e, m in x.t_part.items():
-        for (deg, idx), c in m.coords.items():
-            key = space.locate(_path_label("t", e, m.space.label(deg, idx)))
-            coords[key] = coords.get(key, ZERO) + c
-    for e, n in x.dt_part.items():
-        for (deg, idx), c in n.coords.items():
-            key = space.locate(_path_label("dt", e, n.space.label(deg, idx)))
-            coords[key] = coords.get(key, ZERO) + c
+    for kind, part in (("t", x.t_part), ("dt", x.dt_part)):
+        for e, m in part.items():
+            for (deg, idx), c in m.coords.items():
+                key = _path_key(x.dgla.space, N, kind, e, deg, idx)
+                coords[key] = coords.get(key, ZERO) + c
     return GradedElement(space, coords, x.degree)
 
 
@@ -287,28 +289,22 @@ def truncated_path_complex(M: Dgla, N: int) -> TruncatedPath:
     """M ⊗ (K[t,dt] truncated at T_N) as a chain complex."""
     TruncationWindow(N)
     mspace = M.space
-    dmin, dmax = mspace.dmin, mspace.dmax + 1
+    terms = [(kind, e, i, p) for i in mspace.degrees() for p in range(mspace.dim(i))
+             for kind, top in (("t", N + 1), ("dt", N)) for e in range(top)]
+    labels: dict[tuple[int, int], str] = {}
+    for kind, e, i, p in terms:
+        labels[_path_key(mspace, N, kind, e, i, p)] = f"{kind}{e}:{mspace.label(i, p)}"
     basis: dict[int, list[str]] = {}
-    for i in mspace.degrees():
-        for lab in mspace.labels(i):
-            for e in range(N + 1):
-                basis.setdefault(i, []).append(_path_label("t", e, lab))
-            for e in range(N):
-                basis.setdefault(i + 1, []).append(_path_label("dt", e, lab))
-    space = GradedSpace(dmin, dmax, {k: tuple(v) for k, v in basis.items()})
+    for (deg, _idx), lab in sorted(labels.items()):
+        basis.setdefault(deg, []).append(lab)
+    space = GradedSpace(mspace.dmin, mspace.dmax + 1, basis)
 
     images = {}
-    for i in mspace.degrees():
-        for p, lab in enumerate(mspace.labels(i)):
-            m = GradedElement(mspace, {(i, p): ONE}, i)
-            for e in range(N + 1):
-                images[_path_label("t", e, lab)] = _embed_poly(
-                    space, poly_d(poly_t_term(M, e, m)), N)
-            for e in range(N):
-                images[_path_label("dt", e, lab)] = _embed_poly(
-                    space, poly_d(poly_dt_term(M, e, m)), N)
-    d = map_from_basis_images(space, space, 1, images)
-    cx = ChainComplex(space, d)
+    for kind, e, i, p in terms:
+        m = basis_element(mspace, i, p)
+        x = poly_t_term(M, e, m) if kind == "t" else poly_dt_term(M, e, m)
+        images[_path_key(mspace, N, kind, e, i, p)] = _embed_poly(space, poly_d(x), N)
+    cx = ChainComplex(space, map_from_images(space, space, 1, images))
     cx.require_d_squared_zero()
     return TruncatedPath(cx, M, N)
 
@@ -414,16 +410,10 @@ def truncated_H_complex(h: DglaMorphism, g: DglaMorphism,
     # evaluation maps on the truncated path: e₁ sums t-part coefficients,
     # e₀ keeps exponent 0; both land in M
     def eval_map(at_one: bool) -> GradedMap:
-        images = {}
-        for i in pspace.degrees():
-            for lab in pspace.labels(i):
-                kind_exp, mlab = lab.split(":", 1)
-                if kind_exp.startswith("dt"):
-                    continue
-                exp = int(kind_exp[1:])
-                if at_one or exp == 0:
-                    images[lab] = GradedElement(M.space, {M.space.locate(mlab): ONE}, i)
-        return map_from_basis_images(pspace, M.space, 0, images)
+        return map_from_images(pspace, M.space, 0, {
+            _path_key(M.space, window.N, "t", e, i, p): basis_element(M.space, i, p)
+            for i in M.space.degrees() for p in range(M.space.dim(i))
+            for e in range(window.N + 1 if at_one else 1)})
 
     c1 = h.map.compose(pr_L) - eval_map(True).compose(pr_P)
     c0 = g.map.compose(pr_N) - eval_map(False).compose(pr_P)

@@ -33,7 +33,7 @@ def docs(tmp_path):
     paths = {}
     for name in ("obstructed", "xt_obstructed", "artin_kt2", "artin_kt3",
                  "pair_idid_obstructed", "triple_idid_obstructed", "hpair_heis",
-                 "pair_idid_heis", "heis", "acyclic"):
+                 "pair_idid_heis", "heis", "acyclic", "ext_poly2_mod_uu"):
         p = tmp_path / f"{name}.json"
         code, _o, _e = run_cli(["examples", "--write", name, "--out", str(p)])
         assert code == 0
@@ -301,6 +301,20 @@ class TestDocumentBoundary:
         ("obstructed", ("bracket",), {}),
         ("artin_kt2", ("table",), {}),
         ("pair_idid_obstructed", ("h", "matrix"), []),
+        ("ext_poly2_mod_uu", ("alpha",), []),
+        ("ext_poly2_mod_uu", ("section",), "x"),
+        ("ext_poly2_mod_uu", ("source",), []),
+        ("ext_poly2_mod_uu", ("target",), 1.5),
+        ("ext_poly2_mod_uu", ("kernel",), {}),
+        ("artin_kt3", ("table", 0, "a"), []),
+        ("artin_kt3", ("table", 0, "b"), {}),
+        ("pair_idid_obstructed", ("h",), []),
+        ("pair_idid_obstructed", ("g",), "x"),
+        ("hpair_heis", ("m", "t"), []),
+        ("hpair_heis", ("m", "dt"), "x"),
+        ("hpair_heis", ("m", "t"), {"a": {}}),
+        ("hpair_heis", ("degree",), None),
+        ("hpair_heis", ("degree",), "1"),
     ])
     def test_wrong_field_types_are_schema_errors(self, tmp_path, docs, name, path, value):
         with open(docs[name]) as fh:
@@ -315,6 +329,44 @@ class TestDocumentBoundary:
             code, out, _ = run_cli([command, str(bad), "--json"])
             assert code == 1, command
             assert json.loads(out)["error"] == "SchemaError", command
+        if name == "hpair_heis":
+            code, out, _ = run_cli(["h-embed", "--pair", docs["pair_idid_heis"],
+                                    "--element", str(bad), "--json"])
+            assert code == 1
+            assert json.loads(out)["error"] == "SchemaError"
+
+    def test_h_embed_rejects_a_dgla_document(self, docs):
+        code, out, _ = run_cli(["h-embed", "--pair", docs["pair_idid_heis"],
+                                "--element", docs["heis"], "--json"])
+        assert code == 1
+        assert json.loads(out)["error"] == "SchemaError"
+
+    def test_wrong_degree_terms_are_schema_errors(self, tmp_path, docs):
+        with open(docs["xt_obstructed"]) as fh:
+            element = json.load(fh)
+        element["coords"] = {"y@t": "1"}  # degree 2 in a degree-1 element
+        with open(docs["hpair_heis"]) as fh:
+            hpair = json.load(fh)
+        hpair["m"]["t"]["1"] = {"a": "1"}  # degree 0 in a degree-1 path element
+        for doc, argv in ((element, ["mc-residual", "--dgla", docs["obstructed"],
+                                     "--artin", docs["artin_kt2"]]),
+                          (hpair, ["h-embed", "--pair", docs["pair_idid_heis"]])):
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc))
+            code, out, _ = run_cli(argv + ["--element", str(bad), "--json"])
+            assert code == 1, argv[0]
+            assert json.loads(out)["error"] == "SchemaError", argv[0]
+
+    def test_window_width_is_bounded(self, tmp_path, docs):
+        with open(docs["heis"]) as fh:
+            doc = json.load(fh)
+        doc["window"] = [0, 100_000_000]  # three basis vectors, 10^8 degrees
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps(doc))
+        for command in ("validate", "cohomology"):
+            code, out, _ = run_cli([command, str(wide), "--json"])
+            assert code == 1, command
+            assert json.loads(out)["error"] == "ResourceLimitExceeded", command
 
 
 class TestDeterminism:

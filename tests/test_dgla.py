@@ -16,6 +16,7 @@ from mcdeform.dgla import (
     cone_pair,
     cone_single,
     difference_chain_map,
+    endomorphism_dgla,
     fiber_product_dgla,
     gamma_quotient_map,
     identity_morphism,
@@ -339,6 +340,14 @@ class TestCartanHomotopy:
         di = L.complex.d.compose(imap) + imap.compose(L.complex.d)
         from mcdeform.graded import identity_map
         assert di == identity_map(L.space)
+
+
+def test_end_of_end_is_a_valid_acyclic_dgla():
+    # End(V)'s labels "u>v" hold the separator of End(End(V))'s labels
+    EE = endomorphism_dgla(lib.endo_acyclic().complex)
+    assert EE.space.total_dim() == 16
+    assert validate_dgla(EE) == []
+    assert compute_cohomology(EE.complex).total_dim() == 0
 
 
 class TestAdjoinD:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcdeform import linalg as la
+from mcdeform.dgla import endomorphism_dgla, koszul_sign
 from mcdeform.errors import (
     DegreeWindowViolation,
     DifferentialNotSquareZero,
@@ -22,6 +23,7 @@ from mcdeform.graded import (
     direct_sum,
     element_from_labels,
     graded_map_to_hom_element,
+    hom_basis,
     hom_complex,
     htp_complex,
     identity_map,
@@ -202,6 +204,59 @@ def test_projection_kills_random_boundaries(seed):
         b = cx.d.apply(GradedElement(cx.space, coords, i))
         got = H.project_vector(i + 1, b.component_vector(i + 1))
         assert all(c == 0 for c in got)
+
+
+def rand_complex(rnd: random.Random, tag: str) -> ChainComplex:
+    """Small complex with a random window, dimensions and differential (d² need
+    not vanish); every label holds one '>' and a ':'."""
+    dmin = rnd.randint(-2, 1)
+    dmax = dmin + rnd.randint(0, 2)
+    space = GradedSpace(dmin, dmax, {
+        i: tuple(f"{tag}>{i}:{p}" for p in range(rnd.randint(1 if i == dmin else 0, 2)))
+        for i in range(dmin, dmax + 1)})
+    blocks = {i: [[F(rnd.randint(-2, 2)) for _ in range(space.dim(i))]
+                  for _ in range(space.dim(i + 1))] for i in space.degrees()}
+    return ChainComplex(space, GradedMap(space, space, 1, blocks))
+
+
+def elementary_maps(sv: GradedSpace, sw: GradedSpace, n: int) -> list[GradedMap]:
+    """The elementary maps of Hom^n(V, W) as graded maps, in hom_basis order."""
+    maps = []
+    for i, p, q in hom_basis(sv, sw, n):
+        block = la.zeros(sw.dim(i + n), sv.dim(i))
+        block[q][p] = F(1)
+        maps.append(GradedMap(sv, sw, n, {i: block}))
+    return maps
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_hom_differential_is_d_w_e_minus_signed_e_d_v(seed):
+    rnd = random.Random(seed)
+    V, W = rand_complex(rnd, "v"), rand_complex(rnd, "w")
+    hom = hom_complex(V, W)
+    for n in hom.space.degrees():
+        sign = 1 if n % 2 == 0 else -1
+        elems = zip(hom_basis(V.space, W.space, n), elementary_maps(V.space, W.space, n))
+        for k, ((i, p, q), E) in enumerate(elems):
+            assert hom.space.label(n, k) == f"{V.space.label(i, p)}>{W.space.label(i + n, q)}"
+            e = graded_map_to_hom_element(E, hom)
+            assert e == basis_element(hom.space, n, k)
+            want = W.d.compose(E) - E.compose(V.d).scale(sign)
+            assert hom.d.apply(e) == graded_map_to_hom_element(want, hom)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_end_bracket_is_the_graded_commutator(seed):
+    V = rand_complex(random.Random(seed), "v")
+    end = endomorphism_dgla(V)
+    elems = [(basis_element(end.space, n, k), E) for n in end.space.degrees()
+             for k, E in enumerate(elementary_maps(V.space, V.space, n))]
+    for a, A in elems:
+        for b, B in elems:
+            want = A.compose(B) - B.compose(A).scale(koszul_sign(A.degree, B.degree))
+            assert end.bracket(a, b) == graded_map_to_hom_element(want, end.complex)
 
 
 class TestHom:
