@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from . import library as lib
@@ -28,6 +27,7 @@ from .documents import (
     digest,
     dimension_guard,
     element_coords_map,
+    endpoint_violations,
     load_document,
     load_raw,
     parse_artin_body,
@@ -90,6 +90,9 @@ def _scalars(m: dict) -> dict:
 def _tower_extension(step: int):
     if step < 2:
         raise SchemaError("--tower must be ≥ 2 (the extension K[t]/t^m → K[t]/t^{m-1})")
+    # building K[t]/t^m multiplies basis pairs of its maximal ideal, so the
+    # guarded dimension is that of m ⊗ m
+    dimension_guard((step - 1) ** 2)
     B = truncated_polynomial_algebra(step)
     A = truncated_polynomial_algebra(step - 1)
     alpha = la.zeros(A.dim, B.dim)
@@ -128,16 +131,6 @@ def _element_from(path, tensor, dgla_digest, coeff_digest, degree=None):
 # --- command handlers ----------------------------------------------------------
 
 
-def _endpoints_report(dglas) -> list:
-    """validate_dgla over (where, DGLA) pairs, each distinct DGLA once."""
-    report, seen = [], []
-    for where, D in dglas:
-        if D not in seen:
-            seen.append(D)
-            report += [replace(v, detail=f"{where}: {v.detail}") for v in validate_dgla(D)]
-    return report
-
-
 def cmd_validate(args):
     raw = load_raw(args.document)
     kind = raw["kind"]
@@ -147,12 +140,12 @@ def cmd_validate(args):
         report = validate_artin(parse_artin_body(raw, kind, check_axioms=False))
     elif kind == "morphism":
         phi = parse_morphism_body(raw, "morphism", check_axioms=False)
-        report = _endpoints_report([("source", phi.source), ("target", phi.target)])
+        report = endpoint_violations([("source", phi.source), ("target", phi.target)])
         report += validate_morphism(phi)
     elif kind == "pair":
         h, g = parse_pair_body(raw, "pair", check_axioms=False)
-        report = _endpoints_report([("h.source", h.source), ("g.source", g.source),
-                                    ("target", h.target)])
+        report = endpoint_violations([("h.source", h.source), ("g.source", g.source),
+                                      ("target", h.target)])
         report += validate_morphism(h) + validate_morphism(g)
     elif kind == "small_extension":
         parse_extension_body(raw, "small_extension", check_axioms=True)

@@ -11,8 +11,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from dataclasses import replace
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from . import linalg as la
 from .artin import (
@@ -25,6 +26,7 @@ from .dgla import (
     CONE_CONVENTION,
     Dgla,
     DglaMorphism,
+    Violation,
     make_dgla,
     validate_dgla,
     validate_morphism,
@@ -269,6 +271,27 @@ def serialize_hpair(l: GradedElement, n: GradedElement, m, owner_pair: str) -> d
     })
 
 
+# --- axiom checks -------------------------------------------------------------
+
+
+def _validate_once(D: Dgla, seen: list[Dgla]) -> list[Violation]:
+    """validate_dgla(D), or [] when D equals a DGLA in seen, one validated
+    earlier in the same document; D joins seen.  The DGLAs of one document
+    are validated by this rule, when parsed and by endpoint_violations."""
+    if D in seen:
+        return []
+    seen.append(D)
+    return validate_dgla(D)
+
+
+def endpoint_violations(dglas: Iterable[tuple[str, Dgla]]) -> list[Violation]:
+    """Violations of the (where, DGLA) endpoints of one document, each
+    distinct DGLA validated once; a violation's detail names its endpoint."""
+    seen: list[Dgla] = []
+    return [replace(v, detail=f"{where}: {v.detail}")
+            for where, D in dglas for v in _validate_once(D, seen)]
+
+
 # --- parsers ------------------------------------------------------------------
 
 
@@ -285,7 +308,10 @@ def _check_envelope(doc: dict, where: str) -> str:
     return kind
 
 
-def parse_dgla_body(doc: dict, where: str = "dgla", check_axioms: bool = True) -> Dgla:
+def parse_dgla_body(doc: dict, where: str = "dgla", check_axioms: bool = True,
+                    seen: list[Dgla] | None = None) -> Dgla:
+    """The DGLA of a document body; with check_axioms its axioms are
+    validated unless it equals a DGLA in seen (see _validate_once)."""
     _expect_keys(doc, {"format", "convention", "kind", "window", "basis",
                        "differential", "bracket"}, set(), where)
     window = doc["window"]
@@ -333,7 +359,7 @@ def parse_dgla_body(doc: dict, where: str = "dgla", check_axioms: bool = True) -
         entries[(a, b)] = val
     L = make_dgla(cx, [(a, b, val) for (a, b), val in entries.items()])
     if check_axioms:
-        report = validate_dgla(L)
+        report = _validate_once(L, [] if seen is None else seen)
         if report:
             raise AxiomViolation(
                 f"{where}: DGLA axioms violated ({report[0]})", report)
@@ -380,9 +406,13 @@ def parse_artin_body(doc: dict, where: str = "artin", check_axioms: bool = True)
         for lab, val in _field(doc, "differential", dict, where).items():
             if lab not in idx:
                 raise SchemaError(f"{where}.differential.{lab}: unknown label")
-            diff[idx[lab]] = {idx[tl]: c
-                              for tl, c in _scalar_map(val, f"{where}.differential.{lab}").items()
-                              if tl in idx}
+            at = f"{where}.differential.{lab}"
+            vec = {}
+            for tl, c in _scalar_map(val, at).items():
+                if tl not in idx:
+                    raise SchemaError(f"{at}.{tl}: unknown label")
+                vec[idx[tl]] = c
+            diff[idx[lab]] = vec
         A = DgNilpotentAlgebra(labels, degrees, diff, table)
     else:
         A = ArtinLocalAlgebra(labels, table)
@@ -394,12 +424,13 @@ def parse_artin_body(doc: dict, where: str = "artin", check_axioms: bool = True)
     return A
 
 
-def parse_morphism_body(doc: dict, where: str = "morphism",
-                        check_axioms: bool = True) -> DglaMorphism:
+def parse_morphism_body(doc: dict, where: str = "morphism", check_axioms: bool = True,
+                        seen: list[Dgla] | None = None) -> DglaMorphism:
     _expect_keys(doc, {"format", "convention", "kind", "source", "target", "matrix"},
                  set(), where)
-    src = parse_dgla_body(doc["source"], f"{where}.source", check_axioms)
-    tgt = parse_dgla_body(doc["target"], f"{where}.target", check_axioms)
+    seen = [] if seen is None else seen
+    src = parse_dgla_body(doc["source"], f"{where}.source", check_axioms, seen)
+    tgt = parse_dgla_body(doc["target"], f"{where}.target", check_axioms, seen)
     images = {}
     for lab, val in _field(doc, "matrix", dict, where).items():
         key = _key(src.space, lab, f"{where}.matrix")
@@ -422,8 +453,9 @@ def parse_pair_body(doc: dict, where: str = "pair",
         sub.setdefault("format", FORMAT_TAG)
         sub.setdefault("convention", CONE_CONVENTION)
         sub.setdefault("kind", "morphism")
-    h = parse_morphism_body(h_doc, f"{where}.h", check_axioms)
-    g = parse_morphism_body(g_doc, f"{where}.g", check_axioms)
+    seen: list[Dgla] = []
+    h = parse_morphism_body(h_doc, f"{where}.h", check_axioms, seen)
+    g = parse_morphism_body(g_doc, f"{where}.g", check_axioms, seen)
     if h.target != g.target:
         raise TargetMismatch(f"{where}: h and g have different targets")
     return h, g

@@ -7,7 +7,10 @@ import sys
 import pytest
 
 import mutations
+from mcdeform import cli, documents
+from mcdeform import library as lib
 from mcdeform.cli import main
+from mcdeform.dgla import identity_morphism
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -367,6 +370,62 @@ class TestDocumentBoundary:
             code, out, _ = run_cli([command, str(wide), "--json"])
             assert code == 1, command
             assert json.loads(out)["error"] == "ResourceLimitExceeded", command
+
+
+    def test_unknown_dg_algebra_differential_label_is_schema_error(self, tmp_path):
+        from mcdeform.artin import epsilon_algebra
+        from mcdeform.documents import canonical_json, serialize_artin
+
+        doc = serialize_artin(epsilon_algebra())
+        doc["differential"] = {"eps": {"nope": "1"}}
+        bad = tmp_path / "eps.json"
+        bad.write_text(canonical_json(doc))
+        code, out, _ = run_cli(["validate", str(bad), "--json"])
+        assert code == 1
+        error = json.loads(out)
+        assert error["error"] == "SchemaError"
+        assert "dg_algebra.differential.eps.nope" in error["message"]
+
+    def test_tower_is_bounded(self, docs, monkeypatch):
+        # K[t]/t^m is guarded by the dimension of m ⊗ m, (m − 1)²
+        monkeypatch.setenv("MCDEFORM_MAX_DIM", "16")
+        for command in ("obstruction", "lift"):
+            argv = [command, "--dgla", docs["obstructed"], "--element", docs["xt_obstructed"]]
+            code, out, _ = run_cli(argv + ["--tower", "6", "--json"])
+            assert code == 1, command
+            assert json.loads(out)["error"] == "ResourceLimitExceeded", command
+            # the largest tower the limit admits gets past the guard to the digest check
+            code, out, _ = run_cli(argv + ["--tower", "5", "--json"])
+            assert code == 1, command
+            assert json.loads(out)["error"] == "SchemaError", command
+
+
+@pytest.fixture()
+def validations(monkeypatch):
+    """The DGLAs validate_dgla is called on, however a command reaches it."""
+    calls = []
+    real = documents.validate_dgla
+
+    def counting(L):
+        calls.append(L)
+        return real(L)
+
+    monkeypatch.setattr(documents, "validate_dgla", counting)
+    monkeypatch.setattr(cli, "validate_dgla", counting)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [["pair-cone", "{pair}"], ["tangent", "--pair", "{pair}"],
+                                  ["validate", "{pair}"], ["validate", "{morphism}"]])
+def test_each_document_dgla_validated_once(tmp_path, docs, validations, argv):
+    # the (id, id) pair has one DGLA at all four ends; the morphism maps heis to itself
+    morphism = tmp_path / "morphism.json"
+    morphism.write_text(documents.canonical_json(
+        documents.serialize_morphism(identity_morphism(lib.heis()))))
+    argv = [a.format(pair=docs["pair_idid_heis"], morphism=morphism) for a in argv]
+    code, _out, _err = run_cli(argv + ["--json"])
+    assert code == 0
+    assert len(validations) == 1
 
 
 class TestDeterminism:

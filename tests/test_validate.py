@@ -1,0 +1,115 @@
+"""The structure-constant validators against the brute-force reference."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import brute_validate as brute
+import mutations
+from mcdeform import documents
+from mcdeform import library as lib
+from mcdeform.dgla import (
+    Dgla,
+    DglaMorphism,
+    identity_morphism,
+    morphism_from_labels,
+    validate_dgla,
+    validate_morphism,
+    zero_morphism,
+)
+from mcdeform.errors import AxiomViolation
+from mcdeform.graded import ChainComplex, GradedElement, GradedMap, identity_map
+
+
+def assert_same(fast, reference):
+    assert [str(v) for v in fast] == [str(v) for v in reference]
+
+
+@pytest.mark.parametrize("name, L", mutations.corpus(), ids=[n for n, _ in mutations.corpus()])
+def test_mutation_corpus_matches_brute_force(name, L):
+    report = validate_dgla(L)
+    assert report, name
+    assert_same(report, brute.validate_dgla(L))
+    # doubling every vector breaks bracket preservation wherever a bracket is nonzero
+    twice = DglaMorphism(L, L, identity_map(L.space).scale(2))
+    assert_same(validate_morphism(twice), brute.validate_morphism(twice))
+
+
+@pytest.mark.parametrize("name", sorted(lib.EXAMPLE_DGLAS))
+def test_builtin_dglas_match_brute_force(name):
+    L = lib.EXAMPLE_DGLAS[name]()
+    assert validate_dgla(L) == brute.validate_dgla(L) == []
+    for phi in (identity_morphism(L), zero_morphism(L, L)):
+        assert_same(validate_morphism(phi), brute.validate_morphism(phi))
+
+
+@pytest.mark.parametrize("name", sorted(lib.EXAMPLE_PAIRS))
+def test_builtin_pairs_match_brute_force(name):
+    for phi in lib.EXAMPLE_PAIRS[name]():
+        assert_same(validate_morphism(phi), brute.validate_morphism(phi))
+        for D in (phi.source, phi.target):
+            assert_same(validate_dgla(D), brute.validate_dgla(D))
+
+
+def test_morphism_violations_match_brute_force():
+    L = lib.obstructed()
+    scaled = morphism_from_labels(L, L, {"x": {"x": 2}, "y": {"y": 2}})
+    A = lib.acyclic()
+    dropped = morphism_from_labels(A, A, {"u": {"u": 1}})
+    for phi in (scaled, dropped):
+        report = validate_morphism(phi)
+        assert report
+        assert_same(report, brute.validate_morphism(phi))
+
+
+SMALL = ("heis0", "heis", "obstructed", "acyclic", "endo_acyclic", "sl2")
+
+
+@st.composite
+def corrupted(draw):
+    """A small built-in L and a copy with one structure constant or one
+    differential entry set to a small integer."""
+    L = lib.EXAMPLE_DGLAS[draw(st.sampled_from(SMALL))]()
+    space = L.space
+    keys = [(i, p) for i in space.degrees() for p in range(space.dim(i))]
+    edges = [(a, k) for a in keys for k in keys if k[0] == a[0] + 1]
+    value = Fraction(draw(st.integers(min_value=-2, max_value=2)))
+    if edges and draw(st.booleans()):
+        (i, p), (_j, q) = draw(st.sampled_from(edges))
+        blocks = {n: L.d.matrix(n) for n in space.degrees()}
+        blocks[i][q][p] = value
+        bad = Dgla(ChainComplex(space, GradedMap(space, space, 1, blocks)), L.brackets)
+    else:
+        a, b = sorted(draw(st.lists(st.sampled_from(keys), min_size=2, max_size=2)))
+        k = draw(st.sampled_from(keys))
+        brackets = dict(L.brackets)
+        coords = dict(brackets[(a, b)].coords) if (a, b) in brackets else {}
+        coords[k] = value
+        brackets[(a, b)] = GradedElement(space, coords)
+        bad = Dgla(L.complex, brackets)
+    return L, bad
+
+
+@settings(max_examples=80, deadline=None)
+@given(corrupted())
+def test_corruptions_match_brute_force(case):
+    L, bad = case
+    assert_same(validate_dgla(bad), brute.validate_dgla(bad))
+    for phi in (DglaMorphism(L, bad, identity_map(L.space)),
+                DglaMorphism(bad, L, identity_map(L.space))):
+        assert_same(validate_morphism(phi), brute.validate_morphism(phi))
+
+
+# --- validate each document DGLA once ---------------------------------------
+
+
+def test_first_error_of_a_pair_is_unchanged():
+    # g's source is the corrupted sl2, h is valid: the error names g.source
+    _name, bad = mutations.corpus()[0]
+    good = lib.sl2()
+    doc = documents.serialize_pair(identity_morphism(good),
+                                   DglaMorphism(bad, good, identity_map(good.space)))
+    with pytest.raises(AxiomViolation) as e:
+        documents.parse_pair_body(doc)
+    assert str(e.value).startswith("pair.g.source: DGLA axioms violated (jacobi")
