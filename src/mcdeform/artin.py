@@ -49,45 +49,53 @@ def _filtration(dim: int, product) -> tuple[tuple[int, ...] | None, int | None]:
     """
     if dim == 0:
         return (), 1
-    spans: list[list[la.Vector]] = []
-    current = [la.unit_vector(dim, i) for i in range(dim)]
-    spans.append(current)
-    nu = None
+    spans: list[list[la.Vector]] = [[la.unit_vector(dim, i) for i in range(dim)]]
     for _step in range(dim + 1):
-        nxt: list[la.Vector] = []
-        for i in range(dim):
-            for v in spans[-1]:
-                sparse = {k: c for k, c in enumerate(v) if c != 0}
-                prod = product(i, sparse)
-                if prod:
-                    w = la.zero_vector(dim)
-                    for k, c in prod.items():
-                        w[k] = c
-                    nxt.append(w)
+        nxt = [[prod.get(k, ZERO) for k in range(dim)]
+               for i in range(dim) for v in spans[-1]
+               if (prod := product(i, {k: c for k, c in enumerate(v) if c != 0}))]
         basis = [nxt[k] for k in la.extend_basis([], nxt, dim)]
         if not basis:
-            nu = len(spans) + 1
-            spans.append([])
             break
         # every kept span is independent, so its length is its dimension
         if len(basis) == len(spans[-1]):
             return None, None
         spans.append(basis)
-    if nu is None:
+    else:
         return None, None
-    levels = []
-    for i in range(dim):
-        e = la.unit_vector(dim, i)
-        lvl = 1
-        for k in range(1, len(spans)):
-            if spans[k] and la.in_span(spans[k], e) is not None:
-                lvl = k + 1
-        levels.append(lvl)
-    return tuple(levels), nu
+    # e_i lies in m^{k+1} exactly when i is a pivot of the rref of spans[k]
+    # whose row is e_i; the spans shrink, so the last k that holds e_i wins
+    levels = [1] * dim
+    for k in range(1, len(spans)):
+        rows, pivots = la.rref(spans[k])
+        for r, i in enumerate(pivots):
+            if rows[r] == la.unit_vector(dim, i):
+                levels[i] = k + 1
+    return tuple(levels), len(spans) + 1
+
+
+class _Coefficients:
+    """The labels and power filtration both coefficient-algebra types share."""
+
+    @property
+    def dim(self) -> int:
+        return len(self.labels)
+
+    def locate(self, lab: str) -> int:
+        try:
+            return self.labels.index(lab)
+        except ValueError:
+            raise InvalidInput(f"unknown coefficient label {lab!r}") from None
+
+    def _set_filtration(self) -> None:
+        if self.levels is None:
+            levels, nu = _filtration(self.dim, self.product_basis)
+            object.__setattr__(self, "levels", levels)
+            object.__setattr__(self, "nu", nu)
 
 
 @dataclass(frozen=True)
-class ArtinLocalAlgebra:
+class ArtinLocalAlgebra(_Coefficients):
     """Maximal ideal m_A of a local Artinian algebra, by multiplication table.
 
     table holds canonical pairs i <= j only; commutativity supplies the rest.
@@ -113,14 +121,7 @@ class ArtinLocalAlgebra:
             if v:
                 clean[(i, j)] = v
         object.__setattr__(self, "table", clean)
-        if self.levels is None:
-            levels, nu = _filtration(self.dim, self.product_basis)
-            object.__setattr__(self, "levels", levels)
-            object.__setattr__(self, "nu", nu)
-
-    @property
-    def dim(self) -> int:
-        return len(self.labels)
+        self._set_filtration()
 
     def degree_of(self, i: int) -> int:
         return 0
@@ -146,12 +147,6 @@ class ArtinLocalAlgebra:
                 out[k] = out.get(k, ZERO) + ca * c
         return _clean(out)
 
-    def locate(self, lab: str) -> int:
-        try:
-            return self.labels.index(lab)
-        except ValueError:
-            raise InvalidInput(f"unknown coefficient label {lab!r}") from None
-
     def __eq__(self, other):
         if not isinstance(other, ArtinLocalAlgebra):
             return NotImplemented
@@ -161,7 +156,7 @@ class ArtinLocalAlgebra:
 
 
 @dataclass(frozen=True)
-class DgNilpotentAlgebra:
+class DgNilpotentAlgebra(_Coefficients):
     """Graded nilpotent dg algebra: graded-commutative table plus differential.
 
     table holds canonical pairs i <= j; the swapped product carries the sign
@@ -189,14 +184,7 @@ class DgNilpotentAlgebra:
                 clean[(i, j)] = v
         object.__setattr__(self, "table", clean)
         object.__setattr__(self, "diff", {i: _clean(v) for i, v in self.diff.items() if _clean(v)})
-        if self.levels is None:
-            levels, nu = _filtration(self.dim, self.product_basis)
-            object.__setattr__(self, "levels", levels)
-            object.__setattr__(self, "nu", nu)
-
-    @property
-    def dim(self) -> int:
-        return len(self.labels)
+        self._set_filtration()
 
     def degree_of(self, i: int) -> int:
         return self.degrees[i]
@@ -217,12 +205,6 @@ class DgNilpotentAlgebra:
             for k, e in entry.items():
                 out[k] = out.get(k, ZERO) + sign * c * e
         return _clean(out)
-
-    def locate(self, lab: str) -> int:
-        try:
-            return self.labels.index(lab)
-        except ValueError:
-            raise InvalidInput(f"unknown coefficient label {lab!r}") from None
 
     def __eq__(self, other):
         if not isinstance(other, DgNilpotentAlgebra):
@@ -486,15 +468,13 @@ def small_extension_tower(n: int) -> list[SmallExtension]:
     """K[t]/t^{k+1} → K[t]/t^k for k = 1..n; every kernel is ⟨t^k⟩."""
     if n < 1:
         raise InvalidInput("tower length must be ≥ 1")
-    tower = []
-    for k in range(1, n + 1):
-        B = truncated_polynomial_algebra(k + 1)
-        A = truncated_polynomial_algebra(k)
-        alpha = la.zeros(A.dim, B.dim)
-        for i in range(A.dim):
-            alpha[i][i] = ONE
-        tower.append(small_extension(B, A, alpha))
-    return tower
+    return [tower_step(k) for k in range(1, n + 1)]
+
+
+def tower_step(k: int) -> SmallExtension:
+    """K[t]/t^{k+1} → K[t]/t^k, t^i ↦ t^i, with kernel ⟨t^k⟩."""
+    B, A = truncated_polynomial_algebra(k + 1), truncated_polynomial_algebra(k)
+    return small_extension(B, A, [la.unit_vector(B.dim, i) for i in range(A.dim)])
 
 
 def omega_complex(n: int) -> DgNilpotentAlgebra:

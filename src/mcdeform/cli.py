@@ -10,11 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import library as lib
-from . import linalg as la
-from .artin import tensor_dgla, truncated_polynomial_algebra, small_extension, validate_artin
+from .artin import tensor_dgla, tower_step, validate_artin
 from .dgla import (
     cone_pair,
     cone_single,
@@ -93,12 +91,7 @@ def _tower_extension(step: int):
     # building K[t]/t^m multiplies basis pairs of its maximal ideal, so the
     # guarded dimension is that of m ⊗ m
     dimension_guard((step - 1) ** 2)
-    B = truncated_polynomial_algebra(step)
-    A = truncated_polynomial_algebra(step - 1)
-    alpha = la.zeros(A.dim, B.dim)
-    for i in range(A.dim):
-        alpha[i][i] = Fraction(1)
-    return small_extension(B, A, alpha)
+    return tower_step(step - 1)
 
 
 def _load_tensor_context(args):
@@ -146,7 +139,8 @@ def cmd_validate(args):
         h, g = parse_pair_body(raw, "pair", check_axioms=False)
         report = endpoint_violations([("h.source", h.source), ("g.source", g.source),
                                       ("target", h.target)])
-        report += validate_morphism(h) + validate_morphism(g)
+        vh = validate_morphism(h)
+        report += vh + (vh if g == h else validate_morphism(g))
     elif kind == "small_extension":
         parse_extension_body(raw, "small_extension", check_axioms=True)
         report = []

@@ -27,6 +27,7 @@ from .graded import (
     GradedMap,
     GradedSpace,
     basis_element,
+    block_layout,
     block_sum,
     direct_sum,
     element_from_labels,
@@ -106,13 +107,18 @@ class Dgla:
         return stored
 
     def bracket(self, x: GradedElement, y: GradedElement) -> GradedElement:
-        out = zero_element(self.space)
-        for (i, p), cx in x.coords.items():
-            for (j, q), cy in y.coords.items():
-                base = self.bracket_basis((i, p), (j, q))
-                if not base.is_zero():
-                    out = out + (cx * cy) * base
-        return out
+        """[x, y] from the stored constants of each support pair, summed into
+        one dict; a reversed pair carries the Koszul sign."""
+        out: dict[BasisKey, Fraction] = {}
+        for a, cx in x.coords.items():
+            for b, cy in y.coords.items():
+                stored = self.brackets.get((a, b) if a <= b else (b, a))
+                if stored is None:
+                    continue
+                c = cx * cy if a <= b or (a[0] * b[0]) % 2 else -(cx * cy)
+                for k, v in stored.coords.items():
+                    out[k] = out.get(k, ZERO) + c * v
+        return GradedElement(self.space, out)
 
     def is_abelian(self) -> bool:
         return not self.brackets
@@ -410,22 +416,50 @@ def _as_chain_map(f) -> ChainMap:
     raise InvalidInput(f"expected a chain map or DGLA morphism, got {type(f)!r}")
 
 
+def _as_pair(h, g) -> tuple[ChainMap, ChainMap]:
+    h, g = _as_chain_map(h), _as_chain_map(g)
+    if h.target != g.target:
+        raise TargetMismatch("h and g must share their target")
+    return h, g
+
+
 @dataclass(frozen=True)
 class ConeComplex:
-    """Suspended mapping cone with provenance and block bookkeeping."""
+    """Suspended mapping cone with provenance and its block_layout.  Cones live
+    on in obstruction classes, so no part matrices are kept: embed and project
+    move basis keys, and parts builds the maps when asked."""
 
     complex: ChainComplex
     kind: str  # "single" or "pair"
     convention: str
     h: ChainMap
     g: ChainMap | None
-    parts: Mapping[str, tuple[GradedMap, GradedMap]]  # name -> (embed, project)
+    layout: Mapping[str, tuple[GradedSpace, int, Mapping[int, int]]]
+
+    @property
+    def parts(self) -> dict[str, tuple[GradedMap, GradedMap]]:
+        """name -> (embed, project), as block_sum builds them."""
+        specs = [(name, space, off) for name, (space, off, _s) in self.layout.items()]
+        return dict(zip(self.layout, block_sum(specs)[1]))
 
     def embed(self, part: str, x: GradedElement) -> GradedElement:
-        return self.parts[part][0].apply(x)
+        space, off, starts = self.layout[part]
+        if x.space != space:
+            raise InvalidInput(f"element does not live in cone part {part}")
+        return GradedElement(self.complex.space,
+                             {(d + off, starts[d] + i): c for (d, i), c in x.coords.items()},
+                             None if x.degree is None else x.degree + off)
 
     def project(self, part: str, x: GradedElement) -> GradedElement:
-        return self.parts[part][1].apply(x)
+        space, off, starts = self.layout[part]
+        if x.space != self.complex.space:
+            raise InvalidInput("element does not live in the cone")
+        coords = {}
+        for (d, i), c in x.coords.items():
+            j = d - off
+            if j in starts and 0 <= i - starts[j] < space.dim(j):
+                coords[(j, i - starts[j])] = c
+        return GradedElement(space, coords, None if x.degree is None else x.degree - off)
 
     def __eq__(self, other):
         if not isinstance(other, ConeComplex):
@@ -439,25 +473,22 @@ def cone_single(h) -> ConeComplex:
     """Suspended cone of h: C_h^i = L^i ⊕ M^{i−1}, δ(l,m) = (dl, −dm + h(l))."""
     h = _as_chain_map(h)
     L, M = h.source, h.target
-    space, maps = block_sum([("L", L.space, 0), ("M", M.space, 1)])
-    (in_l, pr_l), (in_m, pr_m) = maps
+    specs = [("L", L.space, 0), ("M", M.space, 1)]
+    space, ((in_l, pr_l), (in_m, pr_m)) = block_sum(specs)
     d = (in_l.compose(L.d).compose(pr_l)
          + in_m.compose(h.map).compose(pr_l)
          - in_m.compose(M.d).compose(pr_m))
     cx = ChainComplex(space, d)
     cx.require_d_squared_zero()
-    return ConeComplex(cx, "single", CONE_CONVENTION, h, None, dict(zip("LM", maps)))
+    return ConeComplex(cx, "single", CONE_CONVENTION, h, None, block_layout(specs))
 
 
 def cone_pair(h, g) -> ConeComplex:
     """Suspended cone of a pair: D(l,n,m) = (dl, dn, −dm − g(n) + h(l))."""
-    h = _as_chain_map(h)
-    g = _as_chain_map(g)
-    if h.target != g.target:
-        raise TargetMismatch("h and g must share their target")
+    h, g = _as_pair(h, g)
     L, N, M = h.source, g.source, h.target
-    space, maps = block_sum([("L", L.space, 0), ("N", N.space, 0), ("M", M.space, 1)])
-    (in_l, pr_l), (in_n, pr_n), (in_m, pr_m) = maps
+    specs = [("L", L.space, 0), ("N", N.space, 0), ("M", M.space, 1)]
+    space, ((in_l, pr_l), (in_n, pr_n), (in_m, pr_m)) = block_sum(specs)
     d = (in_l.compose(L.d).compose(pr_l)
          + in_n.compose(N.d).compose(pr_n)
          + in_m.compose(h.map).compose(pr_l)
@@ -465,15 +496,12 @@ def cone_pair(h, g) -> ConeComplex:
          - in_m.compose(M.d).compose(pr_m))
     cx = ChainComplex(space, d)
     cx.require_d_squared_zero()
-    return ConeComplex(cx, "pair", CONE_CONVENTION, h, g, dict(zip("LNM", maps)))
+    return ConeComplex(cx, "pair", CONE_CONVENTION, h, g, block_layout(specs))
 
 
 def difference_chain_map(h, g) -> ChainMap:
     """h − g: L ⊕ N → M, (l, n) ↦ h(l) − g(n), on the labelled direct sum."""
-    h = _as_chain_map(h)
-    g = _as_chain_map(g)
-    if h.target != g.target:
-        raise TargetMismatch("h and g must share their target")
+    h, g = _as_pair(h, g)
     total, [(_il, proj_l), (_in, proj_n)] = direct_sum([("L", h.source), ("N", g.source)])
     return ChainMap(total, h.target, h.map.compose(proj_l) - g.map.compose(proj_n))
 
@@ -512,10 +540,7 @@ def cokernel(f: ChainMap) -> tuple[ChainComplex, ChainMap]:
 
 def gamma_quotient_map(h, g) -> ChainMap:
     """γ: C_{(h,g)} → C_{π∘g}, (l, n, m) ↦ (−n, π(m)), for injective h."""
-    h = _as_chain_map(h)
-    g = _as_chain_map(g)
-    if h.target != g.target:
-        raise TargetMismatch("h and g must share their target")
+    h, g = _as_pair(h, g)
     for i in h.source.space.degrees():
         if h.map.kernel_dim(i) > 0:
             raise NotInjective(f"h has a kernel in degree {i}")
@@ -533,10 +558,7 @@ def gamma_quotient_map(h, g) -> ChainMap:
 
 def swap_iso(h, g) -> ChainMap:
     """Involution C_{(h,g)} → C_{(g,h)} sending (l, n, m) to (−l, −n, m)."""
-    h = _as_chain_map(h)
-    g = _as_chain_map(g)
-    if h.target != g.target:
-        raise TargetMismatch("h and g must share their target")
+    h, g = _as_pair(h, g)
     src = cone_pair(h, g)
     tgt = cone_pair(g, h)
     m = (tgt.parts["N"][0].compose(src.parts["L"][1]).scale(-1)
@@ -558,8 +580,7 @@ def les_exactness(h, g) -> list[Violation]:
     """
     from .graded import compute_cohomology, induced_cohomology_matrix
 
-    h = _as_chain_map(h)
-    g = _as_chain_map(g)
+    h, g = _as_pair(h, g)
     cone = cone_pair(h, g)
     H_c = compute_cohomology(cone.complex)
     total, [(inc_l, proj_l), (inc_n, proj_n)] = direct_sum([("L", h.source), ("N", g.source)])

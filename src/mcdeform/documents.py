@@ -8,9 +8,10 @@ content digest so inputs from different algebras cannot be cross-wired.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
+import re
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -57,14 +58,33 @@ def dimension_guard(total: int) -> None:
             f"total basis dimension {total} exceeds MCDEFORM_MAX_DIM={_max_dim()}")
 
 
+def _max_digits() -> int:
+    """The interpreter's int digit limit; its default, 4300, where off or absent."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
 def format_scalar(c: Fraction) -> str:
     c = la.frac(c)
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    try:
+        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    except ValueError:
+        raise ResourceLimitExceeded(f"a result scalar has over {_max_digits()} digits") from None
+
+
+_EXPONENT = re.compile(r"[eE][-+]?0*([0-9_]*)")
 
 
 def parse_scalar(text, where: str) -> Fraction:
+    """The scalar of a JSON int or string; a string's digits, counting those
+    its exponent writes out, are bounded before any Fraction is built."""
     if isinstance(text, bool) or not isinstance(text, (str, int)):
         raise SchemaError(f"{where}: scalar must be a 'p/q' string, got {text!r}")
+    if isinstance(text, str):
+        limit = _max_digits()
+        exponent = _EXPONENT.search(text)
+        written = exponent.group(1).replace("_", "") if exponent else ""
+        if len(written) > len(str(limit)) or len(text) + int(written or 0) > limit:
+            raise ResourceLimitExceeded(f"{where}: scalar has more than {limit} digits")
     try:
         c = Fraction(text)
     except (ValueError, ZeroDivisionError) as e:
@@ -128,6 +148,7 @@ def canonical_json(doc: dict) -> str:
 
 
 def digest(doc: dict) -> str:
+    import hashlib  # loads OpenSSL, about 3.5 MiB resident: only digests need it
     return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
 
 
@@ -138,29 +159,27 @@ def _envelope(kind: str, body: dict) -> dict:
 # --- serializers --------------------------------------------------------------
 
 
+def _images(apply, source: GradedSpace, target: GradedSpace) -> dict:
+    """label -> coordinates in target of apply(e), for each basis e with apply(e) ≠ 0."""
+    out = {}
+    for i in source.degrees():
+        for p, lab in enumerate(source.labels(i)):
+            img = apply(GradedElement(source, {(i, p): Fraction(1)}, i))
+            if not img.is_zero():
+                out[lab] = element_coords_map(target, img)
+    return out
+
+
 def serialize_dgla(L: Dgla) -> dict:
     space = L.space
     basis = {str(i): list(space.labels(i)) for i in space.degrees() if space.dim(i)}
-    differential = {}
-    for i in space.degrees():
-        for p, lab in enumerate(space.labels(i)):
-            img = L.differential_of(GradedElement(space, {(i, p): Fraction(1)}, i))
-            if not img.is_zero():
-                differential[lab] = {
-                    space.label(d, q): format_scalar(c) for (d, q), c in sorted(img.coords.items())}
-    bracket = []
-    for (a, b) in sorted(L.brackets):
-        val = L.brackets[(a, b)]
-        bracket.append({
-            "a": space.label(*a),
-            "b": space.label(*b),
-            "value": {space.label(d, q): format_scalar(c)
-                      for (d, q), c in sorted(val.coords.items())},
-        })
+    bracket = [{"a": space.label(*a), "b": space.label(*b),
+                "value": element_coords_map(space, L.brackets[(a, b)])}
+               for (a, b) in sorted(L.brackets)]
     return _envelope("dgla", {
         "window": [space.dmin, space.dmax],
         "basis": basis,
-        "differential": differential,
+        "differential": _images(L.differential_of, space, space),
         "bracket": bracket,
     })
 
@@ -187,18 +206,10 @@ def serialize_artin(A: ArtinLocalAlgebra | DgNilpotentAlgebra) -> dict:
 
 
 def _morphism_body(phi: DglaMorphism) -> dict:
-    src, tgt = phi.source.space, phi.target.space
-    matrix = {}
-    for i in src.degrees():
-        for p, lab in enumerate(src.labels(i)):
-            img = phi.apply(GradedElement(src, {(i, p): Fraction(1)}, i))
-            if not img.is_zero():
-                matrix[lab] = {tgt.label(d, q): format_scalar(c)
-                               for (d, q), c in sorted(img.coords.items())}
     return {
         "source": serialize_dgla(phi.source),
         "target": serialize_dgla(phi.target),
-        "matrix": matrix,
+        "matrix": _images(phi.apply, phi.source.space, phi.target.space),
     }
 
 
@@ -210,26 +221,24 @@ def serialize_pair(h: DglaMorphism, g: DglaMorphism) -> dict:
     return _envelope("pair", {"h": _morphism_body(h), "g": _morphism_body(g)})
 
 
+def _columns(matrix: la.Matrix, rows: tuple[str, ...], cols: tuple[str, ...]) -> dict:
+    """column label -> {row label: entry} for each nonzero column."""
+    out = {}
+    for j, lab in enumerate(cols):
+        col = {rows[r]: format_scalar(row[j]) for r, row in enumerate(matrix) if row[j] != 0}
+        if col:
+            out[lab] = col
+    return out
+
+
 def serialize_extension(ext: SmallExtension) -> dict:
-    alpha = {}
-    for i, blab in enumerate(ext.B.labels):
-        col = {ext.A.labels[r]: format_scalar(ext.alpha[r][i])
-               for r in range(ext.A.dim) if ext.alpha[r][i] != 0}
-        if col:
-            alpha[blab] = col
-    section = {}
-    for r, alab in enumerate(ext.A.labels):
-        col = {ext.B.labels[i]: format_scalar(ext.section[i][r])
-               for i in range(ext.B.dim) if ext.section[i][r] != 0}
-        if col:
-            section[alab] = col
     kernel = [{ext.B.labels[i]: format_scalar(c) for i, c in enumerate(vec) if c != 0}
               for vec in ext.kernel]
     return _envelope("small_extension", {
         "source": serialize_artin(ext.B),
         "target": serialize_artin(ext.A),
-        "alpha": alpha,
-        "section": section,
+        "alpha": _columns(ext.alpha, ext.A.labels, ext.B.labels),
+        "section": _columns(ext.section, ext.B.labels, ext.A.labels),
         "kernel": kernel,
     })
 
@@ -274,14 +283,15 @@ def serialize_hpair(l: GradedElement, n: GradedElement, m, owner_pair: str) -> d
 # --- axiom checks -------------------------------------------------------------
 
 
-def _validate_once(D: Dgla, seen: list[Dgla]) -> list[Violation]:
-    """validate_dgla(D), or [] when D equals a DGLA in seen, one validated
-    earlier in the same document; D joins seen.  The DGLAs of one document
-    are validated by this rule, when parsed and by endpoint_violations."""
+def _validate_once(D: Dgla | DglaMorphism, seen: list) -> list[Violation]:
+    """validate_dgla(D) or validate_morphism(D), or [] when D equals one in
+    seen, validated earlier in the same document; D joins seen.  The DGLAs
+    and morphisms of one document are validated by this rule, when parsed and
+    by endpoint_violations."""
     if D in seen:
         return []
     seen.append(D)
-    return validate_dgla(D)
+    return validate_dgla(D) if isinstance(D, Dgla) else validate_morphism(D)
 
 
 def endpoint_violations(dglas: Iterable[tuple[str, Dgla]]) -> list[Violation]:
@@ -425,7 +435,7 @@ def parse_artin_body(doc: dict, where: str = "artin", check_axioms: bool = True)
 
 
 def parse_morphism_body(doc: dict, where: str = "morphism", check_axioms: bool = True,
-                        seen: list[Dgla] | None = None) -> DglaMorphism:
+                        seen: list | None = None) -> DglaMorphism:
     _expect_keys(doc, {"format", "convention", "kind", "source", "target", "matrix"},
                  set(), where)
     seen = [] if seen is None else seen
@@ -438,7 +448,7 @@ def parse_morphism_body(doc: dict, where: str = "morphism", check_axioms: bool =
         images[key] = _element(tgt.space, _scalar_map(val, at), key[0], at)
     phi = DglaMorphism(src, tgt, map_from_images(src.space, tgt.space, 0, images))
     if check_axioms:
-        report = validate_morphism(phi)
+        report = _validate_once(phi, seen)
         if report:
             raise AxiomViolation(f"{where}: morphism axioms violated ({report[0]})", report)
     return phi
@@ -453,7 +463,7 @@ def parse_pair_body(doc: dict, where: str = "pair",
         sub.setdefault("format", FORMAT_TAG)
         sub.setdefault("convention", CONE_CONVENTION)
         sub.setdefault("kind", "morphism")
-    seen: list[Dgla] = []
+    seen: list = []
     h = parse_morphism_body(h_doc, f"{where}.h", check_axioms, seen)
     g = parse_morphism_body(g_doc, f"{where}.g", check_axioms, seen)
     if h.target != g.target:
@@ -555,12 +565,21 @@ PARSERS = {
 }
 
 
+def _loads(text: str, prefix: str):
+    """The JSON value of text.  Malformed JSON is a DocumentSyntaxError; an
+    integer longer than the interpreter's digit limit (a ValueError) or
+    nesting deeper than its recursion limit is ResourceLimitExceeded."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise DocumentSyntaxError(f"{prefix}not valid JSON: {e}") from None
+    except (ValueError, RecursionError) as e:
+        raise ResourceLimitExceeded(f"{prefix}{e}") from None
+
+
 def parse_document(text: str, check_axioms: bool = True):
     """Parse any document; axiom violations from validators are forwarded."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise DocumentSyntaxError(f"not valid JSON: {e}") from None
+    doc = _loads(text, "")
     kind = _check_envelope(doc, "document")
     if kind in PARSERS:
         return PARSERS[kind](doc, kind, check_axioms)
@@ -580,11 +599,7 @@ def load_document(path: str, check_axioms: bool = True):
 
 def load_raw(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise DocumentSyntaxError(f"{path}: not valid JSON: {e}") from None
+        doc = _loads(fh.read(), f"{path}: ")
     _check_envelope(doc, path)
     return doc
 

@@ -74,7 +74,7 @@ class InvalidInput(McdeformError):
 
 
 class ResourceLimitExceeded(McdeformError):
-    """Total basis dimension exceeds the MCDEFORM_MAX_DIM guard."""
+    """An input exceeds a guard: MCDEFORM_MAX_DIM, or the int digit limit."""
 
 
 class MissingDocument(McdeformError):

@@ -98,7 +98,7 @@ def zero_space() -> GradedSpace:
     return GradedSpace(0, 0, {})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GradedElement:
     """Sparse element; an optional declared homogeneous degree is enforced."""
 
@@ -598,22 +598,31 @@ def block_sum(parts: Iterable[tuple[str, GradedSpace, int]]) -> tuple[
             basis[i] = labels
     # all parts empty: keep a legal empty window
     total = GradedSpace(dmin, dmax, basis) if basis else zero_space()
-    start = {i: 0 for i in basis}
     maps = []
-    for _name, space, off in parts:
+    for space, off, starts in block_layout(parts).values():
         embed, project = {}, {}
-        for j in space.degrees():
-            n = space.dim(j)
-            if n == 0:
-                continue
-            i, at = j + off, start[j + off]
+        for j, at in starts.items():
+            n, i = space.dim(j), j + off
             embed[j] = [[ONE if r == at + c else ZERO for c in range(n)]
                         for r in range(total.dim(i))]
             project[i] = [[ONE if c == at + r else ZERO for c in range(total.dim(i))]
                           for r in range(n)]
-            start[i] += n
         maps.append((GradedMap(space, total, off, embed), GradedMap(total, space, -off, project)))
     return total, maps
+
+
+def block_layout(parts: Iterable[tuple[str, GradedSpace, int]]) -> dict[
+        str, tuple[GradedSpace, int, dict[int, int]]]:
+    """name -> (space, offset, starts) for each part of block_sum(parts):
+    degree j of the part begins at index starts[j] of degree j + offset."""
+    used: dict[int, int] = {}
+    layout = {}
+    for name, space, off in parts:
+        starts = {j: used.get(j + off, 0) for j in space.degrees() if space.dim(j)}
+        for j, at in starts.items():
+            used[j + off] = at + space.dim(j)
+        layout[name] = (space, off, starts)
+    return layout
 
 
 def direct_sum(parts: Iterable[tuple[str, ChainComplex]]) -> tuple[

@@ -77,58 +77,49 @@ def gauge_apply(T: TensorDgla, a: GradedElement, x: GradedElement) -> GradedElem
     return total
 
 
-def _compositions(weight: int, blocks: int):
-    """Sequences of `blocks` pairs (p, q) with p+q ≥ 1 summing to `weight`."""
-    if blocks == 0:
-        if weight == 0:
-            yield ()
-        return
-    for first in range(1, weight - blocks + 2):
-        for p in range(first + 1):
-            q = first - p
-            for rest in _compositions(weight - first, blocks - 1):
-                yield ((p, q),) + rest
-
-
-def _dynkin_term(T: TensorDgla, a: GradedElement, b: GradedElement,
-                 comp: tuple[tuple[int, int], ...]) -> GradedElement:
-    """Right-nested bracket word ad_a^{p1} ad_b^{q1} … applied to the last letter."""
-    word: list[GradedElement] = []
-    for p, q in comp:
-        word.extend([a] * p)
-        word.extend([b] * q)
-    inner = word.pop()
-    out = inner
-    for letter in reversed(word):
-        if out.is_zero():
-            return out
-        out = T.bracket(letter, out)
+def _bernoulli_over_factorial(top: int) -> list[Fraction]:
+    """B_j/j! for j ≤ top: the coefficients of x/(eˣ − 1), from
+    Σ_{j≤n} B_j/j! · 1/(n+1−j)! = 0 for n ≥ 1."""
+    out = [ONE]
+    for n in range(1, top + 1):
+        out.append(-sum(c / math.factorial(n + 1 - j) for j, c in enumerate(out)))
     return out
 
 
 def bch_product(T: TensorDgla, a: GradedElement, b: GradedElement) -> GradedElement:
-    """Baker-Campbell-Hausdorff product by the Dynkin series.
+    """Baker-Campbell-Hausdorff product a•b, with e^a e^b = e^{a•b} as gauge
+    operators, summed exactly by the recursion of Casas and Murua on its parts
+    Z_n of degree n in a and b:
 
-    Exact rational coefficients; the series is truncated by the filtration
-    certificate (words of weight ≥ ν vanish).  Satisfies e^a e^b = e^{a•b}
-    as gauge operators.
+        Z_1 = a + b,   (n+1)·Z_{n+1} = ½[a − b, Z_n] + Σ_{p≥1} B_{2p}/(2p)! · W_{2p}(n),
+
+    where W_j(m) = Σ_{k≥1} [Z_k, W_{j−1}(m − k)], W_0(0) = a + b, is the sum of
+    the nested brackets [Z_{k_1}, [… [Z_{k_j}, a + b]]] with k_1 + … + k_j = m.
+    Z_n lies in m_A^{nℓ}, ℓ the lower filtration level of a and b, so the sum
+    stops exactly before the first n with n·ℓ ≥ ν.
     """
     _require_degree(a, 0, "BCH argument")
     _require_degree(b, 0, "BCH argument")
-    total = zero_element(T.space, 0)
-    max_weight = max(T.nu - 1, 1)
-    for w in range(1, max_weight + 1):
-        for n in range(1, w + 1):
-            for comp in _compositions(w, n):
-                term = _dynkin_term(T, a, b, comp)
-                if term.is_zero():
-                    continue
-                denom = n * w
-                for p, q in comp:
-                    denom *= math.factorial(p) * math.factorial(q)
-                sign = 1 if (n - 1) % 2 == 0 else -1
-                total = total + Fraction(sign, denom) * term
-    return total
+    level = min(T.element_level(a), T.element_level(b))
+    top = max(1, (T.nu - 1) // max(level, 1))
+    bern = _bernoulli_over_factorial(top)
+    s, diff = a + b, a - b
+    zero = zero_element(T.space)
+    Z = [zero, s]
+    # W[j][m] for 1 ≤ j ≤ m; a W of odd j on the last step is never read
+    W = [[s] + [zero] * top] + [[zero] * (top + 1) for _ in range(top)]
+
+    def bracket(x: GradedElement, y: GradedElement) -> GradedElement:
+        return zero if x.is_zero() or y.is_zero() else T.bracket(x, y)
+
+    for n in range(1, top):
+        for j in range(1, n + 1):
+            if j % 2 == 0 or n < top - 1:
+                terms = (bracket(Z[k], W[j - 1][n - k]) for k in range(1, n - j + 2))
+                W[j][n] = sum(terms, zero)
+        tail = sum((bern[2 * p] * W[2 * p][n] for p in range(1, n // 2 + 1)), zero)
+        Z.append(Fraction(1, n + 1) * (Fraction(1, 2) * bracket(diff, Z[n]) + tail))
+    return sum(Z[2:], s)
 
 
 @dataclass(frozen=True)
@@ -337,13 +328,16 @@ class PairSetting:
 
 
 def pair_setting(h: DglaMorphism, g: DglaMorphism, A: CoefficientAlgebra) -> PairSetting:
+    """The pair over A, with one tensor per distinct DGLA among L, N, M and
+    one tensor map when g = h."""
     if h.target != g.target:
         raise TargetMismatch("h and g must share their target")
     tL = tensor_dgla(h.source, A)
-    tN = tensor_dgla(g.source, A)
-    tM = tensor_dgla(h.target, A)
-    return PairSetting(h, g, A, tL, tN, tM,
-                       tensor_map(h.map, tL, tM), tensor_map(g.map, tN, tM))
+    tN = tL if g.source == h.source else tensor_dgla(g.source, A)
+    tM = tL if h.target == h.source else tN if h.target == g.source else tensor_dgla(h.target, A)
+    h_tensor = tensor_map(h.map, tL, tM)
+    g_tensor = h_tensor if g == h else tensor_map(g.map, tN, tM)
+    return PairSetting(h, g, A, tL, tN, tM, h_tensor, g_tensor)
 
 
 @dataclass(frozen=True)
@@ -430,6 +424,24 @@ class PairObstructionClass(ObstructionClass):
     cone: ConeComplex = None
 
 
+def _lifted_triple(ext: SmallExtension, t: McTriple, sB: PairSetting, section: la.Matrix):
+    """The triple lifted by section to (x̃, ỹ, q) over B, its cocycle (l, k, r)
+    with r = −g(ỹ) + e^q * h(x̃), and per J basis vector the parts (l_j, k_j, r_j)."""
+    s = t.setting
+    xt = s.tL.map_coefficients(t.x, section, sB.tL)
+    yt = s.tN.map_coefficients(t.y, section, sB.tN)
+    q = s.tM.map_coefficients(t.p, section, sB.tM)
+    cocycle = (mc_residual(sB.tL, xt), mc_residual(sB.tN, yt),
+               -sB.apply_g(yt) + gauge_apply(sB.tM, q, sB.apply_h(xt)))
+    parts = [_j_components(T, ext, c) for T, c in zip((sB.tL, sB.tN, sB.tM), cocycle)]
+    return (xt, yt, q), cocycle, list(zip(*parts))
+
+
+def _cone_element(cone: ConeComplex, lkr) -> GradedElement:
+    l, k, r = lkr
+    return cone.embed("L", l) + cone.embed("N", k) + cone.embed("M", r)
+
+
 def obstruction_pair(ext: SmallExtension, t: McTriple, *,
                      section: la.Matrix | None = None,
                      setting_B: PairSetting | None = None,
@@ -447,32 +459,20 @@ def obstruction_pair(ext: SmallExtension, t: McTriple, *,
     if s.coeff != ext.A:
         raise BaseMismatch("triple does not live over the extension's target")
     sB = setting_B if setting_B is not None else pair_setting(s.h, s.g, ext.B)
-    sec = _section_matrix(ext, section)
-    xt = s.tL.map_coefficients(t.x, sec, sB.tL)
-    yt = s.tN.map_coefficients(t.y, sec, sB.tN)
-    q = s.tM.map_coefficients(t.p, sec, sB.tM)
-    l = mc_residual(sB.tL, xt)
-    k = mc_residual(sB.tN, yt)
-    r = -sB.apply_g(yt) + gauge_apply(sB.tM, q, sB.apply_h(xt))
-    l_parts = _j_components(sB.tL, ext, l)
-    k_parts = _j_components(sB.tN, ext, k)
-    r_parts = _j_components(sB.tM, ext, r)
-
+    _lifted, cocycle, parts = _lifted_triple(ext, t, sB, _section_matrix(ext, section))
     L, N, M = s.h.source, s.g.source, s.h.target
     the_cone = cone if cone is not None else cone_pair(s.h, s.g)
     H = cohomology if cohomology is not None else compute_cohomology(the_cone.complex)
     coords = []
-    for lj, kj, rj in zip(l_parts, k_parts, r_parts):
+    for lj, kj, rj in parts:
         if not L.differential_of(lj).is_zero() or not N.differential_of(kj).is_zero():
             raise InvalidInput("internal: obstruction cocycle is not a cycle")
         cyc = -M.differential_of(rj) - s.g.apply(kj) + s.h.apply(lj)
         if not cyc.is_zero():
             raise InvalidInput("internal: −dr − g(k) + h(l) ≠ 0")
-        cone_elem = (the_cone.embed("L", lj) + the_cone.embed("N", kj)
-                     + the_cone.embed("M", rj))
-        coords.append(tuple(H.class_of(cone_elem, degree=2)))
+        coords.append(tuple(H.class_of(_cone_element(the_cone, (lj, kj, rj)), degree=2)))
     jlabels = tuple(ext.kernel_label(j) for j in range(ext.kernel_dim))
-    return PairObstructionClass(H, 2, jlabels, tuple(coords), (l, k, r), the_cone)
+    return PairObstructionClass(H, 2, jlabels, tuple(coords), cocycle, the_cone)
 
 
 def lift_pair_if_unobstructed(ext: SmallExtension, t: McTriple,
@@ -490,22 +490,13 @@ def lift_pair_if_unobstructed(ext: SmallExtension, t: McTriple,
         raise InconsistentInput("class does not match the recomputed cocycle projection")
     if not cls.is_zero():
         return NO_LIFT
-    xt = s.tL.map_coefficients(t.x, ext.section, sB.tL)
-    yt = s.tN.map_coefficients(t.y, ext.section, sB.tN)
-    q = s.tM.map_coefficients(t.p, ext.section, sB.tM)
-    l = mc_residual(sB.tL, xt)
-    k = mc_residual(sB.tN, yt)
-    r = -sB.apply_g(yt) + gauge_apply(sB.tM, q, sB.apply_h(xt))
-    l_parts = _j_components(sB.tL, ext, l)
-    k_parts = _j_components(sB.tN, ext, k)
-    r_parts = _j_components(sB.tM, ext, r)
+    (xt, yt, q), _cocycle, parts = _lifted_triple(ext, t, sB, ext.section)
     cone_cx = the_cone.complex
     u_parts, v_parts, z_parts = [], [], []
-    for lj, kj, rj in zip(l_parts, k_parts, r_parts):
-        target = (the_cone.embed("L", lj) + the_cone.embed("N", kj)
-                  + the_cone.embed("M", rj))
+    for lkr in parts:
         dmat = cone_cx.d.matrix(1)
-        sol = la.solve(dmat, target.component_vector(2), cols=cone_cx.space.dim(1))
+        sol = la.solve(dmat, _cone_element(the_cone, lkr).component_vector(2),
+                       cols=cone_cx.space.dim(1))
         if sol is None:
             raise InvalidInput("internal: vanishing class but D(u,v,z) = (l,k,r) unsolvable")
         w = element_from_vector(cone_cx.space, 1, sol)
@@ -666,7 +657,10 @@ def tangent_dim_single(L: Dgla, shift_n: int = 0) -> int:
     d1 = T.dgla.complex.d.matrix(1)
     d0 = T.dgla.complex.d.matrix(0)
     solutions = T.space.dim(1) - la.rank(d1)
-    direct = solutions - la.rank(d0)
+    return _agreed(via_cohomology, solutions - la.rank(d0))
+
+
+def _agreed(via_cohomology: int, direct: int) -> int:
     if direct != via_cohomology:
         raise InvalidInput(
             f"tangent computations disagree: H gives {via_cohomology}, MC/gauge gives {direct}")
@@ -724,8 +718,4 @@ def tangent_dim_pair(h: DglaMorphism, g: DglaMorphism, shift_n: int = 0) -> int:
             gauge[nx + ny + r][na + c] = g0[r][c]
         for c in range(nc):
             gauge[nx + ny + r][na + nb + c] = dMm1[r][c]
-    direct = solutions - la.rank(gauge)
-    if direct != via_cohomology:
-        raise InvalidInput(
-            f"tangent computations disagree: H gives {via_cohomology}, MC/gauge gives {direct}")
-    return direct
+    return _agreed(via_cohomology, solutions - la.rank(gauge))

@@ -148,24 +148,25 @@ def poly_dt_term(M: Dgla, exponent: int, n: GradedElement) -> PolyElement:
     return PolyElement(M, deg + 1, {}, {exponent: n})
 
 
+def _add(part: dict[int, GradedElement], e: int, v: GradedElement) -> None:
+    """part[e] += v, keeping no zero coefficient."""
+    if not v.is_zero():
+        part[e] = part[e] + v if e in part else v
+
+
 def poly_d(x: PolyElement) -> PolyElement:
     """d(m p(t) + n q(t) dt) = (dm)p(t) + (−1)^{deg m} m p′(t) dt + (dn)q(t)dt."""
     M = x.dgla
     t: dict[int, GradedElement] = {}
     dt: dict[int, GradedElement] = {}
 
-    def add(part, e, v):
-        if v.is_zero():
-            return
-        part[e] = part[e] + v if e in part else v
-
     sign = ONE if x.degree % 2 == 0 else -ONE
     for e, m in x.t_part.items():
-        add(t, e, M.differential_of(m))
+        _add(t, e, M.differential_of(m))
         if e > 0:
-            add(dt, e - 1, (sign * e) * m)
+            _add(dt, e - 1, (sign * e) * m)
     for e, n in x.dt_part.items():
-        add(dt, e, M.differential_of(n))
+        _add(dt, e, M.differential_of(n))
     return PolyElement(M, x.degree + 1, t, dt)
 
 
@@ -177,21 +178,16 @@ def poly_bracket(x: PolyElement, y: PolyElement) -> PolyElement:
     t: dict[int, GradedElement] = {}
     dt: dict[int, GradedElement] = {}
 
-    def add(part, e, v):
-        if v.is_zero():
-            return
-        part[e] = part[e] + v if e in part else v
-
     for e1, m in x.t_part.items():
         for e2, n in y.t_part.items():
-            add(t, e1 + e2, M.bracket(m, n))
+            _add(t, e1 + e2, M.bracket(m, n))
         for e2, n in y.dt_part.items():
-            add(dt, e1 + e2, M.bracket(m, n))
+            _add(dt, e1 + e2, M.bracket(m, n))
     # [m tⁱ dt, n tʲ] = (−1)^{deg n} [m,n] t^{i+j} dt; dt·dt terms vanish
     for e1, m in x.dt_part.items():
         for e2, n in y.t_part.items():
             sign = ONE if y.degree % 2 == 0 else -ONE
-            add(dt, e1 + e2, sign * M.bracket(m, n))
+            _add(dt, e1 + e2, sign * M.bracket(m, n))
     return PolyElement(M, x.degree + y.degree, t, dt)
 
 
@@ -211,19 +207,14 @@ def substitute_affine(x: PolyElement, c0, c1) -> PolyElement:
     t: dict[int, GradedElement] = {}
     dt: dict[int, GradedElement] = {}
 
-    def add(part, e, v):
-        if v.is_zero():
-            return
-        part[e] = part[e] + v if e in part else v
-
     for e, m in x.t_part.items():
         for k in range(e + 1):
             coeff = comb(e, k) * (c1 ** k) * (c0 ** (e - k))
-            add(t, k, coeff * m)
+            _add(t, k, coeff * m)
     for e, n in x.dt_part.items():
         for k in range(e + 1):
             coeff = comb(e, k) * (c1 ** k) * (c0 ** (e - k)) * c1
-            add(dt, k, coeff * n)
+            _add(dt, k, coeff * n)
     return PolyElement(M, x.degree, t, dt)
 
 

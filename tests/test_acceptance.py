@@ -71,7 +71,7 @@ class Criterion:
     def done(self):
         elapsed = time.monotonic() - self.start
         status = "PASS" if elapsed < self.budget else "FAIL (over budget)"
-        print(f"ACCEPTANCE {self.name}: {status} ({elapsed:.2f}s < {self.budget:.0f}s)")
+        print(f"ACCEPTANCE {self.name}: {status} ({elapsed:.2f}s < {self.budget:g}s)")
         assert elapsed < self.budget, f"{self.name} exceeded {self.budget}s"
 
 
@@ -132,6 +132,19 @@ def test_gauge_laws():
                 cases += 1
     assert cases >= 200
     assert fixed_branch and moved_branch
+    c.done()
+
+
+def test_bch_class3_closed_form():
+    # the free 2-generator Lie algebra of class 3 has no brackets of length 4,
+    # so a•b = a + b + ½[a,b] + 1/12 [a,[a,b]] − 1/12 [b,[a,b]] exactly
+    T = tensor_dgla(lib.free_nilpotent_class3(), lib.artin_kt(7))
+    rnd = random.Random(7)
+    a, b = rand_elem(rnd, T, 0), rand_elem(rnd, T, 0)
+    ab = T.bracket(a, b)
+    closed = a + b + F(1, 2) * ab + F(1, 12) * (T.bracket(a, ab) - T.bracket(b, ab))
+    c = Criterion("bch-class3-t7", 0.2)
+    assert bch_product(T, a, b) == closed
     c.done()
 
 

@@ -7,6 +7,7 @@ from mcdeform import library as lib
 from mcdeform import linalg as la
 from mcdeform.artin import (
     DgNilpotentAlgebra,
+    _filtration,
     artin_from_labels,
     epsilon_algebra,
     omega_complex,
@@ -21,7 +22,7 @@ from mcdeform.artin import (
 from mcdeform.dgla import validate_dgla
 from mcdeform.errors import InvalidInput
 from mcdeform.graded import ChainComplex, GradedSpace, compute_cohomology
-from util_random import rand_elem
+from util_random import dg_uw, rand_elem
 
 F = Fraction
 
@@ -96,6 +97,61 @@ class TestValidateArtin:
         assert any(v.axiom == "leibniz" for v in report)
         assert not any(v.axiom in ("nilpotency", "associativity", "d_squared")
                        for v in report)
+
+
+def filtration_by_in_span(dim, product):
+    """The power filtration with one in_span solve per basis vector and level."""
+    if dim == 0:
+        return (), 1
+    spans = [[la.unit_vector(dim, i) for i in range(dim)]]
+    nu = None
+    for _step in range(dim + 1):
+        nxt = []
+        for i in range(dim):
+            for v in spans[-1]:
+                prod = product(i, {k: c for k, c in enumerate(v) if c != 0})
+                if prod:
+                    w = la.zero_vector(dim)
+                    for k, c in prod.items():
+                        w[k] = c
+                    nxt.append(w)
+        basis = [nxt[k] for k in la.extend_basis([], nxt, dim)]
+        if not basis:
+            nu = len(spans) + 1
+            spans.append([])
+            break
+        if len(basis) == len(spans[-1]):
+            return None, None
+        spans.append(basis)
+    if nu is None:
+        return None, None
+    levels = []
+    for i in range(dim):
+        e = la.unit_vector(dim, i)
+        lvl = 1
+        for k in range(1, len(spans)):
+            if spans[k] and la.in_span(spans[k], e) is not None:
+                lvl = k + 1
+        levels.append(lvl)
+    return tuple(levels), nu
+
+
+FILTERED_ALGEBRAS = [
+    *lib.EXAMPLE_ARTIN.values(), lambda: lib.extension_poly2_mod_uu().A, dg_uw,
+    *[(lambda m=m: truncated_polynomial_algebra(m)) for m in range(1, 13)],
+    lambda: omega_complex(1), lambda: epsilon_algebra(1),
+    # K[t]/t³ in the basis a = t, b = t − t²: m² is spanned by a − b and holds neither
+    lambda: artin_from_labels(("a", "b"), {pair: {"a": 1, "b": -1} for pair in
+                                           (("a", "a"), ("a", "b"), ("b", "b"))}),
+    # t·t = t², t·t² = t: not nilpotent
+    lambda: artin_from_labels(("t", "t^2"), {("t", "t"): {"t^2": 1}, ("t", "t^2"): {"t": 1}}),
+]
+
+
+@pytest.mark.parametrize("make", FILTERED_ALGEBRAS)
+def test_filtration_matches_per_vector_solves(make):
+    A = make()
+    assert _filtration(A.dim, A.product_basis) == filtration_by_in_span(A.dim, A.product_basis)
 
 
 class TestSmallExtensions:

@@ -273,6 +273,25 @@ class TestDocumentBoundary:
                 code, out, _ = run_cli(["pair-cone", str(p), "--json"])
                 assert code == 1 and json.loads(out)["error"] == "AxiomViolation"
 
+    def test_equal_pair_reports_both_morphisms(self, tmp_path):
+        # validate_morphism runs once for h = g, and its violations still
+        # appear once for h and once for g
+        from mcdeform.dgla import DglaMorphism
+        from mcdeform.graded import identity_map
+
+        L = lib.heis0()
+        twice = DglaMorphism(L, L, identity_map(L.space).scale(2))
+        reports = {}
+        for kind, doc in (("morphism", documents.serialize_morphism(twice)),
+                          ("pair", documents.serialize_pair(twice, twice))):
+            p = tmp_path / f"{kind}.json"
+            p.write_text(documents.canonical_json(doc))
+            code, out, _ = run_cli(["validate", str(p), "--json"])
+            assert code == 1, kind
+            reports[kind] = json.loads(out)["result"]["violations"]
+        assert reports["morphism"]
+        assert reports["pair"] == reports["morphism"] * 2
+
     def test_valid_pair_still_valid(self, docs):
         code, out, _ = run_cli(["validate", docs["pair_idid_obstructed"], "--json"])
         assert code == 0
@@ -386,6 +405,66 @@ class TestDocumentBoundary:
         assert error["error"] == "SchemaError"
         assert "dg_algebra.differential.eps.nope" in error["message"]
 
+    def _bch_documents(self, tmp_path, a_coords, b_coords):
+        """heis0 and K[t]/t³ documents with two degree-0 element documents."""
+        from mcdeform.artin import tensor_dgla
+
+        L, A = lib.heis0(), lib.artin_kt(3)
+        T = tensor_dgla(L, A)
+        dgla_doc, artin_doc = documents.serialize_dgla(L), documents.serialize_artin(A)
+        paths = []
+        for name, doc in (("L", dgla_doc), ("A", artin_doc)):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(documents.canonical_json(doc))
+        for name, coords in (("a", a_coords), ("b", b_coords)):
+            doc = documents.serialize_element(
+                T.element_from_labels({}, 0), documents.digest(dgla_doc),
+                documents.digest(artin_doc), 0)
+            doc["coords"] = coords
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(doc))
+        return ["bch", "--dgla", str(paths[0]), "--artin", str(paths[1]),
+                "--a", str(paths[2]), "--b", str(paths[3]), "--json"]
+
+    @pytest.mark.parametrize("scalar", ["1e2000000", "1e999999999", "1E-4300",
+                                        "1e0000000000000000005000", "1" * 4301],
+                             ids=["e2000000", "e999999999", "e-4300", "e0005000",
+                                  "4301_digits"])
+    def test_scalar_digits_are_bounded(self, tmp_path, scalar):
+        # an exponent counts the digits it writes out: unbounded, "1e2000000"
+        # fails in formatting the report and "1e999999999" runs without end
+        argv = self._bch_documents(tmp_path, {"p@t": scalar}, {"q@t": "1"})
+        code, out, _ = run_cli(argv)
+        assert code == 1
+        error = json.loads(out)
+        assert error["error"] == "ResourceLimitExceeded"
+        assert "element.coords.p@t" in error["message"]
+
+    def test_scalar_within_the_bound_still_parses(self, tmp_path):
+        argv = self._bch_documents(tmp_path, {"p@t": "1e10"}, {"q@t": "1_0"})
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        assert json.loads(out)["result"]["result"] == {
+            "p@t": "10000000000", "q@t": "10", "z@t^2": "50000000000"}
+
+    def test_result_digits_are_bounded(self, tmp_path):
+        # each input has 3001 digits, the bracket term of a•b about 6000
+        argv = self._bch_documents(tmp_path, {"p@t": "1e3000"}, {"q@t": "1e3000"})
+        code, out, _ = run_cli(argv)
+        assert code == 1
+        assert json.loads(out)["error"] == "ResourceLimitExceeded"
+
+    @pytest.mark.parametrize("text", ['{"format": ' + "1" * 5000 + "}",
+                                      "[" * 100_000 + "]" * 100_000],
+                             ids=["5000_digit_integer", "nested_100000_deep"])
+    def test_json_integer_and_depth_are_bounded(self, tmp_path, text):
+        # json.loads raises ValueError on the one, RecursionError on the other
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code, out, _ = run_cli(["validate", str(bad), "--json"])
+        assert code == 1
+        assert json.loads(out)["error"] == "ResourceLimitExceeded"
+
     def test_tower_is_bounded(self, docs, monkeypatch):
         # K[t]/t^m is guarded by the dimension of m ⊗ m, (m − 1)²
         monkeypatch.setenv("MCDEFORM_MAX_DIM", "16")
@@ -402,30 +481,32 @@ class TestDocumentBoundary:
 
 @pytest.fixture()
 def validations(monkeypatch):
-    """The DGLAs validate_dgla is called on, however a command reaches it."""
-    calls = []
-    real = documents.validate_dgla
+    """The DGLAs and morphisms validate_dgla and validate_morphism are called
+    on, however a command reaches them."""
+    calls = {"validate_dgla": [], "validate_morphism": []}
+    for name, seen in calls.items():
+        def counting(x, seen=seen, real=getattr(documents, name)):
+            seen.append(x)
+            return real(x)
 
-    def counting(L):
-        calls.append(L)
-        return real(L)
-
-    monkeypatch.setattr(documents, "validate_dgla", counting)
-    monkeypatch.setattr(cli, "validate_dgla", counting)
+        monkeypatch.setattr(documents, name, counting)
+        monkeypatch.setattr(cli, name, counting)
     return calls
 
 
 @pytest.mark.parametrize("argv", [["pair-cone", "{pair}"], ["tangent", "--pair", "{pair}"],
                                   ["validate", "{pair}"], ["validate", "{morphism}"]])
 def test_each_document_dgla_validated_once(tmp_path, docs, validations, argv):
-    # the (id, id) pair has one DGLA at all four ends; the morphism maps heis to itself
+    # the (id, id) pair has one DGLA at all four ends and h = g; the morphism
+    # maps heis to itself
     morphism = tmp_path / "morphism.json"
     morphism.write_text(documents.canonical_json(
         documents.serialize_morphism(identity_morphism(lib.heis()))))
     argv = [a.format(pair=docs["pair_idid_heis"], morphism=morphism) for a in argv]
     code, _out, _err = run_cli(argv + ["--json"])
     assert code == 0
-    assert len(validations) == 1
+    assert len(validations["validate_dgla"]) == 1
+    assert len(validations["validate_morphism"]) == 1
 
 
 class TestDeterminism:

@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mutations
 from mcdeform import library as lib
 from mcdeform import linalg as la
-from mcdeform.artin import tensor_dgla
+from mcdeform.artin import omega_complex, tensor_dgla
 from mcdeform.dgla import (
     CartanHomotopyCandidate,
     ChainMap,
@@ -38,9 +39,10 @@ from mcdeform.graded import (
     element_from_labels,
     induced_cohomology_matrix,
     map_from_basis_images,
+    zero_element,
 )
 from mcdeform.maurer_cartan import mc_residual
-from util_random import rand_elem
+from util_random import dg_uw, rand_elem
 
 F = Fraction
 
@@ -166,6 +168,23 @@ class TestConePair:
     def test_target_mismatch(self):
         with pytest.raises(TargetMismatch):
             cone_pair(identity_morphism(lib.heis0()), identity_morphism(lib.heis()))
+
+    @pytest.mark.parametrize("name", sorted(lib.EXAMPLE_PAIRS))
+    def test_embed_and_project_match_the_part_maps(self, name):
+        # embed and project move keys; the block_sum maps are the reference
+        rnd = random.Random(17)
+        h, g = lib.EXAMPLE_PAIRS[name]()
+        for cone in (cone_pair(h, g), cone_single(h)):
+            for part, (embed, project) in cone.parts.items():
+                space = cone.layout[part][0]
+                for degree in space.degrees():
+                    x = rand_elem(rnd, space, degree)
+                    assert cone.embed(part, x) == embed.apply(x)
+                    assert cone.embed(part, x).degree == embed.apply(x).degree
+                for degree in cone.complex.space.degrees():
+                    y = rand_elem(rnd, cone.complex.space, degree)
+                    assert cone.project(part, y) == project.apply(y)
+                    assert cone.project(part, y).degree == project.apply(y).degree
 
     def test_les_exact_on_all_builtin_pairs(self):
         for name, fn in lib.EXAMPLE_PAIRS.items():
@@ -390,3 +409,45 @@ class TestAdjoinD:
             # [x+δ, x+δ]' = 2(dx + ½[x,x]), so MC ⟺ square zero
             assert square == 2 * lift(mc_residual(T, x))
             assert square.is_zero() == mc_residual(T, x).is_zero()
+
+
+def bracket_by_terms(D, x, y):
+    """[x, y] summed one basis-pair term at a time, through bracket_basis."""
+    out = zero_element(D.space)
+    for (i, p), cx in x.coords.items():
+        for (j, q), cy in y.coords.items():
+            base = D.bracket_basis((i, p), (j, q))
+            if not base.is_zero():
+                out = out + (cx * cy) * base
+    return out
+
+
+BRACKET_DGLAS = [*lib.EXAMPLE_DGLAS.values(), lib.free_nilpotent_class3,
+                 *[(lambda L=L: L) for _name, L in mutations.corpus()],
+                 lambda: tensor_dgla(lib.sl2(), lib.artin_poly2()),
+                 lambda: tensor_dgla(lib.endo_acyclic(), dg_uw()),
+                 lambda: tensor_dgla(lib.obstructed(), omega_complex(1)),
+                 lambda: tensor_dgla(lib.heis(), lib.artin_kt(3))]
+
+
+@st.composite
+def sparse_bracket_arguments(draw):
+    """A DGLA (built-in, one of the mutation corpus, or a tensor with graded
+    or two-variable coefficients) and two sparse elements of mixed degree."""
+    D = draw(st.sampled_from(BRACKET_DGLAS))()
+    D = getattr(D, "dgla", D)
+    keys = [(d, i) for d in D.space.degrees() for i in range(D.space.dim(d))]
+
+    def element():
+        support = draw(st.lists(st.sampled_from(keys), unique=True, max_size=6)) if keys else []
+        return GradedElement(D.space, {k: Fraction(draw(st.integers(-3, 3)),
+                                                   draw(st.integers(1, 3))) for k in support})
+
+    return D, element(), element()
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_bracket_arguments())
+def test_bracket_matches_the_per_term_sum(args):
+    D, x, y = args
+    assert D.bracket(x, y) == bracket_by_terms(D, x, y)

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcdeform import library as lib
 from mcdeform import linalg as la
-from mcdeform.artin import small_extension_tower, tensor_dgla
+from mcdeform.artin import epsilon_algebra, small_extension_tower, tensor_dgla
 from mcdeform.dgla import validate_dgla
 from mcdeform.errors import (
     BaseMismatch,
@@ -39,7 +41,8 @@ from mcdeform.maurer_cartan import (
     tangent_dim_pair,
     tangent_dim_single,
 )
-from util_random import rand_elem, rand_mc, rand_triple
+from dynkin_bch import dynkin_bch
+from util_random import dg_uw, rand_elem, rand_mc, rand_triple
 
 F = Fraction
 
@@ -192,6 +195,42 @@ class TestBch:
             a, b, c = (rand_elem(rnd, T, 0, -1, 1) for _ in range(3))
             assert bch_product(T, bch_product(T, a, b), c) == \
                 bch_product(T, a, bch_product(T, b, c))
+
+
+BCH_DGLAS = {**lib.EXAMPLE_DGLAS, "free_nilpotent_class3": lib.free_nilpotent_class3}
+BCH_COEFFS = {**{f"kt{n}": (lambda n=n: lib.artin_kt(n)) for n in range(2, 6)},
+              "poly2": lib.artin_poly2, "square_zero": lib.artin_square_zero,
+              "dg_uw": dg_uw, "eps1": lambda: epsilon_algebra(1)}
+
+
+@lru_cache(maxsize=None)
+def _bch_tensor(dgla: str, coeff: str):
+    return tensor_dgla(BCH_DGLAS[dgla](), BCH_COEFFS[coeff]())
+
+
+@pytest.mark.parametrize("coeff", sorted(BCH_COEFFS))
+@pytest.mark.parametrize("dgla", sorted(BCH_DGLAS))
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_bch_matches_the_dynkin_series(dgla, coeff, data):
+    """Both argument orders of a, b; of their parts at coefficient level ≥ 2,
+    where the level truncation cuts the recursion short; and of 0, b and −b."""
+    T = _bch_tensor(dgla, coeff)
+    assert T.nu <= 5
+    keys = sorted(k for k in T.levels if k[0] == 0)
+
+    def element():
+        coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(keys), max_size=len(keys)))
+        return GradedElement(T.space, dict(zip(keys, coeffs)), 0)
+
+    def high(x):
+        return GradedElement(T.space, {k: c for k, c in x.coords.items() if T.levels[k] >= 2}, 0)
+
+    a, b = element(), element()
+    for x, y in ((a, b), (high(a), b), (high(a), high(b)), (zero_element(T.space, 0), b),
+                 (b, b), (-b, b)):
+        assert bch_product(T, x, y) == dynkin_bch(T, x, y)
+        assert bch_product(T, y, x) == dynkin_bch(T, y, x)
 
 
 class TestStabilizer:
