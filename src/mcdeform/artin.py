@@ -10,6 +10,7 @@ termination of every gauge/BCH series downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping
 
@@ -41,14 +42,14 @@ def _clean(vec: Mapping[int, object]) -> Coeffs:
     return out
 
 
-def _filtration(dim: int, product) -> tuple[tuple[int, ...] | None, int | None]:
-    """Levels and nilpotency index by breadth-first products.
+def _power_spans(dim: int, product) -> list[list[la.Vector]] | None:
+    """Bases of m, m², … up to the last nonzero power, by breadth-first
+    products, or None when the power chain stabilizes nonzero.
 
-    product(i, vec) multiplies basis element i with a sparse vector.  Returns
-    (levels, nu) or (None, None) when the power chain stabilizes nonzero.
+    product(i, vec) multiplies basis element i with a sparse vector.
     """
     if dim == 0:
-        return (), 1
+        return []
     spans: list[list[la.Vector]] = [[la.unit_vector(dim, i) for i in range(dim)]]
     for _step in range(dim + 1):
         nxt = [[prod.get(k, ZERO) for k in range(dim)]
@@ -56,12 +57,18 @@ def _filtration(dim: int, product) -> tuple[tuple[int, ...] | None, int | None]:
                if (prod := product(i, {k: c for k, c in enumerate(v) if c != 0}))]
         basis = [nxt[k] for k in la.extend_basis([], nxt, dim)]
         if not basis:
-            break
+            return spans
         # every kept span is independent, so its length is its dimension
         if len(basis) == len(spans[-1]):
-            return None, None
+            return None
         spans.append(basis)
-    else:
+    return None
+
+
+def _filtration(dim: int, product) -> tuple[tuple[int, ...] | None, int | None]:
+    """Levels and nilpotency index, or (None, None) when not nilpotent."""
+    spans = _power_spans(dim, product)
+    if spans is None:
         return None, None
     # e_i lies in m^{k+1} exactly when i is a pivot of the rref of spans[k]
     # whose row is e_i; the spans shrink, so the last k that holds e_i wins
@@ -86,6 +93,27 @@ class _Coefficients:
             return self.labels.index(lab)
         except ValueError:
             raise InvalidInput(f"unknown coefficient label {lab!r}") from None
+
+    @cached_property
+    def adapted_basis(self) -> tuple[la.Matrix | None, la.Matrix | None, tuple[int, ...]]:
+        """A basis of m adapted to its power filtration: every m^k is spanned
+        by the basis vectors of level ≥ k.  (P, Q, levels) holds the basis as
+        the columns of P in this basis, Q = P⁻¹, and levels[j] the level of
+        column j; P = Q = None when this basis is adapted (levels = self.levels).
+        """
+        spans = _power_spans(self.dim, self.product_basis)
+        if spans is None:
+            raise InvalidInput("coefficient algebra is not nilpotent")
+        if all(sum(lvl > k for lvl in self.levels) == len(span)
+               for k, span in enumerate(spans)):
+            return None, None, self.levels
+        basis, levels = [], []
+        for k in reversed(range(len(spans))):
+            new = la.extend_basis(basis, spans[k], self.dim)
+            basis += [spans[k][i] for i in new]
+            levels += [k + 1] * len(new)
+        P = la.from_columns(basis, self.dim)
+        return P, la.inverse(P), tuple(levels)
 
     def _set_filtration(self) -> None:
         if self.levels is None:

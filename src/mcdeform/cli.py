@@ -52,7 +52,6 @@ from .errors import McdeformError, MissingDocument, SchemaError
 from .graded import compute_cohomology, zero_element
 from .maurer_cartan import (
     Equivalent,
-    NotEquivalent,
     NO_LIFT,
     bch_product,
     gauge_apply,
@@ -233,13 +232,12 @@ def cmd_gauge_equiv(args):
     T, ld, ad = _load_tensor_context(args)
     x = mc_element(T, _element_from(args.x, T, ld, ad, degree=1))
     y = mc_element(T, _element_from(args.y, T, ld, ad, degree=1))
-    res = gauge_equiv_decide(x, y, budget=args.budget)
+    # without a cancel callback the decision is Equivalent or NotEquivalent
+    res = gauge_equiv_decide(x, y)
     if isinstance(res, Equivalent):
         return {"status": "equivalent",
                 "witness": _scalars(element_coords_map(T.space, res.witness))}, 0
-    if isinstance(res, NotEquivalent):
-        return {"status": "not_equivalent", "reason": res.reason}, 0
-    return {"status": "undecided", "reason": res.reason}, 0
+    return {"status": "not_equivalent", "reason": res.reason}, 0
 
 
 def cmd_mc_check(args):
@@ -497,7 +495,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--artin", required=True)
     sp.add_argument("--x", required=True)
     sp.add_argument("--y", required=True)
-    sp.add_argument("--budget", type=int, default=2000)
     sp = add("bch", cmd_bch, help="Baker-Campbell-Hausdorff product")
     sp.add_argument("--dgla", required=True)
     sp.add_argument("--artin", required=True)

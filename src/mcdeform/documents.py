@@ -131,6 +131,17 @@ def _element(space: GradedSpace, coeffs: Mapping[str, Fraction], degree: int | N
     return GradedElement(space, coords, degree)
 
 
+def _labels(raw, where: str) -> tuple[str, ...]:
+    """A basis label list; '@' is reserved, because a tensor label joins a
+    factor label and a coefficient label with it."""
+    if not isinstance(raw, list) or not all(isinstance(l, str) for l in raw):
+        raise SchemaError(f"{where}: expected a list of labels")
+    for lab in raw:
+        if "@" in lab:
+            raise SchemaError(f"{where}: label {lab!r} contains '@', which joins tensor labels")
+    return tuple(raw)
+
+
 def _expect_keys(obj: Mapping, required: set[str], optional: set[str], where: str):
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object")
@@ -341,9 +352,7 @@ def parse_dgla_body(doc: dict, where: str = "dgla", check_axioms: bool = True,
             deg = int(k)
         except ValueError:
             raise SchemaError(f"{where}.basis: bad degree key {k!r}") from None
-        if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
-            raise SchemaError(f"{where}.basis.{k}: expected a list of labels")
-        basis[deg] = tuple(labels)
+        basis[deg] = _labels(labels, f"{where}.basis.{k}")
     try:
         space = GradedSpace(dmin, dmax, basis)
     except Exception as e:
@@ -383,10 +392,7 @@ def parse_artin_body(doc: dict, where: str = "artin", check_axioms: bool = True)
     if graded:
         required |= {"degrees", "differential"}
     _expect_keys(doc, required, set(), where)
-    labels = doc["basis"]
-    if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
-        raise SchemaError(f"{where}.basis: expected a list of labels")
-    labels = tuple(labels)
+    labels = _labels(doc["basis"], f"{where}.basis")
     dimension_guard(len(labels))
     idx = {lab: i for i, lab in enumerate(labels)}
     if len(idx) != len(labels):

@@ -36,6 +36,7 @@ from .errors import (
 from .graded import (
     CohomologyResult,
     GradedElement,
+    basis_element,
     compute_cohomology,
     element_from_vector,
     zero_element,
@@ -532,118 +533,85 @@ class Undecided:
     reason: str
 
 
-class _Budget:
-    def __init__(self, nodes: int):
-        self.remaining = nodes
-
-    def spend(self) -> bool:
-        self.remaining -= 1
-        return self.remaining >= 0
-
-
-def _kernel_ball(particular: la.Vector, kernel: list[la.Vector], radius: int):
-    """particular + integer combinations of kernel vectors, by growing L∞ shell."""
-    yield particular
-    if not kernel:
-        return
-    from itertools import product
-
-    for r in range(1, radius + 1):
-        for coeffs in product(range(-r, r + 1), repeat=len(kernel)):
-            if max(abs(c) for c in coeffs) != r:
-                continue
-            vec = list(particular)
-            for c, k in zip(coeffs, kernel):
-                if c:
-                    vec = [v + c * kv for v, kv in zip(vec, k)]
-            yield vec
-
-
-def gauge_equiv_decide(x: McElement, y: McElement, budget: int = 2000,
-                       radius: int = 3,
+def gauge_equiv_decide(x: McElement, y: McElement, budget: int | None = None,
                        cancel: Callable[[], bool] | None = None):
-    """Staged decision of gauge equivalence along the m_A-power filtration.
+    """Decide gauge equivalence by one linear system per m_A-power level.
 
-    Level 1 is a linear system (its infeasibility is a sound NotEquivalent
-    certificate); at each deeper level the condition is affine-linear in the
-    new unknown given earlier choices, and kernel freedoms are carried and
-    backtracked as integer combinations within the node budget.  Returns
-    Equivalent(witness) with gauge_apply(witness, x) = y verified,
-    NotEquivalent, or Undecided on budget/cancel exhaustion.
+    With d_x s = ds + [x, s] and a gauge a with r = y − e^a * x ∈ L¹ ⊗ m^k,
+    the gauges that still agree with a modulo m^k are a•s with d_x s ∈ m^k,
+    and for those e^{a•s} * x ≡ e^a * x − d_x s (mod m^{k+1}) (Goldman and
+    Millson 1988; Manetti 1999).  So y is reached modulo m^{k+1} exactly when
+    d_x s ≡ −r (mod m^{k+1}) has a solution s ∈ L⁰ ⊗ m; d_x never lowers the
+    level, so the rows of all levels so far share one elimination, those of
+    lower levels with right-hand side 0.  Levels are read in a basis of m_A
+    adapted to its power filtration (CoefficientAlgebra.adapted_basis).
+
+    Returns Equivalent(witness) with e^witness * x = y verified exactly,
+    NotEquivalent naming the level and residual that admit no solution, or
+    Undecided only when cancel (polled once per level) returns true.  budget
+    has no effect: it is accepted because the benchmark harness in
+    perfbench/workloads.py still passes it.
     """
     if x.tensor != y.tensor:
         raise BaseMismatch("elements live over different tensor DGLAs")
     if not (x.verified and y.verified):
         raise NotVerifiedMC("gauge_equiv_decide requires verified MC elements")
     T = x.tensor
-    space = T.space
+    P, Q, coeff_levels = T.coeff.adapted_basis
 
-    def keys_at(degree: int, level: int) -> list[tuple[int, int]]:
-        return [(degree, i) for i in range(space.dim(degree))
-                if T.levels[(degree, i)] == level]
+    def rebase(e: GradedElement, m: la.Matrix | None) -> GradedElement:
+        return e if m is None else T.map_coefficients(e, m, T)
 
-    levels = sorted({lvl for lvl in T.levels.values()})
-    unknown_keys = {lvl: keys_at(0, lvl) for lvl in levels}
-    row_keys = {lvl: keys_at(1, lvl) for lvl in levels}
-
-    # level-k system matrix: d restricted to (level-k deg-0) -> (level-k deg-1)
-    d0 = T.dgla.complex.d.matrix(0)
-    sys_mats = {}
-    for lvl in levels:
-        cols = unknown_keys[lvl]
-        rows = row_keys[lvl]
-        sys_mats[lvl] = [[d0[rk[1]][ck[1]] if space.dim(1) else ZERO for ck in cols]
-                         for rk in rows]
-
-    budget_box = _Budget(budget)
-    out_of_budget = []
-
-    def attempt(level_idx: int, a_cur: GradedElement):
+    level = {key: coeff_levels[ai] for key, (_i, _p, ai) in T.from_tensor.items()}
+    rows: dict[tuple[int, int], dict[tuple[int, int], Fraction]] = {}
+    for i in range(T.space.dim(0)):
+        s = rebase(basis_element(T.space, 0, i), P)
+        for part in (T.differential_of(s), T.bracket(x.element, s)):
+            for key, c in rebase(part, Q).coords.items():
+                row = rows.setdefault(key, {})
+                row[(0, i)] = row.get((0, i), ZERO) + c
+    # reduced rows [pivot, row, rhs] in insertion order: each row is free of
+    # the pivots inserted before it, and pivots on an unknown of top level
+    echelon: list[list] = []
+    a, current = zero_element(T.space, 0), x.element
+    for k in range(1, T.nu):
         if cancel is not None and cancel():
-            out_of_budget.append("cancelled")
-            return None
-        if level_idx == len(levels):
-            if gauge_apply(T, a_cur, x.element) == y.element:
-                return a_cur
-            return None
-        lvl = levels[level_idx]
-        cols = unknown_keys[lvl]
-        rows = row_keys[lvl]
-        current = gauge_apply(T, a_cur, x.element)
-        rhs = [(current - y.element).coords.get(rk, ZERO) for rk in rows]
-        if not cols:
-            if any(c != 0 for c in rhs):
-                return "infeasible"
-            return attempt(level_idx + 1, a_cur)
-        mat = sys_mats[lvl]
-        particular = la.solve(mat, rhs, cols=len(cols))
-        if particular is None:
-            return "infeasible"
-        kernel = la.nullspace(mat, cols=len(cols))
-        for cand in _kernel_ball(particular, kernel, radius):
-            if not budget_box.spend():
-                out_of_budget.append("budget")
-                return None
-            a_next = a_cur + GradedElement(
-                space, {ck: cand[i] for i, ck in enumerate(cols)}, 0)
-            got = attempt(level_idx + 1, a_next)
-            if isinstance(got, GradedElement):
-                return got
-            if got == "infeasible" and not kernel:
-                # no freedom at this level: deeper infeasibility propagates
-                return None
-        return None
-
-    result = attempt(0, zero_element(space, 0))
-    if isinstance(result, GradedElement):
-        if gauge_apply(T, result, x.element) != y.element:
-            raise InvalidInput("internal: witness validation failed")
-        return Equivalent(result)
-    if result == "infeasible":
-        return NotEquivalent("level-1 linear system y − x ≡ −da (mod m²) is infeasible")
-    if out_of_budget:
-        return Undecided(f"search stopped: {out_of_budget[0]}")
-    return Undecided("no witness found within the explored kernel perturbations")
+            return Undecided(f"cancelled at level {k}")
+        r = rebase(y.element - current, Q)
+        for key in sorted(key for key in level if key[0] == 1 and level[key] == k):
+            row, rhs = dict(rows.get(key, {})), -r.coords.get(key, ZERO)
+            for entry in echelon:
+                f = row.get(entry[0])
+                if f:
+                    for col, c in entry[1].items():
+                        row[col] = row.get(col, ZERO) - f * c
+                    rhs -= f * entry[2]
+            row = {col: c for col, c in row.items() if c}
+            if row:
+                pivot = max(row, key=lambda u: (level[u], -u[1]))
+                inv = ONE / row[pivot]
+                echelon.append([pivot, {col: c * inv for col, c in row.items()}, rhs * inv])
+            elif rhs:
+                rk = GradedElement(T.space, {q: c for q, c in r.coords.items()
+                                             if level[q] == k}, 1)
+                return NotEquivalent(
+                    f"no gauge reaches y modulo m^{k + 1}: the level-{k} residual "
+                    f"y − e^a * x ≡ {rebase(rk, P).pretty()} (mod m^{k + 1}) is not "
+                    f"d_x s for any s")
+        if not any(entry[2] for entry in echelon):
+            continue
+        sol: dict[tuple[int, int], Fraction] = {}
+        for entry in reversed(echelon):
+            pivot, row, rhs = entry
+            sol[pivot] = rhs - sum(c * sol.get(col, ZERO) for col, c in row.items() if col != pivot)
+            entry[2] = ZERO
+        s = rebase(GradedElement(T.space, sol, 0), P)
+        # a + s ≡ a•s modulo m^{level a + level s}, which is all level k needs
+        a = a + s if T.element_level(a) + T.element_level(s) > k else bch_product(T, a, s)
+        current = gauge_apply(T, a, x.element)
+    if current != y.element:
+        raise InvalidInput("internal: witness validation failed")
+    return Equivalent(a)
 
 
 # --- tangent dimensions -------------------------------------------------------

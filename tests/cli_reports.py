@@ -18,7 +18,16 @@ import os
 import sys
 import tempfile
 
+from mcdeform import library as lib
+from mcdeform.artin import artin_from_labels, tensor_dgla
 from mcdeform.cli import main
+from mcdeform.documents import (
+    canonical_json,
+    digest,
+    serialize_artin,
+    serialize_dgla,
+    serialize_element,
+)
 
 
 def run(argv: list[str]) -> tuple[int, str]:
@@ -26,6 +35,32 @@ def run(argv: list[str]) -> tuple[int, str]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     return code, out.getvalue()
+
+
+def series_documents() -> dict[str, dict]:
+    """Gauge parameters and MC elements over heis ⊗ m of K[t]/t³, in the basis
+    t, t² and in the basis a = t, b = t − t², where m² = ⟨a − b⟩ holds no basis
+    vector.  y_kt3 = e^{a_kt3} * x_kt3 and y_skew = e^{b_skew} * x_skew; no
+    gauge takes u_kt3 to w_kt3, which differ at level 2."""
+    L = lib.heis()
+    skew = artin_from_labels(("a", "b"), {pair: {"a": 1, "b": -1} for pair in
+                                          (("a", "a"), ("a", "b"), ("b", "b"))})
+    docs = {"artin_skew": serialize_artin(skew)}
+    elements = [
+        (lib.artin_kt(3), {"a_kt3": ({"a@t": 1}, 0), "b_kt3": ({"a@t^2": 1}, 0),
+                          "x_kt3": ({"x@t": 1}, 1), "y_kt3": ({"x@t": 1, "y@t^2": 1}, 1),
+                          "u_kt3": ({"x@t^2": 1}, 1), "w_kt3": ({"x@t^2": 1, "y@t^2": 1}, 1)}),
+        (skew, {"b_skew": ({"a@a": -1, "a@b": -2}, 0),
+               "x_skew": ({"x@a": 2, "y@a": -2, "y@b": 4}, 1),
+               "y_skew": ({"x@a": 2, "y@a": -8, "y@b": 10}, 1)}),
+    ]
+    for A, named in elements:
+        T = tensor_dgla(L, A)
+        owners = digest(serialize_dgla(L)), digest(serialize_artin(A))
+        for name, (coords, degree) in named.items():
+            docs[name] = serialize_element(T.element_from_labels(coords, degree), *owners,
+                                           degree)
+    return docs
 
 
 def commands(listing: dict[str, dict]) -> list[list[str]]:
@@ -56,6 +91,15 @@ def commands(listing: dict[str, dict]) -> list[list[str]]:
          "--element", "xt_obstructed.json"],
         ["h-embed", "--pair", "pair_idid_heis.json", "--element", "hpair_heis.json"],
     ]
+    kt3 = ["--dgla", "heis.json", "--artin", "artin_kt3.json"]
+    skew = ["--dgla", "heis.json", "--artin", "artin_skew.json"]
+    argvs += [
+        ["gauge-apply", *kt3, "--param", "a_kt3.json", "--element", "x_kt3.json"],
+        ["bch", *kt3, "--a", "a_kt3.json", "--b", "b_kt3.json"],
+        ["gauge-equiv", *kt3, "--x", "x_kt3.json", "--y", "y_kt3.json"],
+        ["gauge-equiv", *kt3, "--x", "u_kt3.json", "--y", "w_kt3.json"],
+        ["gauge-equiv", *skew, "--x", "x_skew.json", "--y", "y_skew.json"],
+    ]
     return [argv + ["--json"] for argv in argvs]
 
 
@@ -70,6 +114,9 @@ def reports() -> list[str]:
             for name in listing:
                 code, _out = run(["examples", "--write", name, "--out", f"{name}.json"])
                 assert code == 0, name
+            for name, doc in series_documents().items():
+                with open(f"{name}.json", "w", encoding="utf-8") as fh:
+                    fh.write(canonical_json(doc))
             blocks = []
             for argv in commands(listing):
                 code, out = run(argv)

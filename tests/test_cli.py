@@ -228,6 +228,11 @@ class TestMathCommands:
         assert code == 0
         r = json.loads(out)["result"]
         assert r["status"] == "equivalent"
+        # the decision has no search budget to set
+        with pytest.raises(SystemExit) as exit_:
+            run_cli(["gauge-equiv", "--dgla", docs["heis"], "--artin", docs["artin_kt3"],
+                     "--x", x_doc, "--y", y_doc, "--budget", "5", "--json"])
+        assert exit_.value.code == 2
 
     def test_h_trunc(self, docs):
         code, out, _ = run_cli(["h-trunc", "--pair", docs["pair_idid_heis"],

@@ -163,6 +163,21 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError):
             parse_document(json.dumps(doc))
 
+    def test_at_sign_in_basis_labels_rejected(self):
+        # with L's degree-1 labels {a@b, a} and A's labels {c, b@c}, the tensor
+        # labels a@b ⊗ c and a ⊗ b@c would both read a@b@c
+        from mcdeform.artin import artin_from_labels
+        from mcdeform.dgla import abelian_dgla
+        from mcdeform.graded import ChainComplex, GradedMap, GradedSpace
+
+        space = GradedSpace(1, 1, {1: ("a@b", "a")})
+        L = abelian_dgla(ChainComplex(space, GradedMap(space, space, 1, {})))
+        A = artin_from_labels(("c", "b@c"), {})
+        with pytest.raises(SchemaError, match=r"dgla\.basis\.1: label 'a@b'"):
+            parse_document(json.dumps(serialize_dgla(L)))
+        with pytest.raises(SchemaError, match=r"artin\.basis: label 'b@c'"):
+            parse_document(json.dumps(serialize_artin(A)))
+
     def test_duplicate_bracket_entries_rejected(self):
         doc = serialize_dgla(lib.heis0())
         doc["bracket"].append(dict(doc["bracket"][0]))

@@ -565,14 +565,18 @@ class TestGaugeEquivDecide:
         x = mc_element(T, T.element_from_labels({"x@t": 1}, 1))
         assert isinstance(gauge_equiv_decide(x, x), Equivalent)
 
-    def test_budget_exhaustion_is_undecided(self):
+    def test_budget_has_no_effect(self):
+        # a search budget of one node once left this case Undecided; the
+        # per-level linear decision has no budget and finds the witness
         rnd = random.Random(45)
         T = tensor_dgla(lib.heis(), lib.artin_kt(4))
         x = mc_element(T, rand_mc(rnd, T))
         a = rand_elem(rnd, T, 0)
         y = mc_element(T, gauge_apply(T, a, x.element))
-        res = gauge_equiv_decide(x, y, budget=1, radius=0)
-        assert isinstance(res, (Undecided, Equivalent))
+        res = gauge_equiv_decide(x, y, budget=1)
+        assert isinstance(res, Equivalent)
+        assert gauge_apply(T, res.witness, x.element) == y.element
+        assert res == gauge_equiv_decide(x, y)
 
     def test_cancellation(self):
         rnd = random.Random(47)
