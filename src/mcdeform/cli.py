@@ -11,8 +11,6 @@ import argparse
 import json
 import sys
 
-from . import library as lib
-from .artin import tensor_dgla, tower_step, validate_artin
 from .dgla import (
     cone_pair,
     cone_single,
@@ -49,31 +47,11 @@ from .documents import (
     serialize_hpair,
 )
 from .errors import McdeformError, MissingDocument, SchemaError
-from .graded import compute_cohomology, zero_element
-from .maurer_cartan import (
-    Equivalent,
-    NO_LIFT,
-    bch_product,
-    gauge_apply,
-    gauge_equiv_decide,
-    lift_if_unobstructed,
-    lift_pair_if_unobstructed,
-    mc_element,
-    mc_pair_check,
-    mc_residual,
-    mc_triple,
-    obstruction_pair,
-    obstruction_single,
-    pair_setting,
-    tangent_dim_pair,
-    tangent_dim_single,
-)
-from .path_object import (
-    TruncationWindow,
-    barycentric_embed,
-    h_pair_element,
-    truncated_H_cohomology,
-)
+from .graded import basis_element, compute_cohomology, zero_element
+
+# artin, maurer_cartan, path_object and library are imported by the handlers
+# that use them, so a cold process loads only what its command runs
+
 
 def _violations_json(report) -> list:
     return [{"axiom": v.axiom, "witness": list(v.witness), "detail": v.detail}
@@ -85,6 +63,8 @@ def _scalars(m: dict) -> dict:
 
 
 def _tower_extension(step: int):
+    from .artin import tower_step
+
     if step < 2:
         raise SchemaError("--tower must be ≥ 2 (the extension K[t]/t^m → K[t]/t^{m-1})")
     # building K[t]/t^m multiplies basis pairs of its maximal ideal, so the
@@ -95,6 +75,8 @@ def _tower_extension(step: int):
 
 def _load_tensor_context(args):
     """Common --dgla/--artin resolution; returns (tensor, dgla_digest, coeff_digest)."""
+    from .artin import tensor_dgla
+
     if not args.dgla:
         raise MissingDocument("this command needs --dgla")
     if not args.artin:
@@ -129,6 +111,8 @@ def cmd_validate(args):
     if kind == "dgla":
         report = validate_dgla(parse_dgla_body(raw, "dgla", check_axioms=False))
     elif kind in ("artin", "dg_algebra"):
+        from .artin import validate_artin
+
         report = validate_artin(parse_artin_body(raw, kind, check_axioms=False))
     elif kind == "morphism":
         phi = parse_morphism_body(raw, "morphism", check_axioms=False)
@@ -192,6 +176,8 @@ def cmd_pair_cone(args):
 
 
 def cmd_tangent(args):
+    from .maurer_cartan import tangent_dim_pair, tangent_dim_single
+
     if bool(args.dgla) == bool(args.pair):
         raise MissingDocument("tangent needs exactly one of --dgla or --pair")
     if args.dgla:
@@ -205,6 +191,8 @@ def cmd_tangent(args):
 
 
 def cmd_mc_residual(args):
+    from .maurer_cartan import mc_residual
+
     T, ld, ad = _load_tensor_context(args)
     x = _element_from(args.element, T, ld, ad, degree=1)
     res = mc_residual(T, x)
@@ -213,6 +201,8 @@ def cmd_mc_residual(args):
 
 
 def cmd_gauge_apply(args):
+    from .maurer_cartan import gauge_apply
+
     T, ld, ad = _load_tensor_context(args)
     a = _element_from(args.param, T, ld, ad, degree=0)
     x = _element_from(args.element, T, ld, ad, degree=1)
@@ -221,6 +211,8 @@ def cmd_gauge_apply(args):
 
 
 def cmd_bch(args):
+    from .maurer_cartan import bch_product
+
     T, ld, ad = _load_tensor_context(args)
     a = _element_from(args.a, T, ld, ad, degree=0)
     b = _element_from(args.b, T, ld, ad, degree=0)
@@ -229,6 +221,8 @@ def cmd_bch(args):
 
 
 def cmd_gauge_equiv(args):
+    from .maurer_cartan import Equivalent, gauge_equiv_decide, mc_element
+
     T, ld, ad = _load_tensor_context(args)
     x = mc_element(T, _element_from(args.x, T, ld, ad, degree=1))
     y = mc_element(T, _element_from(args.y, T, ld, ad, degree=1))
@@ -241,6 +235,8 @@ def cmd_gauge_equiv(args):
 
 
 def cmd_mc_check(args):
+    from .maurer_cartan import mc_pair_check, pair_setting
+
     if not args.pair:
         raise MissingDocument("mc-check needs --pair")
     h, g = parse_pair_body(load_raw(args.pair), "pair")
@@ -267,6 +263,8 @@ def _obstruction_context(args):
 
 def _triple_from(args, h, g, ext, coeff_digest):
     """The verified --element triple over the pair (h, g) and ext.A."""
+    from .maurer_cartan import mc_triple, pair_setting
+
     s = pair_setting(h, g, ext.A)
     x, y, p = resolve_triple(load_raw(args.element), s, digest(serialize_pair(h, g)),
                              coeff_digest, args.element)
@@ -274,6 +272,9 @@ def _triple_from(args, h, g, ext, coeff_digest):
 
 
 def cmd_obstruction(args):
+    from .artin import tensor_dgla
+    from .maurer_cartan import mc_element, obstruction_pair, obstruction_single
+
     ext, coeff_digest, ext_name = _obstruction_context(args)
     if args.dgla:
         L = parse_dgla_body(load_raw(args.dgla), "dgla")
@@ -293,6 +294,17 @@ def cmd_obstruction(args):
 
 
 def cmd_lift(args):
+    from .artin import tensor_dgla
+    from .maurer_cartan import (
+        NO_LIFT,
+        lift_if_unobstructed,
+        lift_pair_if_unobstructed,
+        mc_element,
+        obstruction_pair,
+        obstruction_single,
+        pair_setting,
+    )
+
     ext, coeff_digest, ext_name = _obstruction_context(args)
     if args.dgla:
         L = parse_dgla_body(load_raw(args.dgla), "dgla")
@@ -323,6 +335,8 @@ def cmd_lift(args):
 
 
 def cmd_h_trunc(args):
+    from .path_object import TruncationWindow, truncated_H_cohomology
+
     if not args.pair:
         raise MissingDocument("h-trunc needs --pair")
     h, g = parse_pair_body(load_raw(args.pair), "pair")
@@ -330,13 +344,14 @@ def cmd_h_trunc(args):
     n_to = args.trunc_to if args.trunc_to is not None else n_from + 1
     if n_to < n_from:
         raise SchemaError("--trunc-to must be ≥ --trunc")
+    # window N has dimension dim L + dim N + (2N + 1)·dim M, largest at n_to
+    dimension_guard((h.source.space.total_dim() + g.source.space.total_dim()
+                     + h.target.space.total_dim() * (2 * n_to + 1)))
     cone = cone_pair(h, g)
     Hc = compute_cohomology(cone.complex)
     cone_dims = {str(i): Hc.dim(i) for i in cone.complex.space.degrees()}
     per_window = {}
     for N in range(n_from, n_to + 1):
-        dimension_guard((h.source.space.total_dim() + g.source.space.total_dim()
-                         + h.target.space.total_dim() * (2 * N + 1)))
         Ht = truncated_H_cohomology(h, g, TruncationWindow(N))
         per_window[str(N)] = {str(i): Ht.dim(i) for i in Ht.complex.space.degrees()}
     windows = sorted(per_window)
@@ -354,6 +369,8 @@ def cmd_h_trunc(args):
 
 
 def cmd_h_embed(args):
+    from .path_object import barycentric_embed, h_pair_element
+
     if not args.pair:
         raise MissingDocument("h-embed needs --pair")
     h, g = parse_pair_body(load_raw(args.pair), "pair")
@@ -378,6 +395,11 @@ def cmd_h_embed(args):
 
 
 def _example_documents() -> dict[str, dict]:
+    from . import library as lib
+    from .artin import tensor_dgla
+    from .maurer_cartan import pair_setting
+    from .path_object import poly_t_term
+
     docs = {}
     for name, fn in lib.EXAMPLE_DGLAS.items():
         docs[name] = serialize_dgla(fn())
@@ -406,8 +428,6 @@ def _example_documents() -> dict[str, dict]:
     # an H-element for h-embed: m = x·(t − t²) over the heis pair
     hh, gg = lib.pair_idid_heis()
     Lh = lib.heis()
-    from .graded import basis_element
-    from .path_object import poly_t_term
     x_basis = basis_element(Lh.space, 1, 0)
     m = poly_t_term(Lh, 1, x_basis) + poly_t_term(Lh, 2, -x_basis)
     docs["hpair_heis"] = serialize_hpair(
@@ -417,8 +437,10 @@ def _example_documents() -> dict[str, dict]:
 
 
 def cmd_examples(args):
-    docs = _example_documents()
+    from . import library as lib
+
     if args.write:
+        docs = _example_documents()
         if args.write not in docs:
             raise MissingDocument(f"no built-in example named {args.write!r}; "
                                   f"try one of {sorted(docs)}")

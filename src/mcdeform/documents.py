@@ -14,15 +14,9 @@ import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from . import linalg as la
-from .artin import (
-    ArtinLocalAlgebra,
-    DgNilpotentAlgebra,
-    SmallExtension,
-    TensorDgla,
-)
 from .dgla import (
     CONE_CONVENTION,
     Dgla,
@@ -32,7 +26,6 @@ from .dgla import (
     validate_dgla,
     validate_morphism,
 )
-from .artin import validate_artin
 from .errors import (
     AxiomViolation,
     DocumentSyntaxError,
@@ -41,7 +34,10 @@ from .errors import (
     TargetMismatch,
 )
 from .graded import ChainComplex, GradedElement, GradedSpace, map_from_images
-from .path_object import PolyElement
+
+if TYPE_CHECKING:  # artin and path_object load only for the documents that use them
+    from .artin import ArtinLocalAlgebra, DgNilpotentAlgebra, SmallExtension, TensorDgla
+    from .path_object import PolyElement
 
 FORMAT_TAG = "mcdeform/1"
 
@@ -196,6 +192,8 @@ def serialize_dgla(L: Dgla) -> dict:
 
 
 def serialize_artin(A: ArtinLocalAlgebra | DgNilpotentAlgebra) -> dict:
+    from .artin import DgNilpotentAlgebra
+
     body = {"basis": list(A.labels)}
     table = []
     for (i, j) in sorted(A.table):
@@ -386,6 +384,8 @@ def parse_dgla_body(doc: dict, where: str = "dgla", check_axioms: bool = True,
 
 
 def parse_artin_body(doc: dict, where: str = "artin", check_axioms: bool = True):
+    from .artin import ArtinLocalAlgebra, DgNilpotentAlgebra, validate_artin
+
     kind = doc.get("kind")
     graded = kind == "dg_algebra"
     required = {"format", "convention", "kind", "basis", "table"}
@@ -479,6 +479,8 @@ def parse_pair_body(doc: dict, where: str = "pair",
 
 def parse_extension_body(doc: dict, where: str = "small_extension",
                          check_axioms: bool = True) -> SmallExtension:
+    from .artin import SmallExtension
+
     _expect_keys(doc, {"format", "convention", "kind", "source", "target",
                        "alpha", "section", "kernel"}, set(), where)
     B = parse_artin_body(_field(doc, "source", dict, where), f"{where}.source", check_axioms)
@@ -644,6 +646,8 @@ def resolve_hpair(raw: dict, h: DglaMorphism, g: DglaMorphism, pair_digest: str,
     body = parse_hpair_body(raw, where)
     if body["owner"]["pair"] != pair_digest:
         raise SchemaError(f"{where}: owner digest does not match the pair")
+    from .path_object import PolyElement
+
     M, deg = h.target, body["degree"]
 
     def coefficients(part: str, degree: int) -> dict[int, GradedElement]:

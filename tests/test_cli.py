@@ -51,6 +51,8 @@ class TestExamples:
         report = json.loads(out)
         names = report["result"]["examples"]
         assert "obstructed" in names and "pair_idid_heis" in names
+        # the listing is built without the documents; it names each of them
+        assert sorted(names) == sorted(cli._example_documents())
 
     def test_unknown_name(self):
         code, _out, err = run_cli(["examples", "--write", "nope"])
@@ -483,6 +485,26 @@ class TestDocumentBoundary:
             assert code == 1, command
             assert json.loads(out)["error"] == "SchemaError", command
 
+    def test_truncation_range_is_bounded_before_any_window(self, docs):
+        # on heis, window N has dimension 6 + 3(2N + 1): the default 512 admits
+        # N ≤ 83, and windows 1-20 alone take seconds; the timeout fails the test
+        proc = subprocess.run(
+            [sys.executable, "-m", "mcdeform.cli", "h-trunc", "--pair", docs["pair_idid_heis"],
+             "--trunc", "1", "--trunc-to", "100000", "--json"],
+            capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["error"] == "ResourceLimitExceeded"
+
+    def test_largest_truncation_window_decides(self, docs, monkeypatch):
+        monkeypatch.setenv("MCDEFORM_MAX_DIM", "21")  # 6 + 3·5: N = 2 at most
+        argv = ["h-trunc", "--pair", docs["pair_idid_heis"], "--trunc", "1", "--json"]
+        code, out, _ = run_cli(argv + ["--trunc-to", "3"])
+        assert code == 1
+        assert json.loads(out)["error"] == "ResourceLimitExceeded"
+        code, out, _ = run_cli(argv + ["--trunc-to", "2"])
+        assert code == 0
+        assert sorted(json.loads(out)["result"]["windows"]) == ["1", "2"]
+
 
 @pytest.fixture()
 def validations(monkeypatch):
@@ -535,6 +557,47 @@ class TestDeterminism:
             [sys.executable, "-m", "mcdeform.cli", "frobnicate"],
             capture_output=True).returncode
         assert code == 2
+
+
+# a cold process that runs one command (none without arguments) and prints
+# the mcdeform modules it loaded as the last line of its standard error
+COLD = """
+import json, sys
+from mcdeform.cli import main
+status = main(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("mcdeform."))), file=sys.stderr)
+sys.exit(status)
+"""
+
+LAZY = ("mcdeform.artin", "mcdeform.maurer_cartan", "mcdeform.path_object", "mcdeform.library")
+
+
+def cold_modules(argv) -> set[str]:
+    proc = subprocess.run([sys.executable, "-c", COLD, *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stderr.splitlines()[-1]))
+
+
+class TestColdImports:
+    def test_cli_import_is_lazy(self):
+        loaded = cold_modules([])
+        assert "mcdeform.cli" in loaded
+        assert not loaded & set(LAZY)
+
+    @pytest.mark.parametrize("command, name", [("validate", "pair_idid_heis"),
+                                               ("cohomology", "heis"),
+                                               ("pair-cone", "pair_idid_heis")])
+    def test_dgla_and_pair_commands_stay_lazy(self, docs, command, name):
+        loaded = cold_modules([command, docs[name], "--json"])
+        assert not loaded & set(LAZY), command
+
+    def test_every_command_has_a_golden_report(self):
+        # a handler that misses one of its imports fails its golden report
+        with open(os.path.join(GOLDEN, "cli_reports.txt"), encoding="utf-8") as fh:
+            ran = {line.split()[2] for line in fh if line.startswith("$ mcdeform ")}
+        sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+        assert set(sub.choices) <= ran
 
 
 def test_resource_guard(tmp_path, docs, monkeypatch):

@@ -19,18 +19,42 @@ from mcdeform.dgla import (
     zero_morphism,
 )
 from mcdeform.errors import AxiomViolation
-from mcdeform.graded import ChainComplex, GradedElement, GradedMap, identity_map
+from mcdeform.graded import (
+    ChainComplex,
+    GradedElement,
+    GradedMap,
+    GradedSpace,
+    identity_map,
+)
 
 
 def assert_same(fast, reference):
     assert [str(v) for v in fast] == [str(v) for v in reference]
 
 
+def in_basis_order(L, report):
+    """The report without the Leibniz pairs and Jacobi triples whose basis
+    vectors are out of basis order: the pairs a ≤ b and triples a ≤ b ≤ c
+    remain, every other entry is kept."""
+    def ordered(v):
+        keys = [L.space.locate(lab) for lab in v.witness]
+        return keys == sorted(keys)
+
+    return [v for v in report if v.axiom not in ("leibniz", "jacobi") or ordered(v)]
+
+
+def assert_matches_brute_force(L):
+    """validate_dgla is the brute report over the ordered pairs and triples,
+    and it is empty exactly when the report over all of them is."""
+    fast, reference = validate_dgla(L), brute.validate_dgla(L)
+    assert_same(fast, in_basis_order(L, reference))
+    assert bool(fast) == bool(reference)
+    return fast
+
+
 @pytest.mark.parametrize("name, L", mutations.corpus(), ids=[n for n, _ in mutations.corpus()])
 def test_mutation_corpus_matches_brute_force(name, L):
-    report = validate_dgla(L)
-    assert report, name
-    assert_same(report, brute.validate_dgla(L))
+    assert assert_matches_brute_force(L), name
     # doubling every vector breaks bracket preservation wherever a bracket is nonzero
     twice = DglaMorphism(L, L, identity_map(L.space).scale(2))
     assert_same(validate_morphism(twice), brute.validate_morphism(twice))
@@ -49,7 +73,7 @@ def test_builtin_pairs_match_brute_force(name):
     for phi in lib.EXAMPLE_PAIRS[name]():
         assert_same(validate_morphism(phi), brute.validate_morphism(phi))
         for D in (phi.source, phi.target):
-            assert_same(validate_dgla(D), brute.validate_dgla(D))
+            assert_matches_brute_force(D)
 
 
 def test_morphism_violations_match_brute_force():
@@ -95,10 +119,46 @@ def corrupted(draw):
 @given(corrupted())
 def test_corruptions_match_brute_force(case):
     L, bad = case
-    assert_same(validate_dgla(bad), brute.validate_dgla(bad))
+    assert_matches_brute_force(bad)
     for phi in (DglaMorphism(L, bad, identity_map(L.space)),
                 DglaMorphism(bad, L, identity_map(L.space))):
         assert_same(validate_morphism(phi), brute.validate_morphism(phi))
+
+
+@st.composite
+def bracket_tables(draw):
+    """A DGLA candidate on at most five basis vectors in degrees −1 … 1, with
+    a random differential and random structure constants, a few of them
+    with a term outside the degree |a| + |b|."""
+    dims = draw(st.lists(st.integers(min_value=0, max_value=2), min_size=3, max_size=3)
+                .filter(lambda ds: 0 < sum(ds) <= 5))
+    labels = iter("abcde")
+    space = GradedSpace(-1, 1, {deg: tuple(next(labels) for _ in range(n))
+                                for deg, n in zip((-1, 0, 1), dims)})
+    keys = [(i, p) for i in space.degrees() for p in range(space.dim(i))]
+    scalar = st.integers(min_value=-2, max_value=2).map(Fraction)
+    blocks = {i: [[draw(scalar) for _p in range(space.dim(i))]
+                  for _q in range(space.dim(i + 1))]
+              for i in (-1, 0) if draw(st.booleans())}
+    d = GradedMap(space, space, 1, blocks)
+    pairs = [(a, b) for i, a in enumerate(keys) for b in keys[i:]]
+    brackets = {}
+    nonzero = scalar.filter(bool)
+    for a, b in draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4, unique=True)):
+        allowed = [k for k in keys if k[0] == a[0] + b[0]]
+        if draw(st.integers(min_value=0, max_value=5)) == 0:
+            allowed = keys
+        if allowed:
+            coords = draw(st.dictionaries(st.sampled_from(allowed), nonzero,
+                                          min_size=1, max_size=2))
+            brackets[(a, b)] = GradedElement(space, coords)
+    return Dgla(ChainComplex(space, d), brackets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bracket_tables())
+def test_random_bracket_tables_match_brute_force(L):
+    assert_matches_brute_force(L)
 
 
 # --- validate each document DGLA once ---------------------------------------
