@@ -24,7 +24,6 @@ from .documents import (
     dimension_guard,
     element_coords_map,
     endpoint_violations,
-    load_document,
     load_raw,
     parse_artin_body,
     parse_dgla_body,
@@ -62,6 +61,14 @@ def _scalars(m: dict) -> dict:
     return {k: str(v) for k, v in m.items()}
 
 
+def _load(args, path: str) -> dict:
+    """The document at path, read and parsed once per command; the report's
+    input digests are taken from the same parsed documents."""
+    if path not in args.loaded:
+        args.loaded[path] = load_raw(path)
+    return args.loaded[path]
+
+
 def _tower_extension(step: int):
     from .artin import tower_step
 
@@ -81,20 +88,21 @@ def _load_tensor_context(args):
         raise MissingDocument("this command needs --dgla")
     if not args.artin:
         raise MissingDocument("this command needs --artin")
-    dgla_doc = load_raw(args.dgla)
+    dgla_doc = _load(args, args.dgla)
     L = parse_dgla_body(dgla_doc, "dgla")
-    artin_doc = load_raw(args.artin)
+    artin_doc = _load(args, args.artin)
     A = parse_artin_body(artin_doc, artin_doc.get("kind", "artin"))
     dimension_guard(L.space.total_dim() * max(A.dim, 1))
     T = tensor_dgla(L, A)
     return T, digest(serialize_dgla(L)), digest(serialize_artin(A))
 
 
-def _element_from(path, tensor, dgla_digest, coeff_digest, degree=None):
-    raw = load_document(path)
-    if not isinstance(raw, dict) or "coords" not in raw:
+def _element_from(args, path, tensor, dgla_digest, coeff_digest, degree=None):
+    raw = _load(args, path)
+    if raw["kind"] != "element":
         raise SchemaError(f"{path}: expected an element document")
-    elem = resolve_tensor_element(raw, tensor, dgla_digest, coeff_digest, path)
+    elem = resolve_tensor_element(parse_element_body(raw), tensor, dgla_digest, coeff_digest,
+                                  path)
     if degree is not None and not elem.is_zero():
         got = elem.homogeneous_degree()
         if got != degree:
@@ -106,7 +114,7 @@ def _element_from(path, tensor, dgla_digest, coeff_digest, degree=None):
 
 
 def cmd_validate(args):
-    raw = load_raw(args.document)
+    raw = _load(args, args.document)
     kind = raw["kind"]
     if kind == "dgla":
         report = validate_dgla(parse_dgla_body(raw, "dgla", check_axioms=False))
@@ -138,7 +146,7 @@ def cmd_validate(args):
 
 
 def cmd_cohomology(args):
-    L = parse_dgla_body(load_raw(args.document), "dgla")
+    L = parse_dgla_body(_load(args, args.document), "dgla")
     H = compute_cohomology(L.complex)
     space = L.space
     dims = {str(i): H.dim(i) for i in space.degrees()}
@@ -160,12 +168,12 @@ def _cone_report(cone):
 
 
 def cmd_cone(args):
-    h = parse_morphism_body(load_raw(args.document), "morphism")
+    h = parse_morphism_body(_load(args, args.document), "morphism")
     return _cone_report(cone_single(h)), 0
 
 
 def cmd_pair_cone(args):
-    h, g = parse_pair_body(load_raw(args.document), "pair")
+    h, g = parse_pair_body(_load(args, args.document), "pair")
     report = _cone_report(cone_pair(h, g))
     try:
         gamma_quotient_map(h, g)
@@ -181,10 +189,10 @@ def cmd_tangent(args):
     if bool(args.dgla) == bool(args.pair):
         raise MissingDocument("tangent needs exactly one of --dgla or --pair")
     if args.dgla:
-        L = parse_dgla_body(load_raw(args.dgla), "dgla")
+        L = parse_dgla_body(_load(args, args.dgla), "dgla")
         dim = tangent_dim_single(L, args.shift)
     else:
-        h, g = parse_pair_body(load_raw(args.pair), "pair")
+        h, g = parse_pair_body(_load(args, args.pair), "pair")
         dim = tangent_dim_pair(h, g, args.shift)
     return {"shift": args.shift, "dimension": dim,
             "checked": "cohomology and direct MC/gauge linear algebra agree"}, 0
@@ -194,7 +202,7 @@ def cmd_mc_residual(args):
     from .maurer_cartan import mc_residual
 
     T, ld, ad = _load_tensor_context(args)
-    x = _element_from(args.element, T, ld, ad, degree=1)
+    x = _element_from(args, args.element, T, ld, ad, degree=1)
     res = mc_residual(T, x)
     return {"residual": _scalars(element_coords_map(T.space, res)),
             "is_mc": res.is_zero()}, 0
@@ -204,8 +212,8 @@ def cmd_gauge_apply(args):
     from .maurer_cartan import gauge_apply
 
     T, ld, ad = _load_tensor_context(args)
-    a = _element_from(args.param, T, ld, ad, degree=0)
-    x = _element_from(args.element, T, ld, ad, degree=1)
+    a = _element_from(args, args.param, T, ld, ad, degree=0)
+    x = _element_from(args, args.element, T, ld, ad, degree=1)
     out = gauge_apply(T, a, x)
     return {"result": _scalars(element_coords_map(T.space, out))}, 0
 
@@ -214,8 +222,8 @@ def cmd_bch(args):
     from .maurer_cartan import bch_product
 
     T, ld, ad = _load_tensor_context(args)
-    a = _element_from(args.a, T, ld, ad, degree=0)
-    b = _element_from(args.b, T, ld, ad, degree=0)
+    a = _element_from(args, args.a, T, ld, ad, degree=0)
+    b = _element_from(args, args.b, T, ld, ad, degree=0)
     out = bch_product(T, a, b)
     return {"result": _scalars(element_coords_map(T.space, out))}, 0
 
@@ -224,8 +232,8 @@ def cmd_gauge_equiv(args):
     from .maurer_cartan import Equivalent, gauge_equiv_decide, mc_element
 
     T, ld, ad = _load_tensor_context(args)
-    x = mc_element(T, _element_from(args.x, T, ld, ad, degree=1))
-    y = mc_element(T, _element_from(args.y, T, ld, ad, degree=1))
+    x = mc_element(T, _element_from(args, args.x, T, ld, ad, degree=1))
+    y = mc_element(T, _element_from(args, args.y, T, ld, ad, degree=1))
     # without a cancel callback the decision is Equivalent or NotEquivalent
     res = gauge_equiv_decide(x, y)
     if isinstance(res, Equivalent):
@@ -239,15 +247,15 @@ def cmd_mc_check(args):
 
     if not args.pair:
         raise MissingDocument("mc-check needs --pair")
-    h, g = parse_pair_body(load_raw(args.pair), "pair")
+    h, g = parse_pair_body(_load(args, args.pair), "pair")
     pair_digest = digest(serialize_pair(h, g))
     if not args.artin:
         raise MissingDocument("mc-check needs --artin")
-    artin_raw = load_raw(args.artin)
+    artin_raw = _load(args, args.artin)
     A = parse_artin_body(artin_raw, artin_raw.get("kind"))
     coeff_digest = digest(serialize_artin(A))
     s = pair_setting(h, g, A)
-    x, y, p = resolve_triple(load_raw(args.element), s, pair_digest, coeff_digest, args.element)
+    x, y, p = resolve_triple(_load(args, args.element), s, pair_digest, coeff_digest, args.element)
     triple, report = mc_pair_check(s, x, y, p)
     return {"verified": triple.verified, "violations": _violations_json(report)}, 0
 
@@ -266,7 +274,7 @@ def _triple_from(args, h, g, ext, coeff_digest):
     from .maurer_cartan import mc_triple, pair_setting
 
     s = pair_setting(h, g, ext.A)
-    x, y, p = resolve_triple(load_raw(args.element), s, digest(serialize_pair(h, g)),
+    x, y, p = resolve_triple(_load(args, args.element), s, digest(serialize_pair(h, g)),
                              coeff_digest, args.element)
     return mc_triple(s, x, y, p)
 
@@ -277,13 +285,13 @@ def cmd_obstruction(args):
 
     ext, coeff_digest, ext_name = _obstruction_context(args)
     if args.dgla:
-        L = parse_dgla_body(load_raw(args.dgla), "dgla")
+        L = parse_dgla_body(_load(args, args.dgla), "dgla")
         T = tensor_dgla(L, ext.A)
-        x = mc_element(T, _element_from(args.element, T,
+        x = mc_element(T, _element_from(args, args.element, T,
                                         digest(serialize_dgla(L)), coeff_digest, degree=1))
         cls = obstruction_single(ext, x)
     else:
-        h, g = parse_pair_body(load_raw(args.pair), "pair")
+        h, g = parse_pair_body(_load(args, args.pair), "pair")
         cls = obstruction_pair(ext, _triple_from(args, h, g, ext, coeff_digest))
     return {
         "extension": ext_name,
@@ -307,10 +315,10 @@ def cmd_lift(args):
 
     ext, coeff_digest, ext_name = _obstruction_context(args)
     if args.dgla:
-        L = parse_dgla_body(load_raw(args.dgla), "dgla")
+        L = parse_dgla_body(_load(args, args.dgla), "dgla")
         T = tensor_dgla(L, ext.A)
         TB = tensor_dgla(L, ext.B)
-        x = mc_element(T, _element_from(args.element, T,
+        x = mc_element(T, _element_from(args, args.element, T,
                                         digest(serialize_dgla(L)), coeff_digest, degree=1))
         cls = obstruction_single(ext, x, tensor_B=TB)
         got = lift_if_unobstructed(ext, x, cls, tensor_B=TB)
@@ -319,7 +327,7 @@ def cmd_lift(args):
                     "class": _scalars(cls.label_map())}, 0
         return {"extension": ext_name, "lifted": True,
                 "element": _scalars(element_coords_map(TB.space, got.element))}, 0
-    h, g = parse_pair_body(load_raw(args.pair), "pair")
+    h, g = parse_pair_body(_load(args, args.pair), "pair")
     t = _triple_from(args, h, g, ext, coeff_digest)
     sB = pair_setting(h, g, ext.B)
     cls = obstruction_pair(ext, t, setting_B=sB)
@@ -339,7 +347,7 @@ def cmd_h_trunc(args):
 
     if not args.pair:
         raise MissingDocument("h-trunc needs --pair")
-    h, g = parse_pair_body(load_raw(args.pair), "pair")
+    h, g = parse_pair_body(_load(args, args.pair), "pair")
     n_from = args.trunc
     n_to = args.trunc_to if args.trunc_to is not None else n_from + 1
     if n_to < n_from:
@@ -373,9 +381,9 @@ def cmd_h_embed(args):
 
     if not args.pair:
         raise MissingDocument("h-embed needs --pair")
-    h, g = parse_pair_body(load_raw(args.pair), "pair")
+    h, g = parse_pair_body(_load(args, args.pair), "pair")
     pair_digest = digest(serialize_pair(h, g))
-    l, n, m = resolve_hpair(load_raw(args.element), h, g, pair_digest, args.element)
+    l, n, m = resolve_hpair(_load(args, args.element), h, g, pair_digest, args.element)
     L, N, M = h.source, g.source, h.target
     he = h_pair_element(h, g, l, n, m)
     k = barycentric_embed(he)
@@ -570,7 +578,7 @@ def _input_digests(args) -> dict[str, str]:
         if not isinstance(path, str):
             continue
         try:
-            out[path] = digest(load_raw(path))
+            out[path] = digest(_load(args, path))
         except (OSError, McdeformError):
             continue
     return out
@@ -579,6 +587,7 @@ def _input_digests(args) -> dict[str, str]:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    args.loaded = {}
     try:
         result, status = args.handler(args)
     except MissingDocument as e:

@@ -406,6 +406,11 @@ class CohomologyResult:
     For each degree i, ``projections[i]`` is a dim H^i x dim V^i matrix P
     with P·(boundary) = 0 and P·(representative_j) = e_j, so P sends any
     cycle's coordinates to its class coordinates.
+
+    The result covers the degrees of ``dims``: every degree of the window
+    unless compute_cohomology was asked for some degrees only.  Accessors
+    raise InvalidInput at a window degree it does not cover; degrees outside
+    the window read 0.
     """
 
     complex: ChainComplex
@@ -413,13 +418,23 @@ class CohomologyResult:
     representatives: Mapping[int, tuple[GradedElement, ...]]
     projections: Mapping[int, la.Matrix]
 
+    def _require(self, degree: int) -> None:
+        space = self.complex.space
+        if degree not in self.dims and space.dmin <= degree <= space.dmax:
+            raise InvalidInput(f"cohomology was computed in degrees {sorted(self.dims)} "
+                               f"only, not in degree {degree}")
+
     def dim(self, degree: int) -> int:
+        self._require(degree)
         return self.dims.get(degree, 0)
 
     def total_dim(self) -> int:
+        for i in self.complex.space.degrees():
+            self._require(i)
         return sum(self.dims.values())
 
     def project_vector(self, degree: int, vec: la.Vector) -> la.Vector:
+        self._require(degree)
         if degree not in self.projections:
             return []
         return la.mat_vec(self.projections[degree], vec)
@@ -433,11 +448,16 @@ class CohomologyResult:
         return self.project_vector(degree, x.component_vector(degree))
 
     def representative(self, degree: int, j: int) -> GradedElement:
+        self._require(degree)
         return self.representatives[degree][j]
 
 
-def compute_cohomology(complex: ChainComplex) -> CohomologyResult:
+def compute_cohomology(complex: ChainComplex,
+                       degrees: Iterable[int] | None = None) -> CohomologyResult:
     """Exact cohomology of a validated complex, degree by degree.
+
+    With degrees, only those degrees of the window are computed, each exactly
+    as in the full result; d² = 0 is still checked on the whole complex.
 
     Representatives are chosen deterministically from the row-reduced kernel
     basis: kernel vectors are scanned in free-column order and kept whenever
@@ -445,34 +465,38 @@ def compute_cohomology(complex: ChainComplex) -> CohomologyResult:
     """
     complex.require_d_squared_zero()
     space = complex.space
+    wanted = space.degrees() if degrees is None else set(degrees)
     dims: dict[int, int] = {}
     reps: dict[int, tuple[GradedElement, ...]] = {}
     projs: dict[int, la.Matrix] = {}
     for i in space.degrees():
-        n = space.dim(i)
-        if n == 0:
-            dims[i] = 0
-            reps[i] = ()
-            projs[i] = []
-            continue
-        d_i = complex.d.matrix(i)
-        d_prev = complex.d.matrix(i - 1)
-        kernel = la.nullspace(d_i, cols=n)
-        boundary_basis = la.column_space_basis(d_prev) if space.dim(i - 1) else []
-        h_dim = len(kernel) - len(boundary_basis)
-        dims[i] = h_dim
-        chosen = [kernel[k] for k in la.extend_basis(boundary_basis, kernel, n)]
-        if len(chosen) != h_dim:
-            raise InvalidInput("internal: representative selection failed")
-
-        # Complete [boundaries | representatives] to a basis of V^i with
-        # standard basis vectors; the projection is the representative rows
-        # of the inverse basis matrix.
-        nb = len(boundary_basis)
-        _units, f_inv = la.complete_and_invert(boundary_basis + chosen, n)
-        projs[i] = f_inv[nb:nb + h_dim]
-        reps[i] = tuple(element_from_vector(space, i, v) for v in chosen)
+        if i in wanted:
+            dims[i], reps[i], projs[i] = _cohomology_at(complex, i)
     return CohomologyResult(complex, dims, reps, projs)
+
+
+def _cohomology_at(complex: ChainComplex, i: int) -> tuple[
+        int, tuple[GradedElement, ...], la.Matrix]:
+    """dim H^i, its representatives and its projection matrix."""
+    space = complex.space
+    n = space.dim(i)
+    if n == 0:
+        return 0, (), []
+    d_i = complex.d.matrix(i)
+    d_prev = complex.d.matrix(i - 1)
+    kernel = la.nullspace(d_i, cols=n)
+    boundary_basis = la.column_space_basis(d_prev) if space.dim(i - 1) else []
+    h_dim = len(kernel) - len(boundary_basis)
+    chosen = [kernel[k] for k in la.extend_basis(boundary_basis, kernel, n)]
+    if len(chosen) != h_dim:
+        raise InvalidInput("internal: representative selection failed")
+
+    # Complete [boundaries | representatives] to a basis of V^i with
+    # standard basis vectors; the projection is the representative rows
+    # of the inverse basis matrix.
+    nb = len(boundary_basis)
+    _units, f_inv = la.complete_and_invert(boundary_basis + chosen, n)
+    return h_dim, tuple(element_from_vector(space, i, v) for v in chosen), f_inv[nb:nb + h_dim]
 
 
 def shift(complex: ChainComplex, n: int) -> ChainComplex:
@@ -571,8 +595,8 @@ def induced_cohomology_matrix(f: GradedMap, H_src: CohomologyResult,
     degree + n.
     """
     cols = []
-    for rep in H_src.representatives.get(degree, ()):
-        img = f.apply(rep)
+    for j in range(H_src.dim(degree)):
+        img = f.apply(H_src.representative(degree, j))
         cols.append(H_tgt.project_vector(degree + f.degree,
                                          img.component_vector(degree + f.degree)))
     return la.from_columns(cols, H_tgt.dim(degree + f.degree))

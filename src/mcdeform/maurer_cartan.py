@@ -36,6 +36,7 @@ from .errors import (
 from .graded import (
     CohomologyResult,
     GradedElement,
+    GradedMap,
     basis_element,
     compute_cohomology,
     element_from_vector,
@@ -240,6 +241,26 @@ def _tensor_with_kernel(T_B: TensorDgla, ext: SmallExtension,
     return total
 
 
+def _single_class(ext: SmallExtension, x: McElement, section: la.Matrix | None,
+                  T_B: TensorDgla, H: CohomologyResult | None):
+    """x lifted by the section to x̃ over B, its cocycle dx̃ + ½[x̃, x̃], per J basis
+    vector its part h_j, and the classes of the h_j in H²(L) (computed in
+    degree 2 alone when H is None)."""
+    if x.tensor.coeff != ext.A:
+        raise BaseMismatch("element does not live over the extension's target")
+    L = x.tensor.factor
+    lifted = x.tensor.map_coefficients(x.element, _section_matrix(ext, section), T_B)
+    cocycle = mc_residual(T_B, lifted)
+    parts = _j_components(T_B, ext, cocycle)
+    H = H if H is not None else compute_cohomology(L.complex, (2,))
+    coords = []
+    for part in parts:
+        if not L.differential_of(part).is_zero():
+            raise InvalidInput("internal: obstruction cocycle is not a cycle")
+        coords.append(tuple(H.class_of(part, degree=2)))
+    return lifted, cocycle, parts, H, tuple(coords)
+
+
 def obstruction_single(ext: SmallExtension, x: McElement, *,
                        section: la.Matrix | None = None,
                        tensor_B: TensorDgla | None = None,
@@ -247,22 +268,10 @@ def obstruction_single(ext: SmallExtension, x: McElement, *,
     """Obstruction class in H²(L) ⊗ J to lifting x along the small extension."""
     if not x.verified:
         raise NotVerifiedMC("obstruction_single requires a verified MC element")
-    if x.tensor.coeff != ext.A:
-        raise BaseMismatch("element does not live over the extension's target")
-    L = x.tensor.factor
-    T_B = tensor_B if tensor_B is not None else tensor_dgla(L, ext.B)
-    sec = _section_matrix(ext, section)
-    lifted = x.tensor.map_coefficients(x.element, sec, T_B)
-    cocycle = mc_residual(T_B, lifted)
-    parts = _j_components(T_B, ext, cocycle)
-    H = cohomology if cohomology is not None else compute_cohomology(L.complex)
-    coords = []
-    for part in parts:
-        if not L.differential_of(part).is_zero():
-            raise InvalidInput("internal: obstruction cocycle is not a cycle")
-        coords.append(tuple(H.class_of(part, degree=2)))
+    T_B = tensor_B if tensor_B is not None else tensor_dgla(x.tensor.factor, ext.B)
+    _lifted, cocycle, _parts, H, coords = _single_class(ext, x, section, T_B, cohomology)
     jlabels = tuple(ext.kernel_label(j) for j in range(ext.kernel_dim))
-    return ObstructionClass(H, 2, jlabels, tuple(coords), cocycle)
+    return ObstructionClass(H, 2, jlabels, coords, cocycle)
 
 
 def lift_if_unobstructed(ext: SmallExtension, x: McElement, cls: ObstructionClass,
@@ -272,14 +281,11 @@ def lift_if_unobstructed(ext: SmallExtension, x: McElement, cls: ObstructionClas
         raise NotVerifiedMC("lift_if_unobstructed requires a verified MC element")
     L = x.tensor.factor
     T_B = tensor_B if tensor_B is not None else tensor_dgla(L, ext.B)
-    recomputed = obstruction_single(ext, x, tensor_B=T_B, cohomology=cls.cohomology)
-    if recomputed.coords != cls.coords:
+    lifted, _cocycle, parts, _H, coords = _single_class(ext, x, None, T_B, cls.cohomology)
+    if coords != cls.coords:
         raise InconsistentInput("class does not match the recomputed cocycle projection")
     if not cls.is_zero():
         return NO_LIFT
-    lifted = x.tensor.map_coefficients(x.element, ext.section, T_B)
-    cocycle = mc_residual(T_B, lifted)
-    parts = _j_components(T_B, ext, cocycle)
     q_parts = []
     for part in parts:
         if part.is_zero():
@@ -443,6 +449,28 @@ def _cone_element(cone: ConeComplex, lkr) -> GradedElement:
     return cone.embed("L", l) + cone.embed("N", k) + cone.embed("M", r)
 
 
+def _pair_class(ext: SmallExtension, t: McTriple, sB: PairSetting,
+                section: la.Matrix | None, cone: ConeComplex, H: CohomologyResult | None):
+    """The lifted triple, its cocycle and J-parts as in _lifted_triple, after
+    checking each part is a D-cycle, and the classes of the parts in
+    H²(C_{(h,g)}) (computed in degree 2 alone when H is None)."""
+    s = t.setting
+    if s.coeff != ext.A:
+        raise BaseMismatch("triple does not live over the extension's target")
+    lifted, cocycle, parts = _lifted_triple(ext, t, sB, _section_matrix(ext, section))
+    L, N, M = s.h.source, s.g.source, s.h.target
+    H = H if H is not None else compute_cohomology(cone.complex, (2,))
+    coords = []
+    for lj, kj, rj in parts:
+        if not L.differential_of(lj).is_zero() or not N.differential_of(kj).is_zero():
+            raise InvalidInput("internal: obstruction cocycle is not a cycle")
+        cyc = -M.differential_of(rj) - s.g.apply(kj) + s.h.apply(lj)
+        if not cyc.is_zero():
+            raise InvalidInput("internal: −dr − g(k) + h(l) ≠ 0")
+        coords.append(tuple(H.class_of(_cone_element(cone, (lj, kj, rj)), degree=2)))
+    return lifted, cocycle, parts, H, tuple(coords)
+
+
 def obstruction_pair(ext: SmallExtension, t: McTriple, *,
                      section: la.Matrix | None = None,
                      setting_B: PairSetting | None = None,
@@ -457,23 +485,12 @@ def obstruction_pair(ext: SmallExtension, t: McTriple, *,
     if not t.verified:
         raise NotVerifiedTriple("obstruction_pair requires a verified triple")
     s = t.setting
-    if s.coeff != ext.A:
-        raise BaseMismatch("triple does not live over the extension's target")
     sB = setting_B if setting_B is not None else pair_setting(s.h, s.g, ext.B)
-    _lifted, cocycle, parts = _lifted_triple(ext, t, sB, _section_matrix(ext, section))
-    L, N, M = s.h.source, s.g.source, s.h.target
     the_cone = cone if cone is not None else cone_pair(s.h, s.g)
-    H = cohomology if cohomology is not None else compute_cohomology(the_cone.complex)
-    coords = []
-    for lj, kj, rj in parts:
-        if not L.differential_of(lj).is_zero() or not N.differential_of(kj).is_zero():
-            raise InvalidInput("internal: obstruction cocycle is not a cycle")
-        cyc = -M.differential_of(rj) - s.g.apply(kj) + s.h.apply(lj)
-        if not cyc.is_zero():
-            raise InvalidInput("internal: −dr − g(k) + h(l) ≠ 0")
-        coords.append(tuple(H.class_of(_cone_element(the_cone, (lj, kj, rj)), degree=2)))
+    _lifted, cocycle, _parts, H, coords = _pair_class(ext, t, sB, section, the_cone,
+                                                      cohomology)
     jlabels = tuple(ext.kernel_label(j) for j in range(ext.kernel_dim))
-    return PairObstructionClass(H, 2, jlabels, tuple(coords), cocycle, the_cone)
+    return PairObstructionClass(H, 2, jlabels, coords, cocycle, the_cone)
 
 
 def lift_pair_if_unobstructed(ext: SmallExtension, t: McTriple,
@@ -485,13 +502,12 @@ def lift_pair_if_unobstructed(ext: SmallExtension, t: McTriple,
     s = t.setting
     sB = setting_B if setting_B is not None else pair_setting(s.h, s.g, ext.B)
     the_cone = cls.cone
-    recomputed = obstruction_pair(ext, t, setting_B=sB, cone=the_cone,
-                                  cohomology=cls.cohomology)
-    if recomputed.coords != cls.coords:
+    (xt, yt, q), _cocycle, parts, _H, coords = _pair_class(ext, t, sB, None, the_cone,
+                                                          cls.cohomology)
+    if coords != cls.coords:
         raise InconsistentInput("class does not match the recomputed cocycle projection")
     if not cls.is_zero():
         return NO_LIFT
-    (xt, yt, q), _cocycle, parts = _lifted_triple(ext, t, sB, ext.section)
     cone_cx = the_cone.complex
     u_parts, v_parts, z_parts = [], [], []
     for lkr in parts:
@@ -563,13 +579,21 @@ def gauge_equiv_decide(x: McElement, y: McElement, budget: int | None = None,
         return e if m is None else T.map_coefficients(e, m, T)
 
     level = {key: coeff_levels[ai] for key, (_i, _p, ai) in T.from_tensor.items()}
-    rows: dict[tuple[int, int], dict[tuple[int, int], Fraction]] = {}
-    for i in range(T.space.dim(0)):
-        s = rebase(basis_element(T.space, 0, i), P)
-        for part in (T.differential_of(s), T.bracket(x.element, s)):
-            for key, c in rebase(part, Q).coords.items():
-                row = rows.setdefault(key, {})
-                row[(0, i)] = row.get((0, i), ZERO) + c
+    # the matrix of d_x on L⁰ ⊗ m: T's differential block, plus
+    # [x, e_b] = −Σ_a x_a [e_b, e_a] over the stored brackets (b, a) with a in
+    # the support of x (the sign Dgla.bracket gives the reversed pair)
+    dx = T.dgla.d.matrix(0)
+    for (b, a), val in T.dgla.brackets.items():
+        xa = x.element.coords.get(a)
+        if xa and b[0] == 0:
+            for (_deg, r), c in val.coords.items():
+                dx[r][b[1]] -= xa * c
+    if P is not None:
+        dx_map = GradedMap(T.space, T.space, 1, {0: dx})
+        dx = la.from_columns(
+            [rebase(dx_map.apply(rebase(basis_element(T.space, 0, i), P)), Q).component_vector(1)
+             for i in range(T.space.dim(0))], T.space.dim(1))
+    rows = {(1, r): {(0, i): c for i, c in enumerate(drow) if c} for r, drow in enumerate(dx)}
     # reduced rows [pivot, row, rhs] in insertion order: each row is free of
     # the pivots inserted before it, and pivots on an unknown of top level
     echelon: list[list] = []

@@ -536,6 +536,37 @@ def test_each_document_dgla_validated_once(tmp_path, docs, validations, argv):
     assert len(validations["validate_morphism"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["pair-cone", "{pair_idid_heis}"],
+    ["bch", "--dgla", "{heis}", "--artin", "{artin_kt3}", "--a", "{a_kt3}", "--b", "{b_kt3}"],
+    ["lift", "--pair", "{pair_idid_obstructed}", "--tower", "3",
+     "--element", "{triple_idid_obstructed}"],
+])
+def test_each_input_read_once(tmp_path, docs, monkeypatch, argv):
+    # the report's input digests come from the documents the command parsed
+    import cli_reports
+
+    for name, doc in cli_reports.series_documents().items():
+        docs[name] = str(tmp_path / f"{name}.json")
+        with open(docs[name], "w", encoding="utf-8") as fh:
+            fh.write(documents.canonical_json(doc))
+    argv = [a.format(**docs) for a in argv]
+    paths = {a for a in argv if a.endswith(".json")}
+    reads = []
+
+    def counting(file, *args, **kwargs):
+        reads.append(str(file))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(documents, "open", counting, raising=False)
+    code, out, _err = run_cli(argv + ["--json"])
+    monkeypatch.undo()
+    assert code == 0
+    assert sorted(reads) == sorted(paths)
+    assert json.loads(out)["inputs"] == {p: documents.digest(documents.load_raw(p))
+                                         for p in paths}
+
+
 class TestDeterminism:
     def test_json_outputs_byte_identical_across_runs(self, docs):
         argv = ["obstruction", "--dgla", docs["obstructed"], "--tower", "3",

@@ -206,6 +206,75 @@ def test_projection_kills_random_boundaries(seed):
         assert all(c == 0 for c in got)
 
 
+def assert_restricted_cohomology_matches(cx: ChainComplex) -> None:
+    """compute_cohomology(cx, (i,)) is the degree-i slice of the full result,
+    and refuses every other degree of the window."""
+    H = compute_cohomology(cx)
+    window = list(cx.space.degrees())
+    for i in window:
+        R = compute_cohomology(cx, (i,))
+        assert R.dims == {i: H.dims[i]}
+        assert R.representatives == {i: H.representatives[i]}
+        assert R.projections == {i: H.projections[i]}
+        assert R.dim(i) == H.dim(i)
+        for j in window:
+            if j == i:
+                continue
+            zero = GradedElement(cx.space, {}, j)
+            for ask in (lambda: R.dim(j), lambda: R.representative(j, 0),
+                        lambda: R.project_vector(j, zero.component_vector(j)),
+                        lambda: R.class_of(zero, degree=j)):
+                with pytest.raises(InvalidInput):
+                    ask()
+        if len(window) > 1:
+            with pytest.raises(InvalidInput):
+                R.total_dim()
+        # outside the window every degree still reads 0
+        assert R.dim(window[0] - 1) == 0 and R.dim(window[-1] + 1) == 0
+        assert R.project_vector(window[-1] + 1, []) == []
+
+
+class TestRestrictedCohomology:
+    def test_builtin_dglas(self):
+        from mcdeform import library as lib
+        for fn in lib.EXAMPLE_DGLAS.values():
+            assert_restricted_cohomology_matches(fn().complex)
+
+    def test_example_pair_cones(self):
+        from mcdeform import library as lib
+        from mcdeform.dgla import cone_pair
+        for fn in lib.EXAMPLE_PAIRS.values():
+            assert_restricted_cohomology_matches(cone_pair(*fn()).complex)
+
+    def test_truncated_h_at_n_1(self):
+        from mcdeform import library as lib
+        from mcdeform.path_object import TruncationWindow, truncated_H_complex
+        for fn in lib.EXAMPLE_PAIRS.values():
+            sub, _embed = truncated_H_complex(*fn(), TruncationWindow(1))
+            assert_restricted_cohomology_matches(sub)
+
+    def test_several_degrees_and_degrees_outside_the_window(self):
+        cx = two_term_identity()
+        H = compute_cohomology(cx, (0, 1, 7))
+        assert H.dims == compute_cohomology(cx).dims
+        assert H.total_dim() == 0
+        assert compute_cohomology(cx, ()).dims == {}
+
+    def test_d_squared_checked_outside_the_asked_degrees(self):
+        s = GradedSpace(0, 2, {0: ("u",), 1: ("v",), 2: ("w",)})
+        d = map_from_basis_images(s, s, 1, {
+            "u": basis_element(s, 1, 0), "v": basis_element(s, 2, 0)})
+        with pytest.raises(DifferentialNotSquareZero):
+            compute_cohomology(ChainComplex(s, d), (2,))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_restricted_cohomology_of_random_complexes(seed):
+    cx, _free = random_decomposed_complex(random.Random(seed))
+    assert_restricted_cohomology_matches(cx)
+
+
 def rand_complex(rnd: random.Random, tag: str) -> ChainComplex:
     """Small complex with a random window, dimensions and differential (d² need
     not vanish); every label holds one '>' and a ':'."""

@@ -13,6 +13,7 @@ from mcdeform.errors import (
     BaseMismatch,
     DegreeMismatch,
     InconsistentInput,
+    InvalidInput,
     NotInFiberProduct,
     NotVerifiedMC,
     NotVerifiedTriple,
@@ -439,6 +440,75 @@ class TestPairFunctor:
         # a perturbed witness fails
         bad = extended_equiv_verify(t, t2, a, b, c + rand_elem(rnd, s.tM, -1))
         assert bad or c.is_zero()
+
+
+@pytest.fixture()
+def obstruction_work(monkeypatch):
+    """The cohomology results the obstruction code computes, and its lifts by
+    the extension's section (map_coefficients calls with that matrix, once
+    per element lifted)."""
+    import mcdeform.maurer_cartan as mc
+    from mcdeform.artin import TensorDgla
+
+    work = {"cohomology": [], "lifts": 0, "section": None}
+    real_cohomology, real_map = mc.compute_cohomology, TensorDgla.map_coefficients
+
+    def cohomology(cx, degrees=None):
+        work["cohomology"].append(real_cohomology(cx, degrees))
+        return work["cohomology"][-1]
+
+    def map_coefficients(self, x, matrix, target):
+        work["lifts"] += matrix is work["section"]
+        return real_map(self, x, matrix, target)
+
+    monkeypatch.setattr(mc, "compute_cohomology", cohomology)
+    monkeypatch.setattr(TensorDgla, "map_coefficients", map_coefficients)
+    return work
+
+
+def assert_h2_only(work) -> None:
+    [H] = work["cohomology"]
+    assert set(H.dims) == set(H.projections) == {2} & set(H.complex.space.degrees())
+    with pytest.raises(InvalidInput):
+        H.dim(1)
+
+
+class TestObstructionWork:
+    """One obstruction plus lift along K[t]/t³ → K[t]/t² lifts each element
+    twice (the class, then its recompute in the lift) and computes H² alone."""
+
+    @pytest.mark.parametrize("name", ["obstructed", "heis"])
+    def test_single(self, obstruction_work, name):
+        ext = small_extension_tower(2)[1]
+        T = tensor_dgla(getattr(lib, name)(), ext.A)
+        x = (T.element_from_labels({"x@t": 1}, 1) if name == "obstructed"
+             else rand_mc(random.Random(19), T))
+        x = mc_element(T, x)
+        obstruction_work["section"] = ext.section
+        cls = obstruction_single(ext, x)
+        got = lift_if_unobstructed(ext, x, cls)
+        assert cls.is_zero() == (name == "heis")
+        assert (got is NO_LIFT) == (name == "obstructed")
+        assert obstruction_work["lifts"] == 2
+        assert_h2_only(obstruction_work)
+
+    @pytest.mark.parametrize("name", ["pair_idid_obstructed", "pair_idid_heis"])
+    def test_pair(self, obstruction_work, name):
+        ext = small_extension_tower(2)[1]
+        s = pair_setting(*getattr(lib, name)(), ext.A)
+        if name == "pair_idid_obstructed":
+            t = mc_triple(s, s.tL.element_from_labels({"x@t": 1}, 1),
+                          s.tN.element_from_labels({"x@t": 1}, 1),
+                          zero_element(s.tM.space, 0))
+        else:
+            t = rand_triple(random.Random(39), name, s)
+        obstruction_work["section"] = ext.section
+        cls = obstruction_pair(ext, t)
+        got = lift_pair_if_unobstructed(ext, t, cls)
+        assert cls.is_zero() == (name == "pair_idid_heis")
+        assert (got is NO_LIFT) == (name == "pair_idid_obstructed")
+        assert obstruction_work["lifts"] == 2 * 3  # x, y and p, twice each
+        assert_h2_only(obstruction_work)
 
 
 class TestObstructionPair:
