@@ -27,7 +27,10 @@ from mcdeform.documents import (
     serialize_artin,
     serialize_dgla,
     serialize_element,
+    serialize_pair,
+    serialize_triple,
 )
+from mcdeform.maurer_cartan import mc_triple, pair_setting
 
 
 def run(argv: list[str]) -> tuple[int, str]:
@@ -60,6 +63,27 @@ def series_documents() -> dict[str, dict]:
         for name, (coords, degree) in named.items():
             docs[name] = serialize_element(T.element_from_labels(coords, degree), *owners,
                                            degree)
+    return docs
+
+
+def lift_documents() -> dict[str, dict]:
+    """Inputs of `obstruction` and `lift` along K[t]/t³ → K[t]/t² that lift:
+    x⊗t + y⊗t over heis, whose cocycle vanishes, and the triple
+    (x⊗t, x⊗t, a⊗t) over the pair (id, id) of heis, whose cocycle
+    (0, 0, y⊗t²) is a nonzero boundary of the cone."""
+    A = lib.artin_kt(2)
+    L = lib.heis()
+    T = tensor_dgla(L, A)
+    docs = {"xy_heis": serialize_element(T.element_from_labels({"x@t": 1, "y@t": 1}, 1),
+                                         digest(serialize_dgla(L)), digest(serialize_artin(A)),
+                                         1)}
+    h, g = lib.pair_idid_heis()
+    s = pair_setting(h, g, A)
+    t = mc_triple(s, s.tL.element_from_labels({"x@t": 1}, 1),
+                  s.tN.element_from_labels({"x@t": 1}, 1),
+                  s.tM.element_from_labels({"a@t": 1}, 0))
+    docs["triple_idid_heis"] = serialize_triple(t.x, t.y, t.p, digest(serialize_pair(h, g)),
+                                                digest(serialize_artin(A)))
     return docs
 
 
@@ -100,6 +124,10 @@ def commands(listing: dict[str, dict]) -> list[list[str]]:
         ["gauge-equiv", *kt3, "--x", "u_kt3.json", "--y", "w_kt3.json"],
         ["gauge-equiv", *skew, "--x", "x_skew.json", "--y", "y_skew.json"],
     ]
+    for cmd in ("obstruction", "lift"):
+        argvs += [[cmd, "--dgla", "heis.json", "--tower", "3", "--element", "xy_heis.json"],
+                  [cmd, "--pair", "pair_idid_heis.json", "--tower", "3",
+                   "--element", "triple_idid_heis.json"]]
     return [argv + ["--json"] for argv in argvs]
 
 
@@ -114,7 +142,7 @@ def reports() -> list[str]:
             for name in listing:
                 code, _out = run(["examples", "--write", name, "--out", f"{name}.json"])
                 assert code == 0, name
-            for name, doc in series_documents().items():
+            for name, doc in {**series_documents(), **lift_documents()}.items():
                 with open(f"{name}.json", "w", encoding="utf-8") as fh:
                     fh.write(canonical_json(doc))
             blocks = []
