@@ -260,39 +260,50 @@ def cmd_mc_check(args):
     return {"verified": triple.verified, "violations": _violations_json(report)}, 0
 
 
-def _obstruction_context(args):
+def _obstruction_input(args):
+    """The --tower extension's name, and over it the --element input of --dgla
+    or --pair as (obstruct, lift, key, show): its class, its lift given the
+    class, and the report key and coordinates of a lift."""
+    from .artin import tensor_dgla
+    from .maurer_cartan import (
+        lift_if_unobstructed,
+        lift_pair_if_unobstructed,
+        mc_element,
+        mc_triple,
+        obstruction_pair,
+        obstruction_single,
+        pair_setting,
+    )
+
     if bool(args.dgla) == bool(args.pair):
         raise MissingDocument("obstruction/lift need exactly one of --dgla or --pair")
     ext = _tower_extension(args.tower)
     coeff_digest = digest(serialize_artin(ext.A))
     ext_name = f"K[t]/t^{args.tower} -> K[t]/t^{args.tower - 1}"
-    return ext, coeff_digest, ext_name
-
-
-def _triple_from(args, h, g, ext, coeff_digest):
-    """The verified --element triple over the pair (h, g) and ext.A."""
-    from .maurer_cartan import mc_triple, pair_setting
-
-    s = pair_setting(h, g, ext.A)
-    x, y, p = resolve_triple(_load(args, args.element), s, digest(serialize_pair(h, g)),
-                             coeff_digest, args.element)
-    return mc_triple(s, x, y, p)
-
-
-def cmd_obstruction(args):
-    from .artin import tensor_dgla
-    from .maurer_cartan import mc_element, obstruction_pair, obstruction_single
-
-    ext, coeff_digest, ext_name = _obstruction_context(args)
     if args.dgla:
         L = parse_dgla_body(_load(args, args.dgla), "dgla")
         T = tensor_dgla(L, ext.A)
         x = mc_element(T, _element_from(args, args.element, T,
                                         digest(serialize_dgla(L)), coeff_digest, degree=1))
-        cls = obstruction_single(ext, x)
-    else:
-        h, g = parse_pair_body(_load(args, args.pair), "pair")
-        cls = obstruction_pair(ext, _triple_from(args, h, g, ext, coeff_digest))
+        TB = tensor_dgla(L, ext.B)
+        return (ext_name, lambda: obstruction_single(ext, x, tensor_B=TB),
+                lambda cls: lift_if_unobstructed(ext, x, cls, tensor_B=TB), "element",
+                lambda got: _scalars(element_coords_map(TB.space, got.element)))
+    h, g = parse_pair_body(_load(args, args.pair), "pair")
+    s = pair_setting(h, g, ext.A)
+    t = mc_triple(s, *resolve_triple(_load(args, args.element), s, digest(serialize_pair(h, g)),
+                                     coeff_digest, args.element))
+    sB = pair_setting(h, g, ext.B)
+    return (ext_name, lambda: obstruction_pair(ext, t, setting_B=sB),
+            lambda cls: lift_pair_if_unobstructed(ext, t, cls, setting_B=sB), "triple",
+            lambda got: {n: _scalars(element_coords_map(T.space, e))
+                         for n, T, e in (("x", sB.tL, got.x), ("y", sB.tN, got.y),
+                                         ("p", sB.tM, got.p))})
+
+
+def cmd_obstruction(args):
+    ext_name, obstruct, _lift, _key, _show = _obstruction_input(args)
+    cls = obstruct()
     return {
         "extension": ext_name,
         "class": _scalars(cls.label_map()),
@@ -302,44 +313,15 @@ def cmd_obstruction(args):
 
 
 def cmd_lift(args):
-    from .artin import tensor_dgla
-    from .maurer_cartan import (
-        NO_LIFT,
-        lift_if_unobstructed,
-        lift_pair_if_unobstructed,
-        mc_element,
-        obstruction_pair,
-        obstruction_single,
-        pair_setting,
-    )
+    from .maurer_cartan import NO_LIFT
 
-    ext, coeff_digest, ext_name = _obstruction_context(args)
-    if args.dgla:
-        L = parse_dgla_body(_load(args, args.dgla), "dgla")
-        T = tensor_dgla(L, ext.A)
-        TB = tensor_dgla(L, ext.B)
-        x = mc_element(T, _element_from(args, args.element, T,
-                                        digest(serialize_dgla(L)), coeff_digest, degree=1))
-        cls = obstruction_single(ext, x, tensor_B=TB)
-        got = lift_if_unobstructed(ext, x, cls, tensor_B=TB)
-        if got is NO_LIFT:
-            return {"extension": ext_name, "lifted": False, "element": None,
-                    "class": _scalars(cls.label_map())}, 0
-        return {"extension": ext_name, "lifted": True,
-                "element": _scalars(element_coords_map(TB.space, got.element))}, 0
-    h, g = parse_pair_body(_load(args, args.pair), "pair")
-    t = _triple_from(args, h, g, ext, coeff_digest)
-    sB = pair_setting(h, g, ext.B)
-    cls = obstruction_pair(ext, t, setting_B=sB)
-    got = lift_pair_if_unobstructed(ext, t, cls, setting_B=sB)
+    ext_name, obstruct, lift, key, show = _obstruction_input(args)
+    cls = obstruct()
+    got = lift(cls)
     if got is NO_LIFT:
-        return {"extension": ext_name, "lifted": False, "triple": None,
+        return {"extension": ext_name, "lifted": False, key: None,
                 "class": _scalars(cls.label_map())}, 0
-    return {"extension": ext_name, "lifted": True, "triple": {
-        "x": _scalars(element_coords_map(sB.tL.space, got.x)),
-        "y": _scalars(element_coords_map(sB.tN.space, got.y)),
-        "p": _scalars(element_coords_map(sB.tM.space, got.p)),
-    }}, 0
+    return {"extension": ext_name, "lifted": True, key: show(got)}, 0
 
 
 def cmd_h_trunc(args):
@@ -402,82 +384,90 @@ def cmd_h_embed(args):
     }}, 0
 
 
-def _example_documents() -> dict[str, dict]:
-    from . import library as lib
-    from .artin import tensor_dgla
-    from .maurer_cartan import pair_setting
-    from .path_object import poly_t_term
-
-    docs = {}
-    for name, fn in lib.EXAMPLE_DGLAS.items():
-        docs[name] = serialize_dgla(fn())
-    for name, fn in lib.EXAMPLE_PAIRS.items():
-        h, g = fn()
-        docs[name] = serialize_pair(h, g)
-    for name, fn in lib.EXAMPLE_ARTIN.items():
-        docs[f"artin_{name}"] = serialize_artin(fn())
-    docs["ext_poly2_mod_uu"] = serialize_extension(lib.extension_poly2_mod_uu())
-    docs["morphism_inj_acyclic"] = serialize_morphism(lib.pair_inj_abelian()[0])
-    # the obstruction walk-through element: x⊗t over obstructed ⊗ m_{K[t]/t²}
-    L = lib.obstructed()
-    A = lib.artin_kt(2)
-    T = tensor_dgla(L, A)
-    xt = T.element_from_labels({"x@t": 1}, 1)
-    docs["xt_obstructed"] = serialize_element(
-        xt, digest(serialize_dgla(L)), digest(serialize_artin(A)), 1)
-    # a verified triple for the pair walk-through
-    h, g = lib.pair_idid_obstructed()
-    s = pair_setting(h, g, A)
-    docs["triple_idid_obstructed"] = serialize_triple(
-        s.tL.element_from_labels({"x@t": 1}, 1),
-        s.tN.element_from_labels({"x@t": 1}, 1),
-        zero_element(s.tM.space, 0),
-        digest(serialize_pair(h, g)), digest(serialize_artin(A)))
-    # an H-element for h-embed: m = x·(t − t²) over the heis pair
-    hh, gg = lib.pair_idid_heis()
-    Lh = lib.heis()
-    x_basis = basis_element(Lh.space, 1, 0)
-    m = poly_t_term(Lh, 1, x_basis) + poly_t_term(Lh, 2, -x_basis)
-    docs["hpair_heis"] = serialize_hpair(
-        zero_element(Lh.space, 1), zero_element(Lh.space, 1), m,
-        digest(serialize_pair(hh, gg)))
-    return docs
-
-
-def cmd_examples(args):
+def _examples() -> dict:
+    """name -> (kind, build) for every built-in example: build gives the
+    library object of a dgla, pair or artin example and the document of the
+    others, so a command builds only the examples it names."""
     from . import library as lib
 
-    if args.write:
-        docs = _example_documents()
-        if args.write not in docs:
-            raise MissingDocument(f"no built-in example named {args.write!r}; "
-                                  f"try one of {sorted(docs)}")
-        text = canonical_json(docs[args.write])
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            return {"written": args.out, "name": args.write,
-                    "digest": digest(docs[args.write])}, 0
-        return docs[args.write], 0
-    listing = {}
-    for name, fn in lib.EXAMPLE_DGLAS.items():
-        L = fn()
-        listing[name] = {"kind": "dgla", "window": [L.space.dmin, L.space.dmax],
-                         "dims": {str(i): L.space.dim(i) for i in L.space.degrees()}}
-    for name, fn in lib.EXAMPLE_PAIRS.items():
-        h, g = fn()
-        listing[name] = {"kind": "pair", "windows": {
+    def xt_obstructed():
+        # the obstruction walk-through element: x⊗t over obstructed ⊗ m_{K[t]/t²}
+        from .artin import tensor_dgla
+
+        L, A = lib.obstructed(), lib.artin_kt(2)
+        xt = tensor_dgla(L, A).element_from_labels({"x@t": 1}, 1)
+        return serialize_element(xt, digest(serialize_dgla(L)), digest(serialize_artin(A)), 1)
+
+    def triple_idid_obstructed():
+        # a verified triple for the pair walk-through
+        from .maurer_cartan import pair_setting
+
+        h, g = lib.pair_idid_obstructed()
+        A = lib.artin_kt(2)
+        s = pair_setting(h, g, A)
+        return serialize_triple(
+            s.tL.element_from_labels({"x@t": 1}, 1), s.tN.element_from_labels({"x@t": 1}, 1),
+            zero_element(s.tM.space, 0), digest(serialize_pair(h, g)),
+            digest(serialize_artin(A)))
+
+    def hpair_heis():
+        # an H-element for h-embed: m = x·(t − t²) over the heis pair
+        from .path_object import poly_t_term
+
+        hh, gg = lib.pair_idid_heis()
+        Lh = lib.heis()
+        x_basis = basis_element(Lh.space, 1, 0)
+        m = poly_t_term(Lh, 1, x_basis) + poly_t_term(Lh, 2, -x_basis)
+        return serialize_hpair(zero_element(Lh.space, 1), zero_element(Lh.space, 1), m,
+                               digest(serialize_pair(hh, gg)))
+
+    table = {name: ("dgla", fn) for name, fn in lib.EXAMPLE_DGLAS.items()}
+    table.update((name, ("pair", fn)) for name, fn in lib.EXAMPLE_PAIRS.items())
+    table.update((f"artin_{name}", ("artin", fn)) for name, fn in lib.EXAMPLE_ARTIN.items())
+    table.update((name, ("document", fn)) for name, fn in (
+        ("ext_poly2_mod_uu", lambda: serialize_extension(lib.extension_poly2_mod_uu())),
+        ("morphism_inj_acyclic", lambda: serialize_morphism(lib.pair_inj_abelian()[0])),
+        ("xt_obstructed", xt_obstructed),
+        ("triple_idid_obstructed", triple_idid_obstructed),
+        ("hpair_heis", hpair_heis)))
+    return table
+
+
+def _listing(kind: str, build) -> dict:
+    """The examples --list entry of one example; a document is not built."""
+    if kind == "dgla":
+        L = build()
+        return {"kind": kind, "window": [L.space.dmin, L.space.dmax],
+                "dims": {str(i): L.space.dim(i) for i in L.space.degrees()}}
+    if kind == "pair":
+        h, g = build()
+        return {"kind": kind, "windows": {
             "L": [h.source.space.dmin, h.source.space.dmax],
             "N": [g.source.space.dmin, g.source.space.dmax],
             "M": [h.target.space.dmin, h.target.space.dmax],
         }}
-    for name, fn in lib.EXAMPLE_ARTIN.items():
-        A = fn()
-        listing[f"artin_{name}"] = {"kind": "artin", "dim": A.dim, "nu": A.nu}
-    for name in ("ext_poly2_mod_uu", "morphism_inj_acyclic", "xt_obstructed",
-                 "triple_idid_obstructed", "hpair_heis"):
-        listing[name] = {"kind": "document"}
-    return {"examples": listing}, 0
+    if kind == "artin":
+        A = build()
+        return {"kind": kind, "dim": A.dim, "nu": A.nu}
+    return {"kind": kind}
+
+
+def cmd_examples(args):
+    table = _examples()
+    if not args.write:
+        return {"examples": {name: _listing(*entry) for name, entry in table.items()}}, 0
+    if args.write not in table:
+        raise MissingDocument(f"no built-in example named {args.write!r}; "
+                              f"try one of {sorted(table)}")
+    kind, build = table[args.write]
+    serialize = {"dgla": serialize_dgla, "pair": lambda hg: serialize_pair(*hg),
+                 "artin": serialize_artin, "document": lambda doc: doc}[kind]
+    doc = serialize(build())
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(canonical_json(doc))
+        return {"written": args.out, "name": args.write, "digest": digest(doc)}, 0
+    return doc, 0
 
 
 # --- dispatch -------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 All series (gauge, BCH) are summed exactly; the coefficient algebra's power
 filtration certifies termination: every bracket raises the filtration level,
-and levels ≥ ν vanish.  Obstruction cocycles use the deterministic lifting
-section stored on the small extension; lift-independence is a theorem and is
-property-tested with alternate sections rather than assumed.
+and levels ≥ ν vanish.  An element and a triple share one obstruction-and-lift
+path; its cocycles use the lifting section stored on the small extension.  A
+different section is a different extension (dataclasses.replace), and that
+the class does not depend on it is a theorem, property-tested on such
+extensions rather than assumed.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .errors import (
     TargetMismatch,
 )
 from .graded import (
+    ChainComplex,
     CohomologyResult,
     GradedElement,
     GradedMap,
@@ -201,16 +204,6 @@ class NoLift:
 NO_LIFT = NoLift()
 
 
-def _section_matrix(ext: SmallExtension, section: la.Matrix | None) -> la.Matrix:
-    if section is None:
-        return ext.section
-    if len(section) != ext.B.dim or any(len(r) != ext.A.dim for r in section):
-        raise InvalidInput("alternate section has the wrong shape")
-    if la.mat_mul(ext.alpha, section) != la.identity(ext.A.dim):
-        raise InvalidInput("alternate section is not a right inverse of alpha")
-    return section
-
-
 def _j_components(T: TensorDgla, ext: SmallExtension,
                   x: GradedElement) -> list[GradedElement]:
     """Factor elements x_j with x = Σ_j x_j ⊗ J_j; error if x ∉ L ⊗ J."""
@@ -241,36 +234,77 @@ def _tensor_with_kernel(T_B: TensorDgla, ext: SmallExtension,
     return total
 
 
-def _single_class(ext: SmallExtension, x: McElement, section: la.Matrix | None,
-                  T_B: TensorDgla, H: CohomologyResult | None):
-    """x lifted by the section to x̃ over B, its cocycle dx̃ + ½[x̃, x̃], per J basis
-    vector its part h_j, and the classes of the h_j in H²(L) (computed in
-    degree 2 alone when H is None)."""
-    if x.tensor.coeff != ext.A:
-        raise BaseMismatch("element does not live over the extension's target")
-    L = x.tensor.factor
-    lifted = x.tensor.map_coefficients(x.element, _section_matrix(ext, section), T_B)
-    cocycle = mc_residual(T_B, lifted)
-    parts = _j_components(T_B, ext, cocycle)
-    H = H if H is not None else compute_cohomology(L.complex, (2,))
+def _obstruction_problem(ext: SmallExtension, pieces, cocycle: Callable, cx: ChainComplex,
+                         embed: Callable, split: Callable, verified: Callable,
+                         cls: ObstructionClass | None = None):
+    """Lift MC data along the small extension 0 → J → B → A → 0: one path for
+    an element and a triple (Fantechi and Manetti 1998; Manetti 1999).
+
+    pieces holds (T_A, piece over A, T_B) per piece: (x) for an element,
+    (x, y, p) for a triple.  Each piece is lifted by ext.section, and cocycle
+    maps the lifted pieces to the cocycle, one component per piece in that
+    piece's T_B.  For each J basis vector J_j, embed sends the j-th parts of
+    the components to a degree-2 element of cx, which must be a cycle; its
+    class is read in H²(cx) alone.
+
+    Without cls, returns (cohomology, J labels, class coordinates, cocycle).
+    With cls, the recomputed coordinates must be cls.coords.  A nonzero class
+    gives NO_LIFT.  A vanishing one gives w_j with D w_j = part j, split sends
+    w_j to per-piece corrections, and the result is verified(*bars) for
+    bar = lifted piece − Σ_j w_j ⊗ J_j, each bar checked to project back.
+    """
+    if any(TA.coeff != ext.A for TA, _e, _TB in pieces):
+        raise BaseMismatch("input does not live over the extension's target")
+    lifted = [TA.map_coefficients(e, ext.section, TB) for TA, e, TB in pieces]
+    cocyc = cocycle(*lifted)
+    parts = [embed(*js) for js in
+             zip(*(_j_components(TB, ext, c) for (_TA, _e, TB), c in zip(pieces, cocyc)))]
+    H = compute_cohomology(cx, (2,)) if cls is None else cls.cohomology
     coords = []
     for part in parts:
-        if not L.differential_of(part).is_zero():
+        if not cx.differential_of(part).is_zero():
             raise InvalidInput("internal: obstruction cocycle is not a cycle")
         coords.append(tuple(H.class_of(part, degree=2)))
-    return lifted, cocycle, parts, H, tuple(coords)
+    if cls is None:
+        jlabels = tuple(ext.kernel_label(j) for j in range(ext.kernel_dim))
+        return H, jlabels, tuple(coords), cocyc
+    if tuple(coords) != cls.coords:
+        raise InconsistentInput("class does not match the recomputed cocycle projection")
+    if not cls.is_zero():
+        return NO_LIFT
+    corrections: list[list[GradedElement]] = [[] for _ in pieces]
+    for part in parts:
+        w = zero_element(cx.space, 1)
+        if not part.is_zero():
+            sol = la.solve(cx.d.matrix(1), part.component_vector(2), cols=cx.space.dim(1))
+            if sol is None:
+                raise InvalidInput("internal: vanishing class but the cocycle is no boundary")
+            w = element_from_vector(cx.space, 1, sol)
+        for acc, wp in zip(corrections, split(w)):
+            acc.append(wp)
+    out = []
+    for (TA, e, TB), lt, ws in zip(pieces, lifted, corrections):
+        bar = lt - _tensor_with_kernel(TB, ext, ws)
+        if TB.map_coefficients(bar, ext.alpha, TA) != e:
+            raise InvalidInput("internal: lift does not project to the input")
+        out.append(bar)
+    return verified(*out)
+
+
+def _element_problem(ext: SmallExtension, x: McElement, T_B: TensorDgla | None) -> tuple:
+    """The obstruction problem of x: one piece, with its class in H²(L)."""
+    T_B = T_B if T_B is not None else tensor_dgla(x.tensor.factor, ext.B)
+    return (ext, [(x.tensor, x.element, T_B)], lambda xt: (mc_residual(T_B, xt),),
+            x.tensor.factor.complex, lambda h: h, lambda w: (w,),
+            lambda xbar: mc_element(T_B, xbar))
 
 
 def obstruction_single(ext: SmallExtension, x: McElement, *,
-                       section: la.Matrix | None = None,
-                       tensor_B: TensorDgla | None = None,
-                       cohomology: CohomologyResult | None = None) -> ObstructionClass:
+                       tensor_B: TensorDgla | None = None) -> ObstructionClass:
     """Obstruction class in H²(L) ⊗ J to lifting x along the small extension."""
     if not x.verified:
         raise NotVerifiedMC("obstruction_single requires a verified MC element")
-    T_B = tensor_B if tensor_B is not None else tensor_dgla(x.tensor.factor, ext.B)
-    _lifted, cocycle, _parts, H, coords = _single_class(ext, x, section, T_B, cohomology)
-    jlabels = tuple(ext.kernel_label(j) for j in range(ext.kernel_dim))
+    H, jlabels, coords, (cocycle,) = _obstruction_problem(*_element_problem(ext, x, tensor_B))
     return ObstructionClass(H, 2, jlabels, coords, cocycle)
 
 
@@ -279,29 +313,7 @@ def lift_if_unobstructed(ext: SmallExtension, x: McElement, cls: ObstructionClas
     """Constructive lift x̄ = x̃ − q when the class vanishes; NoLift otherwise."""
     if not x.verified:
         raise NotVerifiedMC("lift_if_unobstructed requires a verified MC element")
-    L = x.tensor.factor
-    T_B = tensor_B if tensor_B is not None else tensor_dgla(L, ext.B)
-    lifted, _cocycle, parts, _H, coords = _single_class(ext, x, None, T_B, cls.cohomology)
-    if coords != cls.coords:
-        raise InconsistentInput("class does not match the recomputed cocycle projection")
-    if not cls.is_zero():
-        return NO_LIFT
-    q_parts = []
-    for part in parts:
-        if part.is_zero():
-            q_parts.append(zero_element(L.space, 1))
-            continue
-        dmat = L.complex.d.matrix(1)
-        sol = la.solve(dmat, part.component_vector(2), cols=L.space.dim(1))
-        if sol is None:
-            raise InvalidInput("internal: vanishing class but dq = h unsolvable")
-        q_parts.append(element_from_vector(L.space, 1, sol))
-    q = _tensor_with_kernel(T_B, ext, q_parts)
-    lifted_mc = lifted - q
-    out = mc_element(T_B, lifted_mc)
-    if T_B.map_coefficients(lifted_mc, ext.alpha, x.tensor) != x.element:
-        raise InvalidInput("internal: lift does not project to x")
-    return out
+    return _obstruction_problem(*_element_problem(ext, x, tensor_B), cls)
 
 
 # --- pair functor ------------------------------------------------------------
@@ -431,66 +443,34 @@ class PairObstructionClass(ObstructionClass):
     cone: ConeComplex = None
 
 
-def _lifted_triple(ext: SmallExtension, t: McTriple, sB: PairSetting, section: la.Matrix):
-    """The triple lifted by section to (x̃, ỹ, q) over B, its cocycle (l, k, r)
-    with r = −g(ỹ) + e^q * h(x̃), and per J basis vector the parts (l_j, k_j, r_j)."""
+def _triple_problem(ext: SmallExtension, t: McTriple, sB: PairSetting | None,
+                    cone: ConeComplex) -> tuple:
+    """The obstruction problem of t: pieces (x, y, p), cocycle (l, k, r) with
+    r = −g(ỹ) + e^q * h(x̃), and its class in H²(C_{(h,g)})."""
     s = t.setting
-    xt = s.tL.map_coefficients(t.x, section, sB.tL)
-    yt = s.tN.map_coefficients(t.y, section, sB.tN)
-    q = s.tM.map_coefficients(t.p, section, sB.tM)
-    cocycle = (mc_residual(sB.tL, xt), mc_residual(sB.tN, yt),
-               -sB.apply_g(yt) + gauge_apply(sB.tM, q, sB.apply_h(xt)))
-    parts = [_j_components(T, ext, c) for T, c in zip((sB.tL, sB.tN, sB.tM), cocycle)]
-    return (xt, yt, q), cocycle, list(zip(*parts))
+    sB = sB if sB is not None else pair_setting(s.h, s.g, ext.B)
 
+    def cocycle(xt, yt, q):
+        return (mc_residual(sB.tL, xt), mc_residual(sB.tN, yt),
+                -sB.apply_g(yt) + gauge_apply(sB.tM, q, sB.apply_h(xt)))
 
-def _cone_element(cone: ConeComplex, lkr) -> GradedElement:
-    l, k, r = lkr
-    return cone.embed("L", l) + cone.embed("N", k) + cone.embed("M", r)
+    def embed(l, k, r):
+        return cone.embed("L", l) + cone.embed("N", k) + cone.embed("M", r)
 
-
-def _pair_class(ext: SmallExtension, t: McTriple, sB: PairSetting,
-                section: la.Matrix | None, cone: ConeComplex, H: CohomologyResult | None):
-    """The lifted triple, its cocycle and J-parts as in _lifted_triple, after
-    checking each part is a D-cycle, and the classes of the parts in
-    H²(C_{(h,g)}) (computed in degree 2 alone when H is None)."""
-    s = t.setting
-    if s.coeff != ext.A:
-        raise BaseMismatch("triple does not live over the extension's target")
-    lifted, cocycle, parts = _lifted_triple(ext, t, sB, _section_matrix(ext, section))
-    L, N, M = s.h.source, s.g.source, s.h.target
-    H = H if H is not None else compute_cohomology(cone.complex, (2,))
-    coords = []
-    for lj, kj, rj in parts:
-        if not L.differential_of(lj).is_zero() or not N.differential_of(kj).is_zero():
-            raise InvalidInput("internal: obstruction cocycle is not a cycle")
-        cyc = -M.differential_of(rj) - s.g.apply(kj) + s.h.apply(lj)
-        if not cyc.is_zero():
-            raise InvalidInput("internal: −dr − g(k) + h(l) ≠ 0")
-        coords.append(tuple(H.class_of(_cone_element(cone, (lj, kj, rj)), degree=2)))
-    return lifted, cocycle, parts, H, tuple(coords)
+    return (ext, [(s.tL, t.x, sB.tL), (s.tN, t.y, sB.tN), (s.tM, t.p, sB.tM)], cocycle,
+            cone.complex, embed, lambda w: [cone.project(n, w) for n in "LNM"],
+            lambda *xyp: mc_triple(sB, *xyp))
 
 
 def obstruction_pair(ext: SmallExtension, t: McTriple, *,
-                     section: la.Matrix | None = None,
-                     setting_B: PairSetting | None = None,
-                     cone: ConeComplex | None = None,
-                     cohomology: CohomologyResult | None = None) -> PairObstructionClass:
-    """Obstruction class of a verified triple along a small extension.
-
-    Lifts (x, y, p) by the extension's section, forms the cocycle
-    (l, k, r) with r = −g(ỹ) + e^q * h(x̃), checks it is a D-cycle, and
-    projects into H²(C_{(h,g)}) ⊗ J.
-    """
+                     setting_B: PairSetting | None = None) -> PairObstructionClass:
+    """Obstruction class in H²(C_{(h,g)}) ⊗ J to lifting a verified triple
+    along the small extension."""
     if not t.verified:
         raise NotVerifiedTriple("obstruction_pair requires a verified triple")
-    s = t.setting
-    sB = setting_B if setting_B is not None else pair_setting(s.h, s.g, ext.B)
-    the_cone = cone if cone is not None else cone_pair(s.h, s.g)
-    _lifted, cocycle, _parts, H, coords = _pair_class(ext, t, sB, section, the_cone,
-                                                      cohomology)
-    jlabels = tuple(ext.kernel_label(j) for j in range(ext.kernel_dim))
-    return PairObstructionClass(H, 2, jlabels, coords, cocycle, the_cone)
+    cone = cone_pair(t.setting.h, t.setting.g)
+    H, jlabels, coords, cocycle = _obstruction_problem(*_triple_problem(ext, t, setting_B, cone))
+    return PairObstructionClass(H, 2, jlabels, coords, cocycle, cone)
 
 
 def lift_pair_if_unobstructed(ext: SmallExtension, t: McTriple,
@@ -499,36 +479,7 @@ def lift_pair_if_unobstructed(ext: SmallExtension, t: McTriple,
     """Constructive lift (x̃−u, ỹ−v, q−z) when the class vanishes."""
     if not t.verified:
         raise NotVerifiedTriple("lift_pair_if_unobstructed requires a verified triple")
-    s = t.setting
-    sB = setting_B if setting_B is not None else pair_setting(s.h, s.g, ext.B)
-    the_cone = cls.cone
-    (xt, yt, q), _cocycle, parts, _H, coords = _pair_class(ext, t, sB, None, the_cone,
-                                                          cls.cohomology)
-    if coords != cls.coords:
-        raise InconsistentInput("class does not match the recomputed cocycle projection")
-    if not cls.is_zero():
-        return NO_LIFT
-    cone_cx = the_cone.complex
-    u_parts, v_parts, z_parts = [], [], []
-    for lkr in parts:
-        dmat = cone_cx.d.matrix(1)
-        sol = la.solve(dmat, _cone_element(the_cone, lkr).component_vector(2),
-                       cols=cone_cx.space.dim(1))
-        if sol is None:
-            raise InvalidInput("internal: vanishing class but D(u,v,z) = (l,k,r) unsolvable")
-        w = element_from_vector(cone_cx.space, 1, sol)
-        u_parts.append(the_cone.project("L", w))
-        v_parts.append(the_cone.project("N", w))
-        z_parts.append(the_cone.project("M", w))
-    xbar = xt - _tensor_with_kernel(sB.tL, ext, u_parts)
-    ybar = yt - _tensor_with_kernel(sB.tN, ext, v_parts)
-    pbar = q - _tensor_with_kernel(sB.tM, ext, z_parts)
-    out = mc_triple(sB, xbar, ybar, pbar)
-    if sB.tL.map_coefficients(xbar, ext.alpha, s.tL) != t.x or \
-       sB.tN.map_coefficients(ybar, ext.alpha, s.tN) != t.y or \
-       sB.tM.map_coefficients(pbar, ext.alpha, s.tM) != t.p:
-        raise InvalidInput("internal: lifted triple does not project to the input")
-    return out
+    return _obstruction_problem(*_triple_problem(ext, t, setting_B, cls.cone), cls)
 
 
 # --- gauge equivalence decision ----------------------------------------------

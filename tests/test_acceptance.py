@@ -12,6 +12,7 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import mutations
@@ -186,11 +187,9 @@ def test_obstruction_completeness_pair():
         for step in (tower[1], tower[2]):
             s = pair_setting(*fn(), step.A)
             sB = pair_setting(*fn(), step.B)
-            cone = cone_pair(*fn())
-            H = compute_cohomology(cone.complex)
             for _ in range(2):
                 t = rand_triple(rnd, name, s)
-                cls = obstruction_pair(step, t, setting_B=sB, cone=cone, cohomology=H)
+                cls = obstruction_pair(step, t, setting_B=sB)
                 # cocycle is a D-cycle: recheck explicitly on the J components
                 l, k, r = cls.cocycle
                 h, g = s.h, s.g
@@ -207,8 +206,7 @@ def test_obstruction_completeness_pair():
                 for i in range(step.B.dim):
                     alt[i] = [v + step.kernel[0][i] * F(1) * a for v, a in
                               zip(alt[i], [1] * step.A.dim)]
-                cls_alt = obstruction_pair(step, t, section=alt, setting_B=sB,
-                                           cone=cone, cohomology=H)
+                cls_alt = obstruction_pair(replace(step, section=alt), t, setting_B=sB)
                 assert cls.coords == cls_alt.coords
                 # completeness: class = 0 ⟺ constructive lift succeeds
                 got = lift_pair_if_unobstructed(step, t, cls, setting_B=sB)

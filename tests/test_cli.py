@@ -52,7 +52,7 @@ class TestExamples:
         names = report["result"]["examples"]
         assert "obstructed" in names and "pair_idid_heis" in names
         # the listing is built without the documents; it names each of them
-        assert sorted(names) == sorted(cli._example_documents())
+        assert sorted(names) == sorted(cli._examples())
 
     def test_unknown_name(self):
         code, _out, err = run_cli(["examples", "--write", "nope"])
@@ -622,6 +622,10 @@ class TestColdImports:
     def test_dgla_and_pair_commands_stay_lazy(self, docs, command, name):
         loaded = cold_modules([command, docs[name], "--json"])
         assert not loaded & set(LAZY), command
+
+    def test_examples_write_builds_only_its_example(self, tmp_path):
+        loaded = cold_modules(["examples", "--write", "heis", "--out", str(tmp_path / "h.json")])
+        assert not loaded & {"mcdeform.maurer_cartan", "mcdeform.path_object"}
 
     def test_every_command_has_a_golden_report(self):
         # a handler that misses one of its imports fails its golden report

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -305,8 +306,19 @@ class TestObstructionSingle:
         for _ in range(5):
             # randomized section: t ↦ t + c·t² still satisfies α∘s = id
             alt = [[F(1)], [F(rnd.randint(-4, 4))]]
-            cls2 = obstruction_single(ext, x, section=alt)
+            cls2 = obstruction_single(replace(ext, section=alt), x)
             assert cls1.coords == cls2.coords
+
+    @pytest.mark.parametrize("section, reason", [
+        ([[F(1)]], "section has the wrong shape"),
+        ([[F(1), F(0)], [F(0), F(1)]], "section has the wrong shape"),
+        ([[F(2)], [F(1)]], "section is not a right inverse of alpha"),
+    ])
+    def test_alternate_section_is_checked_by_the_extension(self, section, reason):
+        # an alternate section is an alternate extension, checked on construction
+        ext, _T, _x = obstructed_setup()
+        with pytest.raises(InvalidInput, match=reason):
+            replace(ext, section=section)
 
     def test_lift_with_zero_cocycle_returns_lift_unchanged(self):
         # abelian acyclic: x = v⊗t lifts to v⊗t itself (h = 0 so q = 0)
@@ -586,7 +598,7 @@ class TestObstructionPair:
                       zero_element(s.tM.space, 0))
         alt = [[F(1)], [F(-2)]]  # t ↦ t − 2t²
         cls1 = obstruction_pair(ext, t)
-        cls2 = obstruction_pair(ext, t, section=alt)
+        cls2 = obstruction_pair(replace(ext, section=alt), t)
         assert cls1.coords == cls2.coords
 
     def test_unverified_triple_rejected(self):

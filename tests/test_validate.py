@@ -32,15 +32,18 @@ def assert_same(fast, reference):
     assert [str(v) for v in fast] == [str(v) for v in reference]
 
 
+ORDERED = ("leibniz", "jacobi", "bracket_preservation")
+
+
 def in_basis_order(L, report):
-    """The report without the Leibniz pairs and Jacobi triples whose basis
-    vectors are out of basis order: the pairs a ≤ b and triples a ≤ b ≤ c
-    remain, every other entry is kept."""
+    """The report without the Leibniz and bracket-preservation pairs and the
+    Jacobi triples whose basis vectors (of L) are out of basis order: the
+    pairs a ≤ b and triples a ≤ b ≤ c remain, every other entry is kept."""
     def ordered(v):
         keys = [L.space.locate(lab) for lab in v.witness]
         return keys == sorted(keys)
 
-    return [v for v in report if v.axiom not in ("leibniz", "jacobi") or ordered(v)]
+    return [v for v in report if v.axiom not in ORDERED or ordered(v)]
 
 
 def assert_matches_brute_force(L):
@@ -52,12 +55,21 @@ def assert_matches_brute_force(L):
     return fast
 
 
+def assert_morphism_matches_brute_force(phi):
+    """validate_morphism is the brute report over the ordered pairs, and it is
+    empty exactly when the report over all of them is."""
+    fast, reference = validate_morphism(phi), brute.validate_morphism(phi)
+    assert_same(fast, in_basis_order(phi.source, reference))
+    assert bool(fast) == bool(reference)
+    return fast
+
+
 @pytest.mark.parametrize("name, L", mutations.corpus(), ids=[n for n, _ in mutations.corpus()])
 def test_mutation_corpus_matches_brute_force(name, L):
     assert assert_matches_brute_force(L), name
     # doubling every vector breaks bracket preservation wherever a bracket is nonzero
     twice = DglaMorphism(L, L, identity_map(L.space).scale(2))
-    assert_same(validate_morphism(twice), brute.validate_morphism(twice))
+    assert_morphism_matches_brute_force(twice)
 
 
 @pytest.mark.parametrize("name", sorted(lib.EXAMPLE_DGLAS))
@@ -65,13 +77,13 @@ def test_builtin_dglas_match_brute_force(name):
     L = lib.EXAMPLE_DGLAS[name]()
     assert validate_dgla(L) == brute.validate_dgla(L) == []
     for phi in (identity_morphism(L), zero_morphism(L, L)):
-        assert_same(validate_morphism(phi), brute.validate_morphism(phi))
+        assert_morphism_matches_brute_force(phi)
 
 
 @pytest.mark.parametrize("name", sorted(lib.EXAMPLE_PAIRS))
 def test_builtin_pairs_match_brute_force(name):
     for phi in lib.EXAMPLE_PAIRS[name]():
-        assert_same(validate_morphism(phi), brute.validate_morphism(phi))
+        assert_morphism_matches_brute_force(phi)
         for D in (phi.source, phi.target):
             assert_matches_brute_force(D)
 
@@ -82,9 +94,7 @@ def test_morphism_violations_match_brute_force():
     A = lib.acyclic()
     dropped = morphism_from_labels(A, A, {"u": {"u": 1}})
     for phi in (scaled, dropped):
-        report = validate_morphism(phi)
-        assert report
-        assert_same(report, brute.validate_morphism(phi))
+        assert assert_morphism_matches_brute_force(phi)
 
 
 SMALL = ("heis0", "heis", "obstructed", "acyclic", "endo_acyclic", "sl2")
@@ -122,7 +132,25 @@ def test_corruptions_match_brute_force(case):
     assert_matches_brute_force(bad)
     for phi in (DglaMorphism(L, bad, identity_map(L.space)),
                 DglaMorphism(bad, L, identity_map(L.space))):
-        assert_same(validate_morphism(phi), brute.validate_morphism(phi))
+        assert_morphism_matches_brute_force(phi)
+
+
+@st.composite
+def random_maps(draw):
+    """A degree-0 map between two small built-in DGLAs with entries drawn
+    mostly from 0, so that some are morphisms and most are not."""
+    L, M = (lib.EXAMPLE_DGLAS[draw(st.sampled_from(SMALL))]() for _ in range(2))
+    scalar = st.sampled_from([0, 0, 0, 1, -1, 2]).map(Fraction)
+    blocks = {i: [[draw(scalar) for _p in range(L.space.dim(i))]
+                  for _q in range(M.space.dim(i))]
+              for i in L.space.degrees() if M.space.dim(i)}
+    return DglaMorphism(L, M, GradedMap(L.space, M.space, 0, blocks))
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_maps())
+def test_random_morphisms_match_brute_force(phi):
+    assert_morphism_matches_brute_force(phi)
 
 
 @st.composite
