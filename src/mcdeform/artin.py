@@ -649,30 +649,24 @@ def tensor_dgla(L: Dgla, A: CoefficientAlgebra) -> TensorDgla:
             d_images[(deg, k)] = GradedElement(tspace, coords, deg + 1)
     cx = ChainComplex(tspace, map_from_images(tspace, tspace, 1, d_images))
 
+    # [x⊗a, y⊗b] for each stored [x, y] and each nonzero product ab, in
+    # canonical order; a diagonal [x, x] takes each tensor pair once
+    products = {(a, b): ab for i, j in A.table for a, b in ((i, j), (j, i))
+                if (ab := A.product_basis(a, {b: ONE}))}
     entries = []
-    keys = sorted(from_tensor)
-    for t1 in keys:
-        i, p, a = from_tensor[t1]
-        for t2 in keys:
-            if t2 < t1:
+    for (x, y), val in L.brackets.items():
+        for (a, b), ab in products.items():
+            t1, t2 = to_tensor[(*x, a)], to_tensor[(*y, b)]
+            if x == y and t2 < t1:
                 continue
-            j, q, b = from_tensor[t2]
-            base = L.bracket_basis((i, p), (j, q))
-            if base.is_zero():
-                continue
-            ab = A.product_basis(a, {b: ONE})
-            if not ab:
-                continue
-            sign = ONE if (degs[a] * j) % 2 == 0 else -ONE
+            sign = ONE if (degs[a] * y[0]) % 2 == 0 else -ONE
             coords: dict[tuple[int, int], Fraction] = {}
-            for (dd, rr), c in base.coords.items():
+            for (dd, rr), c in val.coords.items():
                 for cidx, ce in ab.items():
                     key = to_tensor[(dd, rr, cidx)]
                     coords[key] = coords.get(key, ZERO) + sign * c * ce
-            val = GradedElement(tspace, coords)
-            if not val.is_zero():
-                entries.append((t1, t2, val))
-    tdgla = make_dgla(cx, entries)
+            entries.append((t1, t2, GradedElement(tspace, coords)))
+    tdgla = make_dgla(cx, sorted(entries, key=lambda e: sorted(e[:2])))
     return TensorDgla(tdgla, L, A, to_tensor, from_tensor, levels)
 
 

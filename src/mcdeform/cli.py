@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .dgla import (
@@ -575,6 +576,18 @@ def _input_digests(args) -> dict[str, str]:
 
 
 def main(argv=None) -> int:
+    """Run one command; a reader that closes stdout early (`mcdeform … | head`)
+    ends it with exit status 1 and no traceback."""
+    try:
+        status = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout to devnull: the flush at exit must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     args.loaded = {}

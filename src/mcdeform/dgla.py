@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
 from . import linalg as la
@@ -28,6 +29,7 @@ from .graded import (
     GradedSpace,
     basis_element,
     block_layout,
+    block_space,
     block_sum,
     direct_sum,
     element_from_labels,
@@ -36,6 +38,7 @@ from .graded import (
     identity_map,
     kernel_subcomplex,
     map_from_images,
+    place_blocks,
     zero_complex,
     zero_element,
     zero_map,
@@ -83,6 +86,8 @@ class Dgla:
             if not val.is_zero():
                 clean[(a, b)] = val
         object.__setattr__(self, "brackets", clean)
+        object.__setattr__(self, "_scale", lcm(*(c.denominator for val in clean.values()
+                                                 for c in val.coords.values())))
 
     @property
     def space(self) -> GradedSpace:
@@ -107,18 +112,24 @@ class Dgla:
         return stored
 
     def bracket(self, x: GradedElement, y: GradedElement) -> GradedElement:
-        """[x, y] from the stored constants of each support pair, summed into
-        one dict; a reversed pair carries the Koszul sign."""
-        out: dict[BasisKey, Fraction] = {}
+        """[x, y] from the stored constants of each support pair; a reversed pair
+        carries the Koszul sign.  Summed exactly in ints: x, y and the constants
+        (by _scale) times the lcm of their denominators, one Fraction per output."""
+        brackets, scale = self.brackets, self._scale
+        dx, dy = (lcm(*(c.denominator for c in z.coords.values())) for z in (x, y))
+        ys = [(b, c.numerator * (dy // c.denominator)) for b, c in y.coords.items()]
+        out: dict[BasisKey, int] = {}
         for a, cx in x.coords.items():
-            for b, cy in y.coords.items():
-                stored = self.brackets.get((a, b) if a <= b else (b, a))
+            cx = cx.numerator * (dx // cx.denominator)
+            for b, cy in ys:
+                stored = brackets.get((a, b) if a <= b else (b, a))
                 if stored is None:
                     continue
                 c = cx * cy if a <= b or (a[0] * b[0]) % 2 else -(cx * cy)
                 for k, v in stored.coords.items():
-                    out[k] = out.get(k, ZERO) + c * v
-        return GradedElement(self.space, out)
+                    out[k] = out.get(k, 0) + c * (v.numerator * (scale // v.denominator))
+        den = dx * dy * scale
+        return GradedElement(self.space, {k: Fraction(n, den) for k, n in out.items() if n})
 
     def is_abelian(self) -> bool:
         return not self.brackets
@@ -490,13 +501,12 @@ def cone_single(h) -> ConeComplex:
     h = _as_chain_map(h)
     L, M = h.source, h.target
     specs = [("L", L.space, 0), ("M", M.space, 1)]
-    space, ((in_l, pr_l), (in_m, pr_m)) = block_sum(specs)
-    d = (in_l.compose(L.d).compose(pr_l)
-         + in_m.compose(h.map).compose(pr_l)
-         - in_m.compose(M.d).compose(pr_m))
-    cx = ChainComplex(space, d)
+    space, layout = block_space(specs), block_layout(specs)
+    l, m = layout["L"], layout["M"]
+    cx = ChainComplex(space, place_blocks(space, space, 1, [
+        (1, L.d, l, l), (1, h.map, l, m), (-1, M.d, m, m)]))
     cx.require_d_squared_zero()
-    return ConeComplex(cx, "single", CONE_CONVENTION, h, None, block_layout(specs))
+    return ConeComplex(cx, "single", CONE_CONVENTION, h, None, layout)
 
 
 def cone_pair(h, g) -> ConeComplex:
@@ -504,22 +514,22 @@ def cone_pair(h, g) -> ConeComplex:
     h, g = _as_pair(h, g)
     L, N, M = h.source, g.source, h.target
     specs = [("L", L.space, 0), ("N", N.space, 0), ("M", M.space, 1)]
-    space, ((in_l, pr_l), (in_n, pr_n), (in_m, pr_m)) = block_sum(specs)
-    d = (in_l.compose(L.d).compose(pr_l)
-         + in_n.compose(N.d).compose(pr_n)
-         + in_m.compose(h.map).compose(pr_l)
-         - in_m.compose(g.map).compose(pr_n)
-         - in_m.compose(M.d).compose(pr_m))
-    cx = ChainComplex(space, d)
+    space, layout = block_space(specs), block_layout(specs)
+    l, n, m = layout["L"], layout["N"], layout["M"]
+    cx = ChainComplex(space, place_blocks(space, space, 1, [
+        (1, L.d, l, l), (1, N.d, n, n), (1, h.map, l, m), (-1, g.map, n, m), (-1, M.d, m, m)]))
     cx.require_d_squared_zero()
-    return ConeComplex(cx, "pair", CONE_CONVENTION, h, g, block_layout(specs))
+    return ConeComplex(cx, "pair", CONE_CONVENTION, h, g, layout)
 
 
 def difference_chain_map(h, g) -> ChainMap:
     """h − g: L ⊕ N → M, (l, n) ↦ h(l) − g(n), on the labelled direct sum."""
     h, g = _as_pair(h, g)
-    total, [(_il, proj_l), (_in, proj_n)] = direct_sum([("L", h.source), ("N", g.source)])
-    return ChainMap(total, h.target, h.map.compose(proj_l) - g.map.compose(proj_n))
+    total, _maps = direct_sum([("L", h.source), ("N", g.source)])
+    src = block_layout([("L", h.source.space, 0), ("N", g.source.space, 0)])
+    (m,) = block_layout([("M", h.target.space, 0)]).values()
+    return ChainMap(total, h.target, place_blocks(total.space, h.target.space, 0, [
+        (1, h.map, src["L"], m), (-1, g.map, src["N"], m)]))
 
 
 def cokernel(f: ChainMap) -> tuple[ChainComplex, ChainMap]:

@@ -602,13 +602,11 @@ def induced_cohomology_matrix(f: GradedMap, H_src: CohomologyResult,
     return la.from_columns(cols, H_tgt.dim(degree + f.degree))
 
 
-def block_sum(parts: Iterable[tuple[str, GradedSpace, int]]) -> tuple[
-        GradedSpace, list[tuple[GradedMap, GradedMap]]]:
+def block_space(parts: Iterable[tuple[str, GradedSpace, int]]) -> GradedSpace:
     """Labelled direct sum of (name, space, offset) parts.
 
     A part contributes space^{i−offset} to degree i, labelled "name:label";
-    within a degree the parts follow the given order.  Returns the total space
-    and one (embed, project) pair per part, of degrees offset and −offset.
+    within a degree the parts follow the given order.
     """
     parts = list(parts)
     dmin = min(s.dmin + off for _n, s, off in parts)
@@ -621,17 +619,21 @@ def block_sum(parts: Iterable[tuple[str, GradedSpace, int]]) -> tuple[
         if labels:
             basis[i] = labels
     # all parts empty: keep a legal empty window
-    total = GradedSpace(dmin, dmax, basis) if basis else zero_space()
+    return GradedSpace(dmin, dmax, basis) if basis else zero_space()
+
+
+def block_sum(parts: Iterable[tuple[str, GradedSpace, int]]) -> tuple[
+        GradedSpace, list[tuple[GradedMap, GradedMap]]]:
+    """block_space(parts) with one (embed, project) pair per part, of degrees
+    offset and −offset."""
+    parts = list(parts)
+    total = block_space(parts)
     maps = []
     for space, off, starts in block_layout(parts).values():
-        embed, project = {}, {}
-        for j, at in starts.items():
-            n, i = space.dim(j), j + off
-            embed[j] = [[ONE if r == at + c else ZERO for c in range(n)]
-                        for r in range(total.dim(i))]
-            project[i] = [[ONE if c == at + r else ZERO for c in range(total.dim(i))]
-                          for r in range(n)]
-        maps.append((GradedMap(space, total, off, embed), GradedMap(total, space, -off, project)))
+        (own,), part = block_layout([("", space, 0)]).values(), (space, off, starts)
+        ident = identity_map(space)
+        maps.append((place_blocks(space, total, off, [(1, ident, own, part)]),
+                     place_blocks(total, space, -off, [(1, ident, part, own)])))
     return total, maps
 
 
@@ -649,14 +651,35 @@ def block_layout(parts: Iterable[tuple[str, GradedSpace, int]]) -> dict[
     return layout
 
 
+def place_blocks(source: GradedSpace, target: GradedSpace, degree: int,
+                 terms: Iterable[tuple[int, GradedMap, tuple, tuple]]) -> GradedMap:
+    """Σ sign · embed_t ∘ f ∘ project_s over the terms (sign, f, s, t), s and t
+    block_layout parts of source and target: each block of f is written, times
+    its sign ±1, at the parts' offsets, with no embedding or projection built."""
+    blocks: dict[int, la.Matrix] = {}
+    for sign, f, (s_space, s_off, s_starts), (t_space, t_off, t_starts) in terms:
+        if f.source != s_space or f.target != t_space or f.degree + t_off - s_off != degree:
+            raise InvalidInput("map does not fit its blocks")
+        for j, block in f.blocks.items():
+            i = j + s_off
+            if i not in blocks:
+                blocks[i] = la.zeros(target.dim(i + degree), source.dim(i))
+            r0, c0 = t_starts[j + f.degree], s_starts[j]
+            for r, row in enumerate(block):
+                out = blocks[i][r0 + r]
+                for c, v in enumerate(row):
+                    if v:
+                        out[c0 + c] += v if sign > 0 else -v
+    return GradedMap(source, target, degree, blocks)
+
+
 def direct_sum(parts: Iterable[tuple[str, ChainComplex]]) -> tuple[
         ChainComplex, list[tuple[GradedMap, GradedMap]]]:
     """Labelled direct sum of complexes with the blockwise differential."""
     parts = list(parts)
-    space, maps = block_sum((name, cx.space, 0) for name, cx in parts)
-    d = zero_map(space, space, 1)
-    for (_name, cx), (embed, project) in zip(parts, maps):
-        d = d + embed.compose(cx.d).compose(project)
+    specs = [(name, cx.space, 0) for name, cx in parts]
+    (space, maps), layout = block_sum(specs), block_layout(specs)
+    d = place_blocks(space, space, 1, [(1, cx.d, layout[n], layout[n]) for n, cx in parts])
     return ChainComplex(space, d), maps
 
 

@@ -590,6 +590,22 @@ class TestDeterminism:
         assert code == 2
 
 
+class TestClosedPipe:
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_reader_gone_before_the_report(self, fmt):
+        # as under `mcdeform examples --list | head`, every write fails with EPIPE
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "mcdeform.cli", "examples", "--list",
+                                   *fmt], stdout=write_end, stderr=subprocess.PIPE,
+                                  text=True, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+
+
 # a cold process that runs one command (none without arguments) and prints
 # the mcdeform modules it loaded as the last line of its standard error
 COLD = """

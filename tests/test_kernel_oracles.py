@@ -1,0 +1,282 @@
+"""The integer bracket, the in-place block assembly and the tensor DGLA built
+from its factors, each compared for equality with the direct construction
+it replaces (tests/reference_kernels.py)."""
+
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import mutations
+import reference_kernels as ref
+from mcdeform import library as lib
+from mcdeform import linalg as la
+from mcdeform.artin import (
+    ArtinLocalAlgebra,
+    DgNilpotentAlgebra,
+    epsilon_algebra,
+    omega_complex,
+    tensor_dgla,
+    truncated_polynomial_algebra,
+)
+from mcdeform.dgla import (
+    ChainMap,
+    Dgla,
+    cone_pair,
+    cone_single,
+    difference_chain_map,
+    endomorphism_dgla,
+    identity_morphism,
+    zero_morphism,
+)
+from mcdeform.errors import DifferentialNotSquareZero, InvalidInput
+from mcdeform.graded import (
+    ChainComplex,
+    GradedElement,
+    GradedMap,
+    GradedSpace,
+    block_layout,
+    direct_sum,
+    identity_map,
+    place_blocks,
+    zero_element,
+    zero_map,
+)
+from util_random import dg_uw
+
+F = Fraction
+
+# distinct primes of 20 to 61 bits: the lcm of a few of them is a large integer
+PRIMES = (1_000_003, 1_000_033, 998_244_353, 2_147_483_647, 2**61 - 1)
+DENOMINATORS = (1, 1, 2, 3, 6, 7) + PRIMES
+
+
+def keys_of(space):
+    return [(i, p) for i in space.degrees() for p in range(space.dim(i))]
+
+
+def coefficients():
+    return st.builds(F, st.integers(-9, 9).filter(bool), st.sampled_from(DENOMINATORS))
+
+
+@st.composite
+def elements(draw, space, odd_only=False):
+    keys = [k for k in keys_of(space) if k[0] % 2 or not odd_only]
+    if not keys:
+        return zero_element(space)
+    support = draw(st.lists(st.sampled_from(keys), max_size=len(keys), unique=True))
+    return GradedElement(space, {k: draw(coefficients()) for k in support})
+
+
+@st.composite
+def random_tables(draw):
+    """A space in degrees −1..2 and random constants on random canonical
+    pairs, values in any degree: bracket reads the table, not the axioms."""
+    dims = draw(st.lists(st.integers(0, 3), min_size=4, max_size=4))
+    if not any(dims):
+        dims[1] = 1
+    space = GradedSpace(-1, 2, {deg: tuple(f"e{deg}_{i}" for i in range(n))
+                                for deg, n in zip(range(-1, 3), dims)})
+    keys = keys_of(space)
+    pairs = [(a, b) for a in keys for b in keys if a <= b]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=12, unique=True))
+    brackets = {pair: draw(elements(space)) for pair in chosen}
+    return Dgla(ChainComplex(space, zero_map(space, space, 1)), brackets)
+
+
+def assert_bracket_matches(L, x, y):
+    assert L.bracket(x, y) == ref.bracket(L, x, y)
+    assert L.bracket(x, x) == ref.bracket(L, x, x)
+
+
+class TestBracket:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_tables(self, data):
+        L = data.draw(random_tables())
+        assert_bracket_matches(L, data.draw(elements(L.space)), data.draw(elements(L.space)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_odd_by_odd_pairs(self, data):
+        # both orders of every odd pair: the reversed one carries the Koszul sign
+        L = data.draw(random_tables())
+        x = data.draw(elements(L.space, odd_only=True))
+        y = data.draw(elements(L.space, odd_only=True))
+        assert_bracket_matches(L, x, y)
+        assert_bracket_matches(L, y, x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_large_distinct_prime_denominators(self, data):
+        L = data.draw(random_tables())
+        keys = keys_of(L.space)
+        x = GradedElement(L.space, {k: F(j + 1, PRIMES[j % 3]) for j, k in enumerate(keys)})
+        y = GradedElement(L.space, {k: F(-1 - j, PRIMES[3 + j % 2]) for j, k in enumerate(keys)})
+        assert_bracket_matches(L, x, y)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_zero_elements(self, data):
+        L = data.draw(random_tables())
+        x, zero = data.draw(elements(L.space)), zero_element(L.space)
+        assert L.bracket(x, zero) == L.bracket(zero, x) == zero == ref.bracket(L, x, zero)
+        assert L.bracket(zero, zero) == zero
+
+    def test_non_integer_constants(self):
+        space = GradedSpace(0, 1, {0: ("a", "b"), 1: ("c",)})
+        c = GradedElement(space, {(1, 0): F(1, 6)})
+        L = Dgla(ChainComplex(space, zero_map(space, space, 1)),
+                 {((0, 0), (1, 0)): c, ((0, 1), (1, 0)): F(-3, 4) * c})
+        x = GradedElement(space, {(0, 0): F(2, 3), (0, 1): F(5, 7)})
+        y = GradedElement(space, {(1, 0): F(7, 10)})
+        expected = F(2, 3) * F(7, 10) * F(1, 6) + F(5, 7) * F(7, 10) * F(-1, 8)
+        assert L.bracket(x, y) == GradedElement(space, {(1, 0): expected})
+        assert_bracket_matches(L, x, y)
+
+    @pytest.mark.parametrize("name", sorted(lib.EXAMPLE_DGLAS))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_builtins_and_their_tensors(self, name, data):
+        L = lib.EXAMPLE_DGLAS[name]()
+        for D in (L, *(tensor_dgla(L, A).dgla for A in (
+                truncated_polynomial_algebra(4), dg_uw(), epsilon_algebra(1)))):
+            x, y = data.draw(elements(D.space)), data.draw(elements(D.space))
+            assert_bracket_matches(D, x, y)
+
+
+def end_complex(k: int, dense: bool) -> ChainComplex:
+    """V_k in degrees 0, 1 with d(u_i) = (i + 1)·v_i for i < k, or with d
+    multiplied by triangular matrices of ones on both sides, which is dense."""
+    n = k + 1
+    d = [[F(i + 1) if i == j and i < k else F(0) for j in range(n)] for i in range(n)]
+    if dense:
+        low = [[F(j <= i) for j in range(n)] for i in range(n)]
+        up = [list(row) for row in zip(*low)]
+        d = la.mat_mul(la.mat_mul(low, d), up)
+    space = GradedSpace(0, 1, {0: tuple(f"u{i}" for i in range(n)),
+                               1: tuple(f"v{i}" for i in range(n))})
+    return ChainComplex(space, GradedMap(space, space, 1, {0: d}))
+
+
+def cone_cases():
+    for name, fn in sorted(lib.EXAMPLE_PAIRS.items()):
+        yield name, fn()
+    for k in (1, 2):
+        for dense in (False, True):
+            L = endomorphism_dgla(end_complex(k, dense))
+            tag = f"End(V{k}):{'dense' if dense else 'sparse'}"
+            yield f"{tag}:idid", (identity_morphism(L), identity_morphism(L))
+            yield f"{tag}:idzero", (identity_morphism(L), zero_morphism(L, L))
+
+
+CONE_CASES = dict(cone_cases())
+
+
+def assert_same_cone(new, old):
+    assert new.complex.space == old.complex.space
+    assert new.complex.d.blocks == old.complex.d.blocks
+    assert new.layout == old.layout
+    assert (new.kind, new.convention, new.h, new.g) == (old.kind, old.convention, old.h, old.g)
+
+
+class TestBlockAssembly:
+    @pytest.mark.parametrize("name", sorted(CONE_CASES))
+    def test_cones_and_sums_match_the_composed_maps(self, name):
+        h, g = CONE_CASES[name]
+        assert_same_cone(cone_pair(h, g), ref.cone_pair(h, g))
+        assert_same_cone(cone_pair(g, h), ref.cone_pair(g, h))
+        for f in (h, g, difference_chain_map(h, g)):
+            assert_same_cone(cone_single(f), ref.cone_single(f))
+        diff, old = difference_chain_map(h, g), ref.difference_chain_map(h, g)
+        assert (diff.source, diff.target) == (old.source, old.target)
+        assert diff.map.blocks == old.map.blocks
+        parts = [("L", h.source.complex), ("N", g.source.complex), ("M", h.target.complex)]
+        (total, maps), (ref_total, ref_maps) = direct_sum(parts), ref.direct_sum(parts)
+        assert total.space == ref_total.space and total.d.blocks == ref_total.d.blocks
+        assert maps == ref_maps
+        for cone in (cone_pair(h, g), cone_single(h)):
+            specs = [(name, space, off) for name, (space, off, _s) in cone.layout.items()]
+            assert list(cone.parts.values()) == ref.block_sum(specs)[1]
+
+    def test_d_squared_nonzero_still_raises(self):
+        # h(a) = b with db = c: h is no chain map, and the cone's d² ≠ 0
+        A = GradedSpace(0, 1, {0: ("a",)})
+        B = GradedSpace(0, 1, {0: ("b",), 1: ("c",)})
+        src = ChainComplex(A, zero_map(A, A, 1))
+        tgt = ChainComplex(B, GradedMap(B, B, 1, {0: [[F(1)]]}))
+        h = ChainMap(src, tgt, GradedMap(A, B, 0, {0: [[F(1)]]}))
+        g = ChainMap(src, tgt, zero_map(A, B, 0))
+        for build in (lambda: cone_single(h), lambda: cone_pair(h, g),
+                      lambda: cone_pair(g, h), lambda: ref.cone_pair(h, g)):
+            with pytest.raises(DifferentialNotSquareZero):
+                build()
+
+    def test_terms_on_one_block_add(self):
+        V = end_complex(2, True)
+        (whole,) = block_layout([("V", V.space, 0)]).values()
+        twice = place_blocks(V.space, V.space, 1, [(1, V.d, whole, whole)] * 3
+                             + [(-1, V.d, whole, whole)])
+        assert twice == V.d.scale(2)
+
+    def test_a_map_off_its_blocks_is_refused(self):
+        V = end_complex(1, False)
+        specs = [("L", V.space, 0), ("M", V.space, 1)]
+        layout = block_layout(specs)
+        l, m = layout["L"], layout["M"]
+        total = cone_single(ChainMap(V, V, identity_map(V.space))).complex.space
+        with pytest.raises(InvalidInput):  # degree 0 + 0 − 0 ≠ 1
+            place_blocks(total, total, 1, [(1, identity_map(V.space), l, l)])
+        with pytest.raises(InvalidInput):  # a map of another space
+            place_blocks(total, total, 1, [(1, identity_map(total), l, m)])
+
+
+COEFFICIENT_ALGEBRAS = {
+    **{f"K[t]/t^{n}": truncated_polynomial_algebra(n) for n in range(2, 6)},
+    "eps0": epsilon_algebra(0), "eps1": epsilon_algebra(1), "omega1": omega_complex(1),
+    "uw": dg_uw(),
+}
+
+
+class TestTensorDgla:
+    @pytest.mark.parametrize("coeff", sorted(COEFFICIENT_ALGEBRAS))
+    def test_brackets_match_all_pairs(self, coeff):
+        A = COEFFICIENT_ALGEBRAS[coeff]
+        dglas = [(name, fn()) for name, fn in lib.EXAMPLE_DGLAS.items()]
+        dglas.append(("free_nilpotent_class3", lib.free_nilpotent_class3()))
+        if coeff in ("K[t]/t^3", "uw"):
+            # invalid tables too, among them nonzero [a, a] in even degree
+            dglas += mutations.corpus()
+        for name, L in dglas:
+            T = tensor_dgla(L, A)
+            expected = ref.tensor_brackets(T)
+            assert T.dgla.brackets == expected, name
+            assert list(T.dgla.brackets) == list(expected), name
+
+    def test_work_scales_with_stored_brackets(self, monkeypatch):
+        calls = Counter()
+
+        def counting(cls, method):
+            inner = getattr(cls, method)
+
+            def wrapper(*args, **kwargs):
+                calls[method] += 1
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(cls, method, wrapper)
+
+        counting(ArtinLocalAlgebra, "product_basis")
+        counting(DgNilpotentAlgebra, "product_basis")
+        counting(Dgla, "bracket_basis")
+        L = endomorphism_dgla(end_complex(1, False))
+        for A in (truncated_polynomial_algebra(3), truncated_polynomial_algebra(6), dg_uw()):
+            calls.clear()
+            T = tensor_dgla(L, A)
+            n = T.space.total_dim()
+            # each stored product of m_A is read in both orders, no bracket of L
+            # is looked up, and neither grows with the n² pairs of tensor keys
+            assert calls["product_basis"] <= 2 * len(A.table) < n
+            assert calls["bracket_basis"] == 0
+            calls.clear()
+            ref.tensor_brackets(T)
+            assert calls["bracket_basis"] >= n * (n + 1) // 2
