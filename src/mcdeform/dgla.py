@@ -27,9 +27,8 @@ from .graded import (
     GradedElement,
     GradedMap,
     GradedSpace,
+    Part,
     basis_element,
-    block_layout,
-    block_space,
     block_sum,
     direct_sum,
     element_from_labels,
@@ -39,6 +38,7 @@ from .graded import (
     kernel_subcomplex,
     map_from_images,
     place_blocks,
+    whole,
     zero_complex,
     zero_element,
     zero_map,
@@ -452,22 +452,16 @@ def _as_pair(h, g) -> tuple[ChainMap, ChainMap]:
 
 @dataclass(frozen=True)
 class ConeComplex:
-    """Suspended mapping cone with provenance and its block_layout.  Cones live
-    on in obstruction classes, so no part matrices are kept: embed and project
-    move basis keys, and parts builds the maps when asked."""
+    """Suspended mapping cone with provenance and its block_sum layout.  Cones
+    live on in obstruction classes, so no part matrices are kept: embed and
+    project move basis keys, and maps between cones are placed by layout."""
 
     complex: ChainComplex
     kind: str  # "single" or "pair"
     convention: str
     h: ChainMap
     g: ChainMap | None
-    layout: Mapping[str, tuple[GradedSpace, int, Mapping[int, int]]]
-
-    @property
-    def parts(self) -> dict[str, tuple[GradedMap, GradedMap]]:
-        """name -> (embed, project), as block_sum builds them."""
-        specs = [(name, space, off) for name, (space, off, _s) in self.layout.items()]
-        return dict(zip(self.layout, block_sum(specs)[1]))
+    layout: Mapping[str, Part]
 
     def embed(self, part: str, x: GradedElement) -> GradedElement:
         space, off, starts = self.layout[part]
@@ -500,8 +494,7 @@ def cone_single(h) -> ConeComplex:
     """Suspended cone of h: C_h^i = L^i ⊕ M^{i−1}, δ(l,m) = (dl, −dm + h(l))."""
     h = _as_chain_map(h)
     L, M = h.source, h.target
-    specs = [("L", L.space, 0), ("M", M.space, 1)]
-    space, layout = block_space(specs), block_layout(specs)
+    space, layout = block_sum([("L", L.space, 0), ("M", M.space, 1)])
     l, m = layout["L"], layout["M"]
     cx = ChainComplex(space, place_blocks(space, space, 1, [
         (1, L.d, l, l), (1, h.map, l, m), (-1, M.d, m, m)]))
@@ -513,8 +506,7 @@ def cone_pair(h, g) -> ConeComplex:
     """Suspended cone of a pair: D(l,n,m) = (dl, dn, −dm − g(n) + h(l))."""
     h, g = _as_pair(h, g)
     L, N, M = h.source, g.source, h.target
-    specs = [("L", L.space, 0), ("N", N.space, 0), ("M", M.space, 1)]
-    space, layout = block_space(specs), block_layout(specs)
+    space, layout = block_sum([("L", L.space, 0), ("N", N.space, 0), ("M", M.space, 1)])
     l, n, m = layout["L"], layout["N"], layout["M"]
     cx = ChainComplex(space, place_blocks(space, space, 1, [
         (1, L.d, l, l), (1, N.d, n, n), (1, h.map, l, m), (-1, g.map, n, m), (-1, M.d, m, m)]))
@@ -525,11 +517,10 @@ def cone_pair(h, g) -> ConeComplex:
 def difference_chain_map(h, g) -> ChainMap:
     """h − g: L ⊕ N → M, (l, n) ↦ h(l) − g(n), on the labelled direct sum."""
     h, g = _as_pair(h, g)
-    total, _maps = direct_sum([("L", h.source), ("N", g.source)])
-    src = block_layout([("L", h.source.space, 0), ("N", g.source.space, 0)])
-    (m,) = block_layout([("M", h.target.space, 0)]).values()
+    total, parts = direct_sum([("L", h.source), ("N", g.source)])
+    m = whole(h.target.space)
     return ChainMap(total, h.target, place_blocks(total.space, h.target.space, 0, [
-        (1, h.map, src["L"], m), (-1, g.map, src["N"], m)]))
+        (1, h.map, parts["L"], m), (-1, g.map, parts["N"], m)]))
 
 
 def cokernel(f: ChainMap) -> tuple[ChainComplex, ChainMap]:
@@ -572,11 +563,12 @@ def gamma_quotient_map(h, g) -> ChainMap:
             raise NotInjective(f"h has a kernel in degree {i}")
     src_cone = cone_pair(h, g)
     coker_cx, pi = cokernel(h)
-    pig = ChainMap(g.source, coker_cx, pi.map.compose(g.map))
-    tgt_cone = cone_single(pig)
-    m = (tgt_cone.parts["L"][0].compose(src_cone.parts["N"][1]).scale(-1)
-         + tgt_cone.parts["M"][0].compose(pi.map).compose(src_cone.parts["M"][1]))
-    gamma = ChainMap(src_cone.complex, tgt_cone.complex, m)
+    tgt_cone = cone_single(ChainMap(g.source, coker_cx, pi.map.compose(g.map)))
+    src, tgt = src_cone.layout, tgt_cone.layout
+    gamma = ChainMap(src_cone.complex, tgt_cone.complex, place_blocks(
+        src_cone.complex.space, tgt_cone.complex.space, 0, [
+            (-1, identity_map(g.source.space), src["N"], tgt["L"]),
+            (1, pi.map, src["M"], tgt["M"])]))
     if not gamma.commutes_with_d():
         raise InvalidInput("internal: γ is not a chain map")
     return gamma
@@ -585,15 +577,31 @@ def gamma_quotient_map(h, g) -> ChainMap:
 def swap_iso(h, g) -> ChainMap:
     """Involution C_{(h,g)} → C_{(g,h)} sending (l, n, m) to (−l, −n, m)."""
     h, g = _as_pair(h, g)
-    src = cone_pair(h, g)
-    tgt = cone_pair(g, h)
-    m = (tgt.parts["N"][0].compose(src.parts["L"][1]).scale(-1)
-         + tgt.parts["L"][0].compose(src.parts["N"][1]).scale(-1)
-         + tgt.parts["M"][0].compose(src.parts["M"][1]))
-    gamma = ChainMap(src.complex, tgt.complex, m)
-    if not gamma.commutes_with_d():
+    src, tgt = cone_pair(h, g), cone_pair(g, h)
+    s, t = src.layout, tgt.layout
+    swap = ChainMap(src.complex, tgt.complex, place_blocks(src.complex.space, tgt.complex.space, 0, [
+        (-1, identity_map(h.source.space), s["L"], t["N"]),
+        (-1, identity_map(g.source.space), s["N"], t["L"]),
+        (1, identity_map(h.target.space), s["M"], t["M"])]))
+    if not swap.commutes_with_d():
         raise InvalidInput("internal: swap is not a chain map")
-    return gamma
+    return swap
+
+
+def les_maps(h, g) -> tuple[ConeComplex, GradedMap, ChainMap, ChainMap]:
+    """The cone C of the pair and the maps of its long exact sequence:
+    ι: M → C of degree 1 (the M-part embedding), π: C → L⊕N (onto the
+    source parts) and the connecting map h − g: L⊕N → M."""
+    h, g = _as_pair(h, g)
+    cone = cone_pair(h, g)
+    conn = difference_chain_map(h, g)
+    _total, parts = block_sum([("L", h.source.space, 0), ("N", g.source.space, 0)])
+    c, M = cone.layout, h.target.space
+    iota = place_blocks(M, cone.complex.space, 1, [(1, identity_map(M), whole(M), c["M"])])
+    pi = place_blocks(cone.complex.space, conn.source.space, 0, [
+        (1, identity_map(h.source.space), c["L"], parts["L"]),
+        (1, identity_map(g.source.space), c["N"], parts["N"])])
+    return cone, iota, ChainMap(cone.complex, conn.source, pi), conn
 
 
 def les_exactness(h, g) -> list[Violation]:
@@ -606,60 +614,40 @@ def les_exactness(h, g) -> list[Violation]:
     """
     from .graded import compute_cohomology, induced_cohomology_matrix
 
-    h, g = _as_pair(h, g)
-    cone = cone_pair(h, g)
-    H_c = compute_cohomology(cone.complex)
-    total, [(inc_l, proj_l), (inc_n, proj_n)] = direct_sum([("L", h.source), ("N", g.source)])
-    H_sum = compute_cohomology(total)
-    H_m = compute_cohomology(h.target)
-
-    # ι: H^{i−1}(M) → H^i(C) via the M-part embedding (degree +1)
-    iota = cone.parts["M"][0]
-    # π: H^i(C) → H^i(L⊕N) projecting to the source parts
-    pi = inc_l.compose(cone.parts["L"][1]) + inc_n.compose(cone.parts["N"][1])
-    # connecting map: class of h(l) − g(n)
-    conn = h.map.compose(proj_l) - g.map.compose(proj_n)
-
+    cone, iota, pi, conn = les_maps(h, g)
+    H_c, H_sum, H_m = (compute_cohomology(cx) for cx in (cone.complex, conn.source, conn.target))
     report: list[Violation] = []
-    degrees = range(cone.complex.space.dmin - 1, cone.complex.space.dmax + 2)
-    for i in degrees:
-        mi = induced_cohomology_matrix(iota, H_m, H_c, i - 1)
-        mp = induced_cohomology_matrix(pi, H_c, H_sum, i)
-        mc = induced_cohomology_matrix(conn, H_sum, H_m, i)
-        mi_next = induced_cohomology_matrix(iota, H_m, H_c, i)
-        if not la.is_zero_matrix(la.mat_mul(mp, mi)):
-            report.append(Violation("les_composite", (f"H^{i}(C)",), "π∘ι ≠ 0"))
-        if la.rank(mi) != H_c.dim(i) - la.rank(mp):
-            report.append(Violation("les_exactness", (f"H^{i}(C)",),
-                                    f"rank ι = {la.rank(mi)}, nullity π = {H_c.dim(i) - la.rank(mp)}"))
-        if not la.is_zero_matrix(la.mat_mul(mc, mp)):
-            report.append(Violation("les_composite", (f"H^{i}(L⊕N)",), "conn∘π ≠ 0"))
-        if la.rank(mp) != H_sum.dim(i) - la.rank(mc):
-            report.append(Violation("les_exactness", (f"H^{i}(L⊕N)",),
-                                    f"rank π = {la.rank(mp)}, nullity conn = {H_sum.dim(i) - la.rank(mc)}"))
-        if not la.is_zero_matrix(la.mat_mul(mi_next, mc)):
-            report.append(Violation("les_composite", (f"H^{i}(M)",), "ι∘conn ≠ 0"))
-        if la.rank(mc) != H_m.dim(i) - la.rank(mi_next):
-            report.append(Violation("les_exactness", (f"H^{i}(M)",),
-                                    f"rank conn = {la.rank(mc)}, nullity ι = {H_m.dim(i) - la.rank(mi_next)}"))
+    for i in range(cone.complex.space.dmin - 1, cone.complex.space.dmax + 2):
+        maps = [("ι", induced_cohomology_matrix(iota, H_m, H_c, i - 1)),
+                ("π", induced_cohomology_matrix(pi.map, H_c, H_sum, i)),
+                ("conn", induced_cohomology_matrix(conn.map, H_sum, H_m, i)),
+                ("ι", induced_cohomology_matrix(iota, H_m, H_c, i))]
+        nodes = [(f"H^{i}(C)", H_c), (f"H^{i}(L⊕N)", H_sum), (f"H^{i}(M)", H_m)]
+        # node k sits between maps k (incoming) and k + 1 (outgoing)
+        for (node, H), (a, into), (b, out) in zip(nodes, maps, maps[1:]):
+            if not la.is_zero_matrix(la.mat_mul(out, into)):
+                report.append(Violation("les_composite", (node,), f"{b}∘{a} ≠ 0"))
+            nullity = H.dim(i) - la.rank(out)
+            if la.rank(into) != nullity:
+                report.append(Violation("les_exactness", (node,),
+                                        f"rank {a} = {la.rank(into)}, nullity {b} = {nullity}"))
     return report
 
 
 # --- fiber products --------------------------------------------------------
 
 
-def direct_sum_dgla(L: Dgla, N: Dgla, names: tuple[str, str]) -> tuple[
-        Dgla, GradedMap, GradedMap, GradedMap, GradedMap]:
-    """Product DGLA L × N with componentwise bracket."""
-    cx, [(inc_l, proj_l), (inc_n, proj_n)] = direct_sum(zip(names, (L.complex, N.complex)))
+def direct_sum_dgla(L: Dgla, N: Dgla, names: tuple[str, str]) -> tuple[Dgla, dict[str, Part]]:
+    """Product DGLA L × N with componentwise bracket, and its block_sum layout."""
+    cx, layout = direct_sum(zip(names, (L.complex, N.complex)))
 
-    def key(inc: GradedMap, k: BasisKey) -> BasisKey:
-        (image,) = inc.apply(basis_element(inc.source, *k)).coords
-        return image
+    def key(name: str, k: BasisKey) -> BasisKey:
+        return k[0], layout[name][2][k[0]] + k[1]
 
-    entries = [(key(inc, a), key(inc, b), inc.apply(val))
-               for D, inc in ((L, inc_l), (N, inc_n)) for (a, b), val in D.brackets.items()]
-    return make_dgla(cx, entries), inc_l, inc_n, proj_l, proj_n
+    entries = [(key(name, a), key(name, b),
+                GradedElement(cx.space, {key(name, k): c for k, c in val.coords.items()}, val.degree))
+               for name, D in zip(names, (L, N)) for (a, b), val in D.brackets.items()]
+    return make_dgla(cx, entries), layout
 
 
 @dataclass(frozen=True)
@@ -680,8 +668,8 @@ def fiber_product_dgla(h: DglaMorphism, g: DglaMorphism) -> FiberProduct:
     if h.target != g.target:
         raise TargetMismatch("h and g must share their target")
     L, N, M = h.source, g.source, h.target
-    product, inc_l, inc_n, proj_l, proj_n = direct_sum_dgla(L, N, ("L", "N"))
-    diff = h.map.compose(proj_l) - g.map.compose(proj_n)
+    product, _layout = direct_sum_dgla(L, N, ("L", "N"))
+    diff = difference_chain_map(h, g).map
     fcx, embed, restrict = kernel_subcomplex(product.complex, [diff], "fp")
     fspace = fcx.space
     keys = [(i, p) for i in fspace.degrees() for p in range(fspace.dim(i))]

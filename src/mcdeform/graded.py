@@ -602,60 +602,47 @@ def induced_cohomology_matrix(f: GradedMap, H_src: CohomologyResult,
     return la.from_columns(cols, H_tgt.dim(degree + f.degree))
 
 
-def block_space(parts: Iterable[tuple[str, GradedSpace, int]]) -> GradedSpace:
-    """Labelled direct sum of (name, space, offset) parts.
+Part = tuple[GradedSpace, int, Mapping[int, int]]  # (space, offset, starts), see block_sum
+
+
+def block_sum(parts: Iterable[tuple[str, GradedSpace, int]]) -> tuple[GradedSpace, dict[str, Part]]:
+    """Labelled direct sum of (name, space, offset) parts, and its layout.
 
     A part contributes space^{i−offset} to degree i, labelled "name:label";
-    within a degree the parts follow the given order.
+    within a degree the parts follow the given order.  The layout sends each
+    name to (space, offset, starts): degree j of the part begins at index
+    starts[j] of degree j + offset.  A repeated name raises InvalidInput.
     """
-    parts = list(parts)
-    dmin = min(s.dmin + off for _n, s, off in parts)
-    dmax = max(s.dmax + off for _n, s, off in parts)
-    basis = {}
-    for i in range(dmin, dmax + 1):
-        # interned: sums are rebuilt often with the same labels, and kept results share them
-        labels = tuple(sys.intern(f"{name}:{l}")
-                       for name, s, off in parts for l in s.labels(i - off))
-        if labels:
-            basis[i] = labels
-    # all parts empty: keep a legal empty window
-    return GradedSpace(dmin, dmax, basis) if basis else zero_space()
-
-
-def block_sum(parts: Iterable[tuple[str, GradedSpace, int]]) -> tuple[
-        GradedSpace, list[tuple[GradedMap, GradedMap]]]:
-    """block_space(parts) with one (embed, project) pair per part, of degrees
-    offset and −offset."""
-    parts = list(parts)
-    total = block_space(parts)
-    maps = []
-    for space, off, starts in block_layout(parts).values():
-        (own,), part = block_layout([("", space, 0)]).values(), (space, off, starts)
-        ident = identity_map(space)
-        maps.append((place_blocks(space, total, off, [(1, ident, own, part)]),
-                     place_blocks(total, space, -off, [(1, ident, part, own)])))
-    return total, maps
-
-
-def block_layout(parts: Iterable[tuple[str, GradedSpace, int]]) -> dict[
-        str, tuple[GradedSpace, int, dict[int, int]]]:
-    """name -> (space, offset, starts) for each part of block_sum(parts):
-    degree j of the part begins at index starts[j] of degree j + offset."""
-    used: dict[int, int] = {}
-    layout = {}
+    labels: dict[int, list[str]] = {}
+    layout: dict[str, Part] = {}
     for name, space, off in parts:
-        starts = {j: used.get(j + off, 0) for j in space.degrees() if space.dim(j)}
-        for j, at in starts.items():
-            used[j + off] = at + space.dim(j)
+        if name in layout:
+            raise InvalidInput(f"repeated part name {name!r} in a direct sum")
+        starts = {}
+        for j, own in space.basis.items():
+            column = labels.setdefault(j + off, [])
+            starts[j] = len(column)
+            # interned: sums are rebuilt often with the same labels, and kept results share them
+            column.extend(sys.intern(f"{name}:{l}") for l in own)
         layout[name] = (space, off, starts)
-    return layout
+    if not labels:  # all parts empty: keep a legal empty window
+        return zero_space(), layout
+    dmin = min(s.dmin + off for s, off, _s in layout.values())
+    dmax = max(s.dmax + off for s, off, _s in layout.values())
+    return GradedSpace(dmin, dmax, labels), layout
+
+
+def whole(space: GradedSpace) -> Part:
+    """space as the one part of itself, for place_blocks."""
+    return space, 0, {j: 0 for j in space.basis}
 
 
 def place_blocks(source: GradedSpace, target: GradedSpace, degree: int,
-                 terms: Iterable[tuple[int, GradedMap, tuple, tuple]]) -> GradedMap:
+                 terms: Iterable[tuple[int, GradedMap, Part, Part]]) -> GradedMap:
     """Σ sign · embed_t ∘ f ∘ project_s over the terms (sign, f, s, t), s and t
-    block_layout parts of source and target: each block of f is written, times
-    its sign ±1, at the parts' offsets, with no embedding or projection built."""
+    block_sum layout parts of source and target: each block of f is written,
+    times its sign ±1, at the parts' offsets, with no embedding or projection
+    built."""
     blocks: dict[int, la.Matrix] = {}
     for sign, f, (s_space, s_off, s_starts), (t_space, t_off, t_starts) in terms:
         if f.source != s_space or f.target != t_space or f.degree + t_off - s_off != degree:
@@ -673,14 +660,13 @@ def place_blocks(source: GradedSpace, target: GradedSpace, degree: int,
     return GradedMap(source, target, degree, blocks)
 
 
-def direct_sum(parts: Iterable[tuple[str, ChainComplex]]) -> tuple[
-        ChainComplex, list[tuple[GradedMap, GradedMap]]]:
-    """Labelled direct sum of complexes with the blockwise differential."""
+def direct_sum(parts: Iterable[tuple[str, ChainComplex]]) -> tuple[ChainComplex, dict[str, Part]]:
+    """Labelled direct sum of complexes with the blockwise differential, and
+    its block_sum layout."""
     parts = list(parts)
-    specs = [(name, cx.space, 0) for name, cx in parts]
-    (space, maps), layout = block_sum(specs), block_layout(specs)
+    space, layout = block_sum((name, cx.space, 0) for name, cx in parts)
     d = place_blocks(space, space, 1, [(1, cx.d, layout[n], layout[n]) for n, cx in parts])
-    return ChainComplex(space, d), maps
+    return ChainComplex(space, d), layout
 
 
 def kernel_subcomplex(ambient: ChainComplex, constraints: list[GradedMap], tag: str) -> tuple[

@@ -29,7 +29,8 @@ from .dgla import (
     zero_dgla,
     zero_morphism,
 )
-from .graded import ChainComplex, GradedSpace, element_from_labels, map_from_basis_images
+from .graded import (ChainComplex, GradedSpace, element_from_labels, identity_map,
+                     map_from_basis_images, place_blocks, whole)
 
 
 def _complex(window, basis, diff=None) -> ChainComplex:
@@ -140,9 +141,11 @@ def pair_idzero_heis0() -> tuple[DglaMorphism, DglaMorphism]:
 @lru_cache(maxsize=None)
 def pair_inj_abelian() -> tuple[DglaMorphism, DglaMorphism]:
     """h, g the two inclusions acyclic → acyclic ⊕ acyclic; h is injective."""
-    M, inc_a, inc_b, _pa, _pb = _sum_acyclic()
+    M, layout = _sum_acyclic()
     L = acyclic()
-    return DglaMorphism(L, M, inc_a), DglaMorphism(L, M, inc_b)
+    own, ident = whole(L.space), identity_map(L.space)
+    h, g = (place_blocks(L.space, M.space, 0, [(1, ident, own, layout[part])]) for part in "AB")
+    return DglaMorphism(L, M, h), DglaMorphism(L, M, g)
 
 
 @lru_cache(maxsize=None)

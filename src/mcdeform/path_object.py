@@ -36,6 +36,8 @@ from .graded import (
     direct_sum,
     kernel_subcomplex,
     map_from_images,
+    place_blocks,
+    whole,
     zero_element,
 )
 from .maurer_cartan import McTriple, PairSetting, gauge_apply, mc_residual
@@ -383,6 +385,31 @@ def barycentric_embed(x: HPairElement) -> KElement:
     return KElement(x.h, x.g, x.l, x.n, m1, m2, True)
 
 
+def truncated_H_constraints(h: DglaMorphism, g: DglaMorphism,
+                           window: TruncationWindow) -> tuple[ChainComplex, list[GradedMap]]:
+    """The ambient complex L ⊕ N ⊕ M[t,dt]_N of the truncated H_{(h,g)} and
+    its two constraints into M: (l, n, m) ↦ h(l) − e₁(m) and g(n) − e₀(m)."""
+    if h.target != g.target:
+        raise TargetMismatch("h and g must share their target")
+    L, N, M = h.source, g.source, h.target
+    path = truncated_path_complex(M, window.N)
+    pspace = path.complex.space
+    ambient, parts = direct_sum([("L", L.complex), ("N", N.complex), ("P", path.complex)])
+    m = whole(M.space)
+
+    # evaluation maps on the truncated path: e₁ sums t-part coefficients,
+    # e₀ keeps exponent 0; both land in M
+    def constraint(f: GradedMap, part: str, at_one: bool) -> GradedMap:
+        ev = map_from_images(pspace, M.space, 0, {
+            _path_key(M.space, window.N, "t", e, i, p): basis_element(M.space, i, p)
+            for i in M.space.degrees() for p in range(M.space.dim(i))
+            for e in range(window.N + 1 if at_one else 1)})
+        return place_blocks(ambient.space, M.space, 0, [(1, f, parts[part], m),
+                                                        (-1, ev, parts["P"], m)])
+
+    return ambient, [constraint(h.map, "L", True), constraint(g.map, "N", False)]
+
+
 def truncated_H_complex(h: DglaMorphism, g: DglaMorphism,
                         window: TruncationWindow) -> tuple[ChainComplex, GradedMap]:
     """Finite-dimensional model of H_{(h,g)}: the subcomplex of
@@ -390,25 +417,7 @@ def truncated_H_complex(h: DglaMorphism, g: DglaMorphism,
 
     Returns the subcomplex and its embedding into the ambient complex.
     """
-    if h.target != g.target:
-        raise TargetMismatch("h and g must share their target")
-    L, N, M = h.source, g.source, h.target
-    path = truncated_path_complex(M, window.N)
-    pspace = path.complex.space
-    ambient, [(_il, pr_L), (_in, pr_N), (_ip, pr_P)] = direct_sum(
-        [("L", L.complex), ("N", N.complex), ("P", path.complex)])
-
-    # evaluation maps on the truncated path: e₁ sums t-part coefficients,
-    # e₀ keeps exponent 0; both land in M
-    def eval_map(at_one: bool) -> GradedMap:
-        return map_from_images(pspace, M.space, 0, {
-            _path_key(M.space, window.N, "t", e, i, p): basis_element(M.space, i, p)
-            for i in M.space.degrees() for p in range(M.space.dim(i))
-            for e in range(window.N + 1 if at_one else 1)})
-
-    c1 = h.map.compose(pr_L) - eval_map(True).compose(pr_P)
-    c0 = g.map.compose(pr_N) - eval_map(False).compose(pr_P)
-    sub, embed, _restrict = kernel_subcomplex(ambient, [c1, c0], "H")
+    sub, embed, _restrict = kernel_subcomplex(*truncated_H_constraints(h, g, window), "H")
     sub.require_d_squared_zero()
     return sub, embed
 

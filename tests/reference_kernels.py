@@ -2,10 +2,14 @@
 
 - ``bracket``: [x, y] summed over Fractions, one product per support pair and
   structure constant (``Dgla.bracket`` sums over integers instead).
-- ``block_sum``: every embedding and projection as a matrix of ones and
-  zeros, and ``cone_single``, ``cone_pair``, ``direct_sum``,
-  ``difference_chain_map``: every block as embed ∘ f ∘ project, composed
-  from those maps (``graded.place_blocks`` writes the blocks in place instead).
+- ``block_sum``: every embedding and projection of a labelled direct sum as a
+  matrix of ones and zeros, each part found by its labels in the total space
+  (``graded.block_sum`` returns a layout of offsets instead).  ``cone_single``,
+  ``cone_pair``, ``direct_sum``, ``difference_chain_map``,
+  ``gamma_quotient_map``, ``swap_iso``, ``les_maps``, ``les_violations``,
+  ``truncated_H_constraints`` and ``direct_sum_dgla``: every map between sums
+  as embed ∘ f ∘ project, composed from those maps (``graded.place_blocks``
+  writes the blocks in place instead).
 - ``tensor_brackets``: the structure constants of L ⊗ m_A from every pair of
   tensor basis keys, through ``bracket_basis`` and ``product_basis``
   (``artin.tensor_dgla`` walks the stored brackets of L instead).
@@ -17,23 +21,33 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from mcdeform import graded
+from mcdeform import linalg as la
 from mcdeform.dgla import (
     CONE_CONVENTION,
     ChainMap,
     ConeComplex,
     Dgla,
+    Violation,
     _as_chain_map,
     _as_pair,
+    cokernel,
     make_dgla,
 )
 from mcdeform.graded import (
     ChainComplex,
     GradedElement,
     GradedMap,
-    block_layout,
-    block_space,
+    basis_element,
+    compute_cohomology,
+    identity_map,
+    induced_cohomology_matrix,
+    map_from_images,
+    place_blocks,
+    whole,
     zero_map,
 )
+from mcdeform.path_object import _path_key, truncated_path_complex
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
@@ -52,19 +66,43 @@ def bracket(L: Dgla, x: GradedElement, y: GradedElement) -> GradedElement:
 
 
 def block_sum(parts):
+    """graded.block_sum's total space with one (embed, project) pair per part,
+    the part's rows in each degree located by their labels "name:label"."""
     parts = list(parts)
-    total = block_space(parts)
+    total, _layout = graded.block_sum(parts)
     maps = []
-    for space, off, starts in block_layout(parts).values():
+    for name, space, off in parts:
         embed, project = {}, {}
-        for j, at in starts.items():
-            n, i = space.dim(j), j + off
-            embed[j] = [[ONE if r == at + c else ZERO for c in range(n)]
+        for j, labels in space.basis.items():
+            i = j + off
+            rows = []
+            for label in labels:
+                deg, row = total.locate(f"{name}:{label}")
+                assert deg == i
+                rows.append(row)
+            embed[j] = [[ONE if r == rows[c] else ZERO for c in range(len(rows))]
                         for r in range(total.dim(i))]
-            project[i] = [[ONE if c == at + r else ZERO for c in range(total.dim(i))]
-                          for r in range(n)]
+            project[i] = [[ONE if c == rows[r] else ZERO for c in range(total.dim(i))]
+                          for r in range(len(rows))]
         maps.append((GradedMap(space, total, off, embed), GradedMap(total, space, -off, project)))
     return total, maps
+
+
+def placed_maps(total, layout):
+    """The (embed, project) pair of each part of a layout, placed by
+    graded.place_blocks from identity maps: what block_sum must equal."""
+    maps = []
+    for space, off, starts in layout.values():
+        ident, part = identity_map(space), (space, off, starts)
+        maps.append((place_blocks(space, total, off, [(1, ident, whole(space), part)]),
+                     place_blocks(total, space, -off, [(1, ident, part, whole(space))])))
+    return maps
+
+
+def cone_maps(cone: ConeComplex) -> dict:
+    """name -> (embed, project) for each part of a cone."""
+    specs = [(name, space, off) for name, (space, off, _s) in cone.layout.items()]
+    return dict(zip(cone.layout, block_sum(specs)[1]))
 
 
 def cone_single(h) -> ConeComplex:
@@ -77,7 +115,7 @@ def cone_single(h) -> ConeComplex:
          - in_m.compose(M.d).compose(pr_m))
     cx = ChainComplex(space, d)
     cx.require_d_squared_zero()
-    return ConeComplex(cx, "single", CONE_CONVENTION, h, None, block_layout(specs))
+    return ConeComplex(cx, "single", CONE_CONVENTION, h, None, graded.block_sum(specs)[1])
 
 
 def cone_pair(h, g) -> ConeComplex:
@@ -92,7 +130,7 @@ def cone_pair(h, g) -> ConeComplex:
          - in_m.compose(M.d).compose(pr_m))
     cx = ChainComplex(space, d)
     cx.require_d_squared_zero()
-    return ConeComplex(cx, "pair", CONE_CONVENTION, h, g, block_layout(specs))
+    return ConeComplex(cx, "pair", CONE_CONVENTION, h, g, graded.block_sum(specs)[1])
 
 
 def direct_sum(parts):
@@ -108,6 +146,95 @@ def difference_chain_map(h, g) -> ChainMap:
     h, g = _as_pair(h, g)
     total, [(_il, proj_l), (_in, proj_n)] = direct_sum([("L", h.source), ("N", g.source)])
     return ChainMap(total, h.target, h.map.compose(proj_l) - g.map.compose(proj_n))
+
+
+def gamma_quotient_map(h, g) -> ChainMap:
+    """γ(l, n, m) = (−n, π(m)); h must be injective."""
+    h, g = _as_pair(h, g)
+    src_cone = cone_pair(h, g)
+    coker_cx, pi = cokernel(h)
+    tgt_cone = cone_single(ChainMap(g.source, coker_cx, pi.map.compose(g.map)))
+    src, tgt = cone_maps(src_cone), cone_maps(tgt_cone)
+    m = (tgt["L"][0].compose(src["N"][1]).scale(-1)
+         + tgt["M"][0].compose(pi.map).compose(src["M"][1]))
+    return ChainMap(src_cone.complex, tgt_cone.complex, m)
+
+
+def swap_iso(h, g) -> ChainMap:
+    h, g = _as_pair(h, g)
+    src, tgt = cone_pair(h, g), cone_pair(g, h)
+    s, t = cone_maps(src), cone_maps(tgt)
+    m = (t["N"][0].compose(s["L"][1]).scale(-1)
+         + t["L"][0].compose(s["N"][1]).scale(-1)
+         + t["M"][0].compose(s["M"][1]))
+    return ChainMap(src.complex, tgt.complex, m)
+
+
+def les_maps(h, g):
+    h, g = _as_pair(h, g)
+    cone = cone_pair(h, g)
+    total, [(inc_l, _pl), (inc_n, _pn)] = direct_sum([("L", h.source), ("N", g.source)])
+    parts = cone_maps(cone)
+    pi = inc_l.compose(parts["L"][1]) + inc_n.compose(parts["N"][1])
+    return cone, parts["M"][0], ChainMap(cone.complex, total, pi), difference_chain_map(h, g)
+
+
+def les_violations(cone, iota, pi, conn):
+    """les_exactness's report on the given maps, each node written out."""
+    H_c, H_sum, H_m = (compute_cohomology(cx) for cx in (cone.complex, conn.source, conn.target))
+    report = []
+    for i in range(cone.complex.space.dmin - 1, cone.complex.space.dmax + 2):
+        mi = induced_cohomology_matrix(iota, H_m, H_c, i - 1)
+        mp = induced_cohomology_matrix(pi.map, H_c, H_sum, i)
+        mc = induced_cohomology_matrix(conn.map, H_sum, H_m, i)
+        mi_next = induced_cohomology_matrix(iota, H_m, H_c, i)
+        if not la.is_zero_matrix(la.mat_mul(mp, mi)):
+            report.append(Violation("les_composite", (f"H^{i}(C)",), "π∘ι ≠ 0"))
+        if la.rank(mi) != H_c.dim(i) - la.rank(mp):
+            report.append(Violation("les_exactness", (f"H^{i}(C)",),
+                                    f"rank ι = {la.rank(mi)}, nullity π = {H_c.dim(i) - la.rank(mp)}"))
+        if not la.is_zero_matrix(la.mat_mul(mc, mp)):
+            report.append(Violation("les_composite", (f"H^{i}(L⊕N)",), "conn∘π ≠ 0"))
+        if la.rank(mp) != H_sum.dim(i) - la.rank(mc):
+            report.append(Violation("les_exactness", (f"H^{i}(L⊕N)",),
+                                    f"rank π = {la.rank(mp)}, nullity conn = {H_sum.dim(i) - la.rank(mc)}"))
+        if not la.is_zero_matrix(la.mat_mul(mi_next, mc)):
+            report.append(Violation("les_composite", (f"H^{i}(M)",), "ι∘conn ≠ 0"))
+        if la.rank(mc) != H_m.dim(i) - la.rank(mi_next):
+            report.append(Violation("les_exactness", (f"H^{i}(M)",),
+                                    f"rank conn = {la.rank(mc)}, nullity ι = {H_m.dim(i) - la.rank(mi_next)}"))
+    return report
+
+
+def truncated_H_constraints(h, g, window):
+    L, N, M = h.source, g.source, h.target
+    path = truncated_path_complex(M, window.N)
+    pspace = path.complex.space
+    ambient, [(_il, pr_L), (_in, pr_N), (_ip, pr_P)] = direct_sum(
+        [("L", L.complex), ("N", N.complex), ("P", path.complex)])
+
+    def eval_map(at_one: bool) -> GradedMap:
+        return map_from_images(pspace, M.space, 0, {
+            _path_key(M.space, window.N, "t", e, i, p): basis_element(M.space, i, p)
+            for i in M.space.degrees() for p in range(M.space.dim(i))
+            for e in range(window.N + 1 if at_one else 1)})
+
+    return ambient, [h.map.compose(pr_L) - eval_map(True).compose(pr_P),
+                     g.map.compose(pr_N) - eval_map(False).compose(pr_P)]
+
+
+def direct_sum_dgla(L: Dgla, N: Dgla, names):
+    """The product DGLA and its (embed, project) pairs, the bracket keys read
+    through the embeddings."""
+    cx, maps = direct_sum(zip(names, (L.complex, N.complex)))
+
+    def key(inc: GradedMap, k):
+        (image,) = inc.apply(basis_element(inc.source, *k)).coords
+        return image
+
+    entries = [(key(inc, a), key(inc, b), inc.apply(val))
+               for D, (inc, _p) in zip((L, N), maps) for (a, b), val in D.brackets.items()]
+    return make_dgla(cx, entries), maps
 
 
 def tensor_brackets(T) -> dict:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_kernels as ref
 from mcdeform import linalg as la
 from mcdeform.dgla import endomorphism_dgla, koszul_sign
 from mcdeform.errors import (
@@ -390,7 +391,10 @@ def test_direct_sum_round_trip():
     acy = two_term_identity()
     s = GradedSpace(0, 0, {0: ("w",)})
     pt = ChainComplex(s, GradedMap(s, s, 1, {}))
-    total, [(inc_v, proj_v), (inc_w, proj_w)] = direct_sum([("0", acy), ("1", pt)])
+    total, layout = direct_sum([("0", acy), ("1", pt)])
+    maps = ref.block_sum([("0", acy.space, 0), ("1", s, 0)])[1]
+    assert ref.placed_maps(total.space, layout) == maps
+    [(inc_v, proj_v), (inc_w, proj_w)] = maps
     assert total.space.dim(0) == 2 and total.space.dim(1) == 1
     u = basis_element(acy.space, 0, 0)
     assert proj_v.apply(inc_v.apply(u)) == u
@@ -402,10 +406,14 @@ def test_block_sum_with_offsets_splits_the_identity():
     acy = two_term_identity().space
     pt = GradedSpace(0, 0, {0: ("w",)})
     parts = [("A", acy, 0), ("B", pt, 1), ("C", acy, -1)]
-    total, maps = block_sum(parts)
+    total, layout = block_sum(parts)
     assert total.labels(0) == ("A:u", "C:v")
     assert total.labels(1) == ("A:v", "B:w")
     assert total.labels(-1) == ("C:u",)
+    assert layout == {"A": (acy, 0, {0: 0, 1: 0}), "B": (pt, 1, {0: 1}),
+                      "C": (acy, -1, {0: 0, 1: 1})}
+    maps = ref.block_sum(parts)[1]
+    assert ref.placed_maps(total, layout) == maps
     for k, ((_n, space, _off), (embed, _p)) in enumerate(zip(parts, maps)):
         for j, (_n2, other, _off2) in enumerate(parts):
             through = maps[j][1].compose(embed)
@@ -421,9 +429,20 @@ def test_block_sum_with_offsets_splits_the_identity():
 
 def test_block_sum_of_empty_parts_is_the_zero_space():
     empty = GradedSpace(-2, 3, {})
-    total, [(embed, project)] = block_sum([("E", empty, 1)])
-    assert total == GradedSpace(0, 0, {})
+    total, layout = block_sum([("E", empty, 1)])
+    assert total == GradedSpace(0, 0, {}) and layout == {"E": (empty, 1, {})}
+    [(embed, project)] = ref.block_sum([("E", empty, 1)])[1]
     assert embed.is_zero() and project.is_zero()
+    assert ref.placed_maps(total, layout) == [(embed, project)]
+
+
+def test_block_sum_refuses_a_repeated_name():
+    a, b = GradedSpace(0, 0, {0: ("x",)}), GradedSpace(0, 0, {0: ("y",)})
+    with pytest.raises(InvalidInput, match="repeated part name 'P'"):
+        block_sum([("P", a, 0), ("P", b, 0)])
+    with pytest.raises(InvalidInput):
+        direct_sum([("P", ChainComplex(a, GradedMap(a, a, 1, {}))),
+                    ("P", ChainComplex(b, GradedMap(b, b, 1, {})))])
 
 
 def test_kernel_subcomplex_restrict_is_exact():

@@ -1,6 +1,7 @@
-"""The integer bracket, the in-place block assembly and the tensor DGLA built
-from its factors, each compared for equality with the direct construction
-it replaces (tests/reference_kernels.py)."""
+"""The integer bracket, the in-place block assembly of cones and of the maps
+between direct sums, and the tensor DGLA built from its factors, each
+compared for equality with the direct construction it replaces
+(tests/reference_kernels.py)."""
 
 from collections import Counter
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import mutations
 import reference_kernels as ref
+from mcdeform import dgla
 from mcdeform import library as lib
 from mcdeform import linalg as la
 from mcdeform.artin import (
@@ -26,23 +28,30 @@ from mcdeform.dgla import (
     cone_pair,
     cone_single,
     difference_chain_map,
+    direct_sum_dgla,
     endomorphism_dgla,
+    gamma_quotient_map,
     identity_morphism,
+    les_exactness,
+    les_maps,
+    swap_iso,
     zero_morphism,
 )
-from mcdeform.errors import DifferentialNotSquareZero, InvalidInput
+from mcdeform.errors import DifferentialNotSquareZero, InvalidInput, NotInjective
 from mcdeform.graded import (
     ChainComplex,
     GradedElement,
     GradedMap,
     GradedSpace,
-    block_layout,
+    block_sum,
     direct_sum,
     identity_map,
     place_blocks,
+    whole,
     zero_element,
     zero_map,
 )
+from mcdeform.path_object import TruncationWindow, truncated_H_constraints
 from util_random import dg_uw
 
 F = Fraction
@@ -193,12 +202,66 @@ class TestBlockAssembly:
         assert (diff.source, diff.target) == (old.source, old.target)
         assert diff.map.blocks == old.map.blocks
         parts = [("L", h.source.complex), ("N", g.source.complex), ("M", h.target.complex)]
-        (total, maps), (ref_total, ref_maps) = direct_sum(parts), ref.direct_sum(parts)
+        (total, layout), (ref_total, ref_maps) = direct_sum(parts), ref.direct_sum(parts)
         assert total.space == ref_total.space and total.d.blocks == ref_total.d.blocks
-        assert maps == ref_maps
+        assert ref.placed_maps(total.space, layout) == ref_maps
         for cone in (cone_pair(h, g), cone_single(h)):
-            specs = [(name, space, off) for name, (space, off, _s) in cone.layout.items()]
-            assert list(cone.parts.values()) == ref.block_sum(specs)[1]
+            specs = [(part, space, off) for part, (space, off, _s) in cone.layout.items()]
+            assert ref.placed_maps(cone.complex.space, cone.layout) == ref.block_sum(specs)[1]
+
+    @pytest.mark.parametrize("name", sorted(n for n in CONE_CASES if "V2" not in n))
+    def test_maps_between_sums_match_the_composed_maps(self, name):
+        h, g = CONE_CASES[name]
+
+        def assert_same_map(new, old):
+            assert (new.source, new.target) == (old.source, old.target)
+            assert new.map.blocks == old.map.blocks
+
+        assert_same_map(swap_iso(h, g), ref.swap_iso(h, g))
+        if all(h.map.kernel_dim(i) == 0 for i in h.source.space.degrees()):
+            assert_same_map(gamma_quotient_map(h, g), ref.gamma_quotient_map(h, g))
+        else:
+            with pytest.raises(NotInjective):
+                gamma_quotient_map(h, g)
+        cone, iota, pi, conn = les_maps(h, g)
+        ref_cone, ref_iota, ref_pi, ref_conn = ref.les_maps(h, g)
+        assert_same_cone(cone, ref_cone)
+        assert iota == ref_iota
+        assert_same_map(pi, ref_pi)
+        assert_same_map(conn, ref_conn)
+        for N in (1, 2):
+            window = TruncationWindow(N)
+            assert truncated_H_constraints(h, g, window) == ref.truncated_H_constraints(h, g, window)
+        (product, layout), (ref_product, ref_maps) = (
+            direct_sum_dgla(h.source, g.source, ("L", "N")),
+            ref.direct_sum_dgla(h.source, g.source, ("L", "N")))
+        assert product.complex == ref_product.complex
+        assert list(product.brackets.items()) == list(ref_product.brackets.items())
+        assert ref.placed_maps(product.space, layout) == ref_maps
+
+    @pytest.mark.parametrize("name", ["pair_idid_heis", "pair_idid_obstructed", "End(V1):dense:idid"])
+    def test_les_reports_broken_maps_node_by_node(self, name, monkeypatch):
+        # the sequence is exact for every pair, so only broken maps reach the report
+        h, g = CONE_CASES[name]
+        cone, iota, pi, conn = les_maps(h, g)
+        total, parts = direct_sum([("L", h.source.complex), ("N", g.source.complex)])
+        h_part = place_blocks(total.space, h.target.space, 0,
+                              [(1, h.map, parts["L"], whole(h.target.space))])
+        kinds = set()
+        for broken in ((cone, iota.scale(0), pi, conn),
+                       (cone, iota, ChainMap(pi.source, pi.target, pi.map.scale(0)), conn),
+                       (cone, iota, pi, ChainMap(conn.source, conn.target, h_part))):
+            monkeypatch.setattr(dgla, "les_maps", lambda h, g: broken)
+            report = les_exactness(h, g)
+            assert report == ref.les_violations(*broken)
+            kinds |= {v.axiom for v in report}
+        assert kinds == {"les_composite", "les_exactness"}
+
+    def test_pair_inj_abelian_is_the_pair_of_inclusions(self):
+        h, g = lib.pair_inj_abelian()
+        product, maps = ref.direct_sum_dgla(lib.acyclic(), lib.acyclic(), ("A", "B"))
+        assert h.target == g.target == product
+        assert [h.map, g.map] == [embed for embed, _project in maps]
 
     def test_d_squared_nonzero_still_raises(self):
         # h(a) = b with db = c: h is no chain map, and the cone's d² ≠ 0
@@ -215,17 +278,15 @@ class TestBlockAssembly:
 
     def test_terms_on_one_block_add(self):
         V = end_complex(2, True)
-        (whole,) = block_layout([("V", V.space, 0)]).values()
-        twice = place_blocks(V.space, V.space, 1, [(1, V.d, whole, whole)] * 3
-                             + [(-1, V.d, whole, whole)])
+        own = whole(V.space)
+        twice = place_blocks(V.space, V.space, 1, [(1, V.d, own, own)] * 3
+                             + [(-1, V.d, own, own)])
         assert twice == V.d.scale(2)
 
     def test_a_map_off_its_blocks_is_refused(self):
         V = end_complex(1, False)
-        specs = [("L", V.space, 0), ("M", V.space, 1)]
-        layout = block_layout(specs)
+        total, layout = block_sum([("L", V.space, 0), ("M", V.space, 1)])
         l, m = layout["L"], layout["M"]
-        total = cone_single(ChainMap(V, V, identity_map(V.space))).complex.space
         with pytest.raises(InvalidInput):  # degree 0 + 0 − 0 ≠ 1
             place_blocks(total, total, 1, [(1, identity_map(V.space), l, l)])
         with pytest.raises(InvalidInput):  # a map of another space
