@@ -22,6 +22,7 @@ from .graded import (
     GradedElement,
     GradedMap,
     GradedSpace,
+    _trusted,
     basis_element,
     element_from_labels,
     map_from_images,
@@ -570,16 +571,22 @@ class TensorDgla:
     def map_coefficients(self, x: GradedElement, matrix: la.Matrix,
                          target: "TensorDgla") -> GradedElement:
         """Apply a linear map of coefficient algebras: x⊗a ↦ x⊗(matrix·a)."""
+        from_tensor, to_tensor = self.from_tensor, target.to_tensor
+        columns: dict[int, list[tuple[int, Fraction]]] = {}  # ai -> nonzero (r, matrix[r][ai])
         coords: dict[tuple[int, int], Fraction] = {}
         for (deg, idx), c in x.coords.items():
-            ldeg, lidx, ai = self.from_tensor[(deg, idx)]
-            for r in range(target.coeff.dim):
-                m = matrix[r][ai]
-                if m == 0:
-                    continue
-                key = target.to_tensor[(ldeg, lidx, r)]
-                coords[key] = coords.get(key, ZERO) + c * m
-        return GradedElement(target.space, coords, x.degree)
+            ldeg, lidx, ai = from_tensor[(deg, idx)]
+            column = columns.get(ai)
+            if column is None:
+                column = columns[ai] = [(r, row[ai]) for r, row in enumerate(matrix) if row[ai]]
+            for r, m in column:
+                key = to_tensor[(ldeg, lidx, r)]
+                coords[key] = coords[key] + c * m if key in coords else c * m
+        coords = {k: v for k, v in coords.items() if v}
+        if x.degree is not None and any(deg != x.degree for deg, _i in coords):
+            # a map that moves coefficient degrees: the constructor refuses the result
+            return GradedElement(target.space, coords, x.degree)
+        return _trusted(target.space, coords, x.degree)
 
     def element_level(self, x: GradedElement) -> int:
         """Minimal coefficient level over the support (∞ ≡ nu for zero)."""

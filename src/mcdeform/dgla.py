@@ -28,6 +28,7 @@ from .graded import (
     GradedMap,
     GradedSpace,
     Part,
+    _trusted,
     basis_element,
     block_sum,
     direct_sum,
@@ -88,6 +89,19 @@ class Dgla:
         object.__setattr__(self, "brackets", clean)
         object.__setattr__(self, "_scale", lcm(*(c.denominator for val in clean.values()
                                                  for c in val.coords.values())))
+        object.__setattr__(self, "_partners", None)  # see _partner_index
+
+    def _partner_index(self) -> dict[BasisKey, tuple[BasisKey, ...]]:
+        """Basis key -> the keys it has a stored bracket with, in either order;
+        built on first use, keys only."""
+        if self._partners is None:
+            partners: dict[BasisKey, list[BasisKey]] = {}
+            for a, b in self.brackets:
+                partners.setdefault(a, []).append(b)
+                if a != b:
+                    partners.setdefault(b, []).append(a)
+            object.__setattr__(self, "_partners", {a: tuple(bs) for a, bs in partners.items()})
+        return self._partners
 
     @property
     def space(self) -> GradedSpace:
@@ -113,23 +127,31 @@ class Dgla:
 
     def bracket(self, x: GradedElement, y: GradedElement) -> GradedElement:
         """[x, y] from the stored constants of each support pair; a reversed pair
-        carries the Koszul sign.  Summed exactly in ints: x, y and the constants
-        (by _scale) times the lcm of their denominators, one Fraction per output."""
-        brackets, scale = self.brackets, self._scale
+        carries the Koszul sign.  Only the pairs of the partner index are read.
+        Summed exactly in ints: x, y and the constants (by _scale) times the
+        lcm of their denominators, one Fraction per output."""
+        space = self.space
+        if not (x.space is space or x.space == space) or not (y.space is space or y.space == space):
+            raise InvalidInput("bracket of elements outside the DGLA's space")
+        brackets, scale, partners = self.brackets, self._scale, self._partner_index()
         dx, dy = (lcm(*(c.denominator for c in z.coords.values())) for z in (x, y))
-        ys = [(b, c.numerator * (dy // c.denominator)) for b, c in y.coords.items()]
+        ys = {b: c.numerator * (dy // c.denominator) for b, c in y.coords.items()}
         out: dict[BasisKey, int] = {}
         for a, cx in x.coords.items():
             cx = cx.numerator * (dx // cx.denominator)
-            for b, cy in ys:
-                stored = brackets.get((a, b) if a <= b else (b, a))
-                if stored is None:
+            for b in partners.get(a, ()):
+                cy = ys.get(b)
+                if cy is None:
                     continue
-                c = cx * cy if a <= b or (a[0] * b[0]) % 2 else -(cx * cy)
+                if a <= b:
+                    stored, c = brackets[(a, b)], cx * cy
+                else:
+                    stored = brackets[(b, a)]
+                    c = cx * cy if (a[0] * b[0]) % 2 else -(cx * cy)
                 for k, v in stored.coords.items():
                     out[k] = out.get(k, 0) + c * (v.numerator * (scale // v.denominator))
         den = dx * dy * scale
-        return GradedElement(self.space, {k: Fraction(n, den) for k, n in out.items() if n})
+        return _trusted(space, {k: Fraction(n, den) for k, n in out.items() if n}, None)
 
     def is_abelian(self) -> bool:
         return not self.brackets
@@ -616,21 +638,27 @@ def les_exactness(h, g) -> list[Violation]:
 
     cone, iota, pi, conn = les_maps(h, g)
     H_c, H_sum, H_m = (compute_cohomology(cx) for cx in (cone.complex, conn.source, conn.target))
+
+    def induced(name, f, src, tgt, i):
+        m = induced_cohomology_matrix(f, src, tgt, i)
+        return name, m, la.rank(m)
+
+    lo, hi = cone.complex.space.dmin - 1, cone.complex.space.dmax + 2
+    # ι at degree i enters H^{i+1}(C) and leaves H^i(M): built and ranked once
+    iota_at = {i: induced("ι", iota, H_m, H_c, i) for i in range(lo - 1, hi)}
     report: list[Violation] = []
-    for i in range(cone.complex.space.dmin - 1, cone.complex.space.dmax + 2):
-        maps = [("ι", induced_cohomology_matrix(iota, H_m, H_c, i - 1)),
-                ("π", induced_cohomology_matrix(pi.map, H_c, H_sum, i)),
-                ("conn", induced_cohomology_matrix(conn.map, H_sum, H_m, i)),
-                ("ι", induced_cohomology_matrix(iota, H_m, H_c, i))]
+    for i in range(lo, hi):
+        maps = [iota_at[i - 1], induced("π", pi.map, H_c, H_sum, i),
+                induced("conn", conn.map, H_sum, H_m, i), iota_at[i]]
         nodes = [(f"H^{i}(C)", H_c), (f"H^{i}(L⊕N)", H_sum), (f"H^{i}(M)", H_m)]
         # node k sits between maps k (incoming) and k + 1 (outgoing)
-        for (node, H), (a, into), (b, out) in zip(nodes, maps, maps[1:]):
+        for (node, H), (a, into, r_in), (b, out, r_out) in zip(nodes, maps, maps[1:]):
             if not la.is_zero_matrix(la.mat_mul(out, into)):
                 report.append(Violation("les_composite", (node,), f"{b}∘{a} ≠ 0"))
-            nullity = H.dim(i) - la.rank(out)
-            if la.rank(into) != nullity:
+            nullity = H.dim(i) - r_out
+            if r_in != nullity:
                 report.append(Violation("les_exactness", (node,),
-                                        f"rank {a} = {la.rank(into)}, nullity {b} = {nullity}"))
+                                        f"rank {a} = {r_in}, nullity {b} = {nullity}"))
     return report
 
 

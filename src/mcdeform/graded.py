@@ -108,17 +108,23 @@ class GradedElement:
 
     def __post_init__(self):
         clean = {}
-        for (deg, idx), c in self.coords.items():
+        for key, c in self.coords.items():
+            # a basis key: two ints (bool is not one), the index inside its degree
+            if type(key) is not tuple or len(key) != 2:
+                raise InvalidInput(f"coordinate key {key!r} is not a (degree, index) pair")
+            deg, idx = key
+            if type(deg) is not int or type(idx) is not int:
+                raise InvalidInput(f"coordinate key {key!r} is not a pair of ints")
+            if not 0 <= idx < self.space.dim(deg):
+                raise InvalidInput(f"coordinate at ({deg},{idx}) outside basis")
             c = la.frac(c)
             if c == 0:
                 continue
-            if idx >= self.space.dim(deg):
-                raise InvalidInput(f"coordinate at ({deg},{idx}) outside basis")
             if self.degree is not None and deg != self.degree:
                 raise DegreeWindowViolation(
                     f"nonzero coordinate at degree {deg} in element declared degree {self.degree}"
                 )
-            clean[(deg, idx)] = c
+            clean[key] = c
         object.__setattr__(self, "coords", clean)
 
     def is_zero(self) -> bool:
@@ -152,23 +158,31 @@ class GradedElement:
         )
 
     def __add__(self, other: "GradedElement") -> "GradedElement":
-        if self.space != other.space:
+        if self.space is not other.space and self.space != other.space:
             raise InvalidInput("adding elements of different spaces")
         coords = dict(self.coords)
         for k, c in other.coords.items():
-            coords[k] = coords.get(k, ZERO) + c
+            if k in coords:
+                s = coords[k] + c
+                if s:
+                    coords[k] = s
+                else:
+                    del coords[k]
+            else:
+                coords[k] = c
         deg = self.degree if self.degree == other.degree else None
-        return GradedElement(self.space, coords, deg)
+        return _trusted(self.space, coords, deg)
 
     def __neg__(self) -> "GradedElement":
-        return GradedElement(self.space, {k: -c for k, c in self.coords.items()}, self.degree)
+        return _trusted(self.space, {k: -c for k, c in self.coords.items()}, self.degree)
 
     def __sub__(self, other: "GradedElement") -> "GradedElement":
         return self + (-other)
 
     def scale(self, c) -> "GradedElement":
         c = la.frac(c)
-        return GradedElement(self.space, {k: c * v for k, v in self.coords.items()}, self.degree)
+        return _trusted(self.space, {k: c * v for k, v in self.coords.items()} if c else {},
+                        self.degree)
 
     def __rmul__(self, c) -> "GradedElement":
         return self.scale(c)
@@ -188,6 +202,18 @@ class GradedElement:
             lab = self.space.label(deg, idx)
             parts.append(lab if c == 1 else f"{c}*{lab}")
         return " + ".join(parts)
+
+
+def _trusted(space: GradedSpace, coords: dict[tuple[int, int], Fraction],
+             degree: int | None) -> GradedElement:
+    """An element from coordinates the library built itself, with none of the
+    constructor's checks: every key a basis key of space, in degree when it is
+    declared, and every value a nonzero Fraction.  The caller hands over coords."""
+    x = object.__new__(GradedElement)
+    object.__setattr__(x, "space", space)
+    object.__setattr__(x, "coords", coords)
+    object.__setattr__(x, "degree", degree)
+    return x
 
 
 def zero_element(space: GradedSpace, degree: int | None = None) -> GradedElement:
@@ -253,7 +279,7 @@ class GradedMap:
         return la.zeros(self.target.dim(i + self.degree), self.source.dim(i))
 
     def apply(self, x: GradedElement) -> GradedElement:
-        if x.space != self.source:
+        if x.space is not self.source and x.space != self.source:
             raise InvalidInput("element does not live in the map's source")
         coords: dict[tuple[int, int], Fraction] = {}
         for (deg, idx), c in x.coords.items():
@@ -262,11 +288,13 @@ class GradedMap:
                 continue
             tdeg = deg + self.degree
             for r, row in enumerate(block):
-                if row[idx] != 0:
+                v = row[idx]
+                if v:
                     key = (tdeg, r)
-                    coords[key] = coords.get(key, ZERO) + c * row[idx]
+                    coords[key] = coords[key] + c * v if key in coords else c * v
         deg = None if x.degree is None else x.degree + self.degree
-        return GradedElement(self.target, coords, deg)
+        # a block's rows are the basis of its target degree, inside the window
+        return _trusted(self.target, {k: v for k, v in coords.items() if v}, deg)
 
     def compose(self, inner: "GradedMap") -> "GradedMap":
         """self ∘ inner."""

@@ -8,7 +8,7 @@ import mutations
 import reference_kernels as ref
 from mcdeform import library as lib
 from mcdeform import linalg as la
-from mcdeform.artin import omega_complex, tensor_dgla
+from mcdeform.artin import omega_complex, tensor_dgla, truncated_polynomial_algebra
 from mcdeform.dgla import (
     CartanHomotopyCandidate,
     ChainMap,
@@ -29,7 +29,7 @@ from mcdeform.dgla import (
     validate_morphism,
     zero_morphism,
 )
-from mcdeform.errors import NotInjective, TargetMismatch, WindowTooSmall
+from mcdeform.errors import InvalidInput, NotInjective, TargetMismatch, WindowTooSmall
 from mcdeform.graded import (
     ChainComplex,
     GradedElement,
@@ -452,3 +452,34 @@ def sparse_bracket_arguments(draw):
 def test_bracket_matches_the_per_term_sum(args):
     D, x, y = args
     assert D.bracket(x, y) == bracket_by_terms(D, x, y)
+
+
+class TestBracketSpace:
+    """The bracket takes its two arguments from the DGLA's own space only."""
+
+    def test_an_element_of_another_dgla_is_refused(self):
+        L, other = lib.heis(), lib.obstructed()
+        a, x = basis_element(L.space, 0, 0), basis_element(other.space, 1, 0)
+        for args in ((a, x), (x, a), (x, x)):
+            with pytest.raises(InvalidInput):
+                L.bracket(*args)
+
+    def test_through_the_tensor_and_the_mc_residual(self):
+        A = truncated_polynomial_algebra(3)
+        T, other = tensor_dgla(lib.heis(), A), tensor_dgla(lib.obstructed(), A)
+        a = T.element_from_labels({"a@t": 1}, 0)
+        x = other.element_from_labels({"x@t": 1}, 1)
+        with pytest.raises(InvalidInput):
+            T.bracket(a, x)
+        with pytest.raises(InvalidInput):
+            T.bracket(x, a)
+        with pytest.raises(InvalidInput):
+            mc_residual(T, x)
+
+    def test_an_equal_space_is_accepted(self):
+        L = lib.heis()
+        copy = GradedSpace(L.space.dmin, L.space.dmax, dict(L.space.basis))
+        assert copy is not L.space
+        a = GradedElement(copy, {(0, 0): 1})
+        x = basis_element(L.space, 1, 0)
+        assert L.bracket(a, x) == basis_element(L.space, 1, 1) == -L.bracket(x, a)

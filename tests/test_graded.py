@@ -69,6 +69,33 @@ class TestSpaceAndElements:
         assert (x - y + y) == x
         assert (2 * y) == element_from_labels(s, {"a": 1})
         assert (x - x).is_zero()
+        assert (x - x).coords == {} and x.scale(0).coords == {}
+        assert (x + y).coords == {(0, 0): F(3, 2), (0, 1): F(2)}
+
+    @pytest.mark.parametrize("key", [
+        (0, -1),    # would alias the last label of degree 0
+        (0, 2),     # one past the last label
+        (5, -1),    # outside the degree window
+        (5, 0),
+        (0, 0.5),   # not an index
+        (0.0, 1),   # not a degree
+        (0, True),  # a bool is not an index
+        (False, 0),
+        (0,),       # not a pair
+        (0, 0, 0),
+        "a",
+    ])
+    def test_only_basis_keys_are_accepted(self, key):
+        s = GradedSpace(0, 1, {0: ("a", "b"), 1: ("c",)})
+        with pytest.raises(InvalidInput):
+            GradedElement(s, {key: 1})
+        with pytest.raises(InvalidInput):  # also with a zero coefficient
+            GradedElement(s, {key: 0})
+
+    def test_the_last_label_has_one_key(self):
+        s = GradedSpace(0, 1, {0: ("a", "b"), 1: ("c",)})
+        x = GradedElement(s, {(0, 1): 1})
+        assert x.pretty() == "b" and x == element_from_labels(s, {"b": 1})
 
 
 class TestGradedMap:

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import mutations
 import reference_kernels as ref
-from mcdeform import dgla
+from mcdeform import dgla, graded
 from mcdeform import library as lib
 from mcdeform import linalg as la
 from mcdeform.artin import (
@@ -144,6 +144,48 @@ class TestBracket:
         assert L.bracket(x, y) == GradedElement(space, {(1, 0): expected})
         assert_bracket_matches(L, x, y)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_diagonal_pairs(self, data):
+        # only [a, a] stored: each key is its own partner, listed once
+        L = data.draw(random_tables())
+        keys = keys_of(L.space)
+        diagonal = data.draw(st.lists(st.sampled_from(keys), min_size=1, unique=True))
+        D = Dgla(L.complex, {(a, a): data.draw(elements(L.space)) for a in diagonal})
+        assert all(D._partner_index()[a] == (a,) for a, _a in D.brackets)
+        x, y = data.draw(elements(D.space)), data.draw(elements(D.space))
+        assert_bracket_matches(D, x, y)
+        assert_bracket_matches(D, y, x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_reads_only_stored_pairs(self, data):
+        L = data.draw(random_tables())
+        x = data.draw(elements(L.space))
+        y = x if data.draw(st.booleans()) else data.draw(elements(L.space))
+        reads = []
+
+        class Counting(dict):
+            def __getitem__(self, key):
+                reads.append(key)
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                reads.append(key)
+                return super().get(key, default)
+
+            def __contains__(self, key):
+                reads.append(key)
+                return super().__contains__(key)
+
+        expected = ref.bracket(L, x, y)
+        # one read per ordered support pair with a stored bracket, none for the others
+        pairs = [(a, b) if a <= b else (b, a) for a in x.coords for b in y.coords]
+        hits = sorted(pair for pair in pairs if pair in L.brackets)
+        object.__setattr__(L, "brackets", Counting(L.brackets))
+        assert L.bracket(x, y) == expected
+        assert sorted(reads) == hits
+
     @pytest.mark.parametrize("name", sorted(lib.EXAMPLE_DGLAS))
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
@@ -256,6 +298,26 @@ class TestBlockAssembly:
             assert report == ref.les_violations(*broken)
             kinds |= {v.axiom for v in report}
         assert kinds == {"les_composite", "les_exactness"}
+
+    def test_les_builds_and_ranks_each_induced_matrix_once(self, monkeypatch):
+        calls, ranked = Counter(), []
+        induced, rank = graded.induced_cohomology_matrix, la.rank
+
+        def counting_induced(f, H_src, H_tgt, degree):
+            calls[(id(f), degree)] += 1
+            return induced(f, H_src, H_tgt, degree)
+
+        def counting_rank(m):
+            ranked.append(m)  # kept alive, so that the ids below stay distinct
+            return rank(m)
+
+        monkeypatch.setattr(graded, "induced_cohomology_matrix", counting_induced)
+        monkeypatch.setattr(la, "rank", counting_rank)
+        h, g = CONE_CASES["pair_idid_endo"]
+        assert les_exactness(h, g) == []
+        # ι in the 7 degrees dmin − 2 .. dmax + 1 of the cone, π and conn in the 6 from dmin − 1
+        assert sum(calls.values()) == len(calls) == 19
+        assert len(ranked) == len({id(m) for m in ranked}) == 19
 
     def test_pair_inj_abelian_is_the_pair_of_inclusions(self):
         h, g = lib.pair_inj_abelian()
