@@ -1,21 +1,21 @@
 """Coefficient algebras and the tensor DGLA L ⊗ m_A.
 
-Only the maximal ideal is ever represented: an ArtinLocalAlgebra is a basis
-of m_A with a multiplication table, a DgNilpotentAlgebra is a graded
-nilpotent dg algebra (finite-dimensional, used as the coefficient ring of
-the extended functors).  Filtration levels certify nilpotency and power the
+Only the maximal ideal is ever represented: a CoefficientAlgebra is a basis
+of m_A with a multiplication table, and with degrees and a differential it is
+a graded nilpotent dg algebra (finite-dimensional, used as the coefficient
+ring of the extended functors); a local Artinian algebra is the case of
+degree 0 and d = 0.  Filtration levels certify nilpotency and power the
 termination of every gauge/BCH series downstream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from typing import Mapping
 
 from . import linalg as la
-from .dgla import Dgla, Violation, make_dgla
+from .dgla import EMPTY, Dgla, Violation, _add, _sub, make_dgla
 from .errors import InvalidInput
 from .graded import (
     ChainComplex,
@@ -53,9 +53,9 @@ def _power_spans(dim: int, product) -> list[list[la.Vector]] | None:
         return []
     spans: list[list[la.Vector]] = [[la.unit_vector(dim, i) for i in range(dim)]]
     for _step in range(dim + 1):
+        sparse = [{k: c for k, c in enumerate(v) if c != 0} for v in spans[-1]]
         nxt = [[prod.get(k, ZERO) for k in range(dim)]
-               for i in range(dim) for v in spans[-1]
-               if (prod := product(i, {k: c for k, c in enumerate(v) if c != 0}))]
+               for i in range(dim) for v in sparse if (prod := product(i, v))]
         basis = [nxt[k] for k in la.extend_basis([], nxt, dim)]
         if not basis:
             return spans
@@ -66,11 +66,12 @@ def _power_spans(dim: int, product) -> list[list[la.Vector]] | None:
     return None
 
 
-def _filtration(dim: int, product) -> tuple[tuple[int, ...] | None, int | None]:
-    """Levels and nilpotency index, or (None, None) when not nilpotent."""
+def _filtration(dim: int, product):
+    """(levels, nu, adapted_basis) of CoefficientAlgebra from one pass over
+    the powers of m, or (None, None, None) when m is not nilpotent."""
     spans = _power_spans(dim, product)
     if spans is None:
-        return None, None
+        return None, None, None
     # e_i lies in m^{k+1} exactly when i is a pivot of the rref of spans[k]
     # whose row is e_i; the spans shrink, so the last k that holds e_i wins
     levels = [1] * dim
@@ -79,11 +80,78 @@ def _filtration(dim: int, product) -> tuple[tuple[int, ...] | None, int | None]:
         for r, i in enumerate(pivots):
             if rows[r] == la.unit_vector(dim, i):
                 levels[i] = k + 1
-    return tuple(levels), len(spans) + 1
+    levels, nu = tuple(levels), len(spans) + 1
+    if all(sum(lvl > k for lvl in levels) == len(span) for k, span in enumerate(spans)):
+        return levels, nu, (None, None, levels)
+    basis, adapted = [], []
+    for k in reversed(range(len(spans))):
+        new = la.extend_basis(basis, spans[k], dim)
+        basis += [spans[k][i] for i in new]
+        adapted += [k + 1] * len(new)
+    P = la.from_columns(basis, dim)
+    return levels, nu, (P, la.inverse(P), tuple(adapted))
 
 
-class _Coefficients:
-    """The labels and power filtration both coefficient-algebra types share."""
+def _basis_vector(vec: Mapping[int, object], dim: int, what: str) -> Coeffs:
+    """vec without its zero entries; every key must index the basis."""
+    for k in vec:
+        if k not in range(dim):
+            raise InvalidInput(f"{what} has key {k!r} outside the basis")
+    return _clean(vec)
+
+
+@dataclass(frozen=True)
+class CoefficientAlgebra:
+    """Maximal ideal m of a graded nilpotent dg algebra, by structure constants.
+
+    degrees=None is a local Artinian algebra (degree 0, d = 0); a tuple of
+    degrees makes a dg algebra with differential diff.  table holds canonical
+    pairs i <= j only; the swapped product e_j·e_i carries the Koszul sign
+    (−1)^{deg_i · deg_j}.  levels[i] is the largest n with e_i ∈ m^n and nu
+    the least n with m^n = 0, both computed from the table with one pass over
+    the powers of m (None when the table is not nilpotent — validate_artin
+    reports).
+    """
+
+    labels: tuple[str, ...]
+    table: Mapping[tuple[int, int], Coeffs] = field(default_factory=dict)
+    degrees: tuple[int, ...] | None = None
+    diff: Mapping[int, Coeffs] = field(default_factory=dict)
+    levels: tuple[int, ...] | None = field(init=False, compare=False)
+    nu: int | None = field(init=False, compare=False)
+    _adapted: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        dim = self.dim
+        if len(set(self.labels)) != dim:
+            raise InvalidInput("duplicate coefficient labels")
+        if self.degrees is None:
+            if self.diff:
+                raise InvalidInput("a differential needs degrees")
+        elif len(self.degrees) != dim:
+            raise InvalidInput("degrees/labels length mismatch")
+        table = {}
+        for (i, j), vec in self.table.items():
+            if j < i:
+                raise InvalidInput(f"non-canonical table key {(i, j)}")
+            if i not in range(dim) or j not in range(dim):
+                raise InvalidInput(f"table key {(i, j)} outside basis")
+            if v := _basis_vector(vec, dim, f"table value of {(i, j)}"):
+                table[(i, j)] = v
+        diff = {}
+        for i, vec in self.diff.items():
+            if i not in range(dim):
+                raise InvalidInput(f"differential key {i!r} outside basis")
+            if v := _basis_vector(vec, dim, f"differential of {i}"):
+                diff[i] = v
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "diff", diff)
+        levels, nu, adapted = _filtration(dim, self.product_basis)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "_adapted", adapted)
+
+    __hash__ = None
 
     @property
     def dim(self) -> int:
@@ -95,159 +163,43 @@ class _Coefficients:
         except ValueError:
             raise InvalidInput(f"unknown coefficient label {lab!r}") from None
 
-    @cached_property
+    @property
     def adapted_basis(self) -> tuple[la.Matrix | None, la.Matrix | None, tuple[int, ...]]:
         """A basis of m adapted to its power filtration: every m^k is spanned
         by the basis vectors of level ≥ k.  (P, Q, levels) holds the basis as
         the columns of P in this basis, Q = P⁻¹, and levels[j] the level of
         column j; P = Q = None when this basis is adapted (levels = self.levels).
         """
-        spans = _power_spans(self.dim, self.product_basis)
-        if spans is None:
+        if self.nu is None:
             raise InvalidInput("coefficient algebra is not nilpotent")
-        if all(sum(lvl > k for lvl in self.levels) == len(span)
-               for k, span in enumerate(spans)):
-            return None, None, self.levels
-        basis, levels = [], []
-        for k in reversed(range(len(spans))):
-            new = la.extend_basis(basis, spans[k], self.dim)
-            basis += [spans[k][i] for i in new]
-            levels += [k + 1] * len(new)
-        P = la.from_columns(basis, self.dim)
-        return P, la.inverse(P), tuple(levels)
-
-    def _set_filtration(self) -> None:
-        if self.levels is None:
-            levels, nu = _filtration(self.dim, self.product_basis)
-            object.__setattr__(self, "levels", levels)
-            object.__setattr__(self, "nu", nu)
-
-
-@dataclass(frozen=True)
-class ArtinLocalAlgebra(_Coefficients):
-    """Maximal ideal m_A of a local Artinian algebra, by multiplication table.
-
-    table holds canonical pairs i <= j only; commutativity supplies the rest.
-    levels[i] is the largest n with basis_i ∈ m_A^n; nu is the least n with
-    m_A^n = 0 (None when the table is not nilpotent — validate_artin reports).
-    """
-
-    labels: tuple[str, ...]
-    table: Mapping[tuple[int, int], Coeffs] = field(default_factory=dict)
-    levels: tuple[int, ...] | None = None
-    nu: int | None = None
-
-    def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
-            raise InvalidInput("duplicate coefficient labels")
-        clean = {}
-        for (i, j), vec in self.table.items():
-            if j < i:
-                raise InvalidInput(f"non-canonical table key {(i, j)}")
-            if not 0 <= i < self.dim or not 0 <= j < self.dim:
-                raise InvalidInput(f"table key {(i, j)} outside basis")
-            v = _clean(vec)
-            if v:
-                clean[(i, j)] = v
-        object.__setattr__(self, "table", clean)
-        self._set_filtration()
+        return self._adapted
 
     def degree_of(self, i: int) -> int:
-        return 0
-
-    def d_of(self, i: int) -> Coeffs:
-        return {}
+        return 0 if self.degrees is None else self.degrees[i]
 
     def product_basis(self, i: int, vec: Coeffs) -> Coeffs:
+        """e_i · vec."""
         out: Coeffs = {}
+        degrees = self.degrees
         for j, c in vec.items():
-            entry = self.table.get((i, j) if i <= j else (j, i))
-            if not entry:
-                continue
-            for k, e in entry.items():
-                out[k] = out.get(k, ZERO) + c * e
+            if i <= j:
+                entry = self.table.get((i, j))
+            else:
+                entry = self.table.get((j, i))
+                if degrees is not None and degrees[i] * degrees[j] % 2:
+                    c = -c
+            if entry:
+                _add(out, c, entry)
         return _clean(out)
 
     def product(self, a: Coeffs, b: Coeffs) -> Coeffs:
         out: Coeffs = {}
         for i, ca in a.items():
-            part = self.product_basis(i, b)
-            for k, c in part.items():
-                out[k] = out.get(k, ZERO) + ca * c
+            _add(out, ca, self.product_basis(i, b))
         return _clean(out)
 
-    def __eq__(self, other):
-        if not isinstance(other, ArtinLocalAlgebra):
-            return NotImplemented
-        return self.labels == other.labels and self.table == other.table
 
-    __hash__ = None
-
-
-@dataclass(frozen=True)
-class DgNilpotentAlgebra(_Coefficients):
-    """Graded nilpotent dg algebra: graded-commutative table plus differential.
-
-    table holds canonical pairs i <= j; the swapped product carries the sign
-    (−1)^{deg_i · deg_j}.
-    """
-
-    labels: tuple[str, ...]
-    degrees: tuple[int, ...]
-    diff: Mapping[int, Coeffs] = field(default_factory=dict)
-    table: Mapping[tuple[int, int], Coeffs] = field(default_factory=dict)
-    levels: tuple[int, ...] | None = None
-    nu: int | None = None
-
-    def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
-            raise InvalidInput("duplicate coefficient labels")
-        if len(self.degrees) != len(self.labels):
-            raise InvalidInput("degrees/labels length mismatch")
-        clean = {}
-        for (i, j), vec in self.table.items():
-            if j < i:
-                raise InvalidInput(f"non-canonical table key {(i, j)}")
-            v = _clean(vec)
-            if v:
-                clean[(i, j)] = v
-        object.__setattr__(self, "table", clean)
-        object.__setattr__(self, "diff", {i: _clean(v) for i, v in self.diff.items() if _clean(v)})
-        self._set_filtration()
-
-    def degree_of(self, i: int) -> int:
-        return self.degrees[i]
-
-    def d_of(self, i: int) -> Coeffs:
-        return dict(self.diff.get(i, {}))
-
-    def product_basis(self, i: int, vec: Coeffs) -> Coeffs:
-        out: Coeffs = {}
-        for j, c in vec.items():
-            if i <= j:
-                entry, sign = self.table.get((i, j)), ONE
-            else:
-                entry = self.table.get((j, i))
-                sign = ONE if (self.degrees[i] * self.degrees[j]) % 2 == 0 else -ONE
-            if not entry:
-                continue
-            for k, e in entry.items():
-                out[k] = out.get(k, ZERO) + sign * c * e
-        return _clean(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, DgNilpotentAlgebra):
-            return NotImplemented
-        return (self.labels, self.degrees) == (other.labels, other.degrees) and \
-            self.table == other.table and self.diff == other.diff
-
-    __hash__ = None
-
-
-CoefficientAlgebra = ArtinLocalAlgebra | DgNilpotentAlgebra
-
-
-def artin_from_labels(labels, products: Mapping[tuple[str, str], Mapping[str, object]]) -> ArtinLocalAlgebra:
+def artin_from_labels(labels, products: Mapping[tuple[str, str], Mapping[str, object]]) -> CoefficientAlgebra:
     labels = tuple(labels)
     idx = {lab: i for i, lab in enumerate(labels)}
     table: dict[tuple[int, int], Coeffs] = {}
@@ -258,41 +210,47 @@ def artin_from_labels(labels, products: Mapping[tuple[str, str], Mapping[str, ob
         if key in table and table[key] != _clean(vec):
             raise InvalidInput(f"inconsistent duplicate product for {key}")
         table[key] = vec
-    return ArtinLocalAlgebra(labels, table)
+    return CoefficientAlgebra(labels, table)
 
 
 def validate_artin(A: CoefficientAlgebra) -> list[Violation]:
-    """Commutativity, associativity, nilpotency (plus Leibniz/d² when graded)."""
+    """Graded commutativity, associativity, nilpotency, product and
+    differential degrees, d² = 0 and Leibniz, over the structure constants.
+
+    An Artin algebra (degree 0, d = 0) can fail only the first three.  A
+    triple (i, j, k) is visited only when e_i·e_j or e_j·e_k is nonzero, and
+    a Leibniz pair (i, j) only when e_i·e_j, de_i or de_j is nonzero: every
+    other defect vanishes.  Each defect is summed into one sparse vector.
+    """
     report: list[Violation] = []
-    dim = A.dim
-    graded = isinstance(A, DgNilpotentAlgebra)
-
-    def unit(i: int) -> Coeffs:
-        return {i: ONE}
-
-    def name(i: int) -> str:
-        return A.labels[i]
-
+    dim, diff, name = A.dim, A.diff, A.labels.__getitem__
+    deg = [A.degree_of(i) for i in range(dim)]
+    # prod[i][j] = e_i·e_j, for the nonzero products in both orders
+    prod: dict[int, dict[int, Coeffs]] = {}
+    for i, j in A.table:
+        for a, b in ((i, j), (j, i)):
+            prod.setdefault(a, {})[b] = A.product_basis(a, {b: ONE})
     # graded commutativity on the diagonal (odd squares must vanish);
     # off-diagonal order is derived, so only table-shape errors can occur.
     for i in range(dim):
-        if graded and A.degrees[i] % 2 == 1:
-            sq = A.product_basis(i, unit(i))
-            if sq:
-                report.append(Violation("graded_commutativity", (name(i), name(i)),
-                                        "odd-degree square is nonzero"))
+        if deg[i] % 2 and (i, i) in A.table:
+            report.append(Violation("graded_commutativity", (name(i), name(i)),
+                                    "odd-degree square is nonzero"))
 
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                left = A.product_basis(i, A.product_basis(j, unit(k)))
-                ij = A.product_basis(i, unit(j))
-                right: Coeffs = {}
+    # (e_i·e_j)·e_k − e_i·(e_j·e_k): both terms vanish unless e_i·e_j or
+    # e_j·e_k is nonzero, and unless e_i and e_k each have a nonzero product
+    active = sorted(prod)
+    for i in active:
+        pi = prod[i]
+        for j in active:
+            pj, ij = prod[j], pi.get(j, EMPTY)
+            for k in (active if ij else sorted(pj)):
+                defect: Coeffs = {}
+                for m, c in pj.get(k, EMPTY).items():
+                    _add(defect, c, pi.get(m, EMPTY))
                 for m, c in ij.items():
-                    part = A.product_basis(m, unit(k))
-                    for t, e in part.items():
-                        right[t] = right.get(t, ZERO) + c * e
-                if left != _clean(right):
+                    _sub(defect, c, prod.get(m, EMPTY).get(k, EMPTY))
+                if any(defect.values()):
                     report.append(Violation("associativity", (name(i), name(j), name(k)),
                                             "(a·b)·c ≠ a·(b·c)"))
 
@@ -300,48 +258,44 @@ def validate_artin(A: CoefficientAlgebra) -> list[Violation]:
         report.append(Violation("nilpotency", tuple(A.labels),
                                 "power filtration stabilizes on a nonzero span"))
 
-    if graded:
-        for (i, j), vec in A.table.items():
-            want = A.degrees[i] + A.degrees[j]
-            for k in vec:
-                if A.degrees[k] != want:
-                    report.append(Violation("product_degree", (name(i), name(j)),
-                                            f"product has a term in degree {A.degrees[k]}, "
-                                            f"expected {want}"))
-        for i in range(dim):
-            for k, c in A.d_of(i).items():
-                if A.degrees[k] != A.degrees[i] + 1:
-                    report.append(Violation("differential_degree", (name(i),),
-                                            f"d hits degree {A.degrees[k]}"))
-        for i in range(dim):
-            dd: Coeffs = {}
-            for k, c in A.d_of(i).items():
-                for t, e in A.d_of(k).items():
-                    dd[t] = dd.get(t, ZERO) + c * e
-            if _clean(dd):
-                report.append(Violation("d_squared", (name(i),), "d(d(a)) ≠ 0"))
-        for i in range(dim):
-            for j in range(dim):
-                prod = A.product_basis(i, unit(j))
-                lhs: Coeffs = {}
-                for m, c in prod.items():
-                    for t, e in A.d_of(m).items():
-                        lhs[t] = lhs.get(t, ZERO) + c * e
-                rhs: Coeffs = {}
-                for m, c in A.d_of(i).items():
-                    for t, e in A.product_basis(m, unit(j)).items():
-                        rhs[t] = rhs.get(t, ZERO) + c * e
-                sign = ONE if A.degrees[i] % 2 == 0 else -ONE
-                for m, c in A.d_of(j).items():
-                    for t, e in A.product_basis(i, {m: c}).items():
-                        rhs[t] = rhs.get(t, ZERO) + sign * e
-                if _clean(lhs) != _clean(rhs):
-                    report.append(Violation("leibniz", (name(i), name(j)),
-                                            "d(a·b) ≠ da·b + (−1)^deg a a·db"))
+    for (i, j), vec in A.table.items():
+        want = deg[i] + deg[j]
+        for k in vec:
+            if deg[k] != want:
+                report.append(Violation("product_degree", (name(i), name(j)),
+                                        f"product has a term in degree {deg[k]}, "
+                                        f"expected {want}"))
+    for i in sorted(diff):
+        for k in diff[i]:
+            if deg[k] != deg[i] + 1:
+                report.append(Violation("differential_degree", (name(i),),
+                                        f"d hits degree {deg[k]}"))
+    for i in sorted(diff):
+        dd: Coeffs = {}
+        for k, c in diff[i].items():
+            _add(dd, c, diff.get(k, EMPTY))
+        if any(dd.values()):
+            report.append(Violation("d_squared", (name(i),), "d(d(a)) ≠ 0"))
+
+    # d(e_i·e_j) − de_i·e_j − (−1)^deg e_i e_i·de_j
+    for i in range(dim):
+        pi, di = prod.get(i, EMPTY), diff.get(i, EMPTY)
+        add_adb = _add if deg[i] % 2 else _sub  # the term −(−1)^deg a a·db
+        for j in (range(dim) if di else sorted(set(pi) | set(diff))):
+            defect = {}
+            for m, c in pi.get(j, EMPTY).items():
+                _add(defect, c, diff.get(m, EMPTY))
+            for m, c in di.items():
+                _sub(defect, c, prod.get(m, EMPTY).get(j, EMPTY))
+            for m, c in diff.get(j, EMPTY).items():
+                add_adb(defect, c, pi.get(m, EMPTY))
+            if any(defect.values()):
+                report.append(Violation("leibniz", (name(i), name(j)),
+                                        "d(a·b) ≠ da·b + (−1)^deg a a·db"))
     return report
 
 
-def truncated_polynomial_algebra(n: int) -> ArtinLocalAlgebra:
+def truncated_polynomial_algebra(n: int) -> CoefficientAlgebra:
     """m_A for A = K[t]/t^n, basis t, …, t^{n−1}; n = 1 gives m = 0."""
     if n < 1:
         raise InvalidInput("truncation order must be ≥ 1")
@@ -351,12 +305,12 @@ def truncated_polynomial_algebra(n: int) -> ArtinLocalAlgebra:
         for j in range(i, n):
             if i + j < n:
                 table[(i - 1, j - 1)] = {i + j - 1: ONE}
-    return ArtinLocalAlgebra(labels, table)
+    return CoefficientAlgebra(labels, table)
 
 
-def square_zero_algebra(labels) -> ArtinLocalAlgebra:
+def square_zero_algebra(labels) -> CoefficientAlgebra:
     """m_A with all products zero (e.g. K[x,y]/(x², xy, y²))."""
-    return ArtinLocalAlgebra(tuple(labels), {})
+    return CoefficientAlgebra(tuple(labels))
 
 
 @dataclass(frozen=True)
@@ -368,13 +322,16 @@ class SmallExtension:
     A-basis element; kernel holds the J basis as vectors in m_B.
     """
 
-    B: ArtinLocalAlgebra
-    A: ArtinLocalAlgebra
+    B: CoefficientAlgebra
+    A: CoefficientAlgebra
     alpha: la.Matrix
     section: la.Matrix
     kernel: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
+        for end, alg in (("source", self.B), ("target", self.A)):
+            if alg.degrees is not None:
+                raise InvalidInput(f"{end} is a dg algebra, not an Artin algebra")
         dimB, dimA = self.B.dim, self.A.dim
         if len(self.alpha) != dimA or any(len(r) != dimB for r in self.alpha):
             raise InvalidInput("alpha has the wrong shape")
@@ -385,23 +342,12 @@ class SmallExtension:
         comp = la.mat_mul(self.alpha, self.section)
         if comp != la.identity(dimA):
             raise InvalidInput("section is not a right inverse of alpha")
-        # alpha must be an algebra map
+        # alpha must be an algebra map: α(e_i·e_j) = α(e_i)·α(e_j)
+        images = [{r: row[i] for r, row in enumerate(self.alpha) if row[i]} for i in range(dimB)]
         for i in range(dimB):
             for j in range(i, dimB):
-                prod = dict(self.B.table.get((i, j), {}))
-                vec = la.zero_vector(dimB)
-                for k, c in prod.items():
-                    vec[k] = c
-                lhs = la.mat_vec(self.alpha, vec)
-                a_i = [self.alpha[r][i] for r in range(dimA)]
-                a_j = [self.alpha[r][j] for r in range(dimA)]
-                rhs_s = self.A.product(
-                    {k: c for k, c in enumerate(a_i) if c != 0},
-                    {k: c for k, c in enumerate(a_j) if c != 0})
-                rhs = la.zero_vector(dimA)
-                for k, c in rhs_s.items():
-                    rhs[k] = c
-                if lhs != rhs:
+                if self.project_coeffs(self.B.product_basis(i, {j: ONE})) != \
+                        self.A.product(images[i], images[j]):
                     raise InvalidInput(
                         f"alpha is not an algebra map at ({self.B.labels[i]}, {self.B.labels[j]})")
         computed = la.nullspace(self.alpha, cols=dimB)
@@ -453,7 +399,7 @@ class SmallExtension:
         return la.in_span([list(v) for v in self.kernel], dense)
 
 
-def small_extension(B: ArtinLocalAlgebra, A: ArtinLocalAlgebra,
+def small_extension(B: CoefficientAlgebra, A: CoefficientAlgebra,
                     alpha: la.Matrix, section: la.Matrix | None = None) -> SmallExtension:
     dimB, dimA = B.dim, A.dim
     if section is None:
@@ -468,7 +414,7 @@ def small_extension(B: ArtinLocalAlgebra, A: ArtinLocalAlgebra,
     return SmallExtension(B, A, alpha, section, kernel)
 
 
-def quotient_extension(B: ArtinLocalAlgebra, ideal_labels) -> SmallExtension:
+def quotient_extension(B: CoefficientAlgebra, ideal_labels) -> SmallExtension:
     """B → B/⟨ideal basis labels⟩ with the obvious section."""
     drop = {B.locate(l) for l in ideal_labels}
     keep = [i for i in range(B.dim) if i not in drop]
@@ -482,7 +428,7 @@ def quotient_extension(B: ArtinLocalAlgebra, ideal_labels) -> SmallExtension:
         # dropped labels must be an ideal: products may only leak into J
         if pruned:
             table[(reindex[i], reindex[j])] = pruned
-    A = ArtinLocalAlgebra(labels, table)
+    A = CoefficientAlgebra(labels, table)
     alpha = la.zeros(A.dim, B.dim)
     for i in keep:
         alpha[reindex[i]][i] = ONE
@@ -506,19 +452,15 @@ def tower_step(k: int) -> SmallExtension:
     return small_extension(B, A, [la.unit_vector(B.dim, i) for i in range(A.dim)])
 
 
-def omega_complex(n: int) -> DgNilpotentAlgebra:
+def omega_complex(n: int) -> CoefficientAlgebra:
     """Acyclic two-term algebra Ω[n]: degrees −n and −n+1, trivial products."""
-    return DgNilpotentAlgebra(
-        labels=(f"w0[{n}]", f"w1[{n}]"),
-        degrees=(-n, -n + 1),
-        diff={0: {1: ONE}},
-        table={},
-    )
+    return CoefficientAlgebra((f"w0[{n}]", f"w1[{n}]"), degrees=(-n, -n + 1),
+                              diff={0: {1: ONE}})
 
 
-def epsilon_algebra(n: int = 0) -> DgNilpotentAlgebra:
+def epsilon_algebra(n: int = 0) -> CoefficientAlgebra:
     """K·ε with deg ε = −n and ε² = 0 (the tangent-probe coefficient)."""
-    return DgNilpotentAlgebra(labels=("eps",), degrees=(-n,), diff={}, table={})
+    return CoefficientAlgebra(("eps",), degrees=(-n,))
 
 
 # --- tensor DGLA ------------------------------------------------------------
@@ -649,7 +591,7 @@ def tensor_dgla(L: Dgla, A: CoefficientAlgebra) -> TensorDgla:
             key = to_tensor[(dd, qq, a)]
             coords[key] = coords.get(key, ZERO) + c
         sign = ONE if i % 2 == 0 else -ONE
-        for b, c in A.d_of(a).items():
+        for b, c in A.diff.get(a, EMPTY).items():
             key = to_tensor[(i, p, b)]
             coords[key] = coords.get(key, ZERO) + sign * c
         if coords:

@@ -29,6 +29,7 @@ from .dgla import (
 from .errors import (
     AxiomViolation,
     DocumentSyntaxError,
+    InvalidInput,
     ResourceLimitExceeded,
     SchemaError,
     TargetMismatch,
@@ -36,7 +37,7 @@ from .errors import (
 from .graded import ChainComplex, GradedElement, GradedSpace, map_from_images
 
 if TYPE_CHECKING:  # artin and path_object load only for the documents that use them
-    from .artin import ArtinLocalAlgebra, DgNilpotentAlgebra, SmallExtension, TensorDgla
+    from .artin import CoefficientAlgebra, SmallExtension, TensorDgla
     from .path_object import PolyElement
 
 FORMAT_TAG = "mcdeform/1"
@@ -138,6 +139,18 @@ def _labels(raw, where: str) -> tuple[str, ...]:
     return tuple(raw)
 
 
+def _label_vector(raw, idx: Mapping[str, int], where: str,
+                  unknown: str = "unknown label") -> dict[int, Fraction]:
+    """A label -> scalar object as an index -> scalar vector, each label
+    looked up in idx."""
+    vec = {}
+    for lab, c in _scalar_map(raw, where).items():
+        if lab not in idx:
+            raise SchemaError(f"{where}.{lab}: {unknown}")
+        vec[idx[lab]] = c
+    return vec
+
+
 def _expect_keys(obj: Mapping, required: set[str], optional: set[str], where: str):
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object")
@@ -191,9 +204,7 @@ def serialize_dgla(L: Dgla) -> dict:
     })
 
 
-def serialize_artin(A: ArtinLocalAlgebra | DgNilpotentAlgebra) -> dict:
-    from .artin import DgNilpotentAlgebra
-
+def serialize_artin(A: CoefficientAlgebra) -> dict:
     body = {"basis": list(A.labels)}
     table = []
     for (i, j) in sorted(A.table):
@@ -204,14 +215,14 @@ def serialize_artin(A: ArtinLocalAlgebra | DgNilpotentAlgebra) -> dict:
                       for k, c in sorted(A.table[(i, j)].items())},
         })
     body["table"] = table
-    if isinstance(A, DgNilpotentAlgebra):
-        body["degrees"] = {lab: A.degrees[i] for i, lab in enumerate(A.labels)}
-        body["differential"] = {
-            A.labels[i]: {A.labels[k]: format_scalar(c) for k, c in sorted(vec.items())}
-            for i, vec in sorted(A.diff.items())
-        }
-        return _envelope("dg_algebra", body)
-    return _envelope("artin", body)
+    if A.degrees is None:
+        return _envelope("artin", body)
+    body["degrees"] = {lab: A.degrees[i] for i, lab in enumerate(A.labels)}
+    body["differential"] = {
+        A.labels[i]: {A.labels[k]: format_scalar(c) for k, c in sorted(vec.items())}
+        for i, vec in sorted(A.diff.items())
+    }
+    return _envelope("dg_algebra", body)
 
 
 def _morphism_body(phi: DglaMorphism) -> dict:
@@ -384,7 +395,7 @@ def parse_dgla_body(doc: dict, where: str = "dgla", check_axioms: bool = True,
 
 
 def parse_artin_body(doc: dict, where: str = "artin", check_axioms: bool = True):
-    from .artin import ArtinLocalAlgebra, DgNilpotentAlgebra, validate_artin
+    from .artin import CoefficientAlgebra, validate_artin
 
     kind = doc.get("kind")
     graded = kind == "dg_algebra"
@@ -405,33 +416,21 @@ def parse_artin_body(doc: dict, where: str = "artin", check_axioms: bool = True)
         i, j = idx[ent["a"]], idx[ent["b"]]
         if j < i:
             i, j = j, i
-        vec = {}
-        for tl, c in _scalar_map(ent["value"], f"{where}.table[{k}].value").items():
-            if tl not in idx:
-                raise SchemaError(f"{where}.table[{k}].value.{tl}: unknown label")
-            vec[idx[tl]] = c
+        vec = _label_vector(ent["value"], idx, f"{where}.table[{k}].value")
         if (i, j) in table:
             raise SchemaError(f"{where}.table[{k}]: duplicate product entry")
         table[(i, j)] = vec
+    degrees, diff = None, {}
     if graded:
         degrees_raw = _field(doc, "degrees", dict, where)
         if set(degrees_raw) != set(labels):
             raise SchemaError(f"{where}.degrees: must cover exactly the basis labels")
         degrees = tuple(_integer(degrees_raw[lab], f"{where}.degrees.{lab}") for lab in labels)
-        diff = {}
         for lab, val in _field(doc, "differential", dict, where).items():
             if lab not in idx:
                 raise SchemaError(f"{where}.differential.{lab}: unknown label")
-            at = f"{where}.differential.{lab}"
-            vec = {}
-            for tl, c in _scalar_map(val, at).items():
-                if tl not in idx:
-                    raise SchemaError(f"{at}.{tl}: unknown label")
-                vec[idx[tl]] = c
-            diff[idx[lab]] = vec
-        A = DgNilpotentAlgebra(labels, degrees, diff, table)
-    else:
-        A = ArtinLocalAlgebra(labels, table)
+            diff[idx[lab]] = _label_vector(val, idx, f"{where}.differential.{lab}")
+    A = CoefficientAlgebra(labels, table, degrees, diff)
     if check_axioms:
         report = validate_artin(A)
         if report:
@@ -485,33 +484,30 @@ def parse_extension_body(doc: dict, where: str = "small_extension",
                        "alpha", "section", "kernel"}, set(), where)
     B = parse_artin_body(_field(doc, "source", dict, where), f"{where}.source", check_axioms)
     A = parse_artin_body(_field(doc, "target", dict, where), f"{where}.target", check_axioms)
-    alpha = la.zeros(A.dim, B.dim)
-    for blab, col in _field(doc, "alpha", dict, where).items():
-        if blab not in B.labels:
-            raise SchemaError(f"{where}.alpha.{blab}: unknown source label")
-        for alab, c in _scalar_map(col, f"{where}.alpha.{blab}").items():
-            if alab not in A.labels:
-                raise SchemaError(f"{where}.alpha.{blab}.{alab}: unknown target label")
-            alpha[A.locate(alab)][B.locate(blab)] = c
-    section = la.zeros(B.dim, A.dim)
-    for alab, col in _field(doc, "section", dict, where).items():
-        if alab not in A.labels:
-            raise SchemaError(f"{where}.section.{alab}: unknown target label")
-        for blab, c in _scalar_map(col, f"{where}.section.{alab}").items():
-            if blab not in B.labels:
-                raise SchemaError(f"{where}.section.{alab}.{blab}: unknown source label")
-            section[B.locate(blab)][A.locate(alab)] = c
+    idx = {"source": {lab: i for i, lab in enumerate(B.labels)},
+           "target": {lab: i for i, lab in enumerate(A.labels)}}
+
+    def matrix(key: str, cols: str, rows: str) -> la.Matrix:
+        """The matrix whose columns doc[key] gives, column label -> {row label: scalar}."""
+        out = la.zeros(len(idx[rows]), len(idx[cols]))
+        for lab, col in _field(doc, key, dict, where).items():
+            if lab not in idx[cols]:
+                raise SchemaError(f"{where}.{key}.{lab}: unknown {cols} label")
+            for r, c in _label_vector(col, idx[rows], f"{where}.{key}.{lab}",
+                                      f"unknown {rows} label").items():
+                out[r][idx[cols][lab]] = c
+        return out
+
+    alpha, section = matrix("alpha", "source", "target"), matrix("section", "target", "source")
     kernel = []
     for k, vec in enumerate(_field(doc, "kernel", list, where)):
         dense = la.zero_vector(B.dim)
-        for blab, c in _scalar_map(vec, f"{where}.kernel[{k}]").items():
-            if blab not in B.labels:
-                raise SchemaError(f"{where}.kernel[{k}].{blab}: unknown label")
-            dense[B.locate(blab)] = c
+        for i, c in _label_vector(vec, idx["source"], f"{where}.kernel[{k}]").items():
+            dense[i] = c
         kernel.append(tuple(dense))
     try:
         return SmallExtension(B, A, alpha, section, tuple(kernel))
-    except Exception as e:
+    except InvalidInput as e:
         raise AxiomViolation(f"{where}: {e}", []) from None
 
 

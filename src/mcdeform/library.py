@@ -11,7 +11,7 @@ from functools import lru_cache
 
 from . import linalg as la
 from .artin import (
-    ArtinLocalAlgebra,
+    CoefficientAlgebra,
     SmallExtension,
     artin_from_labels,
     quotient_extension,
@@ -175,19 +175,19 @@ EXAMPLE_PAIRS = {
 
 
 @lru_cache(maxsize=None)
-def artin_kt(n: int) -> ArtinLocalAlgebra:
+def artin_kt(n: int) -> CoefficientAlgebra:
     """m_A for K[t]/t^n."""
     return truncated_polynomial_algebra(n)
 
 
 @lru_cache(maxsize=None)
-def artin_square_zero() -> ArtinLocalAlgebra:
+def artin_square_zero() -> CoefficientAlgebra:
     """K[x,y]/(x², xy, y²): all products vanish, ν = 2."""
     return square_zero_algebra(("x", "y"))
 
 
 @lru_cache(maxsize=None)
-def artin_poly2() -> ArtinLocalAlgebra:
+def artin_poly2() -> CoefficientAlgebra:
     """K[u,v]/m³: basis u, v, u², uv, v² with degree-3 products zero."""
     return artin_from_labels(
         ("u", "v", "uu", "uv", "vv"),

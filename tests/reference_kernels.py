@@ -1,4 +1,4 @@
-"""The direct constructions behind three fast kernels: the references for them.
+"""The direct constructions behind the fast kernels: the references for them.
 
 - ``bracket``: [x, y] summed over Fractions, one product per support pair and
   structure constant (``Dgla.bracket`` sums over integers instead).
@@ -13,6 +13,9 @@
 - ``tensor_brackets``: the structure constants of L ⊗ m_A from every pair of
   tensor basis keys, through ``bracket_basis`` and ``product_basis``
   (``artin.tensor_dgla`` walks the stored brackets of L instead).
+- ``validate_artin``: the axioms of a coefficient algebra checked with
+  products of basis vectors over every pair and triple of the basis
+  (``artin.validate_artin`` visits only those whose products are nonzero).
 
 The tests compare each kernel with its reference for equality.
 """
@@ -22,6 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from mcdeform import graded
+from mcdeform.artin import _clean
 from mcdeform import linalg as la
 from mcdeform.dgla import (
     CONE_CONVENTION,
@@ -265,3 +269,84 @@ def tensor_brackets(T) -> dict:
             if not val.is_zero():
                 entries.append((t1, t2, val))
     return make_dgla(T.dgla.complex, entries).brackets
+
+
+def validate_artin(A) -> list[Violation]:
+    """Commutativity, associativity, nilpotency (plus Leibniz/d² when graded),
+    by products of basis vectors over every pair and triple of the basis."""
+    report: list[Violation] = []
+    dim = A.dim
+    graded = A.degrees is not None
+
+    def unit(i: int) -> dict:
+        return {i: ONE}
+
+    def name(i: int) -> str:
+        return A.labels[i]
+
+    # graded commutativity on the diagonal (odd squares must vanish);
+    # off-diagonal order is derived, so only table-shape errors can occur.
+    for i in range(dim):
+        if graded and A.degrees[i] % 2 == 1:
+            sq = A.product_basis(i, unit(i))
+            if sq:
+                report.append(Violation("graded_commutativity", (name(i), name(i)),
+                                        "odd-degree square is nonzero"))
+
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                left = A.product_basis(i, A.product_basis(j, unit(k)))
+                ij = A.product_basis(i, unit(j))
+                right: dict = {}
+                for m, c in ij.items():
+                    part = A.product_basis(m, unit(k))
+                    for t, e in part.items():
+                        right[t] = right.get(t, ZERO) + c * e
+                if left != _clean(right):
+                    report.append(Violation("associativity", (name(i), name(j), name(k)),
+                                            "(a·b)·c ≠ a·(b·c)"))
+
+    if A.nu is None:
+        report.append(Violation("nilpotency", tuple(A.labels),
+                                "power filtration stabilizes on a nonzero span"))
+
+    if graded:
+        for (i, j), vec in A.table.items():
+            want = A.degrees[i] + A.degrees[j]
+            for k in vec:
+                if A.degrees[k] != want:
+                    report.append(Violation("product_degree", (name(i), name(j)),
+                                            f"product has a term in degree {A.degrees[k]}, "
+                                            f"expected {want}"))
+        for i in range(dim):
+            for k, c in A.diff.get(i, {}).items():
+                if A.degrees[k] != A.degrees[i] + 1:
+                    report.append(Violation("differential_degree", (name(i),),
+                                            f"d hits degree {A.degrees[k]}"))
+        for i in range(dim):
+            dd: dict = {}
+            for k, c in A.diff.get(i, {}).items():
+                for t, e in A.diff.get(k, {}).items():
+                    dd[t] = dd.get(t, ZERO) + c * e
+            if _clean(dd):
+                report.append(Violation("d_squared", (name(i),), "d(d(a)) ≠ 0"))
+        for i in range(dim):
+            for j in range(dim):
+                prod = A.product_basis(i, unit(j))
+                lhs: dict = {}
+                for m, c in prod.items():
+                    for t, e in A.diff.get(m, {}).items():
+                        lhs[t] = lhs.get(t, ZERO) + c * e
+                rhs: dict = {}
+                for m, c in A.diff.get(i, {}).items():
+                    for t, e in A.product_basis(m, unit(j)).items():
+                        rhs[t] = rhs.get(t, ZERO) + c * e
+                sign = ONE if A.degrees[i] % 2 == 0 else -ONE
+                for m, c in A.diff.get(j, {}).items():
+                    for t, e in A.product_basis(i, {m: c}).items():
+                        rhs[t] = rhs.get(t, ZERO) + sign * e
+                if _clean(lhs) != _clean(rhs):
+                    report.append(Violation("leibniz", (name(i), name(j)),
+                                            "d(a·b) ≠ da·b + (−1)^deg a a·db"))
+    return report

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from mcdeform import artin
 from mcdeform import library as lib
 from mcdeform import linalg as la
 from mcdeform.artin import (
-    DgNilpotentAlgebra,
-    _filtration,
+    CoefficientAlgebra,
     artin_from_labels,
     epsilon_algebra,
     omega_complex,
@@ -78,20 +78,18 @@ class TestValidateArtin:
         assert A.levels == (1, 1, 2, 2, 2)
 
     def test_dg_algebra_product_degree_violation(self):
-        A = DgNilpotentAlgebra(
-            labels=("e0", "e1"), degrees=(0, 1),
-            diff={0: {1: F(1)}},
-            table={(0, 0): {1: F(1)}},  # degree-0 product landing in degree 1
+        A = CoefficientAlgebra(
+            ("e0", "e1"), {(0, 0): {1: F(1)}},  # degree-0 product landing in degree 1
+            degrees=(0, 1), diff={0: {1: F(1)}},
         )
         report = validate_artin(A)
         assert any(v.axiom == "product_degree" for v in report)
 
     def test_dg_algebra_leibniz_violation(self):
         # a·b = e with d(e) = c but da·b = 0: d(a·b) ≠ da·b ± a·db
-        A = DgNilpotentAlgebra(
-            labels=("a", "b", "e", "c"), degrees=(0, 0, 0, 1),
-            diff={0: {3: F(1)}, 2: {3: F(1)}},
-            table={(0, 1): {2: F(1)}},
+        A = CoefficientAlgebra(
+            ("a", "b", "e", "c"), {(0, 1): {2: F(1)}},
+            degrees=(0, 0, 0, 1), diff={0: {3: F(1)}, 2: {3: F(1)}},
         )
         report = validate_artin(A)
         assert any(v.axiom == "leibniz" for v in report)
@@ -151,7 +149,66 @@ FILTERED_ALGEBRAS = [
 @pytest.mark.parametrize("make", FILTERED_ALGEBRAS)
 def test_filtration_matches_per_vector_solves(make):
     A = make()
-    assert _filtration(A.dim, A.product_basis) == filtration_by_in_span(A.dim, A.product_basis)
+    assert (A.levels, A.nu) == filtration_by_in_span(A.dim, A.product_basis)
+
+
+class TestConstruction:
+    """One constructor for Artin and dg algebras: structure constants are
+    checked against the basis, and the filtration is always computed."""
+
+    @pytest.mark.parametrize("args, reason", [
+        ((("a", "b"), {(0, 2): {1: 1}}), "table key"),
+        ((("a", "b"), {(0, 0): {7: 1}}), "table value"),
+        ((("a",), {}, (0,), {3: {0: 1}}), "differential key"),
+        ((("a",), {}, (0,), {0: {9: 1}}), "differential of 0"),
+        ((("a", "b"), {}, (0,)), "length mismatch"),
+        ((("a", "b"), {}, None, {0: {1: 1}}), "needs degrees"),
+    ])
+    def test_keys_outside_the_basis_are_refused(self, args, reason):
+        with pytest.raises(InvalidInput, match=reason):
+            CoefficientAlgebra(*args)
+
+    def test_filtration_is_not_a_parameter(self):
+        A = truncated_polynomial_algebra(4)
+        for knob in ({"levels": (1, 1, 1)}, {"nu": 2}):
+            with pytest.raises(TypeError):
+                CoefficientAlgebra(A.labels, A.table, **knob)
+
+    def test_power_spans_run_once_per_algebra(self, monkeypatch):
+        calls = []
+        inner = artin._power_spans
+
+        def counting(dim, product):
+            calls.append(dim)
+            return inner(dim, product)
+        monkeypatch.setattr(artin, "_power_spans", counting)
+        # K[t]/t⁴, K[t]/t³ in a basis not adapted to its filtration, dg_uw
+        skew = {pair: {"a": 1, "b": -1} for pair in (("a", "a"), ("a", "b"), ("b", "b"))}
+        for make in (lambda: truncated_polynomial_algebra(4),
+                     lambda: artin_from_labels(("a", "b"), skew), dg_uw):
+            calls.clear()
+            A = make()
+            for _ in range(2):
+                assert A.adapted_basis[2] and A.levels and A.nu
+            assert len(calls) == 1
+        assert artin_from_labels(("a", "b"), skew).adapted_basis[0] is not None
+
+    def test_not_nilpotent_has_no_adapted_basis(self):
+        A = artin_from_labels(("t", "t^2"), {("t", "t"): {"t^2": 1}, ("t", "t^2"): {"t": 1}})
+        assert (A.levels, A.nu) == (None, None)
+        with pytest.raises(InvalidInput, match="not nilpotent"):
+            A.adapted_basis
+
+    def test_artin_and_dg_algebras_differ(self):
+        A = square_zero_algebra(("x",))
+        assert A.degrees is None and A != epsilon_algebra(0)
+        assert A == CoefficientAlgebra(("x",), {(0, 0): {}})
+
+    def test_swapped_product_carries_the_koszul_sign(self):
+        A = dg_uw()  # u·w = uw, deg u · deg w odd
+        assert A.product_basis(0, {1: F(1)}) == {2: F(1)}
+        assert A.product_basis(1, {0: F(1)}) == {2: F(-1)}
+        assert A.product({1: F(2)}, {0: F(3)}) == {2: F(-6)}
 
 
 class TestSmallExtensions:

@@ -412,6 +412,36 @@ class TestDocumentBoundary:
         assert error["error"] == "SchemaError"
         assert "dg_algebra.differential.eps.nope" in error["message"]
 
+    def test_largest_square_zero_algebra_validates(self, tmp_path):
+        # 512 labels, the MCDEFORM_MAX_DIM default: no product, so no
+        # associativity triple is visited
+        from mcdeform.artin import square_zero_algebra
+        from mcdeform.documents import DEFAULT_MAX_DIM, canonical_json, serialize_artin
+
+        A = square_zero_algebra(tuple(f"x{i}" for i in range(DEFAULT_MAX_DIM)))
+        path = tmp_path / "square_zero.json"
+        path.write_text(canonical_json(serialize_artin(A)))
+        code, out, _ = run_cli(["validate", str(path), "--json"])
+        assert code == 0
+        assert json.loads(out)["result"] == {"kind": "artin", "valid": True, "violations": []}
+
+    @pytest.mark.parametrize("end", ["source", "target"])
+    def test_extension_with_a_dg_algebra_end_is_refused(self, tmp_path, end):
+        # a degree-0 dg algebra with d = 0 holds the same products, and is
+        # still not an Artin algebra
+        from mcdeform.documents import canonical_json, serialize_extension
+
+        doc = serialize_extension(lib.extension_poly2_mod_uu())
+        alg = doc[end]
+        alg.update(kind="dg_algebra", degrees={lab: 0 for lab in alg["basis"]}, differential={})
+        path = tmp_path / "ext.json"
+        path.write_text(canonical_json(doc))
+        code, out, _ = run_cli(["validate", str(path), "--json"])
+        assert code == 1
+        error = json.loads(out)
+        assert error["error"] == "AxiomViolation"
+        assert error["message"] == f"small_extension: {end} is a dg algebra, not an Artin algebra"
+
     def _bch_documents(self, tmp_path, a_coords, b_coords):
         """heis0 and K[t]/t³ documents with two degree-0 element documents."""
         from mcdeform.artin import tensor_dgla

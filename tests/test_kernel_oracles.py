@@ -1,5 +1,6 @@
 """The integer bracket, the in-place block assembly of cones and of the maps
-between direct sums, and the tensor DGLA built from its factors, each
+between direct sums, the tensor DGLA built from its factors, and the
+coefficient-algebra axioms checked over the structure constants, each
 compared for equality with the direct construction it replaces
 (tests/reference_kernels.py)."""
 
@@ -11,16 +12,19 @@ from hypothesis import given, settings, strategies as st
 
 import mutations
 import reference_kernels as ref
-from mcdeform import dgla, graded
+from mcdeform import artin, dgla, graded
 from mcdeform import library as lib
 from mcdeform import linalg as la
 from mcdeform.artin import (
-    ArtinLocalAlgebra,
-    DgNilpotentAlgebra,
+    CoefficientAlgebra,
+    artin_from_labels,
     epsilon_algebra,
     omega_complex,
+    square_zero_algebra,
     tensor_dgla,
+    tower_step,
     truncated_polynomial_algebra,
+    validate_artin,
 )
 from mcdeform.dgla import (
     ChainMap,
@@ -388,8 +392,7 @@ class TestTensorDgla:
                 return inner(*args, **kwargs)
             monkeypatch.setattr(cls, method, wrapper)
 
-        counting(ArtinLocalAlgebra, "product_basis")
-        counting(DgNilpotentAlgebra, "product_basis")
+        counting(CoefficientAlgebra, "product_basis")
         counting(Dgla, "bracket_basis")
         L = endomorphism_dgla(end_complex(1, False))
         for A in (truncated_polynomial_algebra(3), truncated_polynomial_algebra(6), dg_uw()):
@@ -403,3 +406,105 @@ class TestTensorDgla:
             calls.clear()
             ref.tensor_brackets(T)
             assert calls["bracket_basis"] >= n * (n + 1) // 2
+
+
+# --- coefficient-algebra axioms ------------------------------------------------
+
+
+def oracle_algebras():
+    """Every built-in algebra, both ends of the tower steps, dg_uw, Ω[1] and K·ε."""
+    algebras = {name: fn() for name, fn in lib.EXAMPLE_ARTIN.items()}
+    ext = lib.extension_poly2_mod_uu()
+    algebras.update(poly2_mod_uu=ext.A)
+    for k in range(1, 6):
+        step = tower_step(k)
+        algebras[f"tower{k}.B"], algebras[f"tower{k}.A"] = step.B, step.A
+    algebras.update(uw=dg_uw(), omega1=omega_complex(1),
+                    eps0=epsilon_algebra(0), eps1=epsilon_algebra(1))
+    return algebras
+
+
+# one algebra for each axiom the validator checks, with the axioms it fails
+VIOLATING = {
+    "non_associative": (artin_from_labels(("a", "b", "c"), {
+        ("a", "a"): {"b": 1}, ("a", "b"): {"c": 1}, ("b", "b"): {"c": 1}}),
+        {"associativity"}),
+    "not_nilpotent": (artin_from_labels(("t", "t^2"), {
+        ("t", "t"): {"t^2": 1}, ("t", "t^2"): {"t": 1}}), {"nilpotency", "associativity"}),
+    "wrong_product_degree": (CoefficientAlgebra(("e0", "e1"), {(0, 0): {1: 1}}, (0, 1)),
+                             {"product_degree"}),
+    "odd_square": (CoefficientAlgebra(("u", "v"), {(0, 0): {1: 1}}, (1, 2)),
+                   {"graded_commutativity"}),
+    "wrong_differential_degree": (CoefficientAlgebra(("a", "b"), {}, (0, 2), {0: {1: 1}}),
+                                  {"differential_degree"}),
+    "d_squared": (CoefficientAlgebra(("a", "b", "c"), {}, (0, 1, 2), {0: {1: 1}, 1: {2: 1}}),
+                  {"d_squared"}),
+    "leibniz": (CoefficientAlgebra(("a", "b", "e", "c"), {(0, 1): {2: 1}}, (0, 0, 0, 1),
+                                   {0: {3: 1}, 2: {3: 1}}), {"leibniz"}),
+}
+
+
+@st.composite
+def coefficient_tables(draw):
+    """Random structure constants on up to four basis vectors, graded or not:
+    triangular tables (products of e_i, e_j land on e_k, k > i, j) are
+    nilpotent, free ones rarely; degrees and d are not matched to the table."""
+    dim = draw(st.integers(1, 4))
+    degrees = draw(st.none() | st.tuples(*[st.integers(-1, 2)] * dim))
+    triangular = draw(st.booleans())
+
+    def values(low):
+        keys = range(low + 1 if triangular else 0, dim)
+        if not keys:
+            return st.just({})
+        return st.dictionaries(st.sampled_from(keys), st.integers(-2, 2), max_size=2)
+    pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
+    table = {pair: draw(values(pair[1])) for pair in
+             draw(st.lists(st.sampled_from(pairs), max_size=len(pairs), unique=True))}
+    diff = {}
+    if degrees is not None:
+        diff = draw(st.dictionaries(st.integers(0, dim - 1), values(-1), max_size=dim))
+    return CoefficientAlgebra(tuple(f"e{i}" for i in range(dim)), table, degrees, diff)
+
+
+class TestValidateArtin:
+    @pytest.mark.parametrize("name", sorted(oracle_algebras()))
+    def test_valid_algebras_match_the_dense_check(self, name):
+        A = oracle_algebras()[name]
+        assert validate_artin(A) == ref.validate_artin(A) == []
+
+    @pytest.mark.parametrize("name", sorted(VIOLATING))
+    def test_each_axiom_matches_the_dense_check(self, name):
+        A, axioms = VIOLATING[name]
+        report = validate_artin(A)
+        assert report == ref.validate_artin(A)
+        assert {v.axiom for v in report} == axioms
+
+    @settings(max_examples=300, deadline=None)
+    @given(coefficient_tables())
+    def test_random_tables_match_the_dense_check(self, A):
+        assert validate_artin(A) == ref.validate_artin(A)
+
+    def test_square_zero_makes_no_associativity_products(self, monkeypatch):
+        calls = Counter()
+
+        def counting(owner, name):
+            inner = getattr(owner, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(CoefficientAlgebra, "product_basis")
+        counting(artin, "_add")
+        counting(artin, "_sub")
+        A = square_zero_algebra(tuple(f"x{i}" for i in range(300)))
+        calls.clear()
+        assert validate_artin(A) == []
+        assert not calls
+        # K[t]/t⁴ reads each stored product once per order, and sums defects
+        A = truncated_polynomial_algebra(4)
+        calls.clear()
+        assert validate_artin(A) == []
+        assert calls["product_basis"] == 2 * len(A.table) and calls["_add"] > 0

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 from mcdeform import library as lib
-from mcdeform.artin import DgNilpotentAlgebra
+from mcdeform.artin import CoefficientAlgebra
 from mcdeform.graded import GradedElement, zero_element
 from mcdeform.maurer_cartan import (
     PairSetting,
@@ -28,13 +28,13 @@ def rand_elem(rnd: random.Random, space_owner, degree: int, lo=-2, hi=2) -> Grad
     return GradedElement(space, coords, degree)
 
 
-def dg_uw() -> DgNilpotentAlgebra:
+def dg_uw() -> CoefficientAlgebra:
     """Graded nilpotent dg algebra u (degree 1), w (degree −1), uw (degree 0)
     with u·w = uw = −w·u and dw = uw: degree-0 elements of L ⊗ m mix the
     degrees of L, and ν = 3."""
     one = Fraction(1)
-    return DgNilpotentAlgebra(labels=("u", "w", "uw"), degrees=(1, -1, 0),
-                              diff={1: {2: one}}, table={(0, 1): {2: one}})
+    return CoefficientAlgebra(("u", "w", "uw"), {(0, 1): {2: one}}, degrees=(1, -1, 0),
+                              diff={1: {2: one}})
 
 
 def rand_mc(rnd: random.Random, T) -> GradedElement:
