@@ -11,29 +11,20 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
-from .dgla import (
-    cone_pair,
-    cone_single,
-    gamma_quotient_map,
-    validate_dgla,
-    validate_morphism,
-)
+from .dgla import cone_pair, cone_single, gamma_quotient_map
 from .documents import (
+    ALGEBRAS,
+    PARSERS,
+    axiom_checks,
     canonical_json,
     digest,
     dimension_guard,
     element_coords_map,
-    endpoint_violations,
     load_raw,
-    parse_artin_body,
-    parse_dgla_body,
-    parse_extension_body,
-    parse_hpair_body,
-    parse_morphism_body,
-    parse_pair_body,
-    parse_element_body,
-    parse_triple_body,
+    parse_doc,
+    parse_valid,
     resolve_hpair,
     resolve_tensor_element,
     resolve_triple,
@@ -45,6 +36,7 @@ from .documents import (
     serialize_pair,
     serialize_triple,
     serialize_hpair,
+    truncation_guard,
 )
 from .errors import McdeformError, MissingDocument, SchemaError
 from .graded import basis_element, compute_cohomology, zero_element
@@ -63,11 +55,16 @@ def _scalars(m: dict) -> dict:
 
 
 def _load(args, path: str) -> dict:
-    """The document at path, read and parsed once per command; the report's
-    input digests are taken from the same parsed documents."""
+    """The JSON of the document at path, read once per command; the report's
+    input digests are taken from the same documents."""
     if path not in args.loaded:
         args.loaded[path] = load_raw(path)
     return args.loaded[path]
+
+
+def _read(args, path: str, *kinds: str):
+    """The document at path, of one of kinds, parsed and axiom-checked."""
+    return parse_valid(_load(args, path), kinds, path)
 
 
 def _tower_extension(step: int):
@@ -85,25 +82,16 @@ def _load_tensor_context(args):
     """Common --dgla/--artin resolution; returns (tensor, dgla_digest, coeff_digest)."""
     from .artin import tensor_dgla
 
-    if not args.dgla:
-        raise MissingDocument("this command needs --dgla")
-    if not args.artin:
-        raise MissingDocument("this command needs --artin")
-    dgla_doc = _load(args, args.dgla)
-    L = parse_dgla_body(dgla_doc, "dgla")
-    artin_doc = _load(args, args.artin)
-    A = parse_artin_body(artin_doc, artin_doc.get("kind", "artin"))
+    L = _read(args, args.dgla, "dgla")
+    A = _read(args, args.artin, *ALGEBRAS)
     dimension_guard(L.space.total_dim() * max(A.dim, 1))
     T = tensor_dgla(L, A)
     return T, digest(serialize_dgla(L)), digest(serialize_artin(A))
 
 
 def _element_from(args, path, tensor, dgla_digest, coeff_digest, degree=None):
-    raw = _load(args, path)
-    if raw["kind"] != "element":
-        raise SchemaError(f"{path}: expected an element document")
-    elem = resolve_tensor_element(parse_element_body(raw), tensor, dgla_digest, coeff_digest,
-                                  path)
+    elem = resolve_tensor_element(_read(args, path, "element"), tensor, dgla_digest,
+                                  coeff_digest, path)
     if degree is not None and not elem.is_zero():
         got = elem.homogeneous_degree()
         if got != degree:
@@ -116,38 +104,17 @@ def _element_from(args, path, tensor, dgla_digest, coeff_digest, degree=None):
 
 def cmd_validate(args):
     raw = _load(args, args.document)
+    obj = parse_doc(raw, tuple(PARSERS), args.document, top=True)
     kind = raw["kind"]
-    if kind == "dgla":
-        report = validate_dgla(parse_dgla_body(raw, "dgla", check_axioms=False))
-    elif kind in ("artin", "dg_algebra"):
-        from .artin import validate_artin
-
-        report = validate_artin(parse_artin_body(raw, kind, check_axioms=False))
-    elif kind == "morphism":
-        phi = parse_morphism_body(raw, "morphism", check_axioms=False)
-        report = endpoint_violations([("source", phi.source), ("target", phi.target)])
-        report += validate_morphism(phi)
-    elif kind == "pair":
-        h, g = parse_pair_body(raw, "pair", check_axioms=False)
-        report = endpoint_violations([("h.source", h.source), ("g.source", g.source),
-                                      ("target", h.target)])
-        vh = validate_morphism(h)
-        report += vh + (vh if g == h else validate_morphism(g))
-    elif kind == "small_extension":
-        parse_extension_body(raw, "small_extension", check_axioms=True)
-        report = []
-    elif kind in ("element", "triple", "hpair"):
-        {"element": parse_element_body, "triple": parse_triple_body,
-         "hpair": parse_hpair_body}[kind](raw, kind)
-        report = []
-    else:
-        raise SchemaError(f"unknown kind {kind!r}")
+    # every violation of every check, an endpoint's prefixed by its role, a morphism's not
+    report = [replace(v, detail=f"{role}: {v.detail}") if role and what != "morphism" else v
+              for role, what, found in axiom_checks(kind, obj) for v in found]
     result = {"kind": kind, "valid": not report, "violations": _violations_json(report)}
     return result, 0 if not report else 1
 
 
 def cmd_cohomology(args):
-    L = parse_dgla_body(_load(args, args.document), "dgla")
+    L = _read(args, args.document, "dgla")
     H = compute_cohomology(L.complex)
     space = L.space
     dims = {str(i): H.dim(i) for i in space.degrees()}
@@ -169,12 +136,12 @@ def _cone_report(cone):
 
 
 def cmd_cone(args):
-    h = parse_morphism_body(_load(args, args.document), "morphism")
+    h = _read(args, args.document, "morphism")
     return _cone_report(cone_single(h)), 0
 
 
 def cmd_pair_cone(args):
-    h, g = parse_pair_body(_load(args, args.document), "pair")
+    h, g = _read(args, args.document, "pair")
     report = _cone_report(cone_pair(h, g))
     try:
         gamma_quotient_map(h, g)
@@ -190,10 +157,10 @@ def cmd_tangent(args):
     if bool(args.dgla) == bool(args.pair):
         raise MissingDocument("tangent needs exactly one of --dgla or --pair")
     if args.dgla:
-        L = parse_dgla_body(_load(args, args.dgla), "dgla")
+        L = _read(args, args.dgla, "dgla")
         dim = tangent_dim_single(L, args.shift)
     else:
-        h, g = parse_pair_body(_load(args, args.pair), "pair")
+        h, g = _read(args, args.pair, "pair")
         dim = tangent_dim_pair(h, g, args.shift)
     return {"shift": args.shift, "dimension": dim,
             "checked": "cohomology and direct MC/gauge linear algebra agree"}, 0
@@ -246,17 +213,13 @@ def cmd_gauge_equiv(args):
 def cmd_mc_check(args):
     from .maurer_cartan import mc_pair_check, pair_setting
 
-    if not args.pair:
-        raise MissingDocument("mc-check needs --pair")
-    h, g = parse_pair_body(_load(args, args.pair), "pair")
+    h, g = _read(args, args.pair, "pair")
     pair_digest = digest(serialize_pair(h, g))
-    if not args.artin:
-        raise MissingDocument("mc-check needs --artin")
-    artin_raw = _load(args, args.artin)
-    A = parse_artin_body(artin_raw, artin_raw.get("kind"))
+    A = _read(args, args.artin, *ALGEBRAS)
     coeff_digest = digest(serialize_artin(A))
     s = pair_setting(h, g, A)
-    x, y, p = resolve_triple(_load(args, args.element), s, pair_digest, coeff_digest, args.element)
+    x, y, p = resolve_triple(_read(args, args.element, "triple"), s, pair_digest, coeff_digest,
+                             args.element)
     triple, report = mc_pair_check(s, x, y, p)
     return {"verified": triple.verified, "violations": _violations_json(report)}, 0
 
@@ -282,7 +245,7 @@ def _obstruction_input(args):
     coeff_digest = digest(serialize_artin(ext.A))
     ext_name = f"K[t]/t^{args.tower} -> K[t]/t^{args.tower - 1}"
     if args.dgla:
-        L = parse_dgla_body(_load(args, args.dgla), "dgla")
+        L = _read(args, args.dgla, "dgla")
         T = tensor_dgla(L, ext.A)
         x = mc_element(T, _element_from(args, args.element, T,
                                         digest(serialize_dgla(L)), coeff_digest, degree=1))
@@ -290,10 +253,10 @@ def _obstruction_input(args):
         return (ext_name, lambda: obstruction_single(ext, x, tensor_B=TB),
                 lambda cls: lift_if_unobstructed(ext, x, cls, tensor_B=TB), "element",
                 lambda got: _scalars(element_coords_map(TB.space, got.element)))
-    h, g = parse_pair_body(_load(args, args.pair), "pair")
+    h, g = _read(args, args.pair, "pair")
     s = pair_setting(h, g, ext.A)
-    t = mc_triple(s, *resolve_triple(_load(args, args.element), s, digest(serialize_pair(h, g)),
-                                     coeff_digest, args.element))
+    t = mc_triple(s, *resolve_triple(_read(args, args.element, "triple"), s,
+                                     digest(serialize_pair(h, g)), coeff_digest, args.element))
     sB = pair_setting(h, g, ext.B)
     return (ext_name, lambda: obstruction_pair(ext, t, setting_B=sB),
             lambda cls: lift_pair_if_unobstructed(ext, t, cls, setting_B=sB), "triple",
@@ -328,16 +291,12 @@ def cmd_lift(args):
 def cmd_h_trunc(args):
     from .path_object import TruncationWindow, truncated_H_cohomology
 
-    if not args.pair:
-        raise MissingDocument("h-trunc needs --pair")
-    h, g = parse_pair_body(_load(args, args.pair), "pair")
+    h, g = _read(args, args.pair, "pair")
     n_from = args.trunc
     n_to = args.trunc_to if args.trunc_to is not None else n_from + 1
     if n_to < n_from:
         raise SchemaError("--trunc-to must be ≥ --trunc")
-    # window N has dimension dim L + dim N + (2N + 1)·dim M, largest at n_to
-    dimension_guard((h.source.space.total_dim() + g.source.space.total_dim()
-                     + h.target.space.total_dim() * (2 * n_to + 1)))
+    truncation_guard(h, g, n_to)  # the largest window
     cone = cone_pair(h, g)
     Hc = compute_cohomology(cone.complex)
     cone_dims = {str(i): Hc.dim(i) for i in cone.complex.space.degrees()}
@@ -362,11 +321,9 @@ def cmd_h_trunc(args):
 def cmd_h_embed(args):
     from .path_object import barycentric_embed, h_pair_element
 
-    if not args.pair:
-        raise MissingDocument("h-embed needs --pair")
-    h, g = parse_pair_body(_load(args, args.pair), "pair")
+    h, g = _read(args, args.pair, "pair")
     pair_digest = digest(serialize_pair(h, g))
-    l, n, m = resolve_hpair(_load(args, args.element), h, g, pair_digest, args.element)
+    l, n, m = resolve_hpair(_read(args, args.element, "hpair"), h, g, pair_digest, args.element)
     L, N, M = h.source, g.source, h.target
     he = h_pair_element(h, g, l, n, m)
     k = barycentric_embed(he)

@@ -12,9 +12,8 @@ import json
 import os
 import re
 import sys
-from dataclasses import replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from . import linalg as la
 from .dgla import (
@@ -300,29 +299,10 @@ def serialize_hpair(l: GradedElement, n: GradedElement, m, owner_pair: str) -> d
     })
 
 
-# --- axiom checks -------------------------------------------------------------
-
-
-def _validate_once(D: Dgla | DglaMorphism, seen: list) -> list[Violation]:
-    """validate_dgla(D) or validate_morphism(D), or [] when D equals one in
-    seen, validated earlier in the same document; D joins seen.  The DGLAs
-    and morphisms of one document are validated by this rule, when parsed and
-    by endpoint_violations."""
-    if D in seen:
-        return []
-    seen.append(D)
-    return validate_dgla(D) if isinstance(D, Dgla) else validate_morphism(D)
-
-
-def endpoint_violations(dglas: Iterable[tuple[str, Dgla]]) -> list[Violation]:
-    """Violations of the (where, DGLA) endpoints of one document, each
-    distinct DGLA validated once; a violation's detail names its endpoint."""
-    seen: list[Dgla] = []
-    return [replace(v, detail=f"{where}: {v.detail}")
-            for where, D in dglas for v in _validate_once(D, seen)]
-
-
 # --- parsers ------------------------------------------------------------------
+#
+# A body parser reads the fields of one kind, its envelope already checked and
+# removed by parse_doc, and checks no axiom: see axiom_checks.
 
 
 def _check_envelope(doc: dict, where: str) -> str:
@@ -338,12 +318,8 @@ def _check_envelope(doc: dict, where: str) -> str:
     return kind
 
 
-def parse_dgla_body(doc: dict, where: str = "dgla", check_axioms: bool = True,
-                    seen: list[Dgla] | None = None) -> Dgla:
-    """The DGLA of a document body; with check_axioms its axioms are
-    validated unless it equals a DGLA in seen (see _validate_once)."""
-    _expect_keys(doc, {"format", "convention", "kind", "window", "basis",
-                       "differential", "bracket"}, set(), where)
+def parse_dgla_body(doc: dict, where: str = "dgla") -> Dgla:
+    _expect_keys(doc, {"window", "basis", "differential", "bracket"}, set(), where)
     window = doc["window"]
     if not isinstance(window, list) or len(window) != 2:
         raise SchemaError(f"{where}.window: expected [dmin, dmax]")
@@ -385,23 +361,14 @@ def parse_dgla_body(doc: dict, where: str = "dgla", check_axioms: bool = True,
         if (a, b) in entries:
             raise SchemaError(f"{at}: duplicate entry for ({ent['a']}, {ent['b']})")
         entries[(a, b)] = val
-    L = make_dgla(cx, [(a, b, val) for (a, b), val in entries.items()])
-    if check_axioms:
-        report = _validate_once(L, [] if seen is None else seen)
-        if report:
-            raise AxiomViolation(
-                f"{where}: DGLA axioms violated ({report[0]})", report)
-    return L
+    return make_dgla(cx, [(a, b, val) for (a, b), val in entries.items()])
 
 
-def parse_artin_body(doc: dict, where: str = "artin", check_axioms: bool = True):
-    from .artin import CoefficientAlgebra, validate_artin
+def parse_artin_body(doc: dict, where: str = "artin", graded: bool = False):
+    """The algebra of an artin body, or with graded of a dg_algebra body."""
+    from .artin import CoefficientAlgebra
 
-    kind = doc.get("kind")
-    graded = kind == "dg_algebra"
-    required = {"format", "convention", "kind", "basis", "table"}
-    if graded:
-        required |= {"degrees", "differential"}
+    required = {"basis", "table"} | ({"degrees", "differential"} if graded else set())
     _expect_keys(doc, required, set(), where)
     labels = _labels(doc["basis"], f"{where}.basis")
     dimension_guard(len(labels))
@@ -430,60 +397,37 @@ def parse_artin_body(doc: dict, where: str = "artin", check_axioms: bool = True)
             if lab not in idx:
                 raise SchemaError(f"{where}.differential.{lab}: unknown label")
             diff[idx[lab]] = _label_vector(val, idx, f"{where}.differential.{lab}")
-    A = CoefficientAlgebra(labels, table, degrees, diff)
-    if check_axioms:
-        report = validate_artin(A)
-        if report:
-            raise AxiomViolation(f"{where}: coefficient-algebra axioms violated ({report[0]})",
-                                 report)
-    return A
+    return CoefficientAlgebra(labels, table, degrees, diff)
 
 
-def parse_morphism_body(doc: dict, where: str = "morphism", check_axioms: bool = True,
-                        seen: list | None = None) -> DglaMorphism:
-    _expect_keys(doc, {"format", "convention", "kind", "source", "target", "matrix"},
-                 set(), where)
-    seen = [] if seen is None else seen
-    src = parse_dgla_body(doc["source"], f"{where}.source", check_axioms, seen)
-    tgt = parse_dgla_body(doc["target"], f"{where}.target", check_axioms, seen)
+def parse_morphism_body(doc: dict, where: str = "morphism") -> DglaMorphism:
+    """The morphism of a morphism body, also the bare h and g of a pair."""
+    _expect_keys(doc, {"source", "target", "matrix"}, set(), where)
+    src = parse_doc(doc["source"], ("dgla",), f"{where}.source")
+    tgt = parse_doc(doc["target"], ("dgla",), f"{where}.target")
     images = {}
     for lab, val in _field(doc, "matrix", dict, where).items():
         key = _key(src.space, lab, f"{where}.matrix")
         at = f"{where}.matrix.{lab}"
         images[key] = _element(tgt.space, _scalar_map(val, at), key[0], at)
-    phi = DglaMorphism(src, tgt, map_from_images(src.space, tgt.space, 0, images))
-    if check_axioms:
-        report = _validate_once(phi, seen)
-        if report:
-            raise AxiomViolation(f"{where}: morphism axioms violated ({report[0]})", report)
-    return phi
+    return DglaMorphism(src, tgt, map_from_images(src.space, tgt.space, 0, images))
 
 
-def parse_pair_body(doc: dict, where: str = "pair",
-                    check_axioms: bool = True) -> tuple[DglaMorphism, DglaMorphism]:
-    _expect_keys(doc, {"format", "convention", "kind", "h", "g"}, set(), where)
-    h_doc = dict(_field(doc, "h", dict, where))
-    g_doc = dict(_field(doc, "g", dict, where))
-    for sub in (h_doc, g_doc):
-        sub.setdefault("format", FORMAT_TAG)
-        sub.setdefault("convention", CONE_CONVENTION)
-        sub.setdefault("kind", "morphism")
-    seen: list = []
-    h = parse_morphism_body(h_doc, f"{where}.h", check_axioms, seen)
-    g = parse_morphism_body(g_doc, f"{where}.g", check_axioms, seen)
+def parse_pair_body(doc: dict, where: str = "pair") -> tuple[DglaMorphism, DglaMorphism]:
+    _expect_keys(doc, {"h", "g"}, set(), where)
+    h = parse_morphism_body(doc["h"], f"{where}.h")
+    g = parse_morphism_body(doc["g"], f"{where}.g")
     if h.target != g.target:
         raise TargetMismatch(f"{where}: h and g have different targets")
     return h, g
 
 
-def parse_extension_body(doc: dict, where: str = "small_extension",
-                         check_axioms: bool = True) -> SmallExtension:
+def parse_extension_body(doc: dict, where: str = "small_extension") -> SmallExtension:
     from .artin import SmallExtension
 
-    _expect_keys(doc, {"format", "convention", "kind", "source", "target",
-                       "alpha", "section", "kernel"}, set(), where)
-    B = parse_artin_body(_field(doc, "source", dict, where), f"{where}.source", check_axioms)
-    A = parse_artin_body(_field(doc, "target", dict, where), f"{where}.target", check_axioms)
+    _expect_keys(doc, {"source", "target", "alpha", "section", "kernel"}, set(), where)
+    B = parse_doc(doc["source"], ALGEBRAS, f"{where}.source")
+    A = parse_doc(doc["target"], ALGEBRAS, f"{where}.target")
     idx = {"source": {lab: i for i, lab in enumerate(B.labels)},
            "target": {lab: i for i, lab in enumerate(A.labels)}}
 
@@ -512,8 +456,7 @@ def parse_extension_body(doc: dict, where: str = "small_extension",
 
 
 def parse_element_body(doc: dict, where: str = "element") -> dict:
-    _expect_keys(doc, {"format", "convention", "kind", "owner", "degree", "coords"},
-                 set(), where)
+    _expect_keys(doc, {"owner", "degree", "coords"}, set(), where)
     owner = doc["owner"]
     _expect_keys(owner, {"dgla", "coeff"}, set(), f"{where}.owner")
     coords = _scalar_map(doc["coords"], f"{where}.coords")
@@ -524,8 +467,7 @@ def parse_element_body(doc: dict, where: str = "element") -> dict:
 
 
 def parse_triple_body(doc: dict, where: str = "triple") -> dict:
-    _expect_keys(doc, {"format", "convention", "kind", "owner", "x", "y", "p"},
-                 set(), where)
+    _expect_keys(doc, {"owner", "x", "y", "p"}, set(), where)
     owner = doc["owner"]
     _expect_keys(owner, {"pair", "coeff"}, set(), f"{where}.owner")
     return {
@@ -537,8 +479,7 @@ def parse_triple_body(doc: dict, where: str = "triple") -> dict:
 
 
 def parse_hpair_body(doc: dict, where: str = "hpair") -> dict:
-    _expect_keys(doc, {"format", "convention", "kind", "owner", "l", "n", "degree", "m"},
-                 set(), where)
+    _expect_keys(doc, {"owner", "l", "n", "degree", "m"}, set(), where)
     _expect_keys(doc["owner"], {"pair"}, set(), f"{where}.owner")
     _expect_keys(doc["m"], {"t", "dt"}, set(), f"{where}.m")
 
@@ -547,6 +488,11 @@ def parse_hpair_body(doc: dict, where: str = "hpair") -> dict:
         for e, val in _field(doc["m"], name, dict, f"{where}.m").items():
             if not e.isascii() or not e.isdigit():
                 raise SchemaError(f"{where}.m.{name}.{e}: exponent must be a non-negative integer")
+            if len(e) > _max_digits():  # its size is guarded by resolve_hpair
+                raise ResourceLimitExceeded(
+                    f"{where}.m.{name}: exponent has more than {_max_digits()} digits")
+            if int(e) in out:
+                raise SchemaError(f"{where}.m.{name}.{e}: exponent {int(e)} given twice")
             out[int(e)] = _scalar_map(val, f"{where}.m.{name}.{e}")
         return out
 
@@ -559,14 +505,87 @@ def parse_hpair_body(doc: dict, where: str = "hpair") -> dict:
     }
 
 
+ALGEBRAS = ("artin", "dg_algebra")
+
 PARSERS = {
     "dgla": parse_dgla_body,
     "artin": parse_artin_body,
-    "dg_algebra": parse_artin_body,
+    "dg_algebra": lambda doc, where: parse_artin_body(doc, where, graded=True),
     "morphism": parse_morphism_body,
     "pair": parse_pair_body,
     "small_extension": parse_extension_body,
+    "element": parse_element_body,
+    "triple": parse_triple_body,
+    "hpair": parse_hpair_body,
 }
+
+
+def parse_doc(doc: dict, kinds: Iterable[str], where: str, top: bool = False):
+    """The parsed document doc, whose kind must be one of kinds: a library
+    object, or for an element, triple or hpair its parsed fields.  Envelope
+    and kind are checked under where; the fields are parsed under where, or
+    under the kind of a top-level document (top).  Every document and nested
+    document is read here; no axiom is checked (see axiom_checks)."""
+    kind = _check_envelope(doc, where)
+    if kind not in kinds:
+        raise SchemaError(f"{where}: expected a {' or '.join(kinds)} document, got kind {kind!r}")
+    body = {k: v for k, v in doc.items() if k not in ("format", "convention", "kind")}
+    return PARSERS[kind](body, kind if top else where)
+
+
+# --- axiom checks -------------------------------------------------------------
+
+
+def _validated(x) -> tuple[str, list[Violation]]:
+    if isinstance(x, Dgla):
+        return "DGLA", validate_dgla(x)
+    if isinstance(x, DglaMorphism):
+        return "morphism", validate_morphism(x)
+    from .artin import validate_artin  # loaded only for the documents that hold algebras
+
+    return "coefficient-algebra", validate_artin(x)
+
+
+def axiom_checks(kind: str, obj) -> Iterator[tuple[str, str, list[Violation]]]:
+    """The axiom checks of a parsed document of this kind, as (role, what,
+    violations), endpoints first: a pair's h.source, g.source, target, h and
+    g; a morphism's source, target and itself; an extension's source and
+    target; a DGLA or an algebra itself.  The role of the document itself is
+    "".  Each distinct object is validated once, when first reached: a DGLA
+    or algebra is listed under its first role only, a morphism under every
+    role it has.  Element, triple and hpair fields are checked when resolved
+    against their owners."""
+    if kind == "pair":
+        h, g = obj
+        roles = [("h.source", h.source), ("g.source", g.source), ("target", h.target),
+                 ("h", h), ("g", g)]
+    elif kind == "morphism":
+        roles = [("source", obj.source), ("target", obj.target), ("", obj)]
+    elif kind == "small_extension":
+        roles = [("source", obj.B), ("target", obj.A)]
+    else:
+        roles = [] if isinstance(obj, dict) else [("", obj)]
+    checked: list[tuple[object, str, list[Violation]]] = []
+    for role, x in roles:
+        entry = next((c for c in checked if c[0] == x), None)
+        if entry is None:
+            entry = (x, *_validated(x))
+            checked.append(entry)
+        elif not isinstance(x, DglaMorphism):
+            continue
+        yield role, entry[1], entry[2]
+
+
+def parse_valid(doc: dict, kinds: Iterable[str], where: str):
+    """parse_doc of a top-level document, which must pass every check of
+    axiom_checks: the first that fails raises AxiomViolation, named by the
+    kind and the role."""
+    obj = parse_doc(doc, kinds, where, top=True)
+    for role, what, report in axiom_checks(doc["kind"], obj):
+        if report:
+            at = f"{doc['kind']}.{role}" if role else doc["kind"]
+            raise AxiomViolation(f"{at}: {what} axioms violated ({report[0]})", report)
+    return obj
 
 
 def _loads(text: str, prefix: str):
@@ -581,51 +600,45 @@ def _loads(text: str, prefix: str):
         raise ResourceLimitExceeded(f"{prefix}{e}") from None
 
 
-def parse_document(text: str, check_axioms: bool = True):
-    """Parse any document; axiom violations from validators are forwarded."""
-    doc = _loads(text, "")
-    kind = _check_envelope(doc, "document")
-    if kind in PARSERS:
-        return PARSERS[kind](doc, kind, check_axioms)
-    if kind == "element":
-        return parse_element_body(doc)
-    if kind == "triple":
-        return parse_triple_body(doc)
-    if kind == "hpair":
-        return parse_hpair_body(doc)
-    raise SchemaError(f"document: unknown kind {kind!r}")
+def parse_document(text: str):
+    """The parsed document of any kind in text, its axioms checked (see
+    parse_valid)."""
+    return parse_valid(_loads(text, ""), tuple(PARSERS), "document")
 
 
-def load_document(path: str, check_axioms: bool = True):
+def load_document(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_document(fh.read(), check_axioms)
+        return parse_document(fh.read())
 
 
-def load_raw(path: str) -> dict:
+def load_raw(path: str):
+    """The JSON value of the document at path, not yet read by parse_doc."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = _loads(fh.read(), f"{path}: ")
-    _check_envelope(doc, path)
-    return doc
+        return _loads(fh.read(), f"{path}: ")
 
 
-def resolve_tensor_element(raw: dict, tensor: TensorDgla, dgla_digest: str,
+def truncation_guard(h: DglaMorphism, g: DglaMorphism, N: int) -> None:
+    """dimension_guard of the truncation window N of the pair (h, g):
+    dim L + dim N + (2N + 1)·dim M."""
+    dimension_guard(h.source.space.total_dim() + g.source.space.total_dim()
+                    + h.target.space.total_dim() * (2 * N + 1))
+
+
+def resolve_tensor_element(body: dict, tensor: TensorDgla, dgla_digest: str,
                            coeff_digest: str | None, where: str = "element") -> GradedElement:
-    """Check owner digests and build the element in the tensor space."""
-    owner = raw["owner"]
+    """Check a parsed element's owner digests and build it in the tensor space."""
+    owner = body["owner"]
     if owner["dgla"] != dgla_digest:
         raise SchemaError(f"{where}: owner.dgla digest does not match the supplied DGLA")
     if owner["coeff"] != coeff_digest:
         raise SchemaError(f"{where}: owner.coeff digest does not match the coefficient algebra")
-    return _element(tensor.space, raw["coords"], raw["degree"], f"{where}.coords")
+    return _element(tensor.space, body["coords"], body["degree"], f"{where}.coords")
 
 
-def resolve_triple(raw: dict, setting, pair_digest: str, coeff_digest: str,
+def resolve_triple(body: dict, setting, pair_digest: str, coeff_digest: str,
                    where: str) -> tuple[GradedElement, GradedElement, GradedElement]:
-    """Check a triple document's kind, owner digests and labels, and build
-    (x, y, p) in the tensor spaces of a pair setting."""
-    if raw.get("kind") != "triple":
-        raise SchemaError(f"{where}: expected a triple document, got kind {raw.get('kind')!r}")
-    body = parse_triple_body(raw, where)
+    """Check a parsed triple's owner digests and labels, and build (x, y, p)
+    in the tensor spaces of a pair setting."""
     if body["owner"]["pair"] != pair_digest or body["owner"]["coeff"] != coeff_digest:
         raise SchemaError(f"{where}: owner digests do not match the pair and coefficient algebra")
     return (_element(setting.tL.space, body["x"], 1, f"{where}.x"),
@@ -633,22 +646,23 @@ def resolve_triple(raw: dict, setting, pair_digest: str, coeff_digest: str,
             _element(setting.tM.space, body["p"], 0, f"{where}.p"))
 
 
-def resolve_hpair(raw: dict, h: DglaMorphism, g: DglaMorphism, pair_digest: str,
+def resolve_hpair(body: dict, h: DglaMorphism, g: DglaMorphism, pair_digest: str,
                   where: str) -> tuple[GradedElement, GradedElement, PolyElement]:
-    """Check an hpair document's kind, owner digest and labels, and build
-    (l, n, m) over the pair (h, g)."""
-    if raw.get("kind") != "hpair":
-        raise SchemaError(f"{where}: expected an hpair document, got kind {raw.get('kind')!r}")
-    body = parse_hpair_body(raw, where)
+    """Check a parsed hpair's owner digest and labels, and build (l, n, m)
+    over the pair (h, g); m, with its t-exponents up to N and its
+    dt-exponents up to N − 1, lies in the truncation window N, which is
+    guarded."""
     if body["owner"]["pair"] != pair_digest:
         raise SchemaError(f"{where}: owner digest does not match the pair")
+    m = body["m"]
+    truncation_guard(h, g, max([*m["t"], *(e + 1 for e in m["dt"])], default=0))
     from .path_object import PolyElement
 
     M, deg = h.target, body["degree"]
 
     def coefficients(part: str, degree: int) -> dict[int, GradedElement]:
         return {e: _element(M.space, v, degree, f"{where}.m.{part}.{e}")
-                for e, v in body["m"][part].items()}
+                for e, v in m[part].items()}
 
     return (_element(h.source.space, body["l"], deg, f"{where}.l"),
             _element(g.source.space, body["n"], deg, f"{where}.n"),

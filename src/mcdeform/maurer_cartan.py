@@ -41,8 +41,10 @@ from .graded import (
     GradedElement,
     GradedMap,
     basis_element,
+    block_sum,
     compute_cohomology,
     element_from_vector,
+    place_blocks,
     zero_element,
 )
 
@@ -615,50 +617,13 @@ def tangent_dim_pair(h: DglaMorphism, g: DglaMorphism, shift_n: int = 0) -> int:
     cone = cone_pair(h, g)
     via_cohomology = compute_cohomology(cone.complex).dim(1 + shift_n)
 
+    # (x, y, p) in (L⊗ε)¹ ⊕ (N⊗ε)¹ ⊕ (M⊗ε)⁰ with dx = dy = 0 and h(x) − g(y) − dp = 0:
+    # the kernel of D in degree 1, modulo the gauge image of D in degree 0
     s = pair_setting(h, g, epsilon_algebra(shift_n))
-    nx, ny, np_ = s.tL.space.dim(1), s.tN.space.dim(1), s.tM.space.dim(0)
-    rows_x, rows_y, rows_m = s.tL.space.dim(2), s.tN.space.dim(2), s.tM.space.dim(1)
-    cols = nx + ny + np_
-    eq = la.zeros(rows_x + rows_y + rows_m, cols)
-    dL = s.tL.dgla.complex.d.matrix(1)
-    dN = s.tN.dgla.complex.d.matrix(1)
-    dM = s.tM.dgla.complex.d.matrix(0)
-    hm = s.h_tensor.matrix(1)
-    gm = s.g_tensor.matrix(1)
-    for r in range(rows_x):
-        for c in range(nx):
-            eq[r][c] = dL[r][c]
-    for r in range(rows_y):
-        for c in range(ny):
-            eq[rows_x + r][nx + c] = dN[r][c]
-    for r in range(rows_m):
-        for c in range(nx):
-            eq[rows_x + rows_y + r][c] = hm[r][c]
-        for c in range(ny):
-            eq[rows_x + rows_y + r][nx + c] = -gm[r][c]
-        for c in range(np_):
-            eq[rows_x + rows_y + r][nx + ny + c] = -dM[r][c]
-    solutions = cols - la.rank(eq)
-
-    na, nb = s.tL.space.dim(0), s.tN.space.dim(0)
-    nc = s.tM.space.dim(-1)
-    gauge = la.zeros(cols, na + nb + nc)
-    dL0 = s.tL.dgla.complex.d.matrix(0)
-    dN0 = s.tN.dgla.complex.d.matrix(0)
-    dMm1 = s.tM.dgla.complex.d.matrix(-1)
-    h0 = s.h_tensor.matrix(0)
-    g0 = s.g_tensor.matrix(0)
-    for r in range(nx):
-        for c in range(na):
-            gauge[r][c] = -dL0[r][c]
-    for r in range(ny):
-        for c in range(nb):
-            gauge[nx + r][na + c] = -dN0[r][c]
-    for r in range(np_):
-        for c in range(na):
-            gauge[nx + ny + r][c] = -h0[r][c]
-        for c in range(nb):
-            gauge[nx + ny + r][na + c] = g0[r][c]
-        for c in range(nc):
-            gauge[nx + ny + r][na + nb + c] = dMm1[r][c]
-    return _agreed(via_cohomology, solutions - la.rank(gauge))
+    space, layout = block_sum([("x", s.tL.space, 0), ("y", s.tN.space, 0), ("p", s.tM.space, 1)])
+    x, y, p = layout["x"], layout["y"], layout["p"]
+    D = place_blocks(space, space, 1, [
+        (1, s.tL.dgla.d, x, x), (1, s.tN.dgla.d, y, y), (1, s.h_tensor, x, p),
+        (-1, s.g_tensor, y, p), (-1, s.tM.dgla.d, p, p)])
+    solutions = space.dim(1) - la.rank(D.matrix(1))
+    return _agreed(via_cohomology, solutions - la.rank(D.matrix(0)))

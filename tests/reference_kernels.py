@@ -13,6 +13,9 @@
 - ``tensor_brackets``: the structure constants of L ⊗ m_A from every pair of
   tensor basis keys, through ``bracket_basis`` and ``product_basis``
   (``artin.tensor_dgla`` walks the stored brackets of L instead).
+- ``tangent_pair_matrices``: the MC-equation and gauge matrices of the tangent
+  count of a pair, each block placed by hand (``tangent_dim_pair`` places
+  them as one map of a ``block_sum`` instead).
 - ``validate_artin``: the axioms of a coefficient algebra checked with
   products of basis vectors over every pair and triple of the basis
   (``artin.validate_artin`` visits only those whose products are nonzero).
@@ -25,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from mcdeform import graded
-from mcdeform.artin import _clean
+from mcdeform.artin import _clean, epsilon_algebra
 from mcdeform import linalg as la
 from mcdeform.dgla import (
     CONE_CONVENTION,
@@ -51,6 +54,7 @@ from mcdeform.graded import (
     whole,
     zero_map,
 )
+from mcdeform.maurer_cartan import pair_setting
 from mcdeform.path_object import _path_key, truncated_path_complex
 
 ZERO, ONE = Fraction(0), Fraction(1)
@@ -350,3 +354,56 @@ def validate_artin(A) -> list[Violation]:
                     report.append(Violation("leibniz", (name(i), name(j)),
                                             "d(a·b) ≠ da·b + (−1)^deg a a·db"))
     return report
+
+
+def tangent_pair_matrices(h, g, shift_n: int):
+    """The MC equations and the gauge action of the tangent count of a pair
+    over K·ε, each block placed by hand (``maurer_cartan.tangent_dim_pair``
+    places them as one map of a block_sum instead): the equation matrix, and
+    the gauge matrix, which is minus the degree-0 block of that map."""
+    s = pair_setting(h, g, epsilon_algebra(shift_n))
+    nx, ny, np_ = s.tL.space.dim(1), s.tN.space.dim(1), s.tM.space.dim(0)
+    rows_x, rows_y, rows_m = s.tL.space.dim(2), s.tN.space.dim(2), s.tM.space.dim(1)
+    cols = nx + ny + np_
+    eq = la.zeros(rows_x + rows_y + rows_m, cols)
+    dL = s.tL.dgla.complex.d.matrix(1)
+    dN = s.tN.dgla.complex.d.matrix(1)
+    dM = s.tM.dgla.complex.d.matrix(0)
+    hm = s.h_tensor.matrix(1)
+    gm = s.g_tensor.matrix(1)
+    for r in range(rows_x):
+        for c in range(nx):
+            eq[r][c] = dL[r][c]
+    for r in range(rows_y):
+        for c in range(ny):
+            eq[rows_x + r][nx + c] = dN[r][c]
+    for r in range(rows_m):
+        for c in range(nx):
+            eq[rows_x + rows_y + r][c] = hm[r][c]
+        for c in range(ny):
+            eq[rows_x + rows_y + r][nx + c] = -gm[r][c]
+        for c in range(np_):
+            eq[rows_x + rows_y + r][nx + ny + c] = -dM[r][c]
+
+    na, nb = s.tL.space.dim(0), s.tN.space.dim(0)
+    nc = s.tM.space.dim(-1)
+    gauge = la.zeros(cols, na + nb + nc)
+    dL0 = s.tL.dgla.complex.d.matrix(0)
+    dN0 = s.tN.dgla.complex.d.matrix(0)
+    dMm1 = s.tM.dgla.complex.d.matrix(-1)
+    h0 = s.h_tensor.matrix(0)
+    g0 = s.g_tensor.matrix(0)
+    for r in range(nx):
+        for c in range(na):
+            gauge[r][c] = -dL0[r][c]
+    for r in range(ny):
+        for c in range(nb):
+            gauge[nx + r][na + c] = -dN0[r][c]
+    for r in range(np_):
+        for c in range(na):
+            gauge[nx + ny + r][c] = -h0[r][c]
+        for c in range(nb):
+            gauge[nx + ny + r][na + c] = g0[r][c]
+        for c in range(nc):
+            gauge[nx + ny + r][na + nb + c] = dMm1[r][c]
+    return eq, gauge

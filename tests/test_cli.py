@@ -547,7 +547,6 @@ def validations(monkeypatch):
             return real(x)
 
         monkeypatch.setattr(documents, name, counting)
-        monkeypatch.setattr(cli, name, counting)
     return calls
 
 

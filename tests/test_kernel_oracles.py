@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import mutations
 import reference_kernels as ref
-from mcdeform import artin, dgla, graded
+from mcdeform import artin, dgla, graded, maurer_cartan
 from mcdeform import library as lib
 from mcdeform import linalg as la
 from mcdeform.artin import (
@@ -357,6 +357,29 @@ class TestBlockAssembly:
             place_blocks(total, total, 1, [(1, identity_map(V.space), l, l)])
         with pytest.raises(InvalidInput):  # a map of another space
             place_blocks(total, total, 1, [(1, identity_map(total), l, m)])
+
+    @pytest.mark.parametrize("shift", [-1, 0, 1, 2])
+    @pytest.mark.parametrize("name", sorted(n for n in CONE_CASES if "V2" not in n))
+    def test_tangent_pair_ranks_match_the_hand_placed_blocks(self, name, shift, monkeypatch):
+        # the matrices tangent_dim_pair ranks are the hand-placed equation
+        # matrix and minus the hand-placed gauge matrix
+        h, g = CONE_CASES[name]
+        eq, gauge = ref.tangent_pair_matrices(h, g, shift)
+        ranked = []
+
+        class Recording:
+            def __getattr__(self, attr):
+                return getattr(la, attr)
+
+            def rank(self, matrix):
+                ranked.append(matrix)
+                return la.rank(matrix)
+
+        monkeypatch.setattr(maurer_cartan, "la", Recording())
+        dim = maurer_cartan.tangent_dim_pair(h, g, shift)
+        monkeypatch.undo()
+        assert ranked == [eq, [[-c for c in row] for row in gauge]]
+        assert dim == len(gauge) - la.rank(eq) - la.rank(gauge)  # gauge has one row per unknown
 
 
 COEFFICIENT_ALGEBRAS = {

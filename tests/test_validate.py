@@ -199,5 +199,6 @@ def test_first_error_of_a_pair_is_unchanged():
     doc = documents.serialize_pair(identity_morphism(good),
                                    DglaMorphism(bad, good, identity_map(good.space)))
     with pytest.raises(AxiomViolation) as e:
-        documents.parse_pair_body(doc)
-    assert str(e.value).startswith("pair.g.source: DGLA axioms violated (jacobi")
+        documents.parse_document(documents.canonical_json(doc))
+    assert str(e.value) == ("pair.g.source: DGLA axioms violated "
+                            "(jacobi violated at (e, f, h): defect -1*h)")
