@@ -127,18 +127,20 @@ class Dgla:
 
     def bracket(self, x: GradedElement, y: GradedElement) -> GradedElement:
         """[x, y] from the stored constants of each support pair; a reversed pair
-        carries the Koszul sign.  Only the pairs of the partner index are read.
-        Summed exactly in ints: x, y and the constants (by _scale) times the
-        lcm of their denominators, one Fraction per output."""
+        carries the Koszul sign.  Summed exactly in ints by _bracket_ints, one
+        Fraction per output."""
         space = self.space
         if not (x.space is space or x.space == space) or not (y.space is space or y.space == space):
             raise InvalidInput("bracket of elements outside the DGLA's space")
+        return _from_ints(space, *self._bracket_ints(_to_ints(x), _to_ints(y)))
+
+    def _bracket_ints(self, x: tuple[int, dict], y: tuple[int, dict]) -> tuple[int, dict]:
+        """[x, y] of (den, integer numerators) pairs (see _to_ints) as one, over
+        den x · den y · _scale, zeros dropped; only partner-index pairs are read."""
         brackets, scale, partners = self.brackets, self._scale, self._partner_index()
-        dx, dy = (lcm(*(c.denominator for c in z.coords.values())) for z in (x, y))
-        ys = {b: c.numerator * (dy // c.denominator) for b, c in y.coords.items()}
+        (dx, xs), (dy, ys) = x, y
         out: dict[BasisKey, int] = {}
-        for a, cx in x.coords.items():
-            cx = cx.numerator * (dx // cx.denominator)
+        for a, cx in xs.items():
             for b in partners.get(a, ()):
                 cy = ys.get(b)
                 if cy is None:
@@ -150,8 +152,7 @@ class Dgla:
                     c = cx * cy if (a[0] * b[0]) % 2 else -(cx * cy)
                 for k, v in stored.coords.items():
                     out[k] = out.get(k, 0) + c * (v.numerator * (scale // v.denominator))
-        den = dx * dy * scale
-        return _trusted(space, {k: Fraction(n, den) for k, n in out.items() if n}, None)
+        return dx * dy * scale, {k: n for k, n in out.items() if n}
 
     def is_abelian(self) -> bool:
         return not self.brackets
@@ -162,6 +163,17 @@ class Dgla:
         return self.complex == other.complex and self.brackets == other.brackets
 
     __hash__ = None
+
+
+def _to_ints(z: GradedElement) -> tuple[int, dict[BasisKey, int]]:
+    """(den, numerators) with z = numerators/den, den the lcm of its denominators."""
+    den = lcm(*(c.denominator for c in z.coords.values()))
+    return den, {k: c.numerator * (den // c.denominator) for k, c in z.coords.items()}
+
+
+def _from_ints(space: GradedSpace, den: int, nums: Mapping[BasisKey, int]) -> GradedElement:
+    """The element nums/den from nonzero numerators, one Fraction each."""
+    return _trusted(space, {k: Fraction(n, den) for k, n in nums.items()}, None)
 
 
 def make_dgla(complex: ChainComplex,

@@ -12,6 +12,7 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
@@ -588,12 +589,21 @@ def parse_valid(doc: dict, kinds: Iterable[str], where: str):
     return obj
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict; a key it repeats is a SchemaError, not the last value."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        key = next(k for k, n in Counter(k for k, _v in pairs).items() if n > 1)
+        raise SchemaError(f"repeated key {key!r} in one JSON object")
+    return obj
+
+
 def _loads(text: str, prefix: str):
-    """The JSON value of text.  Malformed JSON is a DocumentSyntaxError; an
-    integer longer than the interpreter's digit limit (a ValueError) or
-    nesting deeper than its recursion limit is ResourceLimitExceeded."""
+    """The JSON value of text.  Malformed JSON is a DocumentSyntaxError, a key repeated
+    in one object a SchemaError; an integer longer than the interpreter's digit limit
+    (a ValueError) or nesting deeper than its recursion limit is ResourceLimitExceeded."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise DocumentSyntaxError(f"{prefix}not valid JSON: {e}") from None
     except (ValueError, RecursionError) as e:

@@ -12,7 +12,7 @@ extensions rather than assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -25,7 +25,7 @@ from .artin import (
     tensor_dgla,
     tensor_map,
 )
-from .dgla import ConeComplex, Dgla, DglaMorphism, Violation, cone_pair
+from .dgla import ConeComplex, Dgla, DglaMorphism, Violation, _from_ints, _to_ints, cone_pair
 from .errors import (
     BaseMismatch,
     DegreeMismatch,
@@ -65,23 +65,31 @@ def mc_residual(T: TensorDgla, x: GradedElement) -> GradedElement:
     return T.differential_of(x) + Fraction(1, 2) * T.bracket(x, x)
 
 
+def _combine(terms: Iterable[tuple[Fraction | int, tuple[int, dict]]]) -> tuple[int, dict]:
+    """Σ c·nums/den over (c, (den, nums)) as (den, nums) over one lcm, zeros dropped."""
+    terms = [(c, den, nums) for c, (den, nums) in terms if c and nums]
+    den = math.lcm(*(c.denominator * d for c, d, _nums in terms))
+    out: dict = {}
+    for c, d, nums in terms:
+        f = c.numerator * (den // (c.denominator * d))
+        for k, v in nums.items():
+            out[k] = out.get(k, 0) + f * v
+    return den, {k: v for k, v in out.items() if v}
+
+
 def gauge_apply(T: TensorDgla, a: GradedElement, x: GradedElement) -> GradedElement:
-    """e^a * x = x + Σ_{n≥0} ad_a^n/(n+1)! ([a,x] − da), summed exactly."""
+    """e^a * x = x + Σ_{n≥0} ad_a^n/(n+1)! ([a,x] − da), summed exactly in ints."""
     _require_degree(a, 0, "gauge parameter")
     _require_degree(x, 1, "gauge target")
     u = T.bracket(a, x) - T.differential_of(a)
-    total = x
-    term = u
-    denom = 1
-    n = 0
-    while not term.is_zero():
-        denom *= n + 1
-        total = total + Fraction(1, denom) * term
-        term = T.bracket(a, term)
+    terms, term, n, ai = [(1, _to_ints(x))], _to_ints(u), 0, _to_ints(a)
+    while term[1]:
+        terms.append((Fraction(1, math.factorial(n + 1)), term))
+        term = T.dgla._bracket_ints(ai, term)
         n += 1
         if n > T.nu + 1:
             raise InvalidInput("gauge series failed to terminate; coefficients not nilpotent")
-    return total
+    return x if n == 0 else _from_ints(T.space, *_combine(terms))
 
 
 def _bernoulli_over_factorial(top: int) -> list[Fraction]:
@@ -96,7 +104,8 @@ def _bernoulli_over_factorial(top: int) -> list[Fraction]:
 def bch_product(T: TensorDgla, a: GradedElement, b: GradedElement) -> GradedElement:
     """Baker-Campbell-Hausdorff product a•b, with e^a e^b = e^{a•b} as gauge
     operators, summed exactly by the recursion of Casas and Murua on its parts
-    Z_n of degree n in a and b:
+    Z_n of degree n in a and b, each carried as integer numerators over one
+    denominator (a Fraction is made only for the result):
 
         Z_1 = a + b,   (n+1)·Z_{n+1} = ½[a − b, Z_n] + Σ_{p≥1} B_{2p}/(2p)! · W_{2p}(n),
 
@@ -110,23 +119,19 @@ def bch_product(T: TensorDgla, a: GradedElement, b: GradedElement) -> GradedElem
     level = min(T.element_level(a), T.element_level(b))
     top = max(1, (T.nu - 1) // max(level, 1))
     bern = _bernoulli_over_factorial(top)
-    s, diff = a + b, a - b
-    zero = zero_element(T.space)
-    Z = [zero, s]
+    s, bracket, zero = a + b, T.dgla._bracket_ints, (1, {})
+    z1, diff = _to_ints(s), _to_ints(a - b)
+    Z = [zero, z1]
     # W[j][m] for 1 ≤ j ≤ m; a W of odd j on the last step is never read
-    W = [[s] + [zero] * top] + [[zero] * (top + 1) for _ in range(top)]
-
-    def bracket(x: GradedElement, y: GradedElement) -> GradedElement:
-        return zero if x.is_zero() or y.is_zero() else T.bracket(x, y)
-
+    W = [[z1] + [zero] * top] + [[zero] * (top + 1) for _ in range(top)]
     for n in range(1, top):
         for j in range(1, n + 1):
             if j % 2 == 0 or n < top - 1:
-                terms = (bracket(Z[k], W[j - 1][n - k]) for k in range(1, n - j + 2))
-                W[j][n] = sum(terms, zero)
-        tail = sum((bern[2 * p] * W[2 * p][n] for p in range(1, n // 2 + 1)), zero)
-        Z.append(Fraction(1, n + 1) * (Fraction(1, 2) * bracket(diff, Z[n]) + tail))
-    return sum(Z[2:], s)
+                W[j][n] = _combine((1, bracket(Z[k], W[j - 1][n - k]))
+                                   for k in range(1, n - j + 2))
+        Z.append(_combine([(Fraction(1, 2 * n + 2), bracket(diff, Z[n]))]
+                          + [(bern[2 * p] / (n + 1), W[2 * p][n]) for p in range(1, n // 2 + 1)]))
+    return s if top == 1 else _from_ints(T.space, *_combine((1, z) for z in Z[1:]))
 
 
 @dataclass(frozen=True)
@@ -170,6 +175,7 @@ class ObstructionClass:
     kernel_labels: tuple[str, ...]
     coords: tuple[tuple[Fraction, ...], ...]  # one coordinate vector per J basis vector
     cocycle: object
+    problem: tuple = field(compare=False, repr=False, kw_only=True)  # (ext, input, B side)
 
     def is_zero(self) -> bool:
         return all(c == 0 for vec in self.coords for c in vec)
@@ -236,32 +242,38 @@ def _tensor_with_kernel(T_B: TensorDgla, ext: SmallExtension,
     return total
 
 
-def _obstruction_problem(ext: SmallExtension, pieces, cocycle: Callable, cx: ChainComplex,
+def _obstruction_problem(key: tuple, pieces, cocycle: Callable, cx: ChainComplex,
                          embed: Callable, split: Callable, verified: Callable,
                          cls: ObstructionClass | None = None):
     """Lift MC data along the small extension 0 → J → B → A → 0: one path for
     an element and a triple (Fantechi and Manetti 1998; Manetti 1999).
 
-    pieces holds (T_A, piece over A, T_B) per piece: (x) for an element,
-    (x, y, p) for a triple.  Each piece is lifted by ext.section, and cocycle
-    maps the lifted pieces to the cocycle, one component per piece in that
-    piece's T_B.  For each J basis vector J_j, embed sends the j-th parts of
-    the components to a degree-2 element of cx, which must be a cycle; its
-    class is read in H²(cx) alone.
+    key is (ext, input, B-side tensor or setting); pieces holds (T_A, piece
+    over A, T_B) per piece: (x) for an element, (x, y, p) for a triple.  Each
+    piece is lifted by ext.section, and cocycle maps the lifted pieces to the
+    cocycle, one component per piece in that piece's T_B.  For each J basis
+    vector J_j, embed sends the j-th parts of the components to a degree-2
+    element of cx, which must be a cycle; its class is read in H²(cx) alone.
 
     Without cls, returns (cohomology, J labels, class coordinates, cocycle).
-    With cls, the recomputed coordinates must be cls.coords.  A nonzero class
-    gives NO_LIFT.  A vanishing one gives w_j with D w_j = part j, split sends
-    w_j to per-piece corrections, and the result is verified(*bars) for
-    bar = lifted piece − Σ_j w_j ⊗ J_j, each bar checked to project back.
+    With cls, key must be cls.problem, and the coordinates read again from
+    cls.cocycle (an element's is bare) must be cls.coords.  A nonzero class gives
+    NO_LIFT.  A vanishing one gives w_j with D w_j = part j, split sends w_j
+    to per-piece corrections, and the result is verified(*bars) for bar =
+    lifted piece − Σ_j w_j ⊗ J_j, each bar checked to project back.
     """
+    ext = key[0]
     if any(TA.coeff != ext.A for TA, _e, _TB in pieces):
         raise BaseMismatch("input does not live over the extension's target")
     lifted = [TA.map_coefficients(e, ext.section, TB) for TA, e, TB in pieces]
-    cocyc = cocycle(*lifted)
+    if cls is None:
+        H, cocyc = compute_cohomology(cx, (2,)), cocycle(*lifted)
+    elif all(p is q or p == q for p, q in zip(cls.problem, key)):
+        H, cocyc = cls.cohomology, (cls.cocycle,) if len(pieces) == 1 else cls.cocycle
+    else:
+        raise InconsistentInput("class was computed for another extension or input")
     parts = [embed(*js) for js in
              zip(*(_j_components(TB, ext, c) for (_TA, _e, TB), c in zip(pieces, cocyc)))]
-    H = compute_cohomology(cx, (2,)) if cls is None else cls.cohomology
     coords = []
     for part in parts:
         if not cx.differential_of(part).is_zero():
@@ -296,7 +308,7 @@ def _obstruction_problem(ext: SmallExtension, pieces, cocycle: Callable, cx: Cha
 def _element_problem(ext: SmallExtension, x: McElement, T_B: TensorDgla | None) -> tuple:
     """The obstruction problem of x: one piece, with its class in H²(L)."""
     T_B = T_B if T_B is not None else tensor_dgla(x.tensor.factor, ext.B)
-    return (ext, [(x.tensor, x.element, T_B)], lambda xt: (mc_residual(T_B, xt),),
+    return ((ext, x, T_B), [(x.tensor, x.element, T_B)], lambda xt: (mc_residual(T_B, xt),),
             x.tensor.factor.complex, lambda h: h, lambda w: (w,),
             lambda xbar: mc_element(T_B, xbar))
 
@@ -306,16 +318,19 @@ def obstruction_single(ext: SmallExtension, x: McElement, *,
     """Obstruction class in H²(L) ⊗ J to lifting x along the small extension."""
     if not x.verified:
         raise NotVerifiedMC("obstruction_single requires a verified MC element")
-    H, jlabels, coords, (cocycle,) = _obstruction_problem(*_element_problem(ext, x, tensor_B))
-    return ObstructionClass(H, 2, jlabels, coords, cocycle)
+    problem = _element_problem(ext, x, tensor_B)
+    H, jlabels, coords, (cocycle,) = _obstruction_problem(*problem)
+    return ObstructionClass(H, 2, jlabels, coords, cocycle, problem=problem[0])
 
 
 def lift_if_unobstructed(ext: SmallExtension, x: McElement, cls: ObstructionClass,
                          *, tensor_B: TensorDgla | None = None):
-    """Constructive lift x̄ = x̃ − q when the class vanishes; NoLift otherwise."""
+    """Constructive lift x̄ = x̃ − q when the class vanishes; NoLift otherwise.
+    cls must be the class of x along ext; its cocycle is not recomputed, and
+    tensor_B defaults to the one it records."""
     if not x.verified:
         raise NotVerifiedMC("lift_if_unobstructed requires a verified MC element")
-    return _obstruction_problem(*_element_problem(ext, x, tensor_B), cls)
+    return _obstruction_problem(*_element_problem(ext, x, tensor_B or cls.problem[2]), cls)
 
 
 # --- pair functor ------------------------------------------------------------
@@ -459,7 +474,7 @@ def _triple_problem(ext: SmallExtension, t: McTriple, sB: PairSetting | None,
     def embed(l, k, r):
         return cone.embed("L", l) + cone.embed("N", k) + cone.embed("M", r)
 
-    return (ext, [(s.tL, t.x, sB.tL), (s.tN, t.y, sB.tN), (s.tM, t.p, sB.tM)], cocycle,
+    return ((ext, t, sB), [(s.tL, t.x, sB.tL), (s.tN, t.y, sB.tN), (s.tM, t.p, sB.tM)], cocycle,
             cone.complex, embed, lambda w: [cone.project(n, w) for n in "LNM"],
             lambda *xyp: mc_triple(sB, *xyp))
 
@@ -471,17 +486,20 @@ def obstruction_pair(ext: SmallExtension, t: McTriple, *,
     if not t.verified:
         raise NotVerifiedTriple("obstruction_pair requires a verified triple")
     cone = cone_pair(t.setting.h, t.setting.g)
-    H, jlabels, coords, cocycle = _obstruction_problem(*_triple_problem(ext, t, setting_B, cone))
-    return PairObstructionClass(H, 2, jlabels, coords, cocycle, cone)
+    problem = _triple_problem(ext, t, setting_B, cone)
+    H, jlabels, coords, cocycle = _obstruction_problem(*problem)
+    return PairObstructionClass(H, 2, jlabels, coords, cocycle, cone, problem=problem[0])
 
 
 def lift_pair_if_unobstructed(ext: SmallExtension, t: McTriple,
                               cls: PairObstructionClass, *,
                               setting_B: PairSetting | None = None):
-    """Constructive lift (x̃−u, ỹ−v, q−z) when the class vanishes."""
+    """Constructive lift (x̃−u, ỹ−v, q−z) when the class vanishes.  cls must be
+    the class of t along ext; setting_B defaults to the one it records."""
     if not t.verified:
         raise NotVerifiedTriple("lift_pair_if_unobstructed requires a verified triple")
-    return _obstruction_problem(*_triple_problem(ext, t, setting_B, cls.cone), cls)
+    sB = setting_B or cls.problem[2]
+    return _obstruction_problem(*_triple_problem(ext, t, sB, cls.cone), cls)
 
 
 # --- gauge equivalence decision ----------------------------------------------

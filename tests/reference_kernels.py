@@ -2,6 +2,10 @@
 
 - ``bracket``: [x, y] summed over Fractions, one product per support pair and
   structure constant (``Dgla.bracket`` sums over integers instead).
+- ``gauge_apply`` and ``bch_product``: the gauge and BCH series summed term
+  by term over Fractions, each term a ``GradedElement`` and each bracket
+  ``Dgla.bracket`` (``maurer_cartan`` carries every term as integer
+  numerators over one denominator instead, and makes Fractions once).
 - ``block_sum``: every embedding and projection of a labelled direct sum as a
   matrix of ones and zeros, each part found by its labels in the total space
   (``graded.block_sum`` returns a layout of offsets instead).  ``cone_single``,
@@ -41,6 +45,7 @@ from mcdeform.dgla import (
     cokernel,
     make_dgla,
 )
+from mcdeform.errors import InvalidInput
 from mcdeform.graded import (
     ChainComplex,
     GradedElement,
@@ -52,9 +57,10 @@ from mcdeform.graded import (
     map_from_images,
     place_blocks,
     whole,
+    zero_element,
     zero_map,
 )
-from mcdeform.maurer_cartan import pair_setting
+from mcdeform.maurer_cartan import _bernoulli_over_factorial, _require_degree, pair_setting
 from mcdeform.path_object import _path_key, truncated_path_complex
 
 ZERO, ONE = Fraction(0), Fraction(1)
@@ -71,6 +77,51 @@ def bracket(L: Dgla, x: GradedElement, y: GradedElement) -> GradedElement:
             for k, v in stored.coords.items():
                 out[k] = out.get(k, ZERO) + c * v
     return GradedElement(L.space, out)
+
+
+def gauge_apply(T, a: GradedElement, x: GradedElement) -> GradedElement:
+    """e^a * x = x + Σ_{n≥0} ad_a^n/(n+1)! ([a,x] − da), one Fraction term at a time."""
+    _require_degree(a, 0, "gauge parameter")
+    _require_degree(x, 1, "gauge target")
+    u = T.bracket(a, x) - T.differential_of(a)
+    total = x
+    term = u
+    denom = 1
+    n = 0
+    while not term.is_zero():
+        denom *= n + 1
+        total = total + Fraction(1, denom) * term
+        term = T.bracket(a, term)
+        n += 1
+        if n > T.nu + 1:
+            raise InvalidInput("gauge series failed to terminate; coefficients not nilpotent")
+    return total
+
+
+def bch_product(T, a: GradedElement, b: GradedElement) -> GradedElement:
+    """a•b by the recursion of Casas and Murua (see maurer_cartan.bch_product),
+    every Z_n and W_j(m) a GradedElement."""
+    _require_degree(a, 0, "BCH argument")
+    _require_degree(b, 0, "BCH argument")
+    level = min(T.element_level(a), T.element_level(b))
+    top = max(1, (T.nu - 1) // max(level, 1))
+    bern = _bernoulli_over_factorial(top)
+    s, diff = a + b, a - b
+    zero = zero_element(T.space)
+    Z = [zero, s]
+    W = [[s] + [zero] * top] + [[zero] * (top + 1) for _ in range(top)]
+
+    def bracket(x: GradedElement, y: GradedElement) -> GradedElement:
+        return zero if x.is_zero() or y.is_zero() else T.bracket(x, y)
+
+    for n in range(1, top):
+        for j in range(1, n + 1):
+            if j % 2 == 0 or n < top - 1:
+                terms = (bracket(Z[k], W[j - 1][n - k]) for k in range(1, n - j + 2))
+                W[j][n] = sum(terms, zero)
+        tail = sum((bern[2 * p] * W[2 * p][n] for p in range(1, n // 2 + 1)), zero)
+        Z.append(Fraction(1, n + 1) * (Fraction(1, 2) * bracket(diff, Z[n]) + tail))
+    return sum(Z[2:], s)
 
 
 def block_sum(parts):

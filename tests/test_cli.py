@@ -325,6 +325,19 @@ class TestDocumentBoundary:
             assert code == 1, argv[0]
             assert json.loads(out)["error"] == "SchemaError", argv[0]
 
+    def test_repeated_json_key_is_schema_error(self, tmp_path, docs):
+        # json.loads alone keeps the last value, and [x, x] = 0 is the abelian DGLA
+        with open(docs["obstructed"]) as fh:
+            text = json.dumps(json.load(fh))
+        assert text.count('"y": "2"') == 1
+        bad = tmp_path / "obstructed_dup_key.json"
+        bad.write_text(text.replace('"y": "2"', '"y": "2", "y": "0"'))
+        proc = subprocess.run([sys.executable, "-m", "mcdeform.cli", "cohomology", str(bad),
+                               "--json"], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["error"] == "SchemaError" and "repeated key 'y'" in report["message"]
+
     @pytest.mark.parametrize("name, path, value", [
         ("obstructed", ("differential",), []),
         ("obstructed", ("bracket",), {}),

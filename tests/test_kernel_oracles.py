@@ -1,8 +1,8 @@
-"""The integer bracket, the in-place block assembly of cones and of the maps
-between direct sums, the tensor DGLA built from its factors, and the
-coefficient-algebra axioms checked over the structure constants, each
-compared for equality with the direct construction it replaces
-(tests/reference_kernels.py)."""
+"""The integer bracket, the integer gauge and BCH series, the in-place block
+assembly of cones and of the maps between direct sums, the tensor DGLA built
+from its factors, and the coefficient-algebra axioms checked over the
+structure constants, each compared for equality with the direct construction
+it replaces (tests/reference_kernels.py)."""
 
 from collections import Counter
 from fractions import Fraction
@@ -55,6 +55,7 @@ from mcdeform.graded import (
     zero_element,
     zero_map,
 )
+from mcdeform.maurer_cartan import bch_product, gauge_apply
 from mcdeform.path_object import TruncationWindow, truncated_H_constraints
 from util_random import dg_uw
 
@@ -199,6 +200,49 @@ class TestBracket:
                 truncated_polynomial_algebra(4), dg_uw(), epsilon_algebra(1)))):
             x, y = data.draw(elements(D.space)), data.draw(elements(D.space))
             assert_bracket_matches(D, x, y)
+
+
+@st.composite
+def homogeneous(draw, space, degree):
+    keys = [k for k in keys_of(space) if k[0] == degree]
+    support = draw(st.lists(st.sampled_from(keys), max_size=len(keys), unique=True)) if keys else []
+    return GradedElement(space, {k: draw(coefficients()) for k in support}, degree)
+
+
+def series_dglas():
+    yield from sorted(lib.EXAMPLE_DGLAS.items())
+    yield "free_nilpotent_class3", lib.free_nilpotent_class3
+    yield "End(V1):dense", lambda: endomorphism_dgla(end_complex(1, True))
+
+
+SERIES_DGLAS = dict(series_dglas())
+SERIES_COEFFS = {"t^6": lambda: truncated_polynomial_algebra(6), "dg_uw": dg_uw}
+
+
+def assert_same_element(got, want):
+    assert got == want and got.degree == want.degree
+    assert all(type(c) is Fraction for c in got.coords.values())
+
+
+class TestSeries:
+    """gauge_apply and bch_product summed in ints against the Fraction series,
+    on elements with coefficients like 3/7 and 61-bit prime denominators, and
+    on the same DGLAs with every structure constant times 3/7."""
+
+    @pytest.mark.parametrize("coeff", sorted(SERIES_COEFFS))
+    @pytest.mark.parametrize("name", sorted(SERIES_DGLAS))
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_gauge_and_bch_match_the_fraction_series(self, name, coeff, data):
+        L = SERIES_DGLAS[name]()
+        if data.draw(st.booleans()):
+            L = Dgla(L.complex, {pair: F(3, 7) * val for pair, val in L.brackets.items()})
+        T = tensor_dgla(L, SERIES_COEFFS[coeff]())
+        a, b = data.draw(homogeneous(T.space, 0)), data.draw(homogeneous(T.space, 0))
+        x = data.draw(homogeneous(T.space, 1))
+        assert_same_element(gauge_apply(T, a, x), ref.gauge_apply(T, a, x))
+        assert_same_element(bch_product(T, a, b), ref.bch_product(T, a, b))
+        assert_same_element(bch_product(T, a, -a), ref.bch_product(T, a, -a))
 
 
 def end_complex(k: int, dense: bool) -> ChainComplex:

@@ -347,8 +347,7 @@ class TestObstructionSingle:
     def test_inconsistent_class_rejected(self):
         ext, T, x = obstructed_setup()
         cls = obstruction_single(ext, x)
-        tampered = type(cls)(cls.cohomology, cls.degree, cls.kernel_labels,
-                             ((F(0),),), cls.cocycle)
+        tampered = replace(cls, coords=((F(0),),))
         with pytest.raises(InconsistentInput):
             lift_if_unobstructed(ext, x, tampered)
 
@@ -487,7 +486,8 @@ def assert_h2_only(work) -> None:
 
 class TestObstructionWork:
     """One obstruction plus lift along K[t]/t³ → K[t]/t² lifts each element
-    twice (the class, then its recompute in the lift) and computes H² alone."""
+    twice (for the class, then for the lift, which reuses the class's cocycle)
+    and computes H² alone."""
 
     @pytest.mark.parametrize("name", ["obstructed", "heis"])
     def test_single(self, obstruction_work, name):
@@ -521,6 +521,91 @@ class TestObstructionWork:
         assert (got is NO_LIFT) == (name == "pair_idid_obstructed")
         assert obstruction_work["lifts"] == 2 * 3  # x, y and p, twice each
         assert_h2_only(obstruction_work)
+
+
+class TestLiftContract:
+    """A lift finishes the problem its class was computed for: another input,
+    extension or class coordinates are refused; an equal input is not."""
+
+    @staticmethod
+    def single():
+        ext = small_extension_tower(2)[1]
+        T, T_B = tensor_dgla(lib.heis(), ext.A), tensor_dgla(lib.heis(), ext.B)
+        x1, x2 = (mc_element(T, rand_mc(random.Random(seed), T)) for seed in (19, 20))
+        assert x1 != x2
+        return ext, T_B, x1, x2
+
+    @staticmethod
+    def pair():
+        ext = small_extension_tower(2)[1]
+        s = pair_setting(*lib.pair_idid_heis(), ext.A)
+        t1, t2 = (rand_triple(random.Random(seed), "pair_idid_heis", s) for seed in (39, 40))
+        assert t1 != t2
+        return ext, pair_setting(*lib.pair_idid_heis(), ext.B), t1, t2
+
+    @staticmethod
+    def other_section(ext):
+        # t ↦ t + t² is another lifting section, so another extension
+        return replace(ext, section=[[F(1)], [F(1)]])
+
+    def test_class_of_another_element(self):
+        ext, _T_B, x1, x2 = self.single()
+        with pytest.raises(InconsistentInput):
+            lift_if_unobstructed(ext, x2, obstruction_single(ext, x1))
+
+    def test_class_of_another_triple(self):
+        ext, _sB, t1, t2 = self.pair()
+        with pytest.raises(InconsistentInput):
+            lift_pair_if_unobstructed(ext, t2, obstruction_pair(ext, t1))
+
+    def test_class_along_another_extension(self):
+        ext, _T_B, x, _x2 = self.single()
+        cls = obstruction_single(self.other_section(ext), x)
+        assert cls.is_zero()
+        with pytest.raises(InconsistentInput):
+            lift_if_unobstructed(ext, x, cls)
+        ext, _sB, t, _t2 = self.pair()
+        cls = obstruction_pair(self.other_section(ext), t)
+        with pytest.raises(InconsistentInput):
+            lift_pair_if_unobstructed(ext, t, cls)
+
+    def test_tampered_pair_class(self):
+        ext = small_extension_tower(2)[1]
+        s = pair_setting(*lib.pair_idid_obstructed(), ext.A)
+        t = mc_triple(s, s.tL.element_from_labels({"x@t": 1}, 1),
+                      s.tN.element_from_labels({"x@t": 1}, 1), zero_element(s.tM.space, 0))
+        cls = obstruction_pair(ext, t)
+        assert not cls.is_zero()
+        zero = tuple(tuple(F(0) for _c in vec) for vec in cls.coords)
+        with pytest.raises(InconsistentInput):
+            lift_pair_if_unobstructed(ext, t, replace(cls, coords=zero))
+
+    def test_equal_input_built_apart_is_accepted(self):
+        ext, T_B, x, _x2 = self.single()
+        cls = obstruction_single(ext, x)
+        ext2 = small_extension_tower(2)[1]
+        T2 = tensor_dgla(lib.heis(), ext2.A)
+        x_again = mc_element(T2, GradedElement(T2.space, dict(x.element.coords), 1))
+        assert x_again.tensor is not x.tensor
+        assert lift_if_unobstructed(ext2, x_again, cls) == lift_if_unobstructed(ext, x, cls)
+        ext, sB, t, _t2 = self.pair()
+        cls = obstruction_pair(ext, t)
+        s2 = pair_setting(*lib.pair_idid_heis(), ext.A)
+        t_again = mc_triple(s2, t.x, t.y, t.p)
+        assert t_again.setting is not t.setting
+        assert lift_pair_if_unobstructed(ext, t_again, cls) == lift_pair_if_unobstructed(ext, t, cls)
+
+    def test_omitted_B_side_is_the_recorded_one(self):
+        ext, T_B, x, _x2 = self.single()
+        cls = obstruction_single(ext, x, tensor_B=T_B)
+        lifted = lift_if_unobstructed(ext, x, cls)
+        assert lifted is not NO_LIFT and lifted.tensor is T_B
+        assert lifted == lift_if_unobstructed(ext, x, cls, tensor_B=T_B)
+        ext, sB, t, _t2 = self.pair()
+        cls = obstruction_pair(ext, t, setting_B=sB)
+        lifted = lift_pair_if_unobstructed(ext, t, cls)
+        assert lifted is not NO_LIFT and lifted.setting is sB
+        assert lifted == lift_pair_if_unobstructed(ext, t, cls, setting_B=sB)
 
 
 class TestObstructionPair:

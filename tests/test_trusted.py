@@ -8,6 +8,8 @@ series, obstruction, lift and gauge-equivalence results must not change when
 the trusted constructor is swapped for a checked one.
 """
 
+import importlib
+import pkgutil
 import random
 from contextlib import contextmanager
 from fractions import Fraction
@@ -16,6 +18,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mcdeform
 from mcdeform import artin, dgla, graded
 from mcdeform import library as lib
 from mcdeform import linalg as la
@@ -56,14 +59,40 @@ def checked(space, coords, degree):
     return z
 
 
+def trusting_modules() -> list:
+    """Every module of the package that holds the trusted constructor."""
+    names = (info.name for info in pkgutil.iter_modules(mcdeform.__path__))
+    modules = (importlib.import_module(f"mcdeform.{name}") for name in names)
+    return [module for module in modules if hasattr(module, "_trusted")]
+
+
 @contextmanager
 def checked_construction():
     """Every trusted construction goes through the public constructor, which
     must keep the coordinates it is given."""
     with pytest.MonkeyPatch.context() as mp:
-        for module in (graded, dgla, artin):
+        for module in trusting_modules():
             mp.setattr(module, "_trusted", checked)
         yield
+
+
+def test_the_series_results_are_trusted_constructions(monkeypatch):
+    # gauge and BCH make their results through dgla._from_ints, so through a
+    # module the checked rerun patches
+    assert {graded, dgla, artin} <= set(trusting_modules())
+    made = []
+
+    def recording(space, coords, degree):
+        made.append(checked(space, coords, degree))
+        return made[-1]
+
+    for module in trusting_modules():
+        monkeypatch.setattr(module, "_trusted", recording)
+    T = tensor_dgla(lib.heis(), truncated_polynomial_algebra(3))
+    a, b = T.element_from_labels({"a@t": 1}, 0), T.element_from_labels({"a@t": 2, "a@t^2": 1}, 0)
+    x = T.element_from_labels({"x@t": 1, "y@t": F(3, 7)}, 1)
+    for result in (gauge_apply(T, a, x), bch_product(T, a, b)):
+        assert any(z is result for z in made)
 
 
 # --- the same results either way ---------------------------------------------
