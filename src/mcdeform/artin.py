@@ -43,27 +43,81 @@ def _clean(vec: Mapping[int, object]) -> Coeffs:
     return out
 
 
-def _power_spans(dim: int, product) -> list[list[la.Vector]] | None:
-    """Bases of m, m², … up to the last nonzero power, by breadth-first
-    products, or None when the power chain stabilizes nonzero.
+def _reduce(rows: dict[int, Coeffs], vec: Coeffs) -> Coeffs:
+    """vec less a combination of rows (pivot -> row whose least key is the
+    pivot): empty exactly when vec lies in their span."""
+    vec = dict(vec)
+    while vec and (k := min(vec)) in rows:
+        _sub(vec, vec[k] / rows[k][k], rows[k])
+        vec = {j: c for j, c in vec.items() if c}
+    return vec
 
-    product(i, vec) multiplies basis element i with a sparse vector.
+
+def _kept(vectors, rows: dict[int, Coeffs], stop: int | None = None) -> list[Coeffs]:
+    """The sparse vectors a greedy scan keeps, each outside the span of rows
+    and of those kept before it (rows grows by them), until stop are kept."""
+    out = []
+    for vec in vectors:
+        if len(out) == stop:
+            break
+        if rest := _reduce(rows, vec):
+            rows[min(rest)] = rest
+            out.append(vec)
+    return out
+
+
+def _power_spans(dim: int, product) -> list[list[Coeffs]] | None:
+    """Sparse bases of m, m², … up to the last nonzero power, or None when the
+    power chain stabilizes nonzero.  The basis of m^{k+1} = m·m^k is the greedy
+    choice among the products e_i·v, i-major over the basis of m and the basis
+    v of m^k; product(i, vec) multiplies basis element i with a sparse vector.
+
+    When m is associative and nilpotent, m^{k+1} = Σ_g e_g·m^k for lifts e_g
+    of a basis of m/m² (Nakayama), so the scan stops at the dimension of those
+    products; _closed certifies the result, or the products are scanned in full.
     """
     if dim == 0:
         return []
-    spans: list[list[la.Vector]] = [[la.unit_vector(dim, i) for i in range(dim)]]
+    spans = _powers(dim, product, fast=True)
+    if spans is None or not _closed(dim, product, spans):
+        spans = _powers(dim, product, fast=False)
+    return spans
+
+
+def _powers(dim: int, product, fast: bool) -> list[list[Coeffs]] | None:
+    """The spans of _power_spans; with fast, uncertified and every scan past
+    m² stopped at the dimension the generators give."""
+    spans: list[list[Coeffs]] = [[{i: ONE} for i in range(dim)]]
+    gens = range(dim)
     for _step in range(dim + 1):
-        sparse = [{k: c for k, c in enumerate(v) if c != 0} for v in spans[-1]]
-        nxt = [[prod.get(k, ZERO) for k in range(dim)]
-               for i in range(dim) for v in sparse if (prod := product(i, v))]
-        basis = [nxt[k] for k in la.extend_basis([], nxt, dim)]
+        last, stop = spans[-1], None
+        if fast and len(spans) > 1:
+            stop = len(_kept((product(g, v) for g in gens for v in last), {}))
+        basis = _kept((product(i, v) for i in range(dim) for v in last), {}, stop)
         if not basis:
             return spans
         # every kept span is independent, so its length is its dimension
-        if len(basis) == len(spans[-1]):
+        if len(basis) == len(last):
             return None
         spans.append(basis)
+        if fast and len(spans) == 2:  # the units outside m² and those before them
+            _kept(basis, rows := {})
+            gens = [min(v) for v in _kept(spans[0], rows)]
     return None
+
+
+def _closed(dim: int, product, spans: list[list[Coeffs]]) -> bool:
+    """Whether m·S_k ⊆ S_{k+1} ⊆ S_k for spans S_k ⊆ m^{k+1} whose S_1 is m²
+    and whose next S is 0, so that every S_k is m^{k+1}.  From the top down
+    m·S_{k+1} ⊆ S_{k+1} is known, so m multiplies a complement of S_{k+1} in S_k."""
+    chain = spans + [[]]
+    for k in range(1, len(spans)):
+        _kept(chain[k + 1], upper := {})
+        complement = _kept(chain[k], dict(upper))
+        if len(complement) != len(chain[k]) - len(upper) or any(
+                _reduce(upper, product(i, v)) for v in complement for i in range(dim)):
+            return False
+    return True
 
 
 def _filtration(dim: int, product):
@@ -72,21 +126,22 @@ def _filtration(dim: int, product):
     spans = _power_spans(dim, product)
     if spans is None:
         return None, None, None
-    # e_i lies in m^{k+1} exactly when i is a pivot of the rref of spans[k]
-    # whose row is e_i; the spans shrink, so the last k that holds e_i wins
+    # e_i lies in m^{k+1} exactly when it lies in the span of spans[k]; the
+    # spans shrink, so only the e_i of m^k are tried
     levels = [1] * dim
     for k in range(1, len(spans)):
-        rows, pivots = la.rref(spans[k])
-        for r, i in enumerate(pivots):
-            if rows[r] == la.unit_vector(dim, i):
+        _kept(spans[k], rows := {})
+        for i in range(dim):
+            if levels[i] == k and not _reduce(rows, {i: ONE}):
                 levels[i] = k + 1
     levels, nu = tuple(levels), len(spans) + 1
     if all(sum(lvl > k for lvl in levels) == len(span) for k, span in enumerate(spans)):
         return levels, nu, (None, None, levels)
+    dense = [[[v.get(i, ZERO) for i in range(dim)] for v in span] for span in spans]
     basis, adapted = [], []
-    for k in reversed(range(len(spans))):
-        new = la.extend_basis(basis, spans[k], dim)
-        basis += [spans[k][i] for i in new]
+    for k in reversed(range(len(dense))):
+        new = la.extend_basis(basis, dense[k], dim)
+        basis += [dense[k][i] for i in new]
         adapted += [k + 1] * len(new)
     P = la.from_columns(basis, dim)
     return levels, nu, (P, la.inverse(P), tuple(adapted))
@@ -362,6 +417,8 @@ class SmallExtension:
             for i in range(dimB):
                 if self.B.product_basis(i, sparse):
                     raise InvalidInput("m_B · J ≠ 0: not a small extension")
+        # one elimination for kernel_coords: the inverse of [J | unit vectors]
+        object.__setattr__(self, "_kernel_inverse", la.complete_and_invert(span, dimB)[1])
 
     @property
     def kernel_dim(self) -> int:
@@ -392,11 +449,11 @@ class SmallExtension:
         return _clean(out)
 
     def kernel_coords(self, vec: Coeffs) -> la.Vector | None:
-        """Coordinates of a m_B vector in the J basis, or None if outside J."""
-        dense = la.zero_vector(self.B.dim)
-        for i, c in vec.items():
-            dense[i] = c
-        return la.in_span([list(v) for v in self.kernel], dense)
+        """Coordinates of a m_B vector in the J basis, or None if outside J: its
+        coordinates in the basis [J | unit vectors] of m_B, read off the stored
+        inverse, must vanish on the unit vectors."""
+        coords = [sum((row[i] * c for i, c in vec.items()), ZERO) for row in self._kernel_inverse]
+        return None if any(coords[self.kernel_dim:]) else coords[:self.kernel_dim]
 
 
 def small_extension(B: CoefficientAlgebra, A: CoefficientAlgebra,

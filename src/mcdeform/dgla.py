@@ -24,6 +24,7 @@ from .errors import (
 )
 from .graded import (
     ChainComplex,
+    CohomologyResult,
     GradedElement,
     GradedMap,
     GradedSpace,
@@ -31,6 +32,7 @@ from .graded import (
     _trusted,
     basis_element,
     block_sum,
+    compute_cohomology,
     direct_sum,
     element_from_labels,
     hom_basis,
@@ -90,6 +92,7 @@ class Dgla:
         object.__setattr__(self, "_scale", lcm(*(c.denominator for val in clean.values()
                                                  for c in val.coords.values())))
         object.__setattr__(self, "_partners", None)  # see _partner_index
+        object.__setattr__(self, "_h2", None)  # see obstruction_space
 
     def _partner_index(self) -> dict[BasisKey, tuple[BasisKey, ...]]:
         """Basis key -> the keys it has a stored bracket with, in either order;
@@ -102,6 +105,13 @@ class Dgla:
                     partners.setdefault(b, []).append(a)
             object.__setattr__(self, "_partners", {a: tuple(bs) for a, bs in partners.items()})
         return self._partners
+
+    def obstruction_space(self) -> CohomologyResult:
+        """H²(L), the obstruction space of Def_L: it does not depend on the small
+        extension, so it is computed on first use and kept on L."""
+        if self._h2 is None:
+            object.__setattr__(self, "_h2", compute_cohomology(self.complex, (2,)))
+        return self._h2
 
     @property
     def space(self) -> GradedSpace:

@@ -395,6 +395,7 @@ class ChainComplex:
             raise InvalidInput("differential must be an endomap of the space")
         if self.d.degree != 1:
             raise DegreeWindowViolation(f"differential has degree {self.d.degree}, expected 1")
+        object.__setattr__(self, "_d_squared_zero", False)  # see require_d_squared_zero
 
     def d_squared_witnesses(self) -> list[str]:
         """Labels of basis vectors on which d(d(e)) is nonzero."""
@@ -407,9 +408,15 @@ class ChainComplex:
         return bad
 
     def require_d_squared_zero(self) -> None:
+        """Raise DifferentialNotSquareZero unless d∘d = 0.  A success is kept on
+        the complex, which is immutable, so each complex is checked once; a
+        failing complex raises on every call."""
+        if self._d_squared_zero:
+            return
         bad = self.d_squared_witnesses()
         if bad:
             raise DifferentialNotSquareZero(f"d²≠0 on basis vectors {bad}")
+        object.__setattr__(self, "_d_squared_zero", True)
 
     def differential_of(self, x: GradedElement) -> GradedElement:
         return self.d.apply(x)
@@ -485,7 +492,9 @@ def compute_cohomology(complex: ChainComplex,
     """Exact cohomology of a validated complex, degree by degree.
 
     With degrees, only those degrees of the window are computed, each exactly
-    as in the full result; d² = 0 is still checked on the whole complex.
+    as in the full result; d² = 0 is still required on the whole complex
+    (checked once per complex object, see require_d_squared_zero).  Nothing
+    is cached: every call row-reduces again.
 
     Representatives are chosen deterministically from the row-reduced kernel
     basis: kernel vectors are scanned in free-column order and kept whenever

@@ -36,7 +36,6 @@ from .errors import (
     TargetMismatch,
 )
 from .graded import (
-    ChainComplex,
     CohomologyResult,
     GradedElement,
     GradedMap,
@@ -181,18 +180,20 @@ class ObstructionClass:
         return all(c == 0 for vec in self.coords for c in vec)
 
     def label_map(self) -> dict[str, Fraction]:
-        """Nonzero class coordinates keyed 'representative-label@J-label'."""
-        out: dict[str, Fraction] = {}
-        for j, vec in enumerate(self.coords):
-            jlab = self.kernel_labels[j]
-            for r, c in enumerate(vec):
-                if c == 0:
-                    continue
-                rep = self.cohomology.representative(self.degree, r)
-                deg, idx, lead = next(iter(rep.terms()))
-                rep_label = rep.space.label(deg, idx)
-                out[f"{rep_label}@{jlab}"] = c
-        return out
+        """Nonzero class coordinates keyed 'representative-label@J-label'.  A
+        representative is labelled by the first key of its support that no other
+        representative holds: its first key whenever that one is its own.  Its
+        free column (it is a row-reduced kernel vector) is such a key."""
+        H = self.cohomology
+        supports = [set(H.representative(self.degree, r).coords) for r in range(H.dim(self.degree))]
+        labels = []
+        for r, keys in enumerate(supports):
+            own = keys.difference(*supports[:r], *supports[r + 1:])
+            if not own:
+                raise InvalidInput("internal: a representative has no basis key of its own")
+            labels.append(H.complex.space.label(*min(own)))
+        return {f"{labels[r]}@{jlab}": c for jlab, vec in zip(self.kernel_labels, self.coords)
+                for r, c in enumerate(vec) if c}
 
 
 class NoLift:
@@ -242,7 +243,7 @@ def _tensor_with_kernel(T_B: TensorDgla, ext: SmallExtension,
     return total
 
 
-def _obstruction_problem(key: tuple, pieces, cocycle: Callable, cx: ChainComplex,
+def _obstruction_problem(key: tuple, pieces, cocycle: Callable, H: CohomologyResult,
                          embed: Callable, split: Callable, verified: Callable,
                          cls: ObstructionClass | None = None):
     """Lift MC data along the small extension 0 → J → B → A → 0: one path for
@@ -253,9 +254,11 @@ def _obstruction_problem(key: tuple, pieces, cocycle: Callable, cx: ChainComplex
     piece is lifted by ext.section, and cocycle maps the lifted pieces to the
     cocycle, one component per piece in that piece's T_B.  For each J basis
     vector J_j, embed sends the j-th parts of the components to a degree-2
-    element of cx, which must be a cycle; its class is read in H²(cx) alone.
+    element of cx = H.complex, which must be a cycle; its class is read in H,
+    the obstruction space H²(cx) that the caller keeps (it does not depend on
+    the extension), so no cohomology is computed here.
 
-    Without cls, returns (cohomology, J labels, class coordinates, cocycle).
+    Without cls, returns (H, J labels, class coordinates, cocycle).
     With cls, key must be cls.problem, and the coordinates read again from
     cls.cocycle (an element's is bare) must be cls.coords.  A nonzero class gives
     NO_LIFT.  A vanishing one gives w_j with D w_j = part j, split sends w_j
@@ -266,10 +269,11 @@ def _obstruction_problem(key: tuple, pieces, cocycle: Callable, cx: ChainComplex
     if any(TA.coeff != ext.A for TA, _e, _TB in pieces):
         raise BaseMismatch("input does not live over the extension's target")
     lifted = [TA.map_coefficients(e, ext.section, TB) for TA, e, TB in pieces]
+    cx = H.complex
     if cls is None:
-        H, cocyc = compute_cohomology(cx, (2,)), cocycle(*lifted)
+        cocyc = cocycle(*lifted)
     elif all(p is q or p == q for p, q in zip(cls.problem, key)):
-        H, cocyc = cls.cohomology, (cls.cocycle,) if len(pieces) == 1 else cls.cocycle
+        cocyc = (cls.cocycle,) if len(pieces) == 1 else cls.cocycle
     else:
         raise InconsistentInput("class was computed for another extension or input")
     parts = [embed(*js) for js in
@@ -306,16 +310,18 @@ def _obstruction_problem(key: tuple, pieces, cocycle: Callable, cx: ChainComplex
 
 
 def _element_problem(ext: SmallExtension, x: McElement, T_B: TensorDgla | None) -> tuple:
-    """The obstruction problem of x: one piece, with its class in H²(L)."""
+    """The obstruction problem of x: one piece, with its class in H²(L), kept
+    on L (Dgla.obstruction_space)."""
     T_B = T_B if T_B is not None else tensor_dgla(x.tensor.factor, ext.B)
     return ((ext, x, T_B), [(x.tensor, x.element, T_B)], lambda xt: (mc_residual(T_B, xt),),
-            x.tensor.factor.complex, lambda h: h, lambda w: (w,),
+            x.tensor.factor.obstruction_space(), lambda h: h, lambda w: (w,),
             lambda xbar: mc_element(T_B, xbar))
 
 
 def obstruction_single(ext: SmallExtension, x: McElement, *,
                        tensor_B: TensorDgla | None = None) -> ObstructionClass:
-    """Obstruction class in H²(L) ⊗ J to lifting x along the small extension."""
+    """Obstruction class in H²(L) ⊗ J to lifting x along the small extension.
+    H²(L) is computed once per DGLA and shared by all its classes."""
     if not x.verified:
         raise NotVerifiedMC("obstruction_single requires a verified MC element")
     problem = _element_problem(ext, x, tensor_B)
@@ -348,6 +354,18 @@ class PairSetting:
     tM: TensorDgla
     h_tensor: object  # GradedMap on tensors
     g_tensor: object
+    _obstruction: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def obstruction_space(self) -> tuple[ConeComplex, CohomologyResult]:
+        """The cone C_{(h,g)} and its H², the obstruction space of the pair
+        functor: it depends on (h, g) alone, so it is built on first use and
+        kept on the setting, and a B-side setting derived from this one by a
+        lift shares it."""
+        if self._obstruction is None:
+            cone = cone_pair(self.h, self.g)
+            object.__setattr__(self, "_obstruction",
+                               (cone, compute_cohomology(cone.complex, (2,))))
+        return self._obstruction
 
     def apply_h(self, x: GradedElement) -> GradedElement:
         return self.h_tensor.apply(x)
@@ -460,12 +478,16 @@ class PairObstructionClass(ObstructionClass):
     cone: ConeComplex = None
 
 
-def _triple_problem(ext: SmallExtension, t: McTriple, sB: PairSetting | None,
-                    cone: ConeComplex) -> tuple:
+def _triple_problem(ext: SmallExtension, t: McTriple, sB: PairSetting | None) -> tuple:
     """The obstruction problem of t: pieces (x, y, p), cocycle (l, k, r) with
-    r = −g(ỹ) + e^q * h(x̃), and its class in H²(C_{(h,g)})."""
+    r = −g(ỹ) + e^q * h(x̃), and its class in H²(C_{(h,g)}), kept on t's
+    setting (PairSetting.obstruction_space).  A B-side setting derived here
+    shares that space, so a tower walk over one (h, g) builds one cone."""
     s = t.setting
-    sB = sB if sB is not None else pair_setting(s.h, s.g, ext.B)
+    cone, H = space = s.obstruction_space()
+    if sB is None:
+        sB = pair_setting(s.h, s.g, ext.B)
+        object.__setattr__(sB, "_obstruction", space)
 
     def cocycle(xt, yt, q):
         return (mc_residual(sB.tL, xt), mc_residual(sB.tN, yt),
@@ -475,20 +497,21 @@ def _triple_problem(ext: SmallExtension, t: McTriple, sB: PairSetting | None,
         return cone.embed("L", l) + cone.embed("N", k) + cone.embed("M", r)
 
     return ((ext, t, sB), [(s.tL, t.x, sB.tL), (s.tN, t.y, sB.tN), (s.tM, t.p, sB.tM)], cocycle,
-            cone.complex, embed, lambda w: [cone.project(n, w) for n in "LNM"],
+            H, embed, lambda w: [cone.project(n, w) for n in "LNM"],
             lambda *xyp: mc_triple(sB, *xyp))
 
 
 def obstruction_pair(ext: SmallExtension, t: McTriple, *,
                      setting_B: PairSetting | None = None) -> PairObstructionClass:
     """Obstruction class in H²(C_{(h,g)}) ⊗ J to lifting a verified triple
-    along the small extension."""
+    along the small extension.  The cone and its H² are built once per
+    setting and shared by all its classes."""
     if not t.verified:
         raise NotVerifiedTriple("obstruction_pair requires a verified triple")
-    cone = cone_pair(t.setting.h, t.setting.g)
-    problem = _triple_problem(ext, t, setting_B, cone)
+    problem = _triple_problem(ext, t, setting_B)
     H, jlabels, coords, cocycle = _obstruction_problem(*problem)
-    return PairObstructionClass(H, 2, jlabels, coords, cocycle, cone, problem=problem[0])
+    return PairObstructionClass(H, 2, jlabels, coords, cocycle, t.setting.obstruction_space()[0],
+                                problem=problem[0])
 
 
 def lift_pair_if_unobstructed(ext: SmallExtension, t: McTriple,
@@ -498,8 +521,7 @@ def lift_pair_if_unobstructed(ext: SmallExtension, t: McTriple,
     the class of t along ext; setting_B defaults to the one it records."""
     if not t.verified:
         raise NotVerifiedTriple("lift_pair_if_unobstructed requires a verified triple")
-    sB = setting_B or cls.problem[2]
-    return _obstruction_problem(*_triple_problem(ext, t, sB, cls.cone), cls)
+    return _obstruction_problem(*_triple_problem(ext, t, setting_B or cls.problem[2]), cls)
 
 
 # --- gauge equivalence decision ----------------------------------------------

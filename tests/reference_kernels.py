@@ -20,6 +20,11 @@
 - ``tangent_pair_matrices``: the MC-equation and gauge matrices of the tangent
   count of a pair, each block placed by hand (``tangent_dim_pair`` places
   them as one map of a ``block_sum`` instead).
+- ``power_spans`` and ``filtration``: the powers of m from every product
+  of a basis vector with a basis vector of the last power, each chosen by a
+  dense row reduction, and the levels read off one rref per power
+  (``artin._power_spans`` scans them sparsely and stops at the dimension the
+  products of lifts of a basis of m/m² give, then certifies the chain).
 - ``validate_artin``: the axioms of a coefficient algebra checked with
   products of basis vectors over every pair and triple of the basis
   (``artin.validate_artin`` visits only those whose products are nonzero).
@@ -458,3 +463,49 @@ def tangent_pair_matrices(h, g, shift_n: int):
         for c in range(nc):
             gauge[nx + ny + r][na + nb + c] = dMm1[r][c]
     return eq, gauge
+
+
+def power_spans(dim: int, product):
+    """Dense bases of m, m², … up to the last nonzero power, or None when the
+    power chain stabilizes nonzero: every product e_i·v of a basis vector with
+    a basis vector of the last power, the independent ones kept by one dense
+    row reduction per power."""
+    if dim == 0:
+        return []
+    spans = [[la.unit_vector(dim, i) for i in range(dim)]]
+    for _step in range(dim + 1):
+        sparse = [{k: c for k, c in enumerate(v) if c != 0} for v in spans[-1]]
+        nxt = [[prod.get(k, Fraction(0)) for k in range(dim)]
+               for i in range(dim) for v in sparse if (prod := product(i, v))]
+        basis = [nxt[k] for k in la.extend_basis([], nxt, dim)]
+        if not basis:
+            return spans
+        if len(basis) == len(spans[-1]):
+            return None
+        spans.append(basis)
+    return None
+
+
+def filtration(dim: int, product):
+    """(levels, nu, adapted_basis) as artin._filtration gives them, from
+    power_spans: e_i lies in m^{k+1} when i is a pivot of the rref of the
+    basis of m^{k+1} whose row is e_i."""
+    spans = power_spans(dim, product)
+    if spans is None:
+        return None, None, None
+    levels = [1] * dim
+    for k in range(1, len(spans)):
+        rows, pivots = la.rref(spans[k])
+        for r, i in enumerate(pivots):
+            if rows[r] == la.unit_vector(dim, i):
+                levels[i] = k + 1
+    levels, nu = tuple(levels), len(spans) + 1
+    if all(sum(lvl > k for lvl in levels) == len(span) for k, span in enumerate(spans)):
+        return levels, nu, (None, None, levels)
+    basis, adapted = [], []
+    for k in reversed(range(len(spans))):
+        new = la.extend_basis(basis, spans[k], dim)
+        basis += [spans[k][i] for i in new]
+        adapted += [k + 1] * len(new)
+    P = la.from_columns(basis, dim)
+    return levels, nu, (P, la.inverse(P), tuple(adapted))

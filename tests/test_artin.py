@@ -12,6 +12,7 @@ from mcdeform.artin import (
     epsilon_algebra,
     omega_complex,
     quotient_extension,
+    small_extension,
     small_extension_tower,
     square_zero_algebra,
     tensor_dgla,
@@ -262,6 +263,23 @@ class TestSmallExtensions:
                     bj = ext.lift_coeffs({j: F(1)})
                     prod_b = B.product(bi, bj)
                     assert ext.project_coeffs(prod_b) == A.product({i: F(1)}, {j: F(1)})
+
+    def test_kernel_coords_match_in_span(self):
+        # the stored inverse of [J | units] against one in_span solve per vector,
+        # on vectors inside J (combinations of its basis) and outside it
+        rnd = random.Random(5)
+        B = square_zero_algebra(("x", "y", "z"))
+        exts = [*small_extension_tower(4), lib.extension_poly2_mod_uu(),
+                quotient_extension(B, ("y", "z")),
+                small_extension(B, square_zero_algebra(("s",)), [[F(1), F(1), F(0)]])]
+        for ext in exts:
+            basis = [list(v) for v in ext.kernel]
+            for _ in range(20):
+                inside = [sum(F(rnd.randint(-2, 2)) * v[i] for v in basis) for i in range(ext.B.dim)]
+                outside = [F(rnd.randint(-2, 2)) for _i in range(ext.B.dim)]
+                for vec in (inside, outside):
+                    sparse = {i: c for i, c in enumerate(vec) if c}
+                    assert ext.kernel_coords(sparse) == la.in_span(basis, vec)
 
     def test_quotient_extension_poly2(self):
         ext = lib.extension_poly2_mod_uu()

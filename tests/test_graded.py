@@ -145,6 +145,33 @@ class TestCohomology:
         with pytest.raises(DifferentialNotSquareZero):
             compute_cohomology(ChainComplex(s, d))
 
+    def test_d_squared_success_is_kept_and_failure_is_not(self, monkeypatch):
+        from mcdeform.dgla import Dgla, validate_dgla
+        checks = []
+        real = ChainComplex.d_squared_witnesses
+
+        def counting(cx):
+            checks.append(cx)
+            return real(cx)
+        monkeypatch.setattr(ChainComplex, "d_squared_witnesses", counting)
+        good = two_term_identity()
+        for _ in range(3):
+            good.require_d_squared_zero()
+            compute_cohomology(good, (0,))
+        assert checks == [good]
+        # d² ≠ 0 on u and u2: every call raises, and every call lists both
+        s = GradedSpace(0, 2, {0: ("u", "u2"), 1: ("v",), 2: ("w",)})
+        v, w = basis_element(s, 1, 0), basis_element(s, 2, 0)
+        bad = ChainComplex(s, map_from_basis_images(s, s, 1, {"u": v, "u2": v, "v": w}))
+        for _ in range(2):
+            with pytest.raises(DifferentialNotSquareZero, match=r"\['u', 'u2'\]"):
+                bad.require_d_squared_zero()
+            with pytest.raises(DifferentialNotSquareZero):
+                compute_cohomology(bad, (2,))
+            assert [(v.axiom, v.witness) for v in validate_dgla(Dgla(bad))] == [
+                ("d_squared", ("u",)), ("d_squared", ("u2",))]
+        assert checks.count(bad) == 6
+
     def test_projection_kills_boundaries(self):
         rnd = random.Random(3)
         cx = two_term_identity()

@@ -575,3 +575,85 @@ class TestValidateArtin:
         calls.clear()
         assert validate_artin(A) == []
         assert calls["product_basis"] == 2 * len(A.table) and calls["_add"] > 0
+
+
+# --- powers of the maximal ideal -------------------------------------------------
+
+
+def polynomials_in_two(n: int) -> CoefficientAlgebra:
+    """K[u, v]/(u, v)ⁿ: two generators, and m^k ≠ 0 for k < n."""
+    monomials = [(a, k - a) for k in range(1, n) for a in range(k, -1, -1)]
+    labels = tuple(f"u{a}v{b}" for a, b in monomials)
+    return artin_from_labels(labels, {
+        (labels[i], labels[j]): {f"u{a + c}v{b + d}": 1}
+        for i, (a, b) in enumerate(monomials) for j, (c, d) in enumerate(monomials)
+        if i <= j and a + b + c + d < n})
+
+
+def power_algebras():
+    """The oracle algebras, one per validator axiom, K[t]/tⁿ for n ≤ 12,
+    K[u, v]/(u, v)ⁿ for n ≤ 5 and K[t]/t³ in the basis t, t − t², which is
+    not adapted to its filtration."""
+    algebras = {**oracle_algebras(), **{name: A for name, (A, _axioms) in VIOLATING.items()}}
+    algebras.update({f"kt{n}": truncated_polynomial_algebra(n) for n in range(1, 13)})
+    algebras.update({f"kuv{n}": polynomials_in_two(n) for n in range(2, 6)})
+    algebras["kt3_skew"] = artin_from_labels(("a", "b"), {pair: {"a": 1, "b": -1} for pair in
+                                                          (("a", "a"), ("a", "b"), ("b", "b"))})
+    return algebras
+
+
+class TestPowerFiltration:
+    """The powers of m, the levels, ν and the adapted basis equal those of the
+    dense scan of every product (reference_kernels.power_spans, .filtration)."""
+
+    @staticmethod
+    def assert_matches(A):
+        spans = artin._power_spans(A.dim, A.product_basis)
+        dense = None if spans is None else [
+            [[v.get(k, Fraction(0)) for k in range(A.dim)] for v in span] for span in spans]
+        assert dense == ref.power_spans(A.dim, A.product_basis)
+        assert (A.levels, A.nu, A._adapted) == ref.filtration(A.dim, A.product_basis)
+
+    @pytest.mark.parametrize("name", sorted(power_algebras()))
+    def test_named_algebras(self, name):
+        self.assert_matches(power_algebras()[name])
+
+    @settings(max_examples=300, deadline=None)
+    @given(coefficient_tables())
+    def test_random_tables(self, A):
+        self.assert_matches(A)
+
+    @pytest.mark.parametrize("name", sorted(oracle_algebras()) + ["kuv5"])
+    def test_valid_algebras_are_certified_without_a_full_scan(self, name):
+        A = {**oracle_algebras(), "kuv5": polynomials_in_two(5)}[name]
+        assert artin._closed(A.dim, A.product_basis, artin._powers(A.dim, A.product_basis, True))
+
+    def test_the_certificate_needs_nested_spans(self):
+        # every product is zero, so only m^3 ⊆ m^2 can fail: ⟨e1⟩ ⊄ ⟨e0⟩
+        A = square_zero_algebra(("e0", "e1"))
+        units, e0, e1 = [{0: Fraction(1)}, {1: Fraction(1)}], [{0: Fraction(1)}], [{1: Fraction(1)}]
+        assert artin._closed(A.dim, A.product_basis, [units, e0 + e1, e0])
+        assert not artin._closed(A.dim, A.product_basis, [units, e0, e1])
+
+    def test_a_table_the_generators_miss_is_scanned_in_full(self):
+        # a·a = b, b·b = c: m² = ⟨b, c⟩ and a spans m/m², but a·m² = 0 while
+        # m³ = ⟨c⟩ (the table is not associative), so the certificate fails
+        A = artin_from_labels(("a", "b", "c"), {("a", "a"): {"b": 1}, ("b", "b"): {"c": 1}})
+        fast = artin._powers(A.dim, A.product_basis, fast=True)
+        assert not artin._closed(A.dim, A.product_basis, fast)
+        assert (A.levels, A.nu) == ((1, 2, 3), 4)
+        self.assert_matches(A)
+
+    def test_products_grow_as_dim_squared(self, monkeypatch):
+        # the dense scan multiplies every basis element with every basis
+        # vector of every power: dim · Σ_k dim m^k products, about dim³/2
+        calls = Counter()
+        inner = CoefficientAlgebra.product_basis
+
+        def counting(self, i, vec):
+            calls["product_basis"] += 1
+            return inner(self, i, vec)
+        A = truncated_polynomial_algebra(41)
+        monkeypatch.setattr(CoefficientAlgebra, "product_basis", counting)
+        assert artin._filtration(A.dim, A.product_basis)[:2] == (tuple(range(1, 41)), 41)
+        assert calls["product_basis"] <= 4 * A.dim ** 2 < A.dim * A.dim * (A.dim + 1) // 2

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from mcdeform import library as lib
 from mcdeform import linalg as la
 from mcdeform.artin import epsilon_algebra, small_extension_tower, tensor_dgla
-from mcdeform.dgla import validate_dgla
+from mcdeform.dgla import Dgla, cone_pair, validate_dgla
 from mcdeform.errors import (
     BaseMismatch,
     DegreeMismatch,
@@ -19,7 +19,7 @@ from mcdeform.errors import (
     NotVerifiedMC,
     NotVerifiedTriple,
 )
-from mcdeform.graded import GradedElement, compute_cohomology, zero_element
+from mcdeform.graded import ChainComplex, GradedElement, compute_cohomology, zero_element
 from mcdeform.maurer_cartan import (
     Equivalent,
     NO_LIFT,
@@ -288,6 +288,23 @@ class TestObstructionSingle:
         rhs = target.component_vector(2)
         assert la.solve(dmat, rhs, cols=TB.space.dim(1)) is None
 
+    def test_label_map_keys_each_representative_by_a_key_of_its_own(self):
+        # H² = ⟨a + b, a + c⟩: both representatives start with a, and the
+        # class of ½[x, x]⊗t² = (3/2 a + b + ½ c)⊗t² is (a + b) + ½ (a + c);
+        # b and c are the first keys each holds alone
+        from mcdeform.library import _complex, dgla_from_labels
+        cx = _complex((1, 3), {1: ("x",), 2: ("a", "b", "c"), 3: ("w",)},
+                      {"a": {"w": 1}, "b": {"w": -1}, "c": {"w": -1}})
+        L = dgla_from_labels(cx, {("x", "x"): {"a": 3, "b": 2, "c": 1}})
+        assert validate_dgla(L) == []
+        ext = small_extension_tower(2)[1]
+        T = tensor_dgla(L, ext.A)
+        cls = obstruction_single(ext, mc_element(T, T.element_from_labels({"x@t": 1}, 1)))
+        assert cls.cohomology.representatives[2] == tuple(
+            GradedElement(L.space, {(2, 0): F(1), (2, k): F(1)}, 2) for k in (1, 2))
+        assert cls.coords == ((F(1), F(1, 2)),)
+        assert cls.label_map() == {"b@t^2": F(1), "c@t^2": F(1, 2)}
+
     def test_abelian_classes_always_vanish(self):
         rnd = random.Random(21)
         for L in (lib.acyclic(), lib.abelian2()):
@@ -455,24 +472,38 @@ class TestPairFunctor:
 
 @pytest.fixture()
 def obstruction_work(monkeypatch):
-    """The cohomology results the obstruction code computes, and its lifts by
-    the extension's section (map_coefficients calls with that matrix, once
-    per element lifted)."""
+    """The cohomology results and pair cones the obstruction code computes,
+    the complexes whose d² it checks (kept alive, so identities are unique),
+    and its lifts by the extension's section (map_coefficients calls with that
+    matrix, once per element lifted)."""
+    import mcdeform.dgla as dg
     import mcdeform.maurer_cartan as mc
     from mcdeform.artin import TensorDgla
 
-    work = {"cohomology": [], "lifts": 0, "section": None}
-    real_cohomology, real_map = mc.compute_cohomology, TensorDgla.map_coefficients
+    work = {"cohomology": [], "cones": 0, "d2": [], "lifts": 0, "section": None}
+    real_cohomology, real_cone = mc.compute_cohomology, mc.cone_pair
+    real_map, real_d2 = TensorDgla.map_coefficients, ChainComplex.d_squared_witnesses
 
     def cohomology(cx, degrees=None):
         work["cohomology"].append(real_cohomology(cx, degrees))
         return work["cohomology"][-1]
 
+    def cone_pair(h, g):
+        work["cones"] += 1
+        return real_cone(h, g)
+
+    def d_squared_witnesses(cx):
+        work["d2"].append(cx)
+        return real_d2(cx)
+
     def map_coefficients(self, x, matrix, target):
         work["lifts"] += matrix is work["section"]
         return real_map(self, x, matrix, target)
 
-    monkeypatch.setattr(mc, "compute_cohomology", cohomology)
+    for module in (dg, mc):  # H²(L) is computed in dgla, the cone's H² in maurer_cartan
+        monkeypatch.setattr(module, "compute_cohomology", cohomology)
+    monkeypatch.setattr(mc, "cone_pair", cone_pair)
+    monkeypatch.setattr(ChainComplex, "d_squared_witnesses", d_squared_witnesses)
     monkeypatch.setattr(TensorDgla, "map_coefficients", map_coefficients)
     return work
 
@@ -484,15 +515,25 @@ def assert_h2_only(work) -> None:
         H.dim(1)
 
 
+def assert_d2_once_per_complex(work) -> None:
+    assert len({id(cx) for cx in work["d2"]}) == len(work["d2"])
+
+
+def fresh_dgla(name: str):
+    """The built-in DGLA, built anew: the library's copy may hold its H²."""
+    return getattr(lib, name).__wrapped__()
+
+
 class TestObstructionWork:
     """One obstruction plus lift along K[t]/t³ → K[t]/t² lifts each element
     twice (for the class, then for the lift, which reuses the class's cocycle)
-    and computes H² alone."""
+    and computes H² alone, once: a second obstruction and lift on the same
+    DGLA or pair computes no H² and builds no cone, and shares its space."""
 
     @pytest.mark.parametrize("name", ["obstructed", "heis"])
     def test_single(self, obstruction_work, name):
         ext = small_extension_tower(2)[1]
-        T = tensor_dgla(getattr(lib, name)(), ext.A)
+        T = tensor_dgla(fresh_dgla(name), ext.A)
         x = (T.element_from_labels({"x@t": 1}, 1) if name == "obstructed"
              else rand_mc(random.Random(19), T))
         x = mc_element(T, x)
@@ -503,6 +544,12 @@ class TestObstructionWork:
         assert (got is NO_LIFT) == (name == "obstructed")
         assert obstruction_work["lifts"] == 2
         assert_h2_only(obstruction_work)
+        again = obstruction_single(ext, x)
+        assert lift_if_unobstructed(ext, x, again) == got
+        assert again == cls and again.cohomology is cls.cohomology
+        assert obstruction_work["lifts"] == 4
+        assert_h2_only(obstruction_work)
+        assert_d2_once_per_complex(obstruction_work)
 
     @pytest.mark.parametrize("name", ["pair_idid_obstructed", "pair_idid_heis"])
     def test_pair(self, obstruction_work, name):
@@ -520,7 +567,118 @@ class TestObstructionWork:
         assert cls.is_zero() == (name == "pair_idid_heis")
         assert (got is NO_LIFT) == (name == "pair_idid_obstructed")
         assert obstruction_work["lifts"] == 2 * 3  # x, y and p, twice each
+        assert obstruction_work["cones"] == 1
         assert_h2_only(obstruction_work)
+        again = obstruction_pair(ext, t)
+        assert lift_pair_if_unobstructed(ext, t, again) == got
+        assert again == cls and again.cone is cls.cone and again.cohomology is cls.cohomology
+        assert obstruction_work["cones"] == 1
+        assert_h2_only(obstruction_work)
+        assert_d2_once_per_complex(obstruction_work)
+
+    def test_single_tower_walk(self, obstruction_work):
+        tower = small_extension_tower(6)
+        L = fresh_dgla("heis")
+        T = tensor_dgla(L, tower[1].A)
+        x = mc_element(T, rand_mc(random.Random(23), T))
+        for ext in tower[1:]:
+            cls = obstruction_single(ext, x)
+            x = lift_if_unobstructed(ext, x, cls)
+            assert x is not NO_LIFT and cls.cohomology is L.obstruction_space()
+        assert x.tensor.coeff == tower[-1].B
+        assert_h2_only(obstruction_work)
+        assert_d2_once_per_complex(obstruction_work)
+
+    def test_pair_tower_walk(self, obstruction_work):
+        # each lift lives in the B-side setting the step derives, which shares
+        # the cone and H² of the setting it came from
+        tower = small_extension_tower(6)
+        s = pair_setting(*lib.pair_idid_heis(), tower[1].A)
+        t = rand_triple(random.Random(29), "pair_idid_heis", s)
+        for ext in tower[1:]:
+            cls = obstruction_pair(ext, t)
+            t = lift_pair_if_unobstructed(ext, t, cls)
+            assert t is not NO_LIFT
+            assert t.setting.obstruction_space() is s.obstruction_space()
+        assert t.setting.coeff == tower[-1].B
+        assert obstruction_work["cones"] == 1
+        assert_h2_only(obstruction_work)
+        assert_d2_once_per_complex(obstruction_work)
+
+
+def j_parts(T_B, ext, x) -> list[GradedElement]:
+    """The factor elements x_j with x = Σ_j x_j ⊗ J_j, by one in_span solve
+    per factor basis key."""
+    by_key: dict = {}
+    for key, c in x.coords.items():
+        ldeg, lidx, ai = T_B.from_tensor[key]
+        by_key.setdefault((ldeg, lidx), la.zero_vector(ext.B.dim))[ai] = c
+    parts: list[dict] = [{} for _ in ext.kernel]
+    for lkey, vec in by_key.items():
+        coords = la.in_span([list(v) for v in ext.kernel], vec)
+        assert coords is not None
+        for part, c in zip(parts, coords):
+            if c:
+                part[lkey] = c
+    return [GradedElement(T_B.factor.space, part) for part in parts]
+
+
+def same_lift(got, again, names) -> bool:
+    if got is NO_LIFT or again is NO_LIFT:
+        return got is again
+    return all(getattr(got, n) == getattr(again, n) for n in names)
+
+
+class TestKeptObstructionSpaces:
+    """Along every tower step up to K[t]/t⁴ → K[t]/t³, on every built-in DGLA
+    and pair, the classes and lifts read in the kept obstruction space equal
+    those read in a fresh compute_cohomology of a new copy of L's complex or
+    of a new cone_pair(h, g): the kept space is that H², its class coordinates
+    are those of the cocycle in it, and a fresh DGLA or setting, whose space is
+    computed anew, gives the same class and lift."""
+
+    def test_single(self):
+        rnd = random.Random(61)
+        for name, fn in lib.EXAMPLE_DGLAS.items():
+            L = fn()
+            for ext in small_extension_tower(3):
+                T = tensor_dgla(L, ext.A)
+                x = mc_element(T, rand_mc(rnd, T))
+                cls = obstruction_single(ext, x)
+                got = lift_if_unobstructed(ext, x, cls)
+                H = compute_cohomology(ChainComplex(L.space, L.d), (2,))
+                assert cls.cohomology == H and cls.cohomology is L.obstruction_space(), name
+                T_B = cls.problem[2]
+                assert cls.coords == tuple(tuple(H.class_of(part, 2))
+                                           for part in j_parts(T_B, ext, cls.cocycle)), name
+                L2 = Dgla(ChainComplex(L.space, L.d), L.brackets)
+                x2 = mc_element(tensor_dgla(L2, ext.A), x.element)
+                cls2 = obstruction_single(ext, x2)
+                assert cls2.cohomology is not cls.cohomology and cls2 == cls, name
+                assert same_lift(got, lift_if_unobstructed(ext, x2, cls2), ["element"]), name
+
+    def test_pair(self):
+        rnd = random.Random(67)
+        for name, fn in lib.EXAMPLE_PAIRS.items():
+            h, g = fn()
+            for ext in small_extension_tower(3):
+                s = pair_setting(h, g, ext.A)
+                t = rand_triple(rnd, name, s)
+                cls = obstruction_pair(ext, t)
+                got = lift_pair_if_unobstructed(ext, t, cls)
+                cone = cone_pair(h, g)
+                H = compute_cohomology(cone.complex, (2,))
+                assert cls.cone == cone and cls.cohomology == H, name
+                sB = cls.problem[2]
+                parts = [j_parts(T_B, ext, c) for T_B, c in zip((sB.tL, sB.tN, sB.tM), cls.cocycle)]
+                assert cls.coords == tuple(
+                    tuple(H.class_of(cone.embed("L", l) + cone.embed("N", k) + cone.embed("M", r), 2))
+                    for l, k, r in zip(*parts)), name
+                s2 = pair_setting(h, g, ext.A)
+                t2 = mc_triple(s2, t.x, t.y, t.p)
+                cls2 = obstruction_pair(ext, t2)
+                assert cls2.cone is not cls.cone and cls2 == cls, name
+                assert same_lift(got, lift_pair_if_unobstructed(ext, t2, cls2), "xyp"), name
 
 
 class TestLiftContract:
