@@ -53,13 +53,11 @@ def _reduce(rows: dict[int, Coeffs], vec: Coeffs) -> Coeffs:
     return vec
 
 
-def _kept(vectors, rows: dict[int, Coeffs], stop: int | None = None) -> list[Coeffs]:
+def _kept(vectors, rows: dict[int, Coeffs]) -> list[Coeffs]:
     """The sparse vectors a greedy scan keeps, each outside the span of rows
-    and of those kept before it (rows grows by them), until stop are kept."""
+    and of those kept before it (rows grows by them)."""
     out = []
     for vec in vectors:
-        if len(out) == stop:
-            break
         if rest := _reduce(rows, vec):
             rows[min(rest)] = rest
             out.append(vec)
@@ -70,54 +68,19 @@ def _power_spans(dim: int, product) -> list[list[Coeffs]] | None:
     """Sparse bases of m, m², … up to the last nonzero power, or None when the
     power chain stabilizes nonzero.  The basis of m^{k+1} = m·m^k is the greedy
     choice among the products e_i·v, i-major over the basis of m and the basis
-    v of m^k; product(i, vec) multiplies basis element i with a sparse vector.
-
-    When m is associative and nilpotent, m^{k+1} = Σ_g e_g·m^k for lifts e_g
-    of a basis of m/m² (Nakayama), so the scan stops at the dimension of those
-    products; _closed certifies the result, or the products are scanned in full.
-    """
+    v of m^k; product(i, vec) multiplies basis element i with a sparse vector."""
     if dim == 0:
         return []
-    spans = _powers(dim, product, fast=True)
-    if spans is None or not _closed(dim, product, spans):
-        spans = _powers(dim, product, fast=False)
-    return spans
-
-
-def _powers(dim: int, product, fast: bool) -> list[list[Coeffs]] | None:
-    """The spans of _power_spans; with fast, uncertified and every scan past
-    m² stopped at the dimension the generators give."""
     spans: list[list[Coeffs]] = [[{i: ONE} for i in range(dim)]]
-    gens = range(dim)
     for _step in range(dim + 1):
-        last, stop = spans[-1], None
-        if fast and len(spans) > 1:
-            stop = len(_kept((product(g, v) for g in gens for v in last), {}))
-        basis = _kept((product(i, v) for i in range(dim) for v in last), {}, stop)
+        basis = _kept((product(i, v) for i in range(dim) for v in spans[-1]), {})
         if not basis:
             return spans
         # every kept span is independent, so its length is its dimension
-        if len(basis) == len(last):
+        if len(basis) == len(spans[-1]):
             return None
         spans.append(basis)
-        if fast and len(spans) == 2:  # the units outside m² and those before them
-            _kept(basis, rows := {})
-            gens = [min(v) for v in _kept(spans[0], rows)]
     return None
-
-
-def _closed(dim: int, product, spans: list[list[Coeffs]]) -> bool:
-    """Whether m·S_k ⊆ S_{k+1} ⊆ S_k for spans S_k ⊆ m^{k+1} whose S_1 is m²
-    and whose next S is 0, so that every S_k is m^{k+1}.  From the top down
-    m·S_{k+1} ⊆ S_{k+1} is known, so m multiplies a complement of S_{k+1} in S_k."""
-    chain = spans + [[]]
-    for k in range(1, len(spans)):
-        _kept(chain[k + 1], upper := {})
-        complement = _kept(chain[k], dict(upper))
-        if len(complement) != len(chain[k]) - len(upper) or any(
-                _reduce(upper, product(i, v)) for v in complement for i in range(dim)):
-            return False
-    return True
 
 
 def _filtration(dim: int, product):
@@ -137,13 +100,12 @@ def _filtration(dim: int, product):
     levels, nu = tuple(levels), len(spans) + 1
     if all(sum(lvl > k for lvl in levels) == len(span) for k, span in enumerate(spans)):
         return levels, nu, (None, None, levels)
-    dense = [[[v.get(i, ZERO) for i in range(dim)] for v in span] for span in spans]
-    basis, adapted = [], []
-    for k in reversed(range(len(dense))):
-        new = la.extend_basis(basis, dense[k], dim)
-        basis += [dense[k][i] for i in new]
+    rows, basis, adapted = {}, [], []
+    for k in reversed(range(len(spans))):
+        new = _kept(spans[k], rows)
+        basis += new
         adapted += [k + 1] * len(new)
-    P = la.from_columns(basis, dim)
+    P = la.from_columns([[v.get(i, ZERO) for i in range(dim)] for v in basis], dim)
     return levels, nu, (P, la.inverse(P), tuple(adapted))
 
 

@@ -189,8 +189,6 @@ class ObstructionClass:
         labels = []
         for r, keys in enumerate(supports):
             own = keys.difference(*supports[:r], *supports[r + 1:])
-            if not own:
-                raise InvalidInput("internal: a representative has no basis key of its own")
             labels.append(H.complex.space.label(*min(own)))
         return {f"{labels[r]}@{jlab}": c for jlab, vec in zip(self.kernel_labels, self.coords)
                 for r, c in enumerate(vec) if c}
@@ -354,13 +352,21 @@ class PairSetting:
     tM: TensorDgla
     h_tensor: object  # GradedMap on tensors
     g_tensor: object
-    _obstruction: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_obstruction", None)  # see obstruction_space
+
+    def over(self, B: CoefficientAlgebra) -> PairSetting:
+        """The same pair over B, sharing this setting's obstruction space."""
+        sB = pair_setting(self.h, self.g, B)
+        object.__setattr__(sB, "_obstruction", self._obstruction)
+        return sB
 
     def obstruction_space(self) -> tuple[ConeComplex, CohomologyResult]:
         """The cone C_{(h,g)} and its H², the obstruction space of the pair
         functor: it depends on (h, g) alone, so it is built on first use and
-        kept on the setting, and a B-side setting derived from this one by a
-        lift shares it."""
+        kept on the setting, and a setting derived from this one by over
+        shares it."""
         if self._obstruction is None:
             cone = cone_pair(self.h, self.g)
             object.__setattr__(self, "_obstruction",
@@ -484,10 +490,8 @@ def _triple_problem(ext: SmallExtension, t: McTriple, sB: PairSetting | None) ->
     setting (PairSetting.obstruction_space).  A B-side setting derived here
     shares that space, so a tower walk over one (h, g) builds one cone."""
     s = t.setting
-    cone, H = space = s.obstruction_space()
-    if sB is None:
-        sB = pair_setting(s.h, s.g, ext.B)
-        object.__setattr__(sB, "_obstruction", space)
+    cone, H = s.obstruction_space()
+    sB = sB if sB is not None else s.over(ext.B)
 
     def cocycle(xt, yt, q):
         return (mc_residual(sB.tL, xt), mc_residual(sB.tN, yt),

@@ -23,8 +23,8 @@
 - ``power_spans`` and ``filtration``: the powers of m from every product
   of a basis vector with a basis vector of the last power, each chosen by a
   dense row reduction, and the levels read off one rref per power
-  (``artin._power_spans`` scans them sparsely and stops at the dimension the
-  products of lifts of a basis of m/m² give, then certifies the chain).
+  (``artin._power_spans`` scans the same products with a sparse greedy
+  elimination, and ``artin._filtration`` reads levels by sparse membership).
 - ``validate_artin``: the axioms of a coefficient algebra checked with
   products of basis vectors over every pair and triple of the basis
   (``artin.validate_artin`` visits only those whose products are nonzero).
