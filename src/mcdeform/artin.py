@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import linalg as la
-from .dgla import EMPTY, Dgla, Violation, _add, _sub, make_dgla
+from .dgla import Dgla, Violation, make_dgla
 from .errors import InvalidInput
 from .graded import (
     ChainComplex,
@@ -27,6 +27,7 @@ from .graded import (
     element_from_labels,
     map_from_images,
 )
+from .linalg import EMPTY, add_scaled, sub_scaled
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -43,27 +44,6 @@ def _clean(vec: Mapping[int, object]) -> Coeffs:
     return out
 
 
-def _reduce(rows: dict[int, Coeffs], vec: Coeffs) -> Coeffs:
-    """vec less a combination of rows (pivot -> row whose least key is the
-    pivot): empty exactly when vec lies in their span."""
-    vec = dict(vec)
-    while vec and (k := min(vec)) in rows:
-        _sub(vec, vec[k] / rows[k][k], rows[k])
-        vec = {j: c for j, c in vec.items() if c}
-    return vec
-
-
-def _kept(vectors, rows: dict[int, Coeffs]) -> list[Coeffs]:
-    """The sparse vectors a greedy scan keeps, each outside the span of rows
-    and of those kept before it (rows grows by them)."""
-    out = []
-    for vec in vectors:
-        if rest := _reduce(rows, vec):
-            rows[min(rest)] = rest
-            out.append(vec)
-    return out
-
-
 def _power_spans(dim: int, product) -> list[list[Coeffs]] | None:
     """Sparse bases of m, m², … up to the last nonzero power, or None when the
     power chain stabilizes nonzero.  The basis of m^{k+1} = m·m^k is the greedy
@@ -73,7 +53,9 @@ def _power_spans(dim: int, product) -> list[list[Coeffs]] | None:
         return []
     spans: list[list[Coeffs]] = [[{i: ONE} for i in range(dim)]]
     for _step in range(dim + 1):
-        basis = _kept((product(i, v) for i in range(dim) for v in spans[-1]), {})
+        echelon = la.Echelon()
+        basis = [p for i in range(dim) for v in spans[-1]
+                 if (p := product(i, v)) and echelon.add(p)[0]]
         if not basis:
             return spans
         # every kept span is independent, so its length is its dimension
@@ -89,22 +71,19 @@ def _filtration(dim: int, product):
     spans = _power_spans(dim, product)
     if spans is None:
         return None, None, None
-    # e_i lies in m^{k+1} exactly when it lies in the span of spans[k]; the
-    # spans shrink, so only the e_i of m^k are tried
-    levels = [1] * dim
-    for k in range(1, len(spans)):
-        _kept(spans[k], rows := {})
-        for i in range(dim):
-            if levels[i] == k and not _reduce(rows, {i: ONE}):
+    # one echelon, grown from the top power down, spans m^{k+1} once spans[k] is
+    # in: its new vectors have level k + 1, and so has each e_i it first holds
+    levels, echelon, basis, adapted = [1] * dim, la.Echelon(), [], []
+    for k in reversed(range(len(spans))):
+        new = [v for v in spans[k] if echelon.add(v)[0]]
+        basis += new
+        adapted += [k + 1] * len(new)
+        for i in range(dim if k else 0):
+            if levels[i] == 1 and not echelon.reduce({i: ONE})[0]:
                 levels[i] = k + 1
     levels, nu = tuple(levels), len(spans) + 1
     if all(sum(lvl > k for lvl in levels) == len(span) for k, span in enumerate(spans)):
         return levels, nu, (None, None, levels)
-    rows, basis, adapted = {}, [], []
-    for k in reversed(range(len(spans))):
-        new = _kept(spans[k], rows)
-        basis += new
-        adapted += [k + 1] * len(new)
     P = la.from_columns([[v.get(i, ZERO) for i in range(dim)] for v in basis], dim)
     return levels, nu, (P, la.inverse(P), tuple(adapted))
 
@@ -206,13 +185,13 @@ class CoefficientAlgebra:
                 if degrees is not None and degrees[i] * degrees[j] % 2:
                     c = -c
             if entry:
-                _add(out, c, entry)
+                add_scaled(out, c, entry)
         return _clean(out)
 
     def product(self, a: Coeffs, b: Coeffs) -> Coeffs:
         out: Coeffs = {}
         for i, ca in a.items():
-            _add(out, ca, self.product_basis(i, b))
+            add_scaled(out, ca, self.product_basis(i, b))
         return _clean(out)
 
 
@@ -264,9 +243,9 @@ def validate_artin(A: CoefficientAlgebra) -> list[Violation]:
             for k in (active if ij else sorted(pj)):
                 defect: Coeffs = {}
                 for m, c in pj.get(k, EMPTY).items():
-                    _add(defect, c, pi.get(m, EMPTY))
+                    add_scaled(defect, c, pi.get(m, EMPTY))
                 for m, c in ij.items():
-                    _sub(defect, c, prod.get(m, EMPTY).get(k, EMPTY))
+                    sub_scaled(defect, c, prod.get(m, EMPTY).get(k, EMPTY))
                 if any(defect.values()):
                     report.append(Violation("associativity", (name(i), name(j), name(k)),
                                             "(a·b)·c ≠ a·(b·c)"))
@@ -290,20 +269,20 @@ def validate_artin(A: CoefficientAlgebra) -> list[Violation]:
     for i in sorted(diff):
         dd: Coeffs = {}
         for k, c in diff[i].items():
-            _add(dd, c, diff.get(k, EMPTY))
+            add_scaled(dd, c, diff.get(k, EMPTY))
         if any(dd.values()):
             report.append(Violation("d_squared", (name(i),), "d(d(a)) ≠ 0"))
 
     # d(e_i·e_j) − de_i·e_j − (−1)^deg e_i e_i·de_j
     for i in range(dim):
         pi, di = prod.get(i, EMPTY), diff.get(i, EMPTY)
-        add_adb = _add if deg[i] % 2 else _sub  # the term −(−1)^deg a a·db
+        add_adb = add_scaled if deg[i] % 2 else sub_scaled  # the term −(−1)^deg a a·db
         for j in (range(dim) if di else sorted(set(pi) | set(diff))):
             defect = {}
             for m, c in pi.get(j, EMPTY).items():
-                _add(defect, c, diff.get(m, EMPTY))
+                add_scaled(defect, c, diff.get(m, EMPTY))
             for m, c in di.items():
-                _sub(defect, c, prod.get(m, EMPTY).get(j, EMPTY))
+                sub_scaled(defect, c, prod.get(m, EMPTY).get(j, EMPTY))
             for m, c in diff.get(j, EMPTY).items():
                 add_adb(defect, c, pi.get(m, EMPTY))
             if any(defect.values()):
@@ -367,20 +346,17 @@ class SmallExtension:
                         self.A.product(images[i], images[j]):
                     raise InvalidInput(
                         f"alpha is not an algebra map at ({self.B.labels[i]}, {self.B.labels[j]})")
-        computed = la.nullspace(self.alpha, cols=dimB)
-        span = [list(v) for v in self.kernel]
-        if len(la.extend_basis([], span, dimB)) != len(span) or len(span) != len(computed):
+        # J = ker alpha: alpha·J = 0, J independent, and dim J = dim B − dim A
+        sparse, echelon = [{k: c for k, c in enumerate(v) if c} for v in self.kernel], la.Echelon()
+        if len(sparse) != dimB - dimA or any(
+                len(v) != dimB or self.project_coeffs(s) or not echelon.add(s)[0]
+                for v, s in zip(self.kernel, sparse)):
             raise InvalidInput("declared kernel basis does not match ker alpha")
-        for v in computed:
-            if la.in_span(span, v) is None:
-                raise InvalidInput("declared kernel basis does not match ker alpha")
-        for v in self.kernel:
-            sparse = {k: c for k, c in enumerate(v) if c != 0}
-            for i in range(dimB):
-                if self.B.product_basis(i, sparse):
-                    raise InvalidInput("m_B · J ≠ 0: not a small extension")
+        if any(self.B.product_basis(i, v) for v in sparse for i in range(dimB)):
+            raise InvalidInput("m_B · J ≠ 0: not a small extension")
         # one elimination for kernel_coords: the inverse of [J | unit vectors]
-        object.__setattr__(self, "_kernel_inverse", la.complete_and_invert(span, dimB)[1])
+        object.__setattr__(self, "_kernel_inverse",
+                           la.complete_and_invert([list(v) for v in self.kernel], dimB)[1])
 
     @property
     def kernel_dim(self) -> int:
@@ -395,20 +371,10 @@ class SmallExtension:
         return "0"
 
     def project_coeffs(self, vec: Coeffs) -> Coeffs:
-        out: Coeffs = {}
-        for i, c in vec.items():
-            for r in range(self.A.dim):
-                if self.alpha[r][i] != 0:
-                    out[r] = out.get(r, ZERO) + c * self.alpha[r][i]
-        return _clean(out)
+        return la.mat_vec_sparse(self.alpha, vec)
 
     def lift_coeffs(self, vec: Coeffs) -> Coeffs:
-        out: Coeffs = {}
-        for i, c in vec.items():
-            for r in range(self.B.dim):
-                if self.section[r][i] != 0:
-                    out[r] = out.get(r, ZERO) + c * self.section[r][i]
-        return _clean(out)
+        return la.mat_vec_sparse(self.section, vec)
 
     def kernel_coords(self, vec: Coeffs) -> la.Vector | None:
         """Coordinates of a m_B vector in the J basis, or None if outside J: its

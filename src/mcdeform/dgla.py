@@ -47,6 +47,7 @@ from .graded import (
     zero_map,
     zero_space,
 )
+from .linalg import EMPTY, add_scaled, sub_scaled
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -222,7 +223,6 @@ def zero_dgla() -> Dgla:
 
 
 Coords = dict[BasisKey, Fraction]  # sparse vector by basis key; absent keys are zero
-EMPTY: dict = {}  # shared default for absent rows and vectors; never written
 
 
 def _basis_images(f: GradedMap) -> dict[BasisKey, Coords]:
@@ -246,24 +246,6 @@ def _bracket_table(L: Dgla) -> dict[BasisKey, dict[BasisKey, Coords]]:
             s = -koszul_sign(a[0], b[0])
             table.setdefault(b, {})[a] = {k: s * c for k, c in val.coords.items()}
     return table
-
-
-def _add(acc: Coords, c: Fraction, x: Coords) -> None:
-    """acc += c·x."""
-    for k, v in x.items():
-        if k in acc:
-            acc[k] += c * v
-        else:
-            acc[k] = c * v
-
-
-def _sub(acc: Coords, c: Fraction, x: Coords) -> None:
-    """acc −= c·x."""
-    for k, v in x.items():
-        if k in acc:
-            acc[k] -= c * v
-        else:
-            acc[k] = -(c * v)
 
 
 def _pretty(space: GradedSpace, defect: Coords) -> str | None:
@@ -320,13 +302,13 @@ def validate_dgla(L: Dgla) -> list[Violation]:
     # d[a,b] − [da,b] − (−1)^deg a [a,db]
     for i, a in enumerate(keys):
         ta, da = table.get(a, EMPTY), d.get(a, EMPTY)
-        add_adb = _add if a[0] % 2 else _sub  # the term −(−1)^deg a [a,db]
+        add_adb = add_scaled if a[0] % 2 else sub_scaled  # the term −(−1)^deg a [a,db]
         for b in keys[i:]:
             defect: Coords = {}
             for k, c in ta.get(b, EMPTY).items():
-                _add(defect, c, d.get(k, EMPTY))
+                add_scaled(defect, c, d.get(k, EMPTY))
             for k, c in da.items():
-                _sub(defect, c, table.get(k, EMPTY).get(b, EMPTY))
+                sub_scaled(defect, c, table.get(k, EMPTY).get(b, EMPTY))
             for k, c in d.get(b, EMPTY).items():
                 add_adb(defect, c, ta.get(k, EMPTY))
             text = _pretty(space, defect)
@@ -340,16 +322,16 @@ def validate_dgla(L: Dgla) -> list[Violation]:
         ta = table.get(a, EMPTY)
         for b in keys[i:]:
             tb, ab = table.get(b, EMPTY), ta.get(b, EMPTY)
-            add_bac = _add if (a[0] * b[0]) % 2 else _sub  # −(−1)^(deg a·deg b) [b,[a,c]]
+            add_bac = add_scaled if (a[0] * b[0]) % 2 else sub_scaled  # −(−1)^(deg a·deg b) [b,[a,c]]
             support = set(ta) | set(tb)
             for k in ab:
                 support.update(table.get(k, EMPTY))
             for c in sorted(c for c in support if c >= b):
                 defect = {}
                 for k, v in tb.get(c, EMPTY).items():
-                    _add(defect, v, ta.get(k, EMPTY))
+                    add_scaled(defect, v, ta.get(k, EMPTY))
                 for k, v in ab.items():
-                    _sub(defect, v, table.get(k, EMPTY).get(c, EMPTY))
+                    sub_scaled(defect, v, table.get(k, EMPTY).get(c, EMPTY))
                 for k, v in ta.get(c, EMPTY).items():
                     add_bac(defect, v, tb.get(k, EMPTY))
                 text = _pretty(space, defect)
@@ -450,9 +432,9 @@ def validate_morphism(phi: DglaMorphism) -> list[Violation]:
     for a in keys:
         defect: Coords = {}
         for k, c in dL.get(a, EMPTY).items():
-            _add(defect, c, images.get(k, EMPTY))
+            add_scaled(defect, c, images.get(k, EMPTY))
         for k, c in images.get(a, EMPTY).items():
-            _sub(defect, c, dM.get(k, EMPTY))
+            sub_scaled(defect, c, dM.get(k, EMPTY))
         text = _pretty(M.space, defect)
         if text is not None:
             report.append(Violation("chain_map", (name(a),), f"φ(da) − d φ(a) = {text}"))
@@ -461,12 +443,12 @@ def validate_morphism(phi: DglaMorphism) -> list[Violation]:
         for b in keys[i:]:
             defect = {}
             for k, c in ta.get(b, EMPTY).items():
-                _add(defect, c, images.get(k, EMPTY))
+                add_scaled(defect, c, images.get(k, EMPTY))
             fb = images.get(b, EMPTY)
             for k, c in fa.items():
                 tk = tM.get(k, EMPTY)
                 for m, e in fb.items():
-                    _sub(defect, c * e, tk.get(m, EMPTY))
+                    sub_scaled(defect, c * e, tk.get(m, EMPTY))
             text = _pretty(M.space, defect)
             if text is not None:
                 report.append(Violation("bracket_preservation", (name(a), name(b)),

@@ -337,7 +337,9 @@ def parse_dgla_body(doc: dict, where: str = "dgla") -> Dgla:
         try:
             deg = int(k)
         except ValueError:
-            raise SchemaError(f"{where}.basis: bad degree key {k!r}") from None
+            deg = None
+        if deg is None or str(deg) != k:  # "01", "+1" or " 1" would repeat degree 1
+            raise SchemaError(f"{where}.basis: bad degree key {k!r}")
         basis[deg] = _labels(labels, f"{where}.basis.{k}")
     try:
         space = GradedSpace(dmin, dmax, basis)

@@ -1,10 +1,10 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals: dense, and one sparse echelon.
 
 Matrices are lists of rows of Fractions, shape (rows, cols); vectors are
 lists of Fractions.  Zero-row and zero-column matrices are legal: an r x 0
 matrix is ``[[] for _ in range(r)]`` and a 0 x c matrix is ``[]`` (the column
-count is then carried by the caller).  All routines return fresh objects and
-never mutate their arguments.  mat_mul, mat_add, mat_scale and inverse reuse
+count is then carried by the caller).  The dense routines return fresh objects
+and never mutate their arguments.  mat_mul, mat_add, mat_scale and inverse reuse
 zero entries instead of computing fresh zeros, so results that are kept hold
 few Fraction objects.
 """
@@ -15,9 +15,11 @@ from fractions import Fraction
 
 Vector = list[Fraction]
 Matrix = list[list[Fraction]]
+Sparse = dict  # {column: Fraction}, zero-free: absent columns are zero
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+EMPTY: Sparse = {}  # shared default for absent rows and vectors; never written
 
 
 def frac(x) -> Fraction:
@@ -209,3 +211,72 @@ def complete_and_invert(span: list[Vector], n: int) -> tuple[list[int], Matrix]:
     the basis matrix [span | units]."""
     units = extend_basis(span, identity(n), n)
     return units, inverse(from_columns(span + [unit_vector(n, j) for j in units], n))
+
+
+def add_scaled(acc: Sparse, c: Fraction, x: Sparse) -> None:
+    """acc += c·x."""
+    for k, v in x.items():
+        if k in acc:
+            acc[k] += c * v
+        else:
+            acc[k] = c * v
+
+
+def sub_scaled(acc: Sparse, c: Fraction, x: Sparse) -> None:
+    """acc −= c·x."""
+    for k, v in x.items():
+        if k in acc:
+            acc[k] -= c * v
+        else:
+            acc[k] = -(c * v)
+
+
+def mat_vec_sparse(a: Matrix, x: Sparse) -> Sparse:
+    """a·x for a sparse x over the columns of a, as a sparse vector over its rows."""
+    out = ((r, sum((row[i] * c for i, c in x.items() if row[i]), ZERO)) for r, row in enumerate(a))
+    return {r: v for r, v in out if v}
+
+
+class Echelon:
+    """The span of sparse rows added one at a time, with right-hand sides.
+
+    Rows stay reduced (1 at their own pivot, 0 at the others'), so a vector
+    reduces against just the rows whose pivots it holds.  pivot(rest) picks a
+    new row's pivot, the least column by default.  rhs maps pivots to right-hand
+    sides (absent: 0); with every free unknown 0 it solves the rows added."""
+
+    def __init__(self, pivot=min):
+        self.pivot = pivot
+        self.rows: dict = {}  # pivot -> row
+        self.rhs: dict = {}  # pivot -> right-hand side, mostly nonzero
+
+    def reduce(self, vec: Sparse, rhs: Fraction = ZERO) -> tuple[Sparse, Fraction]:
+        """(vec, rhs) less the rows that clear vec at their pivots: vec comes back
+        empty exactly when it lies in the span, and as is when it holds no pivot."""
+        rows = self.rows
+        hits = [(p, c) for p, c in vec.items() if p in rows]
+        if not hits:
+            return vec, rhs
+        vec = dict(vec)
+        for p, c in hits:
+            sub_scaled(vec, c, rows[p])
+            if p in self.rhs:
+                rhs -= c * self.rhs[p]
+        return {k: c for k, c in vec.items() if c}, rhs
+
+    def add(self, vec: Sparse, rhs: Fraction = ZERO) -> tuple[Sparse, Fraction]:
+        """reduce(vec, rhs), keeping a nonempty rest as a row reduced with the others."""
+        rest, rest_rhs = self.reduce(vec, rhs)
+        if rest:
+            p = self.pivot(rest)
+            row = dict(rest) if (lead := rest[p]) == 1 else {k: c / lead for k, c in rest.items()}
+            for q, other in self.rows.items():
+                if c := other.get(p):
+                    sub_scaled(other, c, row)
+                    self.rows[q] = {k: v for k, v in other.items() if v}
+                    if rest_rhs:
+                        self.rhs[q] = self.rhs.get(q, ZERO) - c * rest_rhs / lead
+            self.rows[p] = row
+            if rest_rhs:
+                self.rhs[p] = rest_rhs / lead
+        return rest, rest_rhs

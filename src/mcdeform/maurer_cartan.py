@@ -25,7 +25,7 @@ from .artin import (
     tensor_dgla,
     tensor_map,
 )
-from .dgla import ConeComplex, Dgla, DglaMorphism, Violation, _from_ints, _to_ints, cone_pair
+from .dgla import ChainMap, ConeComplex, Dgla, DglaMorphism, Violation, _from_ints, _to_ints, cone_pair
 from .errors import (
     BaseMismatch,
     DegreeMismatch,
@@ -40,10 +40,8 @@ from .graded import (
     GradedElement,
     GradedMap,
     basis_element,
-    block_sum,
     compute_cohomology,
     element_from_vector,
-    place_blocks,
     zero_element,
 )
 
@@ -591,41 +589,25 @@ def gauge_equiv_decide(x: McElement, y: McElement, budget: int | None = None,
             [rebase(dx_map.apply(rebase(basis_element(T.space, 0, i), P)), Q).component_vector(1)
              for i in range(T.space.dim(0))], T.space.dim(1))
     rows = {(1, r): {(0, i): c for i, c in enumerate(drow) if c} for r, drow in enumerate(dx)}
-    # reduced rows [pivot, row, rhs] in insertion order: each row is free of
-    # the pivots inserted before it, and pivots on an unknown of top level
-    echelon: list[list] = []
+    # one echelon of the rows of all levels so far, pivots on unknowns of top level
+    echelon = la.Echelon(lambda row: max(row, key=lambda u: (level[u], -u[1])))
     a, current = zero_element(T.space, 0), x.element
     for k in range(1, T.nu):
         if cancel is not None and cancel():
             return Undecided(f"cancelled at level {k}")
         r = rebase(y.element - current, Q)
         for key in sorted(key for key in level if key[0] == 1 and level[key] == k):
-            row, rhs = dict(rows.get(key, {})), -r.coords.get(key, ZERO)
-            for entry in echelon:
-                f = row.get(entry[0])
-                if f:
-                    for col, c in entry[1].items():
-                        row[col] = row.get(col, ZERO) - f * c
-                    rhs -= f * entry[2]
-            row = {col: c for col, c in row.items() if c}
-            if row:
-                pivot = max(row, key=lambda u: (level[u], -u[1]))
-                inv = ONE / row[pivot]
-                echelon.append([pivot, {col: c * inv for col, c in row.items()}, rhs * inv])
-            elif rhs:
+            row, rhs = echelon.add(rows.get(key, la.EMPTY), -r.coords.get(key, ZERO))
+            if not row and rhs:
                 rk = GradedElement(T.space, {q: c for q, c in r.coords.items()
                                              if level[q] == k}, 1)
                 return NotEquivalent(
                     f"no gauge reaches y modulo m^{k + 1}: the level-{k} residual "
                     f"y − e^a * x ≡ {rebase(rk, P).pretty()} (mod m^{k + 1}) is not "
                     f"d_x s for any s")
-        if not any(entry[2] for entry in echelon):
+        if not any(echelon.rhs.values()):
             continue
-        sol: dict[tuple[int, int], Fraction] = {}
-        for entry in reversed(echelon):
-            pivot, row, rhs = entry
-            sol[pivot] = rhs - sum(c * sol.get(col, ZERO) for col, c in row.items() if col != pivot)
-            entry[2] = ZERO
+        sol, echelon.rhs = echelon.rhs, {}
         s = rebase(GradedElement(T.space, sol, 0), P)
         # a + s ≡ a•s modulo m^{level a + level s}, which is all level k needs
         a = a + s if T.element_level(a) + T.element_level(s) > k else bch_product(T, a, s)
@@ -661,13 +643,10 @@ def tangent_dim_pair(h: DglaMorphism, g: DglaMorphism, shift_n: int = 0) -> int:
     cone = cone_pair(h, g)
     via_cohomology = compute_cohomology(cone.complex).dim(1 + shift_n)
 
-    # (x, y, p) in (L⊗ε)¹ ⊕ (N⊗ε)¹ ⊕ (M⊗ε)⁰ with dx = dy = 0 and h(x) − g(y) − dp = 0:
-    # the kernel of D in degree 1, modulo the gauge image of D in degree 0
+    # (x, y, p) in (L⊗ε)¹ ⊕ (N⊗ε)¹ ⊕ (M⊗ε)⁰ with dx = dy = 0 and h(x) − g(y) − dp = 0: the
+    # kernel of D in degree 1 of the ε-tensored pair's cone, modulo the image of D in degree 0
     s = pair_setting(h, g, epsilon_algebra(shift_n))
-    space, layout = block_sum([("x", s.tL.space, 0), ("y", s.tN.space, 0), ("p", s.tM.space, 1)])
-    x, y, p = layout["x"], layout["y"], layout["p"]
-    D = place_blocks(space, space, 1, [
-        (1, s.tL.dgla.d, x, x), (1, s.tN.dgla.d, y, y), (1, s.h_tensor, x, p),
-        (-1, s.g_tensor, y, p), (-1, s.tM.dgla.d, p, p)])
-    solutions = space.dim(1) - la.rank(D.matrix(1))
+    D = cone_pair(ChainMap(s.tL.dgla.complex, s.tM.dgla.complex, s.h_tensor),
+                  ChainMap(s.tN.dgla.complex, s.tM.dgla.complex, s.g_tensor)).complex.d
+    solutions = D.source.dim(1) - la.rank(D.matrix(1))
     return _agreed(via_cohomology, solutions - la.rank(D.matrix(0)))

@@ -293,6 +293,29 @@ class TestSmallExtensions:
         with pytest.raises(InvalidInput):
             quotient_extension(truncated_polynomial_algebra(3), ("t",))
 
+    # K[x, y, z] with square-zero m onto K[s] with s² = 0, by x, y ↦ s and z ↦ 0:
+    # ker alpha is spanned by x − y and z
+    @pytest.mark.parametrize("kernel", [
+        ((1, -1, 0), (2, -2, 0)),  # dependent
+        ((1, -1, 0),),  # too short
+        ((1, -1, 0), (0, 0, 1), (1, 0, 0)),  # too long
+        ((1, 0, 0), (0, 0, 1)),  # x lies outside ker alpha
+        ((1, -1), (0, 0)),  # vectors of the wrong length
+    ])
+    def test_declared_kernel_must_be_a_basis_of_ker_alpha(self, kernel):
+        B, A = square_zero_algebra(("x", "y", "z")), square_zero_algebra(("s",))
+        alpha, section = [[F(1), F(1), F(0)]], [[F(1)], [F(0)], [F(0)]]
+        kernel = tuple(tuple(F(c) for c in v) for v in kernel)
+        with pytest.raises(InvalidInput, match="declared kernel basis does not match ker alpha"):
+            artin.SmallExtension(B, A, alpha, section, kernel)
+        ext = artin.SmallExtension(B, A, alpha, section, ((F(1), F(-1), F(0)), (F(0), F(0), F(1))))
+        assert ext.kernel_dim == 2
+
+    def test_kernel_must_be_killed_by_m_B(self):
+        # K[t]/t⁴ onto K[t]/t² by t ↦ t: J = ⟨t², t³⟩ is ker alpha, and t·t² = t³ ≠ 0
+        with pytest.raises(InvalidInput, match="m_B · J ≠ 0: not a small extension"):
+            quotient_extension(truncated_polynomial_algebra(4), ("t^2", "t^3"))
+
     def test_extension_morphism_to_tower(self):
         e1, e2, phi_B, phi_A, phi_J = lib.extension_morphism_poly2_to_tower()
         # phi_B is an algebra map

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from mcdeform.documents import (
     digest,
     dimension_guard,
     load_raw,
+    parse_dgla_body,
     parse_document,
     parse_scalar,
     resolve_tensor_element,
@@ -182,6 +184,21 @@ class TestSchemaErrors:
         doc = serialize_dgla(lib.heis0())
         doc["bracket"].append(dict(doc["bracket"][0]))
         with pytest.raises(SchemaError):
+            parse_document(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["01", "+2", "1_0", " 1", "1 ", "-0", "٢", "x", ""])
+    def test_degree_keys_are_canonical_decimals(self, key):
+        # "01" and "1" would both name degree 1, the later dropping the earlier
+        body = {"window": [0, 20], "basis": {"1": ["x"], key: ["y"], "2": ["z"]},
+                "differential": {}, "bracket": []}
+        with pytest.raises(SchemaError, match=re.escape(f"bad degree key {key!r}")):
+            parse_dgla_body(body)
+
+    def test_golden_with_a_zero_padded_degree_is_refused(self):
+        with open(os.path.join(GOLDEN, "obstructed.json")) as f:
+            doc = json.load(f)
+        doc["basis"]["02"] = doc["basis"].pop("2")
+        with pytest.raises(SchemaError, match="bad degree key '02'"):
             parse_document(json.dumps(doc))
 
 

@@ -564,8 +564,8 @@ class TestValidateArtin:
             monkeypatch.setattr(owner, name, wrapper)
 
         counting(CoefficientAlgebra, "product_basis")
-        counting(artin, "_add")
-        counting(artin, "_sub")
+        counting(artin, "add_scaled")
+        counting(artin, "sub_scaled")
         A = square_zero_algebra(tuple(f"x{i}" for i in range(300)))
         calls.clear()
         assert validate_artin(A) == []
@@ -574,7 +574,7 @@ class TestValidateArtin:
         A = truncated_polynomial_algebra(4)
         calls.clear()
         assert validate_artin(A) == []
-        assert calls["product_basis"] == 2 * len(A.table) and calls["_add"] > 0
+        assert calls["product_basis"] == 2 * len(A.table) and calls["add_scaled"] > 0
 
 
 # --- powers of the maximal ideal -------------------------------------------------
