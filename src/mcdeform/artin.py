@@ -386,17 +386,25 @@ class SmallExtension:
 
 def small_extension(B: CoefficientAlgebra, A: CoefficientAlgebra,
                     alpha: la.Matrix, section: la.Matrix | None = None) -> SmallExtension:
+    """The extension with the section and kernel of one rref of [α | 1]: with
+    every free unknown 0, the section's rows at the pivots are the right block,
+    and each free column gives one kernel vector (as la.solve and la.nullspace)."""
     dimB, dimA = B.dim, A.dim
+    r, pivots = la.rref([row + unit for row, unit in zip(alpha, la.identity(dimA))])
+    pivots = [p for p in pivots if p < dimB]
     if section is None:
-        section_cols = []
-        for r in range(dimA):
-            sol = la.solve(alpha, la.unit_vector(dimA, r), cols=dimB)
-            if sol is None:
-                raise InvalidInput("alpha is not surjective")
-            section_cols.append(sol)
-        section = la.from_columns(section_cols, dimB)
-    kernel = tuple(tuple(v) for v in la.nullspace(alpha, cols=dimB))
-    return SmallExtension(B, A, alpha, section, kernel)
+        if len(pivots) < dimA:
+            raise InvalidInput("alpha is not surjective")
+        section = la.zeros(dimB, dimA)
+        for row, p in zip(r, pivots):
+            section[p] = row[dimB:]
+    kernel = []
+    for free in (j for j in range(dimB) if j not in pivots):
+        v = la.unit_vector(dimB, free)
+        for row, p in zip(r, pivots):
+            v[p] = -row[free]
+        kernel.append(tuple(v))
+    return SmallExtension(B, A, alpha, section, tuple(kernel))
 
 
 def quotient_extension(B: CoefficientAlgebra, ideal_labels) -> SmallExtension:
@@ -428,12 +436,17 @@ def small_extension_tower(n: int) -> list[SmallExtension]:
     """K[t]/t^{k+1} → K[t]/t^k for k = 1..n; every kernel is ⟨t^k⟩."""
     if n < 1:
         raise InvalidInput("tower length must be ≥ 1")
-    return [tower_step(k) for k in range(1, n + 1)]
+    algebras = [truncated_polynomial_algebra(k) for k in range(1, n + 2)]
+    return [_truncation(B, A) for A, B in zip(algebras, algebras[1:])]
 
 
 def tower_step(k: int) -> SmallExtension:
-    """K[t]/t^{k+1} → K[t]/t^k, t^i ↦ t^i, with kernel ⟨t^k⟩."""
-    B, A = truncated_polynomial_algebra(k + 1), truncated_polynomial_algebra(k)
+    """K[t]/t^{k+1} → K[t]/t^k, with kernel ⟨t^k⟩."""
+    return _truncation(truncated_polynomial_algebra(k + 1), truncated_polynomial_algebra(k))
+
+
+def _truncation(B: CoefficientAlgebra, A: CoefficientAlgebra) -> SmallExtension:
+    """B → A, t^i ↦ t^i, for B and A of one tower."""
     return small_extension(B, A, [la.unit_vector(B.dim, i) for i in range(A.dim)])
 
 

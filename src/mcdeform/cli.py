@@ -39,7 +39,7 @@ from .documents import (
     truncation_guard,
 )
 from .errors import McdeformError, MissingDocument, SchemaError
-from .graded import basis_element, compute_cohomology, zero_element
+from .graded import basis_element, cohomology_dims, compute_cohomology, zero_element
 
 # artin, maurer_cartan, path_object and library are imported by the handlers
 # that use them, so a cold process loads only what its command runs
@@ -125,13 +125,13 @@ def cmd_cohomology(args):
 
 def _cone_report(cone):
     cx = cone.complex
-    H = compute_cohomology(cx)
+    dims = cohomology_dims(cx)
     return {
         "convention": cone.convention,
         "window": [cx.space.dmin, cx.space.dmax],
         "dims": {str(i): cx.space.dim(i) for i in cx.space.degrees()},
-        "cohomology": {str(i): H.dim(i) for i in cx.space.degrees()},
-        "d_squared_zero": not cx.d_squared_witnesses(),
+        "cohomology": {str(i): d for i, d in dims.items()},
+        "d_squared_zero": True,  # cohomology_dims raises DifferentialNotSquareZero otherwise
     }
 
 
@@ -289,7 +289,7 @@ def cmd_lift(args):
 
 
 def cmd_h_trunc(args):
-    from .path_object import TruncationWindow, truncated_H_cohomology
+    from .path_object import TruncationWindow, truncated_H_complex
 
     h, g = _read(args, args.pair, "pair")
     n_from = args.trunc
@@ -298,21 +298,20 @@ def cmd_h_trunc(args):
         raise SchemaError("--trunc-to must be ≥ --trunc")
     truncation_guard(h, g, n_to)  # the largest window
     cone = cone_pair(h, g)
-    Hc = compute_cohomology(cone.complex)
-    cone_dims = {str(i): Hc.dim(i) for i in cone.complex.space.degrees()}
+    hc = cohomology_dims(cone.complex)
     per_window = {}
     for N in range(n_from, n_to + 1):
-        Ht = truncated_H_cohomology(h, g, TruncationWindow(N))
-        per_window[str(N)] = {str(i): Ht.dim(i) for i in Ht.complex.space.degrees()}
+        dims = cohomology_dims(truncated_H_complex(h, g, TruncationWindow(N))[0])
+        per_window[str(N)] = {str(i): d for i, d in dims.items()}
     windows = sorted(per_window)
     stable = all(per_window[a] == per_window[b] for a, b in zip(windows, windows[1:]))
     matches = all(
-        per_window[w].get(str(i), 0) == Hc.dim(i)
+        per_window[w].get(str(i), 0) == hc.get(i, 0)
         for w in windows
         for i in range(cone.complex.space.dmin - 1, cone.complex.space.dmax + 2))
     return {
         "windows": per_window,
-        "cone_cohomology": cone_dims,
+        "cone_cohomology": {str(i): d for i, d in hc.items()},
         "matches_cone": matches,
         "stable": stable,
     }, 0

@@ -512,6 +512,19 @@ def compute_cohomology(complex: ChainComplex,
     return CohomologyResult(complex, dims, reps, projs)
 
 
+def cohomology_dims(complex: ChainComplex,
+                    degrees: Iterable[int] | None = None) -> dict[int, int]:
+    """compute_cohomology(complex, degrees).dims from ranks alone:
+    dim H^i = dim V^i − rank d_i − rank d_{i−1}, each rank taken once."""
+    complex.require_d_squared_zero()
+    space, blocks = complex.space, complex.d.blocks
+    wanted = space.degrees() if degrees is None else set(degrees)
+    covered = [i for i in space.degrees() if i in wanted]
+    ranks = {i: la.rank(blocks[i]) if i in blocks else 0
+             for i in {j for i in covered for j in (i - 1, i)}}
+    return {i: space.dim(i) - ranks[i] - ranks[i - 1] for i in covered}
+
+
 def _cohomology_at(complex: ChainComplex, i: int) -> tuple[
         int, tuple[GradedElement, ...], la.Matrix]:
     """dim H^i, its representatives and its projection matrix."""

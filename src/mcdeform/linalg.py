@@ -121,10 +121,6 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     return m, pivots
 
 
-def rank(a: Matrix) -> int:
-    return len(rref(a)[1])
-
-
 def nullspace(a: Matrix, cols: int | None = None) -> list[Vector]:
     """Deterministic kernel basis: one vector per free column, in order."""
     c = num_cols(a, cols or 0)
@@ -235,6 +231,14 @@ def mat_vec_sparse(a: Matrix, x: Sparse) -> Sparse:
     """a·x for a sparse x over the columns of a, as a sparse vector over its rows."""
     out = ((r, sum((row[i] * c for i, c in x.items() if row[i]), ZERO)) for r, row in enumerate(a))
     return {r: v for r, v in out if v}
+
+
+def rank(a: Matrix) -> int:
+    """The number of a's nonzero rows an Echelon keeps; no dense rref runs."""
+    span = Echelon()
+    for row in a:
+        span.add({j: c for j, c in enumerate(row) if c})
+    return len(span.rows)
 
 
 class Echelon:

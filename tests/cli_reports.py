@@ -131,8 +131,9 @@ def commands(listing: dict[str, dict]) -> list[list[str]]:
     return [argv + ["--json"] for argv in argvs]
 
 
-def reports() -> list[str]:
-    """One block per command: the command line, its exit status, its stdout."""
+def reports(keep=lambda argv: True) -> list[str]:
+    """One block per command (of those keep accepts): the command line, its exit
+    status, its stdout."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -146,7 +147,7 @@ def reports() -> list[str]:
                 with open(f"{name}.json", "w", encoding="utf-8") as fh:
                     fh.write(canonical_json(doc))
             blocks = []
-            for argv in commands(listing):
+            for argv in filter(keep, commands(listing)):
                 code, out = run(argv)
                 blocks.append(f"$ mcdeform {' '.join(argv)}\nexit {code}\n{out}")
             return blocks

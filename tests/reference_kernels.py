@@ -28,6 +28,11 @@
 - ``validate_artin``: the axioms of a coefficient algebra checked with
   products of basis vectors over every pair and triple of the basis
   (``artin.validate_artin`` visits only those whose products are nonzero).
+- ``dense_rank``: the number of pivots of the dense rref (``linalg.rank``
+  counts the rows a sparse ``Echelon`` keeps instead).
+- ``extension_section_kernel``: the section of a small extension by one
+  ``la.solve`` per basis vector of m_A and its kernel by ``la.nullspace``
+  (``artin.small_extension`` reads both off one rref of [α | 1] instead).
 
 The tests compare each kernel with its reference for equality.
 """
@@ -243,6 +248,10 @@ def les_maps(h, g):
     return cone, parts["M"][0], ChainMap(cone.complex, total, pi), difference_chain_map(h, g)
 
 
+def dense_rank(a: la.Matrix) -> int:
+    return len(la.rref(a)[1])
+
+
 def les_violations(cone, iota, pi, conn):
     """les_exactness's report on the given maps, each node written out."""
     H_c, H_sum, H_m = (compute_cohomology(cx) for cx in (cone.complex, conn.source, conn.target))
@@ -254,19 +263,22 @@ def les_violations(cone, iota, pi, conn):
         mi_next = induced_cohomology_matrix(iota, H_m, H_c, i)
         if not la.is_zero_matrix(la.mat_mul(mp, mi)):
             report.append(Violation("les_composite", (f"H^{i}(C)",), "π∘ι ≠ 0"))
-        if la.rank(mi) != H_c.dim(i) - la.rank(mp):
+        if dense_rank(mi) != H_c.dim(i) - dense_rank(mp):
             report.append(Violation("les_exactness", (f"H^{i}(C)",),
-                                    f"rank ι = {la.rank(mi)}, nullity π = {H_c.dim(i) - la.rank(mp)}"))
+                                    f"rank ι = {dense_rank(mi)}, "
+                                    f"nullity π = {H_c.dim(i) - dense_rank(mp)}"))
         if not la.is_zero_matrix(la.mat_mul(mc, mp)):
             report.append(Violation("les_composite", (f"H^{i}(L⊕N)",), "conn∘π ≠ 0"))
-        if la.rank(mp) != H_sum.dim(i) - la.rank(mc):
+        if dense_rank(mp) != H_sum.dim(i) - dense_rank(mc):
             report.append(Violation("les_exactness", (f"H^{i}(L⊕N)",),
-                                    f"rank π = {la.rank(mp)}, nullity conn = {H_sum.dim(i) - la.rank(mc)}"))
+                                    f"rank π = {dense_rank(mp)}, "
+                                    f"nullity conn = {H_sum.dim(i) - dense_rank(mc)}"))
         if not la.is_zero_matrix(la.mat_mul(mi_next, mc)):
             report.append(Violation("les_composite", (f"H^{i}(M)",), "ι∘conn ≠ 0"))
-        if la.rank(mc) != H_m.dim(i) - la.rank(mi_next):
+        if dense_rank(mc) != H_m.dim(i) - dense_rank(mi_next):
             report.append(Violation("les_exactness", (f"H^{i}(M)",),
-                                    f"rank conn = {la.rank(mc)}, nullity ι = {H_m.dim(i) - la.rank(mi_next)}"))
+                                    f"rank conn = {dense_rank(mc)}, "
+                                    f"nullity ι = {H_m.dim(i) - dense_rank(mi_next)}"))
     return report
 
 
@@ -509,3 +521,12 @@ def filtration(dim: int, product):
         adapted += [k + 1] * len(new)
     P = la.from_columns(basis, dim)
     return levels, nu, (P, la.inverse(P), tuple(adapted))
+
+
+def extension_section_kernel(alpha: la.Matrix, dimB: int, dimA: int):
+    """(section, kernel) of a small extension with surjection alpha, as
+    artin.small_extension computes them; None when alpha is not surjective."""
+    cols = [la.solve(alpha, la.unit_vector(dimA, r), cols=dimB) for r in range(dimA)]
+    if None in cols:
+        return None
+    return la.from_columns(cols, dimB), tuple(tuple(v) for v in la.nullspace(alpha, cols=dimB))

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference_kernels as ref
 from mcdeform import artin
 from mcdeform import library as lib
 from mcdeform import linalg as la
@@ -280,6 +281,34 @@ class TestSmallExtensions:
                 for vec in (inside, outside):
                     sparse = {i: c for i, c in enumerate(vec) if c}
                     assert ext.kernel_coords(sparse) == la.in_span(basis, vec)
+
+    def test_section_and_kernel_match_one_solve_per_vector(self):
+        # one rref of [α | 1] against one la.solve per basis vector of m_A and
+        # la.nullspace, on the longest tower the CLI admits and on every
+        # built-in extension
+        e1, e2, *_maps = lib.extension_morphism_poly2_to_tower()
+        B = square_zero_algebra(("x", "y", "z"))
+        exts = [*small_extension_tower(23), lib.extension_poly2_mod_uu(), e1, e2,
+                small_extension(B, square_zero_algebra(("s",)), [[F(1), F(1), F(0)]])]
+        for ext in exts:
+            got = small_extension(ext.B, ext.A, ext.alpha)
+            want = ref.extension_section_kernel(ext.alpha, ext.B.dim, ext.A.dim)
+            assert (got.section, got.kernel) == want
+
+    def test_a_non_surjective_alpha_is_refused(self):
+        alpha = [[F(1), F(0)], [F(2), F(0)]]
+        assert ref.extension_section_kernel(alpha, 2, 2) is None
+        with pytest.raises(InvalidInput, match="alpha is not surjective"):
+            small_extension(square_zero_algebra(("x", "y")), square_zero_algebra(("s", "r")),
+                            alpha)
+
+    def test_tower_builds_each_algebra_once(self, monkeypatch):
+        built, real = [], artin.truncated_polynomial_algebra
+        monkeypatch.setattr(artin, "truncated_polynomial_algebra",
+                            lambda n: built.append(n) or real(n))
+        tower = small_extension_tower(6)
+        assert built == list(range(1, 8))
+        assert all(prev.B is ext.A for prev, ext in zip(tower, tower[1:]))
 
     def test_quotient_extension_poly2(self):
         ext = lib.extension_poly2_mod_uu()

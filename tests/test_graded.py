@@ -20,6 +20,7 @@ from mcdeform.graded import (
     GradedSpace,
     basis_element,
     block_sum,
+    cohomology_dims,
     compute_cohomology,
     direct_sum,
     element_from_labels,
@@ -237,6 +238,7 @@ def test_cohomology_of_random_decomposed_complexes(seed):
     rnd = random.Random(seed)
     cx, free = random_decomposed_complex(rnd)
     H = compute_cohomology(cx)
+    assert cohomology_dims(cx) == H.dims
     for i in cx.space.degrees():
         assert H.dim(i) == free.get(i, 0)
         # rank-nullity bookkeeping per degree

@@ -2,7 +2,8 @@
 assembly of cones and of the maps between direct sums, the tensor DGLA built
 from its factors, and the coefficient-algebra axioms checked over the
 structure constants, each compared for equality with the direct construction
-it replaces (tests/reference_kernels.py)."""
+it replaces (tests/reference_kernels.py); and the cohomology dimensions counted
+from ranks, compared with those of the full cohomology."""
 
 from collections import Counter
 from fractions import Fraction
@@ -48,6 +49,8 @@ from mcdeform.graded import (
     GradedMap,
     GradedSpace,
     block_sum,
+    cohomology_dims,
+    compute_cohomology,
     direct_sum,
     identity_map,
     place_blocks,
@@ -55,8 +58,8 @@ from mcdeform.graded import (
     zero_element,
     zero_map,
 )
-from mcdeform.maurer_cartan import bch_product, gauge_apply
-from mcdeform.path_object import TruncationWindow, truncated_H_constraints
+from mcdeform.maurer_cartan import bch_product, gauge_apply, pair_setting
+from mcdeform.path_object import TruncationWindow, truncated_H_complex, truncated_H_constraints
 from util_random import dg_uw
 
 F = Fraction
@@ -424,6 +427,57 @@ class TestBlockAssembly:
         monkeypatch.undo()
         assert ranked == [eq, [[-c for c in row] for row in gauge]]
         assert dim == len(gauge) - la.rank(eq) - la.rank(gauge)  # gauge has one row per unknown
+
+
+def dims_cases():
+    """name -> complex: every built-in DGLA; the cones of every built-in pair, of
+    its two morphisms, and of its ε-tensored pair; truncated H at N = 1; and the
+    (id, id) cones of End(V₁) and End(V₂), sparse and dense."""
+    for name, fn in sorted(lib.EXAMPLE_DGLAS.items()):
+        yield name, lambda fn=fn: fn().complex
+    for name, fn in sorted(lib.EXAMPLE_PAIRS.items()):
+        yield f"{name}:cone", lambda fn=fn: cone_pair(*fn()).complex
+        yield f"{name}:cone h", lambda fn=fn: cone_single(fn()[0]).complex
+        yield f"{name}:cone g", lambda fn=fn: cone_single(fn()[1]).complex
+        yield f"{name}:H N=1", lambda fn=fn: truncated_H_complex(*fn(), TruncationWindow(1))[0]
+        for shift in (-1, 0, 1):
+            def eps_cone(fn=fn, shift=shift):
+                s = pair_setting(*fn(), epsilon_algebra(shift))
+                return cone_pair(ChainMap(s.tL.dgla.complex, s.tM.dgla.complex, s.h_tensor),
+                                 ChainMap(s.tN.dgla.complex, s.tM.dgla.complex, s.g_tensor)).complex
+            yield f"{name}:eps{shift} cone", eps_cone
+    for name in sorted(CONE_CASES):
+        if name.startswith("End(") and name.endswith(":idid"):
+            yield f"{name}:cone", lambda name=name: cone_pair(*CONE_CASES[name]).complex
+
+
+DIMS_CASES = dict(dims_cases())
+
+
+class TestCohomologyDims:
+    """graded.cohomology_dims counts ranks; compute_cohomology builds the bases."""
+
+    @pytest.mark.parametrize("name", sorted(DIMS_CASES))
+    def test_dims_match_the_full_cohomology(self, name):
+        cx = DIMS_CASES[name]()
+        want = compute_cohomology(cx).dims
+        assert cohomology_dims(cx) == want
+        window = list(cx.space.degrees())
+        subsets = [(i,) for i in window] + [(), window[::2], (window[0] - 1, window[-1] + 1),
+                                            (window[-1], window[-1] + 2, window[0])]
+        for degrees in subsets:
+            assert cohomology_dims(cx, iter(degrees)) == {
+                i: d for i, d in want.items() if i in degrees}
+
+    def test_d_squared_nonzero_raises_as_compute_cohomology_does(self):
+        s = GradedSpace(0, 2, {0: ("u",), 1: ("v",), 2: ("w",)})
+        bad = ChainComplex(s, GradedMap(s, s, 1, {0: [[F(1)]], 1: [[F(1)]]}))
+        with pytest.raises(DifferentialNotSquareZero) as want:
+            compute_cohomology(bad)
+        for degrees in (None, (2,), ()):
+            with pytest.raises(DifferentialNotSquareZero) as got:
+                cohomology_dims(bad, degrees)
+            assert str(got.value) == str(want.value)
 
 
 COEFFICIENT_ALGEBRAS = {

@@ -156,7 +156,7 @@ def test_echelon_matches_dense(system, rule):
     cols, a, b, probe = system
     span = la.Echelon(PIVOT_RULES[rule])
     kept = [i for i, row in enumerate(a) if span.add(sparse(row))[0]]
-    assert len(kept) == len(span.rows) == la.rank(a)
+    assert len(kept) == len(span.rows) == len(la.rref(a)[1])
     # reduced and zero-free: each row is 1 at its own pivot and 0 at every other pivot
     for p, row in span.rows.items():
         assert 0 not in row.values()
@@ -188,3 +188,34 @@ def test_mat_vec_sparse():
     a = M([[1, 0, 2], [0, 0, 0], [0, 3, -1]])
     assert la.mat_vec_sparse(a, {0: F(1), 2: F(1, 2)}) == {0: F(2), 2: F(-1, 2)}
     assert la.mat_vec_sparse(a, {}) == {}
+
+
+@st.composite
+def rational_matrices(draw):
+    """A rational matrix, sparse or dense, possibly with zero rows and columns,
+    possibly empty."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    dense = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    entry = draw(st.sampled_from([dense, st.sampled_from([F(0)] * 4 + [F(1), F(-2), F(1, 3)])]))
+    a = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    for i in draw(st.lists(st.integers(0, max(rows - 1, 0)), max_size=2)) if rows else []:
+        a[i] = [F(0)] * cols
+    for j in draw(st.lists(st.integers(0, max(cols - 1, 0)), max_size=2)) if cols else []:
+        for row in a:
+            row[j] = F(0)
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices())
+def test_rank_matches_the_dense_pivot_count(a):
+    assert la.rank(a) == len(la.rref(a)[1])
+    # the transpose has the same rank
+    assert la.rank([list(col) for col in zip(*a)]) == la.rank(a)
+
+
+def test_rank_of_empty_and_zero_matrices():
+    assert la.rank([]) == 0
+    assert la.rank([[], []]) == 0
+    assert la.rank(la.zeros(3, 4)) == 0
+    assert la.rank(M([[0, 0], [2, 4], [1, 2]])) == 1
