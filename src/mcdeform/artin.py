@@ -596,22 +596,31 @@ def tensor_dgla(L: Dgla, A: CoefficientAlgebra) -> TensorDgla:
             d_images[(deg, k)] = GradedElement(tspace, coords, deg + 1)
     cx = ChainComplex(tspace, map_from_images(tspace, tspace, 1, d_images))
 
-    # [x⊗a, y⊗b] for each stored [x, y] and each nonzero product ab, in
-    # canonical order; a diagonal [x, x] takes each tensor pair once
-    products = {(a, b): ab for i, j in A.table for a, b in ((i, j), (j, i))
+    # [x⊗a, y⊗b] for each stored [x, y] and each nonzero product ab, stored
+    # in canonical order; a diagonal [x, x] takes each tensor pair once.  With
+    # equal constants of L and of A interned, each signed product of two is
+    # made once, keyed by the ids of its factors (alive through the call)
+    interned = {}
+    products = {(a, b): {k: interned.setdefault(v, v) for k, v in ab.items()}
+                for i, j in A.table for a, b in ((i, j), (j, i))
                 if (ab := A.product_basis(a, {b: ONE}))}
-    entries = []
+    entries, made = [], {}
     for (x, y), val in L.brackets.items():
+        lconsts = [(key, interned.setdefault(c, c)) for key, c in val.coords.items()]
         for (a, b), ab in products.items():
             t1, t2 = to_tensor[(*x, a)], to_tensor[(*y, b)]
             if x == y and t2 < t1:
                 continue
-            sign = ONE if (degs[a] * y[0]) % 2 == 0 else -ONE
+            negate = (degs[a] * y[0]) % 2 == 1
+            if t2 < t1:  # the reversed order carries −(−1)^(deg t1·deg t2)
+                t1, t2, negate = t2, t1, negate ^ ((t1[0] * t2[0]) % 2 == 0)
             coords: dict[tuple[int, int], Fraction] = {}
-            for (dd, rr), c in val.coords.items():
+            for (dd, rr), c in lconsts:
                 for cidx, ce in ab.items():
-                    key = to_tensor[(dd, rr, cidx)]
-                    coords[key] = coords.get(key, ZERO) + sign * c * ce
+                    f = (id(c), id(ce), negate)
+                    if f not in made:
+                        made[f] = -c * ce if negate else c * ce
+                    coords[to_tensor[(dd, rr, cidx)]] = made[f]
             entries.append((t1, t2, GradedElement(tspace, coords)))
     tdgla = make_dgla(cx, sorted(entries, key=lambda e: sorted(e[:2])))
     return TensorDgla(tdgla, L, A, to_tensor, from_tensor, levels)

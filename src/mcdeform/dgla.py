@@ -82,30 +82,33 @@ class Dgla:
 
     def __post_init__(self):
         clean = {}
-        for (a, b), val in self.brackets.items():
-            if b < a:
-                raise InvalidInput(f"non-canonical bracket key {(a, b)}")
+        for pair, val in self.brackets.items():
+            if pair[1] < pair[0]:
+                raise InvalidInput(f"non-canonical bracket key {pair}")
             if val.space != self.space:
                 raise InvalidInput("bracket value lives in a different space")
             if not val.is_zero():
-                clean[(a, b)] = val
+                clean[pair] = val
         object.__setattr__(self, "brackets", clean)
         object.__setattr__(self, "_scale", lcm(*(c.denominator for val in clean.values()
                                                  for c in val.coords.values())))
-        object.__setattr__(self, "_partners", None)  # see _partner_index
+        object.__setattr__(self, "_table", None)  # see _int_table
+        object.__setattr__(self, "_dcols", None)  # see _differential_ints
         object.__setattr__(self, "_h2", None)  # see obstruction_space
 
-    def _partner_index(self) -> dict[BasisKey, tuple[BasisKey, ...]]:
-        """Basis key -> the keys it has a stored bracket with, in either order;
-        built on first use, keys only."""
-        if self._partners is None:
-            partners: dict[BasisKey, list[BasisKey]] = {}
-            for a, b in self.brackets:
-                partners.setdefault(a, []).append(b)
-                if a != b:
-                    partners.setdefault(b, []).append(a)
-            object.__setattr__(self, "_partners", {a: tuple(bs) for a, bs in partners.items()})
-        return self._partners
+    def _int_table(self) -> dict[BasisKey, dict[BasisKey, tuple]]:
+        """Basis key -> {partner: constants} for every stored [a, b], under a and
+        under b: its constants times _scale as one flat tuple (key, n, key, n, …)
+        that both rows share.  Built on first use and kept on L."""
+        if self._table is None:
+            table: dict[BasisKey, dict[BasisKey, tuple]] = {}
+            flats: dict[tuple, tuple] = {}  # equal constants are one tuple
+            for (a, b), val in self.brackets.items():
+                flat = _flat(val.coords, self._scale)
+                flat = flats.setdefault(flat, flat)
+                table.setdefault(a, {})[b] = table.setdefault(b, {})[a] = flat
+            object.__setattr__(self, "_table", table)
+        return self._table
 
     def obstruction_space(self) -> CohomologyResult:
         """H²(L), the obstruction space of Def_L: it does not depend on the small
@@ -122,8 +125,21 @@ class Dgla:
     def d(self) -> GradedMap:
         return self.complex.d
 
+    def _ints(self, x: GradedElement) -> tuple[int, dict[BasisKey, int]]:
+        """x as (den, integer numerators) (_to_ints), checked to live in L's space."""
+        if x.space is not self.space and x.space != self.space:
+            raise InvalidInput("element outside the DGLA's space")
+        return _to_ints(x)
+
     def differential_of(self, x: GradedElement) -> GradedElement:
-        return self.complex.d.apply(x)
+        return _from_ints(self.space, *self._differential_ints(self._ints(x)),
+                          None if x.degree is None else x.degree + 1)
+
+    def _differential_ints(self, x: tuple[int, dict]) -> tuple[int, dict]:
+        """dx of a (den, integer numerators) pair, from d's columns kept on L."""
+        if self._dcols is None:
+            object.__setattr__(self, "_dcols", _int_columns(self.d))
+        return _apply_ints(self._dcols, x)
 
     def bracket_basis(self, a: BasisKey, b: BasisKey) -> GradedElement:
         if b < a:
@@ -140,30 +156,27 @@ class Dgla:
         """[x, y] from the stored constants of each support pair; a reversed pair
         carries the Koszul sign.  Summed exactly in ints by _bracket_ints, one
         Fraction per output."""
-        space = self.space
-        if not (x.space is space or x.space == space) or not (y.space is space or y.space == space):
-            raise InvalidInput("bracket of elements outside the DGLA's space")
-        return _from_ints(space, *self._bracket_ints(_to_ints(x), _to_ints(y)))
+        return _from_ints(self.space, *self._bracket_ints(self._ints(x), self._ints(y)))
 
     def _bracket_ints(self, x: tuple[int, dict], y: tuple[int, dict]) -> tuple[int, dict]:
         """[x, y] of (den, integer numerators) pairs (see _to_ints) as one, over
-        den x · den y · _scale, zeros dropped; only partner-index pairs are read."""
-        brackets, scale, partners = self.brackets, self._scale, self._partner_index()
+        den x · den y · _scale, zeros dropped.  Each key of x walks the shorter
+        of its table row and y, so only the constants of pairs with a stored
+        bracket are read, once per ordered support pair."""
+        table = self._int_table()
         (dx, xs), (dy, ys) = x, y
         out: dict[BasisKey, int] = {}
+        ykeys = ys.keys()
         for a, cx in xs.items():
-            for b in partners.get(a, ()):
-                cy = ys.get(b)
-                if cy is None:
-                    continue
-                if a <= b:
-                    stored, c = brackets[(a, b)], cx * cy
-                else:
-                    stored = brackets[(b, a)]
-                    c = cx * cy if (a[0] * b[0]) % 2 else -(cx * cy)
-                for k, v in stored.coords.items():
-                    out[k] = out.get(k, 0) + c * (v.numerator * (scale // v.denominator))
-        return dx * dy * scale, {k: n for k, n in out.items() if n}
+            row = table.get(a)
+            if row is None:
+                continue
+            for b in row.keys() & ykeys:  # walks the shorter of the two
+                c = cx * ys[b] if a <= b or (a[0] * b[0]) % 2 else -(cx * ys[b])
+                it = iter(row[b])
+                for k, n in zip(it, it):
+                    out[k] = out.get(k, 0) + c * n
+        return dx * dy * self._scale, {k: n for k, n in out.items() if n}
 
     def is_abelian(self) -> bool:
         return not self.brackets
@@ -182,9 +195,34 @@ def _to_ints(z: GradedElement) -> tuple[int, dict[BasisKey, int]]:
     return den, {k: c.numerator * (den // c.denominator) for k, c in z.coords.items()}
 
 
-def _from_ints(space: GradedSpace, den: int, nums: Mapping[BasisKey, int]) -> GradedElement:
+def _from_ints(space: GradedSpace, den: int, nums: Mapping[BasisKey, int],
+               degree: int | None = None) -> GradedElement:
     """The element nums/den from nonzero numerators, one Fraction each."""
-    return _trusted(space, {k: Fraction(n, den) for k, n in nums.items()}, None)
+    return _trusted(space, {k: Fraction(n, den) for k, n in nums.items()}, degree)
+
+
+def _flat(coords: Mapping[BasisKey, Fraction], den: int) -> tuple:
+    """(key, n, key, n, …) with n = coordinate · den, den a common denominator."""
+    return tuple(t for k, c in coords.items() for t in (k, c.numerator * (den // c.denominator)))
+
+
+def _int_columns(f: GradedMap) -> tuple[int, dict[BasisKey, tuple]]:
+    """f as (den, columns): f of each source basis vector with a nonzero image
+    (_basis_images) as one _flat tuple over den, the lcm of f's denominators."""
+    images = _basis_images(f)
+    den = lcm(*(c.denominator for image in images.values() for c in image.values()))
+    return den, {k: _flat(image, den) for k, image in images.items()}
+
+
+def _apply_ints(f: tuple[int, dict], x: tuple[int, dict]) -> tuple[int, dict]:
+    """f·x of f's _int_columns and a (den, integer numerators) pair, as one."""
+    (df, cols), (dx, xs) = f, x
+    out: dict[BasisKey, int] = {}
+    for k, c in xs.items():
+        it = iter(cols.get(k, ()))
+        for t, n in zip(it, it):
+            out[t] = out.get(t, 0) + c * n
+    return df * dx, {k: n for k, n in out.items() if n}
 
 
 def make_dgla(complex: ChainComplex,
@@ -230,22 +268,18 @@ def _basis_images(f: GradedMap) -> dict[BasisKey, Coords]:
     images: dict[BasisKey, Coords] = {}
     for i, block in f.blocks.items():
         for r, row in enumerate(block):
+            key = (i + f.degree, r)
             for q, c in enumerate(row):
                 if c:
-                    images.setdefault((i, q), {})[(i + f.degree, r)] = c
+                    images.setdefault((i, q), {})[key] = c
     return images
 
 
 def _bracket_table(L: Dgla) -> dict[BasisKey, dict[BasisKey, Coords]]:
-    """table[a][b] = [a, b] for every basis pair with a nonzero bracket; the
-    non-canonical order carries the Koszul sign, as in Dgla.bracket_basis."""
-    table: dict[BasisKey, dict[BasisKey, Coords]] = {}
-    for (a, b), val in L.brackets.items():
-        table.setdefault(a, {})[b] = val.coords
-        if a != b:
-            s = -koszul_sign(a[0], b[0])
-            table.setdefault(b, {})[a] = {k: s * c for k, c in val.coords.items()}
-    return table
+    """table[a][b] = [a, b] for every basis pair with a nonzero bracket (the
+    pairs of L's integer table), as Dgla.bracket_basis gives it: the
+    non-canonical order carries the Koszul sign."""
+    return {a: {b: L.bracket_basis(a, b).coords for b in row} for a, row in L._int_table().items()}
 
 
 def _pretty(space: GradedSpace, defect: Coords) -> str | None:

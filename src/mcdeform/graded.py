@@ -418,9 +418,6 @@ class ChainComplex:
             raise DifferentialNotSquareZero(f"d²≠0 on basis vectors {bad}")
         object.__setattr__(self, "_d_squared_zero", True)
 
-    def differential_of(self, x: GradedElement) -> GradedElement:
-        return self.d.apply(x)
-
     def __eq__(self, other):
         if not isinstance(other, ChainComplex):
             return NotImplemented

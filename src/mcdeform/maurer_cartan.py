@@ -25,7 +25,8 @@ from .artin import (
     tensor_dgla,
     tensor_map,
 )
-from .dgla import ChainMap, ConeComplex, Dgla, DglaMorphism, Violation, _from_ints, _to_ints, cone_pair
+from .dgla import (ChainMap, ConeComplex, Dgla, DglaMorphism, Violation, _apply_ints, _from_ints,
+                   _int_columns, _to_ints, cone_pair)
 from .errors import (
     BaseMismatch,
     DegreeMismatch,
@@ -58,9 +59,11 @@ def _require_degree(x: GradedElement, degree: int, what: str) -> None:
 
 
 def mc_residual(T: TensorDgla, x: GradedElement) -> GradedElement:
-    """dx + ½[x,x] for a degree-1 element."""
+    """dx + ½[x,x] for a degree-1 element, summed exactly in ints."""
     _require_degree(x, 1, "Maurer-Cartan candidate")
-    return T.differential_of(x) + Fraction(1, 2) * T.bracket(x, x)
+    L, xi = T.dgla, T.dgla._ints(x)
+    return _from_ints(T.space, *_combine([(1, L._differential_ints(xi)),
+                                          (Fraction(1, 2), L._bracket_ints(xi, xi))]))
 
 
 def _combine(terms: Iterable[tuple[Fraction | int, tuple[int, dict]]]) -> tuple[int, dict]:
@@ -79,15 +82,23 @@ def gauge_apply(T: TensorDgla, a: GradedElement, x: GradedElement) -> GradedElem
     """e^a * x = x + Σ_{n≥0} ad_a^n/(n+1)! ([a,x] − da), summed exactly in ints."""
     _require_degree(a, 0, "gauge parameter")
     _require_degree(x, 1, "gauge target")
-    u = T.bracket(a, x) - T.differential_of(a)
-    terms, term, n, ai = [(1, _to_ints(x))], _to_ints(u), 0, _to_ints(a)
+    xi = T.dgla._ints(x)
+    out = _gauge_ints(T, T.dgla._ints(a), xi)
+    return x if out is xi else _from_ints(T.space, *out)
+
+
+def _gauge_ints(T: TensorDgla, a: tuple[int, dict], x: tuple[int, dict]) -> tuple[int, dict]:
+    """e^a * x of (den, integer numerators) pairs, as one; x itself when [a, x] = da."""
+    L = T.dgla
+    terms, n = [(1, x)], 0
+    term = _combine([(1, L._bracket_ints(a, x)), (-1, L._differential_ints(a))])
     while term[1]:
         terms.append((Fraction(1, math.factorial(n + 1)), term))
-        term = T.dgla._bracket_ints(ai, term)
+        term = L._bracket_ints(a, term)
         n += 1
         if n > T.nu + 1:
             raise InvalidInput("gauge series failed to terminate; coefficients not nilpotent")
-    return x if n == 0 else _from_ints(T.space, *_combine(terms))
+    return x if n == 0 else _combine(terms)
 
 
 def _bernoulli_over_factorial(top: int) -> list[Fraction]:
@@ -241,7 +252,7 @@ def _tensor_with_kernel(T_B: TensorDgla, ext: SmallExtension,
 
 
 def _obstruction_problem(key: tuple, pieces, cocycle: Callable, H: CohomologyResult,
-                         embed: Callable, split: Callable, verified: Callable,
+                         d: Callable, embed: Callable, split: Callable, verified: Callable,
                          cls: ObstructionClass | None = None):
     """Lift MC data along the small extension 0 → J → B → A → 0: one path for
     an element and a triple (Fantechi and Manetti 1998; Manetti 1999).
@@ -251,7 +262,8 @@ def _obstruction_problem(key: tuple, pieces, cocycle: Callable, H: CohomologyRes
     piece is lifted by ext.section, and cocycle maps the lifted pieces to the
     cocycle, one component per piece in that piece's T_B.  For each J basis
     vector J_j, embed sends the j-th parts of the components to a degree-2
-    element of cx = H.complex, which must be a cycle; its class is read in H,
+    element of cx = H.complex, which must be a cycle (d: cx's differential on
+    (den, integer numerators) pairs, kept by the caller); its class is read in H,
     the obstruction space H²(cx) that the caller keeps (it does not depend on
     the extension), so no cohomology is computed here.
 
@@ -277,7 +289,7 @@ def _obstruction_problem(key: tuple, pieces, cocycle: Callable, H: CohomologyRes
              zip(*(_j_components(TB, ext, c) for (_TA, _e, TB), c in zip(pieces, cocyc)))]
     coords = []
     for part in parts:
-        if not cx.differential_of(part).is_zero():
+        if d(_to_ints(part))[1]:
             raise InvalidInput("internal: obstruction cocycle is not a cycle")
         coords.append(tuple(H.class_of(part, degree=2)))
     if cls is None:
@@ -309,9 +321,10 @@ def _obstruction_problem(key: tuple, pieces, cocycle: Callable, H: CohomologyRes
 def _element_problem(ext: SmallExtension, x: McElement, T_B: TensorDgla | None) -> tuple:
     """The obstruction problem of x: one piece, with its class in H²(L), kept
     on L (Dgla.obstruction_space)."""
-    T_B = T_B if T_B is not None else tensor_dgla(x.tensor.factor, ext.B)
+    L = x.tensor.factor
+    T_B = T_B if T_B is not None else tensor_dgla(L, ext.B)
     return ((ext, x, T_B), [(x.tensor, x.element, T_B)], lambda xt: (mc_residual(T_B, xt),),
-            x.tensor.factor.obstruction_space(), lambda h: h, lambda w: (w,),
+            L.obstruction_space(), L._differential_ints, lambda h: h, lambda w: (w,),
             lambda xbar: mc_element(T_B, xbar))
 
 
@@ -354,6 +367,7 @@ class PairSetting:
 
     def __post_init__(self):
         object.__setattr__(self, "_obstruction", None)  # see obstruction_space
+        object.__setattr__(self, "_columns", {})  # id(map) -> its _int_columns, see _apply
 
     def over(self, B: CoefficientAlgebra) -> PairSetting:
         """The same pair over B, sharing this setting's obstruction space."""
@@ -372,11 +386,25 @@ class PairSetting:
                                (cone, compute_cohomology(cone.complex, (2,))))
         return self._obstruction
 
+    def _apply(self, f: GradedMap, x: tuple[int, dict]) -> tuple[int, dict]:
+        """f, a map the setting holds (h or g tensored, the cone's D), applied to
+        a (den, integer numerators) pair; f's columns are kept on the setting."""
+        if id(f) not in self._columns:
+            self._columns[id(f)] = _int_columns(f)
+        return _apply_ints(self._columns[id(f)], x)
+
     def apply_h(self, x: GradedElement) -> GradedElement:
-        return self.h_tensor.apply(x)
+        return _from_ints(self.tM.space, *self._apply(self.h_tensor, self.tL.dgla._ints(x)), x.degree)
 
     def apply_g(self, y: GradedElement) -> GradedElement:
-        return self.g_tensor.apply(y)
+        return _from_ints(self.tM.space, *self._apply(self.g_tensor, self.tN.dgla._ints(y)), y.degree)
+
+    def _linking(self, x: GradedElement, y: GradedElement, p: GradedElement) -> GradedElement:
+        """e^p * h(x) − g(y), summed exactly in ints: zero when (x, y, e^p) is linked."""
+        hx = self._apply(self.h_tensor, self.tL.dgla._ints(x))
+        return _from_ints(self.tM.space, *_combine([
+            (1, _gauge_ints(self.tM, self.tM.dgla._ints(p), hx)),
+            (-1, self._apply(self.g_tensor, self.tN.dgla._ints(y)))]))
 
     def __eq__(self, other):
         if not isinstance(other, PairSetting):
@@ -424,7 +452,7 @@ def mc_pair_check(setting: PairSetting, x: GradedElement, y: GradedElement,
     ry = mc_residual(setting.tN, y)
     if not ry.is_zero():
         report.append(Violation("mc_second", ("y",), f"residual {ry.pretty()}"))
-    link = setting.apply_g(y) - gauge_apply(setting.tM, p, setting.apply_h(x))
+    link = -setting._linking(x, y, p)
     if not link.is_zero():
         report.append(Violation("linking", ("x", "y", "p"),
                                 f"g(y) − e^p*h(x) = {link.pretty()}"))
@@ -485,23 +513,22 @@ class PairObstructionClass(ObstructionClass):
 
 def _triple_problem(ext: SmallExtension, t: McTriple, sB: PairSetting | None) -> tuple:
     """The obstruction problem of t: pieces (x, y, p), cocycle (l, k, r) with
-    r = −g(ỹ) + e^q * h(x̃), and its class in H²(C_{(h,g)}), kept on t's
-    setting (PairSetting.obstruction_space).  A B-side setting derived here
+    r = e^q * h(x̃) − g(ỹ) (PairSetting._linking), and its class in H²(C_{(h,g)}),
+    kept on t's setting (PairSetting.obstruction_space).  A B-side setting derived here
     shares that space, so a tower walk over one (h, g) builds one cone."""
     s = t.setting
     cone, H = s.obstruction_space()
     sB = sB if sB is not None else s.over(ext.B)
 
     def cocycle(xt, yt, q):
-        return (mc_residual(sB.tL, xt), mc_residual(sB.tN, yt),
-                -sB.apply_g(yt) + gauge_apply(sB.tM, q, sB.apply_h(xt)))
+        return mc_residual(sB.tL, xt), mc_residual(sB.tN, yt), sB._linking(xt, yt, q)
 
     def embed(l, k, r):
         return cone.embed("L", l) + cone.embed("N", k) + cone.embed("M", r)
 
     return ((ext, t, sB), [(s.tL, t.x, sB.tL), (s.tN, t.y, sB.tN), (s.tM, t.p, sB.tM)], cocycle,
-            H, embed, lambda w: [cone.project(n, w) for n in "LNM"],
-            lambda *xyp: mc_triple(sB, *xyp))
+            H, lambda w: s._apply(cone.complex.d, w), embed,
+            lambda w: [cone.project(n, w) for n in "LNM"], lambda *xyp: mc_triple(sB, *xyp))
 
 
 def obstruction_pair(ext: SmallExtension, t: McTriple, *,

@@ -2,6 +2,13 @@
 
 - ``bracket``: [x, y] summed over Fractions, one product per support pair and
   structure constant (``Dgla.bracket`` sums over integers instead).
+- ``bracket_ints``: [x, y] of (den, integer numerators) pairs by a walk over
+  each key's partners in the stored pairs, every Fraction constant scaled to
+  an integer on every read (``Dgla._bracket_ints`` reads the integer table
+  kept on the DGLA instead).
+- ``map_apply``: f(x) by one dense matrix-vector product per degree
+  (``Dgla.differential_of`` and the pair maps of ``PairSetting`` apply the
+  integer columns kept on the DGLA and on the setting instead).
 - ``gauge_apply`` and ``bch_product``: the gauge and BCH series summed term
   by term over Fractions, each term a ``GradedElement`` and each bracket
   ``Dgla.bracket`` (``maurer_cartan`` carries every term as integer
@@ -87,6 +94,38 @@ def bracket(L: Dgla, x: GradedElement, y: GradedElement) -> GradedElement:
             for k, v in stored.coords.items():
                 out[k] = out.get(k, ZERO) + c * v
     return GradedElement(L.space, out)
+
+
+def bracket_ints(L: Dgla, x: tuple[int, dict], y: tuple[int, dict]) -> tuple[int, dict]:
+    partners: dict = {}
+    for a, b in L.brackets:
+        partners.setdefault(a, []).append(b)
+        if a != b:
+            partners.setdefault(b, []).append(a)
+    (dx, xs), (dy, ys) = x, y
+    out: dict = {}
+    for a, cx in xs.items():
+        for b in partners.get(a, ()):
+            cy = ys.get(b)
+            if cy is None:
+                continue
+            if a <= b:
+                stored, c = L.brackets[(a, b)], cx * cy
+            else:
+                stored = L.brackets[(b, a)]
+                c = cx * cy if (a[0] * b[0]) % 2 else -(cx * cy)
+            for k, v in stored.coords.items():
+                out[k] = out.get(k, 0) + c * (v.numerator * (L._scale // v.denominator))
+    return dx * dy * L._scale, {k: n for k, n in out.items() if n}
+
+
+def map_apply(f: GradedMap, x: GradedElement) -> GradedElement:
+    coords = {}
+    for i in f.source.degrees():
+        if f.target.dim(i + f.degree):
+            image = la.mat_vec(f.matrix(i), x.component_vector(i))
+            coords.update(((i + f.degree, r), c) for r, c in enumerate(image) if c)
+    return GradedElement(f.target, coords)
 
 
 def gauge_apply(T, a: GradedElement, x: GradedElement) -> GradedElement:

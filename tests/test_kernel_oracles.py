@@ -1,10 +1,13 @@
-"""The integer bracket, the integer gauge and BCH series, the in-place block
+"""The integer bracket and d kept on a DGLA, the pair maps a pair setting
+keeps, the integer gauge and BCH series, the in-place block
 assembly of cones and of the maps between direct sums, the tensor DGLA built
 from its factors, and the coefficient-algebra axioms checked over the
 structure constants, each compared for equality with the direct construction
 it replaces (tests/reference_kernels.py); and the cohomology dimensions counted
 from ranks, compared with those of the full cohomology."""
 
+import gc
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -58,7 +61,20 @@ from mcdeform.graded import (
     zero_element,
     zero_map,
 )
-from mcdeform.maurer_cartan import bch_product, gauge_apply, pair_setting
+from mcdeform.maurer_cartan import (
+    bch_product,
+    gauge_apply,
+    gauge_apply_pair,
+    gauge_equiv_decide,
+    lift_if_unobstructed,
+    lift_pair_if_unobstructed,
+    mc_element,
+    mc_residual,
+    mc_triple,
+    obstruction_pair,
+    obstruction_single,
+    pair_setting,
+)
 from mcdeform.path_object import TruncationWindow, truncated_H_complex, truncated_H_constraints
 from util_random import dg_uw
 
@@ -87,9 +103,22 @@ def elements(draw, space, odd_only=False):
 
 
 @st.composite
+def random_map(draw, source, target, degree):
+    """A map of the degree with random sparse entries in every block."""
+    blocks = {}
+    for i in source.degrees():
+        rows, cols = target.dim(i + degree), source.dim(i)
+        if rows and cols:
+            blocks[i] = [[draw(st.one_of(st.just(0), st.just(0), coefficients()))
+                          for _ in range(cols)] for _ in range(rows)]
+    return GradedMap(source, target, degree, blocks)
+
+
+@st.composite
 def random_tables(draw):
-    """A space in degrees −1..2 and random constants on random canonical
-    pairs, values in any degree: bracket reads the table, not the axioms."""
+    """A space in degrees −1..2, random constants on random canonical pairs,
+    values in any degree, and a random degree-1 map as d: bracket and d read
+    the table and the map, not the axioms."""
     dims = draw(st.lists(st.integers(0, 3), min_size=4, max_size=4))
     if not any(dims):
         dims[1] = 1
@@ -99,12 +128,55 @@ def random_tables(draw):
     pairs = [(a, b) for a in keys for b in keys if a <= b]
     chosen = draw(st.lists(st.sampled_from(pairs), max_size=12, unique=True))
     brackets = {pair: draw(elements(space)) for pair in chosen}
-    return Dgla(ChainComplex(space, zero_map(space, space, 1)), brackets)
+    return Dgla(ChainComplex(space, draw(random_map(space, space, 1))), brackets)
 
 
 def assert_bracket_matches(L, x, y):
+    """The bracket (for y and for x itself) against the Fraction walk over all
+    support pairs; the integer bracket against the partner walk over the
+    Fraction constants, as integers; d against the dense product."""
     assert L.bracket(x, y) == ref.bracket(L, x, y)
     assert L.bracket(x, x) == ref.bracket(L, x, x)
+    xi, yi = dgla._to_ints(x), dgla._to_ints(y)
+    assert L._bracket_ints(xi, yi) == ref.bracket_ints(L, xi, yi)
+    assert L._bracket_ints(xi, xi) == ref.bracket_ints(L, xi, xi)
+    dx = L.differential_of(x)
+    assert dx == ref.map_apply(L.d, x)
+    assert all(type(c) is Fraction for c in dx.coords.values())
+
+
+def assert_reads_only_stored_pairs(L, x, y):
+    """[x, y] reads the constants of L's integer table once per ordered
+    support pair with a stored bracket, and none for the others."""
+    reads = []
+
+    class Counting(tuple):
+        def __iter__(self):
+            reads.append(self.pair)
+            return super().__iter__()
+
+    def counting(a, b, flat):
+        flat = Counting(flat)
+        flat.pair = (a, b) if a <= b else (b, a)
+        return flat
+
+    expected = ref.bracket(L, x, y)
+    pairs = [(a, b) if a <= b else (b, a) for a in x.coords for b in y.coords]
+    hits = sorted(pair for pair in pairs if pair in L.brackets)
+    table = {a: {b: counting(a, b, flat) for b, flat in row.items()}
+             for a, row in L._int_table().items()}
+    object.__setattr__(L, "_table", table)
+    assert L.bracket(x, y) == expected
+    assert sorted(reads) == hits
+
+
+def scaled(L, bracket_factor, d_factor):
+    """L with every structure constant times bracket_factor and d times d_factor."""
+    return Dgla(ChainComplex(L.space, L.d.scale(d_factor)),
+                {pair: bracket_factor * val for pair, val in L.brackets.items()})
+
+
+FACTORS = st.sampled_from((1, F(3, 7), F(1, 2**61 - 1)))
 
 
 class TestBracket:
@@ -140,6 +212,8 @@ class TestBracket:
         x, zero = data.draw(elements(L.space)), zero_element(L.space)
         assert L.bracket(x, zero) == L.bracket(zero, x) == zero == ref.bracket(L, x, zero)
         assert L.bracket(zero, zero) == zero
+        assert_bracket_matches(L, zero, x)
+        assert L._bracket_ints((1, {}), (1, {})) == (L._scale, {})
 
     def test_non_integer_constants(self):
         space = GradedSpace(0, 1, {0: ("a", "b"), 1: ("c",)})
@@ -160,10 +234,11 @@ class TestBracket:
         keys = keys_of(L.space)
         diagonal = data.draw(st.lists(st.sampled_from(keys), min_size=1, unique=True))
         D = Dgla(L.complex, {(a, a): data.draw(elements(L.space)) for a in diagonal})
-        assert all(D._partner_index()[a] == (a,) for a, _a in D.brackets)
+        assert all(list(D._int_table()[a]) == [a] for a, _a in D.brackets)
         x, y = data.draw(elements(D.space)), data.draw(elements(D.space))
         assert_bracket_matches(D, x, y)
         assert_bracket_matches(D, y, x)
+        assert_reads_only_stored_pairs(D, x, y)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -171,38 +246,142 @@ class TestBracket:
         L = data.draw(random_tables())
         x = data.draw(elements(L.space))
         y = x if data.draw(st.booleans()) else data.draw(elements(L.space))
-        reads = []
-
-        class Counting(dict):
-            def __getitem__(self, key):
-                reads.append(key)
-                return super().__getitem__(key)
-
-            def get(self, key, default=None):
-                reads.append(key)
-                return super().get(key, default)
-
-            def __contains__(self, key):
-                reads.append(key)
-                return super().__contains__(key)
-
-        expected = ref.bracket(L, x, y)
-        # one read per ordered support pair with a stored bracket, none for the others
-        pairs = [(a, b) if a <= b else (b, a) for a in x.coords for b in y.coords]
-        hits = sorted(pair for pair in pairs if pair in L.brackets)
-        object.__setattr__(L, "brackets", Counting(L.brackets))
-        assert L.bracket(x, y) == expected
-        assert sorted(reads) == hits
+        assert_reads_only_stored_pairs(L, x, y)
 
     @pytest.mark.parametrize("name", sorted(lib.EXAMPLE_DGLAS))
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
     def test_builtins_and_their_tensors(self, name, data):
-        L = lib.EXAMPLE_DGLAS[name]()
-        for D in (L, *(tensor_dgla(L, A).dgla for A in (
-                truncated_polynomial_algebra(4), dg_uw(), epsilon_algebra(1)))):
-            x, y = data.draw(elements(D.space)), data.draw(elements(D.space))
+        # constants and d each scaled by 1, 3/7 or 1/(2^61 − 1)
+        L = scaled(lib.EXAMPLE_DGLAS[name](), data.draw(FACTORS), data.draw(FACTORS))
+        tensors = [tensor_dgla(L, A) for A in (truncated_polynomial_algebra(4), dg_uw(),
+                                               epsilon_algebra(0), epsilon_algebra(1))]
+        for D in (L, *(T.dgla for T in tensors)):
+            x = data.draw(elements(D.space))
+            y = x if data.draw(st.booleans()) else data.draw(elements(D.space))
             assert_bracket_matches(D, x, y)
+            assert_bracket_matches(D, y, x)
+        for T in tensors:
+            x = data.draw(homogeneous(T.space, 1))
+            assert mc_residual(T, x) == (ref.map_apply(T.dgla.d, x)
+                                         + F(1, 2) * ref.bracket(T.dgla, x, x))
+
+
+class TestPairMaps:
+    """The tensored h and g, the linking and the cone's D that a PairSetting
+    applies from the integer columns it keeps, against the dense products and
+    the Fraction gauge series."""
+
+    @pytest.mark.parametrize("name", sorted(lib.EXAMPLE_PAIRS))
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_pair_maps(self, name, data):
+        A = data.draw(st.sampled_from((truncated_polynomial_algebra(4), dg_uw())))
+        s = pair_setting(*lib.EXAMPLE_PAIRS[name](), A)
+        x, y = data.draw(homogeneous(s.tL.space, 1)), data.draw(homogeneous(s.tN.space, 1))
+        p = data.draw(homogeneous(s.tM.space, 0))
+        h, g = ref.map_apply(s.h_tensor, x), ref.map_apply(s.g_tensor, y)
+        assert s.apply_h(x) == h and s.apply_g(y) == g
+        assert s._linking(x, y, p) == ref.gauge_apply(s.tM, p, h) - g
+        D = s.obstruction_space()[0].complex.d
+        w = data.draw(elements(D.source))
+        assert dgla._from_ints(D.target, *s._apply(D, dgla._to_ints(w))) == ref.map_apply(D, w)
+
+
+def series_cycle(c) -> list:
+    """One api_series-style cycle over the objects of c: gauge, residual, BCH,
+    the gauge-equivalence decision, pair gauge, and the obstruction and lift of
+    an element and of a triple."""
+    T, ext = c["T"], c["ext"]
+    cls = obstruction_single(ext, c["x"], tensor_B=c["T_B"])
+    pcls = obstruction_pair(ext, c["triple"], setting_B=c["sB"])
+    return [gauge_apply(T, c["a"], c["x"].element), mc_residual(T, c["x"].element),
+            bch_product(T, c["a"], c["b"]), gauge_equiv_decide(c["x"], c["y"]),
+            gauge_apply_pair(c["a"], c["b"], c["triple"]),
+            cls, lift_if_unobstructed(ext, c["x"], cls, tensor_B=c["T_B"]),
+            pcls, lift_pair_if_unobstructed(ext, c["triple"], pcls, setting_B=c["sB"])]
+
+
+def series_objects(n: int) -> dict:
+    """End(V_1) ⊗ K[t]/t^n with an MC element x, y = e^b * x, gauge parameters
+    a, b, the (id, id) pair over K[t]/t^n and the triple (x, y, b), and the
+    B-side tensor and setting of K[t]/t^{n+1} → K[t]/t^n."""
+    L = endomorphism_dgla(end_complex(1, False))
+    ext = tower_step(n)
+    T = tensor_dgla(L, ext.A)
+    keys = keys_of(T.space)
+    a = GradedElement(T.space, {k: F(j % 3 - 1) for j, k in enumerate(keys) if k[0] == 0})
+    b = GradedElement(T.space, {k: F(j % 2 + 1) for j, k in enumerate(keys) if k[0] == 0})
+    x = gauge_apply(T, b - a, zero_element(T.space, 1))
+    y = gauge_apply(T, b, x)
+    s = pair_setting(identity_morphism(L), identity_morphism(L), ext.A)
+    return {"T": T, "ext": ext, "a": a, "b": b, "x": mc_element(T, x), "y": mc_element(T, y),
+            "T_B": tensor_dgla(L, ext.B), "triple": mc_triple(s, x, y, b), "sB": s.over(ext.B)}
+
+
+class TestKeptTables:
+    """The integer table and columns are built once per DGLA or setting, hold
+    one entry per canonical stored pair, and are small."""
+
+    def test_built_once_over_three_cycles(self, monkeypatch):
+        built = Counter()
+        table, columns = Dgla._int_table, dgla._int_columns
+
+        def counting_table(self):
+            if self._table is None:
+                built["table", id(self)] += 1
+            return table(self)
+
+        def counting_columns(f):
+            built["columns", id(f)] += 1
+            return columns(f)
+
+        monkeypatch.setattr(Dgla, "_int_table", counting_table)
+        monkeypatch.setattr(dgla, "_int_columns", counting_columns)
+        monkeypatch.setattr(maurer_cartan, "_int_columns", counting_columns)
+        c = series_objects(6)
+        results = [series_cycle(c)]
+        after_one = Counter(built)
+        s, sB = c["triple"].setting, c["sB"]
+        for L in (c["T"].dgla, c["T_B"].dgla, s.tL.dgla, sB.tL.dgla):
+            assert after_one["table", id(L)] == 1 and after_one["columns", id(L.d)] == 1
+        for f in (s.h_tensor, sB.h_tensor, s.obstruction_space()[0].complex.d):
+            assert after_one["columns", id(f)] == 1
+        results += [series_cycle(c), series_cycle(c)]
+        assert built == after_one and set(after_one.values()) == {1}
+        assert results[0] == results[1] == results[2]
+
+    def test_one_entry_per_canonical_pair(self):
+        T = tensor_dgla(endomorphism_dgla(end_complex(1, False)), truncated_polynomial_algebra(6))
+        D = T.dgla
+        table = D._int_table()
+        assert {(a, b) for a, row in table.items() for b in row} == (
+            set(D.brackets) | {(b, a) for a, b in D.brackets})
+        for (a, b), val in D.brackets.items():
+            flat = table[a][b]
+            assert table[b][a] is flat
+            assert dict(zip(flat[::2], flat[1::2])) == {k: v * D._scale for k, v in val.coords.items()}
+
+    def test_tables_take_at_most_half_the_fraction_storage(self):
+        T = tensor_dgla(endomorphism_dgla(end_complex(1, False)), truncated_polynomial_algebra(6))
+        D = T.dgla
+
+        def traced(build):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                kept = build()
+                gc.collect()
+                return kept, tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        # D's bracket storage made again: its dict, pair keys, elements and
+        # coordinate dicts (the equal Fraction constants are shared, so counted 0)
+        _copy, fractions = traced(lambda: {(a, b): graded._trusted(D.space, dict(val.coords), None)
+                                           for (a, b), val in D.brackets.items()})
+        _table, tables = traced(lambda: (D._int_table(), D._differential_ints((1, {}))))
+        assert 0 < tables <= fractions / 2
 
 
 @st.composite
