@@ -16,16 +16,15 @@ from typing import Mapping
 
 from . import linalg as la
 from .dgla import Dgla, Violation, make_dgla
-from .errors import InvalidInput
+from .errors import DegreeWindowViolation, InvalidInput
 from .graded import (
     ChainComplex,
     GradedElement,
     GradedMap,
     GradedSpace,
+    _map,
     _trusted,
-    basis_element,
     element_from_labels,
-    map_from_images,
 )
 from .linalg import EMPTY, add_scaled, sub_scaled
 
@@ -581,20 +580,20 @@ def tensor_dgla(L: Dgla, A: CoefficientAlgebra) -> TensorDgla:
         basis[deg] = tuple(labels)
     tspace = GradedSpace(dmin, dmax, basis)
 
-    d_images = {}
+    # one column per x⊗a, from x's column of L's d and a's differential; the
+    # two parts hit tensor vectors of different degrees of L, so never cancel
+    cols: dict[int, dict[int, dict[int, Fraction]]] = {}
     for (i, p, a), (deg, k) in to_tensor.items():
-        coords: dict[tuple[int, int], Fraction] = {}
-        dl = L.differential_of(basis_element(lspace, i, p))
-        for (dd, qq), c in dl.coords.items():
-            key = to_tensor[(dd, qq, a)]
-            coords[key] = coords.get(key, ZERO) + c
-        sign = ONE if i % 2 == 0 else -ONE
+        col = {to_tensor[(i + 1, r, a)][1]: c for r, c in L.d.cols.get(i, EMPTY).get(p, EMPTY).items()}
         for b, c in A.diff.get(a, EMPTY).items():
-            key = to_tensor[(i, p, b)]
-            coords[key] = coords.get(key, ZERO) + sign * c
-        if coords:
-            d_images[(deg, k)] = GradedElement(tspace, coords, deg + 1)
-    cx = ChainComplex(tspace, map_from_images(tspace, tspace, 1, d_images))
+            t, r = to_tensor[(i, p, b)]
+            if t != deg + 1:
+                raise DegreeWindowViolation(f"d of {tspace.label(deg, k)!r} has a term at "
+                                            f"degree {t}, expected {deg + 1}")
+            col[r] = -c if i % 2 else c
+        if col:
+            cols.setdefault(deg, {})[k] = col
+    cx = ChainComplex(tspace, _map(tspace, tspace, 1, cols))
 
     # [x⊗a, y⊗b] for each stored [x, y] and each nonzero product ab, stored
     # in canonical order; a diagonal [x, x] takes each tensor pair once.  With
@@ -632,13 +631,10 @@ def tensor_map(phi: GradedMap, src: TensorDgla, tgt: TensorDgla) -> GradedMap:
         raise InvalidInput("tensor_map requires a shared coefficient algebra")
     if phi.degree != 0:
         raise InvalidInput("only degree-0 maps extend without signs")
-    images = {}
+    if phi.source != src.factor.space or phi.target != tgt.factor.space:
+        raise InvalidInput("tensor_map requires a map between the factors")
+    cols: dict[int, dict[int, dict[int, Fraction]]] = {}
     for (deg, k), (i, p, a) in src.from_tensor.items():
-        img = phi.apply(basis_element(phi.source, i, p))
-        if img.is_zero():
-            continue
-        coords = {}
-        for (dd, qq), c in img.coords.items():
-            coords[tgt.to_tensor[(dd, qq, a)]] = c
-        images[(deg, k)] = GradedElement(tgt.space, coords, deg)
-    return map_from_images(src.space, tgt.space, 0, images)
+        if col := phi.cols.get(i, EMPTY).get(p):
+            cols.setdefault(deg, {})[k] = {tgt.to_tensor[(i, r, a)][1]: c for r, c in col.items()}
+    return _map(src.space, tgt.space, 0, cols)

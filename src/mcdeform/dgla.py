@@ -29,6 +29,7 @@ from .graded import (
     GradedMap,
     GradedSpace,
     Part,
+    _map,
     _trusted,
     basis_element,
     block_sum,
@@ -93,7 +94,6 @@ class Dgla:
         object.__setattr__(self, "_scale", lcm(*(c.denominator for val in clean.values()
                                                  for c in val.coords.values())))
         object.__setattr__(self, "_table", None)  # see _int_table
-        object.__setattr__(self, "_dcols", None)  # see _differential_ints
         object.__setattr__(self, "_h2", None)  # see obstruction_space
 
     def _int_table(self) -> dict[BasisKey, dict[BasisKey, tuple]]:
@@ -132,14 +132,9 @@ class Dgla:
         return _to_ints(x)
 
     def differential_of(self, x: GradedElement) -> GradedElement:
-        return _from_ints(self.space, *self._differential_ints(self._ints(x)),
+        """dx, from the integer columns kept on d (GradedMap._int_columns)."""
+        return _from_ints(self.space, *self.d._apply_ints(self._ints(x)),
                           None if x.degree is None else x.degree + 1)
-
-    def _differential_ints(self, x: tuple[int, dict]) -> tuple[int, dict]:
-        """dx of a (den, integer numerators) pair, from d's columns kept on L."""
-        if self._dcols is None:
-            object.__setattr__(self, "_dcols", _int_columns(self.d))
-        return _apply_ints(self._dcols, x)
 
     def bracket_basis(self, a: BasisKey, b: BasisKey) -> GradedElement:
         if b < a:
@@ -206,25 +201,6 @@ def _flat(coords: Mapping[BasisKey, Fraction], den: int) -> tuple:
     return tuple(t for k, c in coords.items() for t in (k, c.numerator * (den // c.denominator)))
 
 
-def _int_columns(f: GradedMap) -> tuple[int, dict[BasisKey, tuple]]:
-    """f as (den, columns): f of each source basis vector with a nonzero image
-    (_basis_images) as one _flat tuple over den, the lcm of f's denominators."""
-    images = _basis_images(f)
-    den = lcm(*(c.denominator for image in images.values() for c in image.values()))
-    return den, {k: _flat(image, den) for k, image in images.items()}
-
-
-def _apply_ints(f: tuple[int, dict], x: tuple[int, dict]) -> tuple[int, dict]:
-    """f·x of f's _int_columns and a (den, integer numerators) pair, as one."""
-    (df, cols), (dx, xs) = f, x
-    out: dict[BasisKey, int] = {}
-    for k, c in xs.items():
-        it = iter(cols.get(k, ()))
-        for t, n in zip(it, it):
-            out[t] = out.get(t, 0) + c * n
-    return df * dx, {k: n for k, n in out.items() if n}
-
-
 def make_dgla(complex: ChainComplex,
               entries: Iterable[tuple[BasisKey, BasisKey, GradedElement]] = ()) -> Dgla:
     """Fold arbitrary-order bracket entries into canonical storage.
@@ -263,16 +239,10 @@ def zero_dgla() -> Dgla:
 Coords = dict[BasisKey, Fraction]  # sparse vector by basis key; absent keys are zero
 
 
-def _basis_images(f: GradedMap) -> dict[BasisKey, Coords]:
-    """f of each source basis vector with a nonzero image."""
-    images: dict[BasisKey, Coords] = {}
-    for i, block in f.blocks.items():
-        for r, row in enumerate(block):
-            key = (i + f.degree, r)
-            for q, c in enumerate(row):
-                if c:
-                    images.setdefault((i, q), {})[key] = c
-    return images
+def _image(f: GradedMap, key: BasisKey) -> Coords:
+    """f of the basis vector key, read off its column."""
+    col = f.cols.get(key[0], EMPTY).get(key[1])
+    return {(key[0] + f.degree, r): c for r, c in col.items()} if col else EMPTY
 
 
 def _bracket_table(L: Dgla) -> dict[BasisKey, dict[BasisKey, Coords]]:
@@ -331,19 +301,19 @@ def validate_dgla(L: Dgla) -> list[Violation]:
                                     f"[a,b]+(−1)^(deg a·deg b)[b,a] = {lhs.pretty()}"))
 
     table = _bracket_table(L)
-    d = _basis_images(L.d)
+    d = {k: _image(L.d, k) for k in keys}
 
     # d[a,b] − [da,b] − (−1)^deg a [a,db]
     for i, a in enumerate(keys):
-        ta, da = table.get(a, EMPTY), d.get(a, EMPTY)
+        ta, da = table.get(a, EMPTY), d[a]
         add_adb = add_scaled if a[0] % 2 else sub_scaled  # the term −(−1)^deg a [a,db]
         for b in keys[i:]:
             defect: Coords = {}
             for k, c in ta.get(b, EMPTY).items():
-                add_scaled(defect, c, d.get(k, EMPTY))
+                add_scaled(defect, c, d[k])
             for k, c in da.items():
                 sub_scaled(defect, c, table.get(k, EMPTY).get(b, EMPTY))
-            for k, c in d.get(b, EMPTY).items():
+            for k, c in d[b].items():
                 add_adb(defect, c, ta.get(k, EMPTY))
             text = _pretty(space, defect)
             if text is not None:
@@ -457,28 +427,28 @@ def validate_morphism(phi: DglaMorphism) -> list[Violation]:
     L, M = phi.source, phi.target
     space = L.space
     keys = [(i, p) for i in space.degrees() for p in range(space.dim(i))]
-    images, dL, dM = _basis_images(phi.map), _basis_images(L.d), _basis_images(M.d)
     tL, tM = _bracket_table(L), _bracket_table(M)
+    images, dL = ({k: _image(f, k) for k in keys} for f in (phi.map, L.d))
 
     def name(k: BasisKey) -> str:
         return space.label(*k)
 
     for a in keys:
         defect: Coords = {}
-        for k, c in dL.get(a, EMPTY).items():
-            add_scaled(defect, c, images.get(k, EMPTY))
-        for k, c in images.get(a, EMPTY).items():
-            sub_scaled(defect, c, dM.get(k, EMPTY))
+        for k, c in dL[a].items():
+            add_scaled(defect, c, images[k])
+        for k, c in images[a].items():
+            sub_scaled(defect, c, _image(M.d, k))
         text = _pretty(M.space, defect)
         if text is not None:
             report.append(Violation("chain_map", (name(a),), f"φ(da) − d φ(a) = {text}"))
     for i, a in enumerate(keys):
-        ta, fa = tL.get(a, EMPTY), images.get(a, EMPTY)
+        ta, fa = tL.get(a, EMPTY), images[a]
         for b in keys[i:]:
             defect = {}
             for k, c in ta.get(b, EMPTY).items():
-                add_scaled(defect, c, images.get(k, EMPTY))
-            fb = images.get(b, EMPTY)
+                add_scaled(defect, c, images[k])
+            fb = images[b]
             for k, c in fa.items():
                 tk = tM.get(k, EMPTY)
                 for m, e in fb.items():
@@ -750,10 +720,7 @@ def fiber_product_dgla(h: DglaMorphism, g: DglaMorphism) -> FiberProduct:
                 entries.append((a, b, restrict(val)))
     fdgla = make_dgla(fcx, entries)
 
-    surj = {}
-    for i in M.space.degrees():
-        dim_m = M.space.dim(i)
-        surj[i] = (la.rank(diff.matrix(i)) == dim_m)
+    surj = {i: diff.rank(i) == M.space.dim(i) for i in M.space.degrees()}
     return FiberProduct(fdgla, product, embed, surj)
 
 
@@ -816,15 +783,12 @@ def adjoin_d(L: Dgla, label: str = "delta") -> tuple[Dgla, str]:
     basis[1] = space.labels(1) + (delta,)
     nspace = GradedSpace(space.dmin, space.dmax, basis)
 
-    def lift(x: GradedElement) -> GradedElement:
-        return GradedElement(nspace, x.coords, x.degree)
-
-    d_images = {(i, p): lift(L.differential_of(basis_element(space, i, p)))
-                for i in space.degrees() for p in range(space.dim(i))}
-    ncx = ChainComplex(nspace, map_from_images(nspace, nspace, 1, d_images))
+    # every key of L keeps its index, so d keeps its columns, and d'(δ) = 0
+    ncx = ChainComplex(nspace, _map(nspace, nspace, 1, L.d.cols))
     dkey = (1, space.dim(1))
-    entries = [(a, b, lift(val)) for (a, b), val in L.brackets.items()]
-    entries += [(dkey, k, dv) for k, dv in d_images.items() if not dv.is_zero()]
+    entries = [(a, b, GradedElement(nspace, val.coords, val.degree)) for (a, b), val in L.brackets.items()]
+    entries += [(dkey, (i, q), GradedElement(nspace, _image(L.d, (i, q)), i + 1))
+                for i, cs in L.d.cols.items() for q in cs]
     return make_dgla(ncx, entries), delta
 
 

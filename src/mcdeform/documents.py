@@ -34,7 +34,7 @@ from .errors import (
     SchemaError,
     TargetMismatch,
 )
-from .graded import ChainComplex, GradedElement, GradedSpace, map_from_images
+from .graded import ChainComplex, GradedElement, GradedMap, GradedSpace, map_from_images
 
 if TYPE_CHECKING:  # artin and path_object load only for the documents that use them
     from .artin import CoefficientAlgebra, SmallExtension, TensorDgla
@@ -179,15 +179,12 @@ def _envelope(kind: str, body: dict) -> dict:
 # --- serializers --------------------------------------------------------------
 
 
-def _images(apply, source: GradedSpace, target: GradedSpace) -> dict:
-    """label -> coordinates in target of apply(e), for each basis e with apply(e) ≠ 0."""
-    out = {}
-    for i in source.degrees():
-        for p, lab in enumerate(source.labels(i)):
-            img = apply(GradedElement(source, {(i, p): Fraction(1)}, i))
-            if not img.is_zero():
-                out[lab] = element_coords_map(target, img)
-    return out
+def _images(f: GradedMap) -> dict:
+    """label -> coordinates in f's target of f(e), for each basis e with f(e) ≠ 0,
+    read off f's columns."""
+    return {f.source.label(i, q): {f.target.label(i + f.degree, r): format_scalar(c)
+                                   for r, c in col.items()}
+            for i, cs in f.cols.items() for q, col in cs.items()}
 
 
 def serialize_dgla(L: Dgla) -> dict:
@@ -199,7 +196,7 @@ def serialize_dgla(L: Dgla) -> dict:
     return _envelope("dgla", {
         "window": [space.dmin, space.dmax],
         "basis": basis,
-        "differential": _images(L.differential_of, space, space),
+        "differential": _images(L.d),
         "bracket": bracket,
     })
 
@@ -229,7 +226,7 @@ def _morphism_body(phi: DglaMorphism) -> dict:
     return {
         "source": serialize_dgla(phi.source),
         "target": serialize_dgla(phi.target),
-        "matrix": _images(phi.apply, phi.source.space, phi.target.space),
+        "matrix": _images(phi.map),
     }
 
 

@@ -1,8 +1,11 @@
 """Graded vector spaces, graded maps, chain complexes, cohomology.
 
 Everything lives over the exact rationals inside a finite degree window.
-Degree blocks are dense matrices (see linalg); elements are sparse maps
-(degree, basis index) -> Fraction.  All objects are immutable values.
+Elements are sparse maps (degree, basis index) -> Fraction; a map keeps each
+source degree as its nonzero columns, sparse {row: Fraction} dicts, and gives
+dense blocks only as views for the dense row reductions (see linalg).  All
+objects are immutable values, except that a map keeps its integer columns once
+a series applies it, and a complex its passed d² check.
 """
 
 from __future__ import annotations
@@ -10,9 +13,11 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Mapping
 
 from . import linalg as la
+from .linalg import EMPTY
 from .errors import (
     DegreeMismatch,
     DegreeWindowViolation,
@@ -237,87 +242,122 @@ def element_from_vector(space: GradedSpace, degree: int, vec: la.Vector) -> Grad
     return GradedElement(space, {(degree, i): c for i, c in enumerate(vec)}, degree)
 
 
-@dataclass(frozen=True)
-class GradedMap:
-    """Degree-n linear map given by one matrix per populated source degree.
+Columns = dict[int, dict[int, dict[int, Fraction]]]  # degree -> column -> {row: value}, zero-free
 
-    blocks[i] has shape (dim_target(i+n), dim_source(i)); absent blocks are
-    zero.  A block whose target degree falls outside the target window must
-    be zero, otherwise the map silently truncates d²=0-style identities.
+
+class GradedMap:
+    """Degree-n linear map, stored as its nonzero columns: cols[i][q] is the
+    image of basis vector q of source degree i, as {row r: Fraction} over the
+    basis of target degree i + n.  Every level is zero-free: absent degrees,
+    columns and rows are zero, so equal maps have equal columns.
+
+    The public constructor takes dense blocks, blocks[i] of shape
+    (dim_target(i+n), dim_source(i)), and checks them: a nonzero block whose
+    target degree falls outside the target window is refused, otherwise the
+    map would silently truncate d²=0-style identities.  Maps the library
+    builds itself come from _map.  matrix(i) and blocks are dense views, built
+    on each read.  A map keeps its integer columns once a series applies it
+    (_int_columns); it is otherwise immutable.
     """
 
-    source: GradedSpace
-    target: GradedSpace
-    degree: int
-    blocks: Mapping[int, la.Matrix] = field(default_factory=dict)
+    __slots__ = ("source", "target", "degree", "cols", "_ints")
 
-    def __post_init__(self):
-        clean = {}
-        for i, mat in self.blocks.items():
-            tdeg = i + self.degree
-            sdim = self.source.dim(i)
-            tdim = self.target.dim(tdeg)
+    def __init__(self, source: GradedSpace, target: GradedSpace, degree: int,
+                 blocks: Mapping[int, la.Matrix] | None = None):
+        cols: Columns = {}
+        for i, mat in (blocks or {}).items():
+            tdeg = i + degree
+            sdim = source.dim(i)
+            tdim = target.dim(tdeg)
             if tdim == 0 or sdim == 0:
                 if not la.is_zero_matrix(mat):
-                    raise DegreeWindowViolation(
-                        f"nonzero block from degree {i} into degree {tdeg} "
-                        f"(dimensions {sdim} -> {tdim})"
-                    )
+                    raise DegreeWindowViolation(f"nonzero block from degree {i} into degree "
+                                                f"{tdeg} (dimensions {sdim} -> {tdim})")
                 continue
             if len(mat) != tdim or any(len(row) != sdim for row in mat):
-                raise InvalidInput(
-                    f"block at degree {i} has shape {len(mat)}x{la.num_cols(mat)}, "
-                    f"expected {tdim}x{sdim}"
-                )
-            if not la.is_zero_matrix(mat):
-                clean[i] = [ [la.frac(x) for x in row] for row in mat ]
-        object.__setattr__(self, "blocks", clean)
+                raise InvalidInput(f"block at degree {i} has shape {len(mat)}x"
+                                   f"{la.num_cols(mat)}, expected {tdim}x{sdim}")
+            for r, row in enumerate(mat):
+                for q, x in enumerate(row):
+                    if x := la.frac(x):
+                        cols.setdefault(i, {}).setdefault(q, {})[r] = x
+        for name, value in zip(self.__slots__, (source, target, degree, cols, None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GradedMap is immutable: cannot set {name!r}")
+
+    @property
+    def blocks(self) -> dict[int, la.Matrix]:
+        """The nonzero blocks as dense matrices, built on each read."""
+        return {i: self.matrix(i) for i in self.cols}
 
     def matrix(self, i: int) -> la.Matrix:
-        if i in self.blocks:
-            return la.mat_copy(self.blocks[i])
-        return la.zeros(self.target.dim(i + self.degree), self.source.dim(i))
+        """The dense block at source degree i, built on each read."""
+        m = la.zeros(self.target.dim(i + self.degree), self.source.dim(i))
+        for q, col in self.cols.get(i, EMPTY).items():
+            for r, c in col.items():
+                m[r][q] = c
+        return m
+
+    def _int_columns(self) -> tuple[int, dict[tuple[int, int], tuple]]:
+        """The map as (den, columns): each nonzero column, keyed by its source
+        basis key, as one flat tuple (key, n, key, n, …) of integer numerators
+        over den, the lcm of the map's denominators.  Built on first use and
+        kept on the map, for the series."""
+        if self._ints is None:
+            den = lcm(*(c.denominator for cs in self.cols.values()
+                        for col in cs.values() for c in col.values()))
+            object.__setattr__(self, "_ints", (den, {
+                (i, q): tuple(t for r, c in col.items()
+                              for t in ((i + self.degree, r), c.numerator * (den // c.denominator)))
+                for i, cs in self.cols.items() for q, col in cs.items()}))
+        return self._ints
+
+    def _apply_ints(self, x: tuple[int, dict]) -> tuple[int, dict]:
+        """The map applied to a (den, integer numerators) pair, as one."""
+        (df, cols), (dx, xs) = self._int_columns(), x
+        out: dict[tuple[int, int], int] = {}
+        for k, c in xs.items():
+            it = iter(cols.get(k, ()))
+            for t, n in zip(it, it):
+                out[t] = out.get(t, 0) + c * n
+        return df * dx, {k: n for k, n in out.items() if n}
 
     def apply(self, x: GradedElement) -> GradedElement:
         if x.space is not self.source and x.space != self.source:
             raise InvalidInput("element does not live in the map's source")
         coords: dict[tuple[int, int], Fraction] = {}
         for (deg, idx), c in x.coords.items():
-            block = self.blocks.get(deg)
-            if block is None:
+            col = self.cols.get(deg, EMPTY).get(idx)
+            if col is None:
                 continue
             tdeg = deg + self.degree
-            for r, row in enumerate(block):
-                v = row[idx]
-                if v:
-                    key = (tdeg, r)
-                    coords[key] = coords[key] + c * v if key in coords else c * v
+            for r, v in col.items():
+                key = (tdeg, r)
+                coords[key] = coords[key] + c * v if key in coords else c * v
         deg = None if x.degree is None else x.degree + self.degree
-        # a block's rows are the basis of its target degree, inside the window
+        # a column's rows are the basis of its target degree, inside the window
         return _trusted(self.target, {k: v for k, v in coords.items() if v}, deg)
 
     def compose(self, inner: "GradedMap") -> "GradedMap":
         """self ∘ inner."""
         if inner.target != self.source:
             raise InvalidInput("composition shape mismatch")
-        blocks = {}
-        for i in inner.source.degrees():
-            mid = i + inner.degree
-            tdeg = mid + self.degree
-            if inner.source.dim(i) == 0 or self.target.dim(tdeg) == 0:
-                continue
-            b = la.mat_mul(self.matrix(mid), inner.matrix(i))
-            if not la.is_zero_matrix(b):
-                blocks[i] = b
-        return GradedMap(inner.source, self.target, inner.degree + self.degree, blocks)
+        cols: Columns = {}
+        for i, icols in inner.cols.items():
+            outer = self.cols.get(i + inner.degree, EMPTY)
+            for q, col in icols.items():
+                acc = cols.setdefault(i, {}).setdefault(q, {})
+                for r, c in col.items():
+                    la.add_scaled(acc, c, outer.get(r, EMPTY))
+        return _map(inner.source, self.target, inner.degree + self.degree, _nonzero(cols))
 
     def __add__(self, other: "GradedMap") -> "GradedMap":
         if (self.source, self.target, self.degree) != (other.source, other.target, other.degree):
             raise InvalidInput("adding incompatible maps")
-        blocks = {}
-        for i in set(self.blocks) | set(other.blocks):
-            blocks[i] = la.mat_add(self.matrix(i), other.matrix(i))
-        return GradedMap(self.source, self.target, self.degree, blocks)
+        s, t = whole(self.source), whole(self.target)
+        return place_blocks(self.source, self.target, self.degree, [(1, self, s, t), (1, other, s, t)])
 
     def __neg__(self) -> "GradedMap":
         return self.scale(-1)
@@ -327,48 +367,74 @@ class GradedMap:
 
     def scale(self, c) -> "GradedMap":
         c = la.frac(c)
-        return GradedMap(
-            self.source, self.target, self.degree,
-            {i: la.mat_scale(c, m) for i, m in self.blocks.items()},
-        )
+        cols = {i: {q: {r: c * v for r, v in col.items()} for q, col in cs.items()}
+                for i, cs in self.cols.items()} if c else {}
+        return _map(self.source, self.target, self.degree, cols)
 
     def is_zero(self) -> bool:
-        return not self.blocks
+        return not self.cols
 
     def __eq__(self, other):
         if not isinstance(other, GradedMap):
             return NotImplemented
-        if (self.source, self.target, self.degree) != (other.source, other.target, other.degree):
-            return False
-        return self.blocks == other.blocks
+        return ((self.source, self.target, self.degree, self.cols)
+                == (other.source, other.target, other.degree, other.cols))
 
     __hash__ = None
 
     def kernel_dim(self, i: int) -> int:
-        return self.source.dim(i) - la.rank(self.matrix(i))
+        return self.source.dim(i) - self.rank(i)
 
     def rank(self, i: int) -> int:
-        return la.rank(self.matrix(i))
+        """The rank of the block at source degree i, from its columns."""
+        return la.sparse_rank(self.cols.get(i, EMPTY).values())
+
+
+def _map(source: GradedSpace, target: GradedSpace, degree: int, cols: Columns) -> GradedMap:
+    """A map from columns the library built itself, with none of the
+    constructor's checks: every column and row an index of its degree, every
+    level zero-free.  The caller hands over cols."""
+    f = GradedMap(source, target, degree)
+    object.__setattr__(f, "cols", cols)
+    return f
+
+
+def _nonzero(cols: Columns) -> Columns:
+    """cols with its zero entries, empty columns and empty degrees dropped."""
+    out: Columns = {}
+    for i, cs in cols.items():
+        kept = {q: nz for q, col in cs.items() if (nz := {r: c for r, c in col.items() if c})}
+        if kept:
+            out[i] = kept
+    return out
 
 
 def zero_map(source: GradedSpace, target: GradedSpace, degree: int) -> GradedMap:
-    return GradedMap(source, target, degree, {})
+    return _map(source, target, degree, {})
 
 
 def map_from_images(source: GradedSpace, target: GradedSpace, degree: int,
                     images: Mapping[tuple[int, int], GradedElement]) -> GradedMap:
-    """Build a GradedMap from images of (some) source basis keys (degree, index)."""
-    blocks: dict[int, la.Matrix] = {}
-    for (sdeg, sidx), img in images.items():
-        tdeg = sdeg + degree
+    """Build a GradedMap from images of (some) source basis keys (degree, index).
+    A key that is no basis key of source, or an image that is no element of
+    target, raises InvalidInput; a term outside degree + the key's degree
+    raises DegreeWindowViolation."""
+    cols: Columns = {}
+    for key, img in images.items():
+        if (type(key) is not tuple or len(key) != 2 or not all(type(k) is int for k in key)
+                or not 0 <= key[1] < source.dim(key[0])):
+            raise InvalidInput(f"image key {key!r} is not a basis key of the source")
+        if not isinstance(img, GradedElement) or (img.space is not target and img.space != target):
+            raise InvalidInput(f"image of {source.label(*key)!r} is not an element of the target")
+        col = {}
         for (d, r), c in img.coords.items():
-            if d != tdeg:
-                raise DegreeWindowViolation(
-                    f"image of {source.label(sdeg, sidx)!r} has a term at degree {d}, "
-                    f"expected {tdeg}")
-            block = blocks.setdefault(sdeg, la.zeros(target.dim(tdeg), source.dim(sdeg)))
-            block[r][sidx] += c
-    return GradedMap(source, target, degree, blocks)
+            if d != key[0] + degree:
+                raise DegreeWindowViolation(f"image of {source.label(*key)!r} has a term at "
+                                            f"degree {d}, expected {key[0] + degree}")
+            col[r] = c
+        if col:
+            cols.setdefault(key[0], {})[key[1]] = col
+    return _map(source, target, degree, cols)
 
 
 def map_from_basis_images(source: GradedSpace, target: GradedSpace, degree: int,
@@ -379,8 +445,8 @@ def map_from_basis_images(source: GradedSpace, target: GradedSpace, degree: int,
 
 
 def identity_map(space: GradedSpace) -> GradedMap:
-    blocks = {i: la.identity(space.dim(i)) for i in space.degrees() if space.dim(i)}
-    return GradedMap(space, space, 0, blocks)
+    return _map(space, space, 0, {i: {q: {q: ONE} for q in range(len(labels))}
+                                  for i, labels in space.basis.items()})
 
 
 @dataclass(frozen=True)
@@ -399,13 +465,8 @@ class ChainComplex:
 
     def d_squared_witnesses(self) -> list[str]:
         """Labels of basis vectors on which d(d(e)) is nonzero."""
-        bad = []
-        dd = self.d.compose(self.d)
-        for i, block in dd.blocks.items():
-            for col in range(la.num_cols(block)):
-                if any(row[col] != 0 for row in block):
-                    bad.append(self.space.label(i, col))
-        return bad
+        dd = self.d.compose(self.d).cols
+        return [self.space.label(i, q) for i in sorted(dd) for q in sorted(dd[i])]
 
     def require_d_squared_zero(self) -> None:
         """Raise DifferentialNotSquareZero unless d∘d = 0.  A success is kept on
@@ -514,11 +575,10 @@ def cohomology_dims(complex: ChainComplex,
     """compute_cohomology(complex, degrees).dims from ranks alone:
     dim H^i = dim V^i − rank d_i − rank d_{i−1}, each rank taken once."""
     complex.require_d_squared_zero()
-    space, blocks = complex.space, complex.d.blocks
+    space = complex.space
     wanted = space.degrees() if degrees is None else set(degrees)
     covered = [i for i in space.degrees() if i in wanted]
-    ranks = {i: la.rank(blocks[i]) if i in blocks else 0
-             for i in {j for i in covered for j in (i - 1, i)}}
+    ranks = {i: complex.d.rank(i) for i in {j for i in covered for j in (i - 1, i)}}
     return {i: space.dim(i) - ranks[i] - ranks[i - 1] for i in covered}
 
 
@@ -555,11 +615,9 @@ def shift(complex: ChainComplex, n: int) -> ChainComplex:
         space.dmin - n, space.dmax - n,
         {deg - n: labels for deg, labels in space.basis.items()},
     )
-    sign = ONE if n % 2 == 0 else -ONE
-    blocks = {}
-    for i, mat in complex.d.blocks.items():
-        blocks[i - n] = la.mat_scale(sign, mat)
-    return ChainComplex(new_space, GradedMap(new_space, new_space, 1, blocks))
+    cols = complex.d.cols if n % 2 == 0 else complex.d.scale(-1).cols
+    return ChainComplex(new_space, _map(new_space, new_space, 1,
+                                        {i - n: cs for i, cs in cols.items()}))
 
 
 def hom_basis(sv: GradedSpace, sw: GradedSpace, n: int) -> list[tuple[int, int, int]]:
@@ -595,25 +653,28 @@ def hom_complex(V: ChainComplex, W: ChainComplex,
         raise WindowTooSmall(f"window [{wmin},{wmax}] holds no nonzero Hom^n")
     hspace = GradedSpace(wmin, wmax, basis)
 
-    blocks = {}
+    dv_rows: dict[int, dict[int, dict[int, Fraction]]] = {}  # degree -> row p of d_V -> {s: c}
+    for i, cs in V.d.cols.items():
+        for s, col in cs.items():
+            for p, c in col.items():
+                dv_rows.setdefault(i, {}).setdefault(p, {})[s] = c
+    cols: Columns = {}
     for n in hspace.degrees():
-        sign = ONE if n % 2 == 0 else -ONE
         rows = {e: r for r, e in enumerate(elems.get(n + 1, ()))}
-        block = la.zeros(hspace.dim(n + 1), hspace.dim(n))
-        for col, (i, p, q) in enumerate(elems[n]):
-            dw, dv = W.d.matrix(i + n), V.d.matrix(i - 1)
+        for k, (i, p, q) in enumerate(elems[n]):
             # d_W ∘ E hits (i,p) -> (i+n+1, r); (−1)^n E ∘ d_V hits (i−1, s) -> (i+n, q)
-            terms = ([((i, p, r), dw[r][q]) for r in range(sw.dim(i + n + 1))]
-                     + [((i - 1, s, q), -sign * dv[p][s]) for s in range(sv.dim(i - 1))])
-            for e, c in terms:
-                if c == 0:
-                    continue
-                if n + 1 > wmax:
-                    raise DegreeWindowViolation(f"d'({label(n, i, p, q)}) needs Hom^{n+1} "
-                                                f"entry {label(n + 1, *e)} outside window")
-                block[rows[e]][col] += c
-        blocks[n] = block
-    return ChainComplex(hspace, GradedMap(hspace, hspace, 1, blocks))
+            dw = W.d.cols.get(i + n, EMPTY).get(q, EMPTY)
+            dv = dv_rows.get(i - 1, EMPTY).get(p, EMPTY)
+            if not (dw or dv):
+                continue
+            if n + 1 > wmax:
+                e = (i, p, min(dw)) if dw else (i - 1, min(dv), q)
+                raise DegreeWindowViolation(f"d'({label(n, i, p, q)}) needs Hom^{n+1} "
+                                            f"entry {label(n + 1, *e)} outside window")
+            col = {rows[(i, p, r)]: c for r, c in dw.items()}
+            col.update((rows[(i - 1, s, q)], c if n % 2 else -c) for s, c in dv.items())
+            cols.setdefault(n, {})[k] = col
+    return ChainComplex(hspace, _map(hspace, hspace, 1, cols))
 
 
 def htp_complex(V: ChainComplex, W: ChainComplex,
@@ -626,8 +687,8 @@ def graded_map_to_hom_element(f: GradedMap, hom: ChainComplex) -> GradedElement:
     """Coordinates of a graded map inside the basis of Hom^*(f.source, f.target)."""
     n = f.degree
     index = {e: k for k, e in enumerate(hom_basis(f.source, f.target, n))}
-    coords = {(n, index[(i, p, q)]): c for i, block in f.blocks.items()
-              for q, row in enumerate(block) for p, c in enumerate(row) if c != 0}
+    coords = {(n, index[(i, p, q)]): c for i, cs in f.cols.items()
+              for p, col in cs.items() for q, c in col.items()}
     if coords and hom.space.dim(n) != len(index):
         raise InvalidInput(f"Hom^{n} is outside the window of the Hom complex")
     return GradedElement(hom.space, coords, n)
@@ -690,21 +751,19 @@ def place_blocks(source: GradedSpace, target: GradedSpace, degree: int,
     block_sum layout parts of source and target: each block of f is written,
     times its sign ±1, at the parts' offsets, with no embedding or projection
     built."""
-    blocks: dict[int, la.Matrix] = {}
+    cols: Columns = {}
     for sign, f, (s_space, s_off, s_starts), (t_space, t_off, t_starts) in terms:
         if f.source != s_space or f.target != t_space or f.degree + t_off - s_off != degree:
             raise InvalidInput("map does not fit its blocks")
-        for j, block in f.blocks.items():
-            i = j + s_off
-            if i not in blocks:
-                blocks[i] = la.zeros(target.dim(i + degree), source.dim(i))
+        for j, cs in f.cols.items():
+            out = cols.setdefault(j + s_off, {})
             r0, c0 = t_starts[j + f.degree], s_starts[j]
-            for r, row in enumerate(block):
-                out = blocks[i][r0 + r]
-                for c, v in enumerate(row):
-                    if v:
-                        out[c0 + c] += v if sign > 0 else -v
-    return GradedMap(source, target, degree, blocks)
+            for q, col in cs.items():
+                acc = out.setdefault(c0 + q, {})
+                for r, v in col.items():
+                    k, v = r0 + r, v if sign > 0 else -v
+                    acc[k] = acc[k] + v if k in acc else v
+    return _map(source, target, degree, _nonzero(cols))
 
 
 def direct_sum(parts: Iterable[tuple[str, ChainComplex]]) -> tuple[ChainComplex, dict[str, Part]]:
@@ -727,7 +786,7 @@ def kernel_subcomplex(ambient: ChainComplex, constraints: list[GradedMap], tag: 
     d-closed).
     """
     space = ambient.space
-    basis, cols = {}, {}
+    basis, kernels = {}, {}
     for i in space.degrees():
         if space.dim(i) == 0:
             continue
@@ -735,24 +794,20 @@ def kernel_subcomplex(ambient: ChainComplex, constraints: list[GradedMap], tag: 
         if ker:
             # interned as in block_sum
             basis[i] = tuple(sys.intern(f"{tag}{i}_{k}") for k in range(len(ker)))
-            cols[i] = ker
+            kernels[i] = ker
     sub = GradedSpace(space.dmin, space.dmax, basis) if basis else zero_space()
-    embed = GradedMap(sub, space, 0, {i: la.from_columns(ker, space.dim(i))
-                                      for i, ker in cols.items()})
+    embed = _map(sub, space, 0, {i: {k: {r: c for r, c in enumerate(v) if c}
+                                     for k, v in enumerate(ker)} for i, ker in kernels.items()})
 
     def restrict(x: GradedElement) -> GradedElement:
         coords = {}
         for deg in sorted({d for d, _i in x.coords}):
-            sol = la.in_span(cols.get(deg, []), x.component_vector(deg))
+            sol = la.in_span(kernels.get(deg, []), x.component_vector(deg))
             if sol is None:
                 raise InvalidInput(f"element leaves the {tag} subcomplex")
             coords.update(((deg, k), c) for k, c in enumerate(sol))
         return GradedElement(sub, coords, x.degree)
 
-    blocks = {}
-    for i in cols:
-        images = [restrict(ambient.d.apply(embed.apply(basis_element(sub, i, k))))
-                  for k in range(sub.dim(i))]
-        blocks[i] = [[img.coords.get((i + 1, r), ZERO) for img in images]
-                     for r in range(sub.dim(i + 1))]
-    return ChainComplex(sub, GradedMap(sub, sub, 1, blocks)), embed, restrict
+    d = map_from_images(sub, sub, 1, {(i, k): restrict(ambient.d.apply(embed.apply(
+        basis_element(sub, i, k)))) for i in kernels for k in range(sub.dim(i))})
+    return ChainComplex(sub, d), embed, restrict

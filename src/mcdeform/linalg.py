@@ -4,14 +4,15 @@ Matrices are lists of rows of Fractions, shape (rows, cols); vectors are
 lists of Fractions.  Zero-row and zero-column matrices are legal: an r x 0
 matrix is ``[[] for _ in range(r)]`` and a 0 x c matrix is ``[]`` (the column
 count is then carried by the caller).  The dense routines return fresh objects
-and never mutate their arguments.  mat_mul, mat_add, mat_scale and inverse reuse
-zero entries instead of computing fresh zeros, so results that are kept hold
-few Fraction objects.
+and never mutate their arguments; mat_mul and inverse reuse zero entries
+instead of computing fresh zeros.  Sparse vectors are zero-free dicts
+{column: Fraction}: the rows of an Echelon and the columns of a graded map.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable
 
 Vector = list[Fraction]
 Matrix = list[list[Fraction]]
@@ -45,10 +46,6 @@ def zero_vector(n: int) -> Vector:
     return [ZERO] * n
 
 
-def mat_copy(a: Matrix) -> Matrix:
-    return [row[:] for row in a]
-
-
 def num_cols(a: Matrix, default: int = 0) -> int:
     return len(a[0]) if a else default
 
@@ -80,21 +77,13 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y if y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(c: Fraction, a: Matrix) -> Matrix:
-    return [[c * x if x else x for x in row] for row in a]
-
-
 def is_zero_matrix(a: Matrix) -> bool:
     return all(x == 0 for row in a for x in row)
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Row-reduced echelon form and the list of pivot columns."""
-    m = mat_copy(a)
+    m = [row[:] for row in a]
     rows = len(m)
     cols = num_cols(m)
     pivots: list[int] = []
@@ -234,10 +223,16 @@ def mat_vec_sparse(a: Matrix, x: Sparse) -> Sparse:
 
 
 def rank(a: Matrix) -> int:
-    """The number of a's nonzero rows an Echelon keeps; no dense rref runs."""
+    """The rank of a dense matrix, by sparse_rank of its rows."""
+    return sparse_rank({j: c for j, c in enumerate(row) if c} for row in a)
+
+
+def sparse_rank(vectors: Iterable[Sparse]) -> int:
+    """The dimension of the span of sparse vectors: the number of them an
+    Echelon keeps; no dense rref runs."""
     span = Echelon()
-    for row in a:
-        span.add({j: c for j, c in enumerate(row) if c})
+    for v in vectors:
+        span.add(v)
     return len(span.rows)
 
 

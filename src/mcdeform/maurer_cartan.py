@@ -25,8 +25,7 @@ from .artin import (
     tensor_dgla,
     tensor_map,
 )
-from .dgla import (ChainMap, ConeComplex, Dgla, DglaMorphism, Violation, _apply_ints, _from_ints,
-                   _int_columns, _to_ints, cone_pair)
+from .dgla import ChainMap, ConeComplex, Dgla, DglaMorphism, Violation, _from_ints, _to_ints, cone_pair
 from .errors import (
     BaseMismatch,
     DegreeMismatch,
@@ -39,11 +38,13 @@ from .errors import (
 from .graded import (
     CohomologyResult,
     GradedElement,
-    GradedMap,
+    _map,
+    _nonzero,
     basis_element,
     cohomology_dims,
     compute_cohomology,
     element_from_vector,
+    map_from_images,
     zero_element,
 )
 
@@ -62,7 +63,7 @@ def mc_residual(T: TensorDgla, x: GradedElement) -> GradedElement:
     """dx + ½[x,x] for a degree-1 element, summed exactly in ints."""
     _require_degree(x, 1, "Maurer-Cartan candidate")
     L, xi = T.dgla, T.dgla._ints(x)
-    return _from_ints(T.space, *_combine([(1, L._differential_ints(xi)),
+    return _from_ints(T.space, *_combine([(1, L.d._apply_ints(xi)),
                                           (Fraction(1, 2), L._bracket_ints(xi, xi))]))
 
 
@@ -91,7 +92,7 @@ def _gauge_ints(T: TensorDgla, a: tuple[int, dict], x: tuple[int, dict]) -> tupl
     """e^a * x of (den, integer numerators) pairs, as one; x itself when [a, x] = da."""
     L = T.dgla
     terms, n = [(1, x)], 0
-    term = _combine([(1, L._bracket_ints(a, x)), (-1, L._differential_ints(a))])
+    term = _combine([(1, L._bracket_ints(a, x)), (-1, L.d._apply_ints(a))])
     while term[1]:
         terms.append((Fraction(1, math.factorial(n + 1)), term))
         term = L._bracket_ints(a, term)
@@ -324,7 +325,7 @@ def _element_problem(ext: SmallExtension, x: McElement, T_B: TensorDgla | None) 
     L = x.tensor.factor
     T_B = T_B if T_B is not None else tensor_dgla(L, ext.B)
     return ((ext, x, T_B), [(x.tensor, x.element, T_B)], lambda xt: (mc_residual(T_B, xt),),
-            L.obstruction_space(), L._differential_ints, lambda h: h, lambda w: (w,),
+            L.obstruction_space(), L.d._apply_ints, lambda h: h, lambda w: (w,),
             lambda xbar: mc_element(T_B, xbar))
 
 
@@ -367,7 +368,6 @@ class PairSetting:
 
     def __post_init__(self):
         object.__setattr__(self, "_obstruction", None)  # see obstruction_space
-        object.__setattr__(self, "_columns", {})  # id(map) -> its _int_columns, see _apply
 
     def over(self, B: CoefficientAlgebra) -> PairSetting:
         """The same pair over B, sharing this setting's obstruction space."""
@@ -386,25 +386,18 @@ class PairSetting:
                                (cone, compute_cohomology(cone.complex, (2,))))
         return self._obstruction
 
-    def _apply(self, f: GradedMap, x: tuple[int, dict]) -> tuple[int, dict]:
-        """f, a map the setting holds (h or g tensored, the cone's D), applied to
-        a (den, integer numerators) pair; f's columns are kept on the setting."""
-        if id(f) not in self._columns:
-            self._columns[id(f)] = _int_columns(f)
-        return _apply_ints(self._columns[id(f)], x)
-
     def apply_h(self, x: GradedElement) -> GradedElement:
-        return _from_ints(self.tM.space, *self._apply(self.h_tensor, self.tL.dgla._ints(x)), x.degree)
+        return _from_ints(self.tM.space, *self.h_tensor._apply_ints(self.tL.dgla._ints(x)), x.degree)
 
     def apply_g(self, y: GradedElement) -> GradedElement:
-        return _from_ints(self.tM.space, *self._apply(self.g_tensor, self.tN.dgla._ints(y)), y.degree)
+        return _from_ints(self.tM.space, *self.g_tensor._apply_ints(self.tN.dgla._ints(y)), y.degree)
 
     def _linking(self, x: GradedElement, y: GradedElement, p: GradedElement) -> GradedElement:
         """e^p * h(x) − g(y), summed exactly in ints: zero when (x, y, e^p) is linked."""
-        hx = self._apply(self.h_tensor, self.tL.dgla._ints(x))
+        hx = self.h_tensor._apply_ints(self.tL.dgla._ints(x))
         return _from_ints(self.tM.space, *_combine([
             (1, _gauge_ints(self.tM, self.tM.dgla._ints(p), hx)),
-            (-1, self._apply(self.g_tensor, self.tN.dgla._ints(y)))]))
+            (-1, self.g_tensor._apply_ints(self.tN.dgla._ints(y)))]))
 
     def __eq__(self, other):
         if not isinstance(other, PairSetting):
@@ -527,7 +520,7 @@ def _triple_problem(ext: SmallExtension, t: McTriple, sB: PairSetting | None) ->
         return cone.embed("L", l) + cone.embed("N", k) + cone.embed("M", r)
 
     return ((ext, t, sB), [(s.tL, t.x, sB.tL), (s.tN, t.y, sB.tN), (s.tM, t.p, sB.tM)], cocycle,
-            H, lambda w: s._apply(cone.complex.d, w), embed,
+            H, cone.complex.d._apply_ints, embed,
             lambda w: [cone.project(n, w) for n in "LNM"], lambda *xyp: mc_triple(sB, *xyp))
 
 
@@ -602,21 +595,23 @@ def gauge_equiv_decide(x: McElement, y: McElement, budget: int | None = None,
         return e if m is None else T.map_coefficients(e, m, T)
 
     level = {key: coeff_levels[ai] for key, (_i, _p, ai) in T.from_tensor.items()}
-    # the matrix of d_x on L⁰ ⊗ m: T's differential block, plus
+    # the columns of d_x on L⁰ ⊗ m: T's differential, plus
     # [x, e_b] = −Σ_a x_a [e_b, e_a] over the stored brackets (b, a) with a in
     # the support of x (the sign Dgla.bracket gives the reversed pair)
-    dx = T.dgla.d.matrix(0)
+    cols = {q: dict(col) for q, col in T.dgla.d.cols.get(0, la.EMPTY).items()}
     for (b, a), val in T.dgla.brackets.items():
         xa = x.element.coords.get(a)
         if xa and b[0] == 0:
-            for (_deg, r), c in val.coords.items():
-                dx[r][b[1]] -= xa * c
+            la.sub_scaled(cols.setdefault(b[1], {}), xa, {r: c for (_d, r), c in val.coords.items()})
+    d_x = _map(T.space, T.space, 1, _nonzero({0: cols}))
     if P is not None:
-        dx_map = GradedMap(T.space, T.space, 1, {0: dx})
-        dx = la.from_columns(
-            [rebase(dx_map.apply(rebase(basis_element(T.space, 0, i), P)), Q).component_vector(1)
-             for i in range(T.space.dim(0))], T.space.dim(1))
-    rows = {(1, r): {(0, i): c for i, c in enumerate(drow) if c} for r, drow in enumerate(dx)}
+        d_x = map_from_images(T.space, T.space, 1, {
+            (0, i): rebase(d_x.apply(rebase(basis_element(T.space, 0, i), P)), Q)
+            for i in range(T.space.dim(0))})
+    rows: dict = {}  # (1, r) -> row r of d_x, {(0, i): c}
+    for i, col in d_x.cols.get(0, la.EMPTY).items():
+        for r, c in col.items():
+            rows.setdefault((1, r), {})[(0, i)] = c
     # one echelon of the rows of all levels so far, pivots on unknowns of top level
     echelon = la.Echelon(lambda row: max(row, key=lambda u: (level[u], -u[1])))
     a, current = zero_element(T.space, 0), x.element
@@ -653,10 +648,8 @@ def tangent_dim_single(L: Dgla, shift_n: int = 0) -> int:
     over K·ε with deg ε = −n."""
     via_cohomology = cohomology_dims(L.complex, (1 + shift_n,)).get(1 + shift_n, 0)
     T = tensor_dgla(L, epsilon_algebra(shift_n))
-    d1 = T.dgla.complex.d.matrix(1)
-    d0 = T.dgla.complex.d.matrix(0)
-    solutions = T.space.dim(1) - la.rank(d1)
-    return _agreed(via_cohomology, solutions - la.rank(d0))
+    d = T.dgla.d
+    return _agreed(via_cohomology, d.kernel_dim(1) - d.rank(0))
 
 
 def _agreed(via_cohomology: int, direct: int) -> int:
@@ -676,5 +669,4 @@ def tangent_dim_pair(h: DglaMorphism, g: DglaMorphism, shift_n: int = 0) -> int:
     s = pair_setting(h, g, epsilon_algebra(shift_n))
     D = cone_pair(ChainMap(s.tL.dgla.complex, s.tM.dgla.complex, s.h_tensor),
                   ChainMap(s.tN.dgla.complex, s.tM.dgla.complex, s.g_tensor)).complex.d
-    solutions = D.source.dim(1) - la.rank(D.matrix(1))
-    return _agreed(via_cohomology, solutions - la.rank(D.matrix(0)))
+    return _agreed(via_cohomology, D.kernel_dim(1) - D.rank(0))

@@ -7,8 +7,16 @@
   an integer on every read (``Dgla._bracket_ints`` reads the integer table
   kept on the DGLA instead).
 - ``map_apply``: f(x) by one dense matrix-vector product per degree
-  (``Dgla.differential_of`` and the pair maps of ``PairSetting`` apply the
-  integer columns kept on the DGLA and on the setting instead).
+  (``GradedMap.apply`` reads f's columns, and ``Dgla.differential_of`` and
+  the pair maps of ``PairSetting`` apply the integer columns each map keeps
+  instead).
+- ``dense_map_from_images``, ``dense_compose``, ``dense_add``,
+  ``dense_scale``, ``dense_place_blocks``, ``dense_hom_differential``,
+  ``dense_d_squared_witnesses``, ``dense_tensor_differential`` and
+  ``dense_tensor_map``: graded maps built as one dense block per source
+  degree, as the library stored them before (a ``GradedMap`` keeps its
+  nonzero columns instead, and gives dense blocks only as the ``.blocks``
+  view the tests compare).
 - ``gauge_apply`` and ``bch_product``: the gauge and BCH series summed term
   by term over Fractions, each term a ``GradedElement`` and each bracket
   ``Dgla.bracket`` (``maurer_cartan`` carries every term as integer
@@ -569,3 +577,111 @@ def extension_section_kernel(alpha: la.Matrix, dimB: int, dimA: int):
     if None in cols:
         return None
     return la.from_columns(cols, dimB), tuple(tuple(v) for v in la.nullspace(alpha, cols=dimB))
+
+
+# --- dense blocks: graded maps as one dense matrix per source degree ----------
+#
+# Each function returns the map's nonzero blocks, as GradedMap.blocks reads
+# them off the map's columns.
+
+
+def _nonzero_blocks(blocks: dict) -> dict:
+    return {i: b for i, b in sorted(blocks.items()) if not la.is_zero_matrix(b)}
+
+
+def dense_map_from_images(source, target, degree: int, images) -> dict:
+    blocks = {}
+    for (sdeg, sidx), img in images.items():
+        if sdeg not in blocks:
+            blocks[sdeg] = la.zeros(target.dim(sdeg + degree), source.dim(sdeg))
+        for (_d, r), c in img.coords.items():
+            blocks[sdeg][r][sidx] += c
+    return _nonzero_blocks(blocks)
+
+
+def dense_compose(outer: GradedMap, inner: GradedMap) -> dict:
+    """outer ∘ inner, one dense product per source degree."""
+    blocks = {}
+    for i in inner.source.degrees():
+        mid = i + inner.degree
+        if inner.source.dim(i) and outer.target.dim(mid + outer.degree):
+            blocks[i] = la.mat_mul(outer.matrix(mid), inner.matrix(i))
+    return _nonzero_blocks(blocks)
+
+
+def dense_add(f: GradedMap, g: GradedMap) -> dict:
+    return _nonzero_blocks({i: [[x + y for x, y in zip(rf, rg)]
+                                for rf, rg in zip(f.matrix(i), g.matrix(i))]
+                            for i in set(f.blocks) | set(g.blocks)})
+
+
+def dense_scale(c, f: GradedMap) -> dict:
+    return _nonzero_blocks({i: [[c * x for x in row] for row in b] for i, b in f.blocks.items()})
+
+
+def dense_place_blocks(source, target, degree: int, terms) -> dict:
+    """graded.place_blocks, writing each dense block of each term at its offsets."""
+    blocks = {}
+    for sign, f, (_s, s_off, s_starts), (_t, _t_off, t_starts) in terms:
+        for j, block in f.blocks.items():
+            i = j + s_off
+            if i not in blocks:
+                blocks[i] = la.zeros(target.dim(i + degree), source.dim(i))
+            r0, c0 = t_starts[j + f.degree], s_starts[j]
+            for r, row in enumerate(block):
+                for c, v in enumerate(row):
+                    blocks[i][r0 + r][c0 + c] += sign * v
+    return _nonzero_blocks(blocks)
+
+
+def dense_hom_differential(V: ChainComplex, W: ChainComplex, hspace) -> dict:
+    """The blocks of d'(f) = d_W f − (−1)^{deg f} f d_V on hspace, the space of
+    graded.hom_complex(V, W) over its window, filled column by column from the
+    dense blocks of d_W and d_V."""
+    sv, sw = V.space, W.space
+    blocks = {}
+    for n in hspace.degrees():
+        sign = ONE if n % 2 == 0 else -ONE
+        rows = {e: r for r, e in enumerate(graded.hom_basis(sv, sw, n + 1))}
+        block = la.zeros(hspace.dim(n + 1), hspace.dim(n))
+        for col, (i, p, q) in enumerate(graded.hom_basis(sv, sw, n)):
+            dw, dv = W.d.matrix(i + n), V.d.matrix(i - 1)
+            terms = ([((i, p, r), dw[r][q]) for r in range(sw.dim(i + n + 1))]
+                     + [((i - 1, s, q), -sign * dv[p][s]) for s in range(sv.dim(i - 1))])
+            for e, c in terms:
+                if c:
+                    block[rows[e]][col] += c
+        blocks[n] = block
+    return _nonzero_blocks(blocks)
+
+
+def dense_d_squared_witnesses(cx: ChainComplex) -> list[str]:
+    """Labels of the basis vectors whose column of the dense d∘d is nonzero,
+    degree by degree and column by column."""
+    return [cx.space.label(i, col) for i, block in dense_compose(cx.d, cx.d).items()
+            for col in range(len(block[0])) if any(row[col] for row in block)]
+
+
+def dense_tensor_differential(T) -> dict:
+    """d(x⊗a) = dx⊗a + (−1)^{deg x} x⊗da of T = L ⊗ m_A, from the dense blocks
+    of L's d and A's differential."""
+    L, A, space = T.factor, T.coeff, T.space
+    blocks = {deg: la.zeros(space.dim(deg + 1), space.dim(deg)) for deg in space.basis}
+    for (deg, k), (i, p, a) in T.from_tensor.items():
+        dl = L.d.matrix(i)
+        for r in range(L.space.dim(i + 1)):
+            if dl[r][p]:
+                blocks[deg][T.to_tensor[(i + 1, r, a)][1]][k] += dl[r][p]
+        for b, c in A.diff.get(a, {}).items():
+            blocks[deg][T.to_tensor[(i, p, b)][1]][k] += c if i % 2 == 0 else -c
+    return _nonzero_blocks(blocks)
+
+
+def dense_tensor_map(phi: GradedMap, src, tgt) -> dict:
+    """x⊗a ↦ φ(x)⊗a, from the dense blocks of φ."""
+    blocks = {deg: la.zeros(tgt.space.dim(deg), src.space.dim(deg)) for deg in src.space.basis}
+    for (deg, k), (i, p, a) in src.from_tensor.items():
+        for r, row in enumerate(phi.matrix(i)):
+            if row[p]:
+                blocks[deg][tgt.to_tensor[(i, r, a)][1]][k] += row[p]
+    return _nonzero_blocks(blocks)

@@ -31,6 +31,7 @@ from mcdeform.graded import (
     identity_map,
     kernel_subcomplex,
     map_from_basis_images,
+    map_from_images,
     shift,
 )
 
@@ -117,6 +118,37 @@ class TestGradedMap:
         cx = two_term_identity()
         i = identity_map(cx.space)
         assert i.compose(cx.d) == cx.d
+
+    def test_map_from_images_refuses_keys_outside_the_source(self):
+        s = GradedSpace(0, 1, {0: ("u",), 1: ("v",)})
+        v = basis_element(s, 1, 0)
+        # (0, −1) is no second name of (0, 0); (0, 5) and (7, 0) are no basis keys
+        for key in [(0, -1), (0, 5), (7, 0), (0, 0, 0), (0, F(0)), (True, 0), "u"]:
+            with pytest.raises(InvalidInput):
+                map_from_images(s, s, 1, {key: v})
+        assert map_from_images(s, s, 1, {(0, 0): v}) == two_term_identity().d
+
+    def test_map_from_images_refuses_images_outside_the_target(self):
+        s = GradedSpace(0, 1, {0: ("u",), 1: ("v",)})
+        wide = GradedSpace(0, 1, {0: ("u",), 1: ("v", "w")})
+        same_shape = GradedSpace(0, 1, {0: ("a",), 1: ("b",)})
+        for img in [basis_element(wide, 1, 1), basis_element(same_shape, 1, 0), F(1), None]:
+            with pytest.raises(InvalidInput):
+                map_from_images(s, s, 1, {(0, 0): img})
+        with pytest.raises(DegreeWindowViolation):  # a term in degree 0, not 0 + 1
+            map_from_images(s, s, 1, {(0, 0): basis_element(s, 0, 0)})
+
+    def test_the_map_is_its_nonzero_columns(self):
+        s = GradedSpace(0, 1, {0: ("u", "w"), 1: ("v", "z")})
+        f = GradedMap(s, s, 1, {0: [[F(0), F(2)], [F(0), F(0)]]})
+        assert f.cols == {0: {1: {0: F(2)}}}
+        assert f.blocks == {0: [[F(0), F(2)], [F(0), F(0)]]}
+        assert (f - f).cols == f.scale(0).cols == f.compose(f).cols == {}
+        m = f.matrix(0)
+        m[0][0] = F(5)  # a view: writing it leaves the map as it is
+        assert f.matrix(0) == [[F(0), F(2)], [F(0), F(0)]]
+        with pytest.raises(AttributeError):
+            f.degree = 0
 
 
 class TestCohomology:
