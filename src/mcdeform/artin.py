@@ -353,9 +353,10 @@ class SmallExtension:
             raise InvalidInput("declared kernel basis does not match ker alpha")
         if any(self.B.product_basis(i, v) for v in sparse for i in range(dimB)):
             raise InvalidInput("m_B · J ≠ 0: not a small extension")
-        # one elimination for kernel_coords: the inverse of [J | unit vectors]
-        object.__setattr__(self, "_kernel_inverse",
-                           la.complete_and_invert([list(v) for v in self.kernel], dimB)[1])
+        # integer columns (la.int_columns) of the section, alpha and [J | unit vectors]⁻¹
+        inverse = la.complete_and_invert([list(v) for v in self.kernel], dimB)[1]
+        object.__setattr__(self, "_columns", tuple(
+            la.int_columns(m) for m in (self.section, self.alpha, inverse)))
 
     @property
     def kernel_dim(self) -> int:
@@ -375,12 +376,18 @@ class SmallExtension:
     def lift_coeffs(self, vec: Coeffs) -> Coeffs:
         return la.mat_vec_sparse(self.section, vec)
 
-    def kernel_coords(self, vec: Coeffs) -> la.Vector | None:
-        """Coordinates of a m_B vector in the J basis, or None if outside J: its
-        coordinates in the basis [J | unit vectors] of m_B, read off the stored
-        inverse, must vanish on the unit vectors."""
-        coords = [sum((row[i] * c for i, c in vec.items()), ZERO) for row in self._kernel_inverse]
-        return None if any(coords[self.kernel_dim:]) else coords[:self.kernel_dim]
+    def kernel_coords(self, vec: Coeffs, den: int = 1) -> la.Vector | None:
+        """Coordinates of the m_B vector vec/den in the J basis, or None if outside
+        J: its coordinates in the basis [J | unit vectors] of m_B, summed in
+        integers from the kept inverse's columns, must vanish on the unit vectors."""
+        (iden, cols), (vden, nums) = self._columns[2], la.to_ints(vec)
+        coords = [0] * self.B.dim
+        for i, c in nums.items():
+            it = iter(cols.get(i, ()))
+            for j, n in zip(it, it):
+                coords[j] += c * n
+        return None if any(coords[self.kernel_dim:]) else [
+            Fraction(n, iden * vden * den) for n in coords[:self.kernel_dim]]
 
 
 def small_extension(B: CoefficientAlgebra, A: CoefficientAlgebra,
@@ -507,25 +514,29 @@ class TensorDgla:
             deg = l_elem.degree + self.coeff.degree_of(a_idx)
         return GradedElement(self.space, coords, deg)
 
-    def map_coefficients(self, x: GradedElement, matrix: la.Matrix,
+    def map_coefficients(self, x: GradedElement, columns: tuple[int, dict],
                          target: "TensorDgla") -> GradedElement:
-        """Apply a linear map of coefficient algebras: x⊗a ↦ x⊗(matrix·a)."""
-        from_tensor, to_tensor = self.from_tensor, target.to_tensor
-        columns: dict[int, list[tuple[int, Fraction]]] = {}  # ai -> nonzero (r, matrix[r][ai])
-        coords: dict[tuple[int, int], Fraction] = {}
-        for (deg, idx), c in x.coords.items():
-            ldeg, lidx, ai = from_tensor[(deg, idx)]
-            column = columns.get(ai)
-            if column is None:
-                column = columns[ai] = [(r, row[ai]) for r, row in enumerate(matrix) if row[ai]]
-            for r, m in column:
-                key = to_tensor[(ldeg, lidx, r)]
-                coords[key] = coords[key] + c * m if key in coords else c * m
-        coords = {k: v for k, v in coords.items() if v}
+        """Apply a linear map of coefficient algebras, x⊗a ↦ x⊗(matrix·a), given
+        by the matrix's integer columns (la.int_columns): one Fraction per output."""
+        den, nums = self._map_ints(la.to_ints(x.coords), columns, target)
+        coords = {k: Fraction(n, den) for k, n in nums.items()}
         if x.degree is not None and any(deg != x.degree for deg, _i in coords):
             # a map that moves coefficient degrees: the constructor refuses the result
             return GradedElement(target.space, coords, x.degree)
         return _trusted(target.space, coords, x.degree)
+
+    def _map_ints(self, x: tuple[int, dict], columns: tuple, target: "TensorDgla") -> tuple[int, dict]:
+        """map_coefficients of a (den, integer numerators) pair, as one."""
+        from_tensor, to_tensor = self.from_tensor, target.to_tensor
+        (dm, cols), (dx, xs) = columns, x
+        out: dict[tuple[int, int], int] = {}
+        for key, c in xs.items():
+            ldeg, lidx, ai = from_tensor[key]
+            it = iter(cols.get(ai, ()))
+            for r, n in zip(it, it):
+                k = to_tensor[(ldeg, lidx, r)]
+                out[k] = out.get(k, 0) + c * n
+        return dm * dx, {k: n for k, n in out.items() if n}
 
     def element_level(self, x: GradedElement) -> int:
         """Minimal coefficient level over the support (∞ ≡ nu for zero)."""

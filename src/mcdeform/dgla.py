@@ -186,8 +186,7 @@ class Dgla:
 
 def _to_ints(z: GradedElement) -> tuple[int, dict[BasisKey, int]]:
     """(den, numerators) with z = numerators/den, den the lcm of its denominators."""
-    den = lcm(*(c.denominator for c in z.coords.values()))
-    return den, {k: c.numerator * (den // c.denominator) for k, c in z.coords.items()}
+    return la.to_ints(z.coords)
 
 
 def _from_ints(space: GradedSpace, den: int, nums: Mapping[BasisKey, int],

@@ -256,11 +256,11 @@ class GradedMap:
     target degree falls outside the target window is refused, otherwise the
     map would silently truncate d²=0-style identities.  Maps the library
     builds itself come from _map.  matrix(i) and blocks are dense views, built
-    on each read.  A map keeps its integer columns once a series applies it
-    (_int_columns); it is otherwise immutable.
+    on each read.  A map keeps its integer columns (_int_columns) and its
+    solution map (_solution) once used; it is otherwise immutable.
     """
 
-    __slots__ = ("source", "target", "degree", "cols", "_ints")
+    __slots__ = ("source", "target", "degree", "cols", "_ints", "_solved")
 
     def __init__(self, source: GradedSpace, target: GradedSpace, degree: int,
                  blocks: Mapping[int, la.Matrix] | None = None):
@@ -281,7 +281,7 @@ class GradedMap:
                 for q, x in enumerate(row):
                     if x := la.frac(x):
                         cols.setdefault(i, {}).setdefault(q, {})[r] = x
-        for name, value in zip(self.__slots__, (source, target, degree, cols, None)):
+        for name, value in zip(self.__slots__, (source, target, degree, cols, None, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -323,6 +323,22 @@ class GradedMap:
             for t, n in zip(it, it):
                 out[t] = out.get(t, 0) + c * n
         return df * dx, {k: n for k, n in out.items() if n}
+
+    def _solution(self) -> "GradedMap":
+        """b ↦ w with f w = b and every free unknown 0 (as la.solve) for each b
+        in the image of f at source degree 1, read off the reduced rows of
+        [f_1 | 1] in one Echelon; built on first use and kept on the map f."""
+        if self._solved is None:
+            span, cols, d1 = la.Echelon(), {}, self.cols.get(1, EMPTY).items()
+            for r in range(self.target.dim(1 + self.degree)):
+                span.add({(1, r): ONE, **{(0, q): col[r] for q, col in d1 if r in col}})
+            for (part, p), (den, row) in span.rows.items():
+                for (t, r), n in row.items():
+                    if part < t:
+                        cols.setdefault(r, {})[p] = Fraction(n, den)
+            object.__setattr__(self, "_solved", _map(
+                self.target, self.source, -self.degree, {1 + self.degree: cols} if cols else {}))
+        return self._solved
 
     def apply(self, x: GradedElement) -> GradedElement:
         if x.space is not self.source and x.space != self.source:

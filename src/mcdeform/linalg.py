@@ -6,12 +6,14 @@ matrix is ``[[] for _ in range(r)]`` and a 0 x c matrix is ``[]`` (the column
 count is then carried by the caller).  The dense routines return fresh objects
 and never mutate their arguments; mat_mul and inverse reuse zero entries
 instead of computing fresh zeros.  Sparse vectors are zero-free dicts
-{column: Fraction}: the rows of an Echelon and the columns of a graded map.
+{column: Fraction}: the vectors an Echelon takes (its rows are kept as integer
+numerators over one denominator each) and the columns of a graded map.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable
 
 Vector = list[Fraction]
@@ -24,10 +26,10 @@ EMPTY: Sparse = {}  # shared default for absent rows and vectors; never written
 
 
 def frac(x) -> Fraction:
-    """Coerce ints, strings like '2/3', and Fractions to Fraction."""
+    """Coerce ints, strings like '2/3', and Fractions to Fraction; bools are refused."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
@@ -51,7 +53,7 @@ def num_cols(a: Matrix, default: int = 0) -> int:
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return [sum((row[j] * v[j] for j in range(len(v))), ZERO) for row in a]
+    return [sum((row[j] * x for j, x in enumerate(v) if x), ZERO) for row in a]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -216,6 +218,21 @@ def sub_scaled(acc: Sparse, c: Fraction, x: Sparse) -> None:
             acc[k] = -(c * v)
 
 
+def to_ints(vec: Sparse) -> tuple[int, dict]:
+    """(den, numerators) with vec = numerators/den, den the lcm of its denominators."""
+    den = lcm(*(c.denominator for c in vec.values()))
+    return den, {k: c.numerator * (den // c.denominator) for k, c in vec.items()}
+
+
+def int_columns(a: Matrix) -> tuple[int, dict[int, tuple]]:
+    """a as (den, columns): each column j as one flat tuple (r, n, r, n, …) of its
+    nonzero entries' integer numerators over den, the lcm of a's denominators."""
+    den = lcm(*(x.denominator for row in a for x in row))
+    return den, {j: tuple(t for r, row in enumerate(a) if row[j]
+                          for t in (r, row[j].numerator * (den // row[j].denominator)))
+                 for j in range(num_cols(a))}
+
+
 def mat_vec_sparse(a: Matrix, x: Sparse) -> Sparse:
     """a·x for a sparse x over the columns of a, as a sparse vector over its rows."""
     out = ((r, sum((row[i] * c for i, c in x.items() if row[i]), ZERO)) for r, row in enumerate(a))
@@ -236,46 +253,67 @@ def sparse_rank(vectors: Iterable[Sparse]) -> int:
     return len(span.rows)
 
 
+def _primitive(den: int, nums: dict) -> tuple[int, dict]:
+    """nums/den as (den, nums) with den > 0, no zero numerator and no common factor."""
+    nums = {k: n for k, n in nums.items() if n}
+    g = gcd(den, *nums.values()) * (-1 if den < 0 else 1)
+    return (den, nums) if g == 1 else (den // g, {k: n // g for k, n in nums.items()})
+
+
+def _cleared(den: int, nums: dict, c: int, rden: int, row: dict) -> tuple[int, dict]:
+    """nums/den − (c/den)·(row/rden), as numerators over den·rden; nums may be reused."""
+    if rden != 1:
+        den, nums = den * rden, {k: n * rden for k, n in nums.items()}
+    for k, n in row.items():
+        nums[k] = nums.get(k, 0) - c * n
+    return den, nums
+
+
 class Echelon:
     """The span of sparse rows added one at a time, with right-hand sides.
 
     Rows stay reduced (1 at their own pivot, 0 at the others'), so a vector
     reduces against just the rows whose pivots it holds.  pivot(rest) picks a
-    new row's pivot, the least column by default.  rhs maps pivots to right-hand
-    sides (absent: 0); with every free unknown 0 it solves the rows added."""
+    new row's pivot, the least column by default.  A row is kept fraction-free
+    (Bareiss, Math. Comp. 1968) as (den, nums), integer numerators over one
+    denominator with no common factor.  rhs maps pivots to right-hand sides
+    (absent: 0); with every free unknown 0 it solves the rows added."""
 
     def __init__(self, pivot=min):
         self.pivot = pivot
-        self.rows: dict = {}  # pivot -> row
+        self.rows: dict = {}  # pivot -> (den, nums), nums[pivot] == den
         self.rhs: dict = {}  # pivot -> right-hand side, mostly nonzero
+
+    def _reduce(self, vec: Sparse, rhs: Fraction) -> tuple[int, dict, Fraction]:
+        """(vec, rhs) less the rows that clear vec at their pivots, vec as primitive (den, nums)."""
+        den, nums = to_ints(vec)
+        for p in [p for p in vec if p in self.rows]:
+            if p in self.rhs:
+                rhs -= Fraction(nums[p], den) * self.rhs[p]
+            den, nums = _cleared(den, nums, nums[p], *self.rows[p])
+        return *_primitive(den, nums), rhs
 
     def reduce(self, vec: Sparse, rhs: Fraction = ZERO) -> tuple[Sparse, Fraction]:
         """(vec, rhs) less the rows that clear vec at their pivots: vec comes back
         empty exactly when it lies in the span, and as is when it holds no pivot."""
-        rows = self.rows
-        hits = [(p, c) for p, c in vec.items() if p in rows]
-        if not hits:
+        if not any(p in self.rows for p in vec):
             return vec, rhs
-        vec = dict(vec)
-        for p, c in hits:
-            sub_scaled(vec, c, rows[p])
-            if p in self.rhs:
-                rhs -= c * self.rhs[p]
-        return {k: c for k, c in vec.items() if c}, rhs
+        den, nums, rhs = self._reduce(vec, rhs)
+        return {k: Fraction(n, den) for k, n in nums.items()}, rhs
 
     def add(self, vec: Sparse, rhs: Fraction = ZERO) -> tuple[Sparse, Fraction]:
         """reduce(vec, rhs), keeping a nonempty rest as a row reduced with the others."""
-        rest, rest_rhs = self.reduce(vec, rhs)
+        den, nums, rhs = self._reduce(vec, rhs)
+        rest = {k: Fraction(n, den) for k, n in nums.items()}
         if rest:
             p = self.pivot(rest)
-            row = dict(rest) if (lead := rest[p]) == 1 else {k: c / lead for k, c in rest.items()}
-            for q, other in self.rows.items():
+            (rden, row), lead = _primitive(nums[p], nums), rest[p]
+            for q, (oden, other) in self.rows.items():
                 if c := other.get(p):
-                    sub_scaled(other, c, row)
-                    self.rows[q] = {k: v for k, v in other.items() if v}
-                    if rest_rhs:
-                        self.rhs[q] = self.rhs.get(q, ZERO) - c * rest_rhs / lead
-            self.rows[p] = row
-            if rest_rhs:
-                self.rhs[p] = rest_rhs / lead
-        return rest, rest_rhs
+                    self.rows[q] = _primitive(*_cleared(oden, other, c, rden, row))
+                    if rhs:
+                        self.rhs[q] = self.rhs.get(q, ZERO) - Fraction(c, oden) * rhs / lead
+            self.rows[p] = rden, row
+            if rhs:
+                self.rhs[p] = rhs / lead
+        return rest, rhs

@@ -39,11 +39,9 @@ from .graded import (
     CohomologyResult,
     GradedElement,
     _map,
-    _nonzero,
     basis_element,
     cohomology_dims,
     compute_cohomology,
-    element_from_vector,
     map_from_images,
     zero_element,
 )
@@ -62,9 +60,12 @@ def _require_degree(x: GradedElement, degree: int, what: str) -> None:
 def mc_residual(T: TensorDgla, x: GradedElement) -> GradedElement:
     """dx + ½[x,x] for a degree-1 element, summed exactly in ints."""
     _require_degree(x, 1, "Maurer-Cartan candidate")
-    L, xi = T.dgla, T.dgla._ints(x)
-    return _from_ints(T.space, *_combine([(1, L.d._apply_ints(xi)),
-                                          (Fraction(1, 2), L._bracket_ints(xi, xi))]))
+    return _from_ints(T.space, *_residual_ints(T.dgla, T.dgla._ints(x)))
+
+
+def _residual_ints(L: Dgla, x: tuple[int, dict]) -> tuple[int, dict]:
+    """dx + ½[x,x] of a (den, integer numerators) pair, as one."""
+    return _combine([(1, L.d._apply_ints(x)), (Fraction(1, 2), L._bracket_ints(x, x))])
 
 
 def _combine(terms: Iterable[tuple[Fraction | int, tuple[int, dict]]]) -> tuple[int, dict]:
@@ -225,13 +226,14 @@ NO_LIFT = NoLift()
 def _j_components(T: TensorDgla, ext: SmallExtension,
                   x: GradedElement) -> list[GradedElement]:
     """Factor elements x_j with x = Σ_j x_j ⊗ J_j; error if x ∉ L ⊗ J."""
-    by_l: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (deg, idx), c in x.coords.items():
-        ldeg, lidx, ai = T.from_tensor[(deg, idx)]
-        by_l.setdefault((ldeg, lidx), {})[ai] = c
+    den, nums = _to_ints(x)
+    by_l: dict[tuple[int, int], dict[int, int]] = {}
+    for key, n in nums.items():
+        ldeg, lidx, ai = T.from_tensor[key]
+        by_l.setdefault((ldeg, lidx), {})[ai] = n
     out: list[dict[tuple[int, int], Fraction]] = [dict() for _ in range(ext.kernel_dim)]
     for lkey, bvec in by_l.items():
-        coords = ext.kernel_coords(bvec)
+        coords = ext.kernel_coords(bvec, den)
         if coords is None:
             raise InvalidInput("cocycle does not lie in ⊗J; extension data inconsistent")
         for j, c in enumerate(coords):
@@ -240,20 +242,8 @@ def _j_components(T: TensorDgla, ext: SmallExtension,
     return [GradedElement(T.factor.space, d) for d in out]
 
 
-def _tensor_with_kernel(T_B: TensorDgla, ext: SmallExtension,
-                        parts: Iterable[GradedElement]) -> GradedElement:
-    """Σ_j parts_j ⊗ J_j inside the B-tensor."""
-    total = zero_element(T_B.space)
-    for j, part in enumerate(parts):
-        for b_idx, c in enumerate(ext.kernel[j]):
-            if c == 0:
-                continue
-            total = total + c * T_B.pure(part, b_idx)
-    return total
-
-
 def _obstruction_problem(key: tuple, pieces, cocycle: Callable, H: CohomologyResult,
-                         d: Callable, embed: Callable, split: Callable, verified: Callable,
+                         embed: Callable, split: Callable, verified: Callable,
                          cls: ObstructionClass | None = None):
     """Lift MC data along the small extension 0 → J → B → A → 0: one path for
     an element and a triple (Fantechi and Manetti 1998; Manetti 1999).
@@ -261,27 +251,28 @@ def _obstruction_problem(key: tuple, pieces, cocycle: Callable, H: CohomologyRes
     key is (ext, input, B-side tensor or setting); pieces holds (T_A, piece
     over A, T_B) per piece: (x) for an element, (x, y, p) for a triple.  Each
     piece is lifted by ext.section, and cocycle maps the lifted pieces to the
-    cocycle, one component per piece in that piece's T_B.  For each J basis
+    cocycle, one component per piece in that piece's T_B, all as (den, integer
+    numerators) pairs.  For each J basis
     vector J_j, embed sends the j-th parts of the components to a degree-2
-    element of cx = H.complex, which must be a cycle (d: cx's differential on
-    (den, integer numerators) pairs, kept by the caller); its class is read in H,
+    element of cx = H.complex, which must be a cycle; its class is read in H,
     the obstruction space H²(cx) that the caller keeps (it does not depend on
     the extension), so no cohomology is computed here.
 
     Without cls, returns (H, J labels, class coordinates, cocycle).
     With cls, key must be cls.problem, and the coordinates read again from
     cls.cocycle (an element's is bare) must be cls.coords.  A nonzero class gives
-    NO_LIFT.  A vanishing one gives w_j with D w_j = part j, split sends w_j
+    NO_LIFT.  A vanishing one gives w_j with D w_j = part j, by the solution
+    map kept on cx's d (GradedMap._solution; checked), split sends w_j
     to per-piece corrections, and the result is verified(*bars) for bar =
     lifted piece − Σ_j w_j ⊗ J_j, each bar checked to project back.
     """
     ext = key[0]
     if any(TA.coeff != ext.A for TA, _e, _TB in pieces):
         raise BaseMismatch("input does not live over the extension's target")
-    lifted = [TA.map_coefficients(e, ext.section, TB) for TA, e, TB in pieces]
+    lifted = [TA._map_ints(TA.dgla._ints(e), ext._columns[0], TB) for TA, e, TB in pieces]
     cx = H.complex
     if cls is None:
-        cocyc = cocycle(*lifted)
+        cocyc = tuple(_from_ints(TB.space, *c) for (_TA, _e, TB), c in zip(pieces, cocycle(*lifted)))
     elif all(p is q or p == q for p, q in zip(cls.problem, key)):
         cocyc = (cls.cocycle,) if len(pieces) == 1 else cls.cocycle
     else:
@@ -290,7 +281,7 @@ def _obstruction_problem(key: tuple, pieces, cocycle: Callable, H: CohomologyRes
              zip(*(_j_components(TB, ext, c) for (_TA, _e, TB), c in zip(pieces, cocyc)))]
     coords = []
     for part in parts:
-        if d(_to_ints(part))[1]:
+        if cx.d._apply_ints(_to_ints(part))[1]:
             raise InvalidInput("internal: obstruction cocycle is not a cycle")
         coords.append(tuple(H.class_of(part, degree=2)))
     if cls is None:
@@ -302,18 +293,17 @@ def _obstruction_problem(key: tuple, pieces, cocycle: Callable, H: CohomologyRes
         return NO_LIFT
     corrections: list[list[GradedElement]] = [[] for _ in pieces]
     for part in parts:
-        w = zero_element(cx.space, 1)
-        if not part.is_zero():
-            sol = la.solve(cx.d.matrix(1), part.component_vector(2), cols=cx.space.dim(1))
-            if sol is None:
-                raise InvalidInput("internal: vanishing class but the cocycle is no boundary")
-            w = element_from_vector(cx.space, 1, sol)
-        for acc, wp in zip(corrections, split(w)):
+        w = cx.d._solution()._apply_ints(_to_ints(part))
+        if _from_ints(cx.space, *cx.d._apply_ints(w)) != part:
+            raise InvalidInput("internal: vanishing class but the cocycle is no boundary")
+        for acc, wp in zip(corrections, split(_from_ints(cx.space, *w, 1))):
             acc.append(wp)
     out = []
     for (TA, e, TB), lt, ws in zip(pieces, lifted, corrections):
-        bar = lt - _tensor_with_kernel(TB, ext, ws)
-        if TB.map_coefficients(bar, ext.alpha, TA) != e:
+        bar = _from_ints(TB.space, *_combine([(1, lt)] + [  # lt − Σ_j ws_j ⊗ J_j
+            (-c, (den, {TB.to_tensor[(*k, b)]: n for k, n in nums.items()}))
+            for (den, nums), J in zip(map(_to_ints, ws), ext.kernel) for b, c in enumerate(J) if c]))
+        if TB.map_coefficients(bar, ext._columns[1], TA) != e:
             raise InvalidInput("internal: lift does not project to the input")
         out.append(bar)
     return verified(*out)
@@ -324,8 +314,9 @@ def _element_problem(ext: SmallExtension, x: McElement, T_B: TensorDgla | None) 
     on L (Dgla.obstruction_space)."""
     L = x.tensor.factor
     T_B = T_B if T_B is not None else tensor_dgla(L, ext.B)
-    return ((ext, x, T_B), [(x.tensor, x.element, T_B)], lambda xt: (mc_residual(T_B, xt),),
-            L.obstruction_space(), L.d._apply_ints, lambda h: h, lambda w: (w,),
+    return ((ext, x, T_B), [(x.tensor, x.element, T_B)],
+            lambda xt: (_residual_ints(T_B.dgla, xt),),
+            L.obstruction_space(), lambda h: h, lambda w: (w,),
             lambda xbar: mc_element(T_B, xbar))
 
 
@@ -392,12 +383,10 @@ class PairSetting:
     def apply_g(self, y: GradedElement) -> GradedElement:
         return _from_ints(self.tM.space, *self.g_tensor._apply_ints(self.tN.dgla._ints(y)), y.degree)
 
-    def _linking(self, x: GradedElement, y: GradedElement, p: GradedElement) -> GradedElement:
-        """e^p * h(x) − g(y), summed exactly in ints: zero when (x, y, e^p) is linked."""
-        hx = self.h_tensor._apply_ints(self.tL.dgla._ints(x))
-        return _from_ints(self.tM.space, *_combine([
-            (1, _gauge_ints(self.tM, self.tM.dgla._ints(p), hx)),
-            (-1, self.g_tensor._apply_ints(self.tN.dgla._ints(y)))]))
+    def _linking(self, x: tuple[int, dict], y: tuple[int, dict], p: tuple[int, dict]) -> tuple[int, dict]:
+        """e^p * h(x) − g(y) of (den, integer numerators) pairs: zero when (x, y, e^p) is linked."""
+        return _combine([(1, _gauge_ints(self.tM, p, self.h_tensor._apply_ints(x))),
+                         (-1, self.g_tensor._apply_ints(y))])
 
     def __eq__(self, other):
         if not isinstance(other, PairSetting):
@@ -445,7 +434,7 @@ def mc_pair_check(setting: PairSetting, x: GradedElement, y: GradedElement,
     ry = mc_residual(setting.tN, y)
     if not ry.is_zero():
         report.append(Violation("mc_second", ("y",), f"residual {ry.pretty()}"))
-    link = -setting._linking(x, y, p)
+    link = -_from_ints(setting.tM.space, *setting._linking(_to_ints(x), _to_ints(y), setting.tM.dgla._ints(p)))
     if not link.is_zero():
         report.append(Violation("linking", ("x", "y", "p"),
                                 f"g(y) − e^p*h(x) = {link.pretty()}"))
@@ -514,13 +503,13 @@ def _triple_problem(ext: SmallExtension, t: McTriple, sB: PairSetting | None) ->
     sB = sB if sB is not None else s.over(ext.B)
 
     def cocycle(xt, yt, q):
-        return mc_residual(sB.tL, xt), mc_residual(sB.tN, yt), sB._linking(xt, yt, q)
+        return _residual_ints(sB.tL.dgla, xt), _residual_ints(sB.tN.dgla, yt), sB._linking(xt, yt, q)
 
     def embed(l, k, r):
         return cone.embed("L", l) + cone.embed("N", k) + cone.embed("M", r)
 
     return ((ext, t, sB), [(s.tL, t.x, sB.tL), (s.tN, t.y, sB.tN), (s.tM, t.p, sB.tM)], cocycle,
-            H, cone.complex.d._apply_ints, embed,
+            H, embed,
             lambda w: [cone.project(n, w) for n in "LNM"], lambda *xyp: mc_triple(sB, *xyp))
 
 
@@ -590,20 +579,27 @@ def gauge_equiv_decide(x: McElement, y: McElement, budget: int | None = None,
         raise NotVerifiedMC("gauge_equiv_decide requires verified MC elements")
     T = x.tensor
     P, Q, coeff_levels = T.coeff.adapted_basis
+    P, Q = (None if m is None else la.int_columns(m) for m in (P, Q))
 
-    def rebase(e: GradedElement, m: la.Matrix | None) -> GradedElement:
+    def rebase(e: GradedElement, m: tuple | None) -> GradedElement:
         return e if m is None else T.map_coefficients(e, m, T)
 
     level = {key: coeff_levels[ai] for key, (_i, _p, ai) in T.from_tensor.items()}
-    # the columns of d_x on L⁰ ⊗ m: T's differential, plus
-    # [x, e_b] = −Σ_a x_a [e_b, e_a] over the stored brackets (b, a) with a in
-    # the support of x (the sign Dgla.bracket gives the reversed pair)
-    cols = {q: dict(col) for q, col in T.dgla.d.cols.get(0, la.EMPTY).items()}
-    for (b, a), val in T.dgla.brackets.items():
-        xa = x.element.coords.get(a)
-        if xa and b[0] == 0:
-            la.sub_scaled(cols.setdefault(b[1], {}), xa, {r: c for (_d, r), c in val.coords.items()})
-    d_x = _map(T.space, T.space, 1, _nonzero({0: cols}))
+    # the columns of d_x on L⁰ ⊗ m, e_b ↦ d e_b + [x, e_b] = d e_b − Σ_a x_a [e_b, e_a], in ints
+    D, xi, yi = T.dgla, T.dgla._ints(x.element), T.dgla._ints(y.element)
+    (dd, dcols), table, (xd, xs) = D.d._int_columns(), D._int_table(), xi
+    den, cols = math.lcm(dd, xd * D._scale), {}
+    for i in range(T.space.dim(0)):
+        col, it, row = {}, iter(dcols.get((0, i), ())), table.get((0, i), la.EMPTY)
+        for k, n in zip(it, it):
+            col[k] = n * (den // dd)
+        for a in row.keys() & xs.keys():
+            c, it = xs[a] * (den // (xd * D._scale)), iter(row[a])
+            for k, n in zip(it, it):
+                col[k] = col.get(k, 0) - c * n
+        if col := {r: Fraction(n, den) for (_d, r), n in col.items() if n}:
+            cols[i] = col
+    d_x = _map(T.space, T.space, 1, {0: cols} if cols else {})
     if P is not None:
         d_x = map_from_images(T.space, T.space, 1, {
             (0, i): rebase(d_x.apply(rebase(basis_element(T.space, 0, i), P)), Q)
@@ -614,11 +610,11 @@ def gauge_equiv_decide(x: McElement, y: McElement, budget: int | None = None,
             rows.setdefault((1, r), {})[(0, i)] = c
     # one echelon of the rows of all levels so far, pivots on unknowns of top level
     echelon = la.Echelon(lambda row: max(row, key=lambda u: (level[u], -u[1])))
-    a, current = zero_element(T.space, 0), x.element
+    a, current = zero_element(T.space, 0), xi
     for k in range(1, T.nu):
         if cancel is not None and cancel():
             return Undecided(f"cancelled at level {k}")
-        r = rebase(y.element - current, Q)
+        r = rebase(_from_ints(T.space, *_combine([(1, yi), (-1, current)]), 1), Q)
         for key in sorted(key for key in level if key[0] == 1 and level[key] == k):
             row, rhs = echelon.add(rows.get(key, la.EMPTY), -r.coords.get(key, ZERO))
             if not row and rhs:
@@ -634,8 +630,8 @@ def gauge_equiv_decide(x: McElement, y: McElement, budget: int | None = None,
         s = rebase(GradedElement(T.space, sol, 0), P)
         # a + s ≡ a•s modulo m^{level a + level s}, which is all level k needs
         a = a + s if T.element_level(a) + T.element_level(s) > k else bch_product(T, a, s)
-        current = gauge_apply(T, a, x.element)
-    if current != y.element:
+        current = _gauge_ints(T, D._ints(a), xi)
+    if _combine([(1, yi), (-1, current)])[1]:
         raise InvalidInput("internal: witness validation failed")
     return Equivalent(a)
 

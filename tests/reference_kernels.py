@@ -48,6 +48,15 @@
 - ``extension_section_kernel``: the section of a small extension by one
   ``la.solve`` per basis vector of m_A and its kernel by ``la.nullspace``
   (``artin.small_extension`` reads both off one rref of [α | 1] instead).
+- ``FractionEchelon``: the sparse echelon with every row a dict of Fractions,
+  each row operation one Fraction product per entry (``linalg.Echelon`` keeps
+  each row as integer numerators over one denominator instead).
+- ``map_coefficients`` and ``kernel_coords``: a coefficient map applied to a
+  tensor element, and the J coordinates of a vector of m_B, by Fraction
+  products with the dense matrices of the extension, the inverse of
+  [J | unit vectors] made again on each call (``TensorDgla.map_coefficients``
+  and ``SmallExtension.kernel_coords`` sum integers over the integer columns
+  the extension keeps instead).
 
 The tests compare each kernel with its reference for equality.
 """
@@ -685,3 +694,62 @@ def dense_tensor_map(phi: GradedMap, src, tgt) -> dict:
             if row[p]:
                 blocks[deg][tgt.to_tensor[(i, r, a)][1]][k] += row[p]
     return _nonzero_blocks(blocks)
+
+
+class FractionEchelon:
+    """The span of sparse rows added one at a time, with right-hand sides, each
+    row a dict {column: Fraction} kept reduced (1 at its own pivot, 0 at the
+    others'); pivot(rest) picks a new row's pivot."""
+
+    def __init__(self, pivot=min):
+        self.pivot = pivot
+        self.rows: dict = {}
+        self.rhs: dict = {}
+
+    def reduce(self, vec, rhs=ZERO):
+        hits = [(p, c) for p, c in vec.items() if p in self.rows]
+        if not hits:
+            return vec, rhs
+        vec = dict(vec)
+        for p, c in hits:
+            la.sub_scaled(vec, c, self.rows[p])
+            if p in self.rhs:
+                rhs -= c * self.rhs[p]
+        return {k: c for k, c in vec.items() if c}, rhs
+
+    def add(self, vec, rhs=ZERO):
+        rest, rest_rhs = self.reduce(vec, rhs)
+        if rest:
+            p = self.pivot(rest)
+            lead = rest[p]
+            row = {k: c / lead for k, c in rest.items()}
+            for q, other in self.rows.items():
+                if c := other.get(p):
+                    la.sub_scaled(other, c, row)
+                    self.rows[q] = {k: v for k, v in other.items() if v}
+                    if rest_rhs:
+                        self.rhs[q] = self.rhs.get(q, ZERO) - c * rest_rhs / lead
+            self.rows[p] = row
+            if rest_rhs:
+                self.rhs[p] = rest_rhs / lead
+        return rest, rest_rhs
+
+
+def map_coefficients(T, x: GradedElement, matrix: la.Matrix, target) -> GradedElement:
+    """x⊗a ↦ x⊗(matrix·a), one Fraction product per term and matrix entry."""
+    coords: dict = {}
+    for key, c in x.coords.items():
+        ldeg, lidx, ai = T.from_tensor[key]
+        for r, row in enumerate(matrix):
+            if row[ai]:
+                out = target.to_tensor[(ldeg, lidx, r)]
+                coords[out] = coords.get(out, ZERO) + c * row[ai]
+    return GradedElement(target.space, coords, x.degree)
+
+
+def kernel_coords(ext, vec: dict):
+    """The J coordinates of a vector of m_B, or None outside J: its coordinates
+    in the basis [J | unit vectors], by the dense inverse made here."""
+    inverse = la.complete_and_invert([list(v) for v in ext.kernel], ext.B.dim)[1]
+    coords = [sum((row[i] * c for i, c in vec.items()), ZERO) for row in inverse]
+    return None if any(coords[ext.kernel_dim:]) else coords[:ext.kernel_dim]

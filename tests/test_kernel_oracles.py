@@ -1,4 +1,5 @@
 """The integer bracket kept on a DGLA and the integer columns each map keeps,
+the kept solution map of d¹ and the integer columns of a small extension,
 the pair maps of a pair setting, the integer gauge and BCH series, the
 in-place block assembly of cones and of the maps between direct sums, graded
 maps kept as their nonzero columns, the tensor DGLA built from its factors,
@@ -10,6 +11,7 @@ ranks, compared with those of the full cohomology."""
 import gc
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -283,7 +285,8 @@ class TestPairMaps:
         p = data.draw(homogeneous(s.tM.space, 0))
         h, g = ref.map_apply(s.h_tensor, x), ref.map_apply(s.g_tensor, y)
         assert s.apply_h(x) == h and s.apply_g(y) == g
-        assert s._linking(x, y, p) == ref.gauge_apply(s.tM, p, h) - g
+        link = s._linking(*(dgla._to_ints(z) for z in (x, y, p)))
+        assert dgla._from_ints(s.tM.space, *link) == ref.gauge_apply(s.tM, p, h) - g
         D = s.obstruction_space()[0].complex.d
         w = data.draw(elements(D.source))
         assert dgla._from_ints(D.target, *D._apply_ints(dgla._to_ints(w))) == ref.map_apply(D, w)
@@ -995,3 +998,97 @@ class TestPowerFiltration:
         A = artin_from_labels(("a", "b", "c"), {("a", "a"): {"b": 1}, ("b", "b"): {"c": 1}})
         assert (A.levels, A.nu) == ((1, 2, 3), 4)
         self.assert_matches(A)
+
+
+class TestLiftKernels:
+    """What a lift solves and multiplies by, against la.solve and the Fraction
+    products: the solution map each obstruction space's d keeps, and the
+    integer columns of a small extension's section, alpha and [J | 1]⁻¹."""
+
+    @staticmethod
+    def assert_solves_like_la_solve(d):
+        dense, n, m = d.matrix(1), d.source.dim(1), d.target.dim(2)
+        solution, space = d._solution(), d.source
+        images = [d.apply(graded.basis_element(space, 1, q)) for q in range(n)]
+        combo = graded.zero_element(space)
+        for k, image in enumerate(images):
+            combo = combo + F(3 * k - 4, 7 if k % 2 else 2**61 - 1) * image
+        targets = images + [combo] + [graded.basis_element(space, 2, r) for r in range(m)]
+        for b in targets:
+            want = la.solve(dense, b.component_vector(2), cols=n)
+            got = solution.apply(b)
+            if want is None:  # no boundary: the kept map's image is checked, and fails
+                assert d.apply(got) != b
+            else:
+                assert got == graded.element_from_vector(space, 1, want) and d.apply(got) == b
+
+    @pytest.mark.parametrize("name", sorted(SERIES_DGLAS))
+    def test_solution_of_each_dgla_matches_la_solve(self, name):
+        self.assert_solves_like_la_solve(SERIES_DGLAS[name]().d)
+
+    @pytest.mark.parametrize("name", sorted(CONE_CASES))
+    def test_solution_of_each_pair_cone_matches_la_solve(self, name):
+        self.assert_solves_like_la_solve(cone_pair(*CONE_CASES[name]).complex.d)
+
+    @staticmethod
+    def alternate(ext, c):
+        """ext with the section t^a ↦ t^a + c·J: the same α, entries like c."""
+        return replace(ext, section=[[s + c * j for s in row]
+                                     for row, j in zip(ext.section, ext.kernel[0])])
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_coefficient_maps_and_kernel_coords_match_the_fraction_products(self, n, data):
+        # along the tower step and along it with another section, of entries like c
+        step, c = tower_step(n), data.draw(st.sampled_from((F(3, 7), F(-2), F(1, 2**61 - 1))))
+        L = SERIES_DGLAS[data.draw(st.sampled_from(("heis", "obstructed", "End(V1):dense")))]()
+        T_A, T_B = tensor_dgla(L, step.A), tensor_dgla(L, step.B)
+        x, y = data.draw(elements(T_A.space)), data.draw(homogeneous(T_B.space, 1))
+        vec = {i: v for i in range(step.B.dim) if (v := data.draw(coefficients()) * (i % 2))}
+        den = data.draw(st.sampled_from((1, 6, 2**61 - 1)))
+        for ext in (step, self.alternate(step, c)):
+            section, alpha, _inverse = ext._columns
+            assert_same_element(T_A.map_coefficients(x, section, T_B),
+                                ref.map_coefficients(T_A, x, ext.section, T_B))
+            assert_same_element(T_B.map_coefficients(y, alpha, T_A),
+                                ref.map_coefficients(T_B, y, ext.alpha, T_A))
+            in_j = {i: F(5, 3) * v for i, v in enumerate(ext.kernel[0]) if v}
+            for v in (vec, in_j):
+                assert ext.kernel_coords(v) == ref.kernel_coords(ext, v)
+            ints = {i: 7 * i + 1 for i in in_j}
+            assert ext.kernel_coords(ints, den) == ref.kernel_coords(
+                ext, {i: F(k, den) for i, k in ints.items()})
+
+    def test_built_once_over_three_cycles(self, monkeypatch):
+        # the solution map once per obstruction space (on L's d and on the cone's
+        # D), the integer columns once per extension, a replaced one its own
+        solved, made = Counter(), Counter()
+        solution, int_columns = GradedMap._solution, la.int_columns
+
+        def counting_solution(f):
+            if f._solved is None:
+                solved[id(f)] += 1
+            return solution(f)
+
+        def counting_columns(a):
+            made["columns"] += 1
+            return int_columns(a)
+
+        monkeypatch.setattr(GradedMap, "_solution", counting_solution)
+        monkeypatch.setattr(la, "int_columns", counting_columns)
+        c = series_objects(6)
+        assert made["columns"] == 3  # the section, alpha and [J | 1]⁻¹ of c's extension
+        columns, results = c["ext"]._columns, [series_cycle(c)]
+        ds = (c["T"].factor.d, c["triple"].setting.obstruction_space()[0].complex.d)
+        kept = [d._solved for d in ds]
+        results += [series_cycle(c), series_cycle(c)]
+        assert results[0] == results[1] == results[2]
+        assert solved == {id(d): 1 for d in ds} and all(d._solved is k for d, k in zip(ds, kept))
+        assert made["columns"] == 3 and c["ext"]._columns is columns
+        alt = self.alternate(c["ext"], F(3, 7))
+        assert made["columns"] == 6 and alt._columns[0] != columns[0]
+        cls = obstruction_single(alt, c["x"], tensor_B=c["T_B"])
+        lift = lift_if_unobstructed(alt, c["x"], cls, tensor_B=c["T_B"])
+        assert c["T_B"].map_coefficients(lift.element, alt._columns[1], c["T"]) == c["x"].element
+        assert made["columns"] == 6 and set(solved.values()) == {1}

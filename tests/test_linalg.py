@@ -1,9 +1,12 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_kernels as ref
 from mcdeform import linalg as la
+from mcdeform.graded import GradedElement, GradedSpace
 
 
 F = Fraction
@@ -69,6 +72,22 @@ def test_rank_and_columns():
 def test_frac_rejects_floats():
     with pytest.raises(TypeError):
         la.frac(0.5)
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_frac_rejects_bools(flag):
+    # an element coordinate True used to be stored as 1
+    with pytest.raises(TypeError):
+        la.frac(flag)
+    with pytest.raises(TypeError):
+        GradedElement(GradedSpace(0, 0, {0: ("x",)}), {(0, 0): flag})
+
+
+def test_mat_vec_reads_only_the_nonzero_entries_of_v():
+    # an entry facing a zero of v is never read: None there would fail a product
+    assert la.mat_vec([[None, F(3)], [None, F(-1)]], [F(0), F(2)]) == [F(6), F(-2)]
+    assert la.mat_vec([[F(1), F(2)]], [F(0), F(0)]) == [F(0)]
+    assert la.mat_vec([], [F(1)]) == []
 
 
 def greedy_in_span_scan(base, candidates):
@@ -157,9 +176,11 @@ def test_echelon_matches_dense(system, rule):
     span = la.Echelon(PIVOT_RULES[rule])
     kept = [i for i, row in enumerate(a) if span.add(sparse(row))[0]]
     assert len(kept) == len(span.rows) == len(la.rref(a)[1])
-    # reduced and zero-free: each row is 1 at its own pivot and 0 at every other pivot
-    for p, row in span.rows.items():
-        assert 0 not in row.values()
+    # reduced and zero-free: each row is 1 at its own pivot and 0 at every other
+    # pivot, its integer numerators over a positive denominator with no common factor
+    for p, (den, nums) in span.rows.items():
+        assert 0 not in nums.values() and den > 0 and math.gcd(den, *nums.values()) == 1
+        row = {k: F(n, den) for k, n in nums.items()}
         assert {q: row.get(q, 0) for q in span.rows} == {q: int(q == p) for q in span.rows}
     assert (not span.reduce(sparse(probe))[0]) == (la.in_span(a, probe) is not None)
     # with right-hand sides: an inconsistent row shows as (∅, c ≠ 0)
@@ -181,7 +202,7 @@ def test_echelon_returns_a_vector_that_hits_no_pivot_as_is():
     vec = {1: F(3)}
     assert span.reduce(vec)[0] is vec
     assert span.reduce({0: F(4), 2: F(2)}) == ({}, 0)
-    assert span.rows == {0: {0: F(1), 2: F(1, 2)}}
+    assert span.rows == {0: (2, {0: 2, 2: 1})}  # the row e_0 + e_2/2
 
 
 def test_mat_vec_sparse():
@@ -219,3 +240,58 @@ def test_rank_of_empty_and_zero_matrices():
     assert la.rank([[], []]) == 0
     assert la.rank(la.zeros(3, 4)) == 0
     assert la.rank(M([[0, 0], [2, 4], [1, 2]])) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_matrices(), st.data())
+def test_mat_vec_matches_the_sum_over_every_entry(a, data):
+    v = data.draw(st.lists(st.sampled_from([F(0), F(0), F(1), F(-2, 3), F(5, 7)]),
+                           min_size=la.num_cols(a), max_size=la.num_cols(a)))
+    assert la.mat_vec(a, v) == [sum((row[j] * v[j] for j in range(len(v))), F(0)) for row in a]
+
+
+# --- the integer echelon against the Fraction echelon ------------------------------
+
+# distinct primes up to 61 bits, so that row denominators grow
+PRIMES = (3, 7, 1_000_003, 2**61 - 1)
+
+
+def gauge_rule(rank):
+    """gauge_equiv_decide's rule on keys (0, i): the top level, then the least index."""
+    return lambda row: max(row, key=lambda u: (rank[u], -u[1]))
+
+
+@st.composite
+def rational_systems(draw):
+    """Sparse rows of Fractions (small, and over large primes), some of them
+    combinations of others, with right-hand sides, a probe, and a pivot rule."""
+    cols = draw(st.integers(min_value=1, max_value=6))
+    entry = st.one_of(st.just(F(0)), st.just(F(0)), st.builds(
+        F, st.integers(-4, 4), st.sampled_from((1, 1, 2) + PRIMES)))
+    row = st.lists(entry, min_size=cols, max_size=cols)
+    rows = draw(st.lists(row, max_size=7))
+    if len(rows) >= 2 and draw(st.booleans()):
+        c = draw(st.sampled_from((F(1), F(-3, 7), F(2, 2**61 - 1))))
+        rows.append([x + c * y for x, y in zip(rows[0], rows[-1])])  # a dependent row
+    rhs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+    rule = draw(st.sampled_from(sorted(PIVOT_RULES) + ["gauge"]))
+    if rule == "gauge":  # tuple keys (0, i) at levels 1..3, as in the gauge decision
+        rank = {(0, j): j % 3 + 1 for j in range(cols)}
+        return ([{(0, j): c for j, c in enumerate(r) if c} for r in rows], rhs,
+                {(0, j): c for j, c in enumerate(draw(row)) if c}, gauge_rule(rank))
+    return [sparse(r) for r in rows], rhs, sparse(draw(row)), PIVOT_RULES[rule]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_systems())
+def test_echelon_matches_the_fraction_echelon(system):
+    rows, rhs, probe, rule = system
+    span, ref_span = la.Echelon(rule), ref.FractionEchelon(rule)
+    for vec, b in zip(rows, rhs):
+        assert span.reduce(vec, b) == ref_span.reduce(vec, b)
+        assert span.add(vec, b) == ref_span.add(vec, b)
+    # the same pivots, rows and right-hand sides
+    assert {p: {k: F(n, den) for k, n in nums.items()} for p, (den, nums) in span.rows.items()} \
+        == ref_span.rows
+    assert span.rhs == ref_span.rhs
+    assert span.reduce(probe) == ref_span.reduce(probe)

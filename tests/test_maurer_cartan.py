@@ -383,7 +383,7 @@ class TestObstructionSingle:
                 {"x@u": alpha, "x@uv": beta, "x@vv": gamma}, 1)
             x = mc_element(T1, x_elem)
             v1 = obstruction_single(e1, x)
-            x2 = mc_element(T2, T1.map_coefficients(x_elem, phi_A, T2))
+            x2 = mc_element(T2, T1.map_coefficients(x_elem, la.int_columns(phi_A), T2))
             v2 = obstruction_single(e2, x2)
             # φ_J is 1×1 identity on the kernels ⟨u²⟩ → ⟨t²⟩
             moved = tuple(tuple(phi_J[0][0] * c for c in vec) for vec in v1.coords)
@@ -474,15 +474,15 @@ class TestPairFunctor:
 def obstruction_work(monkeypatch):
     """The cohomology results and pair cones the obstruction code computes,
     the complexes whose d² it checks (kept alive, so identities are unique),
-    and its lifts by the extension's section (map_coefficients calls with that
-    matrix, once per element lifted)."""
+    and its lifts by the extension's section (integer coefficient maps,
+    TensorDgla._map_ints, by its integer columns, once per element lifted)."""
     import mcdeform.dgla as dg
     import mcdeform.maurer_cartan as mc
     from mcdeform.artin import TensorDgla
 
     work = {"cohomology": [], "cones": 0, "d2": [], "lifts": 0, "section": None}
     real_cohomology, real_cone = mc.compute_cohomology, mc.cone_pair
-    real_map, real_d2 = TensorDgla.map_coefficients, ChainComplex.d_squared_witnesses
+    real_map, real_d2 = TensorDgla._map_ints, ChainComplex.d_squared_witnesses
 
     def cohomology(cx, degrees=None):
         work["cohomology"].append(real_cohomology(cx, degrees))
@@ -496,15 +496,15 @@ def obstruction_work(monkeypatch):
         work["d2"].append(cx)
         return real_d2(cx)
 
-    def map_coefficients(self, x, matrix, target):
-        work["lifts"] += matrix is work["section"]
-        return real_map(self, x, matrix, target)
+    def map_ints(self, x, columns, target):
+        work["lifts"] += columns is work["section"]
+        return real_map(self, x, columns, target)
 
     for module in (dg, mc):  # H²(L) is computed in dgla, the cone's H² in maurer_cartan
         monkeypatch.setattr(module, "compute_cohomology", cohomology)
     monkeypatch.setattr(mc, "cone_pair", cone_pair)
     monkeypatch.setattr(ChainComplex, "d_squared_witnesses", d_squared_witnesses)
-    monkeypatch.setattr(TensorDgla, "map_coefficients", map_coefficients)
+    monkeypatch.setattr(TensorDgla, "_map_ints", map_ints)
     return work
 
 
@@ -537,7 +537,7 @@ class TestObstructionWork:
         x = (T.element_from_labels({"x@t": 1}, 1) if name == "obstructed"
              else rand_mc(random.Random(19), T))
         x = mc_element(T, x)
-        obstruction_work["section"] = ext.section
+        obstruction_work["section"] = ext._columns[0]
         cls = obstruction_single(ext, x)
         got = lift_if_unobstructed(ext, x, cls)
         assert cls.is_zero() == (name == "heis")
@@ -561,7 +561,7 @@ class TestObstructionWork:
                           zero_element(s.tM.space, 0))
         else:
             t = rand_triple(random.Random(39), name, s)
-        obstruction_work["section"] = ext.section
+        obstruction_work["section"] = ext._columns[0]
         cls = obstruction_pair(ext, t)
         got = lift_pair_if_unobstructed(ext, t, cls)
         assert cls.is_zero() == (name == "pair_idid_heis")

@@ -237,7 +237,7 @@ def test_every_trusted_result_rebuilds(data):
     dim = T.coeff.dim
     matrix = [[F(data.draw(st.integers(-1, 1))) for _c in range(dim)] for _r in range(dim)]
     for z in (x, y, x + y):
-        assert (outcome(lambda: T.map_coefficients(z, matrix, T))
+        assert (outcome(lambda: T.map_coefficients(z, la.int_columns(matrix), T))
                 == outcome(lambda: map_coefficients_by_terms(T, z, matrix)))
 
 
@@ -247,6 +247,6 @@ def test_a_coefficient_map_that_moves_degrees_is_checked():
     x = T.element_from_labels({"x@u": 1}, 2)
     moves = [[F(0)] * 3, [F(1), F(0), F(0)], [F(0)] * 3]
     with pytest.raises(DegreeWindowViolation):
-        T.map_coefficients(x, moves, T)
+        T.map_coefficients(x, la.int_columns(moves), T)
     undeclared = T.element_from_labels({"x@u": 1})
-    assert T.map_coefficients(undeclared, moves, T) == T.element_from_labels({"x@w": 1})
+    assert T.map_coefficients(undeclared, la.int_columns(moves), T) == T.element_from_labels({"x@w": 1})
