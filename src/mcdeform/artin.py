@@ -141,7 +141,9 @@ class CoefficientAlgebra:
                 diff[i] = v
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "diff", diff)
-        levels, nu, adapted = _filtration(dim, self.product_basis)
+        # with no product, m² = 0: the dim² zero products of the scan say only that
+        levels, nu, adapted = (_filtration(dim, self.product_basis) if table or not dim
+                               else ((1,) * dim, 2, (None, None, (1,) * dim)))
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "_adapted", adapted)

@@ -25,6 +25,7 @@ from .documents import (
     load_raw,
     parse_doc,
     parse_valid,
+    poly_coords_map,
     resolve_hpair,
     resolve_tensor_element,
     resolve_triple,
@@ -172,7 +173,7 @@ def cmd_mc_residual(args):
     T, ld, ad = _load_tensor_context(args)
     x = _element_from(args, args.element, T, ld, ad, degree=1)
     res = mc_residual(T, x)
-    return {"residual": _scalars(element_coords_map(T.space, res)),
+    return {"residual": element_coords_map(T.space, res),
             "is_mc": res.is_zero()}, 0
 
 
@@ -183,7 +184,7 @@ def cmd_gauge_apply(args):
     a = _element_from(args, args.param, T, ld, ad, degree=0)
     x = _element_from(args, args.element, T, ld, ad, degree=1)
     out = gauge_apply(T, a, x)
-    return {"result": _scalars(element_coords_map(T.space, out))}, 0
+    return {"result": element_coords_map(T.space, out)}, 0
 
 
 def cmd_bch(args):
@@ -193,7 +194,7 @@ def cmd_bch(args):
     a = _element_from(args, args.a, T, ld, ad, degree=0)
     b = _element_from(args, args.b, T, ld, ad, degree=0)
     out = bch_product(T, a, b)
-    return {"result": _scalars(element_coords_map(T.space, out))}, 0
+    return {"result": element_coords_map(T.space, out)}, 0
 
 
 def cmd_gauge_equiv(args):
@@ -206,7 +207,7 @@ def cmd_gauge_equiv(args):
     res = gauge_equiv_decide(x, y)
     if isinstance(res, Equivalent):
         return {"status": "equivalent",
-                "witness": _scalars(element_coords_map(T.space, res.witness))}, 0
+                "witness": element_coords_map(T.space, res.witness)}, 0
     return {"status": "not_equivalent", "reason": res.reason}, 0
 
 
@@ -252,7 +253,7 @@ def _obstruction_input(args):
         TB = tensor_dgla(L, ext.B)
         return (ext_name, lambda: obstruction_single(ext, x, tensor_B=TB),
                 lambda cls: lift_if_unobstructed(ext, x, cls, tensor_B=TB), "element",
-                lambda got: _scalars(element_coords_map(TB.space, got.element)))
+                lambda got: element_coords_map(TB.space, got.element))
     h, g = _read(args, args.pair, "pair")
     s = pair_setting(h, g, ext.A)
     t = mc_triple(s, *resolve_triple(_read(args, args.element, "triple"), s,
@@ -260,7 +261,7 @@ def _obstruction_input(args):
     sB = pair_setting(h, g, ext.B)
     return (ext_name, lambda: obstruction_pair(ext, t, setting_B=sB),
             lambda cls: lift_pair_if_unobstructed(ext, t, cls, setting_B=sB), "triple",
-            lambda got: {n: _scalars(element_coords_map(T.space, e))
+            lambda got: {n: element_coords_map(T.space, e)
                          for n, T, e in (("x", sB.tL, got.x), ("y", sB.tN, got.y),
                                          ("p", sB.tM, got.p))})
 
@@ -323,21 +324,12 @@ def cmd_h_embed(args):
     h, g = _read(args, args.pair, "pair")
     pair_digest = digest(serialize_pair(h, g))
     l, n, m = resolve_hpair(_read(args, args.element, "hpair"), h, g, pair_digest, args.element)
-    L, N, M = h.source, g.source, h.target
-    he = h_pair_element(h, g, l, n, m)
-    k = barycentric_embed(he)
-
-    def poly_json(p):
-        return {"t": {str(e): _scalars(element_coords_map(M.space, c))
-                      for e, c in sorted(p.t_part.items())},
-                "dt": {str(e): _scalars(element_coords_map(M.space, c))
-                       for e, c in sorted(p.dt_part.items())}}
-
+    k = barycentric_embed(h_pair_element(h, g, l, n, m))
     return {"verified": k.verified, "k_element": {
-        "l": _scalars(element_coords_map(L.space, k.l)),
-        "n": _scalars(element_coords_map(N.space, k.n)),
-        "m1": poly_json(k.m1),
-        "m2": poly_json(k.m2),
+        "l": element_coords_map(h.source.space, k.l),
+        "n": element_coords_map(g.source.space, k.n),
+        "m1": poly_coords_map(k.m1),
+        "m2": poly_coords_map(k.m2),
     }}, 0
 
 

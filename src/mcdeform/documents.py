@@ -283,17 +283,19 @@ def serialize_triple(x: GradedElement, y: GradedElement, p: GradedElement,
     })
 
 
+def poly_coords_map(m) -> dict:
+    """The t- and dt-parts of a PolyElement: exponent -> element_coords_map."""
+    return {part: {str(e): element_coords_map(c.space, c) for e, c in sorted(coeffs.items())}
+            for part, coeffs in (("t", m.t_part), ("dt", m.dt_part))}
+
+
 def serialize_hpair(l: GradedElement, n: GradedElement, m, owner_pair: str) -> dict:
-    t_part = {str(e): element_coords_map(coeff.space, coeff)
-              for e, coeff in sorted(m.t_part.items())}
-    dt_part = {str(e): element_coords_map(coeff.space, coeff)
-               for e, coeff in sorted(m.dt_part.items())}
     return _envelope("hpair", {
         "owner": {"pair": owner_pair},
         "l": element_coords_map(l.space, l),
         "n": element_coords_map(n.space, n),
         "degree": m.degree,
-        "m": {"t": t_part, "dt": dt_part},
+        "m": poly_coords_map(m),
     })
 
 
@@ -628,9 +630,10 @@ def load_raw(path: str):
 
 def truncation_guard(h: DglaMorphism, g: DglaMorphism, N: int) -> None:
     """dimension_guard of the truncation window N of the pair (h, g):
-    dim L + dim N + (2N + 1)·dim M."""
+    dim L + dim N + (2N + 1)·max(dim M, 1), which bounds N even when M = 0
+    (K[t,dt]_N is built whatever M is)."""
     dimension_guard(h.source.space.total_dim() + g.source.space.total_dim()
-                    + h.target.space.total_dim() * (2 * N + 1))
+                    + max(h.target.space.total_dim(), 1) * (2 * N + 1))
 
 
 def resolve_tensor_element(body: dict, tensor: TensorDgla, dgla_digest: str,

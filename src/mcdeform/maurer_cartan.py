@@ -252,7 +252,8 @@ def _obstruction_problem(key: tuple, pieces, cocycle: Callable, H: CohomologyRes
     over A, T_B) per piece: (x) for an element, (x, y, p) for a triple.  Each
     piece is lifted by ext.section, and cocycle maps the lifted pieces to the
     cocycle, one component per piece in that piece's T_B, all as (den, integer
-    numerators) pairs.  For each J basis
+    numerators) pairs; a component has its piece's degree + 1, and a lifted
+    piece its input's degree.  For each J basis
     vector J_j, embed sends the j-th parts of the components to a degree-2
     element of cx = H.complex, which must be a cycle; its class is read in H,
     the obstruction space H²(cx) that the caller keeps (it does not depend on
@@ -272,7 +273,8 @@ def _obstruction_problem(key: tuple, pieces, cocycle: Callable, H: CohomologyRes
     lifted = [TA._map_ints(TA.dgla._ints(e), ext._columns[0], TB) for TA, e, TB in pieces]
     cx = H.complex
     if cls is None:
-        cocyc = tuple(_from_ints(TB.space, *c) for (_TA, _e, TB), c in zip(pieces, cocycle(*lifted)))
+        cocyc = tuple(_from_ints(TB.space, *c, None if e.degree is None else e.degree + 1)
+                      for (_TA, e, TB), c in zip(pieces, cocycle(*lifted)))
     elif all(p is q or p == q for p, q in zip(cls.problem, key)):
         cocyc = (cls.cocycle,) if len(pieces) == 1 else cls.cocycle
     else:
@@ -302,7 +304,8 @@ def _obstruction_problem(key: tuple, pieces, cocycle: Callable, H: CohomologyRes
     for (TA, e, TB), lt, ws in zip(pieces, lifted, corrections):
         bar = _from_ints(TB.space, *_combine([(1, lt)] + [  # lt − Σ_j ws_j ⊗ J_j
             (-c, (den, {TB.to_tensor[(*k, b)]: n for k, n in nums.items()}))
-            for (den, nums), J in zip(map(_to_ints, ws), ext.kernel) for b, c in enumerate(J) if c]))
+            for (den, nums), J in zip(map(_to_ints, ws), ext.kernel) for b, c in enumerate(J) if c]),
+            e.degree)
         if TB.map_coefficients(bar, ext._columns[1], TA) != e:
             raise InvalidInput("internal: lift does not project to the input")
         out.append(bar)

@@ -3,8 +3,10 @@
 PolyElement arithmetic is exact sparse polynomial arithmetic; truncation
 windows appear only where a finite-dimensional complex is needed.  The
 truncation shape (t-part ≤ N, dt-part ≤ N−1) is d-closed and keeps the
-K[t,dt] factor acyclic; truncated objects are complexes only, never DGLAs
-(the bracket adds exponents).
+K[t,dt] factor acyclic.  Its finite model M[t,dt]_N is the tensor product
+M ⊗ K[t,dt]_N of artin.tensor_dgla, K[t,dt]_N a square-zero dg algebra;
+truncated objects are complexes only, never DGLAs (the bracket adds
+exponents).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from math import comb
 from typing import Mapping
 
 from . import linalg as la
+from .artin import CoefficientAlgebra, TensorDgla, tensor_dgla
 from .dgla import Dgla, DglaMorphism, Violation
 from .errors import (
     DegreeMismatch,
@@ -42,7 +45,6 @@ from .graded import (
 )
 from .maurer_cartan import McTriple, PairSetting, gauge_apply, mc_residual
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -113,10 +115,6 @@ class PolyElement:
                 and self.t_part == other.t_part and self.dt_part == other.dt_part)
 
     __hash__ = None
-
-    def max_exponent(self) -> int:
-        exps = list(self.t_part) + list(self.dt_part)
-        return max(exps) if exps else 0
 
     def pretty(self) -> str:
         if self.is_zero():
@@ -234,72 +232,35 @@ class TruncationWindow:
             raise WindowTooSmall("truncation window needs N ≥ 1")
 
 
-def truncated_line_complex(N: int) -> ChainComplex:
-    """K[t,dt] truncated: degree 0 basis t^0..t^N, degree 1 basis t^0dt..t^{N−1}dt."""
+def _line_algebra(N: int) -> CoefficientAlgebra:
+    """K[t,dt]_N: t0..tN in degree 0 and dt0..dt(N−1) in degree 1, every
+    product zero and d(tᵏ) = k·tᵏ⁻¹dt."""
     TruncationWindow(N)
-    basis = {0: tuple(f"t{k}" for k in range(N + 1)),
-             1: tuple(f"dt{k}" for k in range(N))}
-    space = GradedSpace(0, 1, basis)
-    images = {(0, k): GradedElement(space, {(1, k - 1): Fraction(k)}, 1) for k in range(1, N + 1)}
+    return CoefficientAlgebra((*(f"t{k}" for k in range(N + 1)), *(f"dt{k}" for k in range(N))),
+                              degrees=(0,) * (N + 1) + (1,) * N,
+                              diff={k: {N + k: Fraction(k)} for k in range(1, N + 1)})
+
+
+def truncated_line_complex(N: int) -> ChainComplex:
+    """K[t,dt]_N as a complex: degree 0 basis t0..tN, degree 1 basis dt0..dt(N−1)."""
+    A = _line_algebra(N)
+    space = GradedSpace(0, 1, {0: A.labels[:N + 1], 1: A.labels[N + 1:]})
+    images = {(0, k): GradedElement(space, {(1, b - N - 1): c for b, c in col.items()}, 1)
+              for k, col in A.diff.items()}
     return ChainComplex(space, map_from_images(space, space, 1, images))
 
 
-def _path_key(mspace: GradedSpace, N: int, kind: str, exp: int, deg: int,
-              p: int) -> tuple[int, int]:
-    """Key in M[t,dt]_N of m·t^exp (kind "t") or m·t^exp·dt (kind "dt"), m the
-    basis vector (deg, p) of M.  Degree k lists the dt-parts of M^{k−1} first,
-    then the t-parts of M^k; each basis vector's exponents sit together."""
-    if kind == "dt":
-        return deg + 1, p * N + exp
-    return deg, mspace.dim(deg - 1) * N + p * (N + 1) + exp
+def _path_tensor(M: Dgla, N: int) -> TensorDgla:
+    """M ⊗ K[t,dt]_N with its d checked; its bracket is never read."""
+    path = tensor_dgla(M, _line_algebra(N))
+    path.dgla.complex.require_d_squared_zero()
+    return path
 
 
-def _embed_poly(space: GradedSpace, x: PolyElement, N: int) -> GradedElement:
-    if x.max_exponent() > N or any(e > N - 1 for e in x.dt_part):
-        raise WindowTooSmall("polynomial exceeds the truncation window")
-    coords: dict[tuple[int, int], Fraction] = {}
-    for kind, part in (("t", x.t_part), ("dt", x.dt_part)):
-        for e, m in part.items():
-            for (deg, idx), c in m.coords.items():
-                key = _path_key(x.dgla.space, N, kind, e, deg, idx)
-                coords[key] = coords.get(key, ZERO) + c
-    return GradedElement(space, coords, x.degree)
-
-
-@dataclass(frozen=True)
-class TruncatedPath:
-    """Finite-dimensional subcomplex of M[t,dt] with the T_N shape."""
-
-    complex: ChainComplex
-    dgla: Dgla
-    N: int
-
-    def embed(self, x: PolyElement) -> GradedElement:
-        return _embed_poly(self.complex.space, x, self.N)
-
-
-def truncated_path_complex(M: Dgla, N: int) -> TruncatedPath:
-    """M ⊗ (K[t,dt] truncated at T_N) as a chain complex."""
-    TruncationWindow(N)
-    mspace = M.space
-    terms = [(kind, e, i, p) for i in mspace.degrees() for p in range(mspace.dim(i))
-             for kind, top in (("t", N + 1), ("dt", N)) for e in range(top)]
-    labels: dict[tuple[int, int], str] = {}
-    for kind, e, i, p in terms:
-        labels[_path_key(mspace, N, kind, e, i, p)] = f"{kind}{e}:{mspace.label(i, p)}"
-    basis: dict[int, list[str]] = {}
-    for (deg, _idx), lab in sorted(labels.items()):
-        basis.setdefault(deg, []).append(lab)
-    space = GradedSpace(mspace.dmin, mspace.dmax + 1, basis)
-
-    images = {}
-    for kind, e, i, p in terms:
-        m = basis_element(mspace, i, p)
-        x = poly_t_term(M, e, m) if kind == "t" else poly_dt_term(M, e, m)
-        images[_path_key(mspace, N, kind, e, i, p)] = _embed_poly(space, poly_d(x), N)
-    cx = ChainComplex(space, map_from_images(space, space, 1, images))
-    cx.require_d_squared_zero()
-    return TruncatedPath(cx, M, N)
+def truncated_path_complex(M: Dgla, N: int) -> ChainComplex:
+    """M[t,dt]_N = M ⊗ K[t,dt]_N as a chain complex: degree k lists m·tᵉdt over
+    M^{k−1}, then m·tᵉ over M^k, each m with its exponents together."""
+    return _path_tensor(M, N).dgla.complex
 
 
 # --- H_{(h,g)} membership and the fibred-product reduction --------------------
@@ -392,16 +353,14 @@ def truncated_H_constraints(h: DglaMorphism, g: DglaMorphism,
     if h.target != g.target:
         raise TargetMismatch("h and g must share their target")
     L, N, M = h.source, g.source, h.target
-    path = truncated_path_complex(M, window.N)
-    pspace = path.complex.space
-    ambient, parts = direct_sum([("L", L.complex), ("N", N.complex), ("P", path.complex)])
+    path = _path_tensor(M, window.N)
+    ambient, parts = direct_sum([("L", L.complex), ("N", N.complex), ("P", path.dgla.complex)])
     m = whole(M.space)
 
-    # evaluation maps on the truncated path: e₁ sums t-part coefficients,
-    # e₀ keeps exponent 0; both land in M
+    # evaluations into M: e₁ sums the t-part coefficients, e₀ keeps exponent 0
     def constraint(f: GradedMap, part: str, at_one: bool) -> GradedMap:
-        ev = map_from_images(pspace, M.space, 0, {
-            _path_key(M.space, window.N, "t", e, i, p): basis_element(M.space, i, p)
+        ev = map_from_images(path.space, M.space, 0, {
+            path.to_tensor[(i, p, e)]: basis_element(M.space, i, p)
             for i in M.space.degrees() for p in range(M.space.dim(i))
             for e in range(window.N + 1 if at_one else 1)})
         return place_blocks(ambient.space, M.space, 0, [(1, f, parts[part], m),

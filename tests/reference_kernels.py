@@ -57,6 +57,11 @@
   [J | unit vectors] made again on each call (``TensorDgla.map_coefficients``
   and ``SmallExtension.kernel_coords`` sum integers over the integer columns
   the extension keeps instead).
+- ``truncated_path_complex``: M[t,dt]_N built term by term, one
+  ``path_object.poly_d`` per m·tᵉ and m·tᵉdt, placed by ``path_key`` and
+  named as the tensor names them (``path_object.truncated_path_complex`` is
+  ``tensor_dgla(M, K[t,dt]_N)`` instead); ``truncated_H_constraints`` builds
+  on it.
 
 The tests compare each kernel with its reference for equality.
 """
@@ -66,7 +71,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from mcdeform import graded
-from mcdeform.artin import _clean, epsilon_algebra
+from mcdeform.artin import _clean, epsilon_algebra, tensor_label
 from mcdeform import linalg as la
 from mcdeform.dgla import (
     CONE_CONVENTION,
@@ -84,6 +89,7 @@ from mcdeform.graded import (
     ChainComplex,
     GradedElement,
     GradedMap,
+    GradedSpace,
     basis_element,
     compute_cohomology,
     identity_map,
@@ -95,7 +101,7 @@ from mcdeform.graded import (
     zero_map,
 )
 from mcdeform.maurer_cartan import _bernoulli_over_factorial, _require_degree, pair_setting
-from mcdeform.path_object import _path_key, truncated_path_complex
+from mcdeform.path_object import poly_d, poly_dt_term, poly_t_term
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
@@ -338,16 +344,49 @@ def les_violations(cone, iota, pi, conn):
     return report
 
 
+def path_key(mspace, N: int, kind: str, exp: int, deg: int, p: int) -> tuple[int, int]:
+    """Key in M[t,dt]_N of m·t^exp (kind "t") or m·t^exp·dt (kind "dt"), m the
+    basis vector (deg, p) of M.  Degree k lists the dt-parts of M^{k−1} first,
+    then the t-parts of M^k; each basis vector's exponents sit together."""
+    if kind == "dt":
+        return deg + 1, p * N + exp
+    return deg, mspace.dim(deg - 1) * N + p * (N + 1) + exp
+
+
+def truncated_path_complex(M: Dgla, N: int) -> ChainComplex:
+    mspace = M.space
+    terms = [(kind, e, i, p) for i in mspace.degrees() for p in range(mspace.dim(i))
+             for kind, top in (("t", N + 1), ("dt", N)) for e in range(top)]
+    labels = {path_key(mspace, N, kind, e, i, p): tensor_label(mspace.label(i, p), f"{kind}{e}")
+              for kind, e, i, p in terms}
+    basis: dict[int, list[str]] = {}
+    for (deg, _idx), lab in sorted(labels.items()):
+        basis.setdefault(deg, []).append(lab)
+    space = GradedSpace(mspace.dmin, mspace.dmax + 1, basis)
+
+    def embed(x) -> GradedElement:
+        return GradedElement(space, {
+            path_key(mspace, N, kind, e, deg, idx): c
+            for kind, part in (("t", x.t_part), ("dt", x.dt_part))
+            for e, m in part.items() for (deg, idx), c in m.coords.items()}, x.degree)
+
+    images = {}
+    for kind, e, i, p in terms:
+        m = basis_element(mspace, i, p)
+        x = poly_t_term(M, e, m) if kind == "t" else poly_dt_term(M, e, m)
+        images[path_key(mspace, N, kind, e, i, p)] = embed(poly_d(x))
+    return ChainComplex(space, map_from_images(space, space, 1, images))
+
+
 def truncated_H_constraints(h, g, window):
     L, N, M = h.source, g.source, h.target
     path = truncated_path_complex(M, window.N)
-    pspace = path.complex.space
     ambient, [(_il, pr_L), (_in, pr_N), (_ip, pr_P)] = direct_sum(
-        [("L", L.complex), ("N", N.complex), ("P", path.complex)])
+        [("L", L.complex), ("N", N.complex), ("P", path)])
 
     def eval_map(at_one: bool) -> GradedMap:
-        return map_from_images(pspace, M.space, 0, {
-            _path_key(M.space, window.N, "t", e, i, p): basis_element(M.space, i, p)
+        return map_from_images(path.space, M.space, 0, {
+            path_key(M.space, window.N, "t", e, i, p): basis_element(M.space, i, p)
             for i in M.space.degrees() for p in range(M.space.dim(i))
             for e in range(window.N + 1 if at_one else 1)})
 

@@ -36,7 +36,7 @@ def docs(tmp_path):
     paths = {}
     for name in ("obstructed", "xt_obstructed", "artin_kt2", "artin_kt3",
                  "pair_idid_obstructed", "triple_idid_obstructed", "hpair_heis",
-                 "pair_idid_heis", "heis", "acyclic", "ext_poly2_mod_uu"):
+                 "pair_idid_heis", "pair_m_zero", "heis", "acyclic", "ext_poly2_mod_uu"):
         p = tmp_path / f"{name}.json"
         code, _o, _e = run_cli(["examples", "--write", name, "--out", str(p)])
         assert code == 0
@@ -528,12 +528,18 @@ class TestDocumentBoundary:
             assert code == 1, command
             assert json.loads(out)["error"] == "SchemaError", command
 
-    def test_truncation_range_is_bounded_before_any_window(self, docs):
+    @pytest.mark.parametrize("pair, trunc", [
+        ("pair_idid_heis", ["--trunc", "1", "--trunc-to", "100000"]),
+        ("pair_m_zero", ["--trunc", "1", "--trunc-to", "100000"]),
+        ("pair_m_zero", ["--trunc", "20000"])])
+    def test_truncation_range_is_bounded_before_any_window(self, docs, pair, trunc):
         # on heis, window N has dimension 6 + 3(2N + 1): the default 512 admits
-        # N ≤ 83, and windows 1-20 alone take seconds; the timeout fails the test
+        # N ≤ 83, and windows 1-20 alone take seconds; with M = 0 each window
+        # still builds K[t,dt]_N, counted as if dim M were 1; the timeout fails
+        # the test
         proc = subprocess.run(
-            [sys.executable, "-m", "mcdeform.cli", "h-trunc", "--pair", docs["pair_idid_heis"],
-             "--trunc", "1", "--trunc-to", "100000", "--json"],
+            [sys.executable, "-m", "mcdeform.cli", "h-trunc", "--pair", docs[pair], *trunc,
+             "--json"],
             capture_output=True, text=True, timeout=10)
         assert proc.returncode == 1
         assert json.loads(proc.stdout)["error"] == "ResourceLimitExceeded"

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import mutations
 import reference_kernels as ref
-from mcdeform import artin, dgla, graded, maurer_cartan
+from mcdeform import artin, dgla, graded, maurer_cartan, path_object
 from mcdeform import library as lib
 from mcdeform import linalg as la
 from mcdeform.artin import (
@@ -78,7 +78,12 @@ from mcdeform.maurer_cartan import (
     obstruction_single,
     pair_setting,
 )
-from mcdeform.path_object import TruncationWindow, truncated_H_complex, truncated_H_constraints
+from mcdeform.path_object import (
+    TruncationWindow,
+    truncated_H_complex,
+    truncated_H_constraints,
+    truncated_path_complex,
+)
 from util_random import dg_uw
 
 F = Fraction
@@ -710,6 +715,28 @@ class TestTensorDgla:
             assert calls["bracket_basis"] >= n * (n + 1) // 2
 
 
+def path_cases():
+    """Every built-in DGLA, and End(V₁) and End(V₂), sparse and dense."""
+    yield from sorted(lib.EXAMPLE_DGLAS.items())
+    for k in (1, 2):
+        for dense in (False, True):
+            yield (f"End(V{k}):{'dense' if dense else 'sparse'}",
+                   lambda k=k, dense=dense: endomorphism_dgla(end_complex(k, dense)))
+
+
+class TestTruncatedPath:
+    @pytest.mark.parametrize("N", (1, 2, 3))
+    @pytest.mark.parametrize("name", [name for name, _fn in path_cases()])
+    def test_tensor_matches_the_term_by_term_complex(self, name, N):
+        M = dict(path_cases())[name]()
+        got, want = truncated_path_complex(M, N), ref.truncated_path_complex(M, N)
+        assert (got.space.dmin, got.space.dmax) == (want.space.dmin, want.space.dmax)
+        assert got.space == want.space
+        assert {i: got.space.dim(i) for i in got.space.degrees()} == \
+            {i: want.space.dim(i) for i in want.space.degrees()}
+        assert got.d.cols == want.d.cols
+
+
 # --- graded maps as their nonzero columns ---------------------------------------
 
 
@@ -961,11 +988,15 @@ def polynomials_in_two(n: int) -> CoefficientAlgebra:
 
 def power_algebras():
     """The oracle algebras, one per validator axiom, K[t]/tⁿ for n ≤ 12,
-    K[u, v]/(u, v)ⁿ for n ≤ 5 and K[t]/t³ in the basis t, t − t², which is
-    not adapted to its filtration."""
+    K[u, v]/(u, v)ⁿ for n ≤ 5, K[t]/t³ in the basis t, t − t², which is
+    not adapted to its filtration, and square-zero algebras, K[t,dt]_N among
+    them, whose filtration is read without the scan."""
     algebras = {**oracle_algebras(), **{name: A for name, (A, _axioms) in VIOLATING.items()}}
     algebras.update({f"kt{n}": truncated_polynomial_algebra(n) for n in range(1, 13)})
     algebras.update({f"kuv{n}": polynomials_in_two(n) for n in range(2, 6)})
+    algebras.update({f"square_zero{n}": square_zero_algebra([f"e{i}" for i in range(n)])
+                     for n in (0, 1, 4)})
+    algebras.update({f"line{N}": path_object._line_algebra(N) for N in (1, 2, 3)})
     algebras["kt3_skew"] = artin_from_labels(("a", "b"), {pair: {"a": 1, "b": -1} for pair in
                                                           (("a", "a"), ("a", "b"), ("b", "b"))})
     return algebras

@@ -390,6 +390,42 @@ class TestObstructionSingle:
             assert moved == v2.coords
 
 
+class TestDeclaredDegrees:
+    """A lift keeps its input's declared degree, and each cocycle component
+    declares its piece's degree + 1 (on heis, whose elements lift freely)."""
+
+    def test_element_lift_and_cocycle(self):
+        ext = small_extension_tower(2)[1]
+        T = tensor_dgla(lib.heis(), ext.A)
+        x = mc_element(T, T.element_from_labels({"x@t": 1}, 1))
+        cls = obstruction_single(ext, x)
+        assert cls.cocycle.degree == 2
+        assert lift_if_unobstructed(ext, x, cls).element.degree == 1
+
+    def test_triple_lift_and_cocycle(self):
+        ext = small_extension_tower(2)[1]
+        s = pair_setting(*lib.pair_idid_heis(), ext.A)
+        t = mc_triple(s, s.tL.element_from_labels({"x@t": 1}, 1),
+                      s.tN.element_from_labels({"x@t": 1}, 1),
+                      s.tM.element_from_labels({"a@t": 1}, 0))
+        cls = obstruction_pair(ext, t)
+        assert tuple(c.degree for c in cls.cocycle) == (2, 2, 1)
+        lifted = lift_pair_if_unobstructed(ext, t, cls)
+        assert (lifted.x.degree, lifted.y.degree, lifted.p.degree) == (1, 1, 0)
+
+    def test_tower_walk_stays_in_degree_one(self):
+        ext1, ext2 = small_extension_tower(3)[1:]
+        T = tensor_dgla(lib.heis(), ext1.A)
+        x = mc_element(T, T.element_from_labels({"x@t": 1, "y@t": 1}, 1))
+        for ext in (ext1, ext2):
+            cls = obstruction_single(ext, x)
+            assert cls.cocycle.degree == 2
+            x = lift_if_unobstructed(ext, x, cls)
+            assert x.element.degree == 1
+            assert x.element == GradedElement(x.tensor.space, x.element.coords, 1)
+        assert x.tensor.coeff == ext2.B
+
+
 class TestPairFunctor:
     def test_zero_triple_verified(self):
         h, g = lib.pair_idid_heis()
