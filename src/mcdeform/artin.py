@@ -28,10 +28,10 @@ from .graded import (
 )
 from .linalg import EMPTY, add_scaled, sub_scaled
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 Coeffs = dict[int, Fraction]  # sparse vector over the algebra basis
+Columns = dict[int, Coeffs]  # a linear map by its nonzero columns {j: {row: Fraction}}
 
 
 def _clean(vec: Mapping[int, object]) -> Coeffs:
@@ -83,8 +83,8 @@ def _filtration(dim: int, product):
     levels, nu = tuple(levels), len(spans) + 1
     if all(sum(lvl > k for lvl in levels) == len(span) for k, span in enumerate(spans)):
         return levels, nu, (None, None, levels)
-    P = la.from_columns([[v.get(i, ZERO) for i in range(dim)] for v in basis], dim)
-    return levels, nu, (P, la.inverse(P), tuple(adapted))
+    P = dict(enumerate(basis))
+    return levels, nu, (P, la.solution_map(P, dim, dim)[0], tuple(adapted))
 
 
 def _basis_vector(vec: Mapping[int, object], dim: int, what: str) -> Coeffs:
@@ -161,11 +161,12 @@ class CoefficientAlgebra:
             raise InvalidInput(f"unknown coefficient label {lab!r}") from None
 
     @property
-    def adapted_basis(self) -> tuple[la.Matrix | None, la.Matrix | None, tuple[int, ...]]:
+    def adapted_basis(self) -> tuple[Columns | None, Columns | None, tuple[int, ...]]:
         """A basis of m adapted to its power filtration: every m^k is spanned
         by the basis vectors of level ≥ k.  (P, Q, levels) holds the basis as
-        the columns of P in this basis, Q = P⁻¹, and levels[j] the level of
-        column j; P = Q = None when this basis is adapted (levels = self.levels).
+        the sparse columns of P in this basis, Q = P⁻¹ as sparse columns, and
+        levels[j] the level of column j; P = Q = None when this basis is
+        adapted (levels = self.levels).
         """
         if self.nu is None:
             raise InvalidInput("coefficient algebra is not nilpotent")
@@ -310,109 +311,105 @@ def square_zero_algebra(labels) -> CoefficientAlgebra:
     return CoefficientAlgebra(tuple(labels))
 
 
+def _columns_in(cols: Columns, n: int, m: int, what: str) -> Columns:
+    """cols without zero entries or columns, each key in range(n) and each row in range(m)."""
+    if any(j not in range(n) or any(r not in range(m) for r in col) for j, col in cols.items()):
+        raise InvalidInput(f"{what} has the wrong shape")
+    return {j: v for j, col in cols.items() if (v := _clean(col))}
+
+
 @dataclass(frozen=True)
 class SmallExtension:
     """0 → J → B → A → 0 with m_B · J = 0 and a designated lifting section.
 
-    alpha is the surjection matrix m_B → m_A (dim A × dim B); section is a
-    right inverse (dim B × dim A) fixing the deterministic lift of every
-    A-basis element; kernel holds the J basis as vectors in m_B.
+    alpha is the surjection m_B → m_A and section a right inverse m_A → m_B
+    fixing the deterministic lift of every A-basis element, both as sparse
+    columns {j: {row: Fraction}}, zero-free (an absent column is zero);
+    kernel holds the J basis as sparse vectors of m_B.
     """
 
     B: CoefficientAlgebra
     A: CoefficientAlgebra
-    alpha: la.Matrix
-    section: la.Matrix
-    kernel: tuple[tuple[Fraction, ...], ...]
+    alpha: Columns
+    section: Columns
+    kernel: tuple[Coeffs, ...]
 
     def __post_init__(self):
         for end, alg in (("source", self.B), ("target", self.A)):
             if alg.degrees is not None:
                 raise InvalidInput(f"{end} is a dg algebra, not an Artin algebra")
         dimB, dimA = self.B.dim, self.A.dim
-        if len(self.alpha) != dimA or any(len(r) != dimB for r in self.alpha):
-            raise InvalidInput("alpha has the wrong shape")
-        if len(self.section) != dimB or any(len(r) != dimA for r in self.section):
-            raise InvalidInput("section has the wrong shape")
-        if la.rank(self.alpha) != dimA:
+        for name, n, m in (("alpha", dimB, dimA), ("section", dimA, dimB)):
+            object.__setattr__(self, name, _columns_in(getattr(self, name), n, m, name))
+        alpha, section = self.alpha, self.section
+        if la.sparse_rank(alpha.values()) != dimA:
             raise InvalidInput("alpha is not surjective")
-        comp = la.mat_mul(self.alpha, self.section)
-        if comp != la.identity(dimA):
+        if any(self.project_coeffs(section.get(i, EMPTY)) != {i: ONE} for i in range(dimA)):
             raise InvalidInput("section is not a right inverse of alpha")
         # alpha must be an algebra map: α(e_i·e_j) = α(e_i)·α(e_j)
-        images = [{r: row[i] for r, row in enumerate(self.alpha) if row[i]} for i in range(dimB)]
         for i in range(dimB):
             for j in range(i, dimB):
                 if self.project_coeffs(self.B.product_basis(i, {j: ONE})) != \
-                        self.A.product(images[i], images[j]):
+                        self.A.product(alpha.get(i, EMPTY), alpha.get(j, EMPTY)):
                     raise InvalidInput(
                         f"alpha is not an algebra map at ({self.B.labels[i]}, {self.B.labels[j]})")
-        # J = ker alpha: alpha·J = 0, J independent, and dim J = dim B − dim A
-        sparse, echelon = [{k: c for k, c in enumerate(v) if c} for v in self.kernel], la.Echelon()
-        if len(sparse) != dimB - dimA or any(
-                len(v) != dimB or self.project_coeffs(s) or not echelon.add(s)[0]
-                for v, s in zip(self.kernel, sparse)):
+        # J = ker alpha: dim J = dim B − dim A, alpha·J = 0, and J independent, so
+        # that no J vector is a free unknown of the solve of [J | unit vectors],
+        # whose solution map gives the coordinates in J (kernel_coords)
+        k, kernel = dimB - dimA, tuple(_clean(v) for v in self.kernel)
+        if len(kernel) != k or any(i not in range(dimB) for v in kernel for i in v) or any(
+                self.project_coeffs(v) for v in kernel):
             raise InvalidInput("declared kernel basis does not match ker alpha")
-        if any(self.B.product_basis(i, v) for v in sparse for i in range(dimB)):
+        coords, free = la.solution_map({**dict(enumerate(kernel)),
+                                        **{k + i: {i: ONE} for i in range(dimB)}}, k + dimB, dimB)
+        if any(j < k for j in free):
+            raise InvalidInput("declared kernel basis does not match ker alpha")
+        if any(self.B.product_basis(i, v) for v in kernel for i in range(dimB)):
             raise InvalidInput("m_B · J ≠ 0: not a small extension")
-        # integer columns (la.int_columns) of the section, alpha and [J | unit vectors]⁻¹
-        inverse = la.complete_and_invert([list(v) for v in self.kernel], dimB)[1]
-        object.__setattr__(self, "_columns", tuple(
-            la.int_columns(m) for m in (self.section, self.alpha, inverse)))
+        object.__setattr__(self, "kernel", kernel)
+        # integer columns (la.int_columns) of the section, alpha and the J coordinates
+        object.__setattr__(self, "_columns", tuple(map(la.int_columns, (section, alpha, coords))))
 
     @property
     def kernel_dim(self) -> int:
         return len(self.kernel)
 
     def kernel_label(self, j: int) -> str:
-        vec = self.kernel[j]
-        for k, c in enumerate(vec):
-            if c != 0:
-                lead = self.B.labels[k]
-                return lead if c == 1 else f"{c}*{lead}"
-        return "0"
+        lead, c = min(self.kernel[j].items())
+        return self.B.labels[lead] if c == 1 else f"{c}*{self.B.labels[lead]}"
 
     def project_coeffs(self, vec: Coeffs) -> Coeffs:
-        return la.mat_vec_sparse(self.alpha, vec)
+        return la.apply_columns(self.alpha, vec)
 
     def lift_coeffs(self, vec: Coeffs) -> Coeffs:
-        return la.mat_vec_sparse(self.section, vec)
+        return la.apply_columns(self.section, vec)
 
     def kernel_coords(self, vec: Coeffs, den: int = 1) -> la.Vector | None:
         """Coordinates of the m_B vector vec/den in the J basis, or None if outside
         J: its coordinates in the basis [J | unit vectors] of m_B, summed in
-        integers from the kept inverse's columns, must vanish on the unit vectors."""
-        (iden, cols), (vden, nums) = self._columns[2], la.to_ints(vec)
-        coords = [0] * self.B.dim
+        integers from the kept solution map's columns, must vanish on the unit
+        vectors."""
+        (iden, cols), (vden, nums), k = self._columns[2], la.to_ints(vec), self.kernel_dim
+        coords = [0] * (k + self.B.dim)
         for i, c in nums.items():
             it = iter(cols.get(i, ()))
             for j, n in zip(it, it):
                 coords[j] += c * n
-        return None if any(coords[self.kernel_dim:]) else [
-            Fraction(n, iden * vden * den) for n in coords[:self.kernel_dim]]
+        return None if any(coords[k:]) else [Fraction(n, iden * vden * den) for n in coords[:k]]
 
 
-def small_extension(B: CoefficientAlgebra, A: CoefficientAlgebra,
-                    alpha: la.Matrix, section: la.Matrix | None = None) -> SmallExtension:
-    """The extension with the section and kernel of one rref of [α | 1]: with
-    every free unknown 0, the section's rows at the pivots are the right block,
-    and each free column gives one kernel vector (as la.solve and la.nullspace)."""
+def small_extension(B: CoefficientAlgebra, A: CoefficientAlgebra, alpha: la.Matrix) -> SmallExtension:
+    """The extension with the section and kernel that solve α (la.solution_map):
+    with every free unknown 0, section column r solves α w = e_r, and each free
+    column gives one kernel vector (as linalg's solve and nullspace).  alpha comes
+    dense, dim A rows of dim B entries, and is kept as its sparse columns."""
     dimB, dimA = B.dim, A.dim
-    r, pivots = la.rref([row + unit for row, unit in zip(alpha, la.identity(dimA))])
-    pivots = [p for p in pivots if p < dimB]
-    if section is None:
-        if len(pivots) < dimA:
-            raise InvalidInput("alpha is not surjective")
-        section = la.zeros(dimB, dimA)
-        for row, p in zip(r, pivots):
-            section[p] = row[dimB:]
-    kernel = []
-    for free in (j for j in range(dimB) if j not in pivots):
-        v = la.unit_vector(dimB, free)
-        for row, p in zip(r, pivots):
-            v[p] = -row[free]
-        kernel.append(tuple(v))
-    return SmallExtension(B, A, alpha, section, tuple(kernel))
+    if len(alpha) != dimA or any(len(row) != dimB for row in alpha):
+        raise InvalidInput("alpha has the wrong shape")
+    cols = {j: col for j in range(dimB)
+            if (col := {r: c for r, row in enumerate(alpha) if (c := la.frac(row[j]))})}
+    section, kernel = la.solution_map(cols, dimB, dimA)
+    return SmallExtension(B, A, cols, section, tuple(kernel.values()))
 
 
 def quotient_extension(B: CoefficientAlgebra, ideal_labels) -> SmallExtension:
@@ -430,14 +427,9 @@ def quotient_extension(B: CoefficientAlgebra, ideal_labels) -> SmallExtension:
         if pruned:
             table[(reindex[i], reindex[j])] = pruned
     A = CoefficientAlgebra(labels, table)
-    alpha = la.zeros(A.dim, B.dim)
-    for i in keep:
-        alpha[reindex[i]][i] = ONE
-    section = la.zeros(B.dim, A.dim)
-    for i in keep:
-        section[i][reindex[i]] = ONE
-    return SmallExtension(B, A, alpha, section,
-                          tuple(tuple(la.unit_vector(B.dim, i)) for i in sorted(drop)))
+    return SmallExtension(B, A, {i: {r: ONE} for i, r in reindex.items()},
+                          {r: {i: ONE} for i, r in reindex.items()},
+                          tuple({i: ONE} for i in sorted(drop)))
 
 
 def small_extension_tower(n: int) -> list[SmallExtension]:
@@ -454,8 +446,10 @@ def tower_step(k: int) -> SmallExtension:
 
 
 def _truncation(B: CoefficientAlgebra, A: CoefficientAlgebra) -> SmallExtension:
-    """B → A, t^i ↦ t^i, for B and A of one tower."""
-    return small_extension(B, A, [la.unit_vector(B.dim, i) for i in range(A.dim)])
+    """B → A, t^i ↦ t^i, for B and A of one tower: the section t^i ↦ t^i and
+    the kernel t^{dim B} are small_extension's."""
+    units = {i: {i: ONE} for i in range(A.dim)}
+    return SmallExtension(B, A, units, units, ({A.dim: ONE},))
 
 
 def omega_complex(n: int) -> CoefficientAlgebra:
@@ -519,7 +513,8 @@ class TensorDgla:
     def map_coefficients(self, x: GradedElement, columns: tuple[int, dict],
                          target: "TensorDgla") -> GradedElement:
         """Apply a linear map of coefficient algebras, x⊗a ↦ x⊗(matrix·a), given
-        by the matrix's integer columns (la.int_columns): one Fraction per output."""
+        by the integer columns (la.int_columns) of its sparse columns: one Fraction
+        per output."""
         den, nums = self._map_ints(la.to_ints(x.coords), columns, target)
         coords = {k: Fraction(n, den) for k, n in nums.items()}
         if x.degree is not None and any(deg != x.degree for deg, _i in coords):

@@ -544,7 +544,7 @@ def _run(argv) -> int:
     except MissingDocument as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
+    except OSError as e:  # a missing, unreadable or directory path, to read or to write
         print(f"error: {e}", file=sys.stderr)
         return 1
     except McdeformError as e:

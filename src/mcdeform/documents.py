@@ -46,7 +46,11 @@ DEFAULT_MAX_DIM = 512
 
 
 def _max_dim() -> int:
-    return int(os.environ.get("MCDEFORM_MAX_DIM", DEFAULT_MAX_DIM))
+    raw = os.environ.get("MCDEFORM_MAX_DIM", DEFAULT_MAX_DIM)
+    try:
+        return int(raw)
+    except ValueError:
+        raise InvalidInput(f"MCDEFORM_MAX_DIM={raw!r} is not an integer") from None
 
 
 def dimension_guard(total: int) -> None:
@@ -179,11 +183,14 @@ def _envelope(kind: str, body: dict) -> dict:
 # --- serializers --------------------------------------------------------------
 
 
+def _vector(vec: dict, labels: tuple[str, ...]) -> dict:
+    return {labels[i]: format_scalar(c) for i, c in sorted(vec.items())}
+
+
 def _images(f: GradedMap) -> dict:
     """label -> coordinates in f's target of f(e), for each basis e with f(e) ≠ 0,
     read off f's columns."""
-    return {f.source.label(i, q): {f.target.label(i + f.degree, r): format_scalar(c)
-                                   for r, c in col.items()}
+    return {f.source.label(i, q): _vector(col, f.target.labels(i + f.degree))
             for i, cs in f.cols.items() for q, col in cs.items()}
 
 
@@ -208,17 +215,13 @@ def serialize_artin(A: CoefficientAlgebra) -> dict:
         table.append({
             "a": A.labels[i],
             "b": A.labels[j],
-            "value": {A.labels[k]: format_scalar(c)
-                      for k, c in sorted(A.table[(i, j)].items())},
+            "value": _vector(A.table[(i, j)], A.labels),
         })
     body["table"] = table
     if A.degrees is None:
         return _envelope("artin", body)
     body["degrees"] = {lab: A.degrees[i] for i, lab in enumerate(A.labels)}
-    body["differential"] = {
-        A.labels[i]: {A.labels[k]: format_scalar(c) for k, c in sorted(vec.items())}
-        for i, vec in sorted(A.diff.items())
-    }
+    body["differential"] = {A.labels[i]: _vector(vec, A.labels) for i, vec in sorted(A.diff.items())}
     return _envelope("dg_algebra", body)
 
 
@@ -238,25 +241,13 @@ def serialize_pair(h: DglaMorphism, g: DglaMorphism) -> dict:
     return _envelope("pair", {"h": _morphism_body(h), "g": _morphism_body(g)})
 
 
-def _columns(matrix: la.Matrix, rows: tuple[str, ...], cols: tuple[str, ...]) -> dict:
-    """column label -> {row label: entry} for each nonzero column."""
-    out = {}
-    for j, lab in enumerate(cols):
-        col = {rows[r]: format_scalar(row[j]) for r, row in enumerate(matrix) if row[j] != 0}
-        if col:
-            out[lab] = col
-    return out
-
-
 def serialize_extension(ext: SmallExtension) -> dict:
-    kernel = [{ext.B.labels[i]: format_scalar(c) for i, c in enumerate(vec) if c != 0}
-              for vec in ext.kernel]
     return _envelope("small_extension", {
         "source": serialize_artin(ext.B),
         "target": serialize_artin(ext.A),
-        "alpha": _columns(ext.alpha, ext.A.labels, ext.B.labels),
-        "section": _columns(ext.section, ext.B.labels, ext.A.labels),
-        "kernel": kernel,
+        "alpha": {ext.B.labels[j]: _vector(col, ext.A.labels) for j, col in ext.alpha.items()},
+        "section": {ext.A.labels[j]: _vector(col, ext.B.labels) for j, col in ext.section.items()},
+        "kernel": [_vector(vec, ext.B.labels) for vec in ext.kernel],
     })
 
 
@@ -433,24 +424,19 @@ def parse_extension_body(doc: dict, where: str = "small_extension") -> SmallExte
     idx = {"source": {lab: i for i, lab in enumerate(B.labels)},
            "target": {lab: i for i, lab in enumerate(A.labels)}}
 
-    def matrix(key: str, cols: str, rows: str) -> la.Matrix:
-        """The matrix whose columns doc[key] gives, column label -> {row label: scalar}."""
-        out = la.zeros(len(idx[rows]), len(idx[cols]))
+    def columns(key: str, cols: str, rows: str) -> dict:
+        """The sparse columns doc[key] gives, column label -> {row label: scalar}."""
+        out = {}
         for lab, col in _field(doc, key, dict, where).items():
             if lab not in idx[cols]:
                 raise SchemaError(f"{where}.{key}.{lab}: unknown {cols} label")
-            for r, c in _label_vector(col, idx[rows], f"{where}.{key}.{lab}",
-                                      f"unknown {rows} label").items():
-                out[r][idx[cols][lab]] = c
+            out[idx[cols][lab]] = _label_vector(col, idx[rows], f"{where}.{key}.{lab}",
+                                                f"unknown {rows} label")
         return out
 
-    alpha, section = matrix("alpha", "source", "target"), matrix("section", "target", "source")
-    kernel = []
-    for k, vec in enumerate(_field(doc, "kernel", list, where)):
-        dense = la.zero_vector(B.dim)
-        for i, c in _label_vector(vec, idx["source"], f"{where}.kernel[{k}]").items():
-            dense[i] = c
-        kernel.append(tuple(dense))
+    alpha, section = columns("alpha", "source", "target"), columns("section", "target", "source")
+    kernel = [_label_vector(vec, idx["source"], f"{where}.kernel[{k}]")
+              for k, vec in enumerate(_field(doc, "kernel", list, where))]
     try:
         return SmallExtension(B, A, alpha, section, tuple(kernel))
     except InvalidInput as e:
@@ -618,14 +604,18 @@ def parse_document(text: str):
 
 
 def load_document(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_document(fh.read())
+    return parse_valid(load_raw(path), tuple(PARSERS), "document")
 
 
 def load_raw(path: str):
-    """The JSON value of the document at path, not yet read by parse_doc."""
+    """The JSON value of the document at path, not yet read by parse_doc; bytes
+    that are not UTF-8 are a DocumentSyntaxError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return _loads(fh.read(), f"{path}: ")
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise DocumentSyntaxError(f"{path}: not UTF-8: {e}") from None
+    return _loads(text, f"{path}: ")
 
 
 def truncation_guard(h: DglaMorphism, g: DglaMorphism, N: int) -> None:

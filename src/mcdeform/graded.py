@@ -13,7 +13,6 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Iterable, Mapping
 
 from . import linalg as la
@@ -301,16 +300,12 @@ class GradedMap:
         return m
 
     def _int_columns(self) -> tuple[int, dict[tuple[int, int], tuple]]:
-        """The map as (den, columns): each nonzero column, keyed by its source
-        basis key, as one flat tuple (key, n, key, n, …) of integer numerators
-        over den, the lcm of the map's denominators.  Built on first use and
-        kept on the map, for the series."""
+        """la.int_columns of the map's nonzero columns, each keyed by its source
+        basis key and its rows by their target basis keys.  Built on first use
+        and kept on the map, for the series."""
         if self._ints is None:
-            den = lcm(*(c.denominator for cs in self.cols.values()
-                        for col in cs.values() for c in col.values()))
-            object.__setattr__(self, "_ints", (den, {
-                (i, q): tuple(t for r, c in col.items()
-                              for t in ((i + self.degree, r), c.numerator * (den // c.denominator)))
+            object.__setattr__(self, "_ints", la.int_columns({
+                (i, q): {(i + self.degree, r): c for r, c in col.items()}
                 for i, cs in self.cols.items() for q, col in cs.items()}))
         return self._ints
 
@@ -326,16 +321,11 @@ class GradedMap:
 
     def _solution(self) -> "GradedMap":
         """b ↦ w with f w = b and every free unknown 0 (as la.solve) for each b
-        in the image of f at source degree 1, read off the reduced rows of
-        [f_1 | 1] in one Echelon; built on first use and kept on the map f."""
+        in the image of f at source degree 1 (la.solution_map); built on first
+        use and kept on the map f."""
         if self._solved is None:
-            span, cols, d1 = la.Echelon(), {}, self.cols.get(1, EMPTY).items()
-            for r in range(self.target.dim(1 + self.degree)):
-                span.add({(1, r): ONE, **{(0, q): col[r] for q, col in d1 if r in col}})
-            for (part, p), (den, row) in span.rows.items():
-                for (t, r), n in row.items():
-                    if part < t:
-                        cols.setdefault(r, {})[p] = Fraction(n, den)
+            cols = la.solution_map(self.cols.get(1, EMPTY), self.source.dim(1),
+                                   self.target.dim(1 + self.degree))[0]
             object.__setattr__(self, "_solved", _map(
                 self.target, self.source, -self.degree, {1 + self.degree: cols} if cols else {}))
         return self._solved

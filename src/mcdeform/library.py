@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from . import linalg as la
 from .artin import (
+    ONE,
     CoefficientAlgebra,
     SmallExtension,
     artin_from_labels,
@@ -220,19 +220,14 @@ def extension_morphism_poly2_to_tower():
     """Morphism of small extensions (φ_B, φ_A, φ_J) from the two-variable base
     onto the K[t]/t³ → K[t]/t² tower step: u ↦ t, v ↦ 0, u² ↦ t².
 
-    Returns (e1, e2, phi_B, phi_A, phi_J) as matrices on the m-bases.
+    Returns (e1, e2, phi_B, phi_A, phi_J) as sparse columns on the m-bases.
     """
     e1 = extension_poly2_mod_uu()
     from .artin import small_extension_tower
     e2 = small_extension_tower(2)[1]  # K[t]/t³ → K[t]/t²
-    B1, A1 = e1.B, e1.A
-    B2, A2 = e2.B, e2.A
-    phi_B = la.zeros(B2.dim, B1.dim)
-    phi_B[B2.locate("t")][B1.locate("u")] = la.frac(1)
-    phi_B[B2.locate("t^2")][B1.locate("uu")] = la.frac(1)
-    phi_A = la.zeros(A2.dim, A1.dim)
-    phi_A[A2.locate("t")][A1.locate("u")] = la.frac(1)
-    phi_J = [[la.frac(1)]]  # u² ↦ t², both kernels one-dimensional
+    phi_B = {e1.B.locate("u"): {e2.B.locate("t"): ONE}, e1.B.locate("uu"): {e2.B.locate("t^2"): ONE}}
+    phi_A = {e1.A.locate("u"): {e2.A.locate("t"): ONE}}
+    phi_J = {0: {0: ONE}}  # u² ↦ t², both kernels one-dimensional
     return e1, e2, phi_B, phi_A, phi_J
 
 

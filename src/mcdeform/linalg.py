@@ -7,7 +7,8 @@ count is then carried by the caller).  The dense routines return fresh objects
 and never mutate their arguments; mat_mul and inverse reuse zero entries
 instead of computing fresh zeros.  Sparse vectors are zero-free dicts
 {column: Fraction}: the vectors an Echelon takes (its rows are kept as integer
-numerators over one denominator each) and the columns of a graded map.
+numerators over one denominator each), and the columns {j: {row: Fraction}}
+of graded and coefficient maps, an absent column zero.
 """
 
 from __future__ import annotations
@@ -224,19 +225,47 @@ def to_ints(vec: Sparse) -> tuple[int, dict]:
     return den, {k: c.numerator * (den // c.denominator) for k, c in vec.items()}
 
 
-def int_columns(a: Matrix) -> tuple[int, dict[int, tuple]]:
-    """a as (den, columns): each column j as one flat tuple (r, n, r, n, …) of its
-    nonzero entries' integer numerators over den, the lcm of a's denominators."""
-    den = lcm(*(x.denominator for row in a for x in row))
-    return den, {j: tuple(t for r, row in enumerate(a) if row[j]
-                          for t in (r, row[j].numerator * (den // row[j].denominator)))
-                 for j in range(num_cols(a))}
+def int_columns(cols: dict) -> tuple[int, dict]:
+    """Sparse columns {j: {row: Fraction}} as (den, columns): each column as one
+    flat tuple (row, n, row, n, …) of its integer numerators over den, the lcm
+    of all their denominators."""
+    den = lcm(*(c.denominator for col in cols.values() for c in col.values()))
+    return den, {j: tuple(t for r, c in col.items() for t in (r, c.numerator * (den // c.denominator)))
+                 for j, col in cols.items()}
 
 
-def mat_vec_sparse(a: Matrix, x: Sparse) -> Sparse:
-    """a·x for a sparse x over the columns of a, as a sparse vector over its rows."""
-    out = ((r, sum((row[i] * c for i, c in x.items() if row[i]), ZERO)) for r, row in enumerate(a))
-    return {r: v for r, v in out if v}
+def apply_columns(cols: dict, x: Sparse) -> Sparse:
+    """Σ_j x_j·cols[j] for sparse columns cols (absent ones zero), zero-free."""
+    out: Sparse = {}
+    for j, c in x.items():
+        add_scaled(out, c, cols.get(j, EMPTY))
+    return {r: v for r, v in out.items() if v}
+
+
+def solution_map(cols: dict, n: int, m: int) -> tuple[dict, dict]:
+    """(solution, kernel) of the m x n matrix f with sparse columns cols, from
+    one Echelon of the rows of [f | 1] with the least pivots.  For each b in
+    the image of f, w = Σ_r b_r·solution[r] is the w with f w = b and every
+    free unknown 0 (as solve).  kernel maps each free unknown j, in order, to
+    the kernel vector that is 1 at j and 0 at every other free unknown (as
+    nullspace).  Both are sparse columns, zero-free."""
+    span, rows = Echelon(), [{(1, r): ONE} for r in range(m)]
+    for j, col in cols.items():
+        for r, c in col.items():
+            rows[r][(0, j)] = c
+    for row in rows:
+        span.add(row)
+    solution, kernel = {}, {j: {j: ONE} for j in range(n)}
+    for (part, p), (den, row) in span.rows.items():
+        if part:
+            continue
+        del kernel[p]
+        for (t, r), k in row.items():
+            if t:
+                solution.setdefault(r, {})[p] = Fraction(k, den)
+            elif r != p:
+                kernel[r][p] = Fraction(-k, den)
+    return solution, kernel
 
 
 def rank(a: Matrix) -> int:

@@ -304,7 +304,7 @@ def _obstruction_problem(key: tuple, pieces, cocycle: Callable, H: CohomologyRes
     for (TA, e, TB), lt, ws in zip(pieces, lifted, corrections):
         bar = _from_ints(TB.space, *_combine([(1, lt)] + [  # lt − Σ_j ws_j ⊗ J_j
             (-c, (den, {TB.to_tensor[(*k, b)]: n for k, n in nums.items()}))
-            for (den, nums), J in zip(map(_to_ints, ws), ext.kernel) for b, c in enumerate(J) if c]),
+            for (den, nums), J in zip(map(_to_ints, ws), ext.kernel) for b, c in J.items()]),
             e.degree)
         if TB.map_coefficients(bar, ext._columns[1], TA) != e:
             raise InvalidInput("internal: lift does not project to the input")

@@ -37,26 +37,30 @@
   them as one map of a ``block_sum`` instead).
 - ``power_spans`` and ``filtration``: the powers of m from every product
   of a basis vector with a basis vector of the last power, each chosen by a
-  dense row reduction, and the levels read off one rref per power
-  (``artin._power_spans`` scans the same products with a sparse greedy
-  elimination, and ``artin._filtration`` reads levels by sparse membership).
+  dense row reduction, the levels read off one rref per power, and the
+  adapted basis as dense P and Q = ``la.inverse(P)`` (``artin._power_spans``
+  scans the same products with a sparse greedy elimination, and
+  ``artin._filtration`` reads levels by sparse membership and keeps P and Q
+  as sparse columns, Q from ``la.solution_map``).
 - ``validate_artin``: the axioms of a coefficient algebra checked with
   products of basis vectors over every pair and triple of the basis
   (``artin.validate_artin`` visits only those whose products are nonzero).
 - ``dense_rank``: the number of pivots of the dense rref (``linalg.rank``
   counts the rows a sparse ``Echelon`` keeps instead).
 - ``extension_section_kernel``: the section of a small extension by one
-  ``la.solve`` per basis vector of m_A and its kernel by ``la.nullspace``
-  (``artin.small_extension`` reads both off one rref of [α | 1] instead).
+  ``la.solve`` per basis vector of m_A and its kernel by ``la.nullspace``,
+  both dense (``artin.small_extension`` reads both off ``la.solution_map``
+  of α, as sparse columns, instead).
 - ``FractionEchelon``: the sparse echelon with every row a dict of Fractions,
   each row operation one Fraction product per entry (``linalg.Echelon`` keeps
   each row as integer numerators over one denominator instead).
 - ``map_coefficients`` and ``kernel_coords``: a coefficient map applied to a
   tensor element, and the J coordinates of a vector of m_B, by Fraction
-  products with the dense matrices of the extension, the inverse of
-  [J | unit vectors] made again on each call (``TensorDgla.map_coefficients``
+  products with dense matrices, the inverse of [J | unit vectors] made again
+  by ``la.complete_and_invert`` on each call (``TensorDgla.map_coefficients``
   and ``SmallExtension.kernel_coords`` sum integers over the integer columns
-  the extension keeps instead).
+  the extension keeps, the J coordinates' from ``la.solution_map``,
+  instead).  ``dense`` writes sparse columns as the dense matrix these take.
 - ``truncated_path_complex``: M[t,dt]_N built term by term, one
   ``path_object.poly_d`` per m·tᵉ and m·tᵉdt, placed by ``path_key`` and
   named as the tensor names them (``path_object.truncated_path_complex`` is
@@ -786,9 +790,21 @@ def map_coefficients(T, x: GradedElement, matrix: la.Matrix, target) -> GradedEl
     return GradedElement(target.space, coords, x.degree)
 
 
+def dense(cols: dict | None, rows: int, n: int) -> la.Matrix | None:
+    """The rows x n matrix whose sparse columns are cols; None stays None."""
+    if cols is None:
+        return None
+    out = la.zeros(rows, n)
+    for j, col in cols.items():
+        for r, c in col.items():
+            out[r][j] = c
+    return out
+
+
 def kernel_coords(ext, vec: dict):
     """The J coordinates of a vector of m_B, or None outside J: its coordinates
     in the basis [J | unit vectors], by the dense inverse made here."""
-    inverse = la.complete_and_invert([list(v) for v in ext.kernel], ext.B.dim)[1]
+    J = [[v.get(i, ZERO) for i in range(ext.B.dim)] for v in ext.kernel]
+    inverse = la.complete_and_invert(J, ext.B.dim)[1]
     coords = [sum((row[i] * c for i, c in vec.items()), ZERO) for row in inverse]
     return None if any(coords[ext.kernel_dim:]) else coords[:ext.kernel_dim]

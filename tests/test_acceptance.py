@@ -202,10 +202,9 @@ def test_obstruction_completeness_pair():
                     assert (-h.target.differential_of(rj) - g.apply(kj)
                             + h.apply(lj)).is_zero()
                 # two lifting sections agree
-                alt = [row[:] for row in step.section]
-                for i in range(step.B.dim):
-                    alt[i] = [v + step.kernel[0][i] * F(1) * a for v, a in
-                              zip(alt[i], [1] * step.A.dim)]
+                alt = {a: dict(col) for a, col in step.section.items()}
+                for col in alt.values():
+                    la.add_scaled(col, F(1), step.kernel[0])
                 cls_alt = obstruction_pair(replace(step, section=alt), t, setting_B=sB)
                 assert cls.coords == cls_alt.coords
                 # completeness: class = 0 ⟺ constructive lift succeeds

@@ -213,6 +213,11 @@ class TestConstruction:
         assert A.product({1: F(2)}, {0: F(3)}) == {2: F(-6)}
 
 
+def compose(f: dict, g: dict) -> dict:
+    """f ∘ g for maps kept as sparse columns, zero-free."""
+    return {j: v for j, col in g.items() if (v := la.apply_columns(f, col))}
+
+
 class TestSmallExtensions:
     def test_tower_first_order(self):
         tower = small_extension_tower(1)
@@ -226,7 +231,7 @@ class TestSmallExtensions:
     def test_tower_second_step_kernel(self):
         ext = small_extension_tower(2)[1]
         assert ext.B.labels == ("t", "t^2")
-        assert ext.kernel == ((F(0), F(1)),)
+        assert ext.kernel == ({1: F(1)},)
         # m_B · t² = 0 holds by construction (validated in the constructor)
         assert ext.kernel_label(0) == "t^2"
 
@@ -249,11 +254,8 @@ class TestSmallExtensions:
         tower = small_extension_tower(4)
         comp = tower[1].alpha
         for ext in tower[2:]:
-            comp = la.mat_mul(comp, ext.alpha)
-        want = la.zeros(tower[1].A.dim, tower[-1].B.dim)
-        for i in range(tower[1].A.dim):
-            want[i][i] = F(1)
-        assert comp == want
+            comp = compose(comp, ext.alpha)
+        assert comp == {i: {i: F(1)} for i in range(tower[1].A.dim)}
 
     def test_lifted_products_reproduce_table_mod_j(self):
         for ext in (small_extension_tower(3)[2], lib.extension_poly2_mod_uu()):
@@ -274,7 +276,7 @@ class TestSmallExtensions:
                 quotient_extension(B, ("y", "z")),
                 small_extension(B, square_zero_algebra(("s",)), [[F(1), F(1), F(0)]])]
         for ext in exts:
-            basis = [list(v) for v in ext.kernel]
+            basis = [[v.get(i, F(0)) for i in range(ext.B.dim)] for v in ext.kernel]
             for _ in range(20):
                 inside = [sum(F(rnd.randint(-2, 2)) * v[i] for v in basis) for i in range(ext.B.dim)]
                 outside = [F(rnd.randint(-2, 2)) for _i in range(ext.B.dim)]
@@ -289,11 +291,17 @@ class TestSmallExtensions:
         e1, e2, *_maps = lib.extension_morphism_poly2_to_tower()
         B = square_zero_algebra(("x", "y", "z"))
         exts = [*small_extension_tower(23), lib.extension_poly2_mod_uu(), e1, e2,
+                quotient_extension(B, ("y", "z")),
                 small_extension(B, square_zero_algebra(("s",)), [[F(1), F(1), F(0)]])]
         for ext in exts:
-            got = small_extension(ext.B, ext.A, ext.alpha)
-            want = ref.extension_section_kernel(ext.alpha, ext.B.dim, ext.A.dim)
-            assert (got.section, got.kernel) == want
+            dimB, dimA = ext.B.dim, ext.A.dim
+            alpha = ref.dense(ext.alpha, dimA, dimB)
+            want = ref.extension_section_kernel(alpha, dimB, dimA)
+            # the extension as built (the tower and the quotients write their
+            # columns directly) and as small_extension solves its alpha
+            for got in (ext, small_extension(ext.B, ext.A, alpha)):
+                kernel = tuple(tuple(v.get(i, F(0)) for i in range(dimB)) for v in got.kernel)
+                assert (ref.dense(got.section, dimB, dimA), kernel) == want
 
     def test_a_non_surjective_alpha_is_refused(self):
         alpha = [[F(1), F(0)], [F(2), F(0)]]
@@ -325,19 +333,19 @@ class TestSmallExtensions:
     # K[x, y, z] with square-zero m onto K[s] with s² = 0, by x, y ↦ s and z ↦ 0:
     # ker alpha is spanned by x − y and z
     @pytest.mark.parametrize("kernel", [
-        ((1, -1, 0), (2, -2, 0)),  # dependent
-        ((1, -1, 0),),  # too short
-        ((1, -1, 0), (0, 0, 1), (1, 0, 0)),  # too long
-        ((1, 0, 0), (0, 0, 1)),  # x lies outside ker alpha
-        ((1, -1), (0, 0)),  # vectors of the wrong length
+        ({0: 1, 1: -1}, {0: 2, 1: -2}),  # dependent
+        ({0: 1, 1: -1},),  # too short
+        ({0: 1, 1: -1}, {2: 1}, {0: 1}),  # too long
+        ({0: 1}, {2: 1}),  # x lies outside ker alpha
+        ({0: 1, 1: -1}, {3: 1}),  # a key outside the basis of m_B
     ])
     def test_declared_kernel_must_be_a_basis_of_ker_alpha(self, kernel):
         B, A = square_zero_algebra(("x", "y", "z")), square_zero_algebra(("s",))
-        alpha, section = [[F(1), F(1), F(0)]], [[F(1)], [F(0)], [F(0)]]
-        kernel = tuple(tuple(F(c) for c in v) for v in kernel)
+        alpha, section = {0: {0: F(1)}, 1: {0: F(1)}}, {0: {0: F(1)}}
+        kernel = tuple({i: F(c) for i, c in v.items()} for v in kernel)
         with pytest.raises(InvalidInput, match="declared kernel basis does not match ker alpha"):
             artin.SmallExtension(B, A, alpha, section, kernel)
-        ext = artin.SmallExtension(B, A, alpha, section, ((F(1), F(-1), F(0)), (F(0), F(0), F(1))))
+        ext = artin.SmallExtension(B, A, alpha, section, ({0: F(1), 1: F(-1)}, {2: F(1)}))
         assert ext.kernel_dim == 2
 
     def test_kernel_must_be_killed_by_m_B(self):
@@ -351,16 +359,12 @@ class TestSmallExtensions:
         for i in range(e1.B.dim):
             for j in range(e1.B.dim):
                 prod = e1.B.product({i: F(1)}, {j: F(1)})
-                lhs = la.mat_vec(phi_B, [prod.get(k, F(0)) for k in range(e1.B.dim)])
-                bi = la.mat_vec(phi_B, la.unit_vector(e1.B.dim, i))
-                bj = la.mat_vec(phi_B, la.unit_vector(e1.B.dim, j))
-                rhs_s = e2.B.product({k: c for k, c in enumerate(bi) if c},
-                                     {k: c for k, c in enumerate(bj) if c})
-                rhs = [rhs_s.get(k, F(0)) for k in range(e2.B.dim)]
+                lhs = la.apply_columns(phi_B, prod)
+                rhs = e2.B.product(phi_B.get(i, {}), phi_B.get(j, {}))
                 assert lhs == rhs
         # squares commute: phi_A ∘ alpha1 = alpha2 ∘ phi_B
-        lhs = la.mat_mul(phi_A, e1.alpha)
-        rhs = la.mat_mul(e2.alpha, phi_B)
+        lhs = compose(phi_A, e1.alpha)
+        rhs = compose(e2.alpha, phi_B)
         assert lhs == rhs
 
 

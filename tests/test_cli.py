@@ -58,6 +58,10 @@ class TestExamples:
         code, _out, err = run_cli(["examples", "--write", "nope"])
         assert code == 2
 
+    def test_examples_written_to_a_directory(self, tmp_path):
+        code, out, err = run_cli(["examples", "--write", "heis", "--out", str(tmp_path)])
+        assert (code, out) == (1, "") and err.startswith("error: ")
+
     def test_written_files_match_golden(self, docs):
         for name in ("obstructed", "xt_obstructed", "artin_kt2",
                      "pair_idid_obstructed", "triple_idid_obstructed", "hpair_heis"):
@@ -95,6 +99,33 @@ class TestValidateCommand:
     def test_missing_file(self):
         code, _out, err = run_cli(["validate", "/nonexistent/x.json"])
         assert code == 1
+
+    def test_a_directory_as_the_document(self, tmp_path):
+        code, out, err = run_cli(["validate", str(tmp_path), "--json"])
+        assert (code, out) == (1, "") and err.startswith("error: ")
+
+    def test_an_unreadable_document(self, monkeypatch, docs):
+        def unreadable(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", path)
+        monkeypatch.setattr(documents, "open", unreadable, raising=False)
+        code, out, err = run_cli(["validate", docs["obstructed"], "--json"])
+        assert (code, out) == (1, "") and err.startswith("error: ") and "Permission denied" in err
+
+    def test_a_document_that_is_not_utf8(self, tmp_path):
+        p = tmp_path / "latin1.json"
+        p.write_bytes('{"kind": "dgla", "basis": {"0": ["é"]}}'.encode("latin-1"))
+        code, out, _err = run_cli(["validate", str(p), "--json"])
+        error = json.loads(out)
+        assert code == 1 and error["error"] == "DocumentSyntaxError"
+        assert error["message"].startswith(f"{p}: not UTF-8")
+
+    @pytest.mark.parametrize("value", ["abc", ""])
+    def test_a_max_dim_that_is_not_an_integer_is_refused(self, monkeypatch, docs, value):
+        monkeypatch.setenv("MCDEFORM_MAX_DIM", value)
+        code, out, _err = run_cli(["validate", docs["obstructed"], "--json"])
+        assert code == 1
+        assert json.loads(out) == {"error": "InvalidInput",
+                                   "message": f"MCDEFORM_MAX_DIM={value!r} is not an integer"}
 
 
 class TestMathCommands:

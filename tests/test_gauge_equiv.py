@@ -60,8 +60,8 @@ def test_adapted_basis():
     assert truncated_polynomial_algebra(4).adapted_basis == (None, None, (1, 2, 3))
     P, Q, levels = SKEW.adapted_basis
     # m² = ⟨w0 − w1⟩ comes first, at level 2
-    assert P == [[1, 1], [-1, 0]] and levels == (2, 1)
-    assert la.mat_mul(P, Q) == la.identity(2)
+    assert P == {0: {0: 1, 1: -1}, 1: {0: 1}} and levels == (2, 1)
+    assert {j: la.apply_columns(P, col) for j, col in Q.items()} == {0: {0: 1}, 1: {1: 1}}
 
 
 @lru_cache(maxsize=None)

@@ -205,10 +205,59 @@ def test_echelon_returns_a_vector_that_hits_no_pivot_as_is():
     assert span.rows == {0: (2, {0: 2, 2: 1})}  # the row e_0 + e_2/2
 
 
-def test_mat_vec_sparse():
-    a = M([[1, 0, 2], [0, 0, 0], [0, 3, -1]])
-    assert la.mat_vec_sparse(a, {0: F(1), 2: F(1, 2)}) == {0: F(2), 2: F(-1, 2)}
-    assert la.mat_vec_sparse(a, {}) == {}
+def test_apply_columns():
+    # the columns of [[1, 0, 2], [0, 0, 0], [0, 3, -1]]
+    a = {0: {0: F(1)}, 1: {2: F(3)}, 2: {0: F(2), 2: F(-1)}}
+    assert la.apply_columns(a, {0: F(1), 2: F(1, 2)}) == {0: F(2), 2: F(-1, 2)}
+    assert la.apply_columns(a, {0: F(-2), 2: F(1)}) == {2: F(-1)}  # zero-free
+    assert la.apply_columns(a, {}) == {}
+
+
+def test_int_columns():
+    assert la.int_columns({0: {1: F(1, 2)}, 3: {0: F(2, 3), 2: F(-1)}}) == (
+        6, {0: (1, 3), 3: (0, 4, 2, -6)})
+    assert la.int_columns({}) == (1, {})
+
+
+@st.composite
+def shaped_matrices(draw):
+    """(a, rows, cols): a square, wide, tall, rank-deficient or empty matrix."""
+    shape = draw(st.sampled_from(("square", "wide", "tall", "rank-deficient", "empty")))
+    n = draw(st.integers(1, 5))
+    rows, cols = {"square": (n, n), "wide": (n, n + draw(st.integers(1, 3))),
+                  "tall": (n + draw(st.integers(1, 3)), n), "rank-deficient": (n, n),
+                  "empty": draw(st.sampled_from(((0, n), (n, 0), (0, 0))))}[shape]
+    entry = st.sampled_from([F(0), F(0), F(1), F(-2), F(3, 7), F(1, 2**61 - 1)])
+    a = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    if shape == "rank-deficient":  # the last row a combination of the others
+        c = draw(st.sampled_from((F(1), F(-3, 7))))
+        a[-1] = [c * x - y for x, y in zip(a[0], a[-2])] if rows > 1 else [F(0)] * cols
+    return a, rows, cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(shaped_matrices(), st.data())
+def test_solution_map_solves_like_solve_and_nullspace(case, data):
+    a, m, n = case
+    cols = {j: col for j in range(n) if (col := sparse([row[j] for row in a]))}
+    solution, kernel = la.solution_map(cols, n, m)
+    assert all(c for vecs in (solution, kernel) for v in vecs.values() for c in v.values())
+    # one kernel vector per free unknown, in order, as nullspace
+    pivots = la.rref(a)[1] if a else []
+    assert list(kernel) == [j for j in range(n) if j not in pivots]
+    assert [[v.get(j, 0) for j in range(n)] for v in kernel.values()] == la.nullspace(a, cols=n)
+    # b = a·x is in the image; a unit vector or a random b may not be
+    x = data.draw(st.lists(st.sampled_from([F(0), F(1), F(-5, 3)]), min_size=n, max_size=n))
+    b = data.draw(st.lists(st.sampled_from([F(0), F(2), F(-1, 7)]), min_size=m, max_size=m))
+    units = [[F(int(i == r)) for i in range(m)] for r in range(m)]
+    for rhs in [la.mat_vec(a, x), b, *units]:
+        want = la.solve(a, rhs, cols=n)
+        w = la.apply_columns(solution, sparse(rhs))
+        got = [w.get(j, F(0)) for j in range(n)]
+        if want is None:  # outside the image: the solution map's w is no solution
+            assert la.mat_vec(a, got) != rhs
+        else:
+            assert got == want
 
 
 @st.composite

@@ -322,14 +322,14 @@ class TestObstructionSingle:
         cls1 = obstruction_single(ext, x)
         for _ in range(5):
             # randomized section: t ↦ t + c·t² still satisfies α∘s = id
-            alt = [[F(1)], [F(rnd.randint(-4, 4))]]
+            alt = {0: {0: F(1), 1: F(rnd.randint(-4, 4))}}
             cls2 = obstruction_single(replace(ext, section=alt), x)
             assert cls1.coords == cls2.coords
 
     @pytest.mark.parametrize("section, reason", [
-        ([[F(1)]], "section has the wrong shape"),
-        ([[F(1), F(0)], [F(0), F(1)]], "section has the wrong shape"),
-        ([[F(2)], [F(1)]], "section is not a right inverse of alpha"),
+        ({0: {2: F(1)}}, "section has the wrong shape"),
+        ({0: {0: F(1)}, 1: {1: F(1)}}, "section has the wrong shape"),
+        ({0: {0: F(2), 1: F(1)}}, "section is not a right inverse of alpha"),
     ])
     def test_alternate_section_is_checked_by_the_extension(self, section, reason):
         # an alternate section is an alternate extension, checked on construction
@@ -651,7 +651,7 @@ def j_parts(T_B, ext, x) -> list[GradedElement]:
         by_key.setdefault((ldeg, lidx), la.zero_vector(ext.B.dim))[ai] = c
     parts: list[dict] = [{} for _ in ext.kernel]
     for lkey, vec in by_key.items():
-        coords = la.in_span([list(v) for v in ext.kernel], vec)
+        coords = la.in_span([[v.get(i, F(0)) for i in range(ext.B.dim)] for v in ext.kernel], vec)
         assert coords is not None
         for part, c in zip(parts, coords):
             if c:
@@ -740,7 +740,7 @@ class TestLiftContract:
     @staticmethod
     def other_section(ext):
         # t ↦ t + t² is another lifting section, so another extension
-        return replace(ext, section=[[F(1)], [F(1)]])
+        return replace(ext, section={0: {0: F(1), 1: F(1)}})
 
     def test_class_of_another_element(self):
         ext, _T_B, x1, x2 = self.single()
@@ -875,7 +875,7 @@ class TestObstructionPair:
         t = mc_triple(s, s.tL.element_from_labels({"x@t": 1}, 1),
                       s.tN.element_from_labels({"x@t": 1}, 1),
                       zero_element(s.tM.space, 0))
-        alt = [[F(1)], [F(-2)]]  # t ↦ t − 2t²
+        alt = {0: {0: F(1), 1: F(-2)}}  # t ↦ t − 2t²
         cls1 = obstruction_pair(ext, t)
         cls2 = obstruction_pair(replace(ext, section=alt), t)
         assert cls1.coords == cls2.coords
