@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Mapping
 
 from . import linalg as la
-from .dgla import Dgla, Violation, make_dgla
+from .dgla import Dgla, Violation
 from .errors import DegreeWindowViolation, InvalidInput
 from .graded import (
     ChainComplex,
@@ -548,7 +549,9 @@ class TensorDgla:
     def __eq__(self, other):
         if not isinstance(other, TensorDgla):
             return NotImplemented
-        return self.dgla == other.dgla and self.factor == other.factor and self.coeff == other.coeff
+        # the factor and the coefficient algebra fix everything else, so the
+        # brackets of neither tensor are read
+        return (self.factor, self.coeff) == (other.factor, other.coeff)
 
     __hash__ = None
 
@@ -603,34 +606,53 @@ def tensor_dgla(L: Dgla, A: CoefficientAlgebra) -> TensorDgla:
             cols.setdefault(deg, {})[k] = col
     cx = ChainComplex(tspace, _map(tspace, tspace, 1, cols))
 
-    # [x⊗a, y⊗b] for each stored [x, y] and each nonzero product ab, stored
-    # in canonical order; a diagonal [x, x] takes each tensor pair once.  With
-    # equal constants of L and of A interned, each signed product of two is
-    # made once, keyed by the ids of its factors (alive through the call)
-    interned = {}
-    products = {(a, b): {k: interned.setdefault(v, v) for k, v in ab.items()}
-                for i, j in A.table for a, b in ((i, j), (j, i))
-                if (ab := A.product_basis(a, {b: ONE}))}
-    entries, made = [], {}
-    for (x, y), val in L.brackets.items():
-        lconsts = [(key, interned.setdefault(c, c)) for key, c in val.coords.items()]
-        for (a, b), ab in products.items():
-            t1, t2 = to_tensor[(*x, a)], to_tensor[(*y, b)]
-            if x == y and t2 < t1:
+    table, scale = _tensor_table(L, A, to_tensor)
+    return TensorDgla(Dgla._from_table(cx, table, scale), L, A, to_tensor, from_tensor, levels)
+
+
+def _tensor_table(L: Dgla, A: CoefficientAlgebra, to_tensor) -> tuple[dict, int]:
+    """(table, scale) of L ⊗ m_A in the form of Dgla._int_table: for each stored
+    [x, y] of L's integer table and each nonzero product ab of m_A, the constants
+    of [x⊗a, y⊗b] = (−1)^{deg a · deg y} [x, y] ⊗ ab times scale, under both keys,
+    in canonical order; a diagonal [x, x] takes each tensor pair once.  The scale
+    is L's times the common denominator of A's products.  With no product the
+    table is empty, and L's is not read."""
+    if not A.table:
+        return {}, 1
+    ascale = lcm(*(c.denominator for vec in A.table.values() for c in vec.values()))
+    # each ab as (index, numerator over ascale) pairs, equal products one tuple
+    shared: dict[tuple, tuple] = {}
+    products = {}
+    for i, j in A.table:
+        for a, b in ((i, j), (j, i)):
+            ab = tuple((k, c.numerator * (ascale // c.denominator))
+                       for k, c in A.product_basis(a, {b: ONE}).items())
+            products[(a, b)] = shared.setdefault(ab, ab)
+    degs = A.degrees or (0,) * A.dim
+    table: dict[tuple[int, int], dict[tuple[int, int], tuple]] = {}
+    # equal constants are one tuple, keyed by the ids of L's constants and of ab
+    # (both alive through the call) and the sign
+    flats: dict[tuple[int, int, bool], tuple] = {}
+    for x, row in L._int_table().items():
+        for y, consts in row.items():
+            if y < x:
                 continue
-            negate = (degs[a] * y[0]) % 2 == 1
-            if t2 < t1:  # the reversed order carries −(−1)^(deg t1·deg t2)
-                t1, t2, negate = t2, t1, negate ^ ((t1[0] * t2[0]) % 2 == 0)
-            coords: dict[tuple[int, int], Fraction] = {}
-            for (dd, rr), c in lconsts:
-                for cidx, ce in ab.items():
-                    f = (id(c), id(ce), negate)
-                    if f not in made:
-                        made[f] = -c * ce if negate else c * ce
-                    coords[to_tensor[(dd, rr, cidx)]] = made[f]
-            entries.append((t1, t2, GradedElement(tspace, coords)))
-    tdgla = make_dgla(cx, sorted(entries, key=lambda e: sorted(e[:2])))
-    return TensorDgla(tdgla, L, A, to_tensor, from_tensor, levels)
+            for (a, b), ab in products.items():
+                t1, t2 = to_tensor[(*x, a)], to_tensor[(*y, b)]
+                if x == y and t2 < t1:
+                    continue
+                negate = (degs[a] * y[0]) % 2 == 1
+                if t2 < t1:  # the reversed order carries −(−1)^(deg t1·deg t2)
+                    t1, t2, negate = t2, t1, negate ^ ((t1[0] * t2[0]) % 2 == 0)
+                memo = (id(consts), id(ab), negate)
+                flat = flats.get(memo)
+                if flat is None:
+                    it = iter(consts)
+                    flat = flats[memo] = tuple(
+                        t for (dd, rr), n in zip(it, it) for k, m in ab
+                        for t in (to_tensor[(dd, rr, k)], -n * m if negate else n * m))
+                table.setdefault(t1, {})[t2] = table.setdefault(t2, {})[t1] = flat
+    return table, L._scale * ascale
 
 
 def tensor_map(phi: GradedMap, src: TensorDgla, tgt: TensorDgla) -> GradedMap:

@@ -37,6 +37,7 @@ from .documents import (
     serialize_pair,
     serialize_triple,
     serialize_hpair,
+    tensor_guard,
     truncation_guard,
 )
 from .errors import McdeformError, MissingDocument, SchemaError
@@ -85,7 +86,7 @@ def _load_tensor_context(args):
 
     L = _read(args, args.dgla, "dgla")
     A = _read(args, args.artin, *ALGEBRAS)
-    dimension_guard(L.space.total_dim() * max(A.dim, 1))
+    tensor_guard(A, L)
     T = tensor_dgla(L, A)
     return T, digest(serialize_dgla(L)), digest(serialize_artin(A))
 
@@ -218,6 +219,7 @@ def cmd_mc_check(args):
     pair_digest = digest(serialize_pair(h, g))
     A = _read(args, args.artin, *ALGEBRAS)
     coeff_digest = digest(serialize_artin(A))
+    tensor_guard(A, h.source, g.source, h.target)
     s = pair_setting(h, g, A)
     x, y, p = resolve_triple(_read(args, args.element, "triple"), s, pair_digest, coeff_digest,
                              args.element)
@@ -245,8 +247,10 @@ def _obstruction_input(args):
     ext = _tower_extension(args.tower)
     coeff_digest = digest(serialize_artin(ext.A))
     ext_name = f"K[t]/t^{args.tower} -> K[t]/t^{args.tower - 1}"
+    # each tensor over m_B is the larger of its pair over m_A and m_B
     if args.dgla:
         L = _read(args, args.dgla, "dgla")
+        tensor_guard(ext.B, L)
         T = tensor_dgla(L, ext.A)
         x = mc_element(T, _element_from(args, args.element, T,
                                         digest(serialize_dgla(L)), coeff_digest, degree=1))
@@ -255,6 +259,7 @@ def _obstruction_input(args):
                 lambda cls: lift_if_unobstructed(ext, x, cls, tensor_B=TB), "element",
                 lambda got: element_coords_map(TB.space, got.element))
     h, g = _read(args, args.pair, "pair")
+    tensor_guard(ext.B, h.source, g.source, h.target)
     s = pair_setting(h, g, ext.A)
     t = mc_triple(s, *resolve_triple(_read(args, args.element, "triple"), s,
                                      digest(serialize_pair(h, g)), coeff_digest, args.element))

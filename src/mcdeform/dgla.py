@@ -76,7 +76,13 @@ class Violation:
 
 @dataclass(frozen=True)
 class Dgla:
-    """Chain complex plus bracket structure constants on canonical pairs."""
+    """Chain complex plus bracket structure constants on canonical pairs.
+
+    L keeps one form of its constants and derives the other on first read:
+    brackets, the GradedElements of the canonical pairs, given to the
+    constructor, derive the integer table (_int_table); a DGLA built from its
+    integer table (_from_table, as a tensor is) derives brackets (__getattr__).
+    """
 
     complex: ChainComplex
     brackets: Mapping[tuple[BasisKey, BasisKey], GradedElement] = field(default_factory=dict)
@@ -95,6 +101,33 @@ class Dgla:
                                                  for c in val.coords.values())))
         object.__setattr__(self, "_table", None)  # see _int_table
         object.__setattr__(self, "_h2", None)  # see obstruction_space
+
+    @classmethod
+    def _from_table(cls, complex: ChainComplex, table: dict[BasisKey, dict[BasisKey, tuple]],
+                    scale: int) -> "Dgla":
+        """The DGLA whose integer table (_int_table) is table, its constants
+        times scale: it keeps only that form, and derives brackets on first
+        read (__getattr__)."""
+        L = object.__new__(cls)
+        for name, value in (("complex", complex), ("_scale", scale), ("_table", table), ("_h2", None)):
+            object.__setattr__(L, name, value)
+        return L
+
+    def __getattr__(self, name):
+        """Called for an attribute L does not hold: brackets of a DGLA built by
+        _from_table, the canonical pairs of its integer table in order, each
+        constant over _scale, derived on first read and kept on L."""
+        if name != "brackets":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        space, table, scale = self.space, self._table, self._scale
+        brackets = {}
+        for a in sorted(table):
+            row = table[a]
+            for b in sorted(b for b in row if a <= b):
+                it = iter(row[b])
+                brackets[(a, b)] = _trusted(space, {k: Fraction(n, scale) for k, n in zip(it, it)}, None)
+        object.__setattr__(self, "brackets", brackets)
+        return brackets
 
     def _int_table(self) -> dict[BasisKey, dict[BasisKey, tuple]]:
         """Basis key -> {partner: constants} for every stored [a, b], under a and
@@ -174,12 +207,12 @@ class Dgla:
         return dx * dy * self._scale, {k: n for k, n in out.items() if n}
 
     def is_abelian(self) -> bool:
-        return not self.brackets
+        return not self._int_table()
 
     def __eq__(self, other):
         if not isinstance(other, Dgla):
             return NotImplemented
-        return self.complex == other.complex and self.brackets == other.brackets
+        return self is other or (self.complex == other.complex and self.brackets == other.brackets)
 
     __hash__ = None
 

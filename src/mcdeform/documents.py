@@ -626,6 +626,13 @@ def truncation_guard(h: DglaMorphism, g: DglaMorphism, N: int) -> None:
                     + max(h.target.space.total_dim(), 1) * (2 * N + 1))
 
 
+def tensor_guard(A: CoefficientAlgebra, *dglas: Dgla) -> None:
+    """dimension_guard of the tensor L ⊗ m_A of each L in dglas:
+    dim L · max(dim m_A, 1)."""
+    for L in dglas:
+        dimension_guard(L.space.total_dim() * max(A.dim, 1))
+
+
 def resolve_tensor_element(body: dict, tensor: TensorDgla, dgla_digest: str,
                            coeff_digest: str | None, where: str = "element") -> GradedElement:
     """Check a parsed element's owner digests and build it in the tensor space."""

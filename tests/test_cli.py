@@ -559,6 +559,31 @@ class TestDocumentBoundary:
             assert code == 1, command
             assert json.loads(out)["error"] == "SchemaError", command
 
+    @pytest.mark.parametrize("command, inputs", [
+        ("obstruction", ["--dgla", "heis", "--tower", "3"]),
+        ("lift", ["--dgla", "heis", "--tower", "3"]),
+        ("obstruction", ["--pair", "pair_idid_heis", "--tower", "3"]),
+        ("lift", ["--pair", "pair_idid_heis", "--tower", "3"]),
+        ("mc-check", ["--pair", "pair_idid_heis", "--artin", "artin_kt3"])],
+        ids=["obstruction-dgla", "lift-dgla", "obstruction-pair", "lift-pair", "mc-check"])
+    def test_tensors_are_bounded(self, docs, monkeypatch, command, inputs):
+        # heis (dim 3) over the two-dimensional m of K[t]/t³: each tensor has
+        # dimension 6, past the limit of 5, which the documents and the tower
+        # guard, (3 − 1)², pass; the element is never read
+        from mcdeform import artin, maurer_cartan
+
+        def unguarded(*_args):
+            raise AssertionError("a tensor was built past the guard")
+        monkeypatch.setattr(artin, "tensor_dgla", unguarded)
+        monkeypatch.setattr(maurer_cartan, "tensor_dgla", unguarded)
+        monkeypatch.setenv("MCDEFORM_MAX_DIM", "5")
+        argv = [command] + [docs.get(a, a) for a in inputs]
+        code, out, _ = run_cli(argv + ["--element", docs["xt_obstructed"], "--json"])
+        assert code == 1
+        error = json.loads(out)
+        assert error == {"error": "ResourceLimitExceeded",
+                         "message": "total basis dimension 6 exceeds MCDEFORM_MAX_DIM=5"}
+
     @pytest.mark.parametrize("pair, trunc", [
         ("pair_idid_heis", ["--trunc", "1", "--trunc-to", "100000"]),
         ("pair_m_zero", ["--trunc", "1", "--trunc-to", "100000"]),

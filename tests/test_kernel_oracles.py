@@ -330,8 +330,9 @@ def series_objects(n: int) -> dict:
 
 
 class TestKeptTables:
-    """The integer table is built once per DGLA and the integer columns once per
-    map, hold one entry per canonical stored pair, and are small."""
+    """The integer table is built once per DGLA (a tensor's by tensor_dgla) and
+    the integer columns once per map, hold one entry per canonical stored pair,
+    and are small."""
 
     def test_built_once_over_three_cycles(self, monkeypatch):
         built = Counter()
@@ -353,8 +354,11 @@ class TestKeptTables:
         results = [series_cycle(c)]
         after_one = Counter(built)
         s, sB = c["triple"].setting, c["sB"]
+        # the factor's table is built once, by the first tensor over it; each
+        # tensor's table comes with it from tensor_dgla, so none is built later
+        assert after_one["table", id(c["T"].factor)] == 1
         for L in (c["T"].dgla, c["T_B"].dgla, s.tL.dgla, sB.tL.dgla):
-            assert after_one["table", id(L)] == 1 and after_one["columns", id(L.d)] == 1
+            assert after_one["table", id(L)] == 0 and after_one["columns", id(L.d)] == 1
         for f in (s.h_tensor, sB.h_tensor, s.obstruction_space()[0].complex.d):
             assert after_one["columns", id(f)] == 1
         results += [series_cycle(c), series_cycle(c)]
@@ -387,10 +391,14 @@ class TestKeptTables:
                 tracemalloc.stop()
 
         # D's bracket storage made again: its dict, pair keys, elements and
-        # coordinate dicts (the equal Fraction constants are shared, so counted 0)
+        # coordinate dicts (the Fraction constants of the view, derived before,
+        # are shared, so counted 0); the table written again as tensor_dgla
+        # writes it, L's own table already kept
+        brackets = D.brackets
         _copy, fractions = traced(lambda: {(a, b): graded._trusted(D.space, dict(val.coords), None)
-                                           for (a, b), val in D.brackets.items()})
-        _table, tables = traced(lambda: (D._int_table(), D.d._int_columns()))
+                                           for (a, b), val in brackets.items()})
+        _table, tables = traced(lambda: (artin._tensor_table(T.factor, T.coeff, T.to_tensor),
+                                         D.d._int_columns()))
         assert 0 < tables <= fractions / 2
 
 
@@ -673,6 +681,10 @@ COEFFICIENT_ALGEBRAS = {
     "uw": dg_uw(),
 }
 
+# and one whose products have two denominators: the tensor's scale takes their lcm
+TABLE_ALGEBRAS = {**COEFFICIENT_ALGEBRAS, "K[t]/t^4 scaled": artin_from_labels(
+    ("t", "t^2", "t^3"), {("t", "t"): {"t^2": F(3, 7)}, ("t", "t^2"): {"t^3": F(-1, 2)}})}
+
 
 class TestTensorDgla:
     @pytest.mark.parametrize("coeff", sorted(COEFFICIENT_ALGEBRAS))
@@ -703,17 +715,77 @@ class TestTensorDgla:
         counting(CoefficientAlgebra, "product_basis")
         counting(Dgla, "bracket_basis")
         L = endomorphism_dgla(end_complex(1, False))
+        L._int_table()
+        # every GradedElement is made by its constructor or by _trusted, as each
+        # module imported it; every canonical Dgla by Dgla.__post_init__
+        counting(GradedElement, "__post_init__")
+        for module in (graded, artin, dgla):
+            counting(module, "_trusted")
+        counting(Dgla, "__post_init__")
+        counting(dgla, "make_dgla")
         for A in (truncated_polynomial_algebra(3), truncated_polynomial_algebra(6), dg_uw()):
             calls.clear()
             T = tensor_dgla(L, A)
             n = T.space.total_dim()
             # each stored product of m_A is read in both orders, no bracket of L
             # is looked up, and neither grows with the n² pairs of tensor keys
-            assert calls["product_basis"] <= 2 * len(A.table) < n
+            assert A.table and calls["product_basis"] <= 2 * len(A.table) < n
             assert calls["bracket_basis"] == 0
+            # the table is written from L's and A's products: no element, and no
+            # canonical Dgla, is made on the way
+            assert calls["__post_init__"] == calls["_trusted"] == calls["make_dgla"] == 0
+            assert T.dgla._int_table() and "brackets" not in vars(T.dgla)
             calls.clear()
             ref.tensor_brackets(T)
             assert calls["bracket_basis"] >= n * (n + 1) // 2
+
+    def test_an_algebra_with_no_product_reads_no_table(self):
+        # as over K[t,dt]_N (truncated H), ε (the tangent) and square-zero algebras
+        E = endomorphism_dgla(end_complex(1, False))
+        for A in (path_object._line_algebra(2), epsilon_algebra(1),
+                  square_zero_algebra(("u", "v"))):
+            L = Dgla(E.complex, E.brackets)
+            T = tensor_dgla(L, A)
+            assert T.dgla._int_table() == {} and T.dgla.brackets == {}
+            assert L._table is None
+
+    @pytest.mark.parametrize("coeff", sorted(TABLE_ALGEBRAS))
+    def test_table_matches_the_one_derived_from_all_pairs(self, coeff):
+        # the table tensor_dgla writes, against the one Dgla derives from the
+        # brackets of all pairs of tensor keys, as rationals: the two scales
+        # may differ
+        A = TABLE_ALGEBRAS[coeff]
+        dglas = [(name, fn()) for name, fn in lib.EXAMPLE_DGLAS.items()]
+        dglas.append(("free_nilpotent_class3", lib.free_nilpotent_class3()))
+        if coeff in ("K[t]/t^3", "uw"):
+            dglas += mutations.corpus()  # invalid tables too
+        for name, L in dglas:
+            T = tensor_dgla(L, A)
+            derived = Dgla(T.dgla.complex, ref.tensor_brackets(T))
+            assert rational_table(T.dgla) == rational_table(derived), name
+            assert "brackets" not in vars(T.dgla), name
+
+    def test_the_series_never_read_the_brackets(self):
+        # every op of the series cycle, run on fresh tensors, sums over the
+        # integer table alone; equality of tensors, of their DGLAs and of
+        # polynomial elements over them reads no bracket either
+        c = series_objects(4)
+        s, sB = c["triple"].setting, c["sB"]
+        tensors = [c["T"], c["T_B"], s.tL, s.tN, s.tM, sB.tL, sB.tN, sB.tM]
+        series_cycle(c)
+        T2 = tensor_dgla(c["T"].factor, c["T"].coeff)
+        assert T2 == c["T"] and T2.dgla == T2.dgla and T2 != c["T_B"]
+        x2 = mc_element(T2, c["x"].element)
+        assert isinstance(gauge_equiv_decide(x2, c["y"]), maurer_cartan.Equivalent)
+        m = path_object.poly_constant(s.tM.dgla, c["a"])
+        assert m + m == path_object.poly_constant(s.tM.dgla, 2 * c["a"])
+        assert all("brackets" not in vars(T.dgla) for T in [*tensors, T2])
+
+
+def rational_table(D: Dgla) -> dict:
+    """D's integer table with each constant over D's scale."""
+    return {a: {b: {k: F(n, D._scale) for k, n in zip(flat[::2], flat[1::2])}
+                for b, flat in row.items()} for a, row in D._int_table().items()}
 
 
 def path_cases():
