@@ -10,13 +10,15 @@ termination of every gauge/BCH series downstream.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 from typing import Mapping
 
 from . import linalg as la
-from .dgla import Dgla, Violation
+from .dgla import Dgla, Violation, _from_ints
 from .errors import DegreeWindowViolation, InvalidInput
 from .graded import (
     ChainComplex,
@@ -567,11 +569,9 @@ def tensor_dgla(L: Dgla, A: CoefficientAlgebra) -> TensorDgla:
     if adim == 0:
         empty = GradedSpace(0, 0, {})
         cx = ChainComplex(empty, GradedMap(empty, empty, 1, {}))
-        return TensorDgla(Dgla(cx, {}), L, A, {}, {}, {})
+        return TensorDgla(_FactoredDgla(cx, L, A, {}), L, A, {}, {}, {})
 
     degs = [A.degree_of(i) for i in range(adim)]
-    dmin = lspace.dmin + min(degs)
-    dmax = lspace.dmax + max(degs)
     per_degree: dict[int, list[tuple[int, int, int]]] = {}
     for i in lspace.degrees():
         for p in range(lspace.dim(i)):
@@ -582,14 +582,11 @@ def tensor_dgla(L: Dgla, A: CoefficientAlgebra) -> TensorDgla:
     from_tensor: dict[tuple[int, int], tuple[int, int, int]] = {}
     levels: dict[tuple[int, int], int] = {}
     for deg in sorted(per_degree):
-        labels = []
+        basis[deg] = tuple(tensor_label(lspace.label(i, p), A.labels[a]) for i, p, a in per_degree[deg])
         for k, (i, p, a) in enumerate(per_degree[deg]):
-            labels.append(tensor_label(lspace.label(i, p), A.labels[a]))
-            to_tensor[(i, p, a)] = (deg, k)
-            from_tensor[(deg, k)] = (i, p, a)
+            to_tensor[(i, p, a)], from_tensor[(deg, k)] = (deg, k), (i, p, a)
             levels[(deg, k)] = A.levels[a] if A.levels else 1
-        basis[deg] = tuple(labels)
-    tspace = GradedSpace(dmin, dmax, basis)
+    tspace = GradedSpace(lspace.dmin + min(degs), lspace.dmax + max(degs), basis)
 
     # one column per x⊗a, from x's column of L's d and a's differential; the
     # two parts hit tensor vectors of different degrees of L, so never cancel
@@ -606,53 +603,90 @@ def tensor_dgla(L: Dgla, A: CoefficientAlgebra) -> TensorDgla:
             cols.setdefault(deg, {})[k] = col
     cx = ChainComplex(tspace, _map(tspace, tspace, 1, cols))
 
-    table, scale = _tensor_table(L, A, to_tensor)
-    return TensorDgla(Dgla._from_table(cx, table, scale), L, A, to_tensor, from_tensor, levels)
+    return TensorDgla(_FactoredDgla(cx, L, A, to_tensor), L, A, to_tensor, from_tensor, levels)
 
 
-def _tensor_table(L: Dgla, A: CoefficientAlgebra, to_tensor) -> tuple[dict, int]:
-    """(table, scale) of L ⊗ m_A in the form of Dgla._int_table: for each stored
-    [x, y] of L's integer table and each nonzero product ab of m_A, the constants
-    of [x⊗a, y⊗b] = (−1)^{deg a · deg y} [x, y] ⊗ ab times scale, under both keys,
-    in canonical order; a diagonal [x, x] takes each tensor pair once.  The scale
-    is L's times the common denominator of A's products.  With no product the
-    table is empty, and L's is not read."""
-    if not A.table:
-        return {}, 1
-    ascale = lcm(*(c.denominator for vec in A.table.values() for c in vec.values()))
-    # each ab as (index, numerator over ascale) pairs, equal products one tuple
-    shared: dict[tuple, tuple] = {}
-    products = {}
-    for i, j in A.table:
-        for a, b in ((i, j), (j, i)):
-            ab = tuple((k, c.numerator * (ascale // c.denominator))
-                       for k, c in A.product_basis(a, {b: ONE}).items())
-            products[(a, b)] = shared.setdefault(ab, ab)
-    degs = A.degrees or (0,) * A.dim
-    table: dict[tuple[int, int], dict[tuple[int, int], tuple]] = {}
-    # equal constants are one tuple, keyed by the ids of L's constants and of ab
-    # (both alive through the call) and the sign
-    flats: dict[tuple[int, int, bool], tuple] = {}
-    for x, row in L._int_table().items():
-        for y, consts in row.items():
-            if y < x:
-                continue
-            for (a, b), ab in products.items():
-                t1, t2 = to_tensor[(*x, a)], to_tensor[(*y, b)]
-                if x == y and t2 < t1:
+class _FactoredDgla(Dgla):
+    """The DGLA of L ⊗ m_A, with no table of its own: it brackets through L's
+    integer table and A's products, kept once over one A-scale.  Its brackets
+    (for validation, serialisation and a tensor over it) are the kernel's on
+    basis pairs, derived on first read; with no product, L's table is unread."""
+
+    def __init__(self, complex: ChainComplex, L: Dgla, A: CoefficientAlgebra, to_tensor):
+        ascale = lcm(*(c.denominator for vec in A.table.values() for c in vec.values()))
+        ab = {(a, b): [(k, int(c * ascale)) for k, c in A.product_basis(a, {b: ONE}).items()]
+              for i, j in A.table for a, b in ((i, j), (j, i))}
+        deg = [A.degree_of(a) for a in range(A.dim)]
+        # products[diagonal][p][a] = [(b, ±e_a·e_b), …] for [l, l′], l′ of parity p: the
+        # sign (−1)^{deg a · p}; on a diagonal [l, l], as Dgla derives it, a pair of
+        # keys l⊗e_a > l⊗e_b reads l⊗e_b, l⊗e_a with the reversed-order sign
+        products: tuple = ([{}, {}], [{}, {}])
+        for (a, b), p in itertools.product(ab, (0, 1)):
+            signs = [((a, b), deg[a] * p % 2)] * 2
+            if (deg[b], b) < (deg[a], a):
+                signs[1] = ((b, a), (1 + (p + deg[a]) * (p + deg[b]) + deg[b] * p) % 2)
+            for diag, (pair, odd) in enumerate(signs):
+                products[diag][p].setdefault(a, []).append((b, [(k, (-1) ** odd * m) for k, m in ab[pair]]))
+        rows, split = {}, {}  # rows[l][a] = the key of l⊗e_a; split[key] = (l, a) if e_a has a product
+        for (i, p, a), key in to_tensor.items():
+            rows.setdefault((i, p), [None] * A.dim)[a] = key
+            if a in products[0][0]:
+                split[key] = ((i, p), a)
+        for name, value in (("complex", complex), ("_factor", L), ("_products", products), ("_rows", rows),
+                            ("_split", split), ("_scale", L._scale * ascale), ("_table", None), ("_h2", None)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def brackets(self) -> dict:
+        rows, table = self._rows, self._factor._int_table() if self._split else EMPTY
+        pairs = {(rows[x][a], rows[y][b]) for x, row in table.items() for y in row
+                 for a, pa in self._products[0][0].items() for b, _ab in pa}
+        return {(t1, t2): _from_ints(self.space, *ints) for t1, t2 in sorted(pairs)
+                if t1 <= t2 and (ints := self._bracket_ints((1, {t1: 1}), (1, {t2: 1})))[1]}
+
+    def _grouped(self, nums: dict) -> dict:
+        """Tensor numerators grouped by L-key into A-vectors, {l: {a: n}}, with
+        the entries of each e_a that has no product dropped."""
+        out: dict = {}
+        for key, n in nums.items():
+            if (at := self._split.get(key)) is not None:
+                out.setdefault(at[0], {})[at[1]] = n
+        return out
+
+    def _bracket_ints(self, x: tuple[int, dict], y: tuple[int, dict]) -> tuple[int, dict]:
+        """Dgla._bracket_ints through _bracket_grouped.  y is grouped first: in
+        the series it is often the shorter, or has no product at all."""
+        (dx, xs), (dy, ys) = x, y
+        gy = self._grouped(ys)
+        gx = (gy if xs is ys else self._grouped(xs)) if gy else EMPTY
+        return dx * dy * self._scale, self._bracket_grouped(gx, gy)
+
+    def _bracket_grouped(self, gx: dict, gy: dict) -> dict:
+        """[x, y]'s nonzero numerators over _scale, x and y grouped: for each
+        stored pair (l, l′) of L's table they meet, the product of their
+        A-vectors, scattered through the constants of [l, l′] into tensor keys."""
+        products, rows, out = self._products, self._rows, {}
+        table = self._factor._int_table() if gx and gy else EMPTY
+        for l, u in gx.items():
+            row = table.get(l)
+            for l2, v in (gy.items() if row else ()):
+                if (consts := row.get(l2)) is None:
                     continue
-                negate = (degs[a] * y[0]) % 2 == 1
-                if t2 < t1:  # the reversed order carries −(−1)^(deg t1·deg t2)
-                    t1, t2, negate = t2, t1, negate ^ ((t1[0] * t2[0]) % 2 == 0)
-                memo = (id(consts), id(ab), negate)
-                flat = flats.get(memo)
-                if flat is None:
-                    it = iter(consts)
-                    flat = flats[memo] = tuple(
-                        t for (dd, rr), n in zip(it, it) for k, m in ab
-                        for t in (to_tensor[(dd, rr, k)], -n * m if negate else n * m))
-                table.setdefault(t1, {})[t2] = table.setdefault(t2, {})[t1] = flat
-    return table, L._scale * ascale
+                ab, prods = {}, products[l2 == l][l2[0] % 2]
+                for a, ca in u.items():
+                    for b, prod in prods[a]:
+                        if (cb := v.get(b)) is not None:
+                            for k, m in prod:
+                                ab[k] = ab.get(k, 0) + ca * cb * m
+                if l2 < l and (l[0] * l2[0]) % 2 == 0:  # [l, l′] = −[l′, l], stored
+                    ab = {k: -m for k, m in ab.items()}
+                it = iter(consts)
+                for key, n in zip(it, it):
+                    row_keys = rows[key]
+                    for k, m in ab.items():
+                        t = row_keys[k]
+                        out[t] = out.get(t, 0) + n * m
+        return {k: n for k, n in out.items() if n}
 
 
 def tensor_map(phi: GradedMap, src: TensorDgla, tgt: TensorDgla) -> GradedMap:

@@ -78,10 +78,10 @@ class Violation:
 class Dgla:
     """Chain complex plus bracket structure constants on canonical pairs.
 
-    L keeps one form of its constants and derives the other on first read:
-    brackets, the GradedElements of the canonical pairs, given to the
-    constructor, derive the integer table (_int_table); a DGLA built from its
-    integer table (_from_table, as a tensor is) derives brackets (__getattr__).
+    L keeps its brackets, the GradedElements of the canonical pairs, and
+    derives the integer table that _bracket_ints reads (_int_table) on first
+    read.  A tensor's DGLA (artin._FactoredDgla) brackets through its factors
+    instead, and derives brackets from that kernel.
     """
 
     complex: ChainComplex
@@ -102,33 +102,6 @@ class Dgla:
         object.__setattr__(self, "_table", None)  # see _int_table
         object.__setattr__(self, "_h2", None)  # see obstruction_space
 
-    @classmethod
-    def _from_table(cls, complex: ChainComplex, table: dict[BasisKey, dict[BasisKey, tuple]],
-                    scale: int) -> "Dgla":
-        """The DGLA whose integer table (_int_table) is table, its constants
-        times scale: it keeps only that form, and derives brackets on first
-        read (__getattr__)."""
-        L = object.__new__(cls)
-        for name, value in (("complex", complex), ("_scale", scale), ("_table", table), ("_h2", None)):
-            object.__setattr__(L, name, value)
-        return L
-
-    def __getattr__(self, name):
-        """Called for an attribute L does not hold: brackets of a DGLA built by
-        _from_table, the canonical pairs of its integer table in order, each
-        constant over _scale, derived on first read and kept on L."""
-        if name != "brackets":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        space, table, scale = self.space, self._table, self._scale
-        brackets = {}
-        for a in sorted(table):
-            row = table[a]
-            for b in sorted(b for b in row if a <= b):
-                it = iter(row[b])
-                brackets[(a, b)] = _trusted(space, {k: Fraction(n, scale) for k, n in zip(it, it)}, None)
-        object.__setattr__(self, "brackets", brackets)
-        return brackets
-
     def _int_table(self) -> dict[BasisKey, dict[BasisKey, tuple]]:
         """Basis key -> {partner: constants} for every stored [a, b], under a and
         under b: its constants times _scale as one flat tuple (key, n, key, n, …)
@@ -137,7 +110,8 @@ class Dgla:
             table: dict[BasisKey, dict[BasisKey, tuple]] = {}
             flats: dict[tuple, tuple] = {}  # equal constants are one tuple
             for (a, b), val in self.brackets.items():
-                flat = _flat(val.coords, self._scale)
+                flat = tuple(t for k, c in val.coords.items()
+                             for t in (k, c.numerator * (self._scale // c.denominator)))
                 flat = flats.setdefault(flat, flat)
                 table.setdefault(a, {})[b] = table.setdefault(b, {})[a] = flat
             object.__setattr__(self, "_table", table)
@@ -170,15 +144,10 @@ class Dgla:
                           None if x.degree is None else x.degree + 1)
 
     def bracket_basis(self, a: BasisKey, b: BasisKey) -> GradedElement:
-        if b < a:
-            stored = self.brackets.get((b, a))
-            if stored is None:
-                return zero_element(self.space)
-            return (-koszul_sign(a[0], b[0])) * stored
-        stored = self.brackets.get((a, b))
+        stored = self.brackets.get((a, b) if a <= b else (b, a))
         if stored is None:
             return zero_element(self.space)
-        return stored
+        return stored if a <= b else (-koszul_sign(a[0], b[0])) * stored
 
     def bracket(self, x: GradedElement, y: GradedElement) -> GradedElement:
         """[x, y] from the stored constants of each support pair; a reversed pair
@@ -226,11 +195,6 @@ def _from_ints(space: GradedSpace, den: int, nums: Mapping[BasisKey, int],
                degree: int | None = None) -> GradedElement:
     """The element nums/den from nonzero numerators, one Fraction each."""
     return _trusted(space, {k: Fraction(n, den) for k, n in nums.items()}, degree)
-
-
-def _flat(coords: Mapping[BasisKey, Fraction], den: int) -> tuple:
-    """(key, n, key, n, …) with n = coordinate · den, den a common denominator."""
-    return tuple(t for k, c in coords.items() for t in (k, c.numerator * (den // c.denominator)))
 
 
 def make_dgla(complex: ChainComplex,

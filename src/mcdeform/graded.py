@@ -286,6 +286,9 @@ class GradedMap:
     def __setattr__(self, name, value):
         raise AttributeError(f"GradedMap is immutable: cannot set {name!r}")
 
+    def __reduce__(self):  # copy and pickle rebuild from the columns; kept forms are rebuilt on use
+        return _map, (self.source, self.target, self.degree, self.cols)
+
     @property
     def blocks(self) -> dict[int, la.Matrix]:
         """The nonzero blocks as dense matrices, built on each read."""

@@ -588,18 +588,16 @@ def gauge_equiv_decide(x: McElement, y: McElement, budget: int | None = None,
         return e if m is None else T.map_coefficients(e, m, T)
 
     level = {key: coeff_levels[ai] for key, (_i, _p, ai) in T.from_tensor.items()}
-    # the columns of d_x on L⁰ ⊗ m, e_b ↦ d e_b + [x, e_b] = d e_b − Σ_a x_a [e_b, e_a], in ints
+    # the columns of d_x on L⁰ ⊗ m, e_b ↦ d e_b + [x, e_b], in ints, x grouped once
     D, xi, yi = T.dgla, T.dgla._ints(x.element), T.dgla._ints(y.element)
-    (dd, dcols), table, (xd, xs) = D.d._int_columns(), D._int_table(), xi
-    den, cols = math.lcm(dd, xd * D._scale), {}
+    (dd, dcols), gx, bd = D.d._int_columns(), D._grouped(xi[1]), xi[0] * D._scale
+    den, cols = math.lcm(dd, bd), {}
     for i in range(T.space.dim(0)):
-        col, it, row = {}, iter(dcols.get((0, i), ())), table.get((0, i), la.EMPTY)
+        col, it = {}, iter(dcols.get((0, i), ()))
         for k, n in zip(it, it):
             col[k] = n * (den // dd)
-        for a in row.keys() & xs.keys():
-            c, it = xs[a] * (den // (xd * D._scale)), iter(row[a])
-            for k, n in zip(it, it):
-                col[k] = col.get(k, 0) - c * n
+        for k, n in D._bracket_grouped(gx, D._grouped({(0, i): 1})).items():
+            col[k] = col.get(k, 0) + n * (den // bd)
         if col := {r: Fraction(n, den) for (_d, r), n in col.items() if n}:
             cols[i] = col
     d_x = _map(T.space, T.space, 1, {0: cols} if cols else {})

@@ -8,7 +8,9 @@ compared for equality with the direct construction it replaces
 (tests/reference_kernels.py); and the cohomology dimensions counted from
 ranks, compared with those of the full cohomology."""
 
+import functools
 import gc
+import math
 import sys
 import tracemalloc
 from collections import Counter
@@ -330,9 +332,9 @@ def series_objects(n: int) -> dict:
 
 
 class TestKeptTables:
-    """The integer table is built once per DGLA (a tensor's by tensor_dgla) and
-    the integer columns once per map, hold one entry per canonical stored pair,
-    and are small."""
+    """The integer table is built once per DGLA that keeps one (a tensor keeps
+    none: it brackets through its factor's) and the integer columns once per
+    map, hold one entry per canonical stored pair, and are small."""
 
     def test_built_once_over_three_cycles(self, monkeypatch):
         built = Counter()
@@ -354,8 +356,8 @@ class TestKeptTables:
         results = [series_cycle(c)]
         after_one = Counter(built)
         s, sB = c["triple"].setting, c["sB"]
-        # the factor's table is built once, by the first tensor over it; each
-        # tensor's table comes with it from tensor_dgla, so none is built later
+        # the factor's table is built once, by the first bracket over it; each
+        # tensor brackets through the factor's table and builds none of its own
         assert after_one["table", id(c["T"].factor)] == 1
         for L in (c["T"].dgla, c["T_B"].dgla, s.tL.dgla, sB.tL.dgla):
             assert after_one["table", id(L)] == 0 and after_one["columns", id(L.d)] == 1
@@ -392,13 +394,14 @@ class TestKeptTables:
 
         # D's bracket storage made again: its dict, pair keys, elements and
         # coordinate dicts (the Fraction constants of the view, derived before,
-        # are shared, so counted 0); the table written again as tensor_dgla
-        # writes it, L's own table already kept
+        # are shared, so counted 0); what the tensor keeps to bracket, made
+        # again as tensor_dgla makes it (its factored kernel: A's products and
+        # the index maps, L's own table already kept), with d's integer columns
         brackets = D.brackets
         _copy, fractions = traced(lambda: {(a, b): graded._trusted(D.space, dict(val.coords), None)
                                            for (a, b), val in brackets.items()})
-        _table, tables = traced(lambda: (artin._tensor_table(T.factor, T.coeff, T.to_tensor),
-                                         D.d._int_columns()))
+        _kernel, tables = traced(lambda: (artin._FactoredDgla(D.complex, T.factor, T.coeff, T.to_tensor),
+                                          D.d._int_columns()))
         assert 0 < tables <= fractions / 2
 
 
@@ -731,10 +734,14 @@ class TestTensorDgla:
             # is looked up, and neither grows with the n² pairs of tensor keys
             assert A.table and calls["product_basis"] <= 2 * len(A.table) < n
             assert calls["bracket_basis"] == 0
-            # the table is written from L's and A's products: no element, and no
-            # canonical Dgla, is made on the way
+            # no table is written and no element, and no canonical Dgla, is made
+            # on the way; the tensor brackets nonzero through L's table and A's
+            # products, and builds no table or bracket view of its own
             assert calls["__post_init__"] == calls["_trusted"] == calls["make_dgla"] == 0
-            assert T.dgla._int_table() and "brackets" not in vars(T.dgla)
+            keys = keys_of(T.space)
+            x, y = ({k: j % m + 1 for j, k in enumerate(keys)} for m in (3, 5))
+            assert T.dgla._bracket_ints((1, x), (1, y))[1]
+            assert T.dgla._table is None and "brackets" not in vars(T.dgla)
             calls.clear()
             ref.tensor_brackets(T)
             assert calls["bracket_basis"] >= n * (n + 1) // 2
@@ -750,20 +757,75 @@ class TestTensorDgla:
             assert L._table is None
 
     @pytest.mark.parametrize("coeff", sorted(TABLE_ALGEBRAS))
-    def test_table_matches_the_one_derived_from_all_pairs(self, coeff):
-        # the table tensor_dgla writes, against the one Dgla derives from the
-        # brackets of all pairs of tensor keys, as rationals: the two scales
-        # may differ
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_kernel_matches_the_table_derived_from_all_pairs(self, coeff, data):
+        # the factored kernel on random mixed-degree elements, against the
+        # integer bracket of the Dgla built from the brackets of all pairs of
+        # tensor keys, as rationals (the two scales may differ); its
+        # denominator is den x · den y · L's scale · A's, and the tensor builds
+        # neither a table nor its bracket view
         A = TABLE_ALGEBRAS[coeff]
-        dglas = [(name, fn()) for name, fn in lib.EXAMPLE_DGLAS.items()]
-        dglas.append(("free_nilpotent_class3", lib.free_nilpotent_class3()))
-        if coeff in ("K[t]/t^3", "uw"):
-            dglas += mutations.corpus()  # invalid tables too
-        for name, L in dglas:
+        ascale = math.lcm(*(c.denominator for vec in A.table.values() for c in vec.values()))
+        for name, L, derived in derived_tensors(coeff):
             T = tensor_dgla(L, A)
-            derived = Dgla(T.dgla.complex, ref.tensor_brackets(T))
-            assert rational_table(T.dgla) == rational_table(derived), name
-            assert "brackets" not in vars(T.dgla), name
+            x = data.draw(elements(T.space))
+            y = x if data.draw(st.booleans()) else data.draw(elements(T.space))
+            xi, yi = dgla._to_ints(x), dgla._to_ints(y)
+            den, nums = T.dgla._bracket_ints(xi, yi)
+            assert T.dgla._scale == L._scale * ascale and den == xi[0] * yi[0] * T.dgla._scale, name
+            assert as_rationals(den, nums) == as_rationals(*ref.bracket_ints(derived, xi, yi)), name
+            assert T.dgla._table is None and "brackets" not in vars(T.dgla), name
+
+    @pytest.mark.parametrize("name", sorted(SERIES_DGLAS))
+    def test_tower_steps_match_tensors_built_from_scratch(self, name):
+        # a walk along K[t]/t² → … → K[t]/t⁷ lifts e^a * 0 step by step; the
+        # tensors of each step (n ≤ 6) bracket the lift and a full-support
+        # element as a tensor built from scratch does, from all pairs of its keys
+        L = SERIES_DGLAS[name]()
+        T = tensor_dgla(L, truncated_polynomial_algebra(2))
+        a = GradedElement(T.space, {k: F(j % 3 - 1) for j, k in enumerate(keys_of(T.space)) if k[0] == 0})
+        x = mc_element(T, gauge_apply(T, a, zero_element(T.space, 1)))
+        for n in range(2, 7):
+            ext = tower_step(n)
+            cls = obstruction_single(ext, x)
+            x = lift_if_unobstructed(ext, x, cls)
+            for T in (cls.problem[1].tensor, x.tensor):
+                fresh = tensor_dgla(L, T.coeff)
+                assert T == fresh and T.dgla.complex == fresh.dgla.complex
+                derived = Dgla(fresh.dgla.complex, ref.tensor_brackets(fresh))
+                z = GradedElement(T.space, {k: F(j % 5 - 2, j % 3 + 1)
+                                            for j, k in enumerate(keys_of(T.space))})
+                for p, q in ((z, z), (z, x.element), (x.element, z)):
+                    pi, qi = dgla._to_ints(p), dgla._to_ints(q)
+                    assert (as_rationals(*T.dgla._bracket_ints(pi, qi))
+                            == as_rationals(*ref.bracket_ints(derived, pi, qi))), (name, n)
+                assert T.dgla._table is None and "brackets" not in vars(T.dgla)
+        assert T.dgla.brackets == derived.brackets and list(T.dgla.brackets) == list(derived.brackets)
+
+    def test_a_walk_builds_no_tensor_table(self, monkeypatch):
+        # along K[t]/t² … t¹⁴ on End(V₂)-dense: L's table is built once, by the
+        # first bracket, and no tensor builds a table or its bracket view
+        built = Counter()
+        table = Dgla._int_table
+
+        def counting_table(self):
+            if self._table is None:
+                built[id(self)] += 1
+            return table(self)
+
+        monkeypatch.setattr(Dgla, "_int_table", counting_table)
+        L = endomorphism_dgla(end_complex(2, True))
+        tensors = []
+        for n in range(2, 15):
+            T = tensor_dgla(L, truncated_polynomial_algebra(n))
+            keys = keys_of(T.space)
+            x = GradedElement(T.space, {k: F(j % 5 - 2 or 3) for j, k in enumerate(keys)})
+            assert T.bracket(x, x).is_zero() == (n == 2)  # t·t = 0 in K[t]/t²
+            tensors.append(T)
+        assert T.space.total_dim() == 468
+        assert built == Counter({id(L): 1})
+        assert all(T.dgla._table is None and "brackets" not in vars(T.dgla) for T in tensors)
 
     def test_the_series_never_read_the_brackets(self):
         # every op of the series cycle, run on fresh tensors, sums over the
@@ -779,13 +841,27 @@ class TestTensorDgla:
         assert isinstance(gauge_equiv_decide(x2, c["y"]), maurer_cartan.Equivalent)
         m = path_object.poly_constant(s.tM.dgla, c["a"])
         assert m + m == path_object.poly_constant(s.tM.dgla, 2 * c["a"])
-        assert all("brackets" not in vars(T.dgla) for T in [*tensors, T2])
+        assert all("brackets" not in vars(T.dgla) and T.dgla._table is None for T in [*tensors, T2])
 
 
-def rational_table(D: Dgla) -> dict:
-    """D's integer table with each constant over D's scale."""
-    return {a: {b: {k: F(n, D._scale) for k, n in zip(flat[::2], flat[1::2])}
-                for b, flat in row.items()} for a, row in D._int_table().items()}
+def as_rationals(den: int, nums: dict) -> dict:
+    """The (den, integer numerators) pair as {key: Fraction}."""
+    return {k: F(n, den) for k, n in nums.items()}
+
+
+@functools.lru_cache(maxsize=None)
+def derived_tensors(coeff: str) -> tuple:
+    """(name, L, the Dgla built from the brackets of all pairs of keys of
+    L ⊗ m_A) for every case of test_brackets_match_all_pairs over the algebra."""
+    dglas = [(name, fn()) for name, fn in lib.EXAMPLE_DGLAS.items()]
+    dglas.append(("free_nilpotent_class3", lib.free_nilpotent_class3()))
+    if coeff in ("K[t]/t^3", "uw"):
+        dglas += mutations.corpus()  # invalid tables too
+    out = []
+    for name, L in dglas:
+        T = tensor_dgla(L, TABLE_ALGEBRAS[coeff])
+        out.append((name, L, Dgla(T.dgla.complex, ref.tensor_brackets(T))))
+    return tuple(out)
 
 
 def path_cases():
