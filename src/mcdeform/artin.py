@@ -11,7 +11,6 @@ termination of every gauge/BCH series downstream.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
@@ -25,6 +24,7 @@ from .graded import (
     GradedElement,
     GradedMap,
     GradedSpace,
+    Record,
     _map,
     _trusted,
     element_from_labels,
@@ -98,8 +98,7 @@ def _basis_vector(vec: Mapping[int, object], dim: int, what: str) -> Coeffs:
     return _clean(vec)
 
 
-@dataclass(frozen=True)
-class CoefficientAlgebra:
+class CoefficientAlgebra(Record):
     """Maximal ideal m of a graded nilpotent dg algebra, by structure constants.
 
     degrees=None is a local Artinian algebra (degree 0, d = 0); a tuple of
@@ -112,12 +111,9 @@ class CoefficientAlgebra:
     """
 
     labels: tuple[str, ...]
-    table: Mapping[tuple[int, int], Coeffs] = field(default_factory=dict)
+    table: Mapping[tuple[int, int], Coeffs] = EMPTY
     degrees: tuple[int, ...] | None = None
-    diff: Mapping[int, Coeffs] = field(default_factory=dict)
-    levels: tuple[int, ...] | None = field(init=False, compare=False)
-    nu: int | None = field(init=False, compare=False)
-    _adapted: tuple = field(init=False, repr=False, compare=False)
+    diff: Mapping[int, Coeffs] = EMPTY
 
     def __post_init__(self):
         dim = self.dim
@@ -321,8 +317,7 @@ def _columns_in(cols: Columns, n: int, m: int, what: str) -> Columns:
     return {j: v for j, col in cols.items() if (v := _clean(col))}
 
 
-@dataclass(frozen=True)
-class SmallExtension:
+class SmallExtension(Record):
     """0 → J → B → A → 0 with m_B · J = 0 and a designated lifting section.
 
     alpha is the surjection m_B → m_A and section a right inverse m_A → m_B
@@ -473,8 +468,7 @@ def tensor_label(l_label: str, a_label: str) -> str:
     return f"{l_label}@{a_label}"
 
 
-@dataclass(frozen=True)
-class TensorDgla:
+class TensorDgla(Record):
     """L ⊗ m_A as a Dgla, with index bookkeeping back to the factors.
 
     Basis vectors are x⊗a for x over the factor DGLA basis and a over the

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 from .dgla import cone_pair, cone_single, gamma_quotient_map
 from .documents import (
@@ -109,7 +108,7 @@ def cmd_validate(args):
     obj = parse_doc(raw, tuple(PARSERS), args.document, top=True)
     kind = raw["kind"]
     # every violation of every check, an endpoint's prefixed by its role, a morphism's not
-    report = [replace(v, detail=f"{role}: {v.detail}") if role and what != "morphism" else v
+    report = [v.replace(detail=f"{role}: {v.detail}") if role and what != "morphism" else v
               for role, what, found in axiom_checks(kind, obj) for v in found]
     result = {"kind": kind, "valid": not report, "violations": _violations_json(report)}
     return result, 0 if not report else 1
@@ -407,6 +406,10 @@ def _listing(kind: str, build) -> dict:
 
 
 def cmd_examples(args):
+    if args.out and not args.write:
+        raise MissingDocument("examples --out needs --write NAME")
+    if args.list and args.write:
+        raise MissingDocument("examples takes one of --list or --write")
     table = _examples()
     if not args.write:
         return {"examples": {name: _listing(*entry) for name, entry in table.items()}}, 0
@@ -427,75 +430,63 @@ def cmd_examples(args):
 # --- dispatch -------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_REQUIRED = {"required": True}
+
+# name -> (handler, help, arguments): each argument its name and add_argument's
+# keywords, in the order the command's help lists them
+_COMMANDS = {
+    "validate": (cmd_validate, "validate any document's axioms", [("document", {})]),
+    "cohomology": (cmd_cohomology, "cohomology of a DGLA document", [("document", {})]),
+    "cone": (cmd_cone, "suspended cone of a morphism", [("document", {})]),
+    "pair-cone": (cmd_pair_cone, "suspended cone of a morphism pair", [("document", {})]),
+    "tangent": (cmd_tangent, "tangent dimension of Def (single or pair)",
+                [("--dgla", {}), ("--pair", {}), ("--shift", {"type": int, "default": 0})]),
+    "mc-residual": (cmd_mc_residual, "Maurer-Cartan residual dx + ½[x,x]",
+                    [("--dgla", _REQUIRED), ("--artin", _REQUIRED), ("--element", _REQUIRED)]),
+    "mc-check": (cmd_mc_check, "verify a Maurer-Cartan triple",
+                 [("--pair", _REQUIRED), ("--artin", _REQUIRED), ("--element", _REQUIRED)]),
+    "gauge-apply": (cmd_gauge_apply, "apply e^a * x",
+                    [("--dgla", _REQUIRED), ("--artin", _REQUIRED), ("--param", _REQUIRED),
+                     ("--element", _REQUIRED)]),
+    "gauge-equiv": (cmd_gauge_equiv, "decide gauge equivalence of two MC elements",
+                    [("--dgla", _REQUIRED), ("--artin", _REQUIRED), ("--x", _REQUIRED),
+                     ("--y", _REQUIRED)]),
+    "bch": (cmd_bch, "Baker-Campbell-Hausdorff product",
+            [("--dgla", _REQUIRED), ("--artin", _REQUIRED), ("--a", _REQUIRED), ("--b", _REQUIRED)]),
+    "obstruction": (cmd_obstruction, "obstruction class along a tower step",
+                    [("--dgla", {}), ("--pair", {}),
+                     ("--tower", {"type": int, "required": True,
+                                  "help": "m for the extension K[t]/t^m → K[t]/t^{m−1}"}),
+                     ("--element", _REQUIRED)]),
+    "lift": (cmd_lift, "constructive lift when the obstruction vanishes",
+             [("--dgla", {}), ("--pair", {}), ("--tower", {"type": int, "required": True}),
+              ("--element", _REQUIRED)]),
+    "h-trunc": (cmd_h_trunc, "truncated-H cohomology vs the pair cone",
+                [("--pair", _REQUIRED), ("--trunc", {"type": int, "required": True}),
+                 ("--trunc-to", {"type": int, "default": None})]),
+    "h-embed": (cmd_h_embed, "barycentric embedding of an H-element into K",
+                [("--pair", _REQUIRED), ("--element", _REQUIRED)]),
+    "examples": (cmd_examples, "list or write built-in examples",
+                 [("--list", {"action": "store_true"}), ("--write", {}), ("--out", {})]),
+}
+
+
+def _build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of argv.  When argv[0] names a command it holds that
+    command's subparser alone, which parses, helps and errs as it does among
+    all of them; otherwise (help, no command, an unknown one) it holds every
+    command's, for the listing and the error that name them all."""
     p = argparse.ArgumentParser(
         prog="mcdeform",
         description="Deformation theory of differential graded Lie algebras, exactly.")
     sub = p.add_subparsers(dest="command", required=True, metavar="command")
-
-    def add(name, handler, **kw):
-        sp = sub.add_parser(name, **kw)
+    for name in argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS:
+        handler, text, arguments = _COMMANDS[name]
+        sp = sub.add_parser(name, help=text)
         sp.add_argument("--json", action="store_true", help="machine-readable output")
+        for arg, kw in arguments:
+            sp.add_argument(arg, **kw)
         sp.set_defaults(handler=handler)
-        return sp
-
-    sp = add("validate", cmd_validate, help="validate any document's axioms")
-    sp.add_argument("document")
-    sp = add("cohomology", cmd_cohomology, help="cohomology of a DGLA document")
-    sp.add_argument("document")
-    sp = add("cone", cmd_cone, help="suspended cone of a morphism")
-    sp.add_argument("document")
-    sp = add("pair-cone", cmd_pair_cone, help="suspended cone of a morphism pair")
-    sp.add_argument("document")
-    sp = add("tangent", cmd_tangent, help="tangent dimension of Def (single or pair)")
-    sp.add_argument("--dgla")
-    sp.add_argument("--pair")
-    sp.add_argument("--shift", type=int, default=0)
-    sp = add("mc-residual", cmd_mc_residual, help="Maurer-Cartan residual dx + ½[x,x]")
-    sp.add_argument("--dgla", required=True)
-    sp.add_argument("--artin", required=True)
-    sp.add_argument("--element", required=True)
-    sp = add("mc-check", cmd_mc_check, help="verify a Maurer-Cartan triple")
-    sp.add_argument("--pair", required=True)
-    sp.add_argument("--artin", required=True)
-    sp.add_argument("--element", required=True)
-    sp = add("gauge-apply", cmd_gauge_apply, help="apply e^a * x")
-    sp.add_argument("--dgla", required=True)
-    sp.add_argument("--artin", required=True)
-    sp.add_argument("--param", required=True)
-    sp.add_argument("--element", required=True)
-    sp = add("gauge-equiv", cmd_gauge_equiv, help="decide gauge equivalence of two MC elements")
-    sp.add_argument("--dgla", required=True)
-    sp.add_argument("--artin", required=True)
-    sp.add_argument("--x", required=True)
-    sp.add_argument("--y", required=True)
-    sp = add("bch", cmd_bch, help="Baker-Campbell-Hausdorff product")
-    sp.add_argument("--dgla", required=True)
-    sp.add_argument("--artin", required=True)
-    sp.add_argument("--a", required=True)
-    sp.add_argument("--b", required=True)
-    sp = add("obstruction", cmd_obstruction, help="obstruction class along a tower step")
-    sp.add_argument("--dgla")
-    sp.add_argument("--pair")
-    sp.add_argument("--tower", type=int, required=True,
-                    help="m for the extension K[t]/t^m → K[t]/t^{m−1}")
-    sp.add_argument("--element", required=True)
-    sp = add("lift", cmd_lift, help="constructive lift when the obstruction vanishes")
-    sp.add_argument("--dgla")
-    sp.add_argument("--pair")
-    sp.add_argument("--tower", type=int, required=True)
-    sp.add_argument("--element", required=True)
-    sp = add("h-trunc", cmd_h_trunc, help="truncated-H cohomology vs the pair cone")
-    sp.add_argument("--pair", required=True)
-    sp.add_argument("--trunc", type=int, required=True)
-    sp.add_argument("--trunc-to", type=int, default=None)
-    sp = add("h-embed", cmd_h_embed, help="barycentric embedding of an H-element into K")
-    sp.add_argument("--pair", required=True)
-    sp.add_argument("--element", required=True)
-    sp = add("examples", cmd_examples, help="list or write built-in examples")
-    sp.add_argument("--list", action="store_true")
-    sp.add_argument("--write")
-    sp.add_argument("--out")
     return p
 
 
@@ -541,8 +532,8 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     args.loaded = {}
     try:
         result, status = args.handler(args)

@@ -9,7 +9,6 @@ M-part.  Cones are plain complexes; no bracket is ever defined on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping
@@ -29,6 +28,7 @@ from .graded import (
     GradedMap,
     GradedSpace,
     Part,
+    Record,
     _map,
     _trusted,
     basis_element,
@@ -60,8 +60,7 @@ def koszul_sign(i: int, j: int) -> Fraction:
     return ONE if (i * j) % 2 == 0 else -ONE
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One failed axiom instance with its witnessing basis tuple."""
 
     axiom: str
@@ -74,8 +73,7 @@ class Violation:
         return f"{msg}: {self.detail}" if self.detail else msg
 
 
-@dataclass(frozen=True)
-class Dgla:
+class Dgla(Record):
     """Chain complex plus bracket structure constants on canonical pairs.
 
     L keeps its brackets, the GradedElements of the canonical pairs, and
@@ -85,7 +83,7 @@ class Dgla:
     """
 
     complex: ChainComplex
-    brackets: Mapping[tuple[BasisKey, BasisKey], GradedElement] = field(default_factory=dict)
+    brackets: Mapping[tuple[BasisKey, BasisKey], GradedElement] = EMPTY
 
     def __post_init__(self):
         clean = {}
@@ -341,8 +339,7 @@ def validate_dgla(L: Dgla) -> list[Violation]:
     return report
 
 
-@dataclass(frozen=True)
-class ChainMap:
+class ChainMap(Record):
     """Degree-0 map of complexes; commuting with d is checked by is_chain_map."""
 
     source: ChainComplex
@@ -369,8 +366,7 @@ class ChainMap:
     __hash__ = None
 
 
-@dataclass(frozen=True)
-class DglaMorphism:
+class DglaMorphism(Record):
     """Degree-0 map of DGLAs; axiom compliance checked by validate_morphism."""
 
     source: Dgla
@@ -476,8 +472,7 @@ def _as_pair(h, g) -> tuple[ChainMap, ChainMap]:
     return h, g
 
 
-@dataclass(frozen=True)
-class ConeComplex:
+class ConeComplex(Record):
     """Suspended mapping cone with provenance and its block_sum layout.  Cones
     live on in obstruction classes, so no part matrices are kept: embed and
     project move basis keys, and maps between cones are placed by layout."""
@@ -682,8 +677,7 @@ def direct_sum_dgla(L: Dgla, N: Dgla, names: tuple[str, str]) -> tuple[Dgla, dic
     return make_dgla(cx, entries), layout
 
 
-@dataclass(frozen=True)
-class FiberProduct:
+class FiberProduct(Record):
     """Sub-DGLA L ×_M N with its embedding and a surjectivity report."""
 
     dgla: Dgla
@@ -723,8 +717,7 @@ def fiber_product_dgla(h: DglaMorphism, g: DglaMorphism) -> FiberProduct:
 # --- Cartan homotopy and the adjoined-differential DGLA --------------------
 
 
-@dataclass(frozen=True)
-class CartanHomotopyCandidate:
+class CartanHomotopyCandidate(Record):
     source: Dgla
     target: Dgla
     imap: GradedMap  # degree −1

@@ -11,7 +11,7 @@ a series applies it, and a complex its passed d² check.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
@@ -28,14 +28,99 @@ from .errors import (
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+_set = object.__setattr__
 
-@dataclass(frozen=True, eq=True)
-class GradedSpace:
+
+class Record:
+    """A frozen record.  Its fields are the names annotated in its class body,
+    after its base's; a class attribute of the same name is a field's default.
+    The constructor takes the fields positionally or by name, then runs
+    __post_init__, which may set a field again or keep derived state with
+    object.__setattr__; fields named in _hidden (inherited) take no part in
+    equality, hashing and repr.  Unlike a dataclass, a record class generates
+    no code when it is defined, so a cold process imports it quickly."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+    _hidden: tuple[str, ...] = ()
+    _compared: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        body = vars(cls)
+        annotated = body.get("__annotations__", {})
+        cls._fields += tuple(n for n in annotated if n not in cls._fields)
+        cls._defaults = {**cls._defaults, **{n: body[n] for n in annotated if n in body
+                                            and n not in body.get("__slots__", ())}}
+        cls._compared = tuple(n for n in cls._fields if n not in cls._hidden)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(fields, args):
+            _set(self, name, value)
+        self.__post_init__()
+
+    def _bind(self, args: tuple, kwargs: dict) -> tuple:
+        """args completed by name from kwargs, then from the defaults."""
+        name = type(self).__name__
+        if len(args) > len(self._fields):
+            raise TypeError(f"{name}() takes {len(self._fields)} arguments, got {len(args)}")
+        out = list(args)
+        for field in self._fields[len(args):]:
+            if field in kwargs:
+                out.append(kwargs.pop(field))
+            elif field in self._defaults:
+                out.append(self._defaults[field])
+            else:
+                raise TypeError(f"{name}() missing argument {field!r}")
+        if kwargs:
+            raise TypeError(f"{name}() got unexpected arguments {sorted(kwargs)}")
+        return tuple(out)
+
+    def __post_init__(self):
+        pass
+
+    def replace(self, **changes):
+        """A new record with the given fields changed, built (and checked) by
+        the constructor; derived state is derived anew."""
+        return type(self)(**{name: getattr(self, name) for name in self._fields} | changes)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __setstate__(self, state):  # copy and pickle: every attribute, kept state included
+        for part in state if type(state) is tuple else (state,):  # (__dict__, slots) or __dict__
+            for name, value in (part or EMPTY).items():
+                _set(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class GradedSpace(Record):
     """Finite-window graded vector space with labelled basis per degree."""
 
     dmin: int
     dmax: int
-    basis: Mapping[int, tuple[str, ...]] = field(default_factory=dict)
+    basis: Mapping[int, tuple[str, ...]] = EMPTY
 
     def __post_init__(self):
         if self.dmin > self.dmax:
@@ -102,13 +187,20 @@ def zero_space() -> GradedSpace:
     return GradedSpace(0, 0, {})
 
 
-@dataclass(frozen=True, slots=True)
-class GradedElement:
+class GradedElement(Record):
     """Sparse element; an optional declared homogeneous degree is enforced."""
 
+    __slots__ = ("space", "coords", "degree")
     space: GradedSpace
     coords: Mapping[tuple[int, int], Fraction]
-    degree: int | None = None
+    degree: int | None
+
+    def __init__(self, space: GradedSpace, coords: Mapping[tuple[int, int], Fraction],
+                 degree: int | None = None):  # the record's, spelled out: elements are hot
+        _set(self, "space", space)
+        _set(self, "coords", coords)
+        _set(self, "degree", degree)
+        self.__post_init__()
 
     def __post_init__(self):
         clean = {}
@@ -458,8 +550,7 @@ def identity_map(space: GradedSpace) -> GradedMap:
                                   for i, labels in space.basis.items()})
 
 
-@dataclass(frozen=True)
-class ChainComplex:
+class ChainComplex(Record):
     """Graded space with a degree +1 differential."""
 
     space: GradedSpace

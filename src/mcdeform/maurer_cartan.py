@@ -4,7 +4,7 @@ All series (gauge, BCH) are summed exactly; the coefficient algebra's power
 filtration certifies termination: every bracket raises the filtration level,
 and levels ≥ ν vanish.  An element and a triple share one obstruction-and-lift
 path; its cocycles use the lifting section stored on the small extension.  A
-different section is a different extension (dataclasses.replace), and that
+different section is a different extension (SmallExtension.replace), and that
 the class does not depend on it is a theorem, property-tested on such
 extensions rather than assumed.
 """
@@ -12,7 +12,6 @@ extensions rather than assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -38,6 +37,7 @@ from .errors import (
 from .graded import (
     CohomologyResult,
     GradedElement,
+    Record,
     _map,
     basis_element,
     cohomology_dims,
@@ -145,8 +145,7 @@ def bch_product(T: TensorDgla, a: GradedElement, b: GradedElement) -> GradedElem
     return s if top == 1 else _from_ints(T.space, *_combine((1, z) for z in Z[1:]))
 
 
-@dataclass(frozen=True)
-class McElement:
+class McElement(Record):
     """Degree-1 element of L ⊗ m_A; verified means the MC residual vanishes."""
 
     tensor: TensorDgla
@@ -177,8 +176,7 @@ def stabilizer_element(x: McElement, hparam: GradedElement) -> GradedElement:
 # --- single obstruction ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ObstructionClass:
+class ObstructionClass(Record):
     """Class in H^degree(complex) ⊗ J, with the raw cocycle that produced it."""
 
     cohomology: CohomologyResult
@@ -186,7 +184,8 @@ class ObstructionClass:
     kernel_labels: tuple[str, ...]
     coords: tuple[tuple[Fraction, ...], ...]  # one coordinate vector per J basis vector
     cocycle: object
-    problem: tuple = field(compare=False, repr=False, kw_only=True)  # (ext, input, B side)
+    problem: tuple  # (ext, input, B side)
+    _hidden = ("problem",)  # which problem a class answers is not part of its value
 
     def is_zero(self) -> bool:
         return all(c == 0 for vec in self.coords for c in vec)
@@ -331,7 +330,7 @@ def obstruction_single(ext: SmallExtension, x: McElement, *,
         raise NotVerifiedMC("obstruction_single requires a verified MC element")
     problem = _element_problem(ext, x, tensor_B)
     H, jlabels, coords, (cocycle,) = _obstruction_problem(*problem)
-    return ObstructionClass(H, 2, jlabels, coords, cocycle, problem=problem[0])
+    return ObstructionClass(H, 2, jlabels, coords, cocycle, problem[0])
 
 
 def lift_if_unobstructed(ext: SmallExtension, x: McElement, cls: ObstructionClass,
@@ -347,8 +346,7 @@ def lift_if_unobstructed(ext: SmallExtension, x: McElement, cls: ObstructionClas
 # --- pair functor ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PairSetting:
+class PairSetting(Record):
     """A pair (h, g) tensored with one coefficient algebra."""
 
     h: DglaMorphism
@@ -412,8 +410,7 @@ def pair_setting(h: DglaMorphism, g: DglaMorphism, A: CoefficientAlgebra) -> Pai
     return PairSetting(h, g, A, tL, tN, tM, h_tensor, g_tensor)
 
 
-@dataclass(frozen=True)
-class McTriple:
+class McTriple(Record):
     """(x, y, e^p) for the pair functor; verified means both MC equations and
     the linking equation g(y) = e^p * h(x) hold."""
 
@@ -489,7 +486,6 @@ def extended_equiv_verify(t1: McTriple, t2: McTriple, a: GradedElement,
     return report
 
 
-@dataclass(frozen=True)
 class PairObstructionClass(ObstructionClass):
     """Obstruction in H²(C_{(h,g)}) ⊗ J; cocycle is the triple (l, k, r)."""
 
@@ -525,8 +521,8 @@ def obstruction_pair(ext: SmallExtension, t: McTriple, *,
         raise NotVerifiedTriple("obstruction_pair requires a verified triple")
     problem = _triple_problem(ext, t, setting_B)
     H, jlabels, coords, cocycle = _obstruction_problem(*problem)
-    return PairObstructionClass(H, 2, jlabels, coords, cocycle, t.setting.obstruction_space()[0],
-                                problem=problem[0])
+    return PairObstructionClass(H, 2, jlabels, coords, cocycle, problem[0],
+                                t.setting.obstruction_space()[0])
 
 
 def lift_pair_if_unobstructed(ext: SmallExtension, t: McTriple,
@@ -542,18 +538,15 @@ def lift_pair_if_unobstructed(ext: SmallExtension, t: McTriple,
 # --- gauge equivalence decision ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class Equivalent:
+class Equivalent(Record):
     witness: GradedElement
 
 
-@dataclass(frozen=True)
-class NotEquivalent:
+class NotEquivalent(Record):
     reason: str
 
 
-@dataclass(frozen=True)
-class Undecided:
+class Undecided(Record):
     reason: str
 
 

@@ -11,7 +11,6 @@ exponents).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from typing import Mapping
@@ -34,6 +33,7 @@ from .graded import (
     GradedElement,
     GradedMap,
     GradedSpace,
+    Record,
     basis_element,
     compute_cohomology,
     direct_sum,
@@ -48,8 +48,7 @@ from .maurer_cartan import McTriple, PairSetting, gauge_apply, mc_residual
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class PolyElement:
+class PolyElement(Record):
     """Homogeneous element of M[t,dt]: Σ mᵢ tⁱ + Σ nⱼ tʲ dt.
 
     t-part coefficients live in degree `degree`; dt-part coefficients in
@@ -58,8 +57,8 @@ class PolyElement:
 
     dgla: Dgla
     degree: int
-    t_part: Mapping[int, GradedElement] = field(default_factory=dict)
-    dt_part: Mapping[int, GradedElement] = field(default_factory=dict)
+    t_part: Mapping[int, GradedElement] = la.EMPTY
+    dt_part: Mapping[int, GradedElement] = la.EMPTY
 
     def __post_init__(self):
         for name, part, want in (("t", self.t_part, self.degree),
@@ -221,8 +220,7 @@ def substitute_affine(x: PolyElement, c0, c1) -> PolyElement:
 # --- truncated complexes ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TruncationWindow:
+class TruncationWindow(Record):
     """t-part exponents ≤ N; dt-part exponents ≤ N−1 (d-closed shape)."""
 
     N: int
@@ -266,8 +264,7 @@ def truncated_path_complex(M: Dgla, N: int) -> ChainComplex:
 # --- H_{(h,g)} membership and the fibred-product reduction --------------------
 
 
-@dataclass(frozen=True)
-class HPairElement:
+class HPairElement(Record):
     """(l, n, m(t,dt)) with h(l) = e₁(m) and g(n) = e₀(m) when verified."""
 
     h: object
@@ -278,8 +275,7 @@ class HPairElement:
     verified: bool = False
 
 
-@dataclass(frozen=True)
-class KElement:
+class KElement(Record):
     """(l, n, m₁(t,dt), m₂(s,ds)) with h(l) = e₁(m₂), g(n) = e₀(m₁) when verified."""
 
     h: object
@@ -391,8 +387,7 @@ def truncated_H_cohomology(h: DglaMorphism, g: DglaMorphism,
 # --- element-level maps of the Def_H ≅ Def_{(h,g)} comparison -----------------
 
 
-@dataclass(frozen=True)
-class EvaluationPairMc:
+class EvaluationPairMc(Record):
     """MC data in the (e₁, e₀) setting: a K-element with linking exponent.
 
     Components x, y are the L- and N-parts; m1 = g(y), m2 = h(x) as constant

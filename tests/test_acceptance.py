@@ -12,7 +12,6 @@ import random
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import mutations
@@ -205,7 +204,7 @@ def test_obstruction_completeness_pair():
                 alt = {a: dict(col) for a, col in step.section.items()}
                 for col in alt.values():
                     la.add_scaled(col, F(1), step.kernel[0])
-                cls_alt = obstruction_pair(replace(step, section=alt), t, setting_B=sB)
+                cls_alt = obstruction_pair(step.replace(section=alt), t, setting_B=sB)
                 assert cls.coords == cls_alt.coords
                 # completeness: class = 0 ⟺ constructive lift succeeds
                 got = lift_pair_if_unobstructed(step, t, cls, setting_B=sB)

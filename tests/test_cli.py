@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -57,6 +58,17 @@ class TestExamples:
     def test_unknown_name(self):
         code, _out, err = run_cli(["examples", "--write", "nope"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [["--out", "x.json"], ["--list", "--out", "x.json"],
+                                      ["--list", "--write", "heis"],
+                                      ["--list", "--write", "heis", "--out", "x.json"]])
+    def test_ignored_options_are_usage_errors(self, tmp_path, monkeypatch, argv):
+        # --out without --write, and --list with --write, were dropped without a word
+        monkeypatch.chdir(tmp_path)
+        for fmt in ([], ["--json"]):
+            code, out, err = run_cli(["examples", *argv, *fmt])
+            assert (code, out) == (2, "") and err.startswith("usage error: examples ")
+            assert "Traceback" not in err and not os.listdir(tmp_path)
 
     def test_examples_written_to_a_directory(self, tmp_path):
         code, out, err = run_cli(["examples", "--write", "heis", "--out", str(tmp_path)])
@@ -694,6 +706,71 @@ class TestDeterminism:
         assert code == 2
 
 
+def exiting(run, argv) -> tuple:
+    """(what run(argv) returns, or the status it exits with; stdout; stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    old_out, old_err = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = out, err
+    try:
+        got = run(argv)
+    except SystemExit as e:  # argparse's exit, on help and on a usage error
+        got = e.code
+    finally:
+        sys.stdout, sys.stderr = old_out, old_err
+    return got, out.getvalue(), err.getvalue()
+
+
+def parse(parser, argv) -> tuple:
+    return exiting(lambda a: vars(parser.parse_args(a)), argv)
+
+
+class TestParser:
+    """A command line that names a command is parsed by that command's
+    subparser alone; it helps, parses and errs as the parser of every command."""
+
+    @pytest.mark.parametrize("name", list(cli._COMMANDS))
+    def test_one_command_parser_matches_the_full_one(self, name):
+        sub = next(a for a in cli._build_parser([name])._actions if a.dest == "command")
+        assert list(sub.choices) == [name]
+        full = cli._build_parser()
+        got = {}
+        for case, args in (("help", ["-h"]), ("bare", []), ("unknown", ["--json", "--bogus"]),
+                           ("extra", ["a", "b", "c"]), ("not an int", ["--tower", "x"])):
+            argv = [name, *args]
+            got[case] = parse(cli._build_parser(argv), argv)
+            assert got[case] == parse(full, argv), argv
+        code, out, _err = got["help"]
+        assert code == 0 and out.startswith(f"usage: mcdeform {name} [-h] [--json]")
+        required = [arg for arg, kw in cli._COMMANDS[name][2] if kw.get("required") or arg[0] != "-"]
+        if required:  # its missing-argument error
+            code, _out, err = got["bare"]
+            assert code == 2 and err.endswith(f"mcdeform {name}: error: the following arguments "
+                                              f"are required: {', '.join(required)}\n")
+        else:
+            assert got["bare"][0]["handler"] is cli._COMMANDS[name][0]
+
+    def test_help_lists_every_command(self):
+        full = cli._build_parser()
+        code, out, err = exiting(main, ["--help"])
+        assert (code, err) == (0, "") and out == full.format_help()
+        assert out.startswith("usage: mcdeform [-h] command ...\n")
+        for name, (_handler, text, _args) in cli._COMMANDS.items():
+            assert re.search(rf"^    {re.escape(name)}\s+{re.escape(text)}$", out, re.M), name
+
+    def test_no_command(self):
+        code, out, err = exiting(main, [])
+        assert (code, out) == (2, "")
+        assert err == (cli._build_parser().format_usage()
+                       + "mcdeform: error: the following arguments are required: command\n")
+
+    def test_unknown_command(self):
+        code, out, err = exiting(main, ["nosuch"])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: mcdeform [-h] command ...\nmcdeform: error: argument command: "
+                              "invalid choice: 'nosuch' (choose from ")
+        assert all(name in err for name in cli._COMMANDS)
+
+
 class TestClosedPipe:
     @pytest.mark.parametrize("fmt", [[], ["--json"]])
     def test_reader_gone_before_the_report(self, fmt):
@@ -711,23 +788,32 @@ class TestClosedPipe:
 
 
 # a cold process that runs one command (none without arguments) and prints
-# the mcdeform modules it loaded as the last line of its standard error
+# the mcdeform modules it loaded, and the dataclasses they define, as the last
+# two lines of its standard error
 COLD = """
-import json, sys
+import dataclasses, json, sys
 from mcdeform.cli import main
 status = main(sys.argv[1:]) if sys.argv[1:] else 0
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("mcdeform."))), file=sys.stderr)
+loaded = sorted(m for m in sys.modules if m.startswith("mcdeform."))
+print(json.dumps(loaded), file=sys.stderr)
+print(json.dumps(sorted(f"{m}.{name}" for m in loaded for name, cls in vars(sys.modules[m]).items()
+                        if dataclasses.is_dataclass(cls) and cls.__module__ == m)), file=sys.stderr)
 sys.exit(status)
 """
 
 LAZY = ("mcdeform.artin", "mcdeform.maurer_cartan", "mcdeform.path_object", "mcdeform.library")
 
 
-def cold_modules(argv) -> set[str]:
+def cold_process(argv) -> tuple[set[str], set[str]]:
+    """The modules a cold process running argv loaded, and their dataclasses."""
     proc = subprocess.run([sys.executable, "-c", COLD, *argv],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stderr.splitlines()[-1]))
+    return tuple(set(json.loads(line)) for line in proc.stderr.splitlines()[-2:])
+
+
+def cold_modules(argv) -> set[str]:
+    return cold_process(argv)[0]
 
 
 class TestColdImports:
@@ -746,6 +832,17 @@ class TestColdImports:
     def test_examples_write_builds_only_its_example(self, tmp_path):
         loaded = cold_modules(["examples", "--write", "heis", "--out", str(tmp_path / "h.json")])
         assert not loaded & {"mcdeform.maurer_cartan", "mcdeform.path_object"}
+
+    @pytest.mark.parametrize("argv", [
+        ["lift", "--dgla", "{obstructed}", "--tower", "3", "--element", "{xt_obstructed}"],
+        ["h-embed", "--pair", "{pair_idid_heis}", "--element", "{hpair_heis}"]])
+    def test_the_one_dataclass_is_cohomology_result(self, docs, argv):
+        # a cold lift loads every series module, a cold h-embed path_object;
+        # every other record class is a Record, which generates no code at import
+        loaded, dataclasses = cold_process([a.format(**docs) for a in argv] + ["--json"])
+        assert {"mcdeform.artin", "mcdeform.maurer_cartan"} <= loaded
+        assert argv[0] == "lift" or "mcdeform.path_object" in loaded
+        assert dataclasses == {"mcdeform.graded.CohomologyResult"}
 
     def test_every_command_has_a_golden_report(self):
         # a handler that misses one of its imports fails its golden report

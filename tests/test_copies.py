@@ -1,7 +1,8 @@
-"""Every built-in DGLA, pair and coefficient algebra, and a tensor DGLA with
-its factored bracket, survive copy.copy, copy.deepcopy and a pickle round
-trip: the copy equals the original, and brackets, differentials, maps and
-products as the original does on random elements."""
+"""Every built-in DGLA, pair and coefficient algebra, a tensor DGLA with its
+factored bracket, and one instance of every record type survive copy.copy,
+copy.deepcopy and a pickle round trip: the copy equals the original, stays
+frozen, and brackets, differentials, maps and products as the original does
+on random elements."""
 
 import copy
 import pickle
@@ -10,10 +11,11 @@ from fractions import Fraction
 
 import pytest
 
+from mcdeform import artin, dgla, graded, maurer_cartan, path_object
 from mcdeform import library as lib
-from mcdeform.artin import tensor_dgla, truncated_polynomial_algebra
-from mcdeform.graded import GradedElement
-from util_random import dg_uw
+from mcdeform.artin import small_extension_tower, tensor_dgla, truncated_polynomial_algebra
+from mcdeform.graded import GradedElement, Record
+from util_random import dg_uw, rand_mc, rand_triple
 
 COPIES = {
     "copy": copy.copy,
@@ -87,3 +89,69 @@ def test_a_factored_tensor(coeff, how):
     # neither tensor built its bracket view to bracket, and the views agree
     assert "brackets" not in vars(C.dgla) and "brackets" not in vars(T.dgla)
     assert C.dgla.brackets == T.dgla.brackets != {}
+
+
+def records() -> dict:
+    """One instance of every record type: on heis and the (id, id) pair over
+    heis, along the tower step K[t]/t³ → K[t]/t²."""
+    rnd = random.Random(5)
+    L = lib.heis()
+    h, g = lib.pair_idid_heis()
+    ext = small_extension_tower(2)[1]
+    T = tensor_dgla(L, ext.A)
+    x = maurer_cartan.mc_element(T, rand_mc(rnd, T))
+    s = maurer_cartan.pair_setting(h, g, ext.A)
+    t = rand_triple(rnd, "pair_idid_heis", s)
+    a = GradedElement(T.space, {(0, 0): Fraction(1)}, 0)
+    e = graded.basis_element(L.space, 1, 0)
+    m = path_object.poly_t_term(L, 1, e) + path_object.poly_t_term(L, 2, -e)
+    hpair = path_object.h_pair_element(h, g, graded.zero_element(L.space, 1),
+                                       graded.zero_element(L.space, 1), m)
+    found = [L.space, a, L.complex, dgla.Violation("jacobi", ("x", "y", "a"), "defect x"), L,
+             h.chain_map(), h, dgla.cone_pair(h, g), dgla.fiber_product_dgla(h, g),
+             dgla.CartanHomotopyCandidate(L, L, graded.zero_map(L.space, L.space, -1)),
+             ext.A, ext, T, x, maurer_cartan.obstruction_single(ext, x), s, t,
+             maurer_cartan.obstruction_pair(ext, t), maurer_cartan.Equivalent(a),
+             maurer_cartan.NotEquivalent("no witness"), maurer_cartan.Undecided("budget spent"),
+             m, path_object.TruncationWindow(2), hpair, path_object.barycentric_embed(hpair),
+             path_object.map_triple_to_K(t)]
+    return {type(r).__name__: r for r in found}
+
+
+RECORDS = records()
+
+
+def test_every_record_type_has_an_instance():
+    defined = {cls.__name__ for module in (graded, dgla, artin, maurer_cartan, path_object)
+               for cls in vars(module).values() if isinstance(cls, type)
+               and issubclass(cls, Record) and cls is not Record and not cls.__name__.startswith("_")}
+    assert set(RECORDS) == defined and len(defined) == 26
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records(name, how):
+    r = RECORDS[name]
+    c = COPIES[how](r)
+    assert type(c) is type(r) and c == r
+    for obj in (r, c):
+        with pytest.raises(AttributeError):
+            setattr(obj, obj._fields[0], getattr(obj, obj._fields[0]))
+        with pytest.raises(AttributeError):
+            delattr(obj, obj._fields[-1])
+    assert c.replace() == r
+
+
+def test_record_repr_hash_and_hidden_fields():
+    v = RECORDS["Violation"]
+    assert repr(v) == "Violation(axiom='jacobi', witness=('x', 'y', 'a'), detail='defect x')"
+    assert hash(v) == hash(copy.deepcopy(v)) and len({v, v.replace(), v.replace(detail="")}) == 2
+    assert repr(path_object.TruncationWindow(3)) == "TruncationWindow(N=3)"
+    # the class's problem (its extension, input and B side) is kept, but neither
+    # compared nor shown
+    for name in ("ObstructionClass", "PairObstructionClass"):
+        cls = RECORDS[name]
+        assert cls.problem and "problem=" not in repr(cls)
+        assert cls.replace(problem=()) == cls and cls.replace(problem=()).problem == ()
+    with pytest.raises(TypeError):
+        hash(RECORDS["GradedElement"])

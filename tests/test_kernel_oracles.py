@@ -14,7 +14,6 @@ import math
 import sys
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -1218,7 +1217,7 @@ class TestLiftKernels:
         section = {a: dict(col) for a, col in ext.section.items()}
         for col in section.values():
             la.add_scaled(col, c, ext.kernel[0])
-        return replace(ext, section=section)
+        return ext.replace(section=section)
 
     @pytest.mark.parametrize("n", range(1, 7))
     @settings(max_examples=6, deadline=None)

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -323,7 +322,7 @@ class TestObstructionSingle:
         for _ in range(5):
             # randomized section: t ↦ t + c·t² still satisfies α∘s = id
             alt = {0: {0: F(1), 1: F(rnd.randint(-4, 4))}}
-            cls2 = obstruction_single(replace(ext, section=alt), x)
+            cls2 = obstruction_single(ext.replace(section=alt), x)
             assert cls1.coords == cls2.coords
 
     @pytest.mark.parametrize("section, reason", [
@@ -335,7 +334,7 @@ class TestObstructionSingle:
         # an alternate section is an alternate extension, checked on construction
         ext, _T, _x = obstructed_setup()
         with pytest.raises(InvalidInput, match=reason):
-            replace(ext, section=section)
+            ext.replace(section=section)
 
     def test_lift_with_zero_cocycle_returns_lift_unchanged(self):
         # abelian acyclic: x = v⊗t lifts to v⊗t itself (h = 0 so q = 0)
@@ -364,7 +363,7 @@ class TestObstructionSingle:
     def test_inconsistent_class_rejected(self):
         ext, T, x = obstructed_setup()
         cls = obstruction_single(ext, x)
-        tampered = replace(cls, coords=((F(0),),))
+        tampered = cls.replace(coords=((F(0),),))
         with pytest.raises(InconsistentInput):
             lift_if_unobstructed(ext, x, tampered)
 
@@ -740,7 +739,7 @@ class TestLiftContract:
     @staticmethod
     def other_section(ext):
         # t ↦ t + t² is another lifting section, so another extension
-        return replace(ext, section={0: {0: F(1), 1: F(1)}})
+        return ext.replace(section={0: {0: F(1), 1: F(1)}})
 
     def test_class_of_another_element(self):
         ext, _T_B, x1, x2 = self.single()
@@ -772,7 +771,7 @@ class TestLiftContract:
         assert not cls.is_zero()
         zero = tuple(tuple(F(0) for _c in vec) for vec in cls.coords)
         with pytest.raises(InconsistentInput):
-            lift_pair_if_unobstructed(ext, t, replace(cls, coords=zero))
+            lift_pair_if_unobstructed(ext, t, cls.replace(coords=zero))
 
     def test_equal_input_built_apart_is_accepted(self):
         ext, T_B, x, _x2 = self.single()
@@ -877,7 +876,7 @@ class TestObstructionPair:
                       zero_element(s.tM.space, 0))
         alt = {0: {0: F(1), 1: F(-2)}}  # t ↦ t − 2t²
         cls1 = obstruction_pair(ext, t)
-        cls2 = obstruction_pair(replace(ext, section=alt), t)
+        cls2 = obstruction_pair(ext.replace(section=alt), t)
         assert cls1.coords == cls2.coords
 
     def test_unverified_triple_rejected(self):
