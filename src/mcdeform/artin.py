@@ -28,6 +28,7 @@ from .graded import (
     _map,
     _trusted,
     element_from_labels,
+    zero_space,
 )
 from .linalg import EMPTY, add_scaled, sub_scaled
 
@@ -116,6 +117,9 @@ class CoefficientAlgebra(Record):
     diff: Mapping[int, Coeffs] = EMPTY
 
     def __post_init__(self):
+        object.__setattr__(self, "labels", tuple(self.labels))
+        if self.degrees is not None:
+            object.__setattr__(self, "degrees", tuple(self.degrees))
         dim = self.dim
         if len(set(self.labels)) != dim:
             raise InvalidInput("duplicate coefficient labels")
@@ -146,8 +150,6 @@ class CoefficientAlgebra(Record):
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "_adapted", adapted)
-
-    __hash__ = None
 
     @property
     def dim(self) -> int:
@@ -197,16 +199,22 @@ class CoefficientAlgebra(Record):
 
 
 def artin_from_labels(labels, products: Mapping[tuple[str, str], Mapping[str, object]]) -> CoefficientAlgebra:
+    """An Artin algebra from products keyed by label pairs, values as
+    label -> scalar maps; a pair given in both orders must agree."""
     labels = tuple(labels)
     idx = {lab: i for i, lab in enumerate(labels)}
+
+    def locate(lab: str) -> int:
+        if lab not in idx:
+            raise InvalidInput(f"unknown coefficient label {lab!r}")
+        return idx[lab]
+
     table: dict[tuple[int, int], Coeffs] = {}
     for (a, b), val in products.items():
-        i, j = idx[a], idx[b]
-        key = (i, j) if i <= j else (j, i)
-        vec = { idx[l]: la.frac(c) for l, c in val.items() }
-        if key in table and table[key] != _clean(vec):
+        key = tuple(sorted((locate(a), locate(b))))
+        vec = _clean({locate(l): c for l, c in val.items()})
+        if table.setdefault(key, vec) != vec:
             raise InvalidInput(f"inconsistent duplicate product for {key}")
-        table[key] = vec
     return CoefficientAlgebra(labels, table)
 
 
@@ -468,40 +476,91 @@ def tensor_label(l_label: str, a_label: str) -> str:
     return f"{l_label}@{a_label}"
 
 
-class TensorDgla(Record):
-    """L ⊗ m_A as a Dgla, with index bookkeeping back to the factors.
+class TensorDgla(Dgla):
+    """L ⊗ m_A, the Dgla of its factor L and coefficient algebra A, with the
+    Koszul sign on graded coefficients:
 
-    Basis vectors are x⊗a for x over the factor DGLA basis and a over the
-    coefficient basis, in degree deg x + deg a.  levels[key] is the m_A-power
+        d(x⊗a) = dx⊗a + (−1)^{deg x} x⊗da;
+        [x⊗a, y⊗b] = (−1)^{deg a · deg y} [x,y] ⊗ ab.
+
+    Basis vectors are x⊗a for x over L's basis and a over A's, in degree
+    deg x + deg a.  Its fields are L and A; the complex, the index maps
+    (to_tensor[x][a] the key of x⊗e_a, from_tensor[key] = (*x, a)), levels
+    and the bracket kernel are derived once.  levels[key] is the m_A-power
     level of the coefficient factor — the termination certificate for gauge
-    and BCH series.
+    and BCH series.  It keeps no table of its own: it brackets through L's
+    integer table and A's products, kept once over one A-scale.  Its
+    brackets (for validation, serialisation and a tensor over it) are the
+    kernel's on basis pairs, derived on first read; with no product, L's
+    table is unread.  Two tensors compare by L and A, which fix the rest.
     """
 
-    dgla: Dgla
+    _fields = ()  # L and A, not Dgla's complex and brackets, which derive from them
     factor: Dgla
     coeff: CoefficientAlgebra
-    to_tensor: Mapping[tuple[int, int, int], tuple[int, int]]
-    from_tensor: Mapping[tuple[int, int], tuple[int, int, int]]
-    levels: Mapping[tuple[int, int], int]
 
-    @property
-    def space(self) -> GradedSpace:
-        return self.dgla.space
+    def __post_init__(self):
+        L, A = self.factor, self.coeff
+        lspace, degs = L.space, [A.degree_of(a) for a in range(A.dim)]
+        per_degree: dict[int, list[tuple[int, int, int]]] = {}
+        basis, to_tensor, from_tensor, levels = {}, {}, {}, {}
+        for i in lspace.degrees():
+            for p in range(lspace.dim(i)):
+                to_tensor[(i, p)] = [None] * A.dim
+                for a in range(A.dim):
+                    per_degree.setdefault(i + degs[a], []).append((i, p, a))
+        for deg in sorted(per_degree):
+            basis[deg] = tuple(tensor_label(lspace.label(i, p), A.labels[a]) for i, p, a in per_degree[deg])
+            for k, (i, p, a) in enumerate(per_degree[deg]):
+                to_tensor[(i, p)][a] = (deg, k)
+                from_tensor[(deg, k)] = (i, p, a)
+                levels[(deg, k)] = A.levels[a] if A.levels else 1
+        tspace = (GradedSpace(lspace.dmin + min(degs), lspace.dmax + max(degs), basis) if degs
+                  else zero_space())
+
+        # one column per x⊗a, from x's column of L's d and a's differential; the
+        # two parts hit tensor vectors of different degrees of L, so never cancel
+        cols: dict[int, dict[int, dict[int, Fraction]]] = {}
+        for (deg, k), (i, p, a) in from_tensor.items():
+            col = {to_tensor[(i + 1, r)][a][1]: c for r, c in L.d.cols.get(i, EMPTY).get(p, EMPTY).items()}
+            for b, c in A.diff.get(a, EMPTY).items():
+                t, r = to_tensor[(i, p)][b]
+                if t != deg + 1:
+                    raise DegreeWindowViolation(f"d of {tspace.label(deg, k)!r} has a term at "
+                                                f"degree {t}, expected {deg + 1}")
+                col[r] = -c if i % 2 else c
+            if col:
+                cols.setdefault(deg, {})[k] = col
+
+        ascale = lcm(*(c.denominator for vec in A.table.values() for c in vec.values()))
+        ab = {(a, b): [(k, int(c * ascale)) for k, c in A.product_basis(a, {b: ONE}).items()]
+              for i, j in A.table for a, b in ((i, j), (j, i))}
+        # products[diagonal][p][a] = [(b, ±e_a·e_b), …] for [l, l′], l′ of parity p: the
+        # sign (−1)^{deg a · p}; on a diagonal [l, l], as Dgla derives it, a pair of
+        # keys l⊗e_a > l⊗e_b reads l⊗e_b, l⊗e_a with the reversed-order sign
+        products: tuple = ([{}, {}], [{}, {}])
+        for (a, b), p in itertools.product(ab, (0, 1)):
+            signs = [((a, b), degs[a] * p % 2)] * 2
+            if (degs[b], b) < (degs[a], a):
+                signs[1] = ((b, a), (1 + (p + degs[a]) * (p + degs[b]) + degs[b] * p) % 2)
+            for diag, (pair, odd) in enumerate(signs):
+                products[diag][p].setdefault(a, []).append((b, [(k, (-1) ** odd * m) for k, m in ab[pair]]))
+        # split[key] = (l, a) for the key of l⊗e_a when e_a has a product
+        split = {key: ((i, p), a) for key, (i, p, a) in from_tensor.items() if a in products[0][0]}
+        for name, value in (("complex", ChainComplex(tspace, _map(tspace, tspace, 1, cols))),
+                            ("to_tensor", to_tensor), ("from_tensor", from_tensor), ("levels", levels),
+                            ("_products", products), ("_split", split), ("_scale", L._scale * ascale),
+                            ("_table", None), ("_h2", None)):
+            object.__setattr__(self, name, value)
 
     @property
     def nu(self) -> int:
         return self.coeff.nu if self.coeff.nu is not None else 0
 
-    def differential_of(self, x: GradedElement) -> GradedElement:
-        return self.dgla.differential_of(x)
-
-    def bracket(self, x: GradedElement, y: GradedElement) -> GradedElement:
-        return self.dgla.bracket(x, y)
-
     def pure(self, l_elem: GradedElement, a_idx: int) -> GradedElement:
         coords = {}
-        for (deg, idx), c in l_elem.coords.items():
-            coords[self.to_tensor[(deg, idx, a_idx)]] = c
+        for key, c in l_elem.coords.items():
+            coords[self.to_tensor[key][a_idx]] = c
         deg = None
         if l_elem.degree is not None:
             deg = l_elem.degree + self.coeff.degree_of(a_idx)
@@ -526,9 +585,9 @@ class TensorDgla(Record):
         out: dict[tuple[int, int], int] = {}
         for key, c in xs.items():
             ldeg, lidx, ai = from_tensor[key]
-            it = iter(cols.get(ai, ()))
+            row, it = to_tensor[(ldeg, lidx)], iter(cols.get(ai, ()))
             for r, n in zip(it, it):
-                k = to_tensor[(ldeg, lidx, r)]
+                k = row[r]
                 out[k] = out.get(k, 0) + c * n
         return dm * dx, {k: n for k, n in out.items() if n}
 
@@ -542,97 +601,9 @@ class TensorDgla(Record):
                             degree: int | None = None) -> GradedElement:
         return element_from_labels(self.space, coeffs, degree)
 
-    def __eq__(self, other):
-        if not isinstance(other, TensorDgla):
-            return NotImplemented
-        # the factor and the coefficient algebra fix everything else, so the
-        # brackets of neither tensor are read
-        return (self.factor, self.coeff) == (other.factor, other.coeff)
-
-    __hash__ = None
-
-
-def tensor_dgla(L: Dgla, A: CoefficientAlgebra) -> TensorDgla:
-    """L ⊗ m_A with the Koszul sign on graded coefficients.
-
-    d(x⊗a) = dx⊗a + (−1)^{deg x} x⊗da;
-    [x⊗a, y⊗b] = (−1)^{deg a · deg y} [x,y] ⊗ ab.
-    """
-    lspace = L.space
-    adim = A.dim
-    if adim == 0:
-        empty = GradedSpace(0, 0, {})
-        cx = ChainComplex(empty, GradedMap(empty, empty, 1, {}))
-        return TensorDgla(_FactoredDgla(cx, L, A, {}), L, A, {}, {}, {})
-
-    degs = [A.degree_of(i) for i in range(adim)]
-    per_degree: dict[int, list[tuple[int, int, int]]] = {}
-    for i in lspace.degrees():
-        for p in range(lspace.dim(i)):
-            for a in range(adim):
-                per_degree.setdefault(i + degs[a], []).append((i, p, a))
-    basis = {}
-    to_tensor: dict[tuple[int, int, int], tuple[int, int]] = {}
-    from_tensor: dict[tuple[int, int], tuple[int, int, int]] = {}
-    levels: dict[tuple[int, int], int] = {}
-    for deg in sorted(per_degree):
-        basis[deg] = tuple(tensor_label(lspace.label(i, p), A.labels[a]) for i, p, a in per_degree[deg])
-        for k, (i, p, a) in enumerate(per_degree[deg]):
-            to_tensor[(i, p, a)], from_tensor[(deg, k)] = (deg, k), (i, p, a)
-            levels[(deg, k)] = A.levels[a] if A.levels else 1
-    tspace = GradedSpace(lspace.dmin + min(degs), lspace.dmax + max(degs), basis)
-
-    # one column per x⊗a, from x's column of L's d and a's differential; the
-    # two parts hit tensor vectors of different degrees of L, so never cancel
-    cols: dict[int, dict[int, dict[int, Fraction]]] = {}
-    for (i, p, a), (deg, k) in to_tensor.items():
-        col = {to_tensor[(i + 1, r, a)][1]: c for r, c in L.d.cols.get(i, EMPTY).get(p, EMPTY).items()}
-        for b, c in A.diff.get(a, EMPTY).items():
-            t, r = to_tensor[(i, p, b)]
-            if t != deg + 1:
-                raise DegreeWindowViolation(f"d of {tspace.label(deg, k)!r} has a term at "
-                                            f"degree {t}, expected {deg + 1}")
-            col[r] = -c if i % 2 else c
-        if col:
-            cols.setdefault(deg, {})[k] = col
-    cx = ChainComplex(tspace, _map(tspace, tspace, 1, cols))
-
-    return TensorDgla(_FactoredDgla(cx, L, A, to_tensor), L, A, to_tensor, from_tensor, levels)
-
-
-class _FactoredDgla(Dgla):
-    """The DGLA of L ⊗ m_A, with no table of its own: it brackets through L's
-    integer table and A's products, kept once over one A-scale.  Its brackets
-    (for validation, serialisation and a tensor over it) are the kernel's on
-    basis pairs, derived on first read; with no product, L's table is unread."""
-
-    def __init__(self, complex: ChainComplex, L: Dgla, A: CoefficientAlgebra, to_tensor):
-        ascale = lcm(*(c.denominator for vec in A.table.values() for c in vec.values()))
-        ab = {(a, b): [(k, int(c * ascale)) for k, c in A.product_basis(a, {b: ONE}).items()]
-              for i, j in A.table for a, b in ((i, j), (j, i))}
-        deg = [A.degree_of(a) for a in range(A.dim)]
-        # products[diagonal][p][a] = [(b, ±e_a·e_b), …] for [l, l′], l′ of parity p: the
-        # sign (−1)^{deg a · p}; on a diagonal [l, l], as Dgla derives it, a pair of
-        # keys l⊗e_a > l⊗e_b reads l⊗e_b, l⊗e_a with the reversed-order sign
-        products: tuple = ([{}, {}], [{}, {}])
-        for (a, b), p in itertools.product(ab, (0, 1)):
-            signs = [((a, b), deg[a] * p % 2)] * 2
-            if (deg[b], b) < (deg[a], a):
-                signs[1] = ((b, a), (1 + (p + deg[a]) * (p + deg[b]) + deg[b] * p) % 2)
-            for diag, (pair, odd) in enumerate(signs):
-                products[diag][p].setdefault(a, []).append((b, [(k, (-1) ** odd * m) for k, m in ab[pair]]))
-        rows, split = {}, {}  # rows[l][a] = the key of l⊗e_a; split[key] = (l, a) if e_a has a product
-        for (i, p, a), key in to_tensor.items():
-            rows.setdefault((i, p), [None] * A.dim)[a] = key
-            if a in products[0][0]:
-                split[key] = ((i, p), a)
-        for name, value in (("complex", complex), ("_factor", L), ("_products", products), ("_rows", rows),
-                            ("_split", split), ("_scale", L._scale * ascale), ("_table", None), ("_h2", None)):
-            object.__setattr__(self, name, value)
-
     @cached_property
     def brackets(self) -> dict:
-        rows, table = self._rows, self._factor._int_table() if self._split else EMPTY
+        rows, table = self.to_tensor, self.factor._int_table() if self._split else EMPTY
         pairs = {(rows[x][a], rows[y][b]) for x, row in table.items() for y in row
                  for a, pa in self._products[0][0].items() for b, _ab in pa}
         return {(t1, t2): _from_ints(self.space, *ints) for t1, t2 in sorted(pairs)
@@ -659,8 +630,8 @@ class _FactoredDgla(Dgla):
         """[x, y]'s nonzero numerators over _scale, x and y grouped: for each
         stored pair (l, l′) of L's table they meet, the product of their
         A-vectors, scattered through the constants of [l, l′] into tensor keys."""
-        products, rows, out = self._products, self._rows, {}
-        table = self._factor._int_table() if gx and gy else EMPTY
+        products, rows, out = self._products, self.to_tensor, {}
+        table = self.factor._int_table() if gx and gy else EMPTY
         for l, u in gx.items():
             row = table.get(l)
             for l2, v in (gy.items() if row else ()):
@@ -683,6 +654,11 @@ class _FactoredDgla(Dgla):
         return {k: n for k, n in out.items() if n}
 
 
+def tensor_dgla(L: Dgla, A: CoefficientAlgebra) -> TensorDgla:
+    """L ⊗ m_A (TensorDgla)."""
+    return TensorDgla(L, A)
+
+
 def tensor_map(phi: GradedMap, src: TensorDgla, tgt: TensorDgla) -> GradedMap:
     """Extend a degree-0 map of factors to the tensors: x⊗a ↦ φ(x)⊗a."""
     if src.coeff != tgt.coeff:
@@ -694,5 +670,5 @@ def tensor_map(phi: GradedMap, src: TensorDgla, tgt: TensorDgla) -> GradedMap:
     cols: dict[int, dict[int, dict[int, Fraction]]] = {}
     for (deg, k), (i, p, a) in src.from_tensor.items():
         if col := phi.cols.get(i, EMPTY).get(p):
-            cols.setdefault(deg, {})[k] = {tgt.to_tensor[(i, r, a)][1]: c for r, c in col.items()}
+            cols.setdefault(deg, {})[k] = {tgt.to_tensor[(i, r)][a][1]: c for r, c in col.items()}
     return _map(src.space, tgt.space, 0, cols)

@@ -78,8 +78,10 @@ class Dgla(Record):
 
     L keeps its brackets, the GradedElements of the canonical pairs, and
     derives the integer table that _bracket_ints reads (_int_table) on first
-    read.  A tensor's DGLA (artin._FactoredDgla) brackets through its factors
-    instead, and derives brackets from that kernel.
+    read.  A tensor (artin.TensorDgla) brackets through its factors instead,
+    and derives brackets from that kernel.  Two DGLAs are equal when their
+    complexes and brackets are; two tensors, when their factors and
+    coefficient algebras are, which fix both, so no bracket view is built.
     """
 
     complex: ChainComplex
@@ -179,7 +181,9 @@ class Dgla(Record):
     def __eq__(self, other):
         if not isinstance(other, Dgla):
             return NotImplemented
-        return self is other or (self.complex == other.complex and self.brackets == other.brackets)
+        if other.__class__ is self.__class__:  # a tensor's key is its factor and algebra
+            return self is other or self._key() == other._key()
+        return self.complex == other.complex and self.brackets == other.brackets
 
     __hash__ = None
 
@@ -358,13 +362,6 @@ class ChainMap(Record):
     def commutes_with_d(self) -> bool:
         return self.map.compose(self.source.d) == self.target.d.compose(self.map)
 
-    def __eq__(self, other):
-        if not isinstance(other, ChainMap):
-            return NotImplemented
-        return (self.source, self.target, self.map) == (other.source, other.target, other.map)
-
-    __hash__ = None
-
 
 class DglaMorphism(Record):
     """Degree-0 map of DGLAs; axiom compliance checked by validate_morphism."""
@@ -384,13 +381,6 @@ class DglaMorphism(Record):
 
     def chain_map(self) -> ChainMap:
         return ChainMap(self.source.complex, self.target.complex, self.map)
-
-    def __eq__(self, other):
-        if not isinstance(other, DglaMorphism):
-            return NotImplemented
-        return (self.source, self.target, self.map) == (other.source, other.target, other.map)
-
-    __hash__ = None
 
 
 def identity_morphism(L: Dgla) -> DglaMorphism:
@@ -483,6 +473,7 @@ class ConeComplex(Record):
     h: ChainMap
     g: ChainMap | None
     layout: Mapping[str, Part]
+    _hidden = ("convention", "h", "g", "layout")  # a cone compares by its complex and kind
 
     def embed(self, part: str, x: GradedElement) -> GradedElement:
         space, off, starts = self.layout[part]
@@ -502,13 +493,6 @@ class ConeComplex(Record):
             if j in starts and 0 <= i - starts[j] < space.dim(j):
                 coords[(j, i - starts[j])] = c
         return GradedElement(space, coords, None if x.degree is None else x.degree - off)
-
-    def __eq__(self, other):
-        if not isinstance(other, ConeComplex):
-            return NotImplemented
-        return self.complex == other.complex and self.kind == other.kind
-
-    __hash__ = None
 
 
 def cone_single(h) -> ConeComplex:

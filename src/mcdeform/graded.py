@@ -34,11 +34,14 @@ _set = object.__setattr__
 class Record:
     """A frozen record.  Its fields are the names annotated in its class body,
     after its base's; a class attribute of the same name is a field's default.
+    A class body that sets _fields starts them afresh, from its own names.
     The constructor takes the fields positionally or by name, then runs
     __post_init__, which may set a field again or keep derived state with
-    object.__setattr__; fields named in _hidden (inherited) take no part in
-    equality, hashing and repr.  Unlike a dataclass, a record class generates
-    no code when it is defined, so a cold process imports it quickly."""
+    object.__setattr__.  Records of one class are equal when their fields
+    are; fields named in _hidden (inherited) take no part in equality,
+    hashing and repr.  A record with a mapping field is not hashable.
+    Unlike a dataclass, a record class generates no code when it is
+    defined, so a cold process imports it quickly."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -105,7 +108,7 @@ class Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        return self is other or self._key() == other._key()
 
     def __hash__(self):
         return hash(self._key())
@@ -174,13 +177,6 @@ class GradedSpace(Record):
 
     def has_label(self, lab: str) -> bool:
         return lab in self._locate
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedSpace):
-            return NotImplemented
-        return (self.dmin, self.dmax, self.basis) == (other.dmin, other.dmax, other.basis)
-
-    __hash__ = None
 
 
 def zero_space() -> GradedSpace:
@@ -578,13 +574,6 @@ class ChainComplex(Record):
         if bad:
             raise DifferentialNotSquareZero(f"d²≠0 on basis vectors {bad}")
         object.__setattr__(self, "_d_squared_zero", True)
-
-    def __eq__(self, other):
-        if not isinstance(other, ChainComplex):
-            return NotImplemented
-        return self.space == other.space and self.d == other.d
-
-    __hash__ = None
 
 
 def zero_complex() -> ChainComplex:

@@ -60,7 +60,7 @@ def _require_degree(x: GradedElement, degree: int, what: str) -> None:
 def mc_residual(T: TensorDgla, x: GradedElement) -> GradedElement:
     """dx + ½[x,x] for a degree-1 element, summed exactly in ints."""
     _require_degree(x, 1, "Maurer-Cartan candidate")
-    return _from_ints(T.space, *_residual_ints(T.dgla, T.dgla._ints(x)))
+    return _from_ints(T.space, *_residual_ints(T, T._ints(x)))
 
 
 def _residual_ints(L: Dgla, x: tuple[int, dict]) -> tuple[int, dict]:
@@ -84,19 +84,18 @@ def gauge_apply(T: TensorDgla, a: GradedElement, x: GradedElement) -> GradedElem
     """e^a * x = x + Σ_{n≥0} ad_a^n/(n+1)! ([a,x] − da), summed exactly in ints."""
     _require_degree(a, 0, "gauge parameter")
     _require_degree(x, 1, "gauge target")
-    xi = T.dgla._ints(x)
-    out = _gauge_ints(T, T.dgla._ints(a), xi)
+    xi = T._ints(x)
+    out = _gauge_ints(T, T._ints(a), xi)
     return x if out is xi else _from_ints(T.space, *out)
 
 
 def _gauge_ints(T: TensorDgla, a: tuple[int, dict], x: tuple[int, dict]) -> tuple[int, dict]:
     """e^a * x of (den, integer numerators) pairs, as one; x itself when [a, x] = da."""
-    L = T.dgla
     terms, n = [(1, x)], 0
-    term = _combine([(1, L._bracket_ints(a, x)), (-1, L.d._apply_ints(a))])
+    term = _combine([(1, T._bracket_ints(a, x)), (-1, T.d._apply_ints(a))])
     while term[1]:
         terms.append((Fraction(1, math.factorial(n + 1)), term))
-        term = L._bracket_ints(a, term)
+        term = T._bracket_ints(a, term)
         n += 1
         if n > T.nu + 1:
             raise InvalidInput("gauge series failed to terminate; coefficients not nilpotent")
@@ -130,7 +129,7 @@ def bch_product(T: TensorDgla, a: GradedElement, b: GradedElement) -> GradedElem
     level = min(T.element_level(a), T.element_level(b))
     top = max(1, (T.nu - 1) // max(level, 1))
     bern = _bernoulli_over_factorial(top)
-    s, bracket, zero = a + b, T.dgla._bracket_ints, (1, {})
+    s, bracket, zero = a + b, T._bracket_ints, (1, {})
     z1, diff = _to_ints(s), _to_ints(a - b)
     Z = [zero, z1]
     # W[j][m] for 1 ≤ j ≤ m; a W of odd j on the last step is never read
@@ -269,7 +268,7 @@ def _obstruction_problem(key: tuple, pieces, cocycle: Callable, H: CohomologyRes
     ext = key[0]
     if any(TA.coeff != ext.A for TA, _e, _TB in pieces):
         raise BaseMismatch("input does not live over the extension's target")
-    lifted = [TA._map_ints(TA.dgla._ints(e), ext._columns[0], TB) for TA, e, TB in pieces]
+    lifted = [TA._map_ints(TA._ints(e), ext._columns[0], TB) for TA, e, TB in pieces]
     cx = H.complex
     if cls is None:
         cocyc = tuple(_from_ints(TB.space, *c, None if e.degree is None else e.degree + 1)
@@ -302,7 +301,7 @@ def _obstruction_problem(key: tuple, pieces, cocycle: Callable, H: CohomologyRes
     out = []
     for (TA, e, TB), lt, ws in zip(pieces, lifted, corrections):
         bar = _from_ints(TB.space, *_combine([(1, lt)] + [  # lt − Σ_j ws_j ⊗ J_j
-            (-c, (den, {TB.to_tensor[(*k, b)]: n for k, n in nums.items()}))
+            (-c, (den, {TB.to_tensor[k][b]: n for k, n in nums.items()}))
             for (den, nums), J in zip(map(_to_ints, ws), ext.kernel) for b, c in J.items()]),
             e.degree)
         if TB.map_coefficients(bar, ext._columns[1], TA) != e:
@@ -317,7 +316,7 @@ def _element_problem(ext: SmallExtension, x: McElement, T_B: TensorDgla | None) 
     L = x.tensor.factor
     T_B = T_B if T_B is not None else tensor_dgla(L, ext.B)
     return ((ext, x, T_B), [(x.tensor, x.element, T_B)],
-            lambda xt: (_residual_ints(T_B.dgla, xt),),
+            lambda xt: (_residual_ints(T_B, xt),),
             L.obstruction_space(), lambda h: h, lambda w: (w,),
             lambda xbar: mc_element(T_B, xbar))
 
@@ -357,6 +356,7 @@ class PairSetting(Record):
     tM: TensorDgla
     h_tensor: object  # GradedMap on tensors
     g_tensor: object
+    _hidden = ("tL", "tN", "tM", "h_tensor", "g_tensor")  # all fixed by h, g and coeff
 
     def __post_init__(self):
         object.__setattr__(self, "_obstruction", None)  # see obstruction_space
@@ -379,22 +379,16 @@ class PairSetting(Record):
         return self._obstruction
 
     def apply_h(self, x: GradedElement) -> GradedElement:
-        return _from_ints(self.tM.space, *self.h_tensor._apply_ints(self.tL.dgla._ints(x)), x.degree)
+        return _from_ints(self.tM.space, *self.h_tensor._apply_ints(self.tL._ints(x)), x.degree)
 
     def apply_g(self, y: GradedElement) -> GradedElement:
-        return _from_ints(self.tM.space, *self.g_tensor._apply_ints(self.tN.dgla._ints(y)), y.degree)
+        return _from_ints(self.tM.space, *self.g_tensor._apply_ints(self.tN._ints(y)), y.degree)
 
     def _linking(self, x: tuple[int, dict], y: tuple[int, dict], p: tuple[int, dict]) -> tuple[int, dict]:
         """e^p * h(x) − g(y) of (den, integer numerators) pairs: zero when (x, y, e^p) is linked."""
         return _combine([(1, _gauge_ints(self.tM, p, self.h_tensor._apply_ints(x))),
                          (-1, self.g_tensor._apply_ints(y))])
 
-    def __eq__(self, other):
-        if not isinstance(other, PairSetting):
-            return NotImplemented
-        return (self.h, self.g, self.coeff) == (other.h, other.g, other.coeff)
-
-    __hash__ = None
 
 
 def pair_setting(h: DglaMorphism, g: DglaMorphism, A: CoefficientAlgebra) -> PairSetting:
@@ -434,7 +428,7 @@ def mc_pair_check(setting: PairSetting, x: GradedElement, y: GradedElement,
     ry = mc_residual(setting.tN, y)
     if not ry.is_zero():
         report.append(Violation("mc_second", ("y",), f"residual {ry.pretty()}"))
-    link = -_from_ints(setting.tM.space, *setting._linking(_to_ints(x), _to_ints(y), setting.tM.dgla._ints(p)))
+    link = -_from_ints(setting.tM.space, *setting._linking(_to_ints(x), _to_ints(y), setting.tM._ints(p)))
     if not link.is_zero():
         report.append(Violation("linking", ("x", "y", "p"),
                                 f"g(y) − e^p*h(x) = {link.pretty()}"))
@@ -502,7 +496,7 @@ def _triple_problem(ext: SmallExtension, t: McTriple, sB: PairSetting | None) ->
     sB = sB if sB is not None else s.over(ext.B)
 
     def cocycle(xt, yt, q):
-        return _residual_ints(sB.tL.dgla, xt), _residual_ints(sB.tN.dgla, yt), sB._linking(xt, yt, q)
+        return _residual_ints(sB.tL, xt), _residual_ints(sB.tN, yt), sB._linking(xt, yt, q)
 
     def embed(l, k, r):
         return cone.embed("L", l) + cone.embed("N", k) + cone.embed("M", r)
@@ -582,14 +576,14 @@ def gauge_equiv_decide(x: McElement, y: McElement, budget: int | None = None,
 
     level = {key: coeff_levels[ai] for key, (_i, _p, ai) in T.from_tensor.items()}
     # the columns of d_x on L⁰ ⊗ m, e_b ↦ d e_b + [x, e_b], in ints, x grouped once
-    D, xi, yi = T.dgla, T.dgla._ints(x.element), T.dgla._ints(y.element)
-    (dd, dcols), gx, bd = D.d._int_columns(), D._grouped(xi[1]), xi[0] * D._scale
+    xi, yi = T._ints(x.element), T._ints(y.element)
+    (dd, dcols), gx, bd = T.d._int_columns(), T._grouped(xi[1]), xi[0] * T._scale
     den, cols = math.lcm(dd, bd), {}
     for i in range(T.space.dim(0)):
         col, it = {}, iter(dcols.get((0, i), ()))
         for k, n in zip(it, it):
             col[k] = n * (den // dd)
-        for k, n in D._bracket_grouped(gx, D._grouped({(0, i): 1})).items():
+        for k, n in T._bracket_grouped(gx, T._grouped({(0, i): 1})).items():
             col[k] = col.get(k, 0) + n * (den // bd)
         if col := {r: Fraction(n, den) for (_d, r), n in col.items() if n}:
             cols[i] = col
@@ -624,7 +618,7 @@ def gauge_equiv_decide(x: McElement, y: McElement, budget: int | None = None,
         s = rebase(GradedElement(T.space, sol, 0), P)
         # a + s ≡ a•s modulo m^{level a + level s}, which is all level k needs
         a = a + s if T.element_level(a) + T.element_level(s) > k else bch_product(T, a, s)
-        current = _gauge_ints(T, D._ints(a), xi)
+        current = _gauge_ints(T, T._ints(a), xi)
     if _combine([(1, yi), (-1, current)])[1]:
         raise InvalidInput("internal: witness validation failed")
     return Equivalent(a)
@@ -638,7 +632,7 @@ def tangent_dim_single(L: Dgla, shift_n: int = 0) -> int:
     over K·ε with deg ε = −n."""
     via_cohomology = cohomology_dims(L.complex, (1 + shift_n,)).get(1 + shift_n, 0)
     T = tensor_dgla(L, epsilon_algebra(shift_n))
-    d = T.dgla.d
+    d = T.d
     return _agreed(via_cohomology, d.kernel_dim(1) - d.rank(0))
 
 
@@ -657,6 +651,6 @@ def tangent_dim_pair(h: DglaMorphism, g: DglaMorphism, shift_n: int = 0) -> int:
     # (x, y, p) in (L⊗ε)¹ ⊕ (N⊗ε)¹ ⊕ (M⊗ε)⁰ with dx = dy = 0 and h(x) − g(y) − dp = 0: the
     # kernel of D in degree 1 of the ε-tensored pair's cone, modulo the image of D in degree 0
     s = pair_setting(h, g, epsilon_algebra(shift_n))
-    D = cone_pair(ChainMap(s.tL.dgla.complex, s.tM.dgla.complex, s.h_tensor),
-                  ChainMap(s.tN.dgla.complex, s.tM.dgla.complex, s.g_tensor)).complex.d
+    D = cone_pair(ChainMap(s.tL.complex, s.tM.complex, s.h_tensor),
+                  ChainMap(s.tN.complex, s.tM.complex, s.g_tensor)).complex.d
     return _agreed(via_cohomology, D.kernel_dim(1) - D.rank(0))

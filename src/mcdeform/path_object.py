@@ -107,14 +107,6 @@ class PolyElement(Record):
     def __rmul__(self, c) -> "PolyElement":
         return self.scale(c)
 
-    def __eq__(self, other):
-        if not isinstance(other, PolyElement):
-            return NotImplemented
-        return (self.dgla == other.dgla and self.degree == other.degree
-                and self.t_part == other.t_part and self.dt_part == other.dt_part)
-
-    __hash__ = None
-
     def pretty(self) -> str:
         if self.is_zero():
             return "0"
@@ -251,14 +243,14 @@ def truncated_line_complex(N: int) -> ChainComplex:
 def _path_tensor(M: Dgla, N: int) -> TensorDgla:
     """M ⊗ K[t,dt]_N with its d checked; its bracket is never read."""
     path = tensor_dgla(M, _line_algebra(N))
-    path.dgla.complex.require_d_squared_zero()
+    path.complex.require_d_squared_zero()
     return path
 
 
 def truncated_path_complex(M: Dgla, N: int) -> ChainComplex:
     """M[t,dt]_N = M ⊗ K[t,dt]_N as a chain complex: degree k lists m·tᵉdt over
     M^{k−1}, then m·tᵉ over M^k, each m with its exponents together."""
-    return _path_tensor(M, N).dgla.complex
+    return _path_tensor(M, N).complex
 
 
 # --- H_{(h,g)} membership and the fibred-product reduction --------------------
@@ -350,13 +342,13 @@ def truncated_H_constraints(h: DglaMorphism, g: DglaMorphism,
         raise TargetMismatch("h and g must share their target")
     L, N, M = h.source, g.source, h.target
     path = _path_tensor(M, window.N)
-    ambient, parts = direct_sum([("L", L.complex), ("N", N.complex), ("P", path.dgla.complex)])
+    ambient, parts = direct_sum([("L", L.complex), ("N", N.complex), ("P", path.complex)])
     m = whole(M.space)
 
     # evaluations into M: e₁ sums the t-part coefficients, e₀ keeps exponent 0
     def constraint(f: GradedMap, part: str, at_one: bool) -> GradedMap:
         ev = map_from_images(path.space, M.space, 0, {
-            path.to_tensor[(i, p, e)]: basis_element(M.space, i, p)
+            path.to_tensor[(i, p)][e]: basis_element(M.space, i, p)
             for i in M.space.degrees() for p in range(M.space.dim(i))
             for e in range(window.N + 1 if at_one else 1)})
         return place_blocks(ambient.space, M.space, 0, [(1, f, parts[part], m),
@@ -411,8 +403,8 @@ def map_triple_to_K(t: McTriple) -> EvaluationPairMc:
     s = t.setting
     gy = s.apply_g(t.y)
     hx = s.apply_h(t.x)
-    m1 = poly_constant(s.tM.dgla, gy)
-    m2 = poly_constant(s.tM.dgla, hx)
+    m1 = poly_constant(s.tM, gy)
+    m2 = poly_constant(s.tM, hx)
     for label, elem, tensor in (("x", t.x, s.tL), ("y", t.y, s.tN),
                                 ("g(y)", gy, s.tM), ("h(x)", hx, s.tM)):
         if not mc_residual(tensor, elem).is_zero():

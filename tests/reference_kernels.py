@@ -434,12 +434,12 @@ def tensor_brackets(T) -> dict:
             coords = {}
             for (dd, rr), c in base.coords.items():
                 for cidx, ce in ab.items():
-                    key = to_tensor[(dd, rr, cidx)]
+                    key = to_tensor[(dd, rr)][cidx]
                     coords[key] = coords.get(key, ZERO) + sign * c * ce
             val = GradedElement(T.space, coords)
             if not val.is_zero():
                 entries.append((t1, t2, val))
-    return make_dgla(T.dgla.complex, entries).brackets
+    return make_dgla(T.complex, entries).brackets
 
 
 def validate_artin(A) -> list[Violation]:
@@ -533,9 +533,9 @@ def tangent_pair_matrices(h, g, shift_n: int):
     rows_x, rows_y, rows_m = s.tL.space.dim(2), s.tN.space.dim(2), s.tM.space.dim(1)
     cols = nx + ny + np_
     eq = la.zeros(rows_x + rows_y + rows_m, cols)
-    dL = s.tL.dgla.complex.d.matrix(1)
-    dN = s.tN.dgla.complex.d.matrix(1)
-    dM = s.tM.dgla.complex.d.matrix(0)
+    dL = s.tL.complex.d.matrix(1)
+    dN = s.tN.complex.d.matrix(1)
+    dM = s.tM.complex.d.matrix(0)
     hm = s.h_tensor.matrix(1)
     gm = s.g_tensor.matrix(1)
     for r in range(rows_x):
@@ -555,9 +555,9 @@ def tangent_pair_matrices(h, g, shift_n: int):
     na, nb = s.tL.space.dim(0), s.tN.space.dim(0)
     nc = s.tM.space.dim(-1)
     gauge = la.zeros(cols, na + nb + nc)
-    dL0 = s.tL.dgla.complex.d.matrix(0)
-    dN0 = s.tN.dgla.complex.d.matrix(0)
-    dMm1 = s.tM.dgla.complex.d.matrix(-1)
+    dL0 = s.tL.complex.d.matrix(0)
+    dN0 = s.tN.complex.d.matrix(0)
+    dMm1 = s.tM.complex.d.matrix(-1)
     h0 = s.h_tensor.matrix(0)
     g0 = s.g_tensor.matrix(0)
     for r in range(nx):
@@ -723,9 +723,9 @@ def dense_tensor_differential(T) -> dict:
         dl = L.d.matrix(i)
         for r in range(L.space.dim(i + 1)):
             if dl[r][p]:
-                blocks[deg][T.to_tensor[(i + 1, r, a)][1]][k] += dl[r][p]
+                blocks[deg][T.to_tensor[(i + 1, r)][a][1]][k] += dl[r][p]
         for b, c in A.diff.get(a, {}).items():
-            blocks[deg][T.to_tensor[(i, p, b)][1]][k] += c if i % 2 == 0 else -c
+            blocks[deg][T.to_tensor[(i, p)][b][1]][k] += c if i % 2 == 0 else -c
     return _nonzero_blocks(blocks)
 
 
@@ -735,7 +735,7 @@ def dense_tensor_map(phi: GradedMap, src, tgt) -> dict:
     for (deg, k), (i, p, a) in src.from_tensor.items():
         for r, row in enumerate(phi.matrix(i)):
             if row[p]:
-                blocks[deg][tgt.to_tensor[(i, r, a)][1]][k] += row[p]
+                blocks[deg][tgt.to_tensor[(i, r)][a][1]][k] += row[p]
     return _nonzero_blocks(blocks)
 
 
@@ -785,7 +785,7 @@ def map_coefficients(T, x: GradedElement, matrix: la.Matrix, target) -> GradedEl
         ldeg, lidx, ai = T.from_tensor[key]
         for r, row in enumerate(matrix):
             if row[ai]:
-                out = target.to_tensor[(ldeg, lidx, r)]
+                out = target.to_tensor[(ldeg, lidx)][r]
                 coords[out] = coords.get(out, ZERO) + c * row[ai]
     return GradedElement(target.space, coords, x.degree)
 

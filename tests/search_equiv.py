@@ -82,7 +82,7 @@ def search_equiv_decide(x: McElement, y: McElement, budget: int = 2000,
     row_keys = {lvl: keys_at(1, lvl) for lvl in levels}
 
     # level-k system matrix: d restricted to (level-k deg-0) -> (level-k deg-1)
-    d0 = T.dgla.complex.d.matrix(0)
+    d0 = T.complex.d.matrix(0)
     sys_mats = {}
     for lvl in levels:
         cols = unknown_keys[lvl]

@@ -160,7 +160,7 @@ def test_obstruction_completeness_single():
     assert lift_if_unobstructed(ext, x, cls) is NO_LIFT
     # independent exhaustive linear solve: no q with dq = cocycle exists
     TB = tensor_dgla(lib.obstructed(), ext.B)
-    dmat = TB.dgla.complex.d.matrix(1)
+    dmat = TB.complex.d.matrix(1)
     rhs = cls.cocycle.component_vector(2)
     assert la.solve(dmat, rhs, cols=TB.space.dim(1)) is None
     # abelian examples: every class vanishes along the whole tower

@@ -23,7 +23,7 @@ from mcdeform.artin import (
 )
 from mcdeform.dgla import validate_dgla
 from mcdeform.errors import InvalidInput
-from mcdeform.graded import ChainComplex, GradedSpace, compute_cohomology
+from mcdeform.graded import ChainComplex, GradedSpace, compute_cohomology, identity_map
 from util_random import dg_uw, rand_elem
 
 F = Fraction
@@ -212,6 +212,42 @@ class TestConstruction:
         assert A.product_basis(1, {0: F(1)}) == {2: F(-1)}
         assert A.product({1: F(2)}, {0: F(3)}) == {2: F(-6)}
 
+    def test_labels_and_degrees_are_kept_as_tuples(self):
+        # a list and a tuple of the same labels make one algebra, so tensors of
+        # one DGLA over them are equal and tensor_map takes them as shared
+        A, B = CoefficientAlgebra(["x", "y"]), CoefficientAlgebra(("x", "y"))
+        assert (A.labels, A) == (("x", "y"), B)
+        assert CoefficientAlgebra(["eps"], degrees=[-1]) == epsilon_algebra(1)
+        assert CoefficientAlgebra(["eps"], degrees=[-1]).degrees == (-1,)
+        L = lib.heis()
+        tA, tB = tensor_dgla(L, A), tensor_dgla(L, B)
+        assert tA == tB
+        f = tensor_map(identity_map(L.space), tA, tB)
+        x = rand_elem(random.Random(3), tA, 1)
+        assert f.apply(x).coords == x.coords
+
+
+class TestArtinFromLabels:
+    @pytest.mark.parametrize("products", [
+        {("u", "z"): {"uv": 1}},
+        {("u", "v"): {"z": 1}},
+    ])
+    def test_an_unknown_label_is_invalid_input(self, products):
+        with pytest.raises(InvalidInput, match="unknown coefficient label 'z'"):
+            artin_from_labels(("u", "v", "uv"), products)
+
+    def test_a_pair_in_both_orders_is_compared_without_zeros(self):
+        # the first entry's zero coefficient does not make the second differ
+        products = {("u", "v"): {"uv": 1, "u": 0}, ("v", "u"): {"uv": 1, "u": 0}}
+        A = artin_from_labels(("u", "v", "uv"), products)
+        assert A.table == {(0, 1): {2: F(1)}}
+        assert A == artin_from_labels(("u", "v", "uv"), {("u", "v"): {"uv": 1}})
+
+    def test_inconsistent_duplicates_are_refused(self):
+        with pytest.raises(InvalidInput, match="inconsistent duplicate product"):
+            artin_from_labels(("u", "v", "uv"), {("u", "v"): {"uv": 1, "u": 0},
+                                                 ("v", "u"): {"uv": 2}})
+
 
 def compose(f: dict, g: dict) -> dict:
     """f ∘ g for maps kept as sparse columns, zero-free."""
@@ -398,7 +434,7 @@ class TestOmegaAndEpsilon:
 class TestTensorDgla:
     def test_abelian_stays_abelian(self):
         T = tensor_dgla(lib.abelian2(), lib.artin_kt(3))
-        assert T.dgla.is_abelian()
+        assert T.is_abelian()
 
     def test_obstructed_structure_constant(self):
         T = tensor_dgla(lib.obstructed(), lib.artin_kt(3))
@@ -428,7 +464,7 @@ class TestTensorDgla:
         for L in dglas:
             for A in coeffs:
                 T = tensor_dgla(L, A)
-                assert validate_dgla(T.dgla) == [], (L, A.labels)
+                assert validate_dgla(T) == [], (L, A.labels)
 
     def test_filtration_certificate(self):
         rnd = random.Random(2)

@@ -82,13 +82,13 @@ def test_a_factored_tensor(coeff, how):
     A = truncated_polynomial_algebra(5) if coeff == "K[t]/t^5" else dg_uw()
     T = tensor_dgla(lib.sl2(), A)
     C = COPIES[how](T)
-    assert C == T and C.dgla.complex == T.dgla.complex
+    assert C == T and C.complex == T.complex
     for _ in range(5):
         x, y = random_element(rnd, T.space), random_element(rnd, T.space)
         assert C.bracket(x, y) == T.bracket(x, y)
     # neither tensor built its bracket view to bracket, and the views agree
-    assert "brackets" not in vars(C.dgla) and "brackets" not in vars(T.dgla)
-    assert C.dgla.brackets == T.dgla.brackets != {}
+    assert "brackets" not in vars(C) and "brackets" not in vars(T)
+    assert C.brackets == T.brackets != {}
 
 
 def records() -> dict:
@@ -155,3 +155,62 @@ def test_record_repr_hash_and_hidden_fields():
         assert cls.replace(problem=()) == cls and cls.replace(problem=()).problem == ()
     with pytest.raises(TypeError):
         hash(RECORDS["GradedElement"])
+
+
+def record_changes() -> dict:
+    """For each record type that compares by Record's rule alone: a change to
+    one compared field, and the fields it keeps but does not compare."""
+    L, h, A = RECORDS["Dgla"], RECORDS["DglaMorphism"], RECORDS["CoefficientAlgebra"]
+    m = RECORDS["PolyElement"]
+    a_to_x = graded.map_from_images(L.space, L.space, 1, {(0, 0): graded.basis_element(L.space, 1, 0)})
+    return {
+        "GradedSpace": ({"dmax": L.space.dmax + 1}, ()),
+        "ChainComplex": ({"d": a_to_x}, ()),
+        "ChainMap": ({"map": h.map.scale(2)}, ()),
+        "DglaMorphism": ({"map": h.map.scale(2)}, ()),
+        "PolyElement": ({"t_part": {e: 2 * c for e, c in m.t_part.items()}}, ()),
+        "CoefficientAlgebra": ({"labels": ("s",)}, ()),
+        "ConeComplex": ({"kind": "single"}, ("convention", "h", "g", "layout")),
+        "PairSetting": ({"coeff": truncated_polynomial_algebra(4)},
+                        ("tL", "tN", "tM", "h_tensor", "g_tensor")),
+        "TensorDgla": ({"coeff": truncated_polynomial_algebra(4)}, ()),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(record_changes()))
+def test_records_compare_by_their_declared_fields(name):
+    r = RECORDS[name]
+    change, hidden = record_changes()[name]
+    assert type(r).__eq__ in (Record.__eq__, dgla.Dgla.__eq__)
+    assert r._compared == tuple(f for f in r._fields if f not in hidden)
+    for how in COPIES.values():
+        assert how(r) == r
+    changed = r.replace(**change)
+    assert changed != r and not changed == r
+    for field in hidden:
+        assert f"{field}=" not in repr(r)
+        assert r.replace(**{field: None}) == r
+    for obj in (r, changed):
+        with pytest.raises(TypeError):
+            hash(obj)
+
+
+def test_a_tensor_is_a_dgla_equal_to_its_brackets():
+    T = tensor_dgla(lib.sl2(), truncated_polynomial_algebra(4))
+    T2 = tensor_dgla(copy.deepcopy(lib.sl2()), truncated_polynomial_algebra(4))
+    assert isinstance(T, dgla.Dgla) and T.factor is not T2.factor
+    # over equal factors and algebras: equal, and no bracket view is built
+    assert T == T2 and not T != T2
+    assert "brackets" not in vars(T) and "brackets" not in vars(T2)
+    # a plain DGLA with the same complex and brackets equals it, both ways
+    D = dgla.Dgla(T.complex, T.brackets)
+    assert T == D and D == T
+    assert T != lib.sl2() and lib.sl2() != T
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+def test_a_copied_tensor_builds_no_bracket_view(how):
+    T = tensor_dgla(lib.sl2(), truncated_polynomial_algebra(4))
+    C = COPIES[how](T)
+    assert C == T and C.to_tensor == T.to_tensor and C.levels == T.levels
+    assert "brackets" not in vars(C) and "brackets" not in vars(T)

@@ -395,7 +395,7 @@ class TestAdjoinD:
     def test_mc_iff_square_zero_in_extension(self):
         rnd = random.Random(5)
         T = tensor_dgla(lib.heis(), lib.artin_kt(3))
-        Lp, delta = adjoin_d(T.dgla)
+        Lp, delta = adjoin_d(T)
         dkey = Lp.space.locate(delta)
 
         def lift(x):

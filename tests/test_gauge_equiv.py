@@ -124,7 +124,7 @@ def test_abelian_criterion():
     for L in (lib.acyclic(), lib.abelian2(), lib.zero()):
         for A in (lib.artin_kt(3), lib.artin_square_zero(), lib.artin_poly2(), SKEW, dg_uw()):
             T = tensor_dgla(L, A)
-            d0, d1 = T.dgla.complex.d.matrix(0), T.dgla.complex.d.matrix(1)
+            d0, d1 = T.complex.d.matrix(0), T.complex.d.matrix(1)
             cycles = la.nullspace(d1, cols=T.space.dim(1))
 
             def rand_cycle() -> GradedElement:
@@ -225,7 +225,7 @@ def groebner_is_one(T, x: GradedElement, y: GradedElement) -> bool:
         out: dict = {}
         for a, cu in u.items():
             for b, cv in v.items():
-                stored = T.dgla.brackets.get((a, b) if a <= b else (b, a))
+                stored = T.brackets.get((a, b) if a <= b else (b, a))
                 if stored is not None:
                     c = cu * cv if a <= b or (a[0] * b[0]) % 2 else -(cu * cv)
                     out = add(out, {k: q(v) for k, v in stored.coords.items()}, c)

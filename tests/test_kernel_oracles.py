@@ -266,15 +266,15 @@ class TestBracket:
         L = scaled(lib.EXAMPLE_DGLAS[name](), data.draw(FACTORS), data.draw(FACTORS))
         tensors = [tensor_dgla(L, A) for A in (truncated_polynomial_algebra(4), dg_uw(),
                                                epsilon_algebra(0), epsilon_algebra(1))]
-        for D in (L, *(T.dgla for T in tensors)):
+        for D in (L, *tensors):
             x = data.draw(elements(D.space))
             y = x if data.draw(st.booleans()) else data.draw(elements(D.space))
             assert_bracket_matches(D, x, y)
             assert_bracket_matches(D, y, x)
         for T in tensors:
             x = data.draw(homogeneous(T.space, 1))
-            assert mc_residual(T, x) == (ref.map_apply(T.dgla.d, x)
-                                         + F(1, 2) * ref.bracket(T.dgla, x, x))
+            assert mc_residual(T, x) == (ref.map_apply(T.d, x)
+                                         + F(1, 2) * ref.bracket(T, x, x))
 
 
 class TestPairMaps:
@@ -358,7 +358,7 @@ class TestKeptTables:
         # the factor's table is built once, by the first bracket over it; each
         # tensor brackets through the factor's table and builds none of its own
         assert after_one["table", id(c["T"].factor)] == 1
-        for L in (c["T"].dgla, c["T_B"].dgla, s.tL.dgla, sB.tL.dgla):
+        for L in (c["T"], c["T_B"], s.tL, sB.tL):
             assert after_one["table", id(L)] == 0 and after_one["columns", id(L.d)] == 1
         for f in (s.h_tensor, sB.h_tensor, s.obstruction_space()[0].complex.d):
             assert after_one["columns", id(f)] == 1
@@ -368,18 +368,16 @@ class TestKeptTables:
 
     def test_one_entry_per_canonical_pair(self):
         T = tensor_dgla(endomorphism_dgla(end_complex(1, False)), truncated_polynomial_algebra(6))
-        D = T.dgla
-        table = D._int_table()
+        table = T._int_table()
         assert {(a, b) for a, row in table.items() for b in row} == (
-            set(D.brackets) | {(b, a) for a, b in D.brackets})
-        for (a, b), val in D.brackets.items():
+            set(T.brackets) | {(b, a) for a, b in T.brackets})
+        for (a, b), val in T.brackets.items():
             flat = table[a][b]
             assert table[b][a] is flat
-            assert dict(zip(flat[::2], flat[1::2])) == {k: v * D._scale for k, v in val.coords.items()}
+            assert dict(zip(flat[::2], flat[1::2])) == {k: v * T._scale for k, v in val.coords.items()}
 
     def test_tables_take_at_most_half_the_fraction_storage(self):
         T = tensor_dgla(endomorphism_dgla(end_complex(1, False)), truncated_polynomial_algebra(6))
-        D = T.dgla
 
         def traced(build):
             gc.collect()
@@ -391,16 +389,15 @@ class TestKeptTables:
             finally:
                 tracemalloc.stop()
 
-        # D's bracket storage made again: its dict, pair keys, elements and
+        # T's bracket storage made again: its dict, pair keys, elements and
         # coordinate dicts (the Fraction constants of the view, derived before,
-        # are shared, so counted 0); what the tensor keeps to bracket, made
-        # again as tensor_dgla makes it (its factored kernel: A's products and
-        # the index maps, L's own table already kept), with d's integer columns
-        brackets = D.brackets
-        _copy, fractions = traced(lambda: {(a, b): graded._trusted(D.space, dict(val.coords), None)
+        # are shared, so counted 0); the tensor made again as tensor_dgla makes
+        # it (its complex, index maps and factored kernel: A's products, L's
+        # own table already kept), with d's integer columns
+        brackets = T.brackets
+        _copy, fractions = traced(lambda: {(a, b): graded._trusted(T.space, dict(val.coords), None)
                                            for (a, b), val in brackets.items()})
-        _kernel, tables = traced(lambda: (artin._FactoredDgla(D.complex, T.factor, T.coeff, T.to_tensor),
-                                          D.d._int_columns()))
+        _kernel, tables = traced(lambda: (artin.TensorDgla(T.factor, T.coeff), T.d._int_columns()))
         assert 0 < tables <= fractions / 2
 
 
@@ -640,8 +637,8 @@ def dims_cases():
         for shift in (-1, 0, 1):
             def eps_cone(fn=fn, shift=shift):
                 s = pair_setting(*fn(), epsilon_algebra(shift))
-                return cone_pair(ChainMap(s.tL.dgla.complex, s.tM.dgla.complex, s.h_tensor),
-                                 ChainMap(s.tN.dgla.complex, s.tM.dgla.complex, s.g_tensor)).complex
+                return cone_pair(ChainMap(s.tL.complex, s.tM.complex, s.h_tensor),
+                                 ChainMap(s.tN.complex, s.tM.complex, s.g_tensor)).complex
             yield f"{name}:eps{shift} cone", eps_cone
     for name in sorted(CONE_CASES):
         if name.startswith("End(") and name.endswith(":idid"):
@@ -700,8 +697,8 @@ class TestTensorDgla:
         for name, L in dglas:
             T = tensor_dgla(L, A)
             expected = ref.tensor_brackets(T)
-            assert T.dgla.brackets == expected, name
-            assert list(T.dgla.brackets) == list(expected), name
+            assert T.brackets == expected, name
+            assert list(T.brackets) == list(expected), name
 
     def test_work_scales_with_stored_brackets(self, monkeypatch):
         calls = Counter()
@@ -739,8 +736,8 @@ class TestTensorDgla:
             assert calls["__post_init__"] == calls["_trusted"] == calls["make_dgla"] == 0
             keys = keys_of(T.space)
             x, y = ({k: j % m + 1 for j, k in enumerate(keys)} for m in (3, 5))
-            assert T.dgla._bracket_ints((1, x), (1, y))[1]
-            assert T.dgla._table is None and "brackets" not in vars(T.dgla)
+            assert T._bracket_ints((1, x), (1, y))[1]
+            assert T._table is None and "brackets" not in vars(T)
             calls.clear()
             ref.tensor_brackets(T)
             assert calls["bracket_basis"] >= n * (n + 1) // 2
@@ -752,7 +749,7 @@ class TestTensorDgla:
                   square_zero_algebra(("u", "v"))):
             L = Dgla(E.complex, E.brackets)
             T = tensor_dgla(L, A)
-            assert T.dgla._int_table() == {} and T.dgla.brackets == {}
+            assert T._int_table() == {} and T.brackets == {}
             assert L._table is None
 
     @pytest.mark.parametrize("coeff", sorted(TABLE_ALGEBRAS))
@@ -771,10 +768,10 @@ class TestTensorDgla:
             x = data.draw(elements(T.space))
             y = x if data.draw(st.booleans()) else data.draw(elements(T.space))
             xi, yi = dgla._to_ints(x), dgla._to_ints(y)
-            den, nums = T.dgla._bracket_ints(xi, yi)
-            assert T.dgla._scale == L._scale * ascale and den == xi[0] * yi[0] * T.dgla._scale, name
+            den, nums = T._bracket_ints(xi, yi)
+            assert T._scale == L._scale * ascale and den == xi[0] * yi[0] * T._scale, name
             assert as_rationals(den, nums) == as_rationals(*ref.bracket_ints(derived, xi, yi)), name
-            assert T.dgla._table is None and "brackets" not in vars(T.dgla), name
+            assert T._table is None and "brackets" not in vars(T), name
 
     @pytest.mark.parametrize("name", sorted(SERIES_DGLAS))
     def test_tower_steps_match_tensors_built_from_scratch(self, name):
@@ -791,16 +788,16 @@ class TestTensorDgla:
             x = lift_if_unobstructed(ext, x, cls)
             for T in (cls.problem[1].tensor, x.tensor):
                 fresh = tensor_dgla(L, T.coeff)
-                assert T == fresh and T.dgla.complex == fresh.dgla.complex
-                derived = Dgla(fresh.dgla.complex, ref.tensor_brackets(fresh))
+                assert T == fresh and T.complex == fresh.complex
+                derived = Dgla(fresh.complex, ref.tensor_brackets(fresh))
                 z = GradedElement(T.space, {k: F(j % 5 - 2, j % 3 + 1)
                                             for j, k in enumerate(keys_of(T.space))})
                 for p, q in ((z, z), (z, x.element), (x.element, z)):
                     pi, qi = dgla._to_ints(p), dgla._to_ints(q)
-                    assert (as_rationals(*T.dgla._bracket_ints(pi, qi))
+                    assert (as_rationals(*T._bracket_ints(pi, qi))
                             == as_rationals(*ref.bracket_ints(derived, pi, qi))), (name, n)
-                assert T.dgla._table is None and "brackets" not in vars(T.dgla)
-        assert T.dgla.brackets == derived.brackets and list(T.dgla.brackets) == list(derived.brackets)
+                assert T._table is None and "brackets" not in vars(T)
+        assert T.brackets == derived.brackets and list(T.brackets) == list(derived.brackets)
 
     def test_a_walk_builds_no_tensor_table(self, monkeypatch):
         # along K[t]/t² … t¹⁴ on End(V₂)-dense: L's table is built once, by the
@@ -824,23 +821,23 @@ class TestTensorDgla:
             tensors.append(T)
         assert T.space.total_dim() == 468
         assert built == Counter({id(L): 1})
-        assert all(T.dgla._table is None and "brackets" not in vars(T.dgla) for T in tensors)
+        assert all(T._table is None and "brackets" not in vars(T) for T in tensors)
 
     def test_the_series_never_read_the_brackets(self):
         # every op of the series cycle, run on fresh tensors, sums over the
-        # integer table alone; equality of tensors, of their DGLAs and of
-        # polynomial elements over them reads no bracket either
+        # integer table alone; equality of tensors, of a tensor with itself and
+        # of polynomial elements over them reads no bracket either
         c = series_objects(4)
         s, sB = c["triple"].setting, c["sB"]
         tensors = [c["T"], c["T_B"], s.tL, s.tN, s.tM, sB.tL, sB.tN, sB.tM]
         series_cycle(c)
         T2 = tensor_dgla(c["T"].factor, c["T"].coeff)
-        assert T2 == c["T"] and T2.dgla == T2.dgla and T2 != c["T_B"]
+        assert T2 == c["T"] and T2 == T2 and T2 != c["T_B"]
         x2 = mc_element(T2, c["x"].element)
         assert isinstance(gauge_equiv_decide(x2, c["y"]), maurer_cartan.Equivalent)
-        m = path_object.poly_constant(s.tM.dgla, c["a"])
-        assert m + m == path_object.poly_constant(s.tM.dgla, 2 * c["a"])
-        assert all("brackets" not in vars(T.dgla) and T.dgla._table is None for T in [*tensors, T2])
+        m = path_object.poly_constant(s.tM, c["a"])
+        assert m + m == path_object.poly_constant(s.tM, 2 * c["a"])
+        assert all("brackets" not in vars(T) and T._table is None for T in [*tensors, T2])
 
 
 def as_rationals(den: int, nums: dict) -> dict:
@@ -859,7 +856,7 @@ def derived_tensors(coeff: str) -> tuple:
     out = []
     for name, L in dglas:
         T = tensor_dgla(L, TABLE_ALGEBRAS[coeff])
-        out.append((name, L, Dgla(T.dgla.complex, ref.tensor_brackets(T))))
+        out.append((name, L, Dgla(T.complex, ref.tensor_brackets(T))))
     return tuple(out)
 
 
@@ -999,11 +996,11 @@ class TestDenseBlocks:
         fn, A = TENSOR_CASES[name]
         L = fn()
         T = tensor_dgla(L, A)
-        assert T.dgla.d.blocks == ref.dense_tensor_differential(T)
-        assert T.dgla.complex.d_squared_witnesses() == ref.dense_d_squared_witnesses(
-            T.dgla.complex) == []
+        assert T.d.blocks == ref.dense_tensor_differential(T)
+        assert T.complex.d_squared_witnesses() == ref.dense_d_squared_witnesses(
+            T.complex) == []
         if name.endswith("@t^6") or name.startswith("obstructed"):
-            assert_dense_ops_match(T.dgla.d)
+            assert_dense_ops_match(T.d)
         s = pair_setting(identity_morphism(L), zero_morphism(L, L), A)
         for phi, src, tgt, f in ((s.h.map, s.tL, s.tM, s.h_tensor),
                                  (s.g.map, s.tN, s.tM, s.g_tensor)):
@@ -1016,7 +1013,7 @@ class TestDenseBlocks:
             s = pair_setting(h, g, truncated_polynomial_algebra(n))
             for phi, src, f in ((h.map, s.tL, s.h_tensor), (g.map, s.tN, s.g_tensor)):
                 assert f.blocks == ref.dense_tensor_map(phi, src, s.tM)
-            assert s.tM.dgla.d.blocks == ref.dense_tensor_differential(s.tM)
+            assert s.tM.d.blocks == ref.dense_tensor_differential(s.tM)
 
 
 # --- coefficient-algebra axioms ------------------------------------------------

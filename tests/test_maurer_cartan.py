@@ -283,7 +283,7 @@ class TestObstructionSingle:
         # independent exhaustive linear check: dq = y⊗t² has no solution
         TB = tensor_dgla(lib.obstructed(), ext.B)
         target = TB.element_from_labels({"y@t^2": 1})
-        dmat = TB.dgla.complex.d.matrix(1)
+        dmat = TB.complex.d.matrix(1)
         rhs = target.component_vector(2)
         assert la.solve(dmat, rhs, cols=TB.space.dim(1)) is None
 

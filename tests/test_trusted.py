@@ -204,7 +204,7 @@ def map_coefficients_by_terms(T, x, matrix) -> GradedElement:
     for key, c in x.coords.items():
         ldeg, lidx, ai = T.from_tensor[key]
         for r, row in enumerate(matrix):
-            out = T.to_tensor[(ldeg, lidx, r)]
+            out = T.to_tensor[(ldeg, lidx)][r]
             coords[out] = coords.get(out, 0) + c * row[ai]
     return GradedElement(T.space, coords, x.degree)
 
