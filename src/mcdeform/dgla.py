@@ -182,7 +182,7 @@ class Dgla(Record):
         if not isinstance(other, Dgla):
             return NotImplemented
         if other.__class__ is self.__class__:  # a tensor's key is its factor and algebra
-            return self is other or self._key() == other._key()
+            return self is other or self._key(self) == self._key(other)
         return self.complex == other.complex and self.brackets == other.brackets
 
     __hash__ = None

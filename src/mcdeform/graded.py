@@ -13,6 +13,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping
 
 from . import linalg as la
@@ -56,7 +57,10 @@ class Record:
         cls._fields += tuple(n for n in annotated if n not in cls._fields)
         cls._defaults = {**cls._defaults, **{n: body[n] for n in annotated if n in body
                                             and n not in body.get("__slots__", ())}}
-        cls._compared = tuple(n for n in cls._fields if n not in cls._hidden)
+        cls._compared = names = tuple(n for n in cls._fields if n not in cls._hidden)
+        # _key(record): its compared fields as a tuple (attrgetter of one name is its value)
+        get = attrgetter(*names) if names else lambda r: ()
+        cls._key = staticmethod(get if len(names) != 1 else lambda r: (get(r),))
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -102,16 +106,13 @@ class Record:
             for name, value in (part or EMPTY).items():
                 _set(self, name, value)
 
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._compared)
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self is other or self._key() == other._key()
+        return self is other or self._key(self) == self._key(other)
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._key(self))
 
     def __repr__(self):
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
@@ -343,11 +344,11 @@ class GradedMap:
     target degree falls outside the target window is refused, otherwise the
     map would silently truncate d²=0-style identities.  Maps the library
     builds itself come from _map.  matrix(i) and blocks are dense views, built
-    on each read.  A map keeps its integer columns (_int_columns) and its
-    solution map (_solution) once used; it is otherwise immutable.
+    on each read.  A map keeps its integer columns (_int_columns) once used;
+    it is otherwise immutable.
     """
 
-    __slots__ = ("source", "target", "degree", "cols", "_ints", "_solved")
+    __slots__ = ("source", "target", "degree", "cols", "_ints")
 
     def __init__(self, source: GradedSpace, target: GradedSpace, degree: int,
                  blocks: Mapping[int, la.Matrix] | None = None):
@@ -368,13 +369,13 @@ class GradedMap:
                 for q, x in enumerate(row):
                     if x := la.frac(x):
                         cols.setdefault(i, {}).setdefault(q, {})[r] = x
-        for name, value in zip(self.__slots__, (source, target, degree, cols, None, None)):
+        for name, value in zip(self.__slots__, (source, target, degree, cols, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"GradedMap is immutable: cannot set {name!r}")
 
-    def __reduce__(self):  # copy and pickle rebuild from the columns; kept forms are rebuilt on use
+    def __reduce__(self):  # copy and pickle rebuild from the columns; the kept form is rebuilt on use
         return _map, (self.source, self.target, self.degree, self.cols)
 
     @property
@@ -409,17 +410,6 @@ class GradedMap:
             for t, n in zip(it, it):
                 out[t] = out.get(t, 0) + c * n
         return df * dx, {k: n for k, n in out.items() if n}
-
-    def _solution(self) -> "GradedMap":
-        """b ↦ w with f w = b and every free unknown 0 (as la.solve) for each b
-        in the image of f at source degree 1 (la.solution_map); built on first
-        use and kept on the map f."""
-        if self._solved is None:
-            cols = la.solution_map(self.cols.get(1, EMPTY), self.source.dim(1),
-                                   self.target.dim(1 + self.degree))[0]
-            object.__setattr__(self, "_solved", _map(
-                self.target, self.source, -self.degree, {1 + self.degree: cols} if cols else {}))
-        return self._solved
 
     def apply(self, x: GradedElement) -> GradedElement:
         if x.space is not self.source and x.space != self.source:
@@ -583,11 +573,14 @@ def zero_complex() -> ChainComplex:
 
 @dataclass(frozen=True)
 class CohomologyResult:
-    """Dimensions, representative cycles, and class-projection matrices.
-
-    For each degree i, ``projections[i]`` is a dim H^i x dim V^i matrix P
-    with P·(boundary) = 0 and P·(representative_j) = e_j, so P sends any
-    cycle's coordinates to its class coordinates.
+    """Dimensions, representative cycles, and the contraction (i, p, h) of the
+    complex onto its cohomology, by the split Vⁱ = Bⁱ ⊕ Rⁱ ⊕ Cⁱ of each
+    degree (see _cohomology_at).  i sends class j to ``representatives[i][j]``;
+    ``p[i]`` holds one sparse row {q: c} per class, the Rⁱ-coordinates, so p
+    sends a cycle to its class; h(i): Vⁱ → Vⁱ⁻¹ inverts d from Bⁱ onto Cⁱ⁻¹
+    and kills Rⁱ and Cⁱ.  So id − ip = dh + hd, h² = 0, hi = 0 and ph = 0,
+    and for a boundary b, h(b) is the w with d w = b that is 0 at every free
+    column of d (as la.solve).
 
     The result covers the degrees of ``dims``: every degree of the window
     unless compute_cohomology was asked for some degrees only.  Accessors
@@ -598,7 +591,7 @@ class CohomologyResult:
     complex: ChainComplex
     dims: Mapping[int, int]
     representatives: Mapping[int, tuple[GradedElement, ...]]
-    projections: Mapping[int, la.Matrix]
+    p: Mapping[int, tuple[la.Sparse, ...]]
 
     def _require(self, degree: int) -> None:
         space = self.complex.space
@@ -615,19 +608,28 @@ class CohomologyResult:
             self._require(i)
         return sum(self.dims.values())
 
-    def project_vector(self, degree: int, vec: la.Vector) -> la.Vector:
-        self._require(degree)
-        if degree not in self.projections:
-            return []
-        return la.mat_vec(self.projections[degree], vec)
-
     def class_of(self, x: GradedElement, degree: int | None = None) -> la.Vector:
-        """Class coordinates of a homogeneous cycle."""
+        """p(x): the class coordinates of a homogeneous cycle.  An element whose
+        component in degree is not a cycle raises InvalidInput."""
         if degree is None:
             degree = x.homogeneous_degree()
             if degree is None:
                 raise DegreeMismatch(f"element is not homogeneous: {x.coords}")
-        return self.project_vector(degree, x.component_vector(degree))
+        self._require(degree)
+        part = {q: c for (i, q), c in x.coords.items() if i == degree}
+        if la.apply_columns(self.complex.d.cols.get(degree, EMPTY), part):
+            raise InvalidInput(f"element is not a cycle in degree {degree}")
+        return [sum((c * row[q] for q, c in part.items() if q in row), ZERO)
+                for row in self.p.get(degree, ())]
+
+    def h(self, degree: int) -> GradedMap:
+        """h at degree, a map of degree −1 from that degree alone: built on
+        first read and kept on the result."""
+        self._require(degree)
+        kept = self.__dict__.setdefault("_h", {})
+        if degree not in kept:
+            kept[degree] = _cohomology_at(self.complex, degree)[2]
+        return kept[degree]
 
     def representative(self, degree: int, j: int) -> GradedElement:
         self._require(degree)
@@ -641,22 +643,18 @@ def compute_cohomology(complex: ChainComplex,
     With degrees, only those degrees of the window are computed, each exactly
     as in the full result; d² = 0 is still required on the whole complex
     (checked once per complex object, see require_d_squared_zero).  Nothing
-    is cached: every call row-reduces again.
-
-    Representatives are chosen deterministically from the row-reduced kernel
-    basis: kernel vectors are scanned in free-column order and kept whenever
-    they add a dimension beyond the boundary span.
+    is cached: every call row-reduces again.  The representatives are chosen
+    deterministically (see _cohomology_at).
     """
     complex.require_d_squared_zero()
     space = complex.space
     wanted = space.degrees() if degrees is None else set(degrees)
-    dims: dict[int, int] = {}
     reps: dict[int, tuple[GradedElement, ...]] = {}
-    projs: dict[int, la.Matrix] = {}
+    p: dict[int, tuple[la.Sparse, ...]] = {}
     for i in space.degrees():
         if i in wanted:
-            dims[i], reps[i], projs[i] = _cohomology_at(complex, i)
-    return CohomologyResult(complex, dims, reps, projs)
+            reps[i], p[i], _h = _cohomology_at(complex, i)
+    return CohomologyResult(complex, {i: len(r) for i, r in reps.items()}, reps, p)
 
 
 def cohomology_dims(complex: ChainComplex,
@@ -672,27 +670,34 @@ def cohomology_dims(complex: ChainComplex,
 
 
 def _cohomology_at(complex: ChainComplex, i: int) -> tuple[
-        int, tuple[GradedElement, ...], la.Matrix]:
-    """dim H^i, its representatives and its projection matrix."""
+        tuple[GradedElement, ...], tuple[la.Sparse, ...], GradedMap]:
+    """The representatives, p and h at degree i, from one inverse of the basis
+    [B | R | C] of Vⁱ.
+
+    B is the pivot columns of d_{i−1}.  R is the representatives: the kernel
+    vectors of d_i, scanned in free-column order and kept whenever they add a
+    dimension beyond B.  C is the unit vectors at the pivots of d_i, on which
+    d_i is injective; one rref of d_i gives both its kernel and C.  p reads
+    the R-coordinates, and h sends the B-coordinate of d_{i−1}(e_q) to e_q.
+    """
     space = complex.space
     n = space.dim(i)
     if n == 0:
-        return 0, (), []
-    d_i = complex.d.matrix(i)
+        return (), (), _map(space, space, -1, {})
+    kernel, units = la.nullspace_and_pivots(complex.d.matrix(i), n)
     d_prev = complex.d.matrix(i - 1)
-    kernel = la.nullspace(d_i, cols=n)
-    boundary_basis = la.column_space_basis(d_prev) if space.dim(i - 1) else []
-    h_dim = len(kernel) - len(boundary_basis)
-    chosen = [kernel[k] for k in la.extend_basis(boundary_basis, kernel, n)]
-    if len(chosen) != h_dim:
-        raise InvalidInput("internal: representative selection failed")
-
-    # Complete [boundaries | representatives] to a basis of V^i with
-    # standard basis vectors; the projection is the representative rows
-    # of the inverse basis matrix.
-    nb = len(boundary_basis)
-    _units, f_inv = la.complete_and_invert(boundary_basis + chosen, n)
-    return h_dim, tuple(element_from_vector(space, i, v) for v in chosen), f_inv[nb:nb + h_dim]
+    pivots = la.rref(d_prev)[1] if space.dim(i - 1) else []
+    boundaries = [[row[q] for row in d_prev] for q in pivots]
+    chosen = [kernel[k] for k in la.extend_basis(boundaries, kernel, n)]
+    basis = boundaries + chosen + [la.unit_vector(n, q) for q in units]
+    rows = [{r: c for r, c in enumerate(row) if c}
+            for row in la.inverse(la.from_columns(basis, n))[:len(pivots) + len(chosen)]]
+    h: dict[int, dict[int, Fraction]] = {}
+    for q, row in zip(pivots, rows):
+        for r, c in row.items():
+            h.setdefault(r, {})[q] = c
+    reps = tuple(element_from_vector(space, i, v) for v in chosen)
+    return reps, tuple(rows[len(pivots):]), _map(space, space, -1, {i: h} if h else {})
 
 
 def shift(complex: ChainComplex, n: int) -> ChainComplex:
@@ -791,11 +796,8 @@ def induced_cohomology_matrix(f: GradedMap, H_src: CohomologyResult,
     the j-th source representative, in target-class coordinates at
     degree + n.
     """
-    cols = []
-    for j in range(H_src.dim(degree)):
-        img = f.apply(H_src.representative(degree, j))
-        cols.append(H_tgt.project_vector(degree + f.degree,
-                                         img.component_vector(degree + f.degree)))
+    cols = [H_tgt.class_of(f.apply(H_src.representative(degree, j)), degree + f.degree)
+            for j in range(H_src.dim(degree))]
     return la.from_columns(cols, H_tgt.dim(degree + f.degree))
 
 

@@ -53,10 +53,6 @@ def num_cols(a: Matrix, default: int = 0) -> int:
     return len(a[0]) if a else default
 
 
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return [sum((row[j] * x for j, x in enumerate(v) if x), ZERO) for row in a]
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     rows, inner = len(a), num_cols(a)
     cols = num_cols(b)
@@ -115,9 +111,14 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
 
 def nullspace(a: Matrix, cols: int | None = None) -> list[Vector]:
     """Deterministic kernel basis: one vector per free column, in order."""
+    return nullspace_and_pivots(a, cols)[0]
+
+
+def nullspace_and_pivots(a: Matrix, cols: int | None = None) -> tuple[list[Vector], list[int]]:
+    """nullspace(a, cols) and the pivot columns of a, from one rref."""
     c = num_cols(a, cols or 0)
     if not a:
-        return [unit_vector(c, j) for j in range(c)]
+        return [unit_vector(c, j) for j in range(c)], []
     r, pivots = rref(a)
     pivot_set = set(pivots)
     basis = []
@@ -129,7 +130,7 @@ def nullspace(a: Matrix, cols: int | None = None) -> list[Vector]:
         for row_idx, pc in enumerate(pivots):
             v[pc] = -r[row_idx][free]
         basis.append(v)
-    return basis
+    return basis, pivots
 
 
 def unit_vector(n: int, j: int) -> Vector:

@@ -253,17 +253,17 @@ def _obstruction_problem(key: tuple, pieces, cocycle: Callable, H: CohomologyRes
     numerators) pairs; a component has its piece's degree + 1, and a lifted
     piece its input's degree.  For each J basis
     vector J_j, embed sends the j-th parts of the components to a degree-2
-    element of cx = H.complex, which must be a cycle; its class is read in H,
-    the obstruction space H²(cx) that the caller keeps (it does not depend on
-    the extension), so no cohomology is computed here.
+    cycle of cx = H.complex; H.class_of (which refuses a non-cycle) reads its
+    class in the obstruction space H²(cx) that the caller keeps (it does not
+    depend on the extension), so no cohomology is computed here.
 
     Without cls, returns (H, J labels, class coordinates, cocycle).
     With cls, key must be cls.problem, and the coordinates read again from
     cls.cocycle (an element's is bare) must be cls.coords.  A nonzero class gives
-    NO_LIFT.  A vanishing one gives w_j with D w_j = part j, by the solution
-    map kept on cx's d (GradedMap._solution; checked), split sends w_j
-    to per-piece corrections, and the result is verified(*bars) for bar =
-    lifted piece − Σ_j w_j ⊗ J_j, each bar checked to project back.
+    NO_LIFT.  A vanishing one gives w_j = h(part j) with D w_j = part j, by
+    the H.h(2) kept on H (checked); split sends w_j to per-piece corrections,
+    and the result is verified(*bars) for bar = lifted piece − Σ_j w_j ⊗ J_j,
+    each bar checked to project back.
     """
     ext = key[0]
     if any(TA.coeff != ext.A for TA, _e, _TB in pieces):
@@ -279,21 +279,17 @@ def _obstruction_problem(key: tuple, pieces, cocycle: Callable, H: CohomologyRes
         raise InconsistentInput("class was computed for another extension or input")
     parts = [embed(*js) for js in
              zip(*(_j_components(TB, ext, c) for (_TA, _e, TB), c in zip(pieces, cocyc)))]
-    coords = []
-    for part in parts:
-        if cx.d._apply_ints(_to_ints(part))[1]:
-            raise InvalidInput("internal: obstruction cocycle is not a cycle")
-        coords.append(tuple(H.class_of(part, degree=2)))
+    coords = tuple(tuple(H.class_of(part, degree=2)) for part in parts)
     if cls is None:
         jlabels = tuple(ext.kernel_label(j) for j in range(ext.kernel_dim))
-        return H, jlabels, tuple(coords), cocyc
-    if tuple(coords) != cls.coords:
+        return H, jlabels, coords, cocyc
+    if coords != cls.coords:
         raise InconsistentInput("class does not match the recomputed cocycle projection")
     if not cls.is_zero():
         return NO_LIFT
     corrections: list[list[GradedElement]] = [[] for _ in pieces]
     for part in parts:
-        w = cx.d._solution()._apply_ints(_to_ints(part))
+        w = H.h(2)._apply_ints(_to_ints(part))
         if _from_ints(cx.space, *cx.d._apply_ints(w)) != part:
             raise InvalidInput("internal: vanishing class but the cocycle is no boundary")
         for acc, wp in zip(corrections, split(_from_ints(cx.space, *w, 1))):

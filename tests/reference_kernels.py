@@ -6,6 +6,9 @@
   each key's partners in the stored pairs, every Fraction constant scaled to
   an integer on every read (``Dgla._bracket_ints`` reads the integer table
   kept on the DGLA instead).
+- ``mat_vec``: a dense matrix-vector product, every row summed over the
+  nonzero entries of the vector (the library keeps no dense product of a
+  matrix and a vector; the references below and the tests use this one).
 - ``map_apply``: f(x) by one dense matrix-vector product per degree
   (``GradedMap.apply`` reads f's columns, and ``Dgla.differential_of`` and
   the pair maps of ``PairSetting`` apply the integer columns each map keeps
@@ -61,6 +64,14 @@
   and ``SmallExtension.kernel_coords`` sum integers over the integer columns
   the extension keeps, the J coordinates' from ``la.solution_map``,
   instead).  ``dense`` writes sparse columns as the dense matrix these take.
+- ``projection`` and ``solution``: the class projection of Hⁱ as the dense
+  matrix of the representative rows of the inverse of [boundaries |
+  representatives | unit vectors], the unit vectors completing greedily by
+  ``la.complete_and_invert``; and b ↦ w with d w = b at degree 2 for every
+  boundary b, by ``la.solution_map`` of d¹ (``CohomologyResult`` keeps p as
+  sparse rows of the inverse of [B | R | C], C the unit vectors at the pivots
+  of d, which is the greedy completion, and builds h from the same inverse:
+  p equals the projection, and h the solution on every boundary).
 - ``truncated_path_complex``: M[t,dt]_N built term by term, one
   ``path_object.poly_d`` per m·tᵉ and m·tᵉdt, placed by ``path_key`` and
   named as the tensor names them (``path_object.truncated_path_complex`` is
@@ -146,11 +157,15 @@ def bracket_ints(L: Dgla, x: tuple[int, dict], y: tuple[int, dict]) -> tuple[int
     return dx * dy * L._scale, {k: n for k, n in out.items() if n}
 
 
+def mat_vec(a: la.Matrix, v: la.Vector) -> la.Vector:
+    return [sum((row[j] * x for j, x in enumerate(v) if x), ZERO) for row in a]
+
+
 def map_apply(f: GradedMap, x: GradedElement) -> GradedElement:
     coords = {}
     for i in f.source.degrees():
         if f.target.dim(i + f.degree):
-            image = la.mat_vec(f.matrix(i), x.component_vector(i))
+            image = mat_vec(f.matrix(i), x.component_vector(i))
             coords.update(((i + f.degree, r), c) for r, c in enumerate(image) if c)
     return GradedElement(f.target, coords)
 
@@ -808,3 +823,24 @@ def kernel_coords(ext, vec: dict):
     inverse = la.complete_and_invert(J, ext.B.dim)[1]
     coords = [sum((row[i] * c for i, c in vec.items()), ZERO) for row in inverse]
     return None if any(coords[ext.kernel_dim:]) else coords[:ext.kernel_dim]
+
+
+def projection(cx: ChainComplex, i: int) -> la.Matrix:
+    """The dim Hⁱ x dim Vⁱ class projection: the representative rows of the
+    inverse of [boundaries | representatives | unit vectors], the unit
+    vectors taken greedily (la.complete_and_invert)."""
+    n = cx.space.dim(i)
+    if n == 0:
+        return []
+    kernel = la.nullspace(cx.d.matrix(i), cols=n)
+    boundaries = la.column_space_basis(cx.d.matrix(i - 1)) if cx.space.dim(i - 1) else []
+    chosen = [kernel[k] for k in la.extend_basis(boundaries, kernel, n)]
+    inverse = la.complete_and_invert(boundaries + chosen, n)[1]
+    return inverse[len(boundaries):len(boundaries) + len(chosen)]
+
+
+def solution(d: GradedMap) -> GradedMap:
+    """b ↦ w with d w = b and every free unknown 0 (as la.solve) for each b in
+    the image of d at source degree 1, by la.solution_map of d¹."""
+    cols = la.solution_map(d.cols.get(1, {}), d.source.dim(1), d.target.dim(1 + d.degree))[0]
+    return graded._map(d.target, d.source, -d.degree, {1 + d.degree: cols} if cols else {})

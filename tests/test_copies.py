@@ -174,6 +174,7 @@ def record_changes() -> dict:
         "PairSetting": ({"coeff": truncated_polynomial_algebra(4)},
                         ("tL", "tN", "tM", "h_tensor", "g_tensor")),
         "TensorDgla": ({"coeff": truncated_polynomial_algebra(4)}, ()),
+        "TruncationWindow": ({"N": RECORDS["TruncationWindow"].N + 1}, ()),  # one field, hashable
     }
 
 
@@ -183,6 +184,8 @@ def test_records_compare_by_their_declared_fields(name):
     change, hidden = record_changes()[name]
     assert type(r).__eq__ in (Record.__eq__, dgla.Dgla.__eq__)
     assert r._compared == tuple(f for f in r._fields if f not in hidden)
+    # the key is a tuple of the compared fields, whatever their number
+    assert r._key(r) == tuple(getattr(r, f) for f in r._compared) and type(r._key(r)) is tuple
     for how in COPIES.values():
         assert how(r) == r
     changed = r.replace(**change)
@@ -191,8 +194,11 @@ def test_records_compare_by_their_declared_fields(name):
         assert f"{field}=" not in repr(r)
         assert r.replace(**{field: None}) == r
     for obj in (r, changed):
-        with pytest.raises(TypeError):
-            hash(obj)
+        if name == "TruncationWindow":  # no mapping field
+            assert hash(obj) == hash(copy.deepcopy(obj)) == hash((obj.N,))
+        else:
+            with pytest.raises(TypeError):
+                hash(obj)
 
 
 def test_a_tensor_is_a_dgla_equal_to_its_brackets():

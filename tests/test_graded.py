@@ -24,6 +24,7 @@ from mcdeform.graded import (
     compute_cohomology,
     direct_sum,
     element_from_labels,
+    element_from_vector,
     graded_map_to_hom_element,
     hom_basis,
     hom_complex,
@@ -33,6 +34,7 @@ from mcdeform.graded import (
     map_from_basis_images,
     map_from_images,
     shift,
+    zero_element,
 )
 
 F = Fraction
@@ -212,14 +214,43 @@ class TestCohomology:
         for _ in range(10):
             v = GradedElement(cx.space, {(0, 0): F(rnd.randint(-5, 5))}, 0)
             b = cx.d.apply(v)
-            assert all(c == 0 for c in H.project_vector(1, b.component_vector(1)))
+            assert all(c == 0 for c in H.class_of(b, 1))
+            assert H.h(1).apply(b) == v
 
     def test_projection_inclusion_identity(self):
         s = GradedSpace(1, 2, {1: ("x1", "x2"), 2: ("y",)})
         H = compute_cohomology(ChainComplex(s, GradedMap(s, s, 1, {})))
         for j, rep in enumerate(H.representatives[1]):
-            coords = H.project_vector(1, rep.component_vector(1))
+            coords = H.class_of(rep, 1)
             assert coords == la.unit_vector(H.dim(1), j)
+            assert H.class_of(rep) == coords
+
+    def test_class_of_refuses_an_element_that_is_not_a_cycle(self):
+        from mcdeform import library as lib
+        from mcdeform.dgla import cone_pair
+        # d is zero on the obstructed DGLA, so its non-cycle is one of its
+        # (id, id) cone; acyclic's u has d u = v
+        L = lib.acyclic()
+        u = basis_element(L.space, 0, 0)
+        for H in (compute_cohomology(L.complex), compute_cohomology(L.complex, (0,))):
+            for x, degree in ((u, None), (u + u, 0), (u + L.d.apply(u), 0)):
+                with pytest.raises(InvalidInput, match="not a cycle in degree 0"):
+                    H.class_of(x, degree)
+        cone = cone_pair(*lib.pair_idid_obstructed()).complex
+        Hc = compute_cohomology(cone)
+        refused = []
+        for i in cone.space.degrees():
+            for q in range(cone.space.dim(i)):
+                e = basis_element(cone.space, i, q)
+                if cone.d.apply(e).coords:
+                    with pytest.raises(InvalidInput, match="not a cycle"):
+                        Hc.class_of(e)
+                    refused.append(i)
+                else:
+                    assert Hc.class_of(e) == ref.mat_vec(ref.projection(cone, i),
+                                                         e.component_vector(i))
+        assert 1 in refused
+        assert cone.d._ints is None  # class_of keeps nothing on the complex it reads
 
 
 def random_decomposed_complex(rnd: random.Random):
@@ -291,8 +322,9 @@ def test_projection_kills_random_boundaries(seed):
     for i in cx.space.degrees():
         coords = {(i, k): F(rnd.randint(-3, 3)) for k in range(cx.space.dim(i))}
         b = cx.d.apply(GradedElement(cx.space, coords, i))
-        got = H.project_vector(i + 1, b.component_vector(i + 1))
+        got = H.class_of(b, i + 1)
         assert all(c == 0 for c in got)
+        assert got == ref.mat_vec(ref.projection(cx, i + 1), b.component_vector(i + 1))
 
 
 def assert_restricted_cohomology_matches(cx: ChainComplex) -> None:
@@ -304,15 +336,15 @@ def assert_restricted_cohomology_matches(cx: ChainComplex) -> None:
         R = compute_cohomology(cx, (i,))
         assert R.dims == {i: H.dims[i]}
         assert R.representatives == {i: H.representatives[i]}
-        assert R.projections == {i: H.projections[i]}
+        assert R.p == {i: H.p[i]}
+        assert R.h(i).cols == H.h(i).cols
         assert R.dim(i) == H.dim(i)
         for j in window:
             if j == i:
                 continue
             zero = GradedElement(cx.space, {}, j)
             for ask in (lambda: R.dim(j), lambda: R.representative(j, 0),
-                        lambda: R.project_vector(j, zero.component_vector(j)),
-                        lambda: R.class_of(zero, degree=j)):
+                        lambda: R.class_of(zero, degree=j), lambda: R.h(j)):
                 with pytest.raises(InvalidInput):
                     ask()
         if len(window) > 1:
@@ -320,7 +352,8 @@ def assert_restricted_cohomology_matches(cx: ChainComplex) -> None:
                 R.total_dim()
         # outside the window every degree still reads 0
         assert R.dim(window[0] - 1) == 0 and R.dim(window[-1] + 1) == 0
-        assert R.project_vector(window[-1] + 1, []) == []
+        assert R.class_of(GradedElement(cx.space, {}), degree=window[-1] + 1) == []
+        assert R.h(window[-1] + 1).cols == R.h(window[0] - 1).cols == {}
 
 
 class TestRestrictedCohomology:
@@ -362,6 +395,65 @@ class TestRestrictedCohomology:
 def test_restricted_cohomology_of_random_complexes(seed):
     cx, _free = random_decomposed_complex(random.Random(seed))
     assert_restricted_cohomology_matches(cx)
+
+
+def p_of(H, i: int, x: GradedElement) -> list:
+    """p(x) read off H.p at degree i, for any x (class_of reads cycles only)."""
+    return [sum((c * row.get(q, 0) for (deg, q), c in x.coords.items() if deg == i), F(0))
+            for row in H.p.get(i, ())]
+
+
+def assert_contraction(cx: ChainComplex) -> None:
+    """The (i, p, h) of compute_cohomology(cx) is a contraction in every degree:
+    id − ip = dh + hd, h² = 0, hi = 0 and ph = 0 on every basis vector; and p
+    is the reference projection on every cycle, and as a matrix."""
+    H, d, space = compute_cohomology(cx), cx.d, cx.space
+    for i in space.degrees():
+        h = H.h(i)
+        assert h.degree == -1 and set(h.cols) <= {i} and H.h(i) is h
+        for q in range(space.dim(i)):
+            e = basis_element(space, i, q)
+            ip = zero_element(space, i)
+            for c, rep in zip(p_of(H, i, e), H.representatives[i]):
+                ip = ip + c * rep
+            assert e - ip == d.apply(h.apply(e)) + H.h(i + 1).apply(d.apply(e))
+            assert not H.h(i - 1).apply(h.apply(e)).coords
+            assert not any(p_of(H, i - 1, h.apply(e)))
+        assert not any(h.apply(rep).coords for rep in H.representatives[i])
+        projection = ref.projection(cx, i)
+        for z in la.nullspace(d.matrix(i), cols=space.dim(i)) if space.dim(i) else []:
+            assert H.class_of(element_from_vector(space, i, z)) == ref.mat_vec(projection, z)
+        # C, the unit vectors at the pivots of d_i, is the greedy completion the
+        # reference takes, so the rows are equal off the cycles too
+        assert [[row.get(q, 0) for q in range(space.dim(i))] for row in H.p[i]] == projection
+
+
+def contraction_cases():
+    from mcdeform import library as lib
+    from mcdeform.dgla import cone_pair
+    from test_kernel_oracles import CONE_CASES, end_complex
+    for name, fn in sorted(lib.EXAMPLE_DGLAS.items()):
+        yield name, lambda fn=fn: fn().complex
+    for k in (1, 2):
+        for dense in (False, True):
+            yield (f"End(V{k}):{'dense' if dense else 'sparse'}",
+                   lambda k=k, dense=dense: endomorphism_dgla(end_complex(k, dense)).complex)
+    for name, pair in CONE_CASES.items():
+        yield f"cone:{name}", lambda pair=pair: cone_pair(*pair).complex
+
+
+CONTRACTION_CASES = dict(contraction_cases())
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACTION_CASES))
+def test_cohomology_is_a_contraction(name):
+    assert_contraction(CONTRACTION_CASES[name]())
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_cohomology_of_random_complexes_is_a_contraction(seed):
+    assert_contraction(random_decomposed_complex(random.Random(seed))[0])
 
 
 def rand_complex(rnd: random.Random, tag: str) -> ChainComplex:

@@ -1180,13 +1180,15 @@ class TestPowerFiltration:
 
 class TestLiftKernels:
     """What a lift solves and multiplies by, against la.solve and the Fraction
-    products: the solution map each obstruction space's d keeps, and the
+    products: the homotopy h each obstruction space keeps at degree 2, and the
     integer columns of a small extension's section, alpha and [J | 1]⁻¹."""
 
     @staticmethod
-    def assert_solves_like_la_solve(d):
+    def assert_solves_like_la_solve(cx):
+        d = cx.d
         dense, n, m = d.matrix(1), d.source.dim(1), d.target.dim(2)
-        solution, space = d._solution(), d.source
+        H, space = graded.compute_cohomology(cx, (2,)), d.source
+        solution, old = H.h(2), ref.solution(d)
         images = [d.apply(graded.basis_element(space, 1, q)) for q in range(n)]
         combo = graded.zero_element(space)
         for k, image in enumerate(images):
@@ -1199,14 +1201,15 @@ class TestLiftKernels:
                 assert d.apply(got) != b
             else:
                 assert got == graded.element_from_vector(space, 1, want) and d.apply(got) == b
+                assert got == old.apply(b)
 
     @pytest.mark.parametrize("name", sorted(SERIES_DGLAS))
     def test_solution_of_each_dgla_matches_la_solve(self, name):
-        self.assert_solves_like_la_solve(SERIES_DGLAS[name]().d)
+        self.assert_solves_like_la_solve(SERIES_DGLAS[name]().complex)
 
     @pytest.mark.parametrize("name", sorted(CONE_CASES))
     def test_solution_of_each_pair_cone_matches_la_solve(self, name):
-        self.assert_solves_like_la_solve(cone_pair(*CONE_CASES[name]).complex.d)
+        self.assert_solves_like_la_solve(cone_pair(*CONE_CASES[name]).complex)
 
     @staticmethod
     def alternate(ext, c):
@@ -1242,15 +1245,15 @@ class TestLiftKernels:
                 ext, {i: F(k, den) for i, k in ints.items()})
 
     def test_built_once_over_three_cycles(self, monkeypatch):
-        # the solution map once per obstruction space (on L's d and on the cone's
-        # D), the integer columns once per extension, a replaced one its own
+        # h once per obstruction space (H²(L) and the cone's H²), the integer
+        # columns once per extension, a replaced one its own
         solved, made = Counter(), Counter()
-        solution, int_columns = GradedMap._solution, la.int_columns
+        homotopy, int_columns = graded.CohomologyResult.h, la.int_columns
 
-        def counting_solution(f):
-            if f._solved is None:
-                solved[id(f)] += 1
-            return solution(f)
+        def counting_homotopy(H, i):
+            if i not in H.__dict__.get("_h", {}):
+                solved[id(H), i] += 1
+            return homotopy(H, i)
 
         def counting_columns(cols):
             # the extension's columns: graded maps call int_columns too
@@ -1258,16 +1261,17 @@ class TestLiftKernels:
                 made["columns"] += 1
             return int_columns(cols)
 
-        monkeypatch.setattr(GradedMap, "_solution", counting_solution)
+        monkeypatch.setattr(graded.CohomologyResult, "h", counting_homotopy)
         monkeypatch.setattr(la, "int_columns", counting_columns)
         c = series_objects(6)
         assert made["columns"] == 3  # the section, alpha and J coordinates of c's extension
         columns, results = c["ext"]._columns, [series_cycle(c)]
-        ds = (c["T"].factor.d, c["triple"].setting.obstruction_space()[0].complex.d)
-        kept = [d._solved for d in ds]
+        spaces = (c["T"].factor.obstruction_space(), c["triple"].setting.obstruction_space()[1])
+        kept = [H.h(2) for H in spaces]
         results += [series_cycle(c), series_cycle(c)]
         assert results[0] == results[1] == results[2]
-        assert solved == {id(d): 1 for d in ds} and all(d._solved is k for d, k in zip(ds, kept))
+        assert solved == {(id(H), 2): 1 for H in spaces}
+        assert all(H.h(2) is k for H, k in zip(spaces, kept))
         assert made["columns"] == 3 and c["ext"]._columns is columns
         alt = self.alternate(c["ext"], F(3, 7))
         assert made["columns"] == 6 and alt._columns[0] != columns[0]

@@ -84,10 +84,11 @@ def test_frac_rejects_bools(flag):
 
 
 def test_mat_vec_reads_only_the_nonzero_entries_of_v():
-    # an entry facing a zero of v is never read: None there would fail a product
-    assert la.mat_vec([[None, F(3)], [None, F(-1)]], [F(0), F(2)]) == [F(6), F(-2)]
-    assert la.mat_vec([[F(1), F(2)]], [F(0), F(0)]) == [F(0)]
-    assert la.mat_vec([], [F(1)]) == []
+    # the oracle (the library keeps no dense matrix-vector product): an entry
+    # facing a zero of v is never read, None there would fail a product
+    assert ref.mat_vec([[None, F(3)], [None, F(-1)]], [F(0), F(2)]) == [F(6), F(-2)]
+    assert ref.mat_vec([[F(1), F(2)]], [F(0), F(0)]) == [F(0)]
+    assert ref.mat_vec([], [F(1)]) == []
 
 
 def greedy_in_span_scan(base, candidates):
@@ -250,12 +251,12 @@ def test_solution_map_solves_like_solve_and_nullspace(case, data):
     x = data.draw(st.lists(st.sampled_from([F(0), F(1), F(-5, 3)]), min_size=n, max_size=n))
     b = data.draw(st.lists(st.sampled_from([F(0), F(2), F(-1, 7)]), min_size=m, max_size=m))
     units = [[F(int(i == r)) for i in range(m)] for r in range(m)]
-    for rhs in [la.mat_vec(a, x), b, *units]:
+    for rhs in [ref.mat_vec(a, x), b, *units]:
         want = la.solve(a, rhs, cols=n)
         w = la.apply_columns(solution, sparse(rhs))
         got = [w.get(j, F(0)) for j in range(n)]
         if want is None:  # outside the image: the solution map's w is no solution
-            assert la.mat_vec(a, got) != rhs
+            assert ref.mat_vec(a, got) != rhs
         else:
             assert got == want
 
@@ -278,6 +279,15 @@ def rational_matrices(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(rational_matrices())
+def test_nullspace_and_pivots_read_one_rref(a):
+    cols = la.num_cols(a)
+    kernel, pivots = la.nullspace_and_pivots(a, cols)
+    assert kernel == la.nullspace(a, cols) and pivots == (la.rref(a)[1] if a else [])
+    assert len(kernel) + len(pivots) == cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices())
 def test_rank_matches_the_dense_pivot_count(a):
     assert la.rank(a) == len(la.rref(a)[1])
     # the transpose has the same rank
@@ -296,7 +306,7 @@ def test_rank_of_empty_and_zero_matrices():
 def test_mat_vec_matches_the_sum_over_every_entry(a, data):
     v = data.draw(st.lists(st.sampled_from([F(0), F(0), F(1), F(-2, 3), F(5, 7)]),
                            min_size=la.num_cols(a), max_size=la.num_cols(a)))
-    assert la.mat_vec(a, v) == [sum((row[j] * v[j] for j in range(len(v))), F(0)) for row in a]
+    assert ref.mat_vec(a, v) == [sum((row[j] * v[j] for j in range(len(v))), F(0)) for row in a]
 
 
 # --- the integer echelon against the Fraction echelon ------------------------------

@@ -545,9 +545,12 @@ def obstruction_work(monkeypatch):
 
 def assert_h2_only(work) -> None:
     [H] = work["cohomology"]
-    assert set(H.dims) == set(H.projections) == {2} & set(H.complex.space.degrees())
+    assert set(H.dims) == set(H.p) == {2} & set(H.complex.space.degrees())
+    assert set(H.__dict__.get("_h", {})) <= {2}
     with pytest.raises(InvalidInput):
         H.dim(1)
+    with pytest.raises(InvalidInput):
+        H.h(1)
 
 
 def assert_d2_once_per_complex(work) -> None:

@@ -42,6 +42,7 @@ from mcdeform.maurer_cartan import (
     obstruction_single,
     pair_setting,
 )
+import reference_kernels as ref
 from util_random import dg_uw, rand_elem, rand_mc, rand_triple
 
 F = Fraction
@@ -193,7 +194,7 @@ def apply_by_blocks(f: GradedMap, x: GradedElement) -> GradedElement:
     """f(x) as one matrix-vector product per degree."""
     coords = {}
     for i in {deg for deg, _idx in x.coords}:
-        image = la.mat_vec(f.matrix(i), x.component_vector(i))
+        image = ref.mat_vec(f.matrix(i), x.component_vector(i))
         coords.update(((i + f.degree, r), c) for r, c in enumerate(image))
     return GradedElement(f.target, coords, None if x.degree is None else x.degree + f.degree)
 
