@@ -609,27 +609,31 @@ class TensorDgla(Dgla):
         return {(t1, t2): _from_ints(self.space, *ints) for t1, t2 in sorted(pairs)
                 if t1 <= t2 and (ints := self._bracket_ints((1, {t1: 1}), (1, {t2: 1})))[1]}
 
-    def _grouped(self, nums: dict) -> dict:
-        """Tensor numerators grouped by L-key into A-vectors, {l: {a: n}}, with
-        the entries of each e_a that has no product dropped."""
-        out: dict = {}
-        for key, n in nums.items():
-            if (at := self._split.get(key)) is not None:
+    def _grouped(self, x: tuple[int, dict]) -> tuple[int, dict]:
+        """A (den, integer numerators) pair with its numerators grouped by L-key
+        into A-vectors, (den, {l: {a: n}}), the entries of each e_a that has no
+        product dropped.  A series groups each operand it brackets more than
+        once here, once, and brackets it by _bracket_grouped."""
+        out, split = {}, self._split
+        for key, n in x[1].items():
+            if (at := split.get(key)) is not None:
                 out.setdefault(at[0], {})[at[1]] = n
-        return out
+        return x[0], out
 
     def _bracket_ints(self, x: tuple[int, dict], y: tuple[int, dict]) -> tuple[int, dict]:
-        """Dgla._bracket_ints through _bracket_grouped.  y is grouped first: in
-        the series it is often the shorter, or has no product at all."""
-        (dx, xs), (dy, ys) = x, y
-        gy = self._grouped(ys)
-        gx = (gy if xs is ys else self._grouped(xs)) if gy else EMPTY
-        return dx * dy * self._scale, self._bracket_grouped(gx, gy)
+        """Dgla._bracket_ints: (den x · den y · _scale, nonzero numerators), by
+        _bracket_grouped of the two arguments grouped.  y is grouped first: in
+        the series it is often the shorter, or has no product at all; [x, x]
+        groups x once and still sums every ordered pair of its support."""
+        gy = self._grouped(y)
+        gx = (gy if x[1] is y[1] else self._grouped(x)) if gy[1] else (x[0], EMPTY)
+        return self._bracket_grouped(gx, gy)
 
-    def _bracket_grouped(self, gx: dict, gy: dict) -> dict:
-        """[x, y]'s nonzero numerators over _scale, x and y grouped: for each
+    def _bracket_grouped(self, x: tuple[int, dict], y: tuple[int, dict]) -> tuple[int, dict]:
+        """[x, y] of grouped pairs (_grouped) as _bracket_ints gives it: for each
         stored pair (l, l′) of L's table they meet, the product of their
         A-vectors, scattered through the constants of [l, l′] into tensor keys."""
+        (dx, gx), (dy, gy) = x, y
         products, rows, out = self._products, self.to_tensor, {}
         table = self.factor._int_table() if gx and gy else EMPTY
         for l, u in gx.items():
@@ -643,15 +647,42 @@ class TensorDgla(Dgla):
                         if (cb := v.get(b)) is not None:
                             for k, m in prod:
                                 ab[k] = ab.get(k, 0) + ca * cb * m
-                if l2 < l and (l[0] * l2[0]) % 2 == 0:  # [l, l′] = −[l′, l], stored
-                    ab = {k: -m for k, m in ab.items()}
+                if not ab:
+                    continue
+                neg = l2 < l and (l[0] * l2[0]) % 2 == 0  # [l, l′] = −[l′, l], stored
                 it = iter(consts)
                 for key, n in zip(it, it):
-                    row_keys = rows[key]
+                    row_keys, n = rows[key], -n if neg else n
                     for k, m in ab.items():
                         t = row_keys[k]
                         out[t] = out.get(t, 0) + n * m
-        return {k: n for k, n in out.items() if n}
+        return dx * dy * self._scale, {k: n for k, n in out.items() if n}
+
+    def _ad_columns(self, x: tuple[int, dict], degree: int) -> tuple[int, dict]:
+        """The columns e ↦ [x, e] of ad_x at the basis keys e of one degree, x
+        grouped (_grouped): (den x · _scale, {e: {key: n}}), zero columns
+        absent.  Each column is _bracket_grouped of x and the grouped e, made in
+        one pass over x's stored pairs, with no grouping per basis key."""
+        dx, gx = x
+        products, rows, split, cols = self._products, self.to_tensor, self._split, {}
+        table = self.factor._int_table() if gx and split else EMPTY
+        for l, u in gx.items():
+            for l2, consts in table.get(l, EMPTY).items():
+                prods, targets = products[l2 == l][l2[0] % 2], rows[l2]
+                neg = l2 < l and (l[0] * l2[0]) % 2 == 0
+                for a, ca in u.items():
+                    for b, prod in prods[a]:
+                        if (e := targets[b])[0] != degree:
+                            continue
+                        col = cols.setdefault(e, {})
+                        it = iter(consts)
+                        for key, n in zip(it, it):
+                            row_keys, n = rows[key], -ca * n if neg else ca * n
+                            for k, m in prod:
+                                t = row_keys[k]
+                                col[t] = col.get(t, 0) + n * m
+        return dx * self._scale, {e: nz for e, col in cols.items()
+                                  if (nz := {k: n for k, n in col.items() if n})}
 
 
 def tensor_dgla(L: Dgla, A: CoefficientAlgebra) -> TensorDgla:

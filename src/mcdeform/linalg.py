@@ -222,8 +222,9 @@ def sub_scaled(acc: Sparse, c: Fraction, x: Sparse) -> None:
 
 def to_ints(vec: Sparse) -> tuple[int, dict]:
     """(den, numerators) with vec = numerators/den, den the lcm of its denominators."""
-    den = lcm(*(c.denominator for c in vec.values()))
-    return den, {k: c.numerator * (den // c.denominator) for k, c in vec.items()}
+    ratios = [c.as_integer_ratio() for c in vec.values()]  # one call per entry, not four
+    den = lcm(*[d for _n, d in ratios])
+    return den, {k: n * (den // d) for k, (n, d) in zip(vec, ratios)}
 
 
 def int_columns(cols: dict) -> tuple[int, dict]:
@@ -304,20 +305,20 @@ class Echelon:
 
     Rows stay reduced (1 at their own pivot, 0 at the others'), so a vector
     reduces against just the rows whose pivots it holds.  pivot(rest) picks a
-    new row's pivot, the least column by default.  A row is kept fraction-free
-    (Bareiss, Math. Comp. 1968) as (den, nums), integer numerators over one
-    denominator with no common factor.  rhs maps pivots to right-hand sides
-    (absent: 0); with every free unknown 0 it solves the rows added."""
+    new row's pivot among the keys of the rest, the least by default.  A row
+    is kept fraction-free (Bareiss, Math. Comp. 1968) as (den, nums), integer
+    numerators over one denominator with no common factor.  rhs maps pivots
+    to right-hand sides (absent: 0); with every free unknown 0 it solves the
+    rows added."""
 
     def __init__(self, pivot=min):
         self.pivot = pivot
         self.rows: dict = {}  # pivot -> (den, nums), nums[pivot] == den
         self.rhs: dict = {}  # pivot -> right-hand side, mostly nonzero
 
-    def _reduce(self, vec: Sparse, rhs: Fraction) -> tuple[int, dict, Fraction]:
-        """(vec, rhs) less the rows that clear vec at their pivots, vec as primitive (den, nums)."""
-        den, nums = to_ints(vec)
-        for p in [p for p in vec if p in self.rows]:
+    def _reduce(self, den: int, nums: dict, rhs: Fraction) -> tuple[int, dict, Fraction]:
+        """(nums/den, rhs) less the rows that clear it at their pivots, as primitive (den, nums)."""
+        for p in [p for p in nums if p in self.rows]:
             if p in self.rhs:
                 rhs -= Fraction(nums[p], den) * self.rhs[p]
             den, nums = _cleared(den, nums, nums[p], *self.rows[p])
@@ -328,16 +329,22 @@ class Echelon:
         empty exactly when it lies in the span, and as is when it holds no pivot."""
         if not any(p in self.rows for p in vec):
             return vec, rhs
-        den, nums, rhs = self._reduce(vec, rhs)
+        den, nums, rhs = self._reduce(*to_ints(vec), rhs)
         return {k: Fraction(n, den) for k, n in nums.items()}, rhs
 
     def add(self, vec: Sparse, rhs: Fraction = ZERO) -> tuple[Sparse, Fraction]:
         """reduce(vec, rhs), keeping a nonempty rest as a row reduced with the others."""
-        den, nums, rhs = self._reduce(vec, rhs)
-        rest = {k: Fraction(n, den) for k, n in nums.items()}
-        if rest:
-            p = self.pivot(rest)
-            (rden, row), lead = _primitive(nums[p], nums), rest[p]
+        den, nums, rhs = self.add_ints(*to_ints(vec), rhs)
+        return {k: Fraction(n, den) for k, n in nums.items()}, rhs
+
+    def add_ints(self, den: int, nums: dict, rhs: Fraction = ZERO) -> tuple[int, dict, Fraction]:
+        """add of the vector nums/den, integer numerators over den (the caller
+        hands nums over), with the rest as primitive (den, nums): no Fraction
+        is made for a caller that asks only whether the rest is empty."""
+        den, nums, rhs = self._reduce(den, nums, rhs)
+        if nums:
+            p = self.pivot(nums)
+            (rden, row), lead = _primitive(nums[p], nums), Fraction(nums[p], den)
             for q, (oden, other) in self.rows.items():
                 if c := other.get(p):
                     self.rows[q] = _primitive(*_cleared(oden, other, c, rden, row))
@@ -346,4 +353,4 @@ class Echelon:
             self.rows[p] = rden, row
             if rhs:
                 self.rhs[p] = rhs / lead
-        return rest, rhs
+        return den, nums, rhs

@@ -11,6 +11,7 @@ extensions rather than assumed.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -28,6 +29,7 @@ from .dgla import ChainMap, ConeComplex, Dgla, DglaMorphism, Violation, _from_in
 from .errors import (
     BaseMismatch,
     DegreeMismatch,
+    DegreeWindowViolation,
     InconsistentInput,
     InvalidInput,
     NotVerifiedMC,
@@ -38,11 +40,8 @@ from .graded import (
     CohomologyResult,
     GradedElement,
     Record,
-    _map,
-    basis_element,
     cohomology_dims,
     compute_cohomology,
-    map_from_images,
     zero_element,
 )
 
@@ -69,8 +68,11 @@ def _residual_ints(L: Dgla, x: tuple[int, dict]) -> tuple[int, dict]:
 
 
 def _combine(terms: Iterable[tuple[Fraction | int, tuple[int, dict]]]) -> tuple[int, dict]:
-    """Σ c·nums/den over (c, (den, nums)) as (den, nums) over one lcm, zeros dropped."""
+    """Σ c·nums/den over (c, (den, nums)) as (den, nums) over one lcm, zeros
+    dropped; one term with c = 1 comes back as it is."""
     terms = [(c, den, nums) for c, (den, nums) in terms if c and nums]
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1:]
     den = math.lcm(*(c.denominator * d for c, d, _nums in terms))
     out: dict = {}
     for c, d, nums in terms:
@@ -90,25 +92,28 @@ def gauge_apply(T: TensorDgla, a: GradedElement, x: GradedElement) -> GradedElem
 
 
 def _gauge_ints(T: TensorDgla, a: tuple[int, dict], x: tuple[int, dict]) -> tuple[int, dict]:
-    """e^a * x of (den, integer numerators) pairs, as one; x itself when [a, x] = da."""
+    """e^a * x of (den, integer numerators) pairs, as one; x itself when [a, x] = da.
+    a is grouped once (TensorDgla._grouped) for all the brackets of the series."""
+    group, bracket, ga = T._grouped, T._bracket_grouped, T._grouped(a)
     terms, n = [(1, x)], 0
-    term = _combine([(1, T._bracket_ints(a, x)), (-1, T.d._apply_ints(a))])
+    term = _combine([(1, bracket(ga, group(x))), (-1, T.d._apply_ints(a))])
     while term[1]:
         terms.append((Fraction(1, math.factorial(n + 1)), term))
-        term = T._bracket_ints(a, term)
+        term = bracket(ga, group(term))
         n += 1
         if n > T.nu + 1:
             raise InvalidInput("gauge series failed to terminate; coefficients not nilpotent")
     return x if n == 0 else _combine(terms)
 
 
-def _bernoulli_over_factorial(top: int) -> list[Fraction]:
+@functools.cache
+def _bernoulli_over_factorial(top: int) -> tuple[Fraction, ...]:
     """B_j/j! for j ≤ top: the coefficients of x/(eˣ − 1), from
-    Σ_{j≤n} B_j/j! · 1/(n+1−j)! = 0 for n ≥ 1."""
+    Σ_{j≤n} B_j/j! · 1/(n+1−j)! = 0 for n ≥ 1.  A constant, made once per top."""
     out = [ONE]
     for n in range(1, top + 1):
         out.append(-sum(c / math.factorial(n + 1 - j) for j, c in enumerate(out)))
-    return out
+    return tuple(out)
 
 
 def bch_product(T: TensorDgla, a: GradedElement, b: GradedElement) -> GradedElement:
@@ -122,26 +127,40 @@ def bch_product(T: TensorDgla, a: GradedElement, b: GradedElement) -> GradedElem
     where W_j(m) = Σ_{k≥1} [Z_k, W_{j−1}(m − k)], W_0(0) = a + b, is the sum of
     the nested brackets [Z_{k_1}, [… [Z_{k_j}, a + b]]] with k_1 + … + k_j = m.
     Z_n lies in m_A^{nℓ}, ℓ the lower filtration level of a and b, so the sum
-    stops exactly before the first n with n·ℓ ≥ ν.
+    stops exactly before the first n with n·ℓ ≥ ν.  a ± b are summed in
+    integers, the coefficients B_j/j! are made once per order, and a − b, each
+    Z_k and each W that a later bracket reads are grouped once
+    (TensorDgla._grouped).
     """
     _require_degree(a, 0, "BCH argument")
     _require_degree(b, 0, "BCH argument")
+    ai, bi = T._ints(a), T._ints(b)
     level = min(T.element_level(a), T.element_level(b))
     top = max(1, (T.nu - 1) // max(level, 1))
-    bern = _bernoulli_over_factorial(top)
-    s, bracket, zero = a + b, T._bracket_ints, (1, {})
-    z1, diff = _to_ints(s), _to_ints(a - b)
-    Z = [zero, z1]
-    # W[j][m] for 1 ≤ j ≤ m; a W of odd j on the last step is never read
+    z1 = _combine([(1, ai), (1, bi)])
+    if top == 1:  # a + b, with the degree a + b declares
+        return _from_ints(T.space, *z1, a.degree if a.degree == b.degree else None)
+    bern, group, bracket, zero = _bernoulli_over_factorial(top), T._grouped, T._bracket_grouped, (1, {})
+    diff, Z, gZ = group(_combine([(1, ai), (-1, bi)])), [zero, z1], [zero, group(z1)]
+    # W[j][m] for 1 ≤ j ≤ m, and gW[j][m] grouped for the brackets of later
+    # steps; the last step makes only the W of even j, for its Z, and groups
+    # none, and the step before it groups only its W of odd j, which the last
+    # step's brackets read
     W = [[z1] + [zero] * top] + [[zero] * (top + 1) for _ in range(top)]
+    gW = [[gZ[1]] + [zero] * top] + [[zero] * (top + 1) for _ in range(top)]
     for n in range(1, top):
+        last = n == top - 1
         for j in range(1, n + 1):
-            if j % 2 == 0 or n < top - 1:
-                W[j][n] = _combine((1, bracket(Z[k], W[j - 1][n - k]))
+            if j % 2 == 0 or not last:
+                W[j][n] = _combine((1, bracket(gZ[k], gW[j - 1][n - k]))
                                    for k in range(1, n - j + 2))
-        Z.append(_combine([(Fraction(1, 2 * n + 2), bracket(diff, Z[n]))]
+                if j % 2 or n < top - 2:
+                    gW[j][n] = group(W[j][n])
+        Z.append(_combine([(Fraction(1, 2 * n + 2), bracket(diff, gZ[n]))]
                           + [(bern[2 * p] / (n + 1), W[2 * p][n]) for p in range(1, n // 2 + 1)]))
-    return s if top == 1 else _from_ints(T.space, *_combine((1, z) for z in Z[1:]))
+        if not last:
+            gZ.append(group(Z[-1]))
+    return _from_ints(T.space, *_combine((1, z) for z in Z[1:]))
 
 
 class McElement(Record):
@@ -153,10 +172,11 @@ class McElement(Record):
 
 
 def mc_element(T: TensorDgla, x: GradedElement) -> McElement:
-    """Verify the Maurer-Cartan equation and wrap the element."""
-    res = mc_residual(T, x)
-    if not res.is_zero():
-        raise NotVerifiedMC(f"MC residual is nonzero: {res.pretty()}")
+    """Verify the Maurer-Cartan equation in integers and wrap the element."""
+    _require_degree(x, 1, "Maurer-Cartan candidate")
+    den, res = _residual_ints(T, T._ints(x))
+    if res:
+        raise NotVerifiedMC(f"MC residual is nonzero: {_from_ints(T.space, den, res).pretty()}")
     return McElement(T, x, True)
 
 
@@ -289,20 +309,20 @@ def _obstruction_problem(key: tuple, pieces, cocycle: Callable, H: CohomologyRes
         return NO_LIFT
     corrections: list[list[GradedElement]] = [[] for _ in pieces]
     for part in parts:
-        w = H.h(2)._apply_ints(_to_ints(part))
-        if _from_ints(cx.space, *cx.d._apply_ints(w)) != part:
+        pi = _to_ints(part)
+        w = H.h(2)._apply_ints(pi)
+        if _combine([(1, cx.d._apply_ints(w)), (-1, pi)])[1]:
             raise InvalidInput("internal: vanishing class but the cocycle is no boundary")
         for acc, wp in zip(corrections, split(_from_ints(cx.space, *w, 1))):
             acc.append(wp)
     out = []
     for (TA, e, TB), lt, ws in zip(pieces, lifted, corrections):
-        bar = _from_ints(TB.space, *_combine([(1, lt)] + [  # lt − Σ_j ws_j ⊗ J_j
+        bar = _combine([(1, lt)] + [  # lt − Σ_j ws_j ⊗ J_j
             (-c, (den, {TB.to_tensor[k][b]: n for k, n in nums.items()}))
-            for (den, nums), J in zip(map(_to_ints, ws), ext.kernel) for b, c in J.items()]),
-            e.degree)
-        if TB.map_coefficients(bar, ext._columns[1], TA) != e:
+            for (den, nums), J in zip(map(_to_ints, ws), ext.kernel) for b, c in J.items()])
+        if _combine([(1, TB._map_ints(bar, ext._columns[1], TA)), (-1, _to_ints(e))])[1]:
             raise InvalidInput("internal: lift does not project to the input")
-        out.append(bar)
+        out.append(_from_ints(TB.space, *bar, e.degree))
     return verified(*out)
 
 
@@ -413,21 +433,20 @@ class McTriple(Record):
 
 def mc_pair_check(setting: PairSetting, x: GradedElement, y: GradedElement,
                   p: GradedElement) -> tuple[McTriple, list[Violation]]:
-    """Verify the two MC residuals and the gauge-linking equation exactly."""
+    """Verify the two MC residuals and the gauge-linking equation exactly, in
+    integers; a Fraction element is made only for a violation's message."""
     report: list[Violation] = []
     _require_degree(x, 1, "first component")
     _require_degree(y, 1, "second component")
     _require_degree(p, 0, "linking exponent")
-    rx = mc_residual(setting.tL, x)
-    if not rx.is_zero():
-        report.append(Violation("mc_first", ("x",), f"residual {rx.pretty()}"))
-    ry = mc_residual(setting.tN, y)
-    if not ry.is_zero():
-        report.append(Violation("mc_second", ("y",), f"residual {ry.pretty()}"))
-    link = -_from_ints(setting.tM.space, *setting._linking(_to_ints(x), _to_ints(y), setting.tM._ints(p)))
-    if not link.is_zero():
+    for axiom, name, T, e in (("mc_first", "x", setting.tL, x), ("mc_second", "y", setting.tN, y)):
+        den, res = _residual_ints(T, T._ints(e))
+        if res:
+            report.append(Violation(axiom, (name,), f"residual {_from_ints(T.space, den, res).pretty()}"))
+    den, link = setting._linking(_to_ints(x), _to_ints(y), setting.tM._ints(p))
+    if link:
         report.append(Violation("linking", ("x", "y", "p"),
-                                f"g(y) − e^p*h(x) = {link.pretty()}"))
+                                f"g(y) − e^p*h(x) = {(-_from_ints(setting.tM.space, den, link)).pretty()}"))
     return McTriple(setting, x, y, p, not report), report
 
 
@@ -553,6 +572,12 @@ def gauge_equiv_decide(x: McElement, y: McElement, budget: int | None = None,
     lower levels with right-hand side 0.  Levels are read in a basis of m_A
     adapted to its power filtration (CoefficientAlgebra.adapted_basis).
 
+    The rows of d_x are integer numerators over one denominator (_dx_rows:
+    d's integer columns and every column of ad_x from one pass of the kernel,
+    x grouped once), and the residual is summed and rebased in integers; the
+    echelon takes the rows as integers (la.Echelon.add_ints), so a Fraction
+    is made only for a right-hand side, a message or the witness.
+
     Returns Equivalent(witness) with e^witness * x = y verified exactly,
     NotEquivalent naming the level and residual that admit no solution, or
     Undecided only when cancel (polled once per level) returns true.  budget
@@ -571,38 +596,21 @@ def gauge_equiv_decide(x: McElement, y: McElement, budget: int | None = None,
         return e if m is None else T.map_coefficients(e, m, T)
 
     level = {key: coeff_levels[ai] for key, (_i, _p, ai) in T.from_tensor.items()}
-    # the columns of d_x on L⁰ ⊗ m, e_b ↦ d e_b + [x, e_b], in ints, x grouped once
     xi, yi = T._ints(x.element), T._ints(y.element)
-    (dd, dcols), gx, bd = T.d._int_columns(), T._grouped(xi[1]), xi[0] * T._scale
-    den, cols = math.lcm(dd, bd), {}
-    for i in range(T.space.dim(0)):
-        col, it = {}, iter(dcols.get((0, i), ()))
-        for k, n in zip(it, it):
-            col[k] = n * (den // dd)
-        for k, n in T._bracket_grouped(gx, T._grouped({(0, i): 1})).items():
-            col[k] = col.get(k, 0) + n * (den // bd)
-        if col := {r: Fraction(n, den) for (_d, r), n in col.items() if n}:
-            cols[i] = col
-    d_x = _map(T.space, T.space, 1, {0: cols} if cols else {})
-    if P is not None:
-        d_x = map_from_images(T.space, T.space, 1, {
-            (0, i): rebase(d_x.apply(rebase(basis_element(T.space, 0, i), P)), Q)
-            for i in range(T.space.dim(0))})
-    rows: dict = {}  # (1, r) -> row r of d_x, {(0, i): c}
-    for i, col in d_x.cols.get(0, la.EMPTY).items():
-        for r, c in col.items():
-            rows.setdefault((1, r), {})[(0, i)] = c
+    den, rows = _dx_rows(T, xi, P, Q)
     # one echelon of the rows of all levels so far, pivots on unknowns of top level
     echelon = la.Echelon(lambda row: max(row, key=lambda u: (level[u], -u[1])))
     a, current = zero_element(T.space, 0), xi
     for k in range(1, T.nu):
         if cancel is not None and cancel():
             return Undecided(f"cancelled at level {k}")
-        r = rebase(_from_ints(T.space, *_combine([(1, yi), (-1, current)]), 1), Q)
+        r = _combine([(1, yi), (-1, current)])
+        rd, r = r if Q is None else _rebased(T, r, Q, 1)
         for key in sorted(key for key in level if key[0] == 1 and level[key] == k):
-            row, rhs = echelon.add(rows.get(key, la.EMPTY), -r.coords.get(key, ZERO))
+            _den, row, rhs = echelon.add_ints(den, rows.pop(key, {}),
+                                              Fraction(-n, rd) if (n := r.get(key)) else ZERO)
             if not row and rhs:
-                rk = GradedElement(T.space, {q: c for q, c in r.coords.items()
+                rk = GradedElement(T.space, {q: Fraction(n, rd) for q, n in r.items()
                                              if level[q] == k}, 1)
                 return NotEquivalent(
                     f"no gauge reaches y modulo m^{k + 1}: the level-{k} residual "
@@ -618,6 +626,52 @@ def gauge_equiv_decide(x: McElement, y: McElement, budget: int | None = None,
     if _combine([(1, yi), (-1, current)])[1]:
         raise InvalidInput("internal: witness validation failed")
     return Equivalent(a)
+
+
+def _dx_rows(T: TensorDgla, x: tuple[int, dict], P: tuple | None,
+             Q: tuple | None) -> tuple[int, dict]:
+    """The rows of d_x s = ds + [x, s] on L⁰ ⊗ m, in the basis of m_A that P
+    and Q = P⁻¹ give (la.int_columns; None: the basis as is), as integer
+    numerators over one denominator: (den, {(1, r): {(0, i): n}}), each row's
+    keys in increasing i.  The columns are d's integer columns and ad_x's
+    (TensorDgla._ad_columns, x grouped once)."""
+    (dd, dcols), (bd, bcols) = T.d._int_columns(), T._ad_columns(T._grouped(x), 0)
+    den, cols = math.lcm(dd, bd), {}
+    for i in range(T.space.dim(0)):
+        col, it = {}, iter(dcols.get((0, i), ()))
+        for k, n in zip(it, it):
+            col[k] = n * (den // dd)
+        for k, n in bcols.get((0, i), la.EMPTY).items():
+            col[k] = col.get(k, 0) + n * (den // bd)
+        cols[(0, i)] = col
+    if P is not None:  # column i of Q d_x P, over Q's den · P's den · den
+        rebased = {}
+        for e in cols:
+            pd, pe = _rebased(T, (1, {e: 1}), P, 0)
+            de: dict = {}
+            for j, c in pe.items():
+                for k, n in cols[j].items():
+                    de[k] = de.get(k, 0) + c * n
+            rebased[e] = _rebased(T, (pd * den, de), Q, 1)[1]
+        den, cols = Q[0] * P[0] * den, rebased
+    rows: dict = {}
+    for e, col in cols.items():
+        for r, n in col.items():
+            if n:
+                rows.setdefault(r, {})[e] = n
+    return den, rows
+
+
+def _rebased(T: TensorDgla, v: tuple[int, dict], m: tuple, degree: int) -> tuple[int, dict]:
+    """A vector of one degree in the coefficient basis m (T._map_ints), refused
+    as map_coefficients refuses it when m moves it out of that degree (only
+    a table that breaks the coefficient degrees can)."""
+    den, nums = T._map_ints(v, m, T)
+    for deg, _i in nums:
+        if deg != degree:
+            raise DegreeWindowViolation(
+                f"nonzero coordinate at degree {deg} in element declared degree {degree}")
+    return den, nums
 
 
 # --- tangent dimensions -------------------------------------------------------

@@ -23,7 +23,11 @@
 - ``gauge_apply`` and ``bch_product``: the gauge and BCH series summed term
   by term over Fractions, each term a ``GradedElement`` and each bracket
   ``Dgla.bracket`` (``maurer_cartan`` carries every term as integer
-  numerators over one denominator instead, and makes Fractions once).
+  numerators over one denominator instead, groups once each operand it
+  brackets more than once, and makes Fractions once).  BCH reads its
+  coefficients B_j/j! from ``bernoulli_over_factorial``, a literal table of
+  the Bernoulli numbers B_0 … B_12 (``maurer_cartan`` computes them by a
+  recurrence, once per order).
 - ``block_sum``: every embedding and projection of a labelled direct sum as a
   matrix of ones and zeros, each part found by its labels in the total space
   (``graded.block_sum`` returns a layout of offsets instead).  ``cone_single``,
@@ -83,6 +87,7 @@ The tests compare each kernel with its reference for equality.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from mcdeform import graded
@@ -115,7 +120,7 @@ from mcdeform.graded import (
     zero_element,
     zero_map,
 )
-from mcdeform.maurer_cartan import _bernoulli_over_factorial, _require_degree, pair_setting
+from mcdeform.maurer_cartan import _require_degree, pair_setting
 from mcdeform.path_object import poly_d, poly_dt_term, poly_t_term
 
 ZERO, ONE = Fraction(0), Fraction(1)
@@ -189,6 +194,19 @@ def gauge_apply(T, a: GradedElement, x: GradedElement) -> GradedElement:
     return total
 
 
+# the Bernoulli numbers B_0 … B_12, with B_1 = −1/2 as in x/(eˣ − 1) = Σ B_j xʲ/j!
+# (Abramowitz and Stegun, Handbook of Mathematical Functions, Table 23.2)
+BERNOULLI = tuple(map(Fraction, ("1", "-1/2", "1/6", "0", "-1/30", "0", "1/42", "0", "-1/30",
+                                 "0", "5/66", "0", "-691/2730")))
+
+
+def bernoulli_over_factorial(top: int) -> list[Fraction]:
+    """B_j/j! for j ≤ top ≤ 12, from the table BERNOULLI."""
+    if top >= len(BERNOULLI):
+        raise ValueError(f"the table holds B_j for j ≤ {len(BERNOULLI) - 1} only")
+    return [B / math.factorial(j) for j, B in enumerate(BERNOULLI[:top + 1])]
+
+
 def bch_product(T, a: GradedElement, b: GradedElement) -> GradedElement:
     """a•b by the recursion of Casas and Murua (see maurer_cartan.bch_product),
     every Z_n and W_j(m) a GradedElement."""
@@ -196,7 +214,7 @@ def bch_product(T, a: GradedElement, b: GradedElement) -> GradedElement:
     _require_degree(b, 0, "BCH argument")
     level = min(T.element_level(a), T.element_level(b))
     top = max(1, (T.nu - 1) // max(level, 1))
-    bern = _bernoulli_over_factorial(top)
+    bern = bernoulli_over_factorial(top)
     s, diff = a + b, a - b
     zero = zero_element(T.space)
     Z = [zero, s]

@@ -4,7 +4,8 @@
 (`search_equiv.py`) wherever the search decides, with the exact criterion
 x − y ∈ d(L⁰ ⊗ m) for abelian L, and with a Gröbner basis computation on small
 cases; e^b * x is always Equivalent, also in coefficient bases that are not
-adapted to the power filtration.
+adapted to the power filtration.  The columns of d_x it eliminates equal
+d e_i + [x, e_i] by the references (tests/reference_kernels.py).
 """
 
 import json
@@ -16,16 +17,27 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import cli_reports
+import mutations
+import reference_kernels as ref
 from mcdeform import library as lib
 from mcdeform import linalg as la
-from mcdeform.artin import artin_from_labels, tensor_dgla, truncated_polynomial_algebra
-from mcdeform.dgla import endomorphism_dgla
+from mcdeform.artin import (
+    CoefficientAlgebra,
+    artin_from_labels,
+    epsilon_algebra,
+    omega_complex,
+    tensor_dgla,
+    truncated_polynomial_algebra,
+)
+from mcdeform.dgla import Dgla, _to_ints, endomorphism_dgla
 from mcdeform.documents import canonical_json
+from mcdeform.errors import DegreeWindowViolation
 from mcdeform.graded import ChainComplex, GradedElement, GradedMap, GradedSpace, basis_element
 from mcdeform.maurer_cartan import (
     Equivalent,
     NotEquivalent,
     Undecided,
+    _dx_rows,
     gauge_apply,
     gauge_equiv_decide,
     mc_element,
@@ -62,6 +74,95 @@ def test_adapted_basis():
     # m² = ⟨w0 − w1⟩ comes first, at level 2
     assert P == {0: {0: 1, 1: -1}, 1: {0: 1}} and levels == (2, 1)
     assert {j: la.apply_columns(P, col) for j, col in Q.items()} == {0: {0: 1}, 1: {1: 1}}
+
+
+# --- the columns of d_x --------------------------------------------------------
+
+
+def assert_dx_columns(T, x: GradedElement) -> dict:
+    """The rows _dx_rows gives for x, read as columns, in the basis of m_A as
+    it is and in the adapted basis when that differs, against d e_i + [x, e_i]
+    with d applied densely and the bracket summed over Fractions from the
+    tensor's brackets of all pairs of keys (not the kernel's); returns the
+    columns in the basis as it is."""
+    derived = Dgla(T.complex, ref.tensor_brackets(T))
+
+    def d_x(e: GradedElement) -> GradedElement:
+        return ref.map_apply(T.d, e) + ref.bracket(derived, x, e)
+
+    P, Q, _levels = T.coeff.adapted_basis
+    bases = [(None, None, lambda e: e, lambda e: e)]
+    if P is not None:
+        dP, dQ = (ref.dense(m, T.coeff.dim, T.coeff.dim) for m in (P, Q))
+        bases.append((la.int_columns(P), la.int_columns(Q),
+                      lambda e: ref.map_coefficients(T, e, dP, T),
+                      lambda e: ref.map_coefficients(T, e, dQ, T)))
+    for ip, iq, p, q in bases:
+        den, rows = _dx_rows(T, _to_ints(x), ip, iq)
+        cols: dict = {}
+        for r, row in rows.items():
+            assert list(row) == sorted(row) and all(row.values())
+            for e, n in row.items():
+                cols.setdefault(e, {})[r] = Fraction(n, den)
+        for i in range(T.space.dim(0)):
+            assert cols.get((0, i), {}) == q(d_x(p(basis_element(T.space, 0, i)))).coords, i
+        if ip is None:
+            plain = cols
+    return plain
+
+
+def scaled_by_3_7(L: Dgla) -> Dgla:
+    return Dgla(L.complex, {pair: Fraction(3, 7) * val for pair, val in L.brackets.items()})
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["heis", "endo_acyclic", "sl2", "heis0", "obstructed", "end_v"]),
+       st.integers(2, 6), st.booleans(), st.integers(0, 2 ** 16))
+def test_dx_columns_of_mc_elements(name, n, scale, seed):
+    # Maurer-Cartan elements over K[t]/t^n, tables as they are and times 3/7
+    L = end_v() if name == "end_v" else lib.EXAMPLE_DGLAS[name]()
+    T = tensor_dgla(scaled_by_3_7(L) if scale else L, truncated_polynomial_algebra(n))
+    assert_dx_columns(T, mc_element(T, rand_mc(random.Random(seed), T)).element)
+
+
+@pytest.mark.parametrize("coeff", ["eps1", "omega1", "dg_uw", "skew"])
+@settings(max_examples=10, deadline=None)
+@given(name=st.sampled_from(sorted(lib.EXAMPLE_DGLAS)), scale=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_dx_columns_over_graded_and_skew_algebras(coeff, name, scale, seed):
+    # degree-1 elements over the graded coefficient algebras, where the
+    # degree-0 keys mix the degrees of L, and over K[t]/t³ in a basis not
+    # adapted to its filtration (the rebased columns Q d_x P)
+    A = {"eps1": lambda: epsilon_algebra(1), "omega1": lambda: omega_complex(1),
+         "dg_uw": dg_uw, "skew": lambda: SKEW}[coeff]()
+    L = lib.EXAMPLE_DGLAS[name]()
+    T = tensor_dgla(scaled_by_3_7(L) if scale else L, A)
+    assert_dx_columns(T, rand_elem(random.Random(seed), T, 1))
+
+
+def test_dx_columns_read_a_diagonal_as_the_kernel_does():
+    # the corpus table of heis0 with [z, z] = p, antisymmetry broken, over an
+    # algebra p (degree 1), q (degree 0) with p·q = pq: x = z⊗p brackets the
+    # degree-0 key z⊗q through the diagonal stored pair [z, z], read as Dgla
+    # reads a reversed pair, −[z⊗q, z⊗p] = −p⊗pq, where the Koszul rule on
+    # [z, z] would give +p⊗pq
+    L = dict(mutations.corpus())["heis0 [z,z]=p"]
+    A = CoefficientAlgebra(("p", "q", "pq"), {(0, 1): {2: Fraction(1)}}, degrees=(1, 0, 1))
+    T = tensor_dgla(L, A)
+    x = T.element_from_labels({"z@p": 1, "p@p": 2, "q@pq": -1}, 1)
+    cols = assert_dx_columns(T, x)
+    assert cols[T.space.locate("z@q")] == {T.space.locate("p@pq"): -1}
+
+
+def test_a_basis_that_moves_coefficient_degrees_is_refused():
+    # u·u = w + z breaks the degrees (u and z odd, w even), so the adapted
+    # basis mixes them: refused as a rebased element of the wrong degree
+    A = CoefficientAlgebra(("u", "w", "z"), {(0, 0): {1: Fraction(1), 2: Fraction(1)}},
+                           degrees=(1, 0, 1))
+    T = tensor_dgla(lib.heis(), A)
+    x = mc_element(T, T.element_from_labels({}, 1))
+    with pytest.raises(DegreeWindowViolation, match="at degree 1 in element declared degree 0"):
+        gauge_equiv_decide(x, x)
 
 
 @lru_cache(maxsize=None)

@@ -443,6 +443,86 @@ class TestSeries:
         assert_same_element(bch_product(T, a, b), ref.bch_product(T, a, b))
         assert_same_element(bch_product(T, a, -a), ref.bch_product(T, a, -a))
 
+    def test_bernoulli_coefficients_are_kept_constants(self):
+        # the recurrence against the literal table of B_0 … B_12, made once per order
+        for top in range(13):
+            got = maurer_cartan._bernoulli_over_factorial(top)
+            assert type(got) is tuple and list(got) == ref.bernoulli_over_factorial(top)
+            assert maurer_cartan._bernoulli_over_factorial(top) is got
+
+
+class TestSeriesWork:
+    """Each series groups every operand it brackets once: a gauge series its
+    parameter, BCH a − b, each Z_k and each W a later step reads, and the
+    gauge decision x once for all the columns of d_x.  Counted through
+    wrappers of the tensor's kernel."""
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        log = {"grouped": [], "brackets": 0, "ad": 0}
+        group, bracket, ad = (getattr(artin.TensorDgla, m) for m in
+                              ("_grouped", "_bracket_grouped", "_ad_columns"))
+
+        def counting_group(T, x):
+            log["grouped"].append((id(x[1]), as_rationals(*x), sys._getframe(1).f_code.co_name))
+            return group(T, x)
+
+        def counting_bracket(T, x, y):
+            log["brackets"] += 1
+            return bracket(T, x, y)
+
+        def counting_ad(T, x, degree):
+            log["ad"] += 1
+            return ad(T, x, degree)
+
+        monkeypatch.setattr(artin.TensorDgla, "_grouped", counting_group)
+        monkeypatch.setattr(artin.TensorDgla, "_bracket_grouped", counting_bracket)
+        monkeypatch.setattr(artin.TensorDgla, "_ad_columns", counting_ad)
+        return log
+
+    @staticmethod
+    def restart(work):
+        """Forget the work counted so far (the references bracket through the kernel too)."""
+        work.update(grouped=[], brackets=0, ad=0)
+
+    def test_bch_groups_each_operand_once(self, work):
+        c = series_objects(6)
+        T, a, b = c["T"], c["a"], c["b"]
+        want = ref.bch_product(T, a, b)
+        self.restart(work)
+        assert bch_product(T, a, b) == want
+        top = T.nu - 1  # a and b are of level 1
+        ids = [i for i, _x, _caller in work["grouped"]]
+        # a − b, Z_1 … Z_{top−1}, and W_j(m) for 1 ≤ j ≤ m < top − 1 but those
+        # of even j at m = top − 2, which no bracket reads: no value twice
+        read = [(j, m) for m in range(1, top - 1) for j in range(1, m + 1) if j % 2 or m < top - 2]
+        assert len(ids) == len(set(ids)) == 1 + (top - 1) + len(read) == 10
+        assert work["grouped"][0][1] == (a - b).coords
+        assert work["grouped"][1][1] == (a + b).coords
+        assert work["brackets"] == 18 > len(ids)  # [a − b, Z_n] for n < 5 and 14 for the W
+
+    def test_gauge_groups_its_parameter_once(self, work):
+        c = series_objects(6)
+        T, a, x = c["T"], c["a"], c["x"].element
+        want = ref.gauge_apply(T, a, x)
+        self.restart(work)
+        assert gauge_apply(T, a, x) == want
+        values = [v for _i, v, _caller in work["grouped"]]
+        # a once, and each term once as the right operand of its one bracket
+        assert values.count(a.coords) == 1 and len(values) == work["brackets"] + 1 > 2
+
+    def test_the_gauge_decision_groups_no_basis_vector(self, work):
+        c = series_objects(6)
+        T = c["T"]
+        self.restart(work)
+        res = gauge_equiv_decide(c["x"], c["y"])
+        # x grouped once for the one pass that makes every column of ad_x;
+        # the rest is the gauge series and BCH products of the levels
+        direct = [v for _i, v, caller in work["grouped"] if caller in ("gauge_equiv_decide", "_dx_rows")]
+        assert direct == [c["x"].element.coords] and work["ad"] == 1
+        assert len(work["grouped"]) < T.space.dim(0) == 40
+        assert ref.gauge_apply(T, res.witness, c["x"].element) == c["y"].element
+
 
 def end_complex(k: int, dense: bool) -> ChainComplex:
     """V_k in degrees 0, 1 with d(u_i) = (i + 1)·v_i for i < k, or with d
